@@ -1,10 +1,16 @@
-"""FFT helpers shared by the geometry modules.
+"""Numerical primitives shared by the geometry modules and their oracles.
 
 All periodic data lives on uniform grids over [0, 2pi)^n. Derivatives are
 spectral (multiplication by i*m in Fourier space); for even grid sizes the
 Nyquist mode is dropped from odd-order derivatives, the standard choice for
 real data. Quadrature of periodic integrands is the node sum times the cell
 area, accumulated with math.fsum in fixed order so results are deterministic.
+
+Besides the FFT helpers the module holds the three building blocks of the
+oracles: the off-grid Fourier evaluator (`evaluate_fourier`, any number of
+grid axes), one classical RK4 step (`rk4_step`) and one Richardson level for
+O(h^2) estimates (`richardson`). Every integrator and extrapolation in the
+package goes through these.
 """
 
 import math
@@ -42,31 +48,43 @@ def fourier_coefficients(samples, axis=0):
     return np.fft.fft(samples, axis=axis) / n
 
 
-def evaluate_fourier(coeffs, theta):
-    """Evaluate a 1-D Fourier series (FFT-ordered coeffs) at arbitrary angles.
+def evaluate_fourier(coeffs, *thetas):
+    """Evaluate a Fourier series (FFT-ordered coeffs) at arbitrary angles.
 
-    coeffs may have trailing axes; the returned array has shape
-    theta.shape + coeffs.shape[1:].
+    coeffs has one leading axis per angle array and may carry trailing axes;
+    the angle arrays share one shape and the result has shape
+    thetas[0].shape + trailing. The first grid axis is contracted with one
+    matrix product, every further one pointwise, so the cost stays at
+    O(points * coeffs.size).
     """
-    theta = np.asarray(theta, dtype=float)
-    m = modes(coeffs.shape[0])
-    phases = np.exp(1j * theta[..., None] * m)
-    return np.tensordot(phases, coeffs, axes=([-1], [0]))
+    thetas = [np.asarray(t, dtype=float) for t in thetas]
+    shape = thetas[0].shape
+    ndim = len(thetas)
+    trailing = coeffs.shape[ndim:]
+
+    def phases(theta, n):
+        return np.exp(1j * theta.reshape(-1)[:, None] * modes(n))
+
+    # out[p, ...] = sum_{a,b} e^{i m_a theta1[p]} e^{i m_b theta2[p]} coeffs[a, b, ...]
+    out = phases(thetas[0], coeffs.shape[0]) @ coeffs.reshape(coeffs.shape[0], -1)
+    out = out.reshape((-1,) + coeffs.shape[1:])
+    for k in range(1, ndim):
+        out = np.einsum("pb,pb...->p...", phases(thetas[k], coeffs.shape[k]), out)
+    return out.reshape(shape + trailing)
 
 
-def evaluate_fourier_2d(coeffs, theta1, theta2):
-    """Evaluate a 2-D Fourier series at arbitrary (theta1, theta2) pairs.
+def rk4_step(rhs, y, h):
+    """One classical Runge-Kutta step of y' = rhs(y) with step h."""
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * h * k1)
+    k3 = rhs(y + 0.5 * h * k2)
+    k4 = rhs(y + h * k3)
+    return y + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
 
-    coeffs has shape (n1, n2) + trailing; theta1/theta2 are flat arrays of
-    equal length. Separable phases keep the cost at O(points * n1 * n2).
-    """
-    m1 = modes(coeffs.shape[0])
-    m2 = modes(coeffs.shape[1])
-    e1 = np.exp(1j * np.asarray(theta1)[:, None] * m1)
-    e2 = np.exp(1j * np.asarray(theta2)[:, None] * m2)
-    # out[p, ...] = sum_{a,b} e1[p,a] e2[p,b] coeffs[a,b,...]
-    tmp = np.einsum("pa,ab...->pb...", e1, coeffs)
-    return np.einsum("pb,pb...->p...", e2, tmp)
+
+def richardson(estimate, h):
+    """One Richardson level for an O(h^2) estimate: (4 f(h/2) - f(h)) / 3."""
+    return (4.0 * estimate(h / 2.0) - estimate(h)) / 3.0
 
 
 def periodic_total(density, cell):

@@ -23,6 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import _spectral
 from .errors import MetricNotPositiveDefinite, PointOutsideDomain, ValidationError
 
 _CSTEP = 1e-100          # complex-step size; cancellation-free
@@ -168,7 +169,7 @@ class AmbientChart:
                 out[..., b, :, :] = (gp - gm) / (2.0 * step)
             return out
 
-        dgs = (4.0 * dg(h / 2.0) - dg(h)) / 3.0
+        dgs = _spectral.richardson(dg, h)
         g0, _ = self.metric_many(pts)
         ginv = np.linalg.inv(g0)
         m = (np.einsum("...adb->...dab", dgs)
@@ -344,7 +345,7 @@ def _gradient_jacobian(phi, pts, h):
             out[..., :, b] = (gp - gm) / (2.0 * step)
         return out
 
-    hess = (4.0 * jac(h / 2.0) - jac(h)) / 3.0
+    hess = _spectral.richardson(jac, h)
     return 0.5 * (hess + np.swapaxes(hess, -1, -2))
 
 
@@ -368,7 +369,7 @@ def _value_hessian(f, pts, h):
                 out[..., b, a] = mixed
         return out
 
-    return (4.0 * hess_at(h / 2.0) - hess_at(h)) / 3.0
+    return _spectral.richardson(hess_at, h)
 
 
 def _assemble_symmetric(H):

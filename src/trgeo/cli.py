@@ -202,6 +202,9 @@ def _op_curve_geodesic(scn, out_dir):
 def _op_curve_length(scn, out_dir):
     curve = _resolve_curve(scn["curve"])
     radii = [float(r) for r in scn["params"]["radii"]]
+    if len(radii) < 3:
+        raise ValidationError("curve.length needs at least three radii for a "
+                              f"second difference, got {len(radii)}")
     prof = curve_lab.length_profile(curve, radii)
     payload = {"r": prof.radii, "t": prof.t_values, "lambda": prof.values,
                "d2": prof.second_differences}
@@ -388,7 +391,7 @@ def load_scenario(path):
     return scn
 
 
-def run_scenario(path, out_dir, threads=None, tol_scale=1.0):
+def run_scenario(path, out_dir, threads=None):
     """Execute one scenario file; returns the process exit status."""
     scn = load_scenario(path)
     op = scn["operation"]
@@ -401,7 +404,6 @@ def run_scenario(path, out_dir, threads=None, tol_scale=1.0):
         "scenario_version": SCENARIO_VERSION,
         "scenario": scn,
         "threads": threads,
-        "tol_scale": tol_scale,
         "tolerances": {"rho_min": imm.RHO_MIN,
                        "amp_max": geodesic_flow.AMP_MAX,
                        "tail_energy_abort": geodesic_flow.TAIL_ENERGY_ABORT},
@@ -458,7 +460,6 @@ def main(argv=None):
         gp.add_argument("--out", required=True)
         gp.add_argument("--threads", type=int,
                         default=int(os.environ.get("TRGEO_THREADS", "1")))
-        gp.add_argument("--tol-scale", type=float, default=1.0)
     args = parser.parse_args(argv)
     if args.group is None:
         parser.print_usage(sys.stderr)
@@ -472,8 +473,7 @@ def main(argv=None):
                     f"scenario operation {scn['operation']!r} does not match "
                     f"subcommand {expected!r}"
                 )
-        return run_scenario(args.scenario, args.out, threads=args.threads,
-                            tol_scale=args.tol_scale)
+        return run_scenario(args.scenario, args.out, threads=args.threads)
     except (ValidationError,) as e:
         print(f"trgeo: {type(e).__name__}: {e}", file=sys.stderr)
         return 2

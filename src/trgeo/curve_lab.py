@@ -28,6 +28,7 @@ from .errors import (AliasingDetected, FieldNotPositive, NotArclength,
 COEFF_FLOOR = 1e-15       # coefficients below this are treated as absent
 RADIUS_MARGIN = 0.02      # decision band around radius 1
 ELL1_EXPONENT = 1.1       # power-law exponent threshold for an l^1 tail
+REPARAM_SUBSTEPS = 8      # RK4 steps per output node in reparametrize_by_field
 
 GEODESIC_ANNULUS = "geodesic_annulus"
 RAY_ONLY = "ray_only"
@@ -143,13 +144,6 @@ def synthesize(curve, M=None, r=1.0):
     for nn, a in zip(n, scaled):
         fft_coeffs[nn % M] = a
     return np.fft.ifft(fft_coeffs) * M
-
-
-def evaluate(curve, z):
-    """Direct Laurent evaluation sum a_n z^n at arbitrary complex points."""
-    z = np.asarray(z, dtype=complex)
-    n = np.arange(-curve.N, curve.N + 1)
-    return np.sum(curve.coeffs * z[..., None] ** n, axis=-1)
 
 
 # --- radius estimation ----------------------------------------------------------
@@ -374,12 +368,12 @@ def length_profile(curve, radii, M=None):
 
 # --- reparametrization --------------------------------------------------------------
 
-def reparametrize_by_field(f, M=256, oversample=8):
+def reparametrize_by_field(f, M=256):
     """Integrate theta' = f(theta) around the circle.
 
     f is a positive callable on [0, 2pi). Returns dict with the period scale
     R = (1/2pi) int dtheta / f and samples theta(s_j) on M uniform points of
-    s in [0, 2pi R). RK4 with `oversample` substeps per output node.
+    s in [0, 2pi R). RK4 with REPARAM_SUBSTEPS substeps per output node.
     """
     probe = f(np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False))
     if np.min(probe) <= 0.0:
@@ -389,18 +383,17 @@ def reparametrize_by_field(f, M=256, oversample=8):
     period = float(np.mean(1.0 / f(tt))) * 2.0 * math.pi
     R = period / (2.0 * math.pi)
 
-    total_steps = M * oversample
+    def rhs(theta):
+        return float(f(np.array([theta]))[0])
+
+    total_steps = M * REPARAM_SUBSTEPS
     h = period / total_steps
     theta = 0.0
     out = np.empty(M)
     for j in range(total_steps):
-        if j % oversample == 0:
-            out[j // oversample] = theta
-        k1 = float(f(np.array([theta]))[0])
-        k2 = float(f(np.array([theta + 0.5 * h * k1]))[0])
-        k3 = float(f(np.array([theta + 0.5 * h * k2]))[0])
-        k4 = float(f(np.array([theta + h * k3]))[0])
-        theta += h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+        if j % REPARAM_SUBSTEPS == 0:
+            out[j // REPARAM_SUBSTEPS] = theta
+        theta = _spectral.rk4_step(rhs, theta, h)
     closure = theta - 2.0 * math.pi
     return {"R": R, "theta_of_s": out, "closure_defect": abs(closure)}
 
@@ -421,14 +414,16 @@ def resample_arclength(curve, M=None):
     coeffs = np.fft.fft(speed) / fine
     total = coeffs[0].real * 2.0 * math.pi
     m = _spectral.modes(fine)
+    # antiderivative of the oscillating part: c_m e^{i m th} -> c_m e^{i m th} / (i m)
+    integral = np.zeros_like(coeffs)
+    nz = m != 0
+    integral[nz] = coeffs[nz] / (1j * m[nz])
+    at_zero = np.sum(integral)
 
     def arclen(th):
         # integral of the Fourier series of |gamma'| from 0 to th
-        acc = coeffs[0].real * th
-        nz = m != 0
-        phases = (np.exp(1j * np.outer(th, m[nz])) - 1.0) / (1j * m[nz])
-        acc = acc + (phases @ coeffs[nz]).real
-        return acc
+        wave = _spectral.evaluate_fourier(integral, th) - at_zero
+        return coeffs[0].real * th + wave.real
 
     targets = total * np.arange(M) / M
     th = 2.0 * np.pi * np.arange(M) / M
@@ -443,13 +438,14 @@ def resample_arclength(curve, M=None):
 
 
 def evaluate_at(curve, theta):
-    n = np.arange(-curve.N, curve.N + 1)
-    return np.exp(1j * np.outer(np.asarray(theta), n)) @ curve.coeffs
+    """gamma(theta) = sum a_n e^{i n theta} at arbitrary angles."""
+    return _spectral.evaluate_fourier(np.fft.ifftshift(curve.coeffs), theta)
 
 
 def evaluate_derivative(curve, theta):
+    """gamma'(theta) = sum i n a_n e^{i n theta} at arbitrary angles."""
     n = np.arange(-curve.N, curve.N + 1)
-    return np.exp(1j * np.outer(np.asarray(theta), n)) @ (1j * n * curve.coeffs)
+    return _spectral.evaluate_fourier(np.fft.ifftshift(1j * n * curve.coeffs), theta)
 
 
 # --- second variation of length ------------------------------------------------------
@@ -491,15 +487,14 @@ def second_variation_length(curve, f_values, eps=1e-3, arclength_tol=1e-6):
     # constant speed, so the theta derivative is rescaled once
     fs = f / mean_speed
 
+    def rhs(z):
+        return 1j * fs * _spectral.spectral_derivative(z, axis=0)
+
     def flow_length(t_target, n_steps=16):
-        z = samples.copy()
+        z = samples
         h = t_target / n_steps
         for _ in range(n_steps):
-            k1 = 1j * fs * _spectral.spectral_derivative(z, axis=0)
-            k2 = 1j * fs * _spectral.spectral_derivative(z + 0.5 * h * k1, axis=0)
-            k3 = 1j * fs * _spectral.spectral_derivative(z + 0.5 * h * k2, axis=0)
-            k4 = 1j * fs * _spectral.spectral_derivative(z + h * k3, axis=0)
-            z = z + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+            z = _spectral.rk4_step(rhs, z, h)
         sp = np.abs(_spectral.spectral_derivative(z, axis=0))
         return float(np.mean(sp)) * 2.0 * math.pi
 
@@ -508,9 +503,7 @@ def second_variation_length(curve, f_values, eps=1e-3, arclength_tol=1e-6):
     def second_diff(e):
         return (flow_length(e) - 2.0 * l0 + flow_length(-e)) / e ** 2
 
-    d1 = second_diff(eps)
-    d2 = second_diff(eps / 2.0)
-    fd = (4.0 * d2 - d1) / 3.0
+    fd = _spectral.richardson(second_diff, eps)
     return {"analytic": analytic, "fd": fd,
             "abs_err": abs(analytic - fd),
             "rel_err": abs(analytic - fd) / (1.0 + abs(analytic))}

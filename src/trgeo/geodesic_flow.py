@@ -28,8 +28,8 @@ from typing import Optional
 import numpy as np
 
 from . import _spectral, curve_lab
-from .errors import (AmplificationExceeded, BlowUpDetected, NotNested,
-                     StepTooLarge, UnsupportedField, ValidationError)
+from .errors import (AliasingDetected, AmplificationExceeded, BlowUpDetected,
+                     NotNested, StepTooLarge, UnsupportedField, ValidationError)
 from .immersion import (GridTorus, Immersion, VectorFieldOnL, frames,
                         is_totally_real)
 
@@ -113,7 +113,7 @@ def mode_growth_guard(im, axis, c, t_extent, margin=curve_lab.RADIUS_MARGIN):
         M = gamma.size
         try:
             cur = curve_lab.fourier_analyze(gamma, M // 4, check_orientation=False)
-        except Exception:
+        except (ValidationError, AliasingDetected):
             return amp
         est = curve_lab.estimate_radii(cur)
         if c * t_extent > 0 and math.isfinite(est.r_inner) and est.r_inner > 0.0:
@@ -131,7 +131,7 @@ def mode_growth_guard(im, axis, c, t_extent, margin=curve_lab.RADIUS_MARGIN):
     return amp
 
 
-def flow_spectral(im, X, ts, validate=True):
+def flow_spectral(im, X, ts):
     """Exact mode-wise continuation for a coordinate-aligned field on a flat chart."""
     if not im.chart.is_flat:
         raise UnsupportedField("spectral continuation is restricted to flat charts")
@@ -151,9 +151,8 @@ def flow_spectral(im, X, ts, validate=True):
         raise AmplificationExceeded(
             f"continued frames violate the geodesic equation by {residual:.3g}"
         )
-    if validate:
-        for frame_im in result:
-            is_totally_real(frame_im)
+    for frame_im in result:
+        is_totally_real(frame_im)
     return FlowResult(times=ts, immersions=result, amplification=amp,
                       scheme="spectral", geodesic_residual=residual)
 
@@ -218,14 +217,13 @@ def _continue_modes(im, axis, c, ts):
     return out
 
 
-def flow_timestep(im, X, t_final, dt, dealias=DEALIAS_FRACTION,
-                  store_every=1, validate_end=True):
+def flow_timestep(im, X, t_final, dt, store_every=1):
     """RK4 time stepping of d iota/dt = J iota_* X with spectral guards."""
     if dt <= 0.0:
         raise ValidationError("dt must be positive")
     comp = X.components
     max_speed = float(np.max(np.abs(comp)))
-    cutoffs = [int(dealias * (s // 2)) for s in im.grid.sizes]
+    cutoffs = [int(DEALIAS_FRACTION * (s // 2)) for s in im.grid.sizes]
     m_eff = max(cutoffs)
     if dt * m_eff * max(max_speed, 1e-30) > 0.5:
         raise StepTooLarge(
@@ -290,12 +288,7 @@ def flow_timestep(im, X, t_final, dt, dealias=DEALIAS_FRACTION,
     amp = 1.0
     base_norm = float(np.max(np.abs(pts)) + 1.0)
     for step in range(1, n_steps + 1):
-        k1 = rhs(pts)
-        k2 = rhs(pts + 0.5 * dt * k1)
-        k3 = rhs(pts + 0.5 * dt * k2)
-        k4 = rhs(pts + dt * k3)
-        pts = pts + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        pts = dealias_points(pts)
+        pts = dealias_points(_spectral.rk4_step(rhs, pts, dt))
         t = step * dt
         frac = tail_fraction(pts)
         amp = max(amp, float(np.max(np.abs(pts)) + 1.0) / base_norm)
@@ -308,8 +301,7 @@ def flow_timestep(im, X, t_final, dt, dealias=DEALIAS_FRACTION,
             times.append(t)
             frames_out.append(Immersion(grid=im.grid, chart=im.chart,
                                         points=pts.copy(), winding=im.winding))
-    if validate_end:
-        is_totally_real(frames_out[-1])
+    is_totally_real(frames_out[-1])
     return FlowResult(times=times, immersions=frames_out, amplification=amp,
                       scheme="timestep")
 

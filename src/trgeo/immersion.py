@@ -354,11 +354,6 @@ def projections_many(im, fr=None):
     return Projections(pi_l=pi_l, pi_j=pi_j, pi_t=pi_t)
 
 
-def projections_at(im, node):
-    pr = projections_many(im)
-    return Projections(pi_l=pr.pi_l[node], pi_j=pr.pi_j[node], pi_t=pr.pi_t[node])
-
-
 def lagrangian_defect(im):
     """max_node |omega(e_1, e_2)| for surfaces; exactly 0 for curves."""
     if im.n == 1:

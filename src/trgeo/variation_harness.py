@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import _spectral
+from .curve_lab import reparametrize_by_field
 from .errors import GeodesicUnavailable, SignConventionMismatch, ValidationError
 from .geodesic_flow import _continue_modes, _coordinate_alignment
 from .immersion import (GridTorus, Immersion, VectorFieldOnL, density, frames,
@@ -146,45 +147,25 @@ def validate_hj_sign(im, n_fields=5, seed=7, tol=1e-3):
 
 def _flow_on_torus(im, X, t, substeps=8):
     """Reparametrization iota o phi_t(X): RK4 flow of X on L, spectral re-eval."""
-    mesh = im.grid.mesh()
-    thetas = [m.copy() for m in mesh]
-    comp_coeffs = [np.fft.fftn(X.components[k], axes=tuple(range(im.n)))
-                   / np.prod(im.grid.sizes)
-                   for k in range(im.n)]
+    grid_axes = tuple(range(im.n))
+    cells = np.prod(im.grid.sizes)
+    mesh = np.stack(im.grid.mesh())
+    # components as a trailing axis, so one evaluation gives every component
+    comp_coeffs = np.fft.fftn(np.moveaxis(X.components, 0, -1), axes=grid_axes) / cells
 
-    def field_at(angles):
-        flat = [a.ravel() for a in angles]
-        out = []
-        for k in range(im.n):
-            if im.n == 1:
-                vals = _spectral.evaluate_fourier(comp_coeffs[k], flat[0])
-            else:
-                vals = _spectral.evaluate_fourier_2d(comp_coeffs[k], flat[0], flat[1])
-            out.append(vals.real.reshape(angles[0].shape))
-        return out
+    def field_at(thetas):
+        return np.moveaxis(_spectral.evaluate_fourier(comp_coeffs, *thetas).real, -1, 0)
 
+    thetas = mesh
     h = t / substeps
     for _ in range(substeps):
-        k1 = field_at(thetas)
-        k2 = field_at([a + 0.5 * h * b for a, b in zip(thetas, k1)])
-        k3 = field_at([a + 0.5 * h * b for a, b in zip(thetas, k2)])
-        k4 = field_at([a + h * b for a, b in zip(thetas, k3)])
-        thetas = [a + h * (b1 + 2 * b2 + 2 * b3 + b4) / 6.0
-                  for a, b1, b2, b3, b4 in zip(thetas, k1, k2, k3, k4)]
+        thetas = _spectral.rk4_step(field_at, thetas, h)
 
-    pts_coeffs = np.fft.fftn(im.points, axes=tuple(range(im.n)))
-    pts_coeffs = pts_coeffs / np.prod(im.grid.sizes)
-    flat = [a.ravel() for a in thetas]
-    if im.n == 1:
-        vals = _spectral.evaluate_fourier(pts_coeffs, flat[0])
-    else:
-        vals = _spectral.evaluate_fourier_2d(pts_coeffs, flat[0], flat[1])
-    pts = vals.real.reshape(im.points.shape)
+    pts_coeffs = np.fft.fftn(im.points, axes=grid_axes) / cells
+    pts = _spectral.evaluate_fourier(pts_coeffs, *thetas).real
     if im.winding is not None:
-        lin = sum(np.asarray(th)[..., None] * im.winding[:, k]
-                  for k, th in enumerate(thetas))
-        lin0 = sum(np.asarray(m)[..., None] * im.winding[:, k]
-                   for k, m in enumerate(mesh))
+        lin = sum(th[..., None] * im.winding[:, k] for k, th in enumerate(thetas))
+        lin0 = sum(m[..., None] * im.winding[:, k] for k, m in enumerate(mesh))
         pts = pts + lin - lin0
     return Immersion(grid=im.grid, chart=im.chart, points=pts, winding=im.winding)
 
@@ -283,12 +264,11 @@ def _reparametrized_family_axis(im, axis, profile, ts):
     def f(th):
         return _spectral.evaluate_fourier(f_coeffs, np.asarray(th)).real
 
-    rep = curve_lab_reparametrize(f, M=M)
+    rep = reparametrize_by_field(f, M=M)
     R = rep["R"]
     theta_s = rep["theta_of_s"]
     pts_coeffs = np.fft.fft(im.points, axis=axis) / M
-    phases = np.exp(1j * np.outer(theta_s, _spectral.modes(M)))
-    pts = np.tensordot(phases, np.moveaxis(pts_coeffs, axis, 0), axes=([1], [0]))
+    pts = _spectral.evaluate_fourier(np.moveaxis(pts_coeffs, axis, 0), theta_s)
     pts = np.moveaxis(pts, 0, axis).real
     winding = im.winding
     if winding is not None:
@@ -299,11 +279,6 @@ def _reparametrized_family_axis(im, axis, profile, ts):
         pts = pts + wiggle.reshape(shape) * winding[:, axis]
     im2 = Immersion(grid=im.grid, chart=im.chart, points=pts, winding=winding)
     return _continue_modes(im2, axis, 1.0 / R, ts)
-
-
-def curve_lab_reparametrize(f, M):
-    from .curve_lab import reparametrize_by_field
-    return reparametrize_by_field(f, M=M)
 
 
 def geodesic_family(im, Y, ts):
@@ -422,12 +397,11 @@ def mixed_density_second_variation(im, W, Z, eps=1e-3):
         return density(Immersion(grid=im.grid, chart=im.chart, points=pts,
                                  winding=im.winding)).volj_density
 
-    fd = (dens_at(eps, eps) - dens_at(eps, -eps)
-          - dens_at(-eps, eps) + dens_at(-eps, -eps)) / (4.0 * eps ** 2)
-    fd2 = (dens_at(eps / 2, eps / 2) - dens_at(eps / 2, -eps / 2)
-           - dens_at(-eps / 2, eps / 2) + dens_at(-eps / 2, -eps / 2)) / (eps ** 2)
-    fd = (4.0 * fd2 - fd) / 3.0
-    return analytic, fd
+    def mixed_diff(e):
+        return (dens_at(e, e) - dens_at(e, -e)
+                - dens_at(-e, e) + dens_at(-e, -e)) / (4.0 * e ** 2)
+
+    return analytic, _spectral.richardson(mixed_diff, eps)
 
 
 # --- convexity experiments -----------------------------------------------------------

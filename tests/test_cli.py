@@ -85,6 +85,20 @@ def test_numerical_failure_recorded(tmp_path):
     assert results["t_reached"] < 0.2
 
 
+def test_length_needs_three_radii(tmp_path, capsys):
+    scn = write_scenario(tmp_path / "length.json", {
+        "version": 1,
+        "name": "length-one-radius",
+        "operation": "curve.length",
+        "curve": {"terms": {"1": [1.0, 0.0], "-1": [0.3, 0.0]}, "N": 64},
+        "params": {"radii": [0.9]},
+    })
+    out = tmp_path / "out"
+    assert cli.main(["curve", "length", "--scenario", scn, "--out", str(out)]) == 2
+    assert "three radii" in capsys.readouterr().err
+    assert not (out / "results.json").exists()
+
+
 def test_convexity_scenario_csv(tmp_path):
     scn = write_scenario(tmp_path / "cvx.json", {
         "version": 1,

@@ -257,3 +257,15 @@ def test_commutator_on_timestep_flow(circle):
     X = imm.coordinate_field(circle.grid, 0)
     flow = gf.flow_timestep(circle, X, 0.05, 1e-3)
     assert gf.commutator_check(flow, X) < 1e-5
+
+
+def test_mode_growth_guard_skips_only_short_or_aliased_grids(circle, monkeypatch):
+    # a 64-node circle is too short for the radius guard: it is skipped
+    assert gf.mode_growth_guard(circle, 0, 1.0, 0.1) >= 1.0
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken analysis")
+
+    monkeypatch.setattr(cl, "fourier_analyze", broken)
+    with pytest.raises(RuntimeError, match="broken analysis"):
+        gf.mode_growth_guard(circle, 0, 1.0, 0.1)
