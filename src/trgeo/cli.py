@@ -287,10 +287,18 @@ def _op_flow_run(scn, out_dir):
 
 
 def _op_flow_bvp(scn, out_dir):
-    gamma0 = _resolve_curve(scn["params"]["outer"])
-    gamma1 = _resolve_curve(scn["params"]["inner"])
-    res = geodesic_flow.solve_bvp_annulus(
-        gamma0, gamma1, N=int(scn["params"].get("N", 16)))
+    p = scn.get("params")
+    if not isinstance(p, dict):
+        raise ValidationError("flow.bvp needs a \"params\" object")
+    for key in ("outer", "inner"):
+        if not isinstance(p.get(key), dict):
+            raise ValidationError(f"flow.bvp needs a curve descriptor in params.{key}")
+    N = p.get("N", 16)
+    if isinstance(N, bool) or not isinstance(N, int) or N < 1:
+        raise ValidationError(f"params.N must be an integer >= 1, got {N!r}")
+    gamma0 = _resolve_curve(p["outer"])
+    gamma1 = _resolve_curve(p["inner"])
+    res = geodesic_flow.solve_bvp_annulus(gamma0, gamma1, N=N)
     path = os.path.join(out_dir, "annulus_map.json")
     curve_lab.save_coefficients(res.curve, path)
     return {"modulus": res.modulus, "converged": res.converged,

@@ -18,7 +18,7 @@ Two schemes solve the Cauchy problem for coordinate-aligned X on flat charts:
 solve_bvp_annulus fits a Laurent polynomial annulus map between two nested
 Jordan curves by Gauss-Newton on (modulus, coefficients, boundary
 correspondences), the discrete version of the doubly connected Riemann
-mapping theorem.
+mapping theorem. Each step eliminates the correspondence angles node by node.
 """
 
 import math
@@ -413,6 +413,87 @@ def _require_nested(gamma0, gamma1):
         )
 
 
+class _AnnulusProblem:
+    """Residual and structured Gauss-Newton step of the annulus BVP.
+
+    Unknowns x = (rho, Re a, Im a, beta, delta): the modulus, the Laurent
+    coefficients a_n (n = -N..N) and the correspondence angles of the M
+    outer and M inner nodes. Residual rows are (Re, Im) of
+    g(z_j) - gamma0(beta_j) on |z| = 1, the same on |z| = rho against
+    gamma1(delta_j), and the rotation gauge Im a_1.
+    """
+
+    def __init__(self, gamma0, gamma1, N, M):
+        self.gamma0, self.gamma1, self.N, self.M = gamma0, gamma1, N, M
+        self.alphas = 2.0 * math.pi * np.arange(M) / M
+        self.n_idx = np.arange(-N, N + 1)
+        self.basis = np.exp(1j * self.alphas)[:, None] ** self.n_idx
+
+    def initial_guess(self):
+        """rho from the enclosed-area ratio, a from gamma0, identity angles."""
+        area0 = self.gamma0.signed_area()
+        area1 = self.gamma1.signed_area()
+        if area0 <= 0.0 or area1 <= 0.0:
+            raise ValidationError("both curves must be anticlockwise")
+        N, Ns = self.N, self.gamma0.N
+        m = min(N, Ns)
+        a = np.zeros(2 * N + 1, dtype=complex)
+        a[N - m:N + m + 1] = self.gamma0.coeffs[Ns - m:Ns + m + 1]
+        return np.concatenate([[math.sqrt(area1 / area0)], a.real, a.imag,
+                               self.alphas, self.alphas])
+
+    def unpack(self, x):
+        na, M = 2 * self.N + 1, self.M
+        a = x[1:1 + na] + 1j * x[1 + na:1 + 2 * na]
+        return float(x[0]), a, x[1 + 2 * na:1 + 2 * na + M], x[1 + 2 * na + M:]
+
+    def residual(self, x):
+        rho, a, beta, delta = self.unpack(x)
+        r_out = self.basis @ a - curve_lab.evaluate_at(self.gamma0, beta)
+        r_in = (self.basis @ (rho ** self.n_idx * a)
+                - curve_lab.evaluate_at(self.gamma1, delta))
+        return np.concatenate([r_out.real, r_out.imag, r_in.real, r_in.imag,
+                               [a[self.N + 1].imag]])
+
+    def step(self, x, r):
+        """Gauss-Newton step with the angles eliminated node by node.
+
+        Node j's residual moves by dg_j + d_j dbeta_j with d_j = -gamma'(beta_j),
+        so the best angle update leaves only the component of r_j + dg_j
+        along the unit normal n_j = i d_j / |d_j|. Least squares on those
+        2M normal components plus the gauge row gives (drho, da); the angle
+        updates follow by back-substitution.
+        """
+        rho, a, beta, delta = self.unpack(x)
+        N, M, na = self.N, self.M, 2 * self.N + 1
+        basis_in = self.basis * rho ** self.n_idx
+        dgin_drho = basis_in @ (self.n_idx / rho * a)
+        d_out = -curve_lab.evaluate_derivative(self.gamma0, beta)
+        d_in = -curve_lab.evaluate_derivative(self.gamma1, delta)
+        cn_out = -1j * np.conj(d_out) / np.abs(d_out)    # conj(n_j)
+        cn_in = -1j * np.conj(d_in) / np.abs(d_in)
+        p_out = cn_out[:, None] * self.basis
+        p_in = cn_in[:, None] * basis_in
+        A = np.zeros((2 * M + 1, 1 + 2 * na))
+        A[:M, 1:1 + na] = p_out.real
+        A[:M, 1 + na:] = -p_out.imag
+        A[M:2 * M, 0] = (cn_in * dgin_drho).real
+        A[M:2 * M, 1:1 + na] = p_in.real
+        A[M:2 * M, 1 + na:] = -p_in.imag
+        A[2 * M, 1 + na + N + 1] = 1.0
+        r_out = r[:M] + 1j * r[M:2 * M]
+        r_in = r[2 * M:3 * M] + 1j * r[3 * M:4 * M]
+        rhs = -np.concatenate([(cn_out * r_out).real, (cn_in * r_in).real,
+                               [r[4 * M]]])
+        reduced, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+        da = reduced[1:1 + na] + 1j * reduced[1 + na:]
+        dg_out = self.basis @ da
+        dg_in = basis_in @ da + dgin_drho * reduced[0]
+        dbeta = -(np.conj(d_out) * (r_out + dg_out)).real / np.abs(d_out) ** 2
+        ddelta = -(np.conj(d_in) * (r_in + dg_in)).real / np.abs(d_in) ** 2
+        return np.concatenate([reduced, dbeta, ddelta])
+
+
 def solve_bvp_annulus(gamma0, gamma1, N=32, M=None, max_iter=60, tol=1e-8):
     """Fit g(z) = sum a_n z^n on {rho < |z| < 1} with g(S^1) = gamma0, g(rho S^1) = gamma1.
 
@@ -420,84 +501,23 @@ def solve_bvp_annulus(gamma0, gamma1, N=32, M=None, max_iter=60, tol=1e-8):
     correspondence angles); the rotation gauge is fixed by Im a_1 = 0.
     Initial guess: rho from the square root of the enclosed-area ratio,
     coefficients from the outer curve, identity correspondences.
+
+    Each node's residual depends on its own correspondence angle only, so
+    the angle blocks of the Jacobian are diagonal. The step eliminates them
+    node by node (a Schur complement, the variable-projection idea of
+    Golub & Pereyra): projecting each node's residual onto the normal of its
+    boundary curve leaves a (2M + 1) x (4N + 3) least-squares problem for
+    the modulus and the coefficients instead of a (4M + 1) x (4N + 3 + 2M)
+    one, and the angle updates follow by back-substitution.
     """
+    if N < 1:
+        raise ValidationError(f"N must be at least 1, got {N}")
     _require_nested(gamma0, gamma1)
     if M is None:
         M = max(8 * N, 64)
-    alphas = 2.0 * math.pi * np.arange(M) / M
-
-    area0 = gamma0.signed_area()
-    area1 = gamma1.signed_area()
-    if area0 <= 0.0 or area1 <= 0.0:
-        raise ValidationError("both curves must be anticlockwise")
-    rho = math.sqrt(area1 / area0)
-
-    n_idx = np.arange(-N, N + 1)
-    a = np.zeros(2 * N + 1, dtype=complex)
-    src = gamma0.coeffs
-    Ns = gamma0.N
-    for k, n in enumerate(n_idx):
-        if abs(n) <= Ns:
-            a[k] = src[n + Ns]
-    beta = alphas.copy()
-    delta = alphas.copy()
-
-    def pack(rho, a, beta, delta):
-        return np.concatenate([[rho], a.real, a.imag, beta, delta])
-
-    def unpack(x):
-        rho = float(x[0])
-        na = 2 * N + 1
-        a = x[1:1 + na] + 1j * x[1 + na:1 + 2 * na]
-        beta = x[1 + 2 * na:1 + 2 * na + M]
-        delta = x[1 + 2 * na + M:]
-        return rho, a, beta, delta
-
-    def residual(x):
-        rho, a, beta, delta = unpack(x)
-        zo = np.exp(1j * alphas)
-        zi = rho * zo
-        g_out = (zo[:, None] ** n_idx) @ a
-        g_in = (zi[:, None] ** n_idx) @ a
-        r_out = g_out - curve_lab.evaluate_at(gamma0, beta)
-        r_in = g_in - curve_lab.evaluate_at(gamma1, delta)
-        gauge = a[N + 1].imag
-        return np.concatenate([r_out.real, r_out.imag, r_in.real, r_in.imag,
-                               [gauge]])
-
-    def jacobian(x):
-        rho, a, beta, delta = unpack(x)
-        na = 2 * N + 1
-        nvar = 1 + 2 * na + 2 * M
-        zo = np.exp(1j * alphas)
-        zi = rho * zo
-        basis_out = zo[:, None] ** n_idx
-        basis_in = zi[:, None] ** n_idx
-        dgin_drho = (basis_in * (n_idx / rho)) @ a
-        db_out = -curve_lab.evaluate_derivative(gamma0, beta)
-        db_in = -curve_lab.evaluate_derivative(gamma1, delta)
-        Jm = np.zeros((4 * M + 1, nvar))
-        # residual rows: [re out, im out, re in, im in, gauge]
-        Jm[2 * M:3 * M, 0] = dgin_drho.real
-        Jm[3 * M:4 * M, 0] = dgin_drho.imag
-        Jm[0:M, 1:1 + na] = basis_out.real
-        Jm[M:2 * M, 1:1 + na] = basis_out.imag
-        Jm[0:M, 1 + na:1 + 2 * na] = -basis_out.imag
-        Jm[M:2 * M, 1 + na:1 + 2 * na] = basis_out.real
-        Jm[2 * M:3 * M, 1:1 + na] = basis_in.real
-        Jm[3 * M:4 * M, 1:1 + na] = basis_in.imag
-        Jm[2 * M:3 * M, 1 + na:1 + 2 * na] = -basis_in.imag
-        Jm[3 * M:4 * M, 1 + na:1 + 2 * na] = basis_in.real
-        rows = np.arange(M)
-        Jm[rows, 1 + 2 * na + rows] = db_out.real
-        Jm[M + rows, 1 + 2 * na + rows] = db_out.imag
-        Jm[2 * M + rows, 1 + 2 * na + M + rows] = db_in.real
-        Jm[3 * M + rows, 1 + 2 * na + M + rows] = db_in.imag
-        Jm[4 * M, 1 + na + N + 1] = 1.0
-        return Jm
-
-    x = pack(rho, a, beta, delta)
-    r = residual(x)
+    prob = _AnnulusProblem(gamma0, gamma1, N, M)
+    x = prob.initial_guess()
+    r = prob.residual(x)
     cost = float(r @ r)
     history = [math.sqrt(cost / r.size)]
     converged = False
@@ -507,15 +527,14 @@ def solve_bvp_annulus(gamma0, gamma1, N=32, M=None, max_iter=60, tol=1e-8):
             converged = True
             break
         iterations = it + 1
-        Jm = jacobian(x)
-        step, *_ = np.linalg.lstsq(Jm, -r, rcond=None)
+        step = prob.step(x, r)
         alpha = 1.0
         improved = False
         while alpha > 1e-12:
             x_new = x + alpha * step
             rho_new = x_new[0]
             if 0.0 < rho_new < 1.0:
-                r_new = residual(x_new)
+                r_new = prob.residual(x_new)
                 cost_new = float(r_new @ r_new)
                 if cost_new < cost:
                     x, r, cost = x_new, r_new, cost_new
@@ -528,17 +547,17 @@ def solve_bvp_annulus(gamma0, gamma1, N=32, M=None, max_iter=60, tol=1e-8):
         if float(np.max(np.abs(r))) < tol:
             converged = True
             break
-    rho, a, beta, delta = unpack(x)
+    rho, a, beta, delta = prob.unpack(x)
+    n_idx = prob.n_idx
     n_store = max(N, 32)
     padded = np.zeros(2 * n_store + 1, dtype=complex)
     padded[n_store - N: n_store + N + 1] = a
     fitted = curve_lab.FourierCurve(coeffs=padded)
-    r_final = residual(x)
-    out_part = np.abs(r_final[0:M] + 1j * r_final[M:2 * M])
-    in_part = np.abs(r_final[2 * M:3 * M] + 1j * r_final[3 * M:4 * M])
+    out_part = np.abs(r[0:M] + 1j * r[M:2 * M])
+    in_part = np.abs(r[2 * M:3 * M] + 1j * r[3 * M:4 * M])
     min_deriv = math.inf
     for rr in np.linspace(rho, 1.0, 9):
-        zz = rr * np.exp(1j * alphas)
+        zz = rr * np.exp(1j * prob.alphas)
         gp = (zz[:, None] ** (n_idx - 1) * n_idx) @ a
         min_deriv = min(min_deriv, float(np.min(np.abs(gp))))
     return BvpResult(

@@ -158,6 +158,29 @@ def test_bvp_scenario(tmp_path):
     assert res["converged"]
 
 
+_BVP_PARAMS = {"outer": {"terms": {"1": [1.0, 0.0]}, "N": 32},
+               "inner": {"terms": {"1": [0.5, 0.0]}, "N": 32}}
+
+
+@pytest.mark.parametrize("params,field", [
+    (None, "params"),
+    ({"outer": _BVP_PARAMS["outer"]}, "params.inner"),
+    ({**_BVP_PARAMS, "N": 0}, "params.N"),
+    ({**_BVP_PARAMS, "N": -3}, "params.N"),
+    ({**_BVP_PARAMS, "N": "abc"}, "params.N"),
+    ({**_BVP_PARAMS, "N": 8.7}, "params.N"),
+])
+def test_bvp_malformed_params_exit_2(tmp_path, capsys, params, field):
+    payload = {"version": 1, "name": "bvp-bad", "operation": "flow.bvp"}
+    if params is not None:
+        payload["params"] = params
+    scn = write_scenario(tmp_path / "bvp.json", payload)
+    out = tmp_path / "out"
+    assert cli.main(["flow", "bvp", "--scenario", scn, "--out", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not (out / "results.json").exists()
+
+
 def test_determinism_across_threads(classify_scenario, tmp_path):
     outs = []
     for k, threads in enumerate(("1", "8", "1")):

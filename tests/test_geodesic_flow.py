@@ -9,7 +9,7 @@ from trgeo import ambient, curve_lab as cl, geodesic_flow as gf
 from trgeo import immersion as imm
 from trgeo._spectral import evaluate_fourier, fourier_coefficients
 from trgeo.errors import (AmplificationExceeded, BlowUpDetected, NotNested,
-                          StepTooLarge, UnsupportedField)
+                          StepTooLarge, UnsupportedField, ValidationError)
 
 
 @pytest.fixture
@@ -221,6 +221,67 @@ def test_bvp_intermediate_curves_available():
     res = gf.solve_bvp_annulus(gamma0, gamma1, N=8)
     mid = cl.geodesic_evaluate(res.curve, 0.7, M=128)
     assert np.max(np.abs(np.abs(mid) - 0.7)) <= 1e-9
+
+
+def joukowski(c, N=32):
+    return cl.curve_from_terms({1: c / 2, -1: 1 / (2 * c)}, N=N)
+
+
+def dense_bvp_jacobian(prob, x):
+    """Full Jacobian of the annulus residual, angle columns included."""
+    rho, a, beta, delta = prob.unpack(x)
+    N, M, n_idx = prob.N, prob.M, prob.n_idx
+    na = 2 * N + 1
+    zo = np.exp(1j * prob.alphas)
+    basis_out = zo[:, None] ** n_idx
+    basis_in = (rho * zo)[:, None] ** n_idx
+    dgin_drho = (basis_in * (n_idx / rho)) @ a
+    db_out = -cl.evaluate_derivative(prob.gamma0, beta)
+    db_in = -cl.evaluate_derivative(prob.gamma1, delta)
+    J = np.zeros((4 * M + 1, 1 + 2 * na + 2 * M))
+    J[2 * M:3 * M, 0] = dgin_drho.real
+    J[3 * M:4 * M, 0] = dgin_drho.imag
+    for rows, basis in ((slice(0, M), basis_out), (slice(2 * M, 3 * M), basis_in)):
+        im_rows = slice(rows.start + M, rows.stop + M)
+        J[rows, 1:1 + na] = basis.real
+        J[im_rows, 1:1 + na] = basis.imag
+        J[rows, 1 + na:1 + 2 * na] = -basis.imag
+        J[im_rows, 1 + na:1 + 2 * na] = basis.real
+    k = np.arange(M)
+    J[k, 1 + 2 * na + k] = db_out.real
+    J[M + k, 1 + 2 * na + k] = db_out.imag
+    J[2 * M + k, 1 + 2 * na + M + k] = db_in.real
+    J[3 * M + k, 1 + 2 * na + M + k] = db_in.imag
+    J[4 * M, 1 + na + N + 1] = 1.0
+    return J
+
+
+@pytest.mark.parametrize("c_out,c_in,N", [(1.5, 1.1, 8), (1.6, 1.25, 16)])
+def test_bvp_structured_step_matches_dense_lstsq(c_out, c_in, N):
+    prob = gf._AnnulusProblem(joukowski(c_out), joukowski(c_in), N, 8 * N)
+    x = prob.initial_guess()
+    r = prob.residual(x)
+    J = dense_bvp_jacobian(prob, x)
+    assert np.linalg.matrix_rank(J) == J.shape[1]
+    dense, *_ = np.linalg.lstsq(J, -r, rcond=None)
+    step = prob.step(x, r)
+    assert np.linalg.norm(step - dense) <= 1e-8 * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize("c_in,N", [(1.25, 8), (1.25, 16), (1.25, 32),
+                                    (1.25, 64), (1.03, 8), (1.05, 8),
+                                    (1.08, 8)])
+def test_bvp_joukowski_modulus_across_N(c_in, N):
+    # one Laurent pair, so the modulus c_in / c_out is exact at every N
+    c_out = 1.6
+    res = gf.solve_bvp_annulus(joukowski(c_out), joukowski(c_in), N=N)
+    assert res.converged
+    assert abs(res.modulus - c_in / c_out) <= 1e-8
+
+
+def test_bvp_needs_positive_degree():
+    with pytest.raises(ValidationError, match="N"):
+        gf.solve_bvp_annulus(joukowski(1.6), joukowski(1.25), N=0)
 
 
 def test_bvp_not_nested():
