@@ -27,19 +27,21 @@ def spectral_derivative(values, axis, order=1):
     """Differentiate periodic samples along one grid axis.
 
     Works on real or complex arrays of any shape; extra trailing axes
-    (e.g. ambient coordinates) ride along untouched.
+    (e.g. ambient coordinates) ride along untouched. Real input goes through
+    the half spectrum (rfft/irfft) with the same Nyquist rule.
     """
     n = values.shape[axis]
-    m = modes(n)
+    real = np.isrealobj(values)
+    m = np.arange(n // 2 + 1) if real else modes(n)
     mult = (1j * m) ** order
     if order % 2 == 1 and n % 2 == 0:
         mult[n // 2] = 0.0
     shape = [1] * values.ndim
-    shape[axis] = n
-    out = np.fft.ifft(np.fft.fft(values, axis=axis) * mult.reshape(shape), axis=axis)
-    if np.isrealobj(values):
-        return out.real
-    return out
+    shape[axis] = m.size
+    mult = mult.reshape(shape)
+    if real:
+        return np.fft.irfft(np.fft.rfft(values, axis=axis) * mult, n=n, axis=axis)
+    return np.fft.ifft(np.fft.fft(values, axis=axis) * mult, axis=axis)
 
 
 def fourier_coefficients(samples, axis=0):
@@ -63,7 +65,12 @@ def evaluate_fourier(coeffs, *thetas):
     trailing = coeffs.shape[ndim:]
 
     def phases(theta, n):
-        return np.exp(1j * theta.reshape(-1)[:, None] * modes(n))
+        # e^{i m theta} for m = 0..n//2 only; e^{-i m theta} is its conjugate
+        half = np.exp(1j * theta.reshape(-1)[:, None] * np.arange(n // 2 + 1))
+        out = np.empty((half.shape[0], n), dtype=complex)
+        out[:, :(n + 1) // 2] = half[:, :(n + 1) // 2]
+        np.conjugate(half[:, n // 2:0:-1], out=out[:, (n + 1) // 2:])
+        return out
 
     # out[p, ...] = sum_{a,b} e^{i m_a theta1[p]} e^{i m_b theta2[p]} coeffs[a, b, ...]
     out = phases(thetas[0], coeffs.shape[0]) @ coeffs.reshape(coeffs.shape[0], -1)

@@ -136,17 +136,20 @@ class AmbientChart:
         return (A + D + 1j * (B - np.swapaxes(B, -1, -2))) / 4.0
 
     def metric_many(self, pts, check_pd=True):
-        """Batched metric and 2-form matrices at chart points."""
+        """Batched metric and 2-form matrices at chart points.
+
+        On flat charts both are read-only broadcast views of I and J^T.
+        """
         pts = np.asarray(pts, dtype=float)
         if self.is_flat:
             shape = pts.shape[:-1] + (self.dim, self.dim)
-            g = np.broadcast_to(np.eye(self.dim), shape).copy()
-        else:
-            self.require_inside(pts)
-            H = self.hermitian_hessian(pts)
-            g = _assemble_symmetric(H)
-            if check_pd:
-                _require_positive_definite(g, self.name)
+            return (np.broadcast_to(np.eye(self.dim), shape),
+                    np.broadcast_to(self.J.T, shape))
+        self.require_inside(pts)
+        H = self.hermitian_hessian(pts)
+        g = _assemble_symmetric(H)
+        if check_pd:
+            _require_positive_definite(g, self.name)
         omega = np.swapaxes(self.J, 0, 1) @ g
         return g, omega
 

@@ -106,34 +106,80 @@ def emit_plotdata(results, kind, out_dir, stem="series"):
     return paths
 
 
+# --- scenario fields ------------------------------------------------------------
+
+_REQUIRED = object()
+_KINDS = {
+    "object": ("an object", lambda v: isinstance(v, dict)),
+    "list": ("a list", lambda v: isinstance(v, list)),
+    "string": ("a string", lambda v: isinstance(v, str)),
+    "number": ("a finite number", lambda v: isinstance(v, (int, float))
+               and not isinstance(v, bool) and math.isfinite(v)),
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+}
+
+
+def _check(value, path, kind, minimum=None):
+    """value as the JSON kind named; ValidationError naming path otherwise.
+
+    kind is "object", "list", "string", "number", "numbers" (a list of
+    numbers) or "int"; minimum bounds ints. Numbers come back as floats.
+    """
+    if kind == "numbers":
+        values = _check(value, path, "list")
+        return [_check(v, f"{path}[{k}]", "number") for k, v in enumerate(values)]
+    what, ok = _KINDS[kind]
+    if minimum is not None:
+        what = f"{what} >= {minimum}"
+    if not ok(value) or (minimum is not None and value < minimum):
+        raise ValidationError(f"{path} must be {what}, got {value!r}")
+    return float(value) if kind == "number" else value
+
+
+def _get(d, key, path, kind, default=_REQUIRED, minimum=None):
+    """Checked field d[key]; the default (trusted) when the key is absent."""
+    if key not in d:
+        if default is _REQUIRED:
+            raise ValidationError(f"scenario needs {path}")
+        return default
+    return _check(d[key], path, kind, minimum)
+
+
+def _params(scn):
+    return _get(scn, "params", "params", "object")
+
+
 # --- descriptor resolution ----------------------------------------------------
 
 def _resolve_grid(desc, n):
-    if isinstance(desc, int):
-        sizes = (desc,) * n
-    else:
-        sizes = tuple(int(s) for s in desc)
-    return imm.GridTorus(sizes)
+    sizes = desc if isinstance(desc, list) else [desc] * n
+    return imm.GridTorus(tuple(_check(s, "immersion.grid", "int", minimum=1)
+                               for s in sizes))
 
 
 def _resolve_immersion(scn):
-    chart = ambient.chart_from_descriptor(scn.get("chart", {"name": "flat_c1"}))
-    d = scn["immersion"]
+    chart = ambient.chart_from_descriptor(
+        _get(scn, "chart", "chart", "object", {"name": "flat_c1"}))
+    d = _get(scn, "immersion", "immersion", "object")
     grid = _resolve_grid(d.get("grid", 64), 1 if chart.n == 1 else 2)
-    return imm.build_immersion(grid, chart, d["formula"],
-                               **d.get("args", {})), chart
+    formula = _get(d, "formula", "immersion.formula", "string")
+    return imm.build_immersion(grid, chart, formula,
+                               **_get(d, "args", "immersion.args", "object", {})), chart
 
 
-def _resolve_field(desc, grid):
+def _resolve_field(scn, grid):
+    desc = _get(scn, "field", "field", "object", {"kind": "coordinate"})
     kind = desc.get("kind", "coordinate")
+    axis = _get(desc, "axis", "field.axis", "int", 0, minimum=0)
+    if axis >= grid.n:
+        raise ValidationError(f"field.axis must be < {grid.n}, got {axis}")
     if kind == "coordinate":
-        return imm.coordinate_field(grid, int(desc.get("axis", 0)),
-                                    scale=float(desc.get("scale", 1.0)))
+        return imm.coordinate_field(grid, axis,
+                                    scale=_get(desc, "scale", "field.scale", "number", 1.0))
     if kind == "cosine_axis":
-        axis = int(desc.get("axis", 0))
-        base = float(desc.get("base", 1.0))
-        amp = float(desc.get("amplitude", 0.3))
-        mode = int(desc.get("mode", 1))
+        base = _get(desc, "base", "field.base", "number", 1.0)
+        amp = _get(desc, "amplitude", "field.amplitude", "number", 0.3)
+        mode = _get(desc, "mode", "field.mode", "int", 1)
         theta = grid.thetas(axis)
         profile = base + amp * np.cos(mode * theta)
         comp = np.zeros((grid.n,) + grid.sizes)
@@ -145,26 +191,46 @@ def _resolve_field(desc, grid):
     raise ValidationError(f"unknown field descriptor {desc!r}")
 
 
-def _resolve_curve(desc):
+def _resolve_curve(desc, path):
+    desc = _check(desc, path, "object")
     if "family" in desc:
-        return curve_lab.family_coefficients(desc["family"],
-                                             N=int(desc.get("N", 256)))
+        return curve_lab.family_coefficients(
+            desc["family"], N=_get(desc, "N", f"{path}.N", "int", 256, minimum=1))
     if "terms" in desc:
+        terms = _get(desc, "terms", f"{path}.terms", "object")
+        coeffs = {}
+        for key in terms:
+            where = f"{path}.terms.{key}"
+            try:
+                n = int(key)
+            except ValueError:
+                raise ValidationError(f"{where}: mode must be an integer") from None
+            pair = _check(terms[key], where, "numbers")
+            if len(pair) != 2:
+                raise ValidationError(f"{where} must be a [re, im] pair, got {pair!r}")
+            coeffs[n] = complex(*pair)
         return curve_lab.curve_from_terms(
-            {int(k): complex(v[0], v[1]) for k, v in desc["terms"].items()},
-            N=int(desc.get("N", 128)))
+            coeffs, N=_get(desc, "N", f"{path}.N", "int", 128, minimum=1))
     if "coeff_file" in desc:
-        return curve_lab.load_coefficients(desc["coeff_file"],
-                                           N=desc.get("N"))
+        N = _get(desc, "N", f"{path}.N", "int", None, minimum=1)
+        try:
+            return curve_lab.load_coefficients(desc["coeff_file"], N=N)
+        except (OSError, ValueError, TypeError, IndexError) as e:
+            raise ValidationError(f"{path}.coeff_file: cannot load "
+                                  f"{desc['coeff_file']!r}: {e}") from None
     raise ValidationError(f"unresolvable curve descriptor {desc!r}")
+
+
+def _curve(scn):
+    return _resolve_curve(_get(scn, "curve", "curve", "object"), "curve")
 
 
 # --- operation handlers ---------------------------------------------------------
 
 def _op_curve_analyze(scn, out_dir):
-    d = scn["params"]
-    curve = _resolve_curve(scn["curve"])
-    M = int(d.get("samples", 4 * curve.N))
+    d = _params(scn)
+    curve = _curve(scn)
+    M = _get(d, "samples", "params.samples", "int", 4 * curve.N, minimum=1)
     samples = curve_lab.synthesize(curve, M=M)
     out = curve_lab.fourier_analyze(samples, N=curve.N)
     path = os.path.join(out_dir, "coefficients.json")
@@ -175,8 +241,8 @@ def _op_curve_analyze(scn, out_dir):
 
 def _op_curve_classify(scn, out_dir):
     records = []
-    for desc in scn["curves"]:
-        curve = _resolve_curve(desc)
+    for k, desc in enumerate(_get(scn, "curves", "curves", "list")):
+        curve = _resolve_curve(desc, f"curves[{k}]")
         cls = curve_lab.classify_direction(curve)
         records.append({
             "label": desc.get("label", desc.get("family", "curve")),
@@ -191,8 +257,8 @@ def _op_curve_classify(scn, out_dir):
 
 
 def _op_curve_geodesic(scn, out_dir):
-    curve = _resolve_curve(scn["curve"])
-    radii = [float(r) for r in scn["params"]["radii"]]
+    curve = _curve(scn)
+    radii = _get(_params(scn), "radii", "params.radii", "numbers")
     frames = [curve_lab.geodesic_evaluate(curve, r) for r in radii]
     payload = {"frames": [np.stack([f.real, f.imag], axis=-1) for f in frames]}
     paths = emit_plotdata(payload, "flow", out_dir)
@@ -200,8 +266,8 @@ def _op_curve_geodesic(scn, out_dir):
 
 
 def _op_curve_length(scn, out_dir):
-    curve = _resolve_curve(scn["curve"])
-    radii = [float(r) for r in scn["params"]["radii"]]
+    curve = _curve(scn)
+    radii = _get(_params(scn), "radii", "params.radii", "numbers")
     if len(radii) < 3:
         raise ValidationError("curve.length needs at least three radii for a "
                               f"second difference, got {len(radii)}")
@@ -214,15 +280,17 @@ def _op_curve_length(scn, out_dir):
 
 
 def _op_curve_secondvar(scn, out_dir):
-    curve = _resolve_curve(scn["curve"])
-    curve = curve_lab.resample_arclength(curve)
+    fields = _get(_params(scn), "fields", "params.fields", "list")
+    curve = curve_lab.resample_arclength(_curve(scn))
     M = 4 * curve.N
     theta = 2.0 * np.pi * np.arange(M) / M
     reports = []
-    for fdesc in scn["params"]["fields"]:
-        base = float(fdesc.get("base", 1.0))
-        amp = float(fdesc.get("amplitude", 0.0))
-        mode = int(fdesc.get("mode", 1))
+    for k, fdesc in enumerate(fields):
+        where = f"params.fields[{k}]"
+        fdesc = _check(fdesc, where, "object")
+        base = _get(fdesc, "base", f"{where}.base", "number", 1.0)
+        amp = _get(fdesc, "amplitude", f"{where}.amplitude", "number", 0.0)
+        mode = _get(fdesc, "mode", f"{where}.mode", "int", 1)
         f = base + amp * np.cos(mode * theta)
         res = curve_lab.second_variation_length(curve, f)
         reports.append({"context": fdesc.get("label", "field"),
@@ -259,16 +327,18 @@ def _op_jvol_hj(scn, out_dir):
 
 def _op_flow_run(scn, out_dir):
     im, chart = _resolve_immersion(scn)
-    X = _resolve_field(scn.get("field", {"kind": "coordinate"}), im.grid)
-    p = scn["params"]
+    X = _resolve_field(scn, im.grid)
+    p = _params(scn)
     scheme = p.get("scheme", "spectral")
     if scheme == "spectral":
-        ts = [float(t) for t in p["times"]]
+        ts = _get(p, "times", "params.times", "numbers")
         flow = geodesic_flow.flow_spectral(im, X, ts)
     elif scheme == "timestep":
         flow = geodesic_flow.flow_timestep(
-            im, X, float(p["t_final"]), float(p["dt"]),
-            store_every=int(p.get("store_every", 10)))
+            im, X, _get(p, "t_final", "params.t_final", "number"),
+            _get(p, "dt", "params.dt", "number"),
+            store_every=_get(p, "store_every", "params.store_every", "int", 10,
+                             minimum=1))
     else:
         raise UnknownOperation(f"unknown flow scheme {scheme!r}")
     payload = {"frames": [f.positions() for f in flow.immersions]}
@@ -287,17 +357,11 @@ def _op_flow_run(scn, out_dir):
 
 
 def _op_flow_bvp(scn, out_dir):
-    p = scn.get("params")
-    if not isinstance(p, dict):
-        raise ValidationError("flow.bvp needs a \"params\" object")
-    for key in ("outer", "inner"):
-        if not isinstance(p.get(key), dict):
-            raise ValidationError(f"flow.bvp needs a curve descriptor in params.{key}")
-    N = p.get("N", 16)
-    if isinstance(N, bool) or not isinstance(N, int) or N < 1:
-        raise ValidationError(f"params.N must be an integer >= 1, got {N!r}")
-    gamma0 = _resolve_curve(p["outer"])
-    gamma1 = _resolve_curve(p["inner"])
+    p = _params(scn)
+    N = _get(p, "N", "params.N", "int", 16, minimum=1)
+    gamma0, gamma1 = (_resolve_curve(_get(p, key, f"params.{key}", "object"),
+                                     f"params.{key}")
+                      for key in ("outer", "inner"))
     res = geodesic_flow.solve_bvp_annulus(gamma0, gamma1, N=N)
     path = os.path.join(out_dir, "annulus_map.json")
     curve_lab.save_coefficients(res.curve, path)
@@ -308,14 +372,15 @@ def _op_flow_bvp(scn, out_dir):
 
 def _op_flow_uniqueness(scn, out_dir):
     im, chart = _resolve_immersion(scn)
-    X = _resolve_field(scn.get("field", {"kind": "coordinate"}), im.grid)
-    gap = geodesic_flow.uniqueness_compare(im, X, float(scn["params"]["t_final"]))
+    X = _resolve_field(scn, im.grid)
+    t_final = _get(_params(scn), "t_final", "params.t_final", "number")
+    gap = geodesic_flow.uniqueness_compare(im, X, t_final)
     return {"sup_gap": gap}, []
 
 
 def _op_variation_first(scn, out_dir):
     im, chart = _resolve_immersion(scn)
-    Y = _resolve_field(scn.get("field", {"kind": "coordinate"}), im.grid)
+    Y = _resolve_field(scn, im.grid)
     rep = vh.check_first_variation(im, Y, context=scn.get("name", "first"))
     paths = emit_plotdata([rep.to_dict()], "reports", out_dir, stem="summary")
     return {"report": rep.to_dict()}, paths
@@ -323,7 +388,7 @@ def _op_variation_first(scn, out_dir):
 
 def _op_variation_second(scn, out_dir):
     im, chart = _resolve_immersion(scn)
-    Y = _resolve_field(scn.get("field", {"kind": "coordinate"}), im.grid)
+    Y = _resolve_field(scn, im.grid)
     rep = vh.check_second_variation_kahler(im, Y, context=scn.get("name", "second"))
     paths = emit_plotdata([rep.to_dict()], "reports", out_dir, stem="summary")
     return {"report": rep.to_dict()}, paths
@@ -331,7 +396,7 @@ def _op_variation_second(scn, out_dir):
 
 def _op_variation_density(scn, out_dir):
     im, chart = _resolve_immersion(scn)
-    X = _resolve_field(scn.get("field", {"kind": "coordinate"}), im.grid)
+    X = _resolve_field(scn, im.grid)
     r1, r2, integral2 = vh.check_density_divergence(im, X)
     paths = emit_plotdata([r1.to_dict(), r2.to_dict()], "reports", out_dir,
                           stem="summary")
@@ -340,8 +405,9 @@ def _op_variation_density(scn, out_dir):
 
 
 def _op_variation_convexity(scn, out_dir):
-    p = scn["params"]
-    prof = vh.convexity_experiment(p["family"], p["t_grid"])
+    p = _params(scn)
+    prof = vh.convexity_experiment(_get(p, "family", "params.family", "object"),
+                                   _get(p, "t_grid", "params.t_grid", "numbers"))
     payload = {"t": prof["t"], "vol_j": prof["vol_j"],
                "second_differences": prof["second_differences"]}
     paths = emit_plotdata(payload, "profile_t", out_dir, stem="convexity")
@@ -351,15 +417,15 @@ def _op_variation_convexity(scn, out_dir):
 
 
 def _op_ambient_verify(scn, out_dir):
-    chart = ambient.chart_from_descriptor(scn.get("chart", {"name": "flat_c1"}))
-    p = scn.get("params", {})
-    seed = int(scn.get("seed", 0))
-    rng = np.random.default_rng(seed)
-    n_pts = int(p.get("n_points", 12))
+    chart = ambient.chart_from_descriptor(
+        _get(scn, "chart", "chart", "object", {"name": "flat_c1"}))
+    p = _get(scn, "params", "params", "object", {})
+    rng = np.random.default_rng(_get(scn, "seed", "seed", "int", 0, minimum=0))
+    n_pts = _get(p, "n_points", "params.n_points", "int", 12, minimum=1)
     if chart.is_flat:
         pts = rng.uniform(-1.0, 1.0, size=(n_pts, chart.dim))
     else:
-        r_max = float(p.get("r_max", 0.6)) * chart.radius
+        r_max = _get(p, "r_max", "params.r_max", "number", 0.6) * chart.radius
         pts = rng.uniform(-r_max / math.sqrt(chart.dim),
                           r_max / math.sqrt(chart.dim),
                           size=(n_pts, chart.dim))

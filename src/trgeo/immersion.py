@@ -6,14 +6,16 @@ grid angles. Immersions into the flat quotient chart may carry a winding
 matrix W: the actual position is W @ theta plus the stored periodic part,
 which keeps spectral differentiation valid for closed straight tori.
 
-The J-volume density rho_J is computed two ways at every node and the two are
-cross-checked: as sqrt(det_C h_ij) for the Hermitian form h = g - i omega on
-an orthonormal tangent frame, and as the square root of the ambient volume of
-(e_1..e_n, Je_1..Je_n). Both equal 1 exactly on Lagrangian planes.
+The J-volume density rho_J is sqrt(det_C h_ij) for the Hermitian form
+h = g - i omega on an orthonormal tangent frame. A second formula, the square
+root of the ambient volume of (e_1..e_n, Je_1..Je_n), cross-checks it
+wherever JVolumeDensity.formula_gap is read; validation alone skips it. Both
+equal 1 exactly on Lagrangian planes.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -189,49 +191,82 @@ class FrameData:
     induced_vol: np.ndarray      # sizes: |v_1 ^ .. ^ v_n|_g
 
 
+def _apply(mat, v):
+    """Nodewise matrix-vector product mat v."""
+    return np.einsum("...ij,...j->...i", mat, v)
+
+
+def _dot(a, b):
+    """Nodewise Euclidean dot product a . b."""
+    return np.einsum("...i,...i->...", a, b)
+
+
 def frames(im):
-    """Coordinate fields plus a Gram-Schmidt orthonormal tangent frame."""
+    """Coordinate fields plus a Gram-Schmidt orthonormal tangent frame.
+
+    Inner products are g v formed once per vector, then a dot product; the
+    Gram determinant is the closed form for n <= 2.
+    """
     vs = im.coordinate_vectors()
     pos = im.positions()
     g, omega = im.chart.metric_many(pos)
     n = im.n
     sizes = im.grid.sizes
 
-    def inner(a, b):
-        return np.einsum("...i,...ij,...j->...", a, g, b)
+    g_vs = [_apply(g, v) for v in vs]
+    gram = [[_dot(vs[i], g_vs[j]) for j in range(n)] for i in range(n)]
+    det = gram[0][0] if n == 1 else gram[0][0] * gram[1][1] - gram[0][1] * gram[1][0]
+    induced_vol = np.sqrt(np.maximum(det, 0.0))
 
     frame = np.empty_like(vs)
+    g_frame = np.empty_like(vs)
     coeffs = np.zeros((n, n) + sizes)
-    gram = np.empty(sizes + (n, n))
     for i in range(n):
-        for j in range(n):
-            gram[..., i, j] = inner(vs[i], vs[j])
-    induced_vol = np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
-
-    for i in range(n):
-        u = vs[i].copy()
+        u, g_u = vs[i], g_vs[i]
         c = np.zeros((n,) + sizes)
         c[i] = 1.0
-        for j in range(i):
-            proj = inner(u, frame[j])
-            u -= proj[..., None] * frame[j]
-            c -= proj * coeffs[j]
-        norms = np.sqrt(np.maximum(inner(u, u), 0.0))
-        ref = np.sqrt(np.maximum(inner(vs[i], vs[i]), 0.0))
+        if i > 0:
+            u = u.copy()
+            for j in range(i):
+                proj = _dot(u, g_frame[j])
+                u -= proj[..., None] * frame[j]
+                c -= proj * coeffs[j]
+            g_u = _apply(g, u)
+        norms = np.sqrt(np.maximum(_dot(u, g_u), 0.0))
+        ref = np.sqrt(np.maximum(gram[i][i], 0.0))
         if np.any(norms <= 1e-12 * np.maximum(ref, 1.0)):
             raise DegenerateFrame("coordinate frame is numerically degenerate")
         frame[i] = u / norms[..., None]
+        g_frame[i] = g_u / norms[..., None]
         coeffs[i] = c / norms
     return FrameData(vectors=vs, frame=frame, coeffs=coeffs,
                      g_ambient=g, omega_ambient=omega, induced_vol=induced_vol)
 
 
-@dataclass
-class JVolumeDensity:
-    rho: np.ndarray
-    volg_density: np.ndarray
-    volj_density: np.ndarray
-    formula_gap: float           # max |det_C formula - Gram formula|
+def _rho_h(frame_vectors, omega):
+    """sqrt(det_C (delta_ij - i omega(e_i, e_j))) for orthonormal frames e_i.
+
+    omega is antisymmetric, so the real part of the determinant is 1 for
+    curves and 1 - om_00 om_11 + om_01 om_10 for surfaces.
+    """
+    n = frame_vectors.shape[0]
+    if n == 1:
+        return np.ones(frame_vectors.shape[1:-1])
+    om_e = [_apply(omega, e) for e in frame_vectors]
+    om = [[_dot(frame_vectors[i], om_e[j]) for j in range(n)] for i in range(n)]
+    det_h = 1.0 - om[0][0] * om[1][1] + om[0][1] * om[1][0]
+    return np.sqrt(np.maximum(det_h, 0.0))
+
+
+def _rho_vol(frame_vectors, g, J):
+    """sqrt( sqrt(det g) * det[e_1 .. e_n, Je_1 .. Je_n] ), by LAPACK."""
+    n = frame_vectors.shape[0]
+    cols = [frame_vectors[i] for i in range(n)]
+    cols += [np.einsum("ij,...j->...i", J, frame_vectors[i]) for i in range(n)]
+    mat = np.stack(cols, axis=-1)
+    det_g = np.linalg.det(g)
+    vol = np.sqrt(np.maximum(det_g, 0.0)) * np.linalg.det(mat)
+    return np.sqrt(np.maximum(vol, 0.0))
 
 
 def rho_of_frame(frame_vectors, g, omega, J):
@@ -240,39 +275,42 @@ def rho_of_frame(frame_vectors, g, omega, J):
     rho_h   = sqrt(det_C (delta_ij - i omega(e_i, e_j)))
     rho_vol = sqrt( sqrt(det g) * det[e_1 .. e_n, Je_1 .. Je_n] )
     """
-    n = frame_vectors.shape[0]
-    sizes = frame_vectors.shape[1:-1]
-    h = np.empty(sizes + (n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            om = np.einsum("...i,...ij,...j->...", frame_vectors[i], omega,
-                           frame_vectors[j])
-            h[..., i, j] = (1.0 if i == j else 0.0) - 1j * om
-    if n == 1:
-        det_h = h[..., 0, 0].real
-    else:
-        det_h = (h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] * h[..., 1, 0]).real
-    rho_h = np.sqrt(np.maximum(det_h, 0.0))
+    return _rho_h(frame_vectors, omega), _rho_vol(frame_vectors, g, J)
 
-    cols = [frame_vectors[i] for i in range(n)]
-    cols += [np.einsum("ij,...j->...i", J, frame_vectors[i]) for i in range(n)]
-    mat = np.stack(cols, axis=-1)
-    det_g = np.linalg.det(g)
-    vol = np.sqrt(np.maximum(det_g, 0.0)) * np.linalg.det(mat)
-    rho_vol = np.sqrt(np.maximum(vol, 0.0))
-    return rho_h, rho_vol
+
+@dataclass
+class JVolumeDensity:
+    """Per-node rho_J (det_C formula) and the volume densities.
+
+    The Gram formula rho_vol and the cross-check formula_gap are computed
+    on first read, from the frame, metric and J the density was built on.
+    """
+
+    rho: np.ndarray
+    volg_density: np.ndarray
+    volj_density: np.ndarray
+    frame: np.ndarray = field(repr=False)
+    g_ambient: np.ndarray = field(repr=False)
+    J: np.ndarray = field(repr=False)
+
+    @cached_property
+    def rho_vol(self):
+        return _rho_vol(self.frame, self.g_ambient, self.J)
+
+    @cached_property
+    def formula_gap(self):
+        """max |det_C formula - Gram formula| over the nodes."""
+        return float(np.max(np.abs(self.rho - self.rho_vol)))
 
 
 def density(im, fr=None):
     """Per-node rho_J and volume densities (theta-coordinate components)."""
     if fr is None:
         fr = frames(im)
-    rho_h, rho_vol = rho_of_frame(fr.frame, fr.g_ambient, fr.omega_ambient,
-                                  im.chart.J)
-    gap = float(np.max(np.abs(rho_h - rho_vol)))
+    rho = _rho_h(fr.frame, fr.omega_ambient)
     volg = fr.induced_vol
-    return JVolumeDensity(rho=rho_h, volg_density=volg,
-                          volj_density=rho_h * volg, formula_gap=gap)
+    return JVolumeDensity(rho=rho, volg_density=volg, volj_density=rho * volg,
+                          frame=fr.frame, g_ambient=fr.g_ambient, J=im.chart.J)
 
 
 def is_totally_real(im, rho_min=RHO_MIN):

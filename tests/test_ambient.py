@@ -41,6 +41,15 @@ def test_flat_metric_identity():
                               np.zeros((2 * n, 2 * n)))
 
 
+def test_flat_metric_many_read_only_views():
+    ch = ambient.flat_chart(2)
+    g, omega = ch.metric_many(np.zeros((5, 3, 4)))
+    assert g.shape == omega.shape == (5, 3, 4, 4)
+    assert not g.flags.writeable and not omega.flags.writeable
+    assert np.array_equal(g, np.broadcast_to(np.eye(4), g.shape))
+    assert np.array_equal(omega, np.broadcast_to(ch.J.T, g.shape))
+
+
 def test_j_squares_to_minus_identity():
     for n in (1, 2):
         J = ambient.standard_j(n)

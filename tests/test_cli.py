@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,3 +271,60 @@ def test_every_operation_dispatches(tmp_path, payload):
     assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 0
     results = json.loads((out / "results.json").read_text())
     assert results["status"] == "ok"
+
+
+_ELLIPSE = {"terms": {"1": [1.0, 0.0], "-1": [0.3, 0.0]}, "N": 64}
+_FLAT_TORUS = {"chart": {"name": "flat_c2"},
+               "immersion": {"formula": "product_torus", "grid": 32,
+                             "args": {"r1": 1.0, "r2": 2.0}}}
+
+
+@pytest.mark.parametrize("payload,field", [
+    ({"operation": "curve.length", "params": {"radii": [0.8, 0.9, 1.0]},
+      "curve": {"terms": {"1": [0.5]}, "N": 64}}, "curve.terms.1"),
+    ({"operation": "curve.length", "params": {"radii": [0.8, 0.9, 1.0]},
+      "curve": {"terms": {"1": [1.0, 0.0]}, "N": "abc"}}, "curve.N"),
+    ({"operation": "curve.classify",
+      "curves": [{"family": "annulus", "N": "abc"}]}, "curves[0].N"),
+    ({"operation": "flow.bvp",
+      "params": {"outer": {"terms": {"1": [1.0, 0.0]}, "N": 32},
+                 "inner": {"terms": {"1": [0.5]}, "N": 32}}},
+     "params.inner.terms.1"),
+    ({"operation": "curve.analyze", "curve": _ELLIPSE}, "params"),
+    ({"operation": "curve.geodesic", "curve": _ELLIPSE}, "params"),
+    ({"operation": "curve.length", "curve": _ELLIPSE}, "params"),
+    ({"operation": "curve.secondvar", "curve": _ELLIPSE}, "params"),
+    ({"operation": "flow.run", "chart": {"name": "flat_c1"},
+      "immersion": {"formula": "circle", "grid": 64}}, "params"),
+    ({"operation": "flow.uniqueness", **_FLAT_TORUS}, "params"),
+    ({"operation": "variation.convexity"}, "params"),
+    ({"operation": "jvol.compute", "chart": {"name": "flat_c2"},
+      "immersion": {"formula": "product_torus", "grid": 32.5}}, "immersion.grid"),
+    ({"operation": "curve.length", "params": {"radii": [0.8, 0.9, 1.0]},
+      "curve": {"coeff_file": "no-such-file.json"}}, "curve.coeff_file"),
+    ({"operation": "flow.uniqueness", **_FLAT_TORUS,
+      "params": {"t_final": float("nan")}}, "params.t_final"),
+    ({"operation": "variation.first", **_FLAT_TORUS,
+      "field": {"kind": "coordinate", "axis": 2}}, "field.axis"),
+])
+def test_malformed_scenario_fields_exit_2(tmp_path, capsys, payload, field):
+    scn = write_scenario(tmp_path / "s.json", {"version": 1, "name": "bad", **payload})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("trgeo: ValidationError") and field in err
+    assert not (out / "results.json").exists()
+
+
+@pytest.mark.parametrize("example", sorted(
+    (Path(__file__).resolve().parent.parent / "scenarios").glob("*.json")),
+    ids=lambda p: p.stem)
+def test_example_scenarios_run_and_are_thread_independent(tmp_path, example):
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        assert cli.main(["run", "--scenario", str(example), "--out", str(out),
+                         "--threads", threads]) == 0
+        outs.append((out / "results.json").read_bytes())
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["status"] == "ok"

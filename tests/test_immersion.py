@@ -287,6 +287,42 @@ def test_rho_formula_agreement_all_builtins(flat1, flat2):
         assert np.max(dens.rho) <= 1.0 + 1e-10
 
 
+def _density_cases(flat1, flat2):
+    grid2 = imm.GridTorus((16, 32))
+    return [
+        imm.build_immersion(imm.GridTorus((64,)), flat1, "ellipse", a=2.0, b=1.0),
+        imm.build_immersion(imm.GridTorus((64,)), ambient.poincare_disk(),
+                            "circle", r=0.5),
+        imm.build_immersion(grid2, flat2, "graph_perturbed_torus", r1=1.0,
+                            r2=1.2, amplitude=0.4, mode=(1, 1)),
+        imm.build_immersion(grid2, ambient.complex_hyperbolic_ball(),
+                            "graph_perturbed_torus", r1=0.3, r2=0.35,
+                            amplitude=0.05, mode=(1, 0)),
+        imm.build_immersion(grid2, ambient.flat_quotient_chart(2), "straight_torus",
+                            winding=[[1.0, 0.0], [0.0, 0.8], [0.0, 0.6], [0.0, 0.0]]),
+    ]
+
+
+def test_is_totally_real_returns_the_density(flat1, flat2):
+    for im in _density_cases(flat1, flat2):
+        got = imm.is_totally_real(im)
+        ref = imm.density(im)
+        for name in ("rho", "volg_density", "volj_density"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name))
+
+
+def test_lazy_formula_gap_matches_eager_rho_of_frame(flat1, flat2):
+    for im in _density_cases(flat1, flat2):
+        dens = imm.density(im)
+        assert "rho_vol" not in vars(dens) and "formula_gap" not in vars(dens)
+        fr = imm.frames(im)
+        rho_h, rho_vol = imm.rho_of_frame(fr.frame, fr.g_ambient,
+                                          fr.omega_ambient, im.chart.J)
+        assert np.array_equal(dens.rho, rho_h)
+        assert dens.formula_gap == float(np.max(np.abs(rho_h - rho_vol)))
+        assert np.array_equal(dens.rho_vol, rho_vol)
+
+
 def test_lagrangian_rho_pinned_to_one(flat2):
     # lagrangian_defect < 1e-10 forces |rho - 1| <= 1e-8 nodewise
     for formula, kwargs in (("product_torus", {"r1": 1.3, "r2": 0.8}),

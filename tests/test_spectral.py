@@ -1,9 +1,13 @@
-"""Shared numerical primitives: off-grid Fourier evaluation, RK4, Richardson."""
+"""Shared numerical primitives: FFT derivatives, off-grid Fourier evaluation,
+RK4 and Richardson."""
 
 import numpy as np
 
 from trgeo import curve_lab as cl
-from trgeo._spectral import evaluate_fourier, modes, richardson, rk4_step
+import pytest
+
+from trgeo._spectral import (evaluate_fourier, modes, richardson, rk4_step,
+                              spectral_derivative)
 
 
 def direct_sum(coeffs, *thetas):
@@ -48,6 +52,39 @@ def test_evaluate_fourier_2d_with_trailing_axis():
     got = evaluate_fourier(coeffs, p1, p2)
     assert got.shape == (40, 4)
     np.testing.assert_allclose(got, direct_sum(coeffs, p1, p2), rtol=0, atol=1e-13)
+
+
+def test_evaluate_fourier_odd_size():
+    rng = np.random.default_rng(3)
+    n = 9
+    coeffs = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    theta = rng.uniform(-2.0 * np.pi, 4.0 * np.pi, size=30)
+    np.testing.assert_allclose(evaluate_fourier(coeffs, theta),
+                               direct_sum(coeffs, theta), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_real_spectral_derivative_matches_complex_path(order, axis):
+    # cos(8 t1) and cos(16 t2) are the Nyquist modes of the two axes: their
+    # odd derivatives vanish at the nodes, their even ones are kept
+    n1, n2 = 16, 32
+    t1, t2 = np.meshgrid(2.0 * np.pi * np.arange(n1) / n1,
+                         2.0 * np.pi * np.arange(n2) / n2, indexing="ij")
+    t, m, sign, nyq = ((t1, 1, -1.0, 8), (t2, 2, 1.0, 16))[axis]
+    values = np.stack([np.sin(t1 + 2 * t2), np.cos(nyq * t), np.cos(t1 - t2)], axis=-1)
+    if order == 1:
+        exact = np.stack([m * np.cos(t1 + 2 * t2), np.zeros_like(t),
+                          sign * np.sin(t1 - t2)], axis=-1)
+    else:
+        exact = np.stack([-m * m * np.sin(t1 + 2 * t2), -nyq ** 2 * np.cos(nyq * t),
+                          -np.cos(t1 - t2)], axis=-1)
+    real = spectral_derivative(values, axis=axis, order=order)
+    via_complex = spectral_derivative(values.astype(complex), axis=axis, order=order)
+    assert real.dtype == np.float64 and real.shape == values.shape
+    np.testing.assert_allclose(real, via_complex.real, rtol=0, atol=1e-13)
+    assert np.max(np.abs(via_complex.imag)) <= 1e-13
+    np.testing.assert_allclose(real, exact, rtol=0, atol=1e-12)
 
 
 def test_evaluate_at_matches_laurent_sum():
