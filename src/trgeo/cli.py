@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, _spectral, ambient, curve_lab, geodesic_flow
+from . import __version__, ambient, curve_lab, geodesic_flow
 from . import immersion as imm
 from . import variation_harness as vh
 from .errors import (NumericalError, ParseError, UnknownOperation,
@@ -68,42 +68,27 @@ def write_csv(path, header, rows):
             f.write(",".join(cell(v) for v in row) + "\n")
 
 
-def emit_plotdata(results, kind, out_dir, stem="series"):
-    """CSV emission for profile/flow/report payloads; returns written paths."""
+def _write_frames_csv(out_dir, frames):
+    """One curve_t<k>.csv of point coordinates per frame; returns the paths."""
     paths = []
-    if kind == "length_profile":
-        path = os.path.join(out_dir, f"{stem}.csv")
-        rows = [(float(r), float(t), float(v), float(d))
-                for r, t, v, d in zip(results["r"], results["t"],
-                                      results["lambda"], results["d2"])]
-        write_csv(path, ["r", "t", "Lambda", "d2"], rows)
+    for k, frame in enumerate(frames):
+        path = os.path.join(out_dir, f"curve_t{k}.csv")
+        pts = np.asarray(frame)
+        header = [f"x{j}" for j in range(pts.shape[-1])]
+        rows = [tuple(float(v) for v in p) for p in pts.reshape(-1, pts.shape[-1])]
+        write_csv(path, header, rows)
         paths.append(path)
-    elif kind == "flow":
-        for k, frame in enumerate(results["frames"]):
-            path = os.path.join(out_dir, f"curve_t{k}.csv")
-            pts = np.asarray(frame)
-            header = [f"x{j}" for j in range(pts.shape[-1])]
-            rows = [tuple(float(v) for v in p) for p in pts.reshape(-1, pts.shape[-1])]
-            write_csv(path, header, rows)
-            paths.append(path)
-    elif kind == "reports":
-        path = os.path.join(out_dir, f"{stem}.csv")
-        rows = [(r["context"], float(r["analytic"]), float(r["fd"]),
-                 float(r["rel_err"]),
-                 "" if r.get("richardson_order") is None else float(r["richardson_order"]))
-                for r in results]
-        write_csv(path, ["case", "analytic", "fd", "rel_err", "order"], rows)
-        paths.append(path)
-    elif kind == "profile_t":
-        path = os.path.join(out_dir, f"{stem}.csv")
-        rows = [(float(t), float(v), float(d))
-                for t, v, d in zip(results["t"], results["vol_j"],
-                                   results["second_differences"])]
-        write_csv(path, ["t", "Vol_J", "d2"], rows)
-        paths.append(path)
-    else:
-        raise UnknownOperation(f"no plot emitter for kind {kind!r}")
     return paths
+
+
+def _write_reports_csv(out_dir, reports):
+    """summary.csv: one row per variation report dict; returns the path."""
+    path = os.path.join(out_dir, "summary.csv")
+    rows = [(r["context"], float(r["analytic"]), float(r["fd"]), float(r["rel_err"]),
+             "" if r.get("richardson_order") is None else float(r["richardson_order"]))
+            for r in reports]
+    write_csv(path, ["case", "analytic", "fd", "rel_err", "order"], rows)
+    return path
 
 
 # --- scenario fields ------------------------------------------------------------
@@ -157,14 +142,63 @@ def _resolve_grid(desc, n):
                                for s in sizes))
 
 
+def _chart(scn):
+    desc = _get(scn, "chart", "chart", "object", {"name": "flat_c1"})
+    _get(desc, "fd_step", "chart.fd_step", "number", None)
+    return ambient.chart_from_descriptor(desc)
+
+
+# shapes of the build_immersion arguments: () a number, (k,) a list of k
+# entries, None any number of entries; coeffs may also be a {mode: number} object
+_ARG_SHAPES = {"r": (), "a": (), "b": (), "r1": (), "r2": (), "amplitude": (),
+               "center": (2,), "mode": (2,), "offset": (4,), "winding": (4, 2),
+               "coeffs": (None, 3)}
+
+
+def _check_shape(value, path, shape):
+    """value as nested lists of finite numbers of the given shape."""
+    if not shape:
+        return _check(value, path, "number")
+    values = _check(value, path, "list")
+    if shape[0] is not None and len(values) != shape[0]:
+        raise ValidationError(f"{path} must have {shape[0]} entries, got {value!r}")
+    return [_check_shape(v, f"{path}[{k}]", shape[1:]) for k, v in enumerate(values)]
+
+
+def _mode(key, where):
+    try:
+        return int(key)
+    except ValueError:
+        raise ValidationError(f"{where}: mode must be an integer") from None
+
+
 def _resolve_immersion(scn):
-    chart = ambient.chart_from_descriptor(
-        _get(scn, "chart", "chart", "object", {"name": "flat_c1"}))
+    chart = _chart(scn)
     d = _get(scn, "immersion", "immersion", "object")
     grid = _resolve_grid(d.get("grid", 64), 1 if chart.n == 1 else 2)
     formula = _get(d, "formula", "immersion.formula", "string")
-    return imm.build_immersion(grid, chart, formula,
-                               **_get(d, "args", "immersion.args", "object", {})), chart
+    args = _get(d, "args", "immersion.args", "object", {})
+    for key, value in args.items():
+        where = f"immersion.args.{key}"
+        if key == "coeffs" and isinstance(value, dict):
+            for mode, a in value.items():
+                _mode(mode, f"{where}.{mode}")
+                _check(a, f"{where}.{mode}", "number")
+        elif key in _ARG_SHAPES:
+            _check_shape(value, where, _ARG_SHAPES[key])
+    return imm.build_immersion(grid, chart, formula, **args), chart
+
+
+def _family(p):
+    """params.family of variation.convexity with the fields it reads checked."""
+    fam = _get(p, "family", "params.family", "object")
+    _get(fam, "grid", "params.family.grid", "int", None, minimum=1)
+    for key in ("r0", "r1", "r2", "amplitude"):
+        _get(fam, key, f"params.family.{key}", "number", None)
+    axis = _get(fam, "axis", "params.family.axis", "int", 0, minimum=0)
+    if axis > 1:
+        raise ValidationError(f"params.family.axis must be 0 or 1, got {axis}")
+    return fam
 
 
 def _resolve_field(scn, grid):
@@ -201,14 +235,7 @@ def _resolve_curve(desc, path):
         coeffs = {}
         for key in terms:
             where = f"{path}.terms.{key}"
-            try:
-                n = int(key)
-            except ValueError:
-                raise ValidationError(f"{where}: mode must be an integer") from None
-            pair = _check(terms[key], where, "numbers")
-            if len(pair) != 2:
-                raise ValidationError(f"{where} must be a [re, im] pair, got {pair!r}")
-            coeffs[n] = complex(*pair)
+            coeffs[_mode(key, where)] = complex(*_check_shape(terms[key], where, (2,)))
         return curve_lab.curve_from_terms(
             coeffs, N=_get(desc, "N", f"{path}.N", "int", 128, minimum=1))
     if "coeff_file" in desc:
@@ -260,8 +287,8 @@ def _op_curve_geodesic(scn, out_dir):
     curve = _curve(scn)
     radii = _get(_params(scn), "radii", "params.radii", "numbers")
     frames = [curve_lab.geodesic_evaluate(curve, r) for r in radii]
-    payload = {"frames": [np.stack([f.real, f.imag], axis=-1) for f in frames]}
-    paths = emit_plotdata(payload, "flow", out_dir)
+    paths = _write_frames_csv(out_dir, [np.stack([f.real, f.imag], axis=-1)
+                                        for f in frames])
     return {"radii": radii, "n_frames": len(frames)}, paths
 
 
@@ -272,11 +299,12 @@ def _op_curve_length(scn, out_dir):
         raise ValidationError("curve.length needs at least three radii for a "
                               f"second difference, got {len(radii)}")
     prof = curve_lab.length_profile(curve, radii)
-    payload = {"r": prof.radii, "t": prof.t_values, "lambda": prof.values,
-               "d2": prof.second_differences}
-    paths = emit_plotdata(payload, "length_profile", out_dir, stem="length_profile")
+    path = os.path.join(out_dir, "length_profile.csv")
+    write_csv(path, ["r", "t", "Lambda", "d2"],
+              [(float(r), float(t), float(v), float(d)) for r, t, v, d in
+               zip(prof.radii, prof.t_values, prof.values, prof.second_differences)])
     return {"lambda": [float(v) for v in prof.values],
-            "min_second_difference": float(np.nanmin(prof.second_differences))}, paths
+            "min_second_difference": float(np.nanmin(prof.second_differences))}, [path]
 
 
 def _op_curve_secondvar(scn, out_dir):
@@ -296,19 +324,18 @@ def _op_curve_secondvar(scn, out_dir):
         reports.append({"context": fdesc.get("label", "field"),
                         "analytic": res["analytic"], "fd": res["fd"],
                         "rel_err": res["rel_err"], "richardson_order": None})
-    paths = emit_plotdata(reports, "reports", out_dir, stem="summary")
-    return {"reports": reports}, paths
+    return {"reports": reports}, [_write_reports_csv(out_dir, reports)]
 
 
 def _op_jvol_compute(scn, out_dir):
     im, chart = _resolve_immersion(scn)
-    vols = imm.total_volumes(im)
-    dens = imm.density(im)
+    geo = imm.frames(im)
+    vols, dens = geo.volumes(), geo.density
     path = os.path.join(out_dir, "density.csv")
-    imm.export_density_csv(im, path)
+    imm.export_density_csv(dens, path)
     return {"vol_j": vols["vol_j"], "vol_g": vols["vol_g"],
             "min_rho": float(np.min(dens.rho)), "max_rho": float(np.max(dens.rho)),
-            "lagrangian_defect": imm.lagrangian_defect(im),
+            "lagrangian_defect": geo.lagrangian_defect,
             "formula_gap": dens.formula_gap}, [path]
 
 
@@ -341,8 +368,7 @@ def _op_flow_run(scn, out_dir):
                              minimum=1))
     else:
         raise UnknownOperation(f"unknown flow scheme {scheme!r}")
-    payload = {"frames": [f.positions() for f in flow.immersions]}
-    paths = emit_plotdata(payload, "flow", out_dir)
+    paths = _write_frames_csv(out_dir, [f.positions() for f in flow.immersions])
     manifest = {
         "scheme": flow.scheme,
         "field": scn.get("field", {"kind": "coordinate"}),
@@ -382,43 +408,40 @@ def _op_variation_first(scn, out_dir):
     im, chart = _resolve_immersion(scn)
     Y = _resolve_field(scn, im.grid)
     rep = vh.check_first_variation(im, Y, context=scn.get("name", "first"))
-    paths = emit_plotdata([rep.to_dict()], "reports", out_dir, stem="summary")
-    return {"report": rep.to_dict()}, paths
+    return {"report": rep.to_dict()}, [_write_reports_csv(out_dir, [rep.to_dict()])]
 
 
 def _op_variation_second(scn, out_dir):
     im, chart = _resolve_immersion(scn)
     Y = _resolve_field(scn, im.grid)
     rep = vh.check_second_variation_kahler(im, Y, context=scn.get("name", "second"))
-    paths = emit_plotdata([rep.to_dict()], "reports", out_dir, stem="summary")
-    return {"report": rep.to_dict()}, paths
+    return {"report": rep.to_dict()}, [_write_reports_csv(out_dir, [rep.to_dict()])]
 
 
 def _op_variation_density(scn, out_dir):
     im, chart = _resolve_immersion(scn)
     X = _resolve_field(scn, im.grid)
     r1, r2, integral2 = vh.check_density_divergence(im, X)
-    paths = emit_plotdata([r1.to_dict(), r2.to_dict()], "reports", out_dir,
-                          stem="summary")
+    path = _write_reports_csv(out_dir, [r1.to_dict(), r2.to_dict()])
     return {"first": r1.to_dict(), "second": r2.to_dict(),
-            "second_integral": integral2}, paths
+            "second_integral": integral2}, [path]
 
 
 def _op_variation_convexity(scn, out_dir):
     p = _params(scn)
-    prof = vh.convexity_experiment(_get(p, "family", "params.family", "object"),
+    prof = vh.convexity_experiment(_family(p),
                                    _get(p, "t_grid", "params.t_grid", "numbers"))
-    payload = {"t": prof["t"], "vol_j": prof["vol_j"],
-               "second_differences": prof["second_differences"]}
-    paths = emit_plotdata(payload, "profile_t", out_dir, stem="convexity")
+    path = os.path.join(out_dir, "convexity.csv")
+    write_csv(path, ["t", "Vol_J", "d2"],
+              [(float(t), float(v), float(d)) for t, v, d in
+               zip(prof["t"], prof["vol_j"], prof["second_differences"])])
     interior = prof["second_differences"][1:-1]
     return {"min_second_difference": float(np.min(interior)),
-            "vol_j": [float(v) for v in prof["vol_j"]]}, paths
+            "vol_j": [float(v) for v in prof["vol_j"]]}, [path]
 
 
 def _op_ambient_verify(scn, out_dir):
-    chart = ambient.chart_from_descriptor(
-        _get(scn, "chart", "chart", "object", {"name": "flat_c1"}))
+    chart = _chart(scn)
     p = _get(scn, "params", "params", "object", {})
     rng = np.random.default_rng(_get(scn, "seed", "seed", "int", 0, minimum=0))
     n_pts = _get(p, "n_points", "params.n_points", "int", 12, minimum=1)
@@ -518,17 +541,13 @@ def main(argv=None):
         description="Scenario runner for the totally real geometry laboratory",
     )
     sub = parser.add_subparsers(dest="group")
-    groups = {
-        "run": [None],
-        "curve": ["analyze", "classify", "geodesic", "length", "secondvar"],
-        "jvol": ["compute", "hj"],
-        "flow": ["run", "bvp", "uniqueness"],
-        "variation": ["first", "second", "density", "convexity"],
-        "ambient": ["verify"],
-    }
+    groups = {"run": None}
+    for operation in _OPERATIONS:
+        group, op = operation.split(".")
+        groups.setdefault(group, []).append(op)
     for group, ops in groups.items():
         gp = sub.add_parser(group)
-        if ops != [None]:
+        if ops is not None:
             gp.add_argument("op", choices=ops)
         gp.add_argument("--scenario", required=True)
         gp.add_argument("--out", required=True)

@@ -30,8 +30,7 @@ import numpy as np
 from . import _spectral, curve_lab
 from .errors import (AliasingDetected, AmplificationExceeded, BlowUpDetected,
                      NotNested, StepTooLarge, UnsupportedField, ValidationError)
-from .immersion import (GridTorus, Immersion, VectorFieldOnL, frames,
-                        is_totally_real)
+from .immersion import GridTorus, Immersion, VectorFieldOnL, is_totally_real
 
 AMP_MAX = 1e6
 TAIL_ENERGY_ABORT = 1e-3
@@ -232,16 +231,17 @@ def flow_timestep(im, X, t_final, dt, store_every=1):
     J = im.chart.J
     grid_axes = tuple(range(im.n))
 
-    masks = []
+    # dealias keeps |m_k| <= cutoff_k on every axis; the tail is the top half
+    # of that band on any axis
+    mask = np.ones(im.grid.sizes + (1,), dtype=bool)
+    tail_mask = np.zeros(im.grid.sizes + (1,), dtype=bool)
     for k, s in enumerate(im.grid.sizes):
         m = np.abs(_spectral.modes(s))
-        keep = m <= cutoffs[k]
         shape = [1] * (im.n + 1)
         shape[k] = s
-        masks.append(keep.reshape(shape))
-    mask = masks[0]
-    for extra in masks[1:]:
-        mask = mask & extra
+        mask = mask & (m <= cutoffs[k]).reshape(shape)
+        tail_mask = tail_mask | ((m > cutoffs[k] / 2.0) & (m <= cutoffs[k])).reshape(shape)
+    dc_mode = tuple([0] * im.n) + (slice(None),)
 
     def rhs(points):
         out = np.zeros_like(points)
@@ -252,45 +252,30 @@ def flow_timestep(im, X, t_final, dt, store_every=1):
             out += comp[k][..., None] * dk
         return np.einsum("ij,...j->...i", J, out)
 
-    def dealias_points(points):
-        c = np.fft.fftn(points, axes=grid_axes)
-        c *= mask
-        return np.fft.ifftn(c, axes=grid_axes).real
-
-    def tail_fraction(points):
-        c = np.fft.fftn(points, axes=grid_axes)
-        mags2 = np.abs(c) ** 2
-        dc = mags2.copy()
+    def dealias(points):
+        """Dealiased points and their spectral tail fraction, from one FFT."""
+        c = np.fft.fftn(points, axes=grid_axes) * mask
+        energy = np.abs(c) ** 2
         # exclude the DC mode from the energy budget
-        idx = tuple([0] * im.n) + (slice(None),)
-        dc[idx] = 0.0
-        total = float(np.sum(dc))
-        if total == 0.0:
-            return 0.0
-        tail_mask = np.zeros(im.grid.sizes + (1,), dtype=bool)
-        for k, s in enumerate(im.grid.sizes):
-            m = np.abs(_spectral.modes(s))
-            high = (m > cutoffs[k] / 2.0) & (m <= cutoffs[k])
-            shape = [1] * (im.n + 1)
-            shape[k] = s
-            tail_mask = tail_mask | high.reshape(shape)
-        tail = float(np.sum(np.where(tail_mask, dc, 0.0)))
-        return tail / total
+        energy[dc_mode] = 0.0
+        total = float(np.sum(energy))
+        frac = 0.0 if total == 0.0 else float(
+            np.sum(np.where(tail_mask, energy, 0.0))) / total
+        return np.fft.ifftn(c, axes=grid_axes).real, frac
 
     n_steps = int(round(t_final / dt))
     if abs(n_steps * dt - t_final) > 1e-12 * max(1.0, abs(t_final)):
         n_steps = math.ceil(t_final / dt)
         dt = t_final / n_steps
-    pts = dealias_points(im.points.copy())
+    pts, _ = dealias(im.points)
     times = [0.0]
     frames_out = [Immersion(grid=im.grid, chart=im.chart, points=pts.copy(),
                             winding=im.winding)]
     amp = 1.0
     base_norm = float(np.max(np.abs(pts)) + 1.0)
     for step in range(1, n_steps + 1):
-        pts = dealias_points(_spectral.rk4_step(rhs, pts, dt))
+        pts, frac = dealias(_spectral.rk4_step(rhs, pts, dt))
         t = step * dt
-        frac = tail_fraction(pts)
         amp = max(amp, float(np.max(np.abs(pts)) + 1.0) / base_norm)
         if not np.all(np.isfinite(pts)) or frac > TAIL_ENERGY_ABORT:
             raise BlowUpDetected(

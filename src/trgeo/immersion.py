@@ -177,19 +177,7 @@ def load_immersion(path):
         return immersion_from_dict(json.load(f))
 
 
-# --- frames and densities ---------------------------------------------------
-
-@dataclass
-class FrameData:
-    """Grid-wide tangent frames and metric data at the immersed points."""
-
-    vectors: np.ndarray          # (n,) + sizes + (2n,) coordinate fields
-    frame: np.ndarray            # (n,) + sizes + (2n,) orthonormal e_i
-    coeffs: np.ndarray           # (n, n) + sizes: e_i = sum_k coeffs[i,k] v_k
-    g_ambient: np.ndarray        # sizes + (2n, 2n)
-    omega_ambient: np.ndarray    # sizes + (2n, 2n)
-    induced_vol: np.ndarray      # sizes: |v_1 ^ .. ^ v_n|_g
-
+# --- geometry of one immersion -----------------------------------------------
 
 def _apply(mat, v):
     """Nodewise matrix-vector product mat v."""
@@ -201,8 +189,138 @@ def _dot(a, b):
     return np.einsum("...i,...i->...", a, b)
 
 
+@dataclass
+class Geometry:
+    """Orthonormal tangent frame of one immersion and what is read off it.
+
+    frames(im) builds the frame fields; the J-density, the projections, H_J
+    and the Lagrangian defect are computed on first read and kept, so a
+    caller that holds one Geometry builds each of them at most once. The
+    object lives in its caller's scope; nothing is cached on the Immersion.
+    """
+
+    im: Immersion = field(repr=False)
+    vectors: np.ndarray          # (n,) + sizes + (2n,) coordinate fields
+    frame: np.ndarray            # (n,) + sizes + (2n,) orthonormal e_i
+    coeffs: np.ndarray           # (n, n) + sizes: e_i = sum_k coeffs[i,k] v_k
+    g_ambient: np.ndarray        # sizes + (2n, 2n)
+    omega_ambient: np.ndarray    # sizes + (2n, 2n)
+    induced_vol: np.ndarray      # sizes: |v_1 ^ .. ^ v_n|_g
+
+    @cached_property
+    def density(self):
+        """Per-node rho_J and volume densities (theta-coordinate components)."""
+        rho = _rho_h(self.frame, self.omega_ambient)
+        volg = self.induced_vol
+        return JVolumeDensity(rho=rho, volg_density=volg, volj_density=rho * volg,
+                              frame=self.frame, g_ambient=self.g_ambient,
+                              J=self.im.chart.J)
+
+    def volumes(self):
+        """Vol_J and Vol_g by deterministic periodic quadrature."""
+        cell = self.im.grid.cell
+        vol_j = _spectral.periodic_total(self.density.volj_density, cell)
+        vol_g = _spectral.periodic_total(self.density.volg_density, cell)
+        if vol_j > vol_g + 1e-10:
+            raise NotTotallyReal("Vol_J exceeds Vol_g beyond tolerance")
+        return {"vol_j": vol_j, "vol_g": vol_g}
+
+    @cached_property
+    def pi_l(self):
+        """Projection onto TL along J TL (the splitting T M = TL + J TL)."""
+        n, d = self.im.n, self.im.chart.dim
+        J = self.im.chart.J
+        cols = [self.frame[i] for i in range(n)]
+        cols += [np.einsum("ij,...j->...i", J, self.frame[i]) for i in range(n)]
+        B = np.stack(cols, axis=-1)
+        sel = np.zeros((d, d))
+        sel[:n, :n] = np.eye(n)
+        return B @ sel @ np.linalg.inv(B)
+
+    @cached_property
+    def pi_j(self):
+        """Projection onto J TL along TL."""
+        return np.broadcast_to(np.eye(self.im.chart.dim), self.pi_l.shape) - self.pi_l
+
+    @cached_property
+    def pi_t(self):
+        """Metric (g-orthogonal) projection onto TL."""
+        pi_t = np.zeros_like(self.pi_l)
+        for i in range(self.im.n):
+            ge = np.einsum("...ij,...j->...i", self.g_ambient, self.frame[i])
+            pi_t += np.einsum("...i,...j->...ij", self.frame[i], ge)
+        return pi_t
+
+    @cached_property
+    def lagrangian_defect(self):
+        """max_node |omega(e_1, e_2)| for surfaces; exactly 0 for curves."""
+        if self.im.n == 1:
+            return 0.0
+        om = np.einsum("...i,...ij,...j->...", self.frame[0], self.omega_ambient,
+                       self.frame[1])
+        return float(np.max(np.abs(om)))
+
+    def pushforward(self, X):
+        """Ambient components of iota_* X for a VectorFieldOnL."""
+        return np.einsum("k...,k...i->...i", X.components, self.vectors)
+
+    def divergence(self, W_components):
+        """Divergence on (L, g) of a tangent field (components w.r.t. d/dtheta_k)."""
+        vol = self.induced_vol
+        out = np.zeros(self.im.grid.sizes)
+        for k in range(self.im.n):
+            out += _spectral.spectral_derivative(vol * W_components[k], axis=k)
+        return out / vol
+
+    def d_along(self, i, values):
+        """Flat derivative along e_i of a grid field of ambient vectors."""
+        out = np.zeros_like(values)
+        for k in range(self.im.n):
+            dk = _spectral.spectral_derivative(values, axis=k)
+            out += self.coeffs[i, k][..., None] * dk
+        return out
+
+    @cached_property
+    def h_j(self):
+        """J-mean-curvature field H_J = -J pi_T J tr_L(covariant d of pi_L^t).
+
+        The trace runs over the orthonormal frame e_i; the tensorial
+        correction subtracts pi_L^t applied to the ambient derivative of the
+        frame itself. Covariant derivatives combine FFT derivatives of the
+        grid fields with the chart Christoffel symbols. The sign convention is
+        the one that satisfies d/dt Vol_J = -int g(JY, H_J) vol_J for
+        deformations JY; variation_harness.validate_hj_sign checks it against
+        the FD oracle.
+        """
+        im = self.im
+        J = im.chart.J
+        g = self.g_ambient
+        pi_l_t = np.linalg.inv(g) @ np.swapaxes(self.pi_l, -1, -2) @ g
+        gamma = None if im.chart.is_flat else im.chart.christoffel_many(im.positions())
+
+        def covariant_along(i, values):
+            out = self.d_along(i, values)
+            if gamma is not None:
+                out += np.einsum("...cab,...a,...b->...c", gamma, self.frame[i], values)
+            return out
+
+        total = np.zeros(im.grid.sizes + (im.chart.dim,))
+        for i in range(im.n):
+            f_i = np.einsum("...ij,...j->...i", pi_l_t, self.frame[i])
+            t1 = covariant_along(i, f_i)
+            de = covariant_along(i, self.frame[i])
+            t2 = np.einsum("...ij,...j->...i", pi_l_t, de)
+            total += t1 - t2
+        js = np.einsum("ij,...j->...i", J, total)
+        pt_js = np.einsum("...ij,...j->...i", self.pi_t, js)
+        values = -np.einsum("ij,...j->...i", J, pt_js)
+        leak = np.einsum("...ij,...j->...i", self.pi_l, values)
+        return MeanCurvatureField(values=values,
+                                  max_tangential_leak=float(np.max(np.abs(leak))))
+
+
 def frames(im):
-    """Coordinate fields plus a Gram-Schmidt orthonormal tangent frame.
+    """The Geometry of im: coordinate fields and a Gram-Schmidt orthonormal frame.
 
     Inner products are g v formed once per vector, then a dot product; the
     Gram determinant is the closed form for n <= 2.
@@ -239,8 +357,8 @@ def frames(im):
         frame[i] = u / norms[..., None]
         g_frame[i] = g_u / norms[..., None]
         coeffs[i] = c / norms
-    return FrameData(vectors=vs, frame=frame, coeffs=coeffs,
-                     g_ambient=g, omega_ambient=omega, induced_vol=induced_vol)
+    return Geometry(im=im, vectors=vs, frame=frame, coeffs=coeffs,
+                    g_ambient=g, omega_ambient=omega, induced_vol=induced_vol)
 
 
 def _rho_h(frame_vectors, omega):
@@ -303,34 +421,39 @@ class JVolumeDensity:
         return float(np.max(np.abs(self.rho - self.rho_vol)))
 
 
-def density(im, fr=None):
-    """Per-node rho_J and volume densities (theta-coordinate components)."""
-    if fr is None:
-        fr = frames(im)
-    rho = _rho_h(fr.frame, fr.omega_ambient)
-    volg = fr.induced_vol
-    return JVolumeDensity(rho=rho, volg_density=volg, volj_density=rho * volg,
-                          frame=fr.frame, g_ambient=fr.g_ambient, J=im.chart.J)
+@dataclass
+class MeanCurvatureField:
+    values: np.ndarray           # sizes + (2n,), lying in J(TL) nodewise
+    max_tangential_leak: float   # max |pi_L applied to values|
 
 
-def is_totally_real(im, rho_min=RHO_MIN):
-    """Validate the immersion: full-rank frame and rho_J above the floor."""
+def density(im):
+    """Per-node rho_J and volume densities of a fresh Geometry."""
+    return frames(im).density
+
+
+def _validated(im, rho_min=RHO_MIN):
+    """Geometry of im after the checks of is_totally_real."""
     im.chart.require_inside(im.positions())
     try:
-        fr = frames(im)
+        geo = frames(im)
     except DegenerateFrame as e:
         raise NotImmersed(str(e)) from None
-    min_vol = float(np.min(fr.induced_vol))
+    min_vol = float(np.min(geo.induced_vol))
     if min_vol <= 1e-10:
         raise NotImmersed(f"coordinate frame drops rank (min volume {min_vol:.3g})")
-    dens = density(im, fr)
-    min_rho = float(np.min(dens.rho))
+    min_rho = float(np.min(geo.density.rho))
     if min_rho <= rho_min:
         raise NotTotallyReal(
             f"rho_J reaches {min_rho:.3g} <= {rho_min:g}: partially complex "
             "to working precision"
         )
-    return dens
+    return geo
+
+
+def is_totally_real(im, rho_min=RHO_MIN):
+    """Validate the immersion: full-rank frame and rho_J above the floor."""
+    return _validated(im, rho_min).density
 
 
 def rho_j(im, node):
@@ -351,119 +474,18 @@ def tangent_frame(im, node):
 
 
 def total_volumes(im):
-    """Vol_J and Vol_g by deterministic periodic quadrature."""
-    dens = is_totally_real(im)
-    cell = im.grid.cell
-    vol_j = _spectral.periodic_total(dens.volj_density, cell)
-    vol_g = _spectral.periodic_total(dens.volg_density, cell)
-    if vol_j > vol_g + 1e-10:
-        raise NotTotallyReal("Vol_J exceeds Vol_g beyond tolerance")
-    return {"vol_j": vol_j, "vol_g": vol_g}
-
-
-# --- projections -------------------------------------------------------------
-
-@dataclass
-class Projections:
-    pi_l: np.ndarray
-    pi_j: np.ndarray
-    pi_t: np.ndarray
-
-
-def projections_many(im, fr=None):
-    """pi_L, pi_J (splitting T M = TL + J TL) and the metric projection pi_T."""
-    if fr is None:
-        fr = frames(im)
-    n = im.n
-    d = im.chart.dim
-    J = im.chart.J
-    cols = [fr.frame[i] for i in range(n)]
-    cols += [np.einsum("ij,...j->...i", J, fr.frame[i]) for i in range(n)]
-    B = np.stack(cols, axis=-1)
-    Binv = np.linalg.inv(B)
-    sel = np.zeros((d, d))
-    sel[:n, :n] = np.eye(n)
-    pi_l = B @ sel @ Binv
-    pi_j = np.broadcast_to(np.eye(d), pi_l.shape) - pi_l
-    pi_t = np.zeros_like(pi_l)
-    for i in range(n):
-        ge = np.einsum("...ij,...j->...i", fr.g_ambient, fr.frame[i])
-        pi_t += np.einsum("...i,...j->...ij", fr.frame[i], ge)
-    return Projections(pi_l=pi_l, pi_j=pi_j, pi_t=pi_t)
+    """Vol_J and Vol_g of a validated immersion by periodic quadrature."""
+    return _validated(im).volumes()
 
 
 def lagrangian_defect(im):
     """max_node |omega(e_1, e_2)| for surfaces; exactly 0 for curves."""
-    if im.n == 1:
-        return 0.0
-    fr = frames(im)
-    om = np.einsum("...i,...ij,...j->...", fr.frame[0], fr.omega_ambient,
-                   fr.frame[1])
-    return float(np.max(np.abs(om)))
-
-
-# --- mean curvature -----------------------------------------------------------
-
-@dataclass
-class MeanCurvatureField:
-    values: np.ndarray           # sizes + (2n,), lying in J(TL) nodewise
-    max_tangential_leak: float   # max |pi_L applied to values|
+    return frames(im).lagrangian_defect
 
 
 def h_j_field(im):
-    """J-mean-curvature field H_J = -J pi_T J tr_L(covariant d of pi_L^t).
-
-    The trace runs over a global orthonormal frame e_i; the tensorial
-    correction subtracts pi_L^t applied to the ambient derivative of the
-    frame itself. Covariant derivatives combine FFT derivatives of the grid
-    fields with the chart Christoffel symbols. The sign convention is the one
-    that satisfies d/dt Vol_J = -int g(JY, H_J) vol_J for deformations JY;
-    variation_harness.validate_hj_sign checks it against the FD oracle.
-    """
-    fr = frames(im)
-    pr = projections_many(im, fr)
-    pos = im.positions()
-    J = im.chart.J
-    n = im.n
-    g = fr.g_ambient
-    ginv = np.linalg.inv(g)
-    pi_l_t = ginv @ np.swapaxes(pr.pi_l, -1, -2) @ g
-    if im.chart.is_flat:
-        gamma = None
-    else:
-        gamma = im.chart.christoffel_many(pos)
-
-    def covariant_along(i, field):
-        # nabla_{e_i} field for a grid field of ambient vectors
-        out = np.zeros_like(field)
-        for k in range(n):
-            dk = _spectral.spectral_derivative(field, axis=k)
-            out += fr.coeffs[i, k][..., None] * dk
-        if gamma is not None:
-            e_amb = fr.frame[i]
-            out += np.einsum("...cab,...a,...b->...c", gamma, e_amb, field)
-        return out
-
-    total = np.zeros(im.grid.sizes + (im.chart.dim,))
-    for i in range(n):
-        f_i = np.einsum("...ij,...j->...i", pi_l_t, fr.frame[i])
-        t1 = covariant_along(i, f_i)
-        de = covariant_along(i, fr.frame[i])
-        t2 = np.einsum("...ij,...j->...i", pi_l_t, de)
-        total += t1 - t2
-    js = np.einsum("ij,...j->...i", J, total)
-    pt_js = np.einsum("...ij,...j->...i", pr.pi_t, js)
-    values = -np.einsum("ij,...j->...i", J, pt_js)
-    leak = np.einsum("...ij,...j->...i", pr.pi_l, values)
-    return MeanCurvatureField(values=values,
-                              max_tangential_leak=float(np.max(np.abs(leak))))
-
-
-def pushforward(im, X, fr=None):
-    """Ambient components of iota_* X for a VectorFieldOnL."""
-    if fr is None:
-        fr = frames(im)
-    return np.einsum("k...,k...i->...i", X.components, fr.vectors)
+    """J-mean-curvature field of im (see Geometry.h_j)."""
+    return frames(im).h_j
 
 
 # --- built-in immersion formulas ----------------------------------------------
@@ -546,14 +568,14 @@ def reparametrized(im, shifts):
     return Immersion(grid=im.grid, chart=im.chart, points=pts)
 
 
-def export_density_csv(im, path):
+def export_density_csv(dens, path):
     """Per-node rho_J and densities as CSV (node indices, rho, vol_g, vol_J)."""
-    dens = density(im)
+    sizes = dens.rho.shape
     with open(path, "w", newline="") as f:
-        cols = [f"i{k}" for k in range(im.n)] + ["rho", "volg_density", "volj_density"]
+        cols = [f"i{k}" for k in range(len(sizes))] + ["rho", "volg_density",
+                                                       "volj_density"]
         f.write(",".join(cols) + "\n")
-        it = np.ndindex(*im.grid.sizes)
-        for idx in it:
+        for idx in np.ndindex(*sizes):
             row = [str(v) for v in idx]
             row += [format(float(a[idx]), ".17g")
                     for a in (dens.rho, dens.volg_density, dens.volj_density)]

@@ -27,8 +27,7 @@ from .curve_lab import reparametrize_by_field
 from .errors import GeodesicUnavailable, SignConventionMismatch, ValidationError
 from .geodesic_flow import _continue_modes, _coordinate_alignment
 from .immersion import (GridTorus, Immersion, VectorFieldOnL, density, frames,
-                        h_j_field, is_totally_real, projections_many,
-                        pushforward, total_volumes)
+                        total_volumes)
 
 FD_EPS_DEFAULT = (1e-2, 5e-3, 2.5e-3)
 
@@ -68,12 +67,12 @@ def deform_linear(im, Z, t):
                      winding=im.winding)
 
 
-def fd_first_variation(im, Z, eps_list=FD_EPS_DEFAULT, with_density=False):
+def fd_first_variation(im, Z, eps_list=FD_EPS_DEFAULT):
     """Central-difference derivative of Vol_J under the deformation Z.
 
-    Returns (value, order, density_derivative or None); each deformed
-    immersion is re-validated, so a deformation that destroys the totally
-    real condition raises NotTotallyReal.
+    Returns (value, order); each deformed immersion is re-validated, so a
+    deformation that destroys the totally real condition raises
+    NotTotallyReal.
     """
     eps_list = sorted(eps_list, reverse=True)
 
@@ -93,25 +92,17 @@ def fd_first_variation(im, Z, eps_list=FD_EPS_DEFAULT, with_density=False):
         value = (4.0 * diffs[-1] - diffs[-2]) / 3.0
     else:
         value = diffs[-1]
-    dens_deriv = None
-    if with_density:
-        e = eps_list[-1]
-        dp = density(deform_linear(im, Z, e)).volj_density
-        dm = density(deform_linear(im, Z, -e)).volj_density
-        dens_deriv = (dp - dm) / (2.0 * e)
-    return value, order, dens_deriv
+    return value, order
 
 
 def check_first_variation(im, Y, eps_list=FD_EPS_DEFAULT, context=""):
     """Analytic -int g(JY, H_J) vol_J against the FD derivative of Vol_J."""
-    fr = frames(im)
-    dens = density(im, fr)
-    jy = np.einsum("ij,...j->...i", im.chart.J, pushforward(im, Y, fr))
-    hj = h_j_field(im)
-    integrand = np.einsum("...i,...ij,...j->...", jy, fr.g_ambient, hj.values)
-    analytic = -_spectral.periodic_total(integrand * dens.volj_density,
+    geo = frames(im)
+    jy = np.einsum("ij,...j->...i", im.chart.J, geo.pushforward(Y))
+    integrand = np.einsum("...i,...ij,...j->...", jy, geo.g_ambient, geo.h_j.values)
+    analytic = -_spectral.periodic_total(integrand * geo.density.volj_density,
                                          im.grid.cell)
-    fd, order, _ = fd_first_variation(im, jy, eps_list=eps_list)
+    fd, order = fd_first_variation(im, jy, eps_list=eps_list)
     return _make_report(analytic, fd, order, context or "first variation")
 
 
@@ -170,17 +161,6 @@ def _flow_on_torus(im, X, t, substeps=8):
     return Immersion(grid=im.grid, chart=im.chart, points=pts, winding=im.winding)
 
 
-def divergence_on_l(im, W_components, fr=None):
-    """Divergence of a tangent field (components w.r.t. d/dtheta_k) on (L, g)."""
-    if fr is None:
-        fr = frames(im)
-    vol = fr.induced_vol
-    out = np.zeros(im.grid.sizes)
-    for k in range(im.n):
-        out += _spectral.spectral_derivative(vol * W_components[k], axis=k)
-    return out / vol
-
-
 def check_density_divergence(im, X, eps=1e-3, context=""):
     """Pointwise first/second t-derivatives of vol_J under the tangential flow.
 
@@ -188,19 +168,18 @@ def check_density_divergence(im, X, eps=1e-3, context=""):
     returns a pair of reports whose analytic/fd slots carry the max-norm node
     values; rel_err is the worst pointwise relative error.
     """
-    fr = frames(im)
-    dens = density(im, fr)
-    rho_x = dens.rho[None, ...] * X.components
-    div1 = divergence_on_l(im, rho_x, fr)
-    first_exact = div1 * fr.induced_vol
+    geo = frames(im)
+    rho_x = geo.density.rho[None, ...] * X.components
+    div1 = geo.divergence(rho_x)
+    first_exact = div1 * geo.induced_vol
     div1_x = X.components * div1[None, ...]
-    second_exact = divergence_on_l(im, div1_x, fr) * fr.induced_vol
+    second_exact = geo.divergence(div1_x) * geo.induced_vol
 
     d_p = density(_flow_on_torus(im, X, eps)).volj_density
     d_m = density(_flow_on_torus(im, X, -eps)).volj_density
     d_p2 = density(_flow_on_torus(im, X, eps / 2.0)).volj_density
     d_m2 = density(_flow_on_torus(im, X, -eps / 2.0)).volj_density
-    d_0 = dens.volj_density
+    d_0 = geo.density.volj_density
     fd1_a = (d_p - d_m) / (2.0 * eps)
     fd1_b = (d_p2 - d_m2) / eps
     fd1 = (4.0 * fd1_b - fd1_a) / 3.0
@@ -287,21 +266,15 @@ def geodesic_family(im, Y, ts):
     Coordinate-aligned Y: exact mode-wise continuation (valid on any chart
     here, J being constant). Fields f(theta_k) d/dtheta_k with positive f:
     reparametrized continuation along that axis. Anything else:
-    GeodesicUnavailable.
+    GeodesicUnavailable. The members are not validated here; total_volumes
+    validates each one it integrates.
     """
     al = _coordinate_alignment(Y)
     if al is not None:
-        axis, c = al
-        out = _continue_modes(im, axis, c, ts)
-        for f in out:
-            is_totally_real(f)
-        return out
+        return _continue_modes(im, al[0], al[1], ts)
     prof = _axis_profile(Y)
     if prof is not None:
-        out = _reparametrized_family_axis(im, prof[0], prof[1], ts)
-        for f in out:
-            is_totally_real(f)
-        return out
+        return _reparametrized_family_axis(im, prof[0], prof[1], ts)
     raise GeodesicUnavailable(
         "no geodesic family generator for this direction field"
     )
@@ -309,14 +282,13 @@ def geodesic_family(im, Y, ts):
 
 def second_variation_integrand(im, Y):
     """(Div(rho_J Y)/rho_J)^2 + g(JY, H_J)^2 - Ric(Y, Y), per node."""
-    fr = frames(im)
-    dens = density(im, fr)
+    geo = frames(im)
+    dens = geo.density
     rho_y = dens.rho[None, ...] * Y.components
-    div_term = divergence_on_l(im, rho_y, fr) / dens.rho
-    jy = np.einsum("ij,...j->...i", im.chart.J, pushforward(im, Y, fr))
-    hj = h_j_field(im)
-    hj_term = np.einsum("...i,...ij,...j->...", jy, fr.g_ambient, hj.values)
-    y_amb = pushforward(im, Y, fr)
+    div_term = geo.divergence(rho_y) / dens.rho
+    y_amb = geo.pushforward(Y)
+    jy = np.einsum("ij,...j->...i", im.chart.J, y_amb)
+    hj_term = np.einsum("...i,...ij,...j->...", jy, geo.g_ambient, geo.h_j.values)
     if im.chart.is_flat:
         ric_term = np.zeros(im.grid.sizes)
     else:
@@ -357,40 +329,32 @@ def mixed_density_second_variation(im, W, Z, eps=1e-3):
     """
     if not im.chart.is_flat:
         raise ValidationError("mixed check is exercised on flat charts only")
-    fr = frames(im)
-    dens = density(im, fr)
-    pr = projections_many(im, fr)
+    geo = frames(im)
+    pi_l = geo.pi_l
     J = im.chart.J
     n = im.n
-
-    def d_along(i, field):
-        out = np.zeros_like(field)
-        for k in range(n):
-            out += fr.coeffs[i, k][..., None] * _spectral.spectral_derivative(field, axis=k)
-        return out
-
-    g = fr.g_ambient
+    g = geo.g_ambient
     a_w = np.empty((n, n) + im.grid.sizes)
     a_z = np.empty((n, n) + im.grid.sizes)
     b_w = np.empty((n, n) + im.grid.sizes)
     b_z = np.empty((n, n) + im.grid.sizes)
     for i in range(n):
-        dw = d_along(i, W)
-        dz = d_along(i, Z)
-        pl_dw = np.einsum("...ij,...j->...i", pr.pi_l, dw)
-        pl_dz = np.einsum("...ij,...j->...i", pr.pi_l, dz)
-        pl_jdw = np.einsum("...ij,jk,...k->...i", pr.pi_l, J, dw)
-        pl_jdz = np.einsum("...ij,jk,...k->...i", pr.pi_l, J, dz)
+        dw = geo.d_along(i, W)
+        dz = geo.d_along(i, Z)
+        pl_dw = np.einsum("...ij,...j->...i", pi_l, dw)
+        pl_dz = np.einsum("...ij,...j->...i", pi_l, dz)
+        pl_jdw = np.einsum("...ij,jk,...k->...i", pi_l, J, dw)
+        pl_jdz = np.einsum("...ij,jk,...k->...i", pi_l, J, dz)
         for j in range(n):
-            a_w[i, j] = np.einsum("...i,...ij,...j->...", pl_dw, g, fr.frame[j])
-            a_z[i, j] = np.einsum("...i,...ij,...j->...", pl_dz, g, fr.frame[j])
-            b_w[i, j] = np.einsum("...i,...ij,...j->...", pl_jdw, g, fr.frame[j])
-            b_z[i, j] = np.einsum("...i,...ij,...j->...", pl_jdz, g, fr.frame[j])
+            a_w[i, j] = np.einsum("...i,...ij,...j->...", pl_dw, g, geo.frame[j])
+            a_z[i, j] = np.einsum("...i,...ij,...j->...", pl_dz, g, geo.frame[j])
+            b_w[i, j] = np.einsum("...i,...ij,...j->...", pl_jdw, g, geo.frame[j])
+            b_z[i, j] = np.einsum("...i,...ij,...j->...", pl_jdz, g, geo.frame[j])
     term1 = np.einsum("ij...,ji...->...", b_w, b_z)
     term2 = np.einsum("ij...,ji...->...", a_w, a_z)
     trace_w = np.einsum("ii...->...", a_w)
     trace_z = np.einsum("ii...->...", a_z)
-    analytic = (term1 - term2 + trace_w * trace_z) * dens.volj_density
+    analytic = (term1 - term2 + trace_w * trace_z) * geo.density.volj_density
 
     def dens_at(s, t):
         pts = im.points + s * W + t * Z

@@ -306,6 +306,22 @@ _FLAT_TORUS = {"chart": {"name": "flat_c2"},
       "params": {"t_final": float("nan")}}, "params.t_final"),
     ({"operation": "variation.first", **_FLAT_TORUS,
       "field": {"kind": "coordinate", "axis": 2}}, "field.axis"),
+    ({"operation": "jvol.compute",
+      "chart": {"name": "complex_hyperbolic_ball", "fd_step": "x"},
+      "immersion": {"formula": "product_torus", "grid": 32,
+                    "args": {"r1": 0.3, "r2": 0.3}}}, "chart.fd_step"),
+    ({"operation": "jvol.compute", "chart": {"name": "flat_c2"},
+      "immersion": {"formula": "product_torus", "grid": 32,
+                    "args": {"r1": "abc"}}}, "immersion.args.r1"),
+    ({"operation": "jvol.compute", "chart": {"name": "flat_c2"},
+      "immersion": {"formula": "graph_perturbed_torus", "grid": 32,
+                    "args": {"mode": [1]}}}, "immersion.args.mode"),
+    ({"operation": "variation.convexity",
+      "params": {"family": {"kind": "poincare_circle", "grid": "abc"},
+                 "t_grid": [0.5, 0.6, 0.7]}}, "params.family.grid"),
+    ({"operation": "variation.convexity",
+      "params": {"family": {"kind": "poincare_circle", "r0": "x", "grid": 64},
+                 "t_grid": [0.5, 0.6, 0.7]}}, "params.family.r0"),
 ])
 def test_malformed_scenario_fields_exit_2(tmp_path, capsys, payload, field):
     scn = write_scenario(tmp_path / "s.json", {"version": 1, "name": "bad", **payload})

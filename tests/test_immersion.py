@@ -129,7 +129,7 @@ def test_lagrangian_defect_trivial_cases(circle, torus12):
 
 
 def test_projection_algebra(torus12, flat2):
-    pr = imm.projections_many(torus12)
+    pr = imm.frames(torus12)
     J = flat2.J
     eye = np.eye(4)
     assert np.max(np.abs(pr.pi_l @ pr.pi_l - pr.pi_l)) <= 1e-10
@@ -141,7 +141,7 @@ def test_projection_algebra(torus12, flat2):
 
 def test_projection_lagrangian_node_is_orthogonal(torus12):
     # on a Lagrangian, J(TL) is the normal space: pi_J = pi_perp = Id - pi_T
-    pr = imm.projections_many(torus12)
+    pr = imm.frames(torus12)
     assert np.max(np.abs(pr.pi_j - (np.eye(4) - pr.pi_t))) <= 1e-10
 
 
@@ -150,7 +150,7 @@ def test_projection_mixed_identity_on_tilted_plane(flat2):
     gp = imm.build_immersion(imm.GridTorus((32, 32)), flat2,
                              "graph_perturbed_torus", r1=1.0, r2=1.0,
                              amplitude=0.4, mode=(1, 1))
-    pr = imm.projections_many(gp)
+    pr = imm.frames(gp)
     J = flat2.J
     rng = np.random.default_rng(0)
     v = rng.normal(size=4)
@@ -240,7 +240,7 @@ def test_serialization_round_trip(torus12, tmp_path):
 
 def test_density_csv_export(circle, tmp_path):
     path = tmp_path / "density.csv"
-    imm.export_density_csv(circle, path)
+    imm.export_density_csv(imm.density(circle), path)
     lines = path.read_text().splitlines()
     assert lines[0] == "i0,rho,volg_density,volj_density"
     assert len(lines) == 65

@@ -1,11 +1,12 @@
 """Variation harness tests: FD oracles vs analytic variation formulas."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from trgeo import _spectral, ambient
+from trgeo import _spectral, ambient, cli
 from trgeo import immersion as imm
 from trgeo import variation_harness as vh
 from trgeo.errors import GeodesicUnavailable
@@ -86,8 +87,8 @@ def test_stokes_tangential_first_variation(circle):
     theta = circle.grid.thetas(0)
     X = imm.VectorFieldOnL(grid=circle.grid,
                            components=(1.0 + 0.3 * np.cos(theta))[None, :])
-    Z = vh.pushforward(circle, X)
-    value, _, _ = vh.fd_first_variation(circle, Z)
+    Z = imm.frames(circle).pushforward(X)
+    value, _ = vh.fd_first_variation(circle, Z)
     vol = imm.total_volumes(circle)["vol_j"]
     assert abs(value) <= 1e-7 * vol
 
@@ -96,8 +97,8 @@ def test_stokes_tangential_perturbed_torus():
     gp = imm.build_immersion(imm.GridTorus((32, 32)), ambient.flat_chart(2),
                              "graph_perturbed_torus", r1=1.0, r2=1.0,
                              amplitude=0.5, mode=(1, 0))
-    Z = vh.pushforward(gp, imm.coordinate_field(gp.grid, 0))
-    value, _, _ = vh.fd_first_variation(gp, Z)
+    Z = imm.frames(gp).pushforward(imm.coordinate_field(gp.grid, 0))
+    value, _ = vh.fd_first_variation(gp, Z)
     vol = imm.total_volumes(gp)["vol_j"]
     assert abs(value) <= 1e-7 * vol
 
@@ -164,7 +165,7 @@ def test_second_variation_poincare_closed_form():
     integrand, dens = vh.second_variation_integrand(
         hc, imm.coordinate_field(hc.grid, 0))
     fr = imm.frames(hc)
-    y_amb = vh.pushforward(hc, imm.coordinate_field(hc.grid, 0), fr)
+    y_amb = fr.pushforward(imm.coordinate_field(hc.grid, 0))
     ric = hc.chart.ricci_many(hc.positions())
     ric_term = -np.einsum("...i,...ij,...j->...", y_amb, ric, y_amb)
     assert np.min(ric_term) > 0.0
@@ -196,9 +197,9 @@ def test_mixed_second_variation_flat():
     J = gp.chart.J
     fr = imm.frames(gp)
     W = np.einsum("ij,...j->...i", J,
-                  vh.pushforward(gp, imm.coordinate_field(gp.grid, 0), fr))
+                  fr.pushforward(imm.coordinate_field(gp.grid, 0)))
     Z = np.einsum("ij,...j->...i", J,
-                  vh.pushforward(gp, imm.coordinate_field(gp.grid, 1), fr))
+                  fr.pushforward(imm.coordinate_field(gp.grid, 1)))
     analytic, fd = vh.mixed_density_second_variation(gp, W, Z)
     scale = max(1.0, float(np.max(np.abs(analytic))))
     assert np.max(np.abs(analytic - fd)) <= 1e-4 * scale
@@ -281,3 +282,39 @@ def test_first_variation_circle_scaling(r):
     rep = vh.check_first_variation(im, imm.coordinate_field(im.grid, 0))
     assert abs(rep.analytic + 2.0 * np.pi * r) <= 1e-9
     assert rep.rel_err <= 1e-4
+
+
+# --- frame builds ------------------------------------------------------------------------
+
+def test_each_check_builds_one_base_geometry(monkeypatch, tmp_path):
+    # every frame build differentiates the immersion once
+    builds = []
+    original = imm.Immersion.coordinate_vectors
+
+    def counted(self):
+        builds.append(self)
+        return original(self)
+
+    circle = imm.build_immersion(imm.GridTorus((64,)), ambient.flat_chart(1),
+                                 "circle", r=1.0)
+    Y = imm.coordinate_field(circle.grid, 0)
+    monkeypatch.setattr(imm.Immersion, "coordinate_vectors", counted)
+
+    vh.check_first_variation(circle, Y)
+    assert len(builds) == 1 + 6          # base geometry, then 3 eps x 2 signs
+    builds.clear()
+    vh.check_second_variation_kahler(circle, Y)
+    assert len(builds) == 1 + 5          # base geometry, then the 5 members
+    builds.clear()
+    vh.convexity_experiment({"kind": "flat_circle", "grid": 64}, [0.0, 0.1, 0.2])
+    assert len(builds) == 1 + 3          # validated base, then the 3 members
+    builds.clear()
+
+    scn = tmp_path / "jvol.json"
+    scn.write_text(json.dumps({
+        "version": 1, "name": "jvol", "operation": "jvol.compute",
+        "chart": {"name": "flat_c2"},
+        "immersion": {"formula": "graph_perturbed_torus", "grid": 32,
+                      "args": {"amplitude": 0.3, "mode": [1, 0]}}}))
+    assert cli.main(["run", "--scenario", str(scn), "--out", str(tmp_path / "out")]) == 0
+    assert len(builds) == 2              # validated input, then one geometry
