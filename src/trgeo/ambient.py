@@ -7,15 +7,18 @@ Charts are either flat or carry a Kahler potential phi. The Hermitian matrix
 H_jk = d^2 phi / dz_j dz_bar_k determines the 2-form omega = i ddbar(phi) and
 the compatible metric g(v, w) = omega(v, Jw) = 2 Re(v^T H conj(w)).
 
-Derivative pipeline: first derivatives of phi use the complex-step trick
-(exact to machine precision; potentials are evaluated on a complexified real
-coordinate), second derivatives are Richardson-extrapolated central
-differences of that gradient, and the curvature uses the Kahler identity
-Ric = assemble(-log det H) with one more Richardson central-difference level.
-This keeps every curvature residual truncation-dominated, so halving fd_step
-actually reduces it, while staying inside 1e-6 of closed forms on the built-in
-charts. A plain nested chain of second-order stencils cannot do both in
-float64; see christoffels_at, which still uses the direct FD-of-metric route.
+Derivative pipeline: exact, by truncated Taylor arithmetic (`_taylor`). Each
+kernel evaluates phi once on the Taylor variables x_a + t_a, in fixed-size
+blocks of points: at degree 2 for the metric, at degree 3 for the
+Christoffel symbols (dg from the third-order coefficients), and at degree 4
+for the Ricci tensor, which uses the Kahler identity Ric = i ddbar(-log det H)
+with H, det H and -log det H formed as degree-2 series. The results are
+exact up to round-off (|Ric + 3/2 g| ~ 4e-15 on the C^2 ball). fd_step sets
+no step size: it only sets the domain margins (require_inside,
+stencil_reach). The finite-difference engine (complex-step gradients and
+Richardson central differences) is the independent oracle for these kernels
+and lives in the tests (tests/fd_oracle.py); at the same fd_step it accepts
+exactly the points the kernels accept.
 """
 
 from dataclasses import dataclass
@@ -23,14 +26,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import _spectral
+from . import _taylor
 from .errors import MetricNotPositiveDefinite, PointOutsideDomain, ValidationError
 
-_CSTEP = 1e-100          # complex-step size; cancellation-free
-_K_METRIC = 1.0          # metric Hessian step, in units of fd_step * radius
-_K_GAMMA = 30.0          # outer step for d(metric) in christoffels_at
-_K_RIC_INNER = 30.0      # step for the Hermitian Hessian inside -log det H
-_K_RIC_OUTER = 100.0     # outer step for the Hessian of -log det H
+# Christoffel symbols and the Ricci tensor accept only points at least
+# 2 * _REACH * fd_step * radius inside the chart. The value is the reach of
+# the finite-difference oracle's stencils (tests/fd_oracle.py), so the oracle
+# can check every point the kernels accept.
+_REACH = 130.0
+# pair products one Taylor product holds at a time (2 MB); fixes the block size
+_BLOCK_PAIRS = 1 << 18
 
 
 def standard_j(n):
@@ -45,10 +50,13 @@ def standard_j(n):
 class AmbientChart:
     """Immutable chart description: flat or potential-generated Kahler metric.
 
-    For kind="potential" the callable phi must accept arrays of shape
-    (..., 2n) and must tolerate complex entries (it is evaluated on the
-    holomorphic extension in each real coordinate separately). Built-in
-    potentials are polynomial/log expressions, which extend automatically.
+    For kind="potential" the callable phi receives a NumPy object array of
+    shape (2n,) holding truncated Taylor series, one per real coordinate,
+    and must return one series. It may index that array and use +, -, *, /,
+    integer powers, np.asarray, np.sum and np.log (NumPy hands ** and log to
+    the elements); other ufuncs and casts to float are not supported. The
+    built-in -2 log(1 - |z|^2) potential is written this way. For the test
+    oracle phi must also accept complex arrays of shape (..., 2n).
     """
 
     n: int
@@ -96,11 +104,10 @@ class AmbientChart:
     # -- domain ------------------------------------------------------------
 
     def stencil_reach(self):
-        """Largest coordinate offset any internal stencil may probe."""
+        """Domain margin of christoffel_many and ricci_many."""
         if self.is_flat:
             return 0.0
-        top = max(_K_GAMMA + _K_METRIC, _K_RIC_OUTER + _K_RIC_INNER)
-        return 2.0 * top * self.fd_step * self.radius
+        return 2.0 * _REACH * self.fd_step * self.radius
 
     def require_inside(self, pts, margin=None):
         if self.is_flat:
@@ -119,60 +126,54 @@ class AmbientChart:
 
     # -- metric ------------------------------------------------------------
 
-    def hermitian_hessian(self, pts, step=None):
-        """H_jk = d^2 phi / dz_j dz_bar_k, shape pts.shape[:-1] + (n, n)."""
-        if self.is_flat:
-            shape = np.asarray(pts).shape[:-1] + (self.n, self.n)
-            H = np.zeros(shape, dtype=complex)
-            H[...] = 0.5 * np.eye(self.n)
-            return H
-        if step is None:
-            step = _K_METRIC * self.fd_step * self.radius
-        hess = _gradient_jacobian(self.phi, np.asarray(pts, dtype=float), step)
-        n = self.n
-        A = hess[..., :n, :n]
-        D = hess[..., n:, n:]
-        B = hess[..., :n, n:]
-        return (A + D + 1j * (B - np.swapaxes(B, -1, -2))) / 4.0
+    def _on_blocks(self, pts, degree, kernel, shape):
+        """kernel(h) over fixed-size blocks of points, stacked into one array.
 
-    def metric_many(self, pts, check_pd=True):
+        h[a][b] is d^2 phi / dx_a dx_b as a Taylor series of degree - 2
+        about each point of the block (phi evaluated once, at degree
+        `degree`); kernel returns an array of shape (points,) + shape.
+        """
+        d = self.dim
+        flat = pts.reshape(-1, d)
+        out = np.empty((flat.shape[0],) + shape)
+        size = max(1, _BLOCK_PAIRS // _taylor.n_pairs(d, degree))
+        for s in range(0, flat.shape[0], size):
+            phi = self.phi(_taylor.variables(flat[s:s + size], degree))
+            out[s:s + size] = kernel(_hessian(phi))
+        return out.reshape(pts.shape[:-1] + shape)
+
+    def metric_many(self, pts):
         """Batched metric and 2-form matrices at chart points.
 
         On flat charts both are read-only broadcast views of I and J^T.
         """
         pts = np.asarray(pts, dtype=float)
+        d = self.dim
         if self.is_flat:
-            shape = pts.shape[:-1] + (self.dim, self.dim)
-            return (np.broadcast_to(np.eye(self.dim), shape),
+            shape = pts.shape[:-1] + (d, d)
+            return (np.broadcast_to(np.eye(d), shape),
                     np.broadcast_to(self.J.T, shape))
         self.require_inside(pts)
-        H = self.hermitian_hessian(pts)
-        g = _assemble_symmetric(H)
-        if check_pd:
-            _require_positive_definite(g, self.name)
+        g = self._on_blocks(pts, 2, lambda h: _kahler_tensor(_coefficient(h, 0)),
+                            (d, d))
+        _require_positive_definite(g, self.name)
         omega = np.swapaxes(self.J, 0, 1) @ g
         return g, omega
 
     def christoffel_many(self, pts):
-        """Levi-Civita symbols Gamma^c_{ab} from central differences of g."""
+        """Levi-Civita symbols Gamma^c_{ab} from the exact first derivatives of g."""
         pts = np.asarray(pts, dtype=float)
         d = self.dim
         if self.is_flat:
             return np.zeros(pts.shape[:-1] + (d, d, d))
         self.require_inside(pts, margin=self.stencil_reach())
-        h = _K_GAMMA * self.fd_step * self.radius
 
-        def dg(step):
-            out = np.empty(pts.shape[:-1] + (d, d, d))
-            for b in range(d):
-                e = np.zeros(d)
-                e[b] = step
-                gp, _ = self.metric_many(pts + e, check_pd=False)
-                gm, _ = self.metric_many(pts - e, check_pd=False)
-                out[..., b, :, :] = (gp - gm) / (2.0 * step)
-            return out
+        def dg(h):
+            # at degree 1 the coefficient of t_b is the derivative along x_b
+            return np.stack([_kahler_tensor(_coefficient(h, 1 + b)) for b in range(d)],
+                            axis=-3)
 
-        dgs = _spectral.richardson(dg, h)
+        dgs = self._on_blocks(pts, 3, dg, (d, d, d))      # [..., b, :, :] = d_b g
         g0, _ = self.metric_many(pts)
         ginv = np.linalg.inv(g0)
         m = (np.einsum("...adb->...dab", dgs)
@@ -182,35 +183,29 @@ class AmbientChart:
         return 0.5 * (gamma + np.swapaxes(gamma, -1, -2))
 
     def ricci_many(self, pts):
-        """Ricci tensor via the Kahler identity Ric = assemble(-log det H)."""
+        """Ricci tensor via the Kahler identity Ric = i ddbar(-log det H)."""
         pts = np.asarray(pts, dtype=float)
-        d = self.dim
+        d, n = self.dim, self.n
         if self.is_flat:
             return np.zeros(pts.shape[:-1] + (d, d))
         self.require_inside(pts, margin=self.stencil_reach())
-        h_in = _K_RIC_INNER * self.fd_step * self.radius
-        h_out = _K_RIC_OUTER * self.fd_step * self.radius
 
-        def neg_log_det(q):
-            H = self.hermitian_hessian(q, step=h_in)
-            if self.n == 1:
-                det = H[..., 0, 0].real
+        def ricci(h):
+            # H = S + iT with S_jk = (h[j][k] + h[n+j][n+k]) / 4 and
+            # T_jk = (h[j][n+k] - h[k][n+j]) / 4, as degree-2 series
+            s = [[(h[j][k] + h[n + j][n + k]) * 0.25 for k in range(n)]
+                 for j in range(n)]
+            if n == 1:
+                det = s[0][0]
             else:
-                det = (H[..., 0, 0] * H[..., 1, 1] - H[..., 0, 1] * H[..., 1, 0]).real
-            if np.any(det <= 0.0):
+                t = (h[0][n + 1] - h[1][n]) * 0.25
+                det = s[0][0] * s[1][1] - s[0][1] * s[0][1] - t * t
+            if np.any(det.c[0] <= 0.0):
                 raise MetricNotPositiveDefinite(
-                    f"degenerate Hermitian Hessian while differentiating on '{self.name}'"
-                )
-            return -np.log(det)
+                    f"degenerate Hermitian Hessian on '{self.name}'")
+            return _kahler_tensor(_coefficient(_hessian(-det.log()), 0))
 
-        hess = _value_hessian(neg_log_det, pts, h_out)
-        n = self.n
-        A = hess[..., :n, :n]
-        D = hess[..., n:, n:]
-        B = hess[..., :n, n:]
-        R = (A + D + 1j * (B - np.swapaxes(B, -1, -2))) / 4.0
-        ric = _assemble_symmetric(R)
-        return 0.5 * (ric + np.swapaxes(ric, -1, -2))
+        return self._on_blocks(pts, 4, ricci, (d, d))
 
 
 @dataclass
@@ -282,7 +277,8 @@ def flat_quotient_chart(n=2):
 
 
 def _ball_log_potential(pts):
-    # -2 log(1 - sum z_k^2): complex-safe holomorphic extension of -2 log(1-|p|^2)
+    # -2 log(1 - |p|^2) in the operations a potential may use (AmbientChart);
+    # it also runs on complex coordinates, as the FD oracle needs
     return -2.0 * np.log(1.0 - np.sum(np.asarray(pts) ** 2, axis=-1))
 
 
@@ -320,59 +316,34 @@ def chart_from_descriptor(desc):
     raise ValidationError(f"unknown chart descriptor {desc!r}")
 
 
-# --- derivative engine ------------------------------------------------------
+# --- Taylor helpers ---------------------------------------------------------
 
-def _phi_gradient(phi, pts):
-    """Exact gradient of a potential via one complex step per coordinate."""
-    d = pts.shape[-1]
-    out = np.empty(pts.shape, dtype=float)
-    base = pts.astype(complex)
-    for a in range(d):
-        z = base.copy()
-        z[..., a] = z[..., a] + 1j * _CSTEP
-        out[..., a] = np.asarray(phi(z)).imag / _CSTEP
-    return out
+def _hessian(t):
+    """Second derivatives of a Taylor series: h[a][b] = h[b][a], degree p - 2."""
+    grad = [t.diff(a) for a in range(t.d)]
+    h = [[None] * t.d for _ in range(t.d)]
+    for a in range(t.d):
+        for b in range(a, t.d):
+            h[a][b] = h[b][a] = grad[a].diff(b)
+    return h
 
 
-def _gradient_jacobian(phi, pts, h):
-    """Real Hessian of phi: Richardson central differences of the exact gradient."""
-    d = pts.shape[-1]
-
-    def jac(step):
-        out = np.empty(pts.shape[:-1] + (d, d))
-        for b in range(d):
-            e = np.zeros(d)
-            e[b] = step
-            gp = _phi_gradient(phi, pts + e)
-            gm = _phi_gradient(phi, pts - e)
-            out[..., :, b] = (gp - gm) / (2.0 * step)
-        return out
-
-    hess = _spectral.richardson(jac, h)
-    return 0.5 * (hess + np.swapaxes(hess, -1, -2))
+def _coefficient(h, k):
+    """The k-th Taylor coefficients of a matrix of series, shape batch + (d, d)."""
+    return np.stack([np.stack([e.c[k] for e in row], axis=-1) for row in h], axis=-2)
 
 
-def _value_hessian(f, pts, h):
-    """Richardson central-difference Hessian of a scalar function of points."""
-    d = pts.shape[-1]
+def _kahler_tensor(hess):
+    """Symmetric tensor of i ddbar f from the real Hessian of f.
 
-    def hess_at(s):
-        out = np.empty(pts.shape[:-1] + (d, d))
-        f0 = f(pts)
-        for a in range(d):
-            ea = np.zeros(d)
-            ea[a] = s
-            out[..., a, a] = (f(pts + ea) - 2.0 * f0 + f(pts - ea)) / s ** 2
-            for b in range(a + 1, d):
-                eb = np.zeros(d)
-                eb[b] = s
-                mixed = (f(pts + ea + eb) - f(pts + ea - eb)
-                         - f(pts - ea + eb) + f(pts - ea - eb)) / (4.0 * s * s)
-                out[..., a, b] = mixed
-                out[..., b, a] = mixed
-        return out
-
-    return _spectral.richardson(hess_at, h)
+    H_jk = d^2 f / dz_j dz_bar_k = (A + D + i (B - B^T)) / 4 in terms of the
+    real Hessian blocks [[A, B], [B^T, D]], assembled as 2 Re(v^T H conj(w)).
+    """
+    n = hess.shape[-1] // 2
+    A = hess[..., :n, :n]
+    D = hess[..., n:, n:]
+    B = hess[..., :n, n:]
+    return _assemble_symmetric((A + D + 1j * (B - np.swapaxes(B, -1, -2))) / 4.0)
 
 
 def _assemble_symmetric(H):

@@ -448,7 +448,10 @@ def _op_ambient_verify(scn, out_dir):
     if chart.is_flat:
         pts = rng.uniform(-1.0, 1.0, size=(n_pts, chart.dim))
     else:
-        r_max = _get(p, "r_max", "params.r_max", "number", 0.6) * chart.radius
+        r_max = _get(p, "r_max", "params.r_max", "number", 0.6)
+        if not r_max > 0.0:
+            raise ValidationError(f"params.r_max must be a number > 0, got {r_max!r}")
+        r_max *= chart.radius
         pts = rng.uniform(-r_max / math.sqrt(chart.dim),
                           r_max / math.sqrt(chart.dim),
                           size=(n_pts, chart.dim))
@@ -485,6 +488,7 @@ def load_scenario(path):
         raise ParseError(f"scenario must declare \"version\": {SCENARIO_VERSION}")
     if "operation" not in scn:
         raise ParseError("scenario missing \"operation\"")
+    _check(scn["operation"], "operation", "string")
     return scn
 
 

@@ -571,12 +571,13 @@ def reparametrized(im, shifts):
 def export_density_csv(dens, path):
     """Per-node rho_J and densities as CSV (node indices, rho, vol_g, vol_J)."""
     sizes = dens.rho.shape
+    cols = [f"i{k}" for k in range(len(sizes))] + ["rho", "volg_density",
+                                                   "volj_density"]
+    # '%.17g' % x is the same string as format(x, '.17g')
+    row = ",".join(["%d"] * len(sizes) + ["%.17g"] * 3) + "\n"
+    table = np.vstack([np.indices(sizes).reshape(len(sizes), -1)]
+                      + [np.ravel(a) for a in (dens.rho, dens.volg_density,
+                                               dens.volj_density)])
     with open(path, "w", newline="") as f:
-        cols = [f"i{k}" for k in range(len(sizes))] + ["rho", "volg_density",
-                                                       "volj_density"]
         f.write(",".join(cols) + "\n")
-        for idx in np.ndindex(*sizes):
-            row = [str(v) for v in idx]
-            row += [format(float(a[idx]), ".17g")
-                    for a in (dens.rho, dens.volg_density, dens.volj_density)]
-            f.write(",".join(row) + "\n")
+        f.write("".join(row % r for r in map(tuple, table.T.tolist())))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fd_oracle import fd_christoffel, fd_metric, fd_ricci
 from trgeo import ambient
 from trgeo.errors import MetricNotPositiveDefinite, PointOutsideDomain, ValidationError
 
@@ -141,15 +142,15 @@ def test_poincare_ricci_einstein():
 
 
 def test_ricci_richardson_consistency():
-    # halving fd_step must reduce the worst curvature residual by >= 3
+    # FD oracle: halving fd_step must reduce the worst curvature residual by >= 3
     pts = np.array([[0.4, 0.2], [0.5, 0.1], [0.45, -0.3], [-0.35, 0.4]])
 
     def residual(fd_step):
         pd = ambient.poincare_disk(fd_step=fd_step)
         worst = 0.0
         for p in pts:
-            err = np.max(np.abs(ambient.ricci_at(pd, p)
-                                + ambient.metric_at(pd, p).g))
+            err = np.max(np.abs(fd_ricci(pd, p[None, :])[0]
+                                + fd_metric(pd, p[None, :])[0]))
             worst = max(worst, float(err))
         return worst
 
@@ -157,6 +158,50 @@ def test_ricci_richardson_consistency():
     r_half = residual(0.5e-4)
     assert r_full <= 1e-6
     assert r_full / r_half >= 3.0
+
+
+def _quartic(z):
+    s = np.sum(np.asarray(z) ** 2, axis=-1)
+    return s * s
+
+
+_ORACLE_CASES = [
+    (ambient.complex_hyperbolic_ball(), (-0.3, 0.3), 4),
+    (ambient.poincare_disk(), (-0.45, 0.45), 2),
+    (ambient.potential_chart(2, _quartic, radius=2.0, name="quartic"), (0.4, 0.8), 4),
+]
+
+
+@pytest.mark.parametrize("chart,box,dim", _ORACLE_CASES, ids=["ball", "disk", "quartic"])
+def test_exact_kernels_match_fd_oracle(chart, box, dim):
+    # bounds are the oracle's own truncation error (about 1e-12, 1e-9, 3e-8)
+    pts = np.random.default_rng(11).uniform(*box, size=(12, dim))
+    for exact, oracle, tol in ((chart.metric_many(pts)[0], fd_metric(chart, pts), 1e-10),
+                               (chart.christoffel_many(pts), fd_christoffel(chart, pts), 1e-8),
+                               (chart.ricci_many(pts), fd_ricci(chart, pts), 1e-6)):
+        assert exact.shape == oracle.shape
+        assert np.max(np.abs(exact - oracle)) <= tol * np.max(np.abs(exact))
+
+
+def test_exact_curvature_closed_forms():
+    # Ric = -(3/2) g on the C^2 ball and Ric = -g on the disk, to round-off
+    rng = np.random.default_rng(12)
+    for chart, c, dim in ((ambient.complex_hyperbolic_ball(), -1.5, 4),
+                          (ambient.poincare_disk(), -1.0, 2)):
+        pts = rng.uniform(-0.6, 0.6, size=(2000, dim)) / np.sqrt(dim)
+        ric = chart.ricci_many(pts)
+        g, _ = chart.metric_many(pts)
+        assert np.max(np.abs(ric - c * g)) <= 1e-12
+        assert np.array_equal(ric, np.swapaxes(ric, -1, -2))
+    # and the conformal Christoffel symbols of the disk, lambda = 4 / (1 - r^2)^2
+    pd = ambient.poincare_disk()
+    p = np.array([[0.3, -0.2], [0.0, 0.55], [-0.6, 0.1]])
+    dlog = 2.0 * p / (1.0 - np.sum(p * p, axis=-1, keepdims=True))   # d log(lambda) / 2
+    G = pd.christoffel_many(p)
+    assert np.max(np.abs(G[:, 0, 0, 0] - dlog[:, 0])) <= 1e-13
+    assert np.max(np.abs(G[:, 0, 1, 1] + dlog[:, 0])) <= 1e-13
+    assert np.max(np.abs(G[:, 1, 0, 1] - dlog[:, 0])) <= 1e-13
+    assert np.max(np.abs(G[:, 1, 1, 1] - dlog[:, 1])) <= 1e-13
 
 
 def test_verify_flat_einstein():

@@ -322,6 +322,12 @@ _FLAT_TORUS = {"chart": {"name": "flat_c2"},
     ({"operation": "variation.convexity",
       "params": {"family": {"kind": "poincare_circle", "r0": "x", "grid": 64},
                  "t_grid": [0.5, 0.6, 0.7]}}, "params.family.r0"),
+    ({"operation": ["ambient.verify"]}, "operation"),
+    ({"operation": {"group": "ambient"}}, "operation"),
+    ({"operation": "ambient.verify", "chart": {"name": "complex_hyperbolic_ball"},
+      "params": {"r_max": -1}}, "params.r_max"),
+    ({"operation": "ambient.verify", "chart": {"name": "poincare_disk"},
+      "params": {"r_max": -0.0}}, "params.r_max"),
 ])
 def test_malformed_scenario_fields_exit_2(tmp_path, capsys, payload, field):
     scn = write_scenario(tmp_path / "s.json", {"version": 1, "name": "bad", **payload})

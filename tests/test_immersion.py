@@ -1,6 +1,7 @@
 """Immersion tests: frames, rho_J, volumes, projections, H_J, serialization."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -246,6 +247,25 @@ def test_density_csv_export(circle, tmp_path):
     assert len(lines) == 65
     first = lines[1].split(",")
     assert float(first[1]) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(7,), (3, 5)])
+def test_density_csv_bytes_match_per_value_formatting(tmp_path, shape):
+    # reference: one format(float(x), ".17g") per value in a per-node loop
+    rng = np.random.default_rng(4)
+    vals = [rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+            for _ in range(3)]
+    vals[0].flat[0] = -0.0
+    vals[1].flat[1] = 1.0 / 3.0
+    vals[2].flat[2] = 5e-324
+    dens = SimpleNamespace(rho=vals[0], volg_density=vals[1], volj_density=vals[2])
+    path = tmp_path / "density.csv"
+    imm.export_density_csv(dens, path)
+    header = [f"i{k}" for k in range(len(shape))] + ["rho", "volg_density", "volj_density"]
+    expect = ",".join(header) + "\n" + "".join(
+        ",".join([str(i) for i in idx] + [format(float(a[idx]), ".17g") for a in vals]) + "\n"
+        for idx in np.ndindex(*shape))
+    assert path.read_bytes() == expect.encode()
 
 
 def test_straight_torus_quotient_chart():
