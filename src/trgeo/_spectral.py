@@ -7,8 +7,9 @@ real data. Quadrature of periodic integrands is the node sum times the cell
 area, accumulated with math.fsum in fixed order so results are deterministic.
 
 Besides the FFT helpers the module holds the three building blocks of the
-oracles: the off-grid Fourier evaluator (`evaluate_fourier`, any number of
-grid axes), one classical RK4 step (`rk4_step`) and one Richardson level for
+oracles: the off-grid Fourier evaluator (`evaluate_fourier`, one array of
+angles for the first axis of the coefficients, the other axes riding
+along), one classical RK4 step (`rk4_step`) and one Richardson level for
 O(h^2) estimates (`richardson`). Every integrator and extrapolation in the
 package goes through these.
 """
@@ -50,34 +51,22 @@ def fourier_coefficients(samples, axis=0):
     return np.fft.fft(samples, axis=axis) / n
 
 
-def evaluate_fourier(coeffs, *thetas):
+def evaluate_fourier(coeffs, theta):
     """Evaluate a Fourier series (FFT-ordered coeffs) at arbitrary angles.
 
-    coeffs has one leading axis per angle array and may carry trailing axes;
-    the angle arrays share one shape and the result has shape
-    thetas[0].shape + trailing. The first grid axis is contracted with one
-    matrix product, every further one pointwise, so the cost stays at
-    O(points * coeffs.size).
+    coeffs holds the modes along its first axis and may carry trailing axes;
+    the result has shape theta.shape + coeffs.shape[1:]. One matrix product
+    of the phases e^{i m theta} with the coefficients, O(points * coeffs.size).
     """
-    thetas = [np.asarray(t, dtype=float) for t in thetas]
-    shape = thetas[0].shape
-    ndim = len(thetas)
-    trailing = coeffs.shape[ndim:]
-
-    def phases(theta, n):
-        # e^{i m theta} for m = 0..n//2 only; e^{-i m theta} is its conjugate
-        half = np.exp(1j * theta.reshape(-1)[:, None] * np.arange(n // 2 + 1))
-        out = np.empty((half.shape[0], n), dtype=complex)
-        out[:, :(n + 1) // 2] = half[:, :(n + 1) // 2]
-        np.conjugate(half[:, n // 2:0:-1], out=out[:, (n + 1) // 2:])
-        return out
-
-    # out[p, ...] = sum_{a,b} e^{i m_a theta1[p]} e^{i m_b theta2[p]} coeffs[a, b, ...]
-    out = phases(thetas[0], coeffs.shape[0]) @ coeffs.reshape(coeffs.shape[0], -1)
-    out = out.reshape((-1,) + coeffs.shape[1:])
-    for k in range(1, ndim):
-        out = np.einsum("pb,pb...->p...", phases(thetas[k], coeffs.shape[k]), out)
-    return out.reshape(shape + trailing)
+    theta = np.asarray(theta, dtype=float)
+    n = coeffs.shape[0]
+    # e^{i m theta} for m = 0..n//2 only; e^{-i m theta} is its conjugate
+    half = np.exp(1j * theta.reshape(-1)[:, None] * np.arange(n // 2 + 1))
+    phases = np.empty((half.shape[0], n), dtype=complex)
+    phases[:, :(n + 1) // 2] = half[:, :(n + 1) // 2]
+    np.conjugate(half[:, n // 2:0:-1], out=phases[:, (n + 1) // 2:])
+    out = phases @ coeffs.reshape(n, -1)
+    return out.reshape(theta.shape + coeffs.shape[1:])
 
 
 def rk4_step(rhs, y, h):

@@ -54,9 +54,10 @@ class AmbientChart:
     shape (2n,) holding truncated Taylor series, one per real coordinate,
     and must return one series. It may index that array and use +, -, *, /,
     integer powers, np.asarray, np.sum and np.log (NumPy hands ** and log to
-    the elements); other ufuncs and casts to float are not supported. The
-    built-in -2 log(1 - |z|^2) potential is written this way. For the test
-    oracle phi must also accept complex arrays of shape (..., 2n).
+    the elements); other ufuncs and casts to float are not supported and
+    raise ValidationError. The built-in -2 log(1 - |z|^2) potential is
+    written this way. For the test oracle phi must also accept complex
+    arrays of shape (..., 2n).
     """
 
     n: int
@@ -138,7 +139,14 @@ class AmbientChart:
         out = np.empty((flat.shape[0],) + shape)
         size = max(1, _BLOCK_PAIRS // _taylor.n_pairs(d, degree))
         for s in range(0, flat.shape[0], size):
-            phi = self.phi(_taylor.variables(flat[s:s + size], degree))
+            try:
+                phi = self.phi(_taylor.variables(flat[s:s + size], degree))
+            except TypeError as e:
+                raise ValidationError(
+                    f"potential of chart '{self.name}' uses an operation Taylor "
+                    f"arithmetic does not support ({e}); it may use +, -, *, /, "
+                    "integer powers, np.asarray, np.sum and np.log"
+                ) from None
             out[s:s + size] = kernel(_hessian(phi))
         return out.reshape(pts.shape[:-1] + shape)
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import _spectral, curve_lab
 from .errors import (AliasingDetected, AmplificationExceeded, BlowUpDetected,
                      NotNested, StepTooLarge, UnsupportedField, ValidationError)
-from .immersion import GridTorus, Immersion, VectorFieldOnL, is_totally_real
+from .immersion import Immersion, VectorFieldOnL, is_totally_real
 
 AMP_MAX = 1e6
 TAIL_ENERGY_ABORT = 1e-3
@@ -59,22 +59,50 @@ class BvpResult:
     min_map_derivative: float = 0.0   # min |g'| over the sampled annulus
 
 
-def _coordinate_alignment(X):
-    """Return (axis, scale) when X = c * d/dtheta_axis with constant c."""
+def _axis_profile(X):
+    """(axis, profile) when X = f(theta_axis) d/dtheta_axis, else None.
+
+    profile holds f at the nodes of that axis. This is the one recogniser of
+    such fields: the flow of X moves theta_axis alone, at a rate that depends
+    on theta_axis alone. The zero field counts as f = 0 along axis 0.
+    """
     comp = X.components
-    axis = None
-    for k in range(comp.shape[0]):
-        arr = comp[k]
-        if np.max(np.abs(arr)) < 1e-14:
-            continue
-        if np.max(np.abs(arr - arr.flat[0])) > 1e-12 * max(1.0, abs(arr.flat[0])):
-            return None
-        if axis is not None:
-            return None
-        axis = k
-    if axis is None:
+    live = [k for k in range(comp.shape[0]) if np.max(np.abs(comp[k])) >= 1e-14]
+    if len(live) > 1:
         return None
-    return axis, float(comp[axis].flat[0])
+    axis = live[0] if live else 0
+    # rows: nodes along the axis; columns: the nodes across it
+    f = np.moveaxis(comp[axis], axis, 0).reshape(comp.shape[1 + axis], -1)
+    if np.max(np.abs(f - f[:, :1])) > 1e-12 * max(1.0, float(np.max(np.abs(f)))):
+        return None
+    return axis, f[:, 0]
+
+
+def _coordinate_alignment(X):
+    """(axis, c) when X = c d/dtheta_axis with constant c, else None."""
+    prof = _axis_profile(X)
+    if prof is None:
+        return None
+    axis, f = prof
+    if np.max(np.abs(f - f[0])) > 1e-12 * max(1.0, abs(f[0])):
+        return None
+    return axis, float(f[0])
+
+
+def _resample_axis(im, axis, theta):
+    """im with the nodes of one grid axis moved to the angles theta.
+
+    theta holds one new angle per node of that axis; every slice across the
+    axis is re-evaluated at the same angles from its Fourier series, and a
+    winding part W theta picks up W (theta - theta_node).
+    """
+    coeffs = _spectral.fourier_coefficients(np.moveaxis(im.points, axis, 0))
+    pts = np.moveaxis(_spectral.evaluate_fourier(coeffs, theta), 0, axis).real
+    if im.winding is not None:
+        shape = [1] * im.points.ndim
+        shape[axis] = theta.size
+        pts = pts + (theta - im.grid.thetas(axis)).reshape(shape) * im.winding[:, axis]
+    return Immersion(grid=im.grid, chart=im.chart, points=pts, winding=im.winding)
 
 
 def _complex_components(points, n):
@@ -291,31 +319,21 @@ def flow_timestep(im, X, t_final, dt, store_every=1):
                       scheme="timestep")
 
 
-def flow_spectral_reparametrized(im, f, ts, M=None):
+def flow_spectral_reparametrized(im, f, ts):
     """Continuation of an n=1 flow along a general positive field f d/dtheta.
 
-    The curve is reparametrized so the field becomes (1/R) d/dpsi on a
-    standard grid, then flowed spectrally. Frames are the same submanifold
+    The curve is reparametrized on its own grid so the field becomes
+    (1/R) d/dpsi, then flowed spectrally. Frames are the same submanifold
     family as flow_timestep(im, f d/dtheta) composed with the fixed
     reparametrization psi -> theta(R psi).
     """
     if im.n != 1 or im.chart.dim != 2:
         raise UnsupportedField("reparametrized continuation handles curves only")
-    gamma = im.complex_samples()
-    Mg = gamma.size
-    if M is None:
-        M = Mg
+    M = im.grid.sizes[0]
     rep = curve_lab.reparametrize_by_field(f, M=M)
-    R = rep["R"]
-    theta_s = rep["theta_of_s"]
-    coeffs = _spectral.fourier_coefficients(gamma)
-    resampled = _spectral.evaluate_fourier(coeffs, theta_s)
-    pts = np.stack([resampled.real, resampled.imag], axis=-1)
-    im2 = Immersion(grid=GridTorus((M,)), chart=im.chart, points=pts)
-    X = VectorFieldOnL(grid=im2.grid,
-                       components=np.full((1, M), 1.0 / R))
-    flow = flow_spectral(im2, X, ts)
-    return flow, rep
+    im2 = _resample_axis(im, 0, rep["theta_of_s"])
+    X = VectorFieldOnL(grid=im2.grid, components=np.full((1, M), 1.0 / rep["R"]))
+    return flow_spectral(im2, X, ts), rep
 
 
 def commutator_check(flow, X):

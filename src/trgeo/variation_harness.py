@@ -7,7 +7,11 @@ central differences in the step. Second variations are taken along genuine
 geodesic families d iota/dt = J iota_* Y, generated by mode-wise continuation
 of the complex components; the continuation only uses the constancy of J on
 the chart, so it provides the geodesic family on every built-in chart even
-though the public spectral flow is restricted to flat ones.
+though the public spectral flow is restricted to flat ones. The tangential
+density identities are checked by flowing L along X = f(theta_k) d/dtheta_k:
+that flow moves theta_k alone, so it is one RK4 over the axis angles and one
+resample along that axis (geodesic_flow._resample_axis); other fields raise
+UnsupportedField.
 
 Analytic counterparts:
   first variation      -int g(JY, H_J) vol_J
@@ -24,8 +28,10 @@ import numpy as np
 
 from . import _spectral
 from .curve_lab import reparametrize_by_field
-from .errors import GeodesicUnavailable, SignConventionMismatch, ValidationError
-from .geodesic_flow import _continue_modes, _coordinate_alignment
+from .errors import (GeodesicUnavailable, SignConventionMismatch, UnsupportedField,
+                     ValidationError)
+from .geodesic_flow import (_axis_profile, _continue_modes, _coordinate_alignment,
+                            _resample_axis)
 from .immersion import (GridTorus, Immersion, VectorFieldOnL, density, frames,
                         total_volumes)
 
@@ -136,29 +142,29 @@ def validate_hj_sign(im, n_fields=5, seed=7, tol=1e-3):
 
 # --- tangential density checks ---------------------------------------------------
 
+def _interpolant(values):
+    """Trigonometric interpolant of periodic node values, as a callable."""
+    coeffs = _spectral.fourier_coefficients(values)
+    return lambda theta: _spectral.evaluate_fourier(coeffs, theta).real
+
+
 def _flow_on_torus(im, X, t, substeps=8):
-    """Reparametrization iota o phi_t(X): RK4 flow of X on L, spectral re-eval."""
-    grid_axes = tuple(range(im.n))
-    cells = np.prod(im.grid.sizes)
-    mesh = np.stack(im.grid.mesh())
-    # components as a trailing axis, so one evaluation gives every component
-    comp_coeffs = np.fft.fftn(np.moveaxis(X.components, 0, -1), axes=grid_axes) / cells
+    """Reparametrization iota o phi_t(X) for X = f(theta_k) d/dtheta_k.
 
-    def field_at(thetas):
-        return np.moveaxis(_spectral.evaluate_fourier(comp_coeffs, *thetas).real, -1, 0)
-
-    thetas = mesh
+    The flow moves theta_k alone, at the rate f(theta_k), so one vectorised
+    RK4 over the axis nodes gives their new angles and a one-axis spectral
+    resample gives the points; the other axis rides along.
+    """
+    prof = _axis_profile(X)
+    if prof is None:
+        raise UnsupportedField("the density check needs X = f(theta_k) d/dtheta_k")
+    axis, profile = prof
+    rate = _interpolant(profile)
+    theta = im.grid.thetas(axis)
     h = t / substeps
     for _ in range(substeps):
-        thetas = _spectral.rk4_step(field_at, thetas, h)
-
-    pts_coeffs = np.fft.fftn(im.points, axes=grid_axes) / cells
-    pts = _spectral.evaluate_fourier(pts_coeffs, *thetas).real
-    if im.winding is not None:
-        lin = sum(th[..., None] * im.winding[:, k] for k, th in enumerate(thetas))
-        lin0 = sum(m[..., None] * im.winding[:, k] for k, m in enumerate(mesh))
-        pts = pts + lin - lin0
-    return Immersion(grid=im.grid, chart=im.chart, points=pts, winding=im.winding)
+        theta = _spectral.rk4_step(rate, theta, h)
+    return _resample_axis(im, axis, theta)
 
 
 def check_density_divergence(im, X, eps=1e-3, context=""):
@@ -204,29 +210,6 @@ def check_density_divergence(im, X, eps=1e-3, context=""):
 
 # --- geodesic second variation -----------------------------------------------------
 
-def _axis_profile(Y):
-    """(axis, profile) when Y = f(theta_axis) d/dtheta_axis, else None."""
-    comp = Y.components
-    axis = None
-    for k in range(comp.shape[0]):
-        if np.max(np.abs(comp[k])) < 1e-14:
-            continue
-        if axis is not None:
-            return None
-        axis = k
-    if axis is None:
-        return None
-    arr = comp[axis]
-    if arr.ndim == 1:
-        return axis, arr
-    other = 1 - axis
-    ref = np.take(arr, 0, axis=other)
-    spread = np.max(np.abs(arr - np.expand_dims(ref, axis=other)))
-    if spread > 1e-12 * max(1.0, float(np.max(np.abs(arr)))):
-        return None
-    return axis, ref
-
-
 def _reparametrized_family_axis(im, axis, profile, ts):
     """Geodesic family for Y = f(theta_axis) d/dtheta_axis with f > 0.
 
@@ -237,27 +220,9 @@ def _reparametrized_family_axis(im, axis, profile, ts):
     """
     if np.min(profile) <= 0.0:
         raise GeodesicUnavailable("axis-profile families need f > 0 everywhere")
-    M = im.grid.sizes[axis]
-    f_coeffs = np.fft.fft(profile) / M
-
-    def f(th):
-        return _spectral.evaluate_fourier(f_coeffs, np.asarray(th)).real
-
-    rep = reparametrize_by_field(f, M=M)
-    R = rep["R"]
-    theta_s = rep["theta_of_s"]
-    pts_coeffs = np.fft.fft(im.points, axis=axis) / M
-    pts = _spectral.evaluate_fourier(np.moveaxis(pts_coeffs, axis, 0), theta_s)
-    pts = np.moveaxis(pts, 0, axis).real
-    winding = im.winding
-    if winding is not None:
-        psi = 2.0 * np.pi * np.arange(M) / M
-        wiggle = theta_s - psi
-        shape = [1] * im.points.ndim
-        shape[axis] = M
-        pts = pts + wiggle.reshape(shape) * winding[:, axis]
-    im2 = Immersion(grid=im.grid, chart=im.chart, points=pts, winding=winding)
-    return _continue_modes(im2, axis, 1.0 / R, ts)
+    rep = reparametrize_by_field(_interpolant(profile), M=im.grid.sizes[axis])
+    im2 = _resample_axis(im, axis, rep["theta_of_s"])
+    return _continue_modes(im2, axis, 1.0 / rep["R"], ts)
 
 
 def geodesic_family(im, Y, ts):

@@ -258,3 +258,12 @@ def test_degenerate_potential_rejected():
     qc = ambient.potential_chart(2, quartic, radius=2.0)
     with pytest.raises(MetricNotPositiveDefinite):
         ambient.metric_at(qc, np.zeros(4))
+
+
+@pytest.mark.parametrize("kernel", ["metric_many", "christoffel_many", "ricci_many"])
+def test_unsupported_potential_operation_is_named(kernel):
+    chart = ambient.potential_chart(
+        1, lambda z: np.exp(np.sum(np.asarray(z) ** 2, axis=-1)), radius=1.0,
+        name="exp_potential")
+    with pytest.raises(ValidationError, match=r"'exp_potential'.*\bexp\b"):
+        getattr(chart, kernel)(np.array([[0.1, 0.2]]))

@@ -9,7 +9,9 @@ import pytest
 from trgeo import _spectral, ambient, cli
 from trgeo import immersion as imm
 from trgeo import variation_harness as vh
-from trgeo.errors import GeodesicUnavailable
+from trgeo.errors import GeodesicUnavailable, UnsupportedField
+
+from flow_oracle import flow_on_torus_2d, phase_sum_2d
 
 
 @pytest.fixture
@@ -131,6 +133,71 @@ def test_density_divergence_ellipse_modulated_field():
     rep1, rep2, integral2 = vh.check_density_divergence(ell, X)
     assert rep1.rel_err <= 1e-4
     assert abs(integral2) <= 1e-8
+
+
+def _axis_field(grid, axis):
+    """X = f(theta_axis) d/dtheta_axis with a two-mode positive profile."""
+    theta = grid.thetas(axis)
+    comp = np.zeros((2,) + grid.sizes)
+    comp[axis] = np.expand_dims(1.0 + 0.3 * np.cos(theta) + 0.1 * np.sin(2.0 * theta),
+                                axis=1 - axis)
+    return imm.VectorFieldOnL(grid=grid, components=comp)
+
+
+def _perturbed_torus():
+    return imm.build_immersion(imm.GridTorus((32, 32)), ambient.flat_chart(2),
+                               "graph_perturbed_torus", r1=1.0, r2=1.0,
+                               amplitude=0.3, mode=(1, 1))
+
+
+def _wound_torus():
+    """Straight torus with a sheared winding plus a periodic bump on the points."""
+    qc = ambient.flat_quotient_chart(2)
+    winding = [[1.0, 0.3], [0.0, 1.0], [0.2, 0.0], [0.0, 0.5]]
+    st = imm.build_immersion(imm.GridTorus((32, 32)), qc, "straight_torus",
+                             winding=winding, offset=[0.1, 0.2, 0.3, 0.4])
+    t1, t2 = st.grid.mesh()
+    bump = np.stack([0.1 * np.sin(t1 + t2), 0.05 * np.cos(t2), 0.1 * np.cos(t1),
+                     0.05 * np.sin(2.0 * t1 - t2)], axis=-1)
+    im = imm.Immersion(grid=st.grid, chart=qc, points=st.points + bump,
+                       winding=st.winding)
+    imm.is_totally_real(im)
+    return im
+
+
+@pytest.mark.parametrize("case, axis", [("perturbed", 0), ("perturbed", 1),
+                                        ("wound", 0)])
+def test_one_axis_flow_matches_2d_reference(case, axis):
+    im = _perturbed_torus() if case == "perturbed" else _wound_torus()
+    X = _axis_field(im.grid, axis)
+    # the reference evaluator reproduces the grid values at the nodes
+    t1, t2 = im.grid.mesh()
+    coeffs = np.fft.fftn(im.points, axes=(0, 1)) / t1.size
+    nodes = phase_sum_2d(coeffs, t1, t2).real.reshape(im.points.shape)
+    assert np.max(np.abs(nodes - im.points)) <= 1e-13
+    for t in (1e-3, -0.25):
+        got = vh._flow_on_torus(im, X, t)
+        ref = flow_on_torus_2d(im, X, t)
+        assert np.max(np.abs(got.points - ref.points)) <= 1e-13
+        # the flow moves the points (it is no identity map)
+        assert np.max(np.abs(got.points - im.points)) >= 1e-4 * abs(t)
+
+
+def test_density_check_rejects_fields_off_one_axis(torus12):
+    comps = np.zeros((2, 32, 32))
+    t1, t2 = torus12.grid.mesh()
+    comps[0] = 1.0 + 0.2 * np.cos(t1 + t2)   # depends on both angles
+    X = imm.VectorFieldOnL(grid=torus12.grid, components=comps)
+    with pytest.raises(UnsupportedField, match=r"X = f\(theta_k\) d/dtheta_k"):
+        vh.check_density_divergence(torus12, X)
+
+
+def test_density_check_takes_the_zero_field(circle):
+    # X = 0 is f(theta_0) d/dtheta_0 with f = 0: the flow is the identity
+    X = imm.VectorFieldOnL(grid=circle.grid, components=np.zeros((1, 64)))
+    rep1, rep2, integral2 = vh.check_density_divergence(circle, X)
+    assert rep1.analytic == rep2.analytic == integral2 == 0.0
+    assert rep1.fd <= 1e-12
 
 
 # --- second variation --------------------------------------------------------------
