@@ -176,13 +176,16 @@ class AmbientChart:
             return np.zeros(pts.shape[:-1] + (d, d, d))
         self.require_inside(pts, margin=self.stencil_reach())
 
-        def dg(h):
-            # at degree 1 the coefficient of t_b is the derivative along x_b
-            return np.stack([_kahler_tensor(_coefficient(h, 1 + b)) for b in range(d)],
+        def g_dg(h):
+            # coefficient 0 is g; at degree 1 the coefficient of t_b is the
+            # derivative along x_b
+            return np.stack([_kahler_tensor(_coefficient(h, i)) for i in range(1 + d)],
                             axis=-3)
 
-        dgs = self._on_blocks(pts, 3, dg, (d, d, d))      # [..., b, :, :] = d_b g
-        g0, _ = self.metric_many(pts)
+        # [..., 0, :, :] = g, [..., 1 + b, :, :] = d_b g
+        series = self._on_blocks(pts, 3, g_dg, (1 + d, d, d))
+        g0, dgs = series[..., 0, :, :], series[..., 1:, :, :]
+        _require_positive_definite(g0, self.name)
         ginv = np.linalg.inv(g0)
         m = (np.einsum("...adb->...dab", dgs)
              + np.einsum("...bda->...dab", dgs)

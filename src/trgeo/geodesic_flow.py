@@ -13,7 +13,11 @@ Two schemes solve the Cauchy problem for coordinate-aligned X on flat charts:
 * flow_timestep: guarded RK4 with a 2/3 dealiasing filter and a spectral
   tail-energy monitor that aborts (BlowUpDetected) when the retained top
   modes carry more than 1e-3 of the energy. It fails loudly on smooth
-  non-analytic data instead of smoothing it away.
+  non-analytic data instead of smoothing it away. Each right-hand side
+  differentiates only along the live axes, those where a component of X is
+  not exactly zero, and the filter and the tail fraction work on the half
+  spectrum of the real points. It stays in physical space, independent of
+  the mode-wise continuation it is compared against.
 
 solve_bvp_annulus fits a Laurent polynomial annulus map between two nested
 Jordan curves by Gauss-Newton on (modulus, coefficients, boundary
@@ -245,7 +249,16 @@ def _continue_modes(im, axis, c, ts):
 
 
 def flow_timestep(im, X, t_final, dt, store_every=1):
-    """RK4 time stepping of d iota/dt = J iota_* X with spectral guards."""
+    """RK4 time stepping of d iota/dt = J iota_* X with spectral guards.
+
+    Only the live axes k, where X^k is not exactly zero, are differentiated:
+    a skipped term is an exact zero, so the frames are the ones every axis
+    would give (a coordinate field on a 2-torus takes one derivative per RK4
+    stage instead of two). The dealias filter and the tail fraction use the
+    half spectrum of the last grid axis, whose interior columns count twice
+    in the energy sums, so the fraction equals the full-spectrum one up to
+    round-off.
+    """
     if dt <= 0.0:
         raise ValidationError("dt must be positive")
     comp = X.components
@@ -256,40 +269,48 @@ def flow_timestep(im, X, t_final, dt, store_every=1):
         raise StepTooLarge(
             f"dt*m*|X| = {dt * m_eff * max_speed:.3g} > 0.5; reduce dt"
         )
-    J = im.chart.J
+    JT = im.chart.J.T
     grid_axes = tuple(range(im.n))
+    # axes whose field component is exactly zero add exact zeros: skip them
+    live = [k for k in range(im.n) if np.any(comp[k] != 0.0)]
 
     # dealias keeps |m_k| <= cutoff_k on every axis; the tail is the top half
-    # of that band on any axis
-    mask = np.ones(im.grid.sizes + (1,), dtype=bool)
-    tail_mask = np.zeros(im.grid.sizes + (1,), dtype=bool)
+    # of that band on any axis. Both masks live on the half spectrum of the
+    # last grid axis.
+    half = im.grid.sizes[:-1] + (im.grid.sizes[-1] // 2 + 1,)
+    mask = np.ones(half + (1,), dtype=bool)
+    tail_mask = np.zeros(half + (1,), dtype=bool)
     for k, s in enumerate(im.grid.sizes):
-        m = np.abs(_spectral.modes(s))
+        m = np.abs(_spectral.modes(s)) if k < im.n - 1 else np.arange(half[-1])
         shape = [1] * (im.n + 1)
-        shape[k] = s
+        shape[k] = m.size
         mask = mask & (m <= cutoffs[k]).reshape(shape)
         tail_mask = tail_mask | ((m > cutoffs[k] / 2.0) & (m <= cutoffs[k])).reshape(shape)
-    dc_mode = tuple([0] * im.n) + (slice(None),)
+    # energy weights: a half-spectrum column other than 0 and Nyquist stands
+    # for two conjugate modes; the DC mode is left out of the budget
+    weight = np.full(half + (1,), 2.0)
+    weight[..., 0, :] = 1.0
+    if im.grid.sizes[-1] % 2 == 0:
+        weight[..., -1, :] = 1.0
+    weight[tuple([0] * im.n)] = 0.0
+    tail_weight = np.where(tail_mask, weight, 0.0)
 
     def rhs(points):
         out = np.zeros_like(points)
-        for k in range(im.n):
+        for k in live:
             dk = _spectral.spectral_derivative(points, axis=k)
             if im.winding is not None:
                 dk = dk + im.winding[:, k]
             out += comp[k][..., None] * dk
-        return np.einsum("ij,...j->...i", J, out)
+        return out @ JT
 
     def dealias(points):
-        """Dealiased points and their spectral tail fraction, from one FFT."""
-        c = np.fft.fftn(points, axes=grid_axes) * mask
+        """Dealiased points and their spectral tail fraction, from one real FFT."""
+        c = np.fft.rfftn(points, axes=grid_axes) * mask
         energy = np.abs(c) ** 2
-        # exclude the DC mode from the energy budget
-        energy[dc_mode] = 0.0
-        total = float(np.sum(energy))
-        frac = 0.0 if total == 0.0 else float(
-            np.sum(np.where(tail_mask, energy, 0.0))) / total
-        return np.fft.ifftn(c, axes=grid_axes).real, frac
+        total = float(np.sum(energy * weight))
+        frac = 0.0 if total == 0.0 else float(np.sum(energy * tail_weight)) / total
+        return np.fft.irfftn(c, s=im.grid.sizes, axes=grid_axes), frac
 
     n_steps = int(round(t_final / dt))
     if abs(n_steps * dt - t_final) > 1e-12 * max(1.0, abs(t_final)):

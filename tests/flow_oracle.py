@@ -1,18 +1,53 @@
-"""General 2-D tangential flow on L, the independent oracle for the one-axis flow.
+"""Test-only reference flows, the independent oracles of the production ones.
 
-This is the flow the density check used before it ran along one axis only:
-every grid angle moves under RK4 along the full field X = X^1 d/dtheta_1 +
-X^2 d/dtheta_2, the field and the points are evaluated off grid by a direct
-2-D phase sum, and a winding part W theta moves with both angles. It
-assumes nothing about the form of X, so for X = f(theta_k) d/dtheta_k it
-checks variation_harness._flow_on_torus, which moves theta_k alone and
-resamples along that axis only.
+flow_on_torus_2d is the general 2-D tangential flow on L that the density
+check used before it ran along one axis only: every grid angle moves under
+RK4 along the full field X = X^1 d/dtheta_1 + X^2 d/dtheta_2, the field and
+the points are evaluated off grid by a direct 2-D phase sum, and a winding
+part W theta moves with both angles. It assumes nothing about the form of
+X, so for X = f(theta_k) d/dtheta_k it checks
+variation_harness._flow_on_torus, which moves theta_k alone and resamples
+along that axis only.
+
+flow_timestep_full_spectrum is guarded RK4 for d iota/dt = J iota_* X with
+nothing left out: every axis is differentiated, J is applied node by node,
+and the dealias filter and the tail-energy monitor run on the complex full
+spectrum. It checks geodesic_flow.flow_timestep, which skips the axes where
+X is zero and works on the half spectrum.
+
+perturbed_torus and wound_torus build the 32x32 tori both are checked on.
 """
+
+import math
 
 import numpy as np
 
-from trgeo._spectral import modes, rk4_step
-from trgeo.immersion import Immersion
+from trgeo import ambient
+from trgeo._spectral import modes, rk4_step, spectral_derivative
+from trgeo.errors import BlowUpDetected
+from trgeo.geodesic_flow import DEALIAS_FRACTION, TAIL_ENERGY_ABORT
+from trgeo.immersion import GridTorus, Immersion, build_immersion, is_totally_real
+
+
+def perturbed_torus():
+    return build_immersion(GridTorus((32, 32)), ambient.flat_chart(2),
+                           "graph_perturbed_torus", r1=1.0, r2=1.0,
+                           amplitude=0.3, mode=(1, 1))
+
+
+def wound_torus():
+    """Straight torus with a sheared winding plus a periodic bump on the points."""
+    qc = ambient.flat_quotient_chart(2)
+    winding = [[1.0, 0.3], [0.0, 1.0], [0.2, 0.0], [0.0, 0.5]]
+    st = build_immersion(GridTorus((32, 32)), qc, "straight_torus",
+                         winding=winding, offset=[0.1, 0.2, 0.3, 0.4])
+    t1, t2 = st.grid.mesh()
+    bump = np.stack([0.1 * np.sin(t1 + t2), 0.05 * np.cos(t2), 0.1 * np.cos(t1),
+                     0.05 * np.sin(2.0 * t1 - t2)], axis=-1)
+    im = Immersion(grid=st.grid, chart=qc, points=st.points + bump,
+                   winding=st.winding)
+    is_totally_real(im)
+    return im
 
 
 def phase_sum_2d(coeffs, t1, t2):
@@ -49,3 +84,60 @@ def flow_on_torus_2d(im, X, t, substeps=8):
         moved = np.stack([thetas[0] - t1, thetas[1] - t2], axis=-1)
         pts = pts + moved @ im.winding.T
     return Immersion(grid=im.grid, chart=im.chart, points=pts, winding=im.winding)
+
+
+def flow_timestep_full_spectrum(im, X, t_final, dt):
+    """(times, point arrays) of guarded RK4 on every axis and the full spectrum.
+
+    The step-size guard and the final is_totally_real of the production
+    flow are left out; both runs must raise BlowUpDetected at the same time.
+    """
+    comp = X.components
+    cutoffs = [int(DEALIAS_FRACTION * (s // 2)) for s in im.grid.sizes]
+    J = im.chart.J
+    grid_axes = tuple(range(im.n))
+    mask = np.ones(im.grid.sizes + (1,), dtype=bool)
+    tail_mask = np.zeros(im.grid.sizes + (1,), dtype=bool)
+    for k, s in enumerate(im.grid.sizes):
+        m = np.abs(modes(s))
+        shape = [1] * (im.n + 1)
+        shape[k] = s
+        mask = mask & (m <= cutoffs[k]).reshape(shape)
+        tail_mask = tail_mask | ((m > cutoffs[k] / 2.0) & (m <= cutoffs[k])).reshape(shape)
+    dc_mode = tuple([0] * im.n) + (slice(None),)
+
+    def rhs(points):
+        out = np.zeros_like(points)
+        for k in range(im.n):
+            dk = spectral_derivative(points, axis=k)
+            if im.winding is not None:
+                dk = dk + im.winding[:, k]
+            out += comp[k][..., None] * dk
+        return np.einsum("ij,...j->...i", J, out)
+
+    def dealias(points):
+        c = np.fft.fftn(points, axes=grid_axes) * mask
+        energy = np.abs(c) ** 2
+        energy[dc_mode] = 0.0
+        total = float(np.sum(energy))
+        frac = 0.0 if total == 0.0 else float(
+            np.sum(np.where(tail_mask, energy, 0.0))) / total
+        return np.fft.ifftn(c, axes=grid_axes).real, frac
+
+    n_steps = int(round(t_final / dt))
+    if abs(n_steps * dt - t_final) > 1e-12 * max(1.0, abs(t_final)):
+        n_steps = math.ceil(t_final / dt)
+        dt = t_final / n_steps
+    pts, _ = dealias(im.points)
+    times, frames = [0.0], [pts]
+    for step in range(1, n_steps + 1):
+        pts, frac = dealias(rk4_step(rhs, pts, dt))
+        t = step * dt
+        if not np.all(np.isfinite(pts)) or frac > TAIL_ENERGY_ABORT:
+            raise BlowUpDetected(
+                f"spectral tail energy fraction {frac:.3g} at t = {t:.4g}",
+                t_reached=t,
+            )
+        times.append(t)
+        frames.append(pts)
+    return times, frames

@@ -267,3 +267,30 @@ def test_unsupported_potential_operation_is_named(kernel):
         name="exp_potential")
     with pytest.raises(ValidationError, match=r"'exp_potential'.*\bexp\b"):
         getattr(chart, kernel)(np.array([[0.1, 0.2]]))
+
+
+def test_christoffel_evaluates_the_potential_once(monkeypatch):
+    # g comes from the same degree-3 evaluation as its derivatives
+    ball = ambient.complex_hyperbolic_ball()
+    pts = np.random.default_rng(3).uniform(-0.3, 0.3, size=(64, 4))
+    expected = ball.christoffel_many(pts)
+    calls = []
+    on_blocks = ambient.AmbientChart._on_blocks
+
+    def counting(self, pts, degree, kernel, shape):
+        calls.append(degree)
+        return on_blocks(self, pts, degree, kernel, shape)
+
+    monkeypatch.setattr(ambient.AmbientChart, "_on_blocks", counting)
+    assert np.array_equal(ball.christoffel_many(pts), expected)
+    assert calls == [3]
+
+
+def test_christoffel_rejects_degenerate_metric():
+    def quartic(z):
+        s = np.sum(np.asarray(z) ** 2, axis=-1)
+        return s * s
+
+    qc = ambient.potential_chart(2, quartic, radius=2.0, name="quartic")
+    with pytest.raises(MetricNotPositiveDefinite, match="'quartic'"):
+        ambient.christoffels_at(qc, np.zeros(4))

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from trgeo import ambient, curve_lab as cl, geodesic_flow as gf
+from trgeo import _spectral, ambient, curve_lab as cl, geodesic_flow as gf
 from trgeo import immersion as imm
 from trgeo._spectral import evaluate_fourier, fourier_coefficients
 from trgeo.errors import (AmplificationExceeded, BlowUpDetected, NotNested,
                           StepTooLarge, UnsupportedField, ValidationError)
+
+from flow_oracle import flow_timestep_full_spectrum, perturbed_torus, wound_torus
 
 
 @pytest.fixture
@@ -145,18 +147,85 @@ def test_timestep_step_too_large(circle):
         gf.flow_timestep(circle, X, 0.5, 0.25)
 
 
-def test_blow_up_detected_before_t02():
+def criterion_9_curve():
+    """a_1 = 1, a_{-n} = e^{-sqrt n}: smooth but not analytic, so stepping blows up."""
     N = 256
     n = np.arange(1, N + 1).astype(float)
     coeffs = np.zeros(2 * N + 1, dtype=complex)
     coeffs[N + 1] = 1.0
     coeffs[N - 1::-1] = np.exp(-np.sqrt(n))
-    im = curve_immersion(cl.FourierCurve(coeffs=coeffs))
+    return curve_immersion(cl.FourierCurve(coeffs=coeffs))
+
+
+def test_blow_up_detected_before_t02():
+    im = criterion_9_curve()
     X = imm.coordinate_field(im.grid, 0)
     with pytest.raises(BlowUpDetected) as err:
         gf.flow_timestep(im, X, 0.2, 5e-4)
     assert err.value.t_reached is not None
     assert err.value.t_reached < 0.2
+
+
+def cosine_axis_field(grid, axis, base=1.0, amplitude=0.3):
+    """The CLI's cosine_axis field (base + amplitude cos theta_axis) d/dtheta_axis."""
+    profile = base + amplitude * np.cos(grid.thetas(axis))
+    comp = np.zeros((grid.n,) + grid.sizes)
+    comp[axis] = profile if grid.n == 1 else np.expand_dims(profile, axis=1 - axis)
+    return imm.VectorFieldOnL(grid=grid, components=comp)
+
+
+@pytest.mark.parametrize("case, axis", [("perturbed", 0), ("perturbed", 1),
+                                        ("wound", 0), ("ellipse", 0)])
+def test_timestep_matches_full_spectrum_reference(case, axis):
+    if case == "ellipse":
+        im = imm.build_immersion(imm.GridTorus((256,)), ambient.flat_chart(1),
+                                 "ellipse", a=2.0, b=1.0)
+    else:
+        im = perturbed_torus() if case == "perturbed" else wound_torus()
+    X = cosine_axis_field(im.grid, axis)
+    flow = gf.flow_timestep(im, X, 0.05, 2.5e-3)
+    times, ref = flow_timestep_full_spectrum(im, X, 0.05, 2.5e-3)
+    assert flow.times == times
+    gap = max(float(np.max(np.abs(a.points - b))) for a, b in zip(flow.immersions, ref))
+    assert gap <= 1e-13
+    # the flow moves the points (it is no identity map)
+    assert np.max(np.abs(flow.immersions[-1].points - im.points)) >= 1e-3
+
+
+def test_timestep_blow_up_matches_full_spectrum_reference():
+    im = criterion_9_curve()
+    X = imm.coordinate_field(im.grid, 0)
+    with pytest.raises(BlowUpDetected) as got:
+        gf.flow_timestep(im, X, 0.2, 5e-4)
+    with pytest.raises(BlowUpDetected) as ref:
+        flow_timestep_full_spectrum(im, X, 0.2, 5e-4)
+    assert got.value.t_reached == ref.value.t_reached
+    assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_timestep_differentiates_live_axes_only(axis, monkeypatch):
+    grid = imm.GridTorus((32, 32))
+    pt = imm.build_immersion(grid, ambient.flat_chart(2), "product_torus",
+                             r1=1.0, r2=2.0)
+    calls, validating = [], []
+    derivative, validate = _spectral.spectral_derivative, gf.is_totally_real
+
+    def recording(values, axis, order=1):
+        if not validating:
+            calls.append(axis)
+        return derivative(values, axis=axis, order=order)
+
+    def final_check(im):
+        validating.append(True)
+        return validate(im)
+
+    monkeypatch.setattr(_spectral, "spectral_derivative", recording)
+    monkeypatch.setattr(gf, "is_totally_real", final_check)
+    flow = gf.flow_timestep(pt, imm.coordinate_field(grid, axis), 0.01, 1e-3)
+    # one derivative per RK4 stage, along the field's own axis only
+    assert calls == [axis] * (4 * (len(flow.times) - 1))
+    assert validating
 
 
 def test_commutator_clean_flows(circle):

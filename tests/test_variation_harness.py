@@ -11,7 +11,7 @@ from trgeo import immersion as imm
 from trgeo import variation_harness as vh
 from trgeo.errors import GeodesicUnavailable, UnsupportedField
 
-from flow_oracle import flow_on_torus_2d, phase_sum_2d
+from flow_oracle import flow_on_torus_2d, perturbed_torus, phase_sum_2d, wound_torus
 
 
 @pytest.fixture
@@ -144,31 +144,10 @@ def _axis_field(grid, axis):
     return imm.VectorFieldOnL(grid=grid, components=comp)
 
 
-def _perturbed_torus():
-    return imm.build_immersion(imm.GridTorus((32, 32)), ambient.flat_chart(2),
-                               "graph_perturbed_torus", r1=1.0, r2=1.0,
-                               amplitude=0.3, mode=(1, 1))
-
-
-def _wound_torus():
-    """Straight torus with a sheared winding plus a periodic bump on the points."""
-    qc = ambient.flat_quotient_chart(2)
-    winding = [[1.0, 0.3], [0.0, 1.0], [0.2, 0.0], [0.0, 0.5]]
-    st = imm.build_immersion(imm.GridTorus((32, 32)), qc, "straight_torus",
-                             winding=winding, offset=[0.1, 0.2, 0.3, 0.4])
-    t1, t2 = st.grid.mesh()
-    bump = np.stack([0.1 * np.sin(t1 + t2), 0.05 * np.cos(t2), 0.1 * np.cos(t1),
-                     0.05 * np.sin(2.0 * t1 - t2)], axis=-1)
-    im = imm.Immersion(grid=st.grid, chart=qc, points=st.points + bump,
-                       winding=st.winding)
-    imm.is_totally_real(im)
-    return im
-
-
 @pytest.mark.parametrize("case, axis", [("perturbed", 0), ("perturbed", 1),
                                         ("wound", 0)])
 def test_one_axis_flow_matches_2d_reference(case, axis):
-    im = _perturbed_torus() if case == "perturbed" else _wound_torus()
+    im = perturbed_torus() if case == "perturbed" else wound_torus()
     X = _axis_field(im.grid, axis)
     # the reference evaluator reproduces the grid values at the nodes
     t1, t2 = im.grid.mesh()
