@@ -41,8 +41,12 @@ def spectral_derivative(values, axis, order=1):
     shape[axis] = m.size
     mult = mult.reshape(shape)
     if real:
-        return np.fft.irfft(np.fft.rfft(values, axis=axis) * mult, n=n, axis=axis)
-    return np.fft.ifft(np.fft.fft(values, axis=axis) * mult, axis=axis)
+        spectrum = np.fft.rfft(values, axis=axis)
+        spectrum *= mult
+        return np.fft.irfft(spectrum, n=n, axis=axis)
+    spectrum = np.fft.fft(values, axis=axis)
+    spectrum *= mult
+    return np.fft.ifft(spectrum, axis=axis)
 
 
 def fourier_coefficients(samples, axis=0):

@@ -12,7 +12,8 @@ kernel evaluates phi once on the Taylor variables x_a + t_a, in fixed-size
 blocks of points: at degree 2 for the metric, at degree 3 for the
 Christoffel symbols (dg from the third-order coefficients), and at degree 4
 for the Ricci tensor, which uses the Kahler identity Ric = i ddbar(-log det H)
-with H, det H and -log det H formed as degree-2 series. The results are
+with H, det H and -log det H formed as degree-2 series. verify_kahler_einstein
+reads g, dg and the Ricci tensor off one degree-4 evaluation. The results are
 exact up to round-off (|Ric + 3/2 g| ~ 4e-15 on the C^2 ball). fd_step sets
 no step size: it only sets the domain margins (require_inside,
 stencil_reach). The finite-difference engine (complex-step gradients and
@@ -175,16 +176,11 @@ class AmbientChart:
         if self.is_flat:
             return np.zeros(pts.shape[:-1] + (d, d, d))
         self.require_inside(pts, margin=self.stencil_reach())
+        return self._christoffel(self._on_blocks(pts, 3, _g_dg, (1 + d, d, d)))
 
-        def g_dg(h):
-            # coefficient 0 is g; at degree 1 the coefficient of t_b is the
-            # derivative along x_b
-            return np.stack([_kahler_tensor(_coefficient(h, i)) for i in range(1 + d)],
-                            axis=-3)
-
-        # [..., 0, :, :] = g, [..., 1 + b, :, :] = d_b g
-        series = self._on_blocks(pts, 3, g_dg, (1 + d, d, d))
-        g0, dgs = series[..., 0, :, :], series[..., 1:, :, :]
+    def _christoffel(self, g_dg):
+        """Gamma from [g, d_1 g, .., d_d g] on axis -3, after g's positivity check."""
+        g0, dgs = g_dg[..., 0, :, :], g_dg[..., 1:, :, :]
         _require_positive_definite(g0, self.name)
         ginv = np.linalg.inv(g0)
         m = (np.einsum("...adb->...dab", dgs)
@@ -196,27 +192,59 @@ class AmbientChart:
     def ricci_many(self, pts):
         """Ricci tensor via the Kahler identity Ric = i ddbar(-log det H)."""
         pts = np.asarray(pts, dtype=float)
-        d, n = self.dim, self.n
+        d = self.dim
         if self.is_flat:
             return np.zeros(pts.shape[:-1] + (d, d))
         self.require_inside(pts, margin=self.stencil_reach())
+        return self._on_blocks(pts, 4, self._ricci, (d, d))
 
-        def ricci(h):
-            # H = S + iT with S_jk = (h[j][k] + h[n+j][n+k]) / 4 and
-            # T_jk = (h[j][n+k] - h[k][n+j]) / 4, as degree-2 series
-            s = [[(h[j][k] + h[n + j][n + k]) * 0.25 for k in range(n)]
-                 for j in range(n)]
-            if n == 1:
-                det = s[0][0]
-            else:
-                t = (h[0][n + 1] - h[1][n]) * 0.25
-                det = s[0][0] * s[1][1] - s[0][1] * s[0][1] - t * t
-            if np.any(det.c[0] <= 0.0):
-                raise MetricNotPositiveDefinite(
-                    f"degenerate Hermitian Hessian on '{self.name}'")
-            return _kahler_tensor(_coefficient(_hessian(-det.log()), 0))
+    def _ricci(self, h):
+        """Ric from second derivatives h of phi given as degree-2 series."""
+        n = self.n
+        # H = S + iT with S_jk = (h[j][k] + h[n+j][n+k]) / 4 and
+        # T_jk = (h[j][n+k] - h[k][n+j]) / 4, as degree-2 series
+        s = [[(h[j][k] + h[n + j][n + k]) * 0.25 for k in range(n)]
+             for j in range(n)]
+        if n == 1:
+            det = s[0][0]
+        else:
+            t = (h[0][n + 1] - h[1][n]) * 0.25
+            det = s[0][0] * s[1][1] - s[0][1] * s[0][1] - t * t
+        if np.any(det.c[0] <= 0.0):
+            raise MetricNotPositiveDefinite(
+                f"degenerate Hermitian Hessian on '{self.name}'")
+        return _kahler_tensor(_coefficient(_hessian(-det.log()), 0))
 
-        return self._on_blocks(pts, 4, ricci, (d, d))
+    def _einstein_data(self, pts):
+        """(g, Gamma, Ric) at points from one degree-4 evaluation of phi.
+
+        The errors are those of christoffel_many, metric_many and ricci_many
+        called in that order: g's positivity check comes before the Ricci
+        tensor's own check, whichever block fails first.
+        """
+        pts = np.asarray(pts, dtype=float)
+        d = self.dim
+        if self.is_flat:
+            return (self.metric_many(pts)[0], self.christoffel_many(pts),
+                    self.ricci_many(pts))
+        self.require_inside(pts, margin=self.stencil_reach())
+        ricci_errors = []
+
+        def kernel(h):
+            g_dg = _g_dg(h)
+            try:
+                ric = self._ricci(h)
+            except MetricNotPositiveDefinite as e:
+                ricci_errors.append(e)
+                ric = np.zeros(g_dg.shape[:-3] + (d, d))
+            return np.concatenate([g_dg, ric[..., None, :, :]], axis=-3)
+
+        # [..., 0] = g, [..., 1 + b] = d_b g, [..., 1 + d] = Ric
+        series = self._on_blocks(pts, 4, kernel, (2 + d, d, d))
+        gamma = self._christoffel(series[..., :1 + d, :, :])
+        if ricci_errors:
+            raise ricci_errors[0]
+        return series[..., 0, :, :], gamma, series[..., 1 + d, :, :]
 
 
 @dataclass
@@ -258,14 +286,12 @@ def verify_kahler_einstein(chart, sample_points):
     if pts.ndim != 2 or pts.shape[0] < 8:
         raise ValidationError("need at least 8 interior sample points")
     J = chart.J
-    gamma = chart.christoffel_many(pts)
+    g, gamma, ric = chart._einstein_data(pts)
     nabla_j = 0.0
     for a in range(chart.dim):
         ga = gamma[:, :, a, :]
         comm = ga @ J - J @ ga
         nabla_j = max(nabla_j, float(np.max(np.abs(comm))))
-    g, _ = chart.metric_many(pts)
-    ric = chart.ricci_many(pts)
     c = float(np.sum(ric * g) / np.sum(g * g))
     resid = float(np.max(np.abs(ric - c * g)))
     return {
@@ -337,6 +363,16 @@ def _hessian(t):
         for b in range(a, t.d):
             h[a][b] = h[b][a] = grad[a].diff(b)
     return h
+
+
+def _g_dg(h):
+    """[g, d_1 g, .., d_d g] stacked on axis -3, from h of degree >= 1.
+
+    Coefficient 0 of h is the Hessian of phi and the coefficient of t_b its
+    derivative along x_b.
+    """
+    return np.stack([_kahler_tensor(_coefficient(h, i)) for i in range(1 + len(h))],
+                    axis=-3)
 
 
 def _coefficient(h, k):

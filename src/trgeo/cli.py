@@ -52,7 +52,13 @@ def _fmt(x):
 
 
 def write_csv(path, header, rows):
-    """RFC-4180 CSV with LF endings and 17-significant-digit floats."""
+    """RFC-4180 CSV with LF endings and 17-significant-digit floats.
+
+    When every column holds only floats or only ints, the rows go through
+    one %-format for the table ('%.17g' % x is the same string as
+    format(x, '.17g'), '%d' % k as str(k)); other rows are written cell by
+    cell, with quoting.
+    """
     def cell(v):
         if isinstance(v, float):
             s = _fmt(v)
@@ -62,10 +68,23 @@ def write_csv(path, header, rows):
             s = '"' + s.replace('"', '""') + '"'
         return s
 
+    def column_format(column):
+        kinds = set(map(type, column))
+        if kinds <= {float, np.float64}:
+            return "%.17g"
+        return "%d" if kinds == {int} else None
+
+    rows = [tuple(r) for r in rows]
+    formats = [None]
+    if len(set(map(len, rows))) == 1:
+        formats = [column_format(c) for c in zip(*rows)]
     with open(path, "w", newline="") as f:
         f.write(",".join(cell(h) for h in header) + "\n")
-        for row in rows:
-            f.write(",".join(cell(v) for v in row) + "\n")
+        if None in formats:
+            f.write("".join(",".join(cell(v) for v in r) + "\n" for r in rows))
+        else:
+            row = ",".join(formats) + "\n"
+            f.write("".join(row % r for r in rows))
 
 
 def _write_frames_csv(out_dir, frames):

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import _spectral
 from .ambient import AmbientChart, chart_from_descriptor
-from .errors import (DegenerateFrame, NotImmersed, NotTotallyReal,
-                     ValidationError)
+from .errors import (DegenerateFrame, MetricNotPositiveDefinite, NotImmersed,
+                     NotTotallyReal, PointOutsideDomain, ValidationError)
 
 RHO_MIN = 1e-6            # numerical floor for "totally real"
 FORMAT_VERSION = 1
@@ -121,21 +121,11 @@ class Immersion:
         return self.grid.n
 
     def positions(self):
-        if self.winding is None:
-            return self.points
-        mesh = self.grid.mesh()
-        lin = sum(np.asarray(m)[..., None] * self.winding[:, k]
-                  for k, m in enumerate(mesh))
-        return self.points + lin
+        return _positions(self.grid, self.points, self.winding)
 
     def coordinate_vectors(self):
         """d iota / d theta_k arrays, shape (n,) + grid.sizes + (2n,)."""
-        vs = np.stack([_spectral.spectral_derivative(self.points, axis=k)
-                       for k in range(self.n)])
-        if self.winding is not None:
-            for k in range(self.n):
-                vs[k] += self.winding[:, k]
-        return vs
+        return _coordinate_vectors(self.grid, self.points, self.winding)
 
     def complex_samples(self):
         """For n = 1 curves in C: points as a complex array."""
@@ -177,10 +167,42 @@ def load_immersion(path):
         return immersion_from_dict(json.load(f))
 
 
+# Points may carry leading batch axes: a stack (B,) + grid.sizes + (2n,) holds
+# B immersions that share a grid, a chart and a winding. The helpers below
+# address the grid axes from the end, so one immersion and a stack go through
+# the same arithmetic.
+
+def _positions(grid, points, winding):
+    """winding @ theta + points, for one immersion or a stack."""
+    if winding is None:
+        return points
+    lin = sum(np.asarray(m)[..., None] * winding[:, k]
+              for k, m in enumerate(grid.mesh()))
+    return points + lin
+
+
+def _coordinate_vectors(grid, points, winding):
+    """d iota / d theta_k stacked on a new first axis: (n,) + points.shape."""
+    n = grid.n
+    vs = np.stack([_spectral.spectral_derivative(points, axis=k - n - 1)
+                   for k in range(n)])
+    if winding is not None:
+        for k in range(n):
+            vs[k] += winding[:, k]
+    return vs
+
+
 # --- geometry of one immersion -----------------------------------------------
 
 def _apply(mat, v):
-    """Nodewise matrix-vector product mat v."""
+    """Nodewise matrix-vector product mat v.
+
+    A field that is one matrix broadcast over the nodes (zero strides on its
+    node axes, as flat charts' metric_many returns for I and J^T) is applied
+    as one matrix product; for those 0/+-1 matrices that is exact.
+    """
+    if not any(mat.strides[:-2]):
+        return v @ mat[(0,) * (mat.ndim - 2)].T
     return np.einsum("...ij,...j->...i", mat, v)
 
 
@@ -322,26 +344,49 @@ class Geometry:
 def frames(im):
     """The Geometry of im: coordinate fields and a Gram-Schmidt orthonormal frame.
 
-    Inner products are g v formed once per vector, then a dot product; the
-    Gram determinant is the closed form for n <= 2.
+    The fields come from _frame_fields, the only Gram-Schmidt of the
+    package, which also serves stacks of immersions (is_totally_real_stack). Raises
+    DegenerateFrame when a frame vector's norm is not above its floor at some
+    node, NaN and inf included.
     """
     vs = im.coordinate_vectors()
-    pos = im.positions()
-    g, omega = im.chart.metric_many(pos)
-    n = im.n
-    sizes = im.grid.sizes
+    frame, coeffs, g, omega, induced_vol, degenerate = _frame_fields(
+        im.grid, im.chart, vs, im.positions())
+    if degenerate:
+        raise DegenerateFrame(_degenerate_message(induced_vol))
+    return Geometry(im=im, vectors=vs, frame=frame, coeffs=coeffs,
+                    g_ambient=g, omega_ambient=omega, induced_vol=induced_vol)
+
+
+def _frame_fields(grid, chart, vs, pos):
+    """Frame fields of one immersion or of a stack sharing grid and chart.
+
+    vs are the coordinate vectors, (n,) + nodes + (2n,), and pos the chart
+    positions, nodes + (2n,), where nodes is grid.sizes for one immersion and
+    (B,) + grid.sizes for a stack. Inner products are g v formed once per
+    vector, then a dot product; the Gram determinant is the closed form for
+    n <= 2. Returns (frame, coeffs, g, omega, induced_vol, degenerate):
+    coeffs has shape (n, n) + nodes, and degenerate holds one flag per member
+    (shape nodes minus the grid axes), set when the volume is not finite or
+    a frame vector's norm is not above 1e-12 of its length at some node.
+    Such nodes are divided by 1 instead, so no member disturbs another.
+    """
+    g, omega = chart.metric_many(pos)
+    n = grid.n
+    nodes = pos.shape[:-1]
 
     g_vs = [_apply(g, v) for v in vs]
     gram = [[_dot(vs[i], g_vs[j]) for j in range(n)] for i in range(n)]
     det = gram[0][0] if n == 1 else gram[0][0] * gram[1][1] - gram[0][1] * gram[1][0]
     induced_vol = np.sqrt(np.maximum(det, 0.0))
 
+    bad = ~np.isfinite(induced_vol)
     frame = np.empty_like(vs)
     g_frame = np.empty_like(vs)
-    coeffs = np.zeros((n, n) + sizes)
+    coeffs = np.zeros((n, n) + nodes)
     for i in range(n):
         u, g_u = vs[i], g_vs[i]
-        c = np.zeros((n,) + sizes)
+        c = np.zeros((n,) + nodes)
         c[i] = 1.0
         if i > 0:
             u = u.copy()
@@ -352,13 +397,23 @@ def frames(im):
             g_u = _apply(g, u)
         norms = np.sqrt(np.maximum(_dot(u, g_u), 0.0))
         ref = np.sqrt(np.maximum(gram[i][i], 0.0))
-        if np.any(norms <= 1e-12 * np.maximum(ref, 1.0)):
-            raise DegenerateFrame("coordinate frame is numerically degenerate")
-        frame[i] = u / norms[..., None]
-        g_frame[i] = g_u / norms[..., None]
-        coeffs[i] = c / norms
-    return Geometry(im=im, vectors=vs, frame=frame, coeffs=coeffs,
-                    g_ambient=g, omega_ambient=omega, induced_vol=induced_vol)
+        # "not above the floor", so that NaN fails as well
+        low = ~(norms > 1e-12 * np.maximum(ref, 1.0))
+        bad |= low
+        norms = np.where(low, 1.0, norms)
+        np.divide(u, norms[..., None], out=frame[i])
+        if i < n - 1:           # g e_i is read only by the later vectors
+            np.divide(g_u, norms[..., None], out=g_frame[i])
+        np.divide(c, norms, out=coeffs[i])
+    degenerate = np.any(bad, axis=tuple(range(-n, 0)))
+    return frame, coeffs, g, omega, induced_vol, degenerate
+
+
+def _degenerate_message(induced_vol):
+    """What the frame check says about one immersion that fails it."""
+    if not np.all(np.isfinite(induced_vol)):
+        return "coordinate frame is not finite (NaN or inf in the geometry)"
+    return "coordinate frame is numerically degenerate"
 
 
 def _rho_h(frame_vectors, omega):
@@ -432,28 +487,68 @@ def density(im):
     return frames(im).density
 
 
-def _validated(im, rho_min=RHO_MIN):
-    """Geometry of im after the checks of is_totally_real."""
-    im.chart.require_inside(im.positions())
-    try:
-        geo = frames(im)
-    except DegenerateFrame as e:
-        raise NotImmersed(str(e)) from None
-    min_vol = float(np.min(geo.induced_vol))
-    if min_vol <= 1e-10:
+def _require_volume_and_rho(induced_vol, rho, rho_min):
+    """The volume check, then the rho_J check, of one immersion.
+
+    rho is called only once the volume check passed. Both are written as
+    "not above the floor", so NaN fails them.
+    """
+    min_vol = float(np.min(induced_vol))
+    if not min_vol > 1e-10:
         raise NotImmersed(f"coordinate frame drops rank (min volume {min_vol:.3g})")
-    min_rho = float(np.min(geo.density.rho))
-    if min_rho <= rho_min:
+    min_rho = float(np.min(rho()))
+    if not min_rho > rho_min:
         raise NotTotallyReal(
             f"rho_J reaches {min_rho:.3g} <= {rho_min:g}: partially complex "
             "to working precision"
         )
+
+
+def _validated(im, rho_min=RHO_MIN):
+    """Geometry of im after the checks of is_totally_real."""
+    im.chart.require_inside(im.positions())
+    # overflow shows up as non-finite geometry, which the frame check names
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            geo = frames(im)
+        except DegenerateFrame as e:
+            raise NotImmersed(str(e)) from None
+        _require_volume_and_rho(geo.induced_vol, lambda: geo.density.rho, rho_min)
     return geo
 
 
 def is_totally_real(im, rho_min=RHO_MIN):
     """Validate the immersion: full-rank frame and rho_J above the floor."""
     return _validated(im, rho_min).density
+
+
+def is_totally_real_stack(grid, chart, points, winding=None, rho_min=RHO_MIN):
+    """is_totally_real on every member of a stack, from one frame build.
+
+    points is (B,) + grid.sizes + (2n,): B immersions sharing grid, chart and
+    winding. The checks are reduced per member, and the error raised is the
+    one the loop `for p in points: is_totally_real(Immersion(...))` raises:
+    the first failing member, and within it the frame check, then the
+    volume check, then the rho_J check. A domain or metric failure of the
+    stack as a whole is handed to that loop, which names the member.
+    """
+    points = np.asarray(points, dtype=float)
+    pos = _positions(grid, points, winding)
+    try:
+        chart.require_inside(pos)
+        with np.errstate(over="ignore", invalid="ignore"):
+            frame, _, _, omega, induced_vol, degenerate = _frame_fields(
+                grid, chart, _coordinate_vectors(grid, points, winding), pos)
+            rho = _rho_h(frame, omega)
+    except (PointOutsideDomain, MetricNotPositiveDefinite):
+        for p in points:
+            is_totally_real(Immersion(grid=grid, chart=chart, points=p,
+                                      winding=winding), rho_min)
+        raise
+    for b in range(points.shape[0]):
+        if degenerate[b]:
+            raise NotImmersed(_degenerate_message(induced_vol[b]))
+        _require_volume_and_rho(induced_vol[b], lambda: rho[b], rho_min)
 
 
 def rho_j(im, node):

@@ -294,3 +294,44 @@ def test_christoffel_rejects_degenerate_metric():
     qc = ambient.potential_chart(2, quartic, radius=2.0, name="quartic")
     with pytest.raises(MetricNotPositiveDefinite, match="'quartic'"):
         ambient.christoffels_at(qc, np.zeros(4))
+
+
+def test_verify_evaluates_the_potential_once(monkeypatch):
+    # g, dg and the Ricci tensor come from one degree-4 evaluation
+    ball = ambient.complex_hyperbolic_ball()
+    pts = np.random.default_rng(4).uniform(-0.3, 0.3, size=(1500, 4))
+    g, _ = ball.metric_many(pts)
+    gamma, ric = ball.christoffel_many(pts), ball.ricci_many(pts)
+    calls = []
+    on_blocks = ambient.AmbientChart._on_blocks
+
+    def counting(self, pts, degree, kernel, shape):
+        calls.append(degree)
+        return on_blocks(self, pts, degree, kernel, shape)
+
+    monkeypatch.setattr(ambient.AmbientChart, "_on_blocks", counting)
+    rep = ambient.verify_kahler_einstein(ball, pts)
+    assert calls == [4]
+    g4, gamma4, ric4 = ball._einstein_data(pts)
+    assert np.array_equal(g4, g) and np.array_equal(ric4, ric)
+    assert np.max(np.abs(gamma4 - gamma)) <= 1e-15
+    c = float(np.sum(ric * g) / np.sum(g * g))
+    assert rep["einstein_constant"] == c
+    assert rep["max_einstein_residual"] == float(np.max(np.abs(ric - c * g)))
+
+
+def test_verify_keeps_the_kernels_error_order():
+    # a metric that is not positive definite is reported as christoffel_many
+    # reports it, before the Ricci tensor's degenerate-Hessian check
+    def quartic(z):
+        s = np.sum(np.asarray(z) ** 2, axis=-1)
+        return s * s
+
+    qc = ambient.potential_chart(2, quartic, radius=2.0, name="quartic")
+    pts = np.zeros((8, 4))
+    with pytest.raises(MetricNotPositiveDefinite) as ref:
+        qc.christoffel_many(pts)
+    with pytest.raises(MetricNotPositiveDefinite) as got:
+        ambient.verify_kahler_einstein(qc, pts)
+    assert str(got.value) == str(ref.value)
+    assert "not positive definite" in str(got.value)

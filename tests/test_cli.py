@@ -141,6 +141,27 @@ def test_jvol_scenario(tmp_path):
     assert header == "i0,i1,rho,volg_density,volj_density"
 
 
+def test_overflowing_immersion_exits_3_naming_non_finite_geometry(tmp_path):
+    # amplitude 1e308 overflows in the FFT derivative: the validation names the
+    # non-finite frame instead of writing "nan" into every result field
+    scn = write_scenario(tmp_path / "huge.json", {
+        "version": 1,
+        "name": "jvol-overflow",
+        "operation": "jvol.compute",
+        "chart": {"name": "flat_c2"},
+        "immersion": {"formula": "graph_perturbed_torus", "grid": 16,
+                      "args": {"amplitude": 1e308}},
+    })
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 3
+    raw = (out / "results.json").read_text()
+    assert "nan" not in raw
+    rec = json.loads(raw)
+    assert rec["status"] == "numerical_failure"
+    assert rec["error_type"] == "NotImmersed"
+    assert "not finite" in rec["message"]
+
+
 def test_bvp_scenario(tmp_path):
     scn = write_scenario(tmp_path / "bvp.json", {
         "version": 1,
@@ -201,6 +222,40 @@ def test_csv_format(tmp_path):
     assert lines[0] == "a,b"
     assert lines[1].startswith("0.33333333333333331")
     assert '"needs,""quoting"""' in lines[1]
+
+
+def _csv_cell_by_cell(header, rows):
+    """write_csv's bytes, one cell at a time."""
+    def cell(v):
+        s = format(v, ".17g") if isinstance(v, float) else str(v)
+        if any(c in s for c in ",\"\n"):
+            s = '"' + s.replace('"', '""') + '"'
+        return s
+
+    return "".join(",".join(cell(v) for v in r) + "\n" for r in [header] + rows)
+
+
+@pytest.mark.parametrize("rows", [
+    [(0, 1, 1.0 / 3.0), (1, -7, -0.0), (2, 10 ** 20, 1e-300),
+     (3, 0, float("nan")), (4, 5, float("inf")), (5, 6, 2.0 ** 60)],
+    [(1.5, np.float64(0.1)), (-2.25e17, np.float64(-3.0))],
+    [(1.0, "a,b"), (2.0, "")],            # a text column: cell by cell
+    [(1.0, 2), (0.5, 3.0)],               # a mixed column: cell by cell
+    [],
+])
+def test_csv_bytes_pinned(tmp_path, rows):
+    header = ["i0", 'say "hi"', "|H_J|,max"][:len(rows[0]) if rows else 3]
+    path = tmp_path / "t.csv"
+    cli.write_csv(path, header, rows)
+    assert path.read_bytes().decode() == _csv_cell_by_cell(header, rows)
+
+
+def test_csv_bytes_literal(tmp_path):
+    path = tmp_path / "t.csv"
+    cli.write_csv(path, ["i0", 'a "b"', "c,d"], [(0, 0.1, -0.0), (12, 1e-300, 2.5)])
+    assert path.read_bytes() == (b'i0,"a ""b""","c,d"\n'
+                                 b"0,0.10000000000000001,-0\n"
+                                 b"12,1e-300,2.5\n")
 
 
 def test_ambient_verify_scenario(tmp_path):

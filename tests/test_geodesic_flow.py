@@ -1,6 +1,7 @@
 """Flow tests: spectral continuation, guarded stepping, BVP, uniqueness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -399,3 +400,58 @@ def test_mode_growth_guard_skips_only_short_or_aliased_grids(circle, monkeypatch
     monkeypatch.setattr(cl, "fourier_analyze", broken)
     with pytest.raises(RuntimeError, match="broken analysis"):
         gf.mode_growth_guard(circle, 0, 1.0, 0.1)
+
+
+# --- the spectral family in blocks -------------------------------------------------
+
+def _product_torus_32():
+    return imm.build_immersion(imm.GridTorus((32, 32)), ambient.flat_chart(2),
+                               "product_torus", r1=1.0, r2=2.0)
+
+
+def test_flow_spectral_builds_frames_once_per_block(monkeypatch):
+    pt = _product_torus_32()
+    builds = []
+    build = imm._frame_fields
+
+    def counted(grid, chart, vs, pos):
+        builds.append(pos.shape[:-1])
+        return build(grid, chart, vs, pos)
+
+    monkeypatch.setattr(imm, "_frame_fields", counted)
+    ts = np.linspace(0.0, 0.1, 201)
+    flow = gf.flow_spectral(pt, imm.coordinate_field(pt.grid, 0), ts)
+    assert len(flow.immersions) == 201
+    # 8192 nodes per block: 8 frames of 32 x 32, so ceil(201 / 8) builds
+    assert len(builds) == math.ceil(201 / 8) == 26
+    assert builds[0] == (8, 32, 32) and builds[-1] == (1, 32, 32)
+
+
+def test_uniqueness_compare_does_not_hold_the_spectral_family():
+    pt = _product_torus_32()
+    X = imm.coordinate_field(pt.grid, 0)
+    gap = gf.uniqueness_compare(pt, X, 0.1)      # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        assert gf.uniqueness_compare(pt, X, 0.1) == gap
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 13.80 MB when the 201 spectral frames were all continued and held before
+    # the comparison (numpy 2.4, Python 3.11); 11.47 MB in blocks
+    assert peak < 13.0e6
+
+
+def test_nan_in_a_block_fails_the_residual_check(circle, monkeypatch):
+    blocks = gf._continued_blocks
+
+    def poisoned(im, axis, c, ts):
+        for k, pts in enumerate(blocks(im, axis, c, ts)):
+            if k == 1:
+                pts[2, 5, 0] = np.nan
+            yield pts
+
+    monkeypatch.setattr(gf, "_continued_blocks", poisoned)
+    ts = np.linspace(0.0, 0.2, 300)     # 128 frames of 64 nodes per block
+    with pytest.raises(AmplificationExceeded, match="by nan"):
+        gf.flow_spectral(circle, imm.coordinate_field(circle.grid, 0), ts)

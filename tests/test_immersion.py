@@ -358,3 +358,149 @@ def test_build_immersion_outside_domain():
     from trgeo.errors import PointOutsideDomain
     with pytest.raises(PointOutsideDomain):
         imm.build_immersion(imm.GridTorus((64,)), pd, "circle", r=1.5)
+
+
+# --- stacks: one frame build for many immersions ------------------------------------
+
+def _torus_points(grid, r1=1.0, r2=1.0, amplitude=0.0, mode=(1, 1)):
+    """Points of graph_perturbed_torus without its validation."""
+    t1, t2 = grid.mesh()
+    z1 = r1 * np.exp(1j * t1)
+    z2 = (r2 + amplitude * np.cos(mode[0] * t1 + mode[1] * t2)) * np.exp(1j * t2)
+    return np.stack([z1.real, z2.real, z1.imag, z2.imag], axis=-1)
+
+
+def _stack_cases():
+    g32, g16 = imm.GridTorus((32, 32)), imm.GridTorus((16, 16))
+    flat = ambient.flat_chart(2)
+    yield "perturbed torus", g32, flat, [
+        _torus_points(g32, 1.0, 2.0, a, (1, 1)) for a in (0.1, 0.2, 0.3, 0.4)], None
+    qc = ambient.flat_quotient_chart(2)
+    winding = np.array([[1.0, 0.3], [0.0, 1.0], [0.2, 0.0], [0.0, 0.5]])
+    t1, t2 = g32.mesh()
+    bump = np.stack([0.1 * np.sin(t1 + t2), 0.05 * np.cos(t2), 0.1 * np.cos(t1),
+                     0.05 * np.sin(2.0 * t1 - t2)], axis=-1)
+    yield "wound quotient torus", g32, qc, [
+        0.1 + s * bump for s in (0.0, 0.5, 1.0)], winding
+    yield "ball product torus", g16, ambient.complex_hyperbolic_ball(), [
+        _torus_points(g16, 0.3, r2) for r2 in (0.2, 0.3, 0.45)], None
+    theta = imm.GridTorus((64,)).thetas(0)
+    yield "curve", imm.GridTorus((64,)), ambient.poincare_disk(), [
+        np.stack([c + r * np.cos(theta), r * 0.8 * np.sin(theta)], axis=-1)
+        for c, r in ((0.0, 0.3), (0.1, 0.5), (-0.2, 0.4))], None
+
+
+@pytest.mark.parametrize("case", list(_stack_cases()), ids=lambda c: c[0])
+def test_stacked_frame_fields_equal_each_member(case):
+    _, grid, chart, members, winding = case
+    pts = np.stack(members)
+    vs = imm._coordinate_vectors(grid, pts, winding)
+    frame, coeffs, g, omega, vol, degenerate = imm._frame_fields(
+        grid, chart, vs, imm._positions(grid, pts, winding))
+    assert coeffs.shape == (grid.n, grid.n) + pts.shape[:-1]
+    assert not np.any(degenerate)
+    for b, p in enumerate(members):
+        fr = imm.frames(imm.Immersion(grid=grid, chart=chart, points=p,
+                                      winding=winding))
+        assert np.array_equal(vs[:, b], fr.vectors)
+        assert np.array_equal(frame[:, b], fr.frame)
+        assert np.array_equal(coeffs[:, :, b], fr.coeffs)
+        assert np.array_equal(g[b], fr.g_ambient)
+        assert np.array_equal(omega[b], fr.omega_ambient)
+        assert np.array_equal(vol[b], fr.induced_vol)
+
+
+def _raised(check):
+    try:
+        check()
+    except Exception as e:      # the type and message are what is compared
+        return type(e), str(e)
+    return None
+
+
+def _family_errors(grid, chart, family, rho_min, block=8):
+    """(member-by-member loop, stacked blocks of `block`) outcomes."""
+    def loop():
+        for p in family:
+            imm.is_totally_real(imm.Immersion(grid=grid, chart=chart, points=p),
+                                rho_min)
+
+    def blocks():
+        for s in range(0, len(family), block):
+            imm.is_totally_real_stack(grid, chart, family[s:s + block],
+                                      rho_min=rho_min)
+
+    return _raised(loop), _raised(blocks)
+
+
+def _with_nan(points):
+    points = points.copy()
+    points[3, 5, 1] = np.nan
+    return points
+
+
+_GRID16 = imm.GridTorus((16, 16))
+_BAD_MEMBERS = {
+    # r1 = 0: d/dtheta_1 vanishes, the frame check fails
+    "degenerate": (_torus_points(_GRID16, 0.0, 1.0, 0.1), NotImmersed, "degenerate"),
+    # full rank to 1e-12 but |v_1 ^ v_2| = 1e-11: the volume check fails
+    "volume": (_torus_points(_GRID16, 1e-11, 1.0), NotImmersed, "drops rank"),
+    # the most perturbed member is the only one below the rho floor set below
+    "rho": (_torus_points(_GRID16, 1.0, 1.0, 0.6), NotTotallyReal, "rho_J reaches"),
+    "nan": (_with_nan(_torus_points(_GRID16, 1.0, 1.0, 0.1)), NotImmersed, "not finite"),
+}
+
+
+# (kinds, positions) of bad members in a 12-member family checked in blocks of
+# 8: the middle of the first block, the second block, and two bad members
+_BAD_FAMILIES = ([((kind,), (k,)) for kind in _BAD_MEMBERS for k in (3, 10)]
+                 + [(("rho", "degenerate"), (3, 10)), (("degenerate", "volume"), (10, 11)),
+                    (("volume", "nan"), (4, 5))])
+
+
+@pytest.mark.parametrize("kinds, where", _BAD_FAMILIES)
+def test_stacked_check_raises_what_the_member_loop_raises(kinds, where):
+    family = np.stack([_torus_points(_GRID16, 1.0, 1.0, a)
+                       for a in np.linspace(0.05, 0.3, 12)])
+    flat = ambient.flat_chart(2)
+    # between the rho floors of the good members and of the "rho" member
+    good = min(float(np.min(imm.is_totally_real(
+        imm.Immersion(grid=_GRID16, chart=flat, points=p)).rho)) for p in family)
+    bad = float(np.min(imm.density(imm.Immersion(
+        grid=_GRID16, chart=flat, points=_BAD_MEMBERS["rho"][0])).rho))
+    assert bad < good
+    rho_min = 0.5 * (good + bad)
+    assert _family_errors(_GRID16, flat, family, rho_min) == (None, None)
+    for kind, k in zip(kinds, where):
+        family[k] = _BAD_MEMBERS[kind][0]
+    loop, blocks = _family_errors(_GRID16, flat, family, rho_min)
+    _, error, text = _BAD_MEMBERS[kinds[0]]
+    assert loop is not None and loop[0] is error and text in loop[1]
+    assert blocks == loop
+
+
+def test_nan_node_fails_validation(flat2):
+    im = imm.build_immersion(imm.GridTorus((32, 32)), flat2, "graph_perturbed_torus",
+                             r1=1.0, r2=2.0, amplitude=0.2)
+    pts = im.points.copy()
+    pts[7, 11, 2] = np.nan
+    bad = imm.Immersion(grid=im.grid, chart=flat2, points=pts)
+    with pytest.raises(NotImmersed, match="not finite"):
+        imm.is_totally_real(bad)
+    with pytest.raises(NotImmersed, match="not finite"):
+        imm.total_volumes(bad)
+    with pytest.raises(NotImmersed, match="not finite"):
+        imm.is_totally_real_stack(im.grid, flat2, np.stack([im.points, pts]))
+
+
+@pytest.mark.parametrize("bad", [{10: 0.99}, {3: 0.0, 10: 0.99}, {4: 0.99, 5: 0.0}])
+def test_stacked_check_hands_domain_failures_to_the_loop(bad):
+    # r2 = 0.99 leaves the ball (PointOutsideDomain for the whole stack);
+    # r1 = 0 makes a member's frame degenerate inside the ball
+    ball = ambient.complex_hyperbolic_ball()
+    members = [(0.3, r2) for r2 in np.linspace(0.2, 0.4, 12)]
+    for k, r in bad.items():
+        members[k] = (0.3, r) if r > 0.5 else (0.0, 0.3)
+    family = np.stack([_torus_points(_GRID16, r1, r2) for r1, r2 in members])
+    loop, blocks = _family_errors(_GRID16, ball, family, imm.RHO_MIN)
+    assert loop is not None and blocks == loop
