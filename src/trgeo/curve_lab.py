@@ -378,9 +378,7 @@ def reparametrize_by_field(f, M=256):
     probe = f(np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False))
     if np.min(probe) <= 0.0:
         raise FieldNotPositive("reparametrization needs f > 0 everywhere")
-    fine = 4096
-    tt = np.linspace(0.0, 2.0 * np.pi, fine, endpoint=False)
-    period = float(np.mean(1.0 / f(tt))) * 2.0 * math.pi
+    period = float(np.mean(1.0 / probe)) * 2.0 * math.pi
     R = period / (2.0 * math.pi)
 
     def rhs(theta):

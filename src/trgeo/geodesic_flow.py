@@ -1,4 +1,5 @@
-"""Canonical geodesic flows d iota/dt = J iota_* X and the two-curve problem.
+"""Flows of L: canonical geodesics d iota/dt = J iota_* X, the tangential flow
+of X, and the two-curve problem.
 
 Two schemes solve the Cauchy problem for coordinate-aligned X on flat charts:
 
@@ -21,6 +22,12 @@ Two schemes solve the Cauchy problem for coordinate-aligned X on flat charts:
   spectrum of the real points. It stays in physical space, independent of
   the mode-wise continuation it is compared against.
 
+geodesic_family is the generator the variation oracles use: the same
+guarded, residual-checked continuation on any chart (it only needs J to be
+constant), for X = c d/dtheta_k and, after reparametrizing that axis to
+constant speed, for X = f(theta_k) d/dtheta_k with f > 0. tangential_flow is
+the flow of such an X on L itself, iota o phi_t(X).
+
 solve_bvp_annulus fits a Laurent polynomial annulus map between two nested
 Jordan curves by Gauss-Newton on (modulus, coefficients, boundary
 correspondences), the discrete version of the doubly connected Riemann
@@ -35,9 +42,9 @@ import numpy as np
 
 from . import _spectral, curve_lab
 from .errors import (AliasingDetected, AmplificationExceeded, BlowUpDetected,
-                     NotNested, StepTooLarge, UnsupportedField, ValidationError)
-from .immersion import (Immersion, VectorFieldOnL, is_totally_real,
-                        is_totally_real_stack)
+                     GeodesicUnavailable, NotNested, StepTooLarge, UnsupportedField,
+                     ValidationError)
+from .immersion import Immersion, is_totally_real, is_totally_real_stack
 
 AMP_MAX = 1e6
 TAIL_ENERGY_ABORT = 1e-3
@@ -46,6 +53,9 @@ SPECTRAL_PRESENCE_FLOOR = 1e-15
 # grid nodes one block of a spectral family holds (8 frames of 32x32); fixes
 # how many frames are continued, residual-checked and validated at a time
 _BLOCK_NODES = 8192
+# RK4 steps of one tangential flow; RK4 steps of uniqueness_compare's stepper
+TANGENTIAL_SUBSTEPS = 8
+UNIQUENESS_STEPS = 200
 
 
 @dataclass
@@ -115,6 +125,32 @@ def _resample_axis(im, axis, theta):
     return Immersion(grid=im.grid, chart=im.chart, points=pts, winding=im.winding)
 
 
+def _interpolant(values):
+    """Trigonometric interpolant of periodic node values, as a callable."""
+    coeffs = _spectral.fourier_coefficients(values)
+    return lambda theta: _spectral.evaluate_fourier(coeffs, theta).real
+
+
+def tangential_flow(im, X, t):
+    """Reparametrization iota o phi_t(X) for X = f(theta_k) d/dtheta_k.
+
+    The flow moves theta_k alone, at the rate f(theta_k), so one vectorised
+    RK4 over the axis nodes gives their new angles and a one-axis spectral
+    resample gives the points; the other axis rides along. Other fields
+    raise UnsupportedField.
+    """
+    prof = _axis_profile(X)
+    if prof is None:
+        raise UnsupportedField("the density check needs X = f(theta_k) d/dtheta_k")
+    axis, profile = prof
+    rate = _interpolant(profile)
+    theta = im.grid.thetas(axis)
+    h = t / TANGENTIAL_SUBSTEPS
+    for _ in range(TANGENTIAL_SUBSTEPS):
+        theta = _spectral.rk4_step(rate, theta, h)
+    return _resample_axis(im, axis, theta)
+
+
 def _complex_components(points, n):
     """z_k = x_k + i y_k arrays; the flow acts mode-wise on these."""
     return points[..., :n] + 1j * points[..., n:]
@@ -180,11 +216,54 @@ def flow_spectral(im, X, ts):
     axis, c, ts, amp = _spectral_setup(im, X, ts)
     immersions, residual = [], 0.0
     for pts, res in _checked_blocks(im, axis, c, ts):
+        is_totally_real_stack(im.grid, im.chart, pts, im.winding)
         residual = max(residual, res)
-        immersions += [Immersion(grid=im.grid, chart=im.chart, points=p,
-                                 winding=im.winding) for p in pts]
+        immersions += _members(im, pts)
     return FlowResult(times=ts, immersions=immersions, amplification=amp,
                       scheme="spectral", geodesic_residual=residual)
+
+
+def geodesic_family(im, Y, ts):
+    """Immersions along the geodesic d iota/dt = J iota_* Y at the times ts.
+
+    Y = c d/dtheta_k: the continuation of flow_spectral, valid on any chart
+    here since it only uses the constancy of J. Y = f(theta_k) d/dtheta_k
+    with f > 0: the integral curves close up along the axis circle, so the
+    axis is reparametrized to constant speed, where Y becomes (1/R) d/dpsi,
+    and continued mode-wise; the same angle substitution applies to every
+    transverse slice. Anything else raises GeodesicUnavailable. The family
+    passes mode_growth_guard at the largest |t| and the geodesic residual
+    check block by block; its members are not validated here, since
+    total_volumes validates each one it integrates.
+    """
+    al = _coordinate_alignment(Y)
+    if al is None:
+        prof = _axis_profile(Y)
+        if prof is None:
+            raise GeodesicUnavailable(
+                "no geodesic family generator for this direction field")
+        axis, f = prof
+        if np.min(f) <= 0.0:
+            raise GeodesicUnavailable("axis-profile families need f > 0 everywhere")
+        rep = curve_lab.reparametrize_by_field(_interpolant(f), M=im.grid.sizes[axis])
+        im = _resample_axis(im, axis, rep["theta_of_s"])
+        al = axis, 1.0 / rep["R"]
+    axis, c = al
+    ts = [float(t) for t in ts]
+    _amplification(im, axis, c, ts)
+    return [m for pts, _ in _checked_blocks(im, axis, c, ts) for m in _members(im, pts)]
+
+
+def _members(im, pts):
+    """The immersions of a block of points, sharing im's grid, chart and winding."""
+    return [Immersion(grid=im.grid, chart=im.chart, points=p, winding=im.winding)
+            for p in pts]
+
+
+def _amplification(im, axis, c, ts):
+    """mode_growth_guard at the time of largest |t|; 1 when nothing moves."""
+    worst = max(ts, key=abs, default=0.0)
+    return mode_growth_guard(im, axis, c, worst) if worst != 0.0 else 1.0
 
 
 def _spectral_setup(im, X, ts):
@@ -199,17 +278,15 @@ def _spectral_setup(im, X, ts):
         )
     axis, c = al
     ts = [float(t) for t in ts]
-    worst = max((t for t in ts), key=abs, default=0.0)
-    amp = mode_growth_guard(im, axis, c, worst) if worst != 0.0 else 1.0
-    return axis, c, ts, amp
+    return axis, c, ts, _amplification(im, axis, c, ts)
 
 
 def _checked_blocks(im, axis, c, ts):
     """Blocks of _continued_blocks with their geodesic residuals, each checked.
 
-    A block whose residual is not below 1e-8 (NaN included) raises
-    AmplificationExceeded; a member that is not totally real raises what
-    is_totally_real would.
+    This is the one path to the continuation. A block whose residual is not
+    below 1e-8 (NaN included) raises AmplificationExceeded; flow_spectral
+    and uniqueness_compare also pass each block to is_totally_real_stack.
     """
     for pts in _continued_blocks(im, axis, c, ts):
         residual = _geodesic_residual(pts, im, axis, c)
@@ -217,7 +294,6 @@ def _checked_blocks(im, axis, c, ts):
             raise AmplificationExceeded(
                 f"continued frames violate the geodesic equation by {residual:.3g}"
             )
-        is_totally_real_stack(im.grid, im.chart, pts, im.winding)
         yield pts, residual
 
 
@@ -301,12 +377,6 @@ def _continued_blocks(im, axis, c, ts):
         pts[..., :n] = np.moveaxis(z_t.real, 1, -1)
         pts[..., n:] = np.moveaxis(z_t.imag, 1, -1)
         yield pts
-
-
-def _continue_modes(im, axis, c, ts):
-    """The continuation at ts as a list of immersions (not validated)."""
-    return [Immersion(grid=im.grid, chart=im.chart, points=p, winding=im.winding)
-            for pts in _continued_blocks(im, axis, c, ts) for p in pts]
 
 
 def flow_timestep(im, X, t_final, dt, store_every=1):
@@ -401,23 +471,6 @@ def flow_timestep(im, X, t_final, dt, store_every=1):
                       scheme="timestep")
 
 
-def flow_spectral_reparametrized(im, f, ts):
-    """Continuation of an n=1 flow along a general positive field f d/dtheta.
-
-    The curve is reparametrized on its own grid so the field becomes
-    (1/R) d/dpsi, then flowed spectrally. Frames are the same submanifold
-    family as flow_timestep(im, f d/dtheta) composed with the fixed
-    reparametrization psi -> theta(R psi).
-    """
-    if im.n != 1 or im.chart.dim != 2:
-        raise UnsupportedField("reparametrized continuation handles curves only")
-    M = im.grid.sizes[0]
-    rep = curve_lab.reparametrize_by_field(f, M=M)
-    im2 = _resample_axis(im, 0, rep["theta_of_s"])
-    X = VectorFieldOnL(grid=im2.grid, components=np.full((1, M), 1.0 / rep["R"]))
-    return flow_spectral(im2, X, ts), rep
-
-
 def commutator_check(flow, X):
     """Consistency of the flow surface: d_t(iota_* X) vs d_s of d iota/dt.
 
@@ -467,19 +520,19 @@ def commutator_check(flow, X):
     return worst
 
 
-def uniqueness_compare(im, X, t_final, dt=None):
+def uniqueness_compare(im, X, t_final):
     """Sup-norm gap between the spectral and time-stepped flows.
 
-    The spectral family goes through the checks of flow_spectral block by
-    block; each block is compared with the stepped frames of its times and
-    then dropped, so the whole spectral family is never held at once.
+    The stepper takes UNIQUENESS_STEPS RK4 steps to t_final. The spectral
+    family goes through the checks of flow_spectral block by block; each
+    block is compared with the stepped frames of its times and then dropped,
+    so the whole spectral family is never held at once.
     """
-    if dt is None:
-        dt = t_final / 200.0
-    stepped = flow_timestep(im, X, t_final, dt)
+    stepped = flow_timestep(im, X, t_final, t_final / UNIQUENESS_STEPS)
     axis, c, ts, _ = _spectral_setup(im, X, stepped.times)
     worst, k = 0.0, 0
     for pts, _ in _checked_blocks(im, axis, c, ts):
+        is_totally_real_stack(im.grid, im.chart, pts, im.winding)
         for a, b in zip(stepped.immersions[k:k + len(pts)], pts):
             worst = max(worst, float(np.max(np.abs(a.points - b))))
         k += len(pts)

@@ -4,14 +4,10 @@ First variations are checked by deforming grid points linearly along an
 ambient field Z = iota_* X + J iota_* Y (only the t-derivative at 0 matters,
 so the linear extension is as good as any) with Richardson-extrapolated
 central differences in the step. Second variations are taken along genuine
-geodesic families d iota/dt = J iota_* Y, generated by mode-wise continuation
-of the complex components; the continuation only uses the constancy of J on
-the chart, so it provides the geodesic family on every built-in chart even
-though the public spectral flow is restricted to flat ones. The tangential
-density identities are checked by flowing L along X = f(theta_k) d/dtheta_k:
-that flow moves theta_k alone, so it is one RK4 over the axis angles and one
-resample along that axis (geodesic_flow._resample_axis); other fields raise
-UnsupportedField.
+geodesic families d iota/dt = J iota_* Y (geodesic_flow.geodesic_family, the
+guarded and residual-checked mode-wise continuation, on every built-in
+chart). The tangential density identities are checked by flowing L along
+X = f(theta_k) d/dtheta_k (geodesic_flow.tangential_flow).
 
 Analytic counterparts:
   first variation      -int g(JY, H_J) vol_J
@@ -27,15 +23,16 @@ from typing import Optional
 import numpy as np
 
 from . import _spectral
-from .curve_lab import reparametrize_by_field
-from .errors import (GeodesicUnavailable, SignConventionMismatch, UnsupportedField,
-                     ValidationError)
-from .geodesic_flow import (_axis_profile, _continue_modes, _coordinate_alignment,
-                            _resample_axis)
+from .errors import SignConventionMismatch, ValidationError
+from .geodesic_flow import geodesic_family, tangential_flow
 from .immersion import (GridTorus, Immersion, VectorFieldOnL, density, frames,
                         total_volumes)
 
-FD_EPS_DEFAULT = (1e-2, 5e-3, 2.5e-3)
+# FD steps: first variation (descending, each half the one before), the
+# pointwise density checks, and the second variation along a geodesic family
+FD_EPS = (1e-2, 5e-3, 2.5e-3)
+DENSITY_EPS = 1e-3
+SECOND_TAU = 1e-2
 
 
 @dataclass
@@ -73,42 +70,35 @@ def deform_linear(im, Z, t):
                      winding=im.winding)
 
 
-def fd_first_variation(im, Z, eps_list=FD_EPS_DEFAULT):
+def fd_first_variation(im, Z):
     """Central-difference derivative of Vol_J under the deformation Z.
 
-    Returns (value, order); each deformed immersion is re-validated, so a
-    deformation that destroys the totally real condition raises
-    NotTotallyReal.
+    Returns (value, order): the Richardson value of the two smaller FD_EPS
+    steps and the observed order of the three. Each deformed immersion is
+    re-validated, so a deformation that destroys the totally real condition
+    raises NotTotallyReal.
     """
-    eps_list = sorted(eps_list, reverse=True)
-
     def vol(t):
         return total_volumes(deform_linear(im, Z, t))["vol_j"]
 
-    diffs = [(vol(e) - vol(-e)) / (2.0 * e) for e in eps_list]
+    diffs = {e: (vol(e) - vol(-e)) / (2.0 * e) for e in FD_EPS}
+    d0, d1, d2 = diffs.values()
     order = None
-    if len(diffs) >= 3:
-        d01 = diffs[0] - diffs[1]
-        d12 = diffs[1] - diffs[2]
-        floor = 1e-11 * (1.0 + abs(diffs[-1]))
-        # the order estimate is meaningless once the differences sit in noise
-        if abs(d12) > floor and abs(d01) > floor:
-            order = float(np.log2(abs(d01) / abs(d12)))
-    if len(diffs) >= 2:
-        value = (4.0 * diffs[-1] - diffs[-2]) / 3.0
-    else:
-        value = diffs[-1]
-    return value, order
+    floor = 1e-11 * (1.0 + abs(d2))
+    # the order estimate is meaningless once the differences sit in noise
+    if abs(d1 - d2) > floor and abs(d0 - d1) > floor:
+        order = float(np.log2(abs(d0 - d1) / abs(d1 - d2)))
+    return _spectral.richardson(diffs.__getitem__, FD_EPS[1]), order
 
 
-def check_first_variation(im, Y, eps_list=FD_EPS_DEFAULT, context=""):
+def check_first_variation(im, Y, context=""):
     """Analytic -int g(JY, H_J) vol_J against the FD derivative of Vol_J."""
     geo = frames(im)
     jy = np.einsum("ij,...j->...i", im.chart.J, geo.pushforward(Y))
     integrand = np.einsum("...i,...ij,...j->...", jy, geo.g_ambient, geo.h_j.values)
     analytic = -_spectral.periodic_total(integrand * geo.density.volj_density,
                                          im.grid.cell)
-    fd, order = fd_first_variation(im, jy, eps_list=eps_list)
+    fd, order = fd_first_variation(im, jy)
     return _make_report(analytic, fd, order, context or "first variation")
 
 
@@ -142,32 +132,7 @@ def validate_hj_sign(im, n_fields=5, seed=7, tol=1e-3):
 
 # --- tangential density checks ---------------------------------------------------
 
-def _interpolant(values):
-    """Trigonometric interpolant of periodic node values, as a callable."""
-    coeffs = _spectral.fourier_coefficients(values)
-    return lambda theta: _spectral.evaluate_fourier(coeffs, theta).real
-
-
-def _flow_on_torus(im, X, t, substeps=8):
-    """Reparametrization iota o phi_t(X) for X = f(theta_k) d/dtheta_k.
-
-    The flow moves theta_k alone, at the rate f(theta_k), so one vectorised
-    RK4 over the axis nodes gives their new angles and a one-axis spectral
-    resample gives the points; the other axis rides along.
-    """
-    prof = _axis_profile(X)
-    if prof is None:
-        raise UnsupportedField("the density check needs X = f(theta_k) d/dtheta_k")
-    axis, profile = prof
-    rate = _interpolant(profile)
-    theta = im.grid.thetas(axis)
-    h = t / substeps
-    for _ in range(substeps):
-        theta = _spectral.rk4_step(rate, theta, h)
-    return _resample_axis(im, axis, theta)
-
-
-def check_density_divergence(im, X, eps=1e-3, context=""):
+def check_density_divergence(im, X, context=""):
     """Pointwise first/second t-derivatives of vol_J under the tangential flow.
 
     Compares against Div(rho_J X) vol_g and Div(X Div(rho_J X)) vol_g and
@@ -181,17 +146,12 @@ def check_density_divergence(im, X, eps=1e-3, context=""):
     div1_x = X.components * div1[None, ...]
     second_exact = geo.divergence(div1_x) * geo.induced_vol
 
-    d_p = density(_flow_on_torus(im, X, eps)).volj_density
-    d_m = density(_flow_on_torus(im, X, -eps)).volj_density
-    d_p2 = density(_flow_on_torus(im, X, eps / 2.0)).volj_density
-    d_m2 = density(_flow_on_torus(im, X, -eps / 2.0)).volj_density
+    eps = DENSITY_EPS
+    d = {t: density(tangential_flow(im, X, t)).volj_density
+         for t in (eps, -eps, eps / 2.0, -eps / 2.0)}
     d_0 = geo.density.volj_density
-    fd1_a = (d_p - d_m) / (2.0 * eps)
-    fd1_b = (d_p2 - d_m2) / eps
-    fd1 = (4.0 * fd1_b - fd1_a) / 3.0
-    fd2_a = (d_p - 2.0 * d_0 + d_m) / eps ** 2
-    fd2_b = (d_p2 - 2.0 * d_0 + d_m2) / (eps / 2.0) ** 2
-    fd2 = (4.0 * fd2_b - fd2_a) / 3.0
+    fd1 = _spectral.richardson(lambda h: (d[h] - d[-h]) / (2.0 * h), eps)
+    fd2 = _spectral.richardson(lambda h: (d[h] - 2.0 * d_0 + d[-h]) / h ** 2, eps)
 
     scale = float(np.max(np.abs(d_0)))
     rel1 = float(np.max(np.abs(fd1 - first_exact))) / scale
@@ -210,41 +170,6 @@ def check_density_divergence(im, X, eps=1e-3, context=""):
 
 # --- geodesic second variation -----------------------------------------------------
 
-def _reparametrized_family_axis(im, axis, profile, ts):
-    """Geodesic family for Y = f(theta_axis) d/dtheta_axis with f > 0.
-
-    Integral curves close up along the axis circle; reparametrizing them to
-    constant speed turns the field into (1/R) d/dpsi, after which continuation
-    is mode-wise. The same angle substitution applies to every transverse
-    slice since f depends on theta_axis only.
-    """
-    if np.min(profile) <= 0.0:
-        raise GeodesicUnavailable("axis-profile families need f > 0 everywhere")
-    rep = reparametrize_by_field(_interpolant(profile), M=im.grid.sizes[axis])
-    im2 = _resample_axis(im, axis, rep["theta_of_s"])
-    return _continue_modes(im2, axis, 1.0 / rep["R"], ts)
-
-
-def geodesic_family(im, Y, ts):
-    """Immersions along the geodesic d iota/dt = J iota_* Y.
-
-    Coordinate-aligned Y: exact mode-wise continuation (valid on any chart
-    here, J being constant). Fields f(theta_k) d/dtheta_k with positive f:
-    reparametrized continuation along that axis. Anything else:
-    GeodesicUnavailable. The members are not validated here; total_volumes
-    validates each one it integrates.
-    """
-    al = _coordinate_alignment(Y)
-    if al is not None:
-        return _continue_modes(im, al[0], al[1], ts)
-    prof = _axis_profile(Y)
-    if prof is not None:
-        return _reparametrized_family_axis(im, prof[0], prof[1], ts)
-    raise GeodesicUnavailable(
-        "no geodesic family generator for this direction field"
-    )
-
-
 def second_variation_integrand(im, Y):
     """(Div(rho_J Y)/rho_J)^2 + g(JY, H_J)^2 - Ric(Y, Y), per node."""
     geo = frames(im)
@@ -262,12 +187,13 @@ def second_variation_integrand(im, Y):
     return div_term ** 2 + hj_term ** 2 - ric_term, dens
 
 
-def check_second_variation_kahler(im, Y, tau=1e-2, context=""):
+def check_second_variation_kahler(im, Y, context=""):
     """Second derivative of Vol_J along the geodesic family vs the integrand.
 
     fd side: 5-point fourth-order second difference of Vol_J over the family
-    at times {0, +-tau, +-2tau}.
+    at times {0, +-tau, +-2tau}, tau = SECOND_TAU.
     """
+    tau = SECOND_TAU
     integrand, dens = second_variation_integrand(im, Y)
     analytic = _spectral.periodic_total(integrand * dens.volj_density,
                                         im.grid.cell)
@@ -279,7 +205,7 @@ def check_second_variation_kahler(im, Y, tau=1e-2, context=""):
     return _make_report(analytic, fd, None, context or "second variation")
 
 
-def mixed_density_second_variation(im, W, Z, eps=1e-3):
+def mixed_density_second_variation(im, W, Z):
     """Mixed d^2/ds dt of the J-density for the linear family iota + sW + tZ.
 
     W, Z are ambient-vector grid fields along L (flat chart, torsion-free,
@@ -330,7 +256,7 @@ def mixed_density_second_variation(im, W, Z, eps=1e-3):
         return (dens_at(e, e) - dens_at(e, -e)
                 - dens_at(-e, e) + dens_at(-e, -e)) / (4.0 * e ** 2)
 
-    return analytic, _spectral.richardson(mixed_diff, eps)
+    return analytic, _spectral.richardson(mixed_diff, DENSITY_EPS)
 
 
 # --- convexity experiments -----------------------------------------------------------
@@ -349,8 +275,13 @@ def convexity_experiment(family, t_grid):
     from .immersion import build_immersion, coordinate_field
 
     t_grid = np.asarray([float(t) for t in t_grid])
-    if t_grid.size < 3 or np.any(np.diff(t_grid) <= 0):
+    steps = np.diff(t_grid)
+    if t_grid.size < 3 or np.any(steps <= 0):
         raise ValidationError("need an increasing t grid with >= 3 samples")
+    # the second differences below divide by one step squared
+    if not np.allclose(steps, steps[0], rtol=1e-10, atol=1e-14):
+        raise ValidationError(f"t_grid must be uniformly spaced; its steps run from "
+                              f"{np.min(steps):.6g} to {np.max(steps):.6g}")
     kind = family.get("kind")
     gsz = int(family.get("grid", 64))
     if kind == "flat_circle":

@@ -6,7 +6,7 @@ RK4 along the full field X = X^1 d/dtheta_1 + X^2 d/dtheta_2, the field and
 the points are evaluated off grid by a direct 2-D phase sum, and a winding
 part W theta moves with both angles. It assumes nothing about the form of
 X, so for X = f(theta_k) d/dtheta_k it checks
-variation_harness._flow_on_torus, which moves theta_k alone and resamples
+geodesic_flow.tangential_flow, which moves theta_k alone and resamples
 along that axis only.
 
 flow_timestep_full_spectrum is guarded RK4 for d iota/dt = J iota_* X with

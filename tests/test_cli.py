@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trgeo import cli
+from trgeo import cli, curve_lab as cl
 
 
 def write_scenario(path, payload):
@@ -84,6 +84,26 @@ def test_numerical_failure_recorded(tmp_path):
     assert results["status"] == "numerical_failure"
     assert results["error_type"] == "BlowUpDetected"
     assert results["t_reached"] < 0.2
+
+
+def test_ray_only_second_variation_exits_3(tmp_path):
+    curve = cl.family_coefficients("ray_only", N=256)
+    coeffs = [[int(n), float(a.real), float(a.imag)]
+              for n, a in zip(range(-curve.N, curve.N + 1), curve.coeffs) if a != 0]
+    scn = write_scenario(tmp_path / "second.json", {
+        "version": 1,
+        "name": "second-ray-only",
+        "operation": "variation.second",
+        "chart": {"name": "flat_c1"},
+        "immersion": {"formula": "fourier_curve", "grid": 1024,
+                      "args": {"coeffs": coeffs}},
+        "field": {"kind": "coordinate", "axis": 0},
+    })
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 3
+    results = json.loads((out / "results.json").read_text())
+    assert results["error_type"] == "AmplificationExceeded"
+    assert "outer radius estimate" in results["message"]
 
 
 def test_length_needs_three_radii(tmp_path, capsys):
@@ -382,7 +402,10 @@ _FLAT_TORUS = {"chart": {"name": "flat_c2"},
     ({"operation": "ambient.verify", "chart": {"name": "complex_hyperbolic_ball"},
       "params": {"r_max": -1}}, "params.r_max"),
     ({"operation": "ambient.verify", "chart": {"name": "poincare_disk"},
-      "params": {"r_max": -0.0}}, "params.r_max"),
+      "params": {"r_max": -0.0}}, "params.r_max"),    # the second differences divide by one step squared
+    ({"operation": "variation.convexity",
+      "params": {"family": {"kind": "poincare_circle", "grid": 64},
+                 "t_grid": [0.5, 0.575, 0.65, 0.8]}}, "t_grid must be uniformly spaced"),
 ])
 def test_malformed_scenario_fields_exit_2(tmp_path, capsys, payload, field):
     scn = write_scenario(tmp_path / "s.json", {"version": 1, "name": "bad", **payload})

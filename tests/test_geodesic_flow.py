@@ -134,12 +134,33 @@ def test_timestep_matches_reparametrized_pipeline(circle):
 
     X = imm.VectorFieldOnL(grid=circle.grid, components=f(theta)[None, :])
     stepped = gf.flow_timestep(circle, X, 0.05, 5e-4)
-    pipeline, rep = gf.flow_spectral_reparametrized(circle, f, [0.05])
+    pipeline = gf.geodesic_family(circle, X, [0.05])
+    rep = cl.reparametrize_by_field(f, M=64)
     z_step = stepped.immersions[-1].complex_samples()
     coeffs = fourier_coefficients(z_step)
     at_theta_s = evaluate_fourier(coeffs, rep["theta_of_s"])
-    z_pipe = pipeline.immersions[0].complex_samples()
+    z_pipe = pipeline[0].complex_samples()
     assert np.max(np.abs(at_theta_s - z_pipe)) <= 1e-5
+
+
+def test_axis_one_family_is_the_transposed_axis_zero_family():
+    im = perturbed_torus()
+    theta = im.grid.thetas(1)
+    f = 1.0 + 0.3 * np.cos(theta)
+    comp = np.zeros((2, 32, 32))
+    comp[1] = f[None, :]
+    Y1 = imm.VectorFieldOnL(grid=im.grid, components=comp)
+    # the same surface with the grid axes swapped carries the field on axis 0
+    imT = imm.Immersion(grid=im.grid, chart=im.chart,
+                        points=np.swapaxes(im.points, 0, 1))
+    Y0 = imm.VectorFieldOnL(grid=im.grid, components=np.swapaxes(comp[::-1], 1, 2))
+    ts = [-0.1, 0.05, 0.1]
+    fam1 = gf.geodesic_family(im, Y1, ts)
+    fam0 = gf.geodesic_family(imT, Y0, ts)
+    for a, b in zip(fam1, fam0):
+        assert np.max(np.abs(a.points - np.swapaxes(b.points, 0, 1))) <= 1e-13
+        # the family moves the torus (it is no identity map)
+        assert np.max(np.abs(a.points - im.points)) >= 1e-3
 
 
 def test_timestep_step_too_large(circle):

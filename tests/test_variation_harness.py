@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from trgeo import _spectral, ambient, cli
+from trgeo import _spectral, ambient, cli, curve_lab as cl, geodesic_flow as gf
 from trgeo import immersion as imm
 from trgeo import variation_harness as vh
-from trgeo.errors import GeodesicUnavailable, UnsupportedField
+from trgeo.errors import AmplificationExceeded, GeodesicUnavailable, UnsupportedField
 
 from flow_oracle import flow_on_torus_2d, perturbed_torus, phase_sum_2d, wound_torus
 
@@ -155,7 +155,7 @@ def test_one_axis_flow_matches_2d_reference(case, axis):
     nodes = phase_sum_2d(coeffs, t1, t2).real.reshape(im.points.shape)
     assert np.max(np.abs(nodes - im.points)) <= 1e-13
     for t in (1e-3, -0.25):
-        got = vh._flow_on_torus(im, X, t)
+        got = gf.tangential_flow(im, X, t)
         ref = flow_on_torus_2d(im, X, t)
         assert np.max(np.abs(got.points - ref.points)) <= 1e-13
         # the flow moves the points (it is no identity map)
@@ -223,6 +223,15 @@ def test_second_variation_modulated_circle(circle):
                            components=(1.0 + 0.3 * np.cos(theta))[None, :])
     rep = vh.check_second_variation_kahler(circle, Y)
     assert rep.rel_err <= 1e-3
+
+
+def test_ray_only_second_variation_is_refused():
+    # the family runs both ways in t; the outward half is ill-posed, as in flow.run
+    samples = cl.synthesize(cl.family_coefficients("ray_only", N=256), M=1024)
+    im = imm.Immersion(grid=imm.GridTorus((1024,)), chart=ambient.flat_chart(1),
+                       points=np.stack([samples.real, samples.imag], axis=-1))
+    with pytest.raises(AmplificationExceeded, match="outer radius estimate"):
+        vh.check_second_variation_kahler(im, imm.coordinate_field(im.grid, 0))
 
 
 def test_second_variation_unavailable_direction(torus12):
