@@ -232,9 +232,9 @@ def geodesic_family(im, Y, ts):
     axis is reparametrized to constant speed, where Y becomes (1/R) d/dpsi,
     and continued mode-wise; the same angle substitution applies to every
     transverse slice. Anything else raises GeodesicUnavailable. The family
-    passes mode_growth_guard at the largest |t| and the geodesic residual
-    check block by block; its members are not validated here, since
-    total_volumes validates each one it integrates.
+    passes mode_growth_guard at its farthest time on each side of t = 0 and
+    the geodesic residual check block by block; its members are not
+    validated here, since total_volumes validates each one it integrates.
     """
     al = _coordinate_alignment(Y)
     if al is None:
@@ -261,9 +261,10 @@ def _members(im, pts):
 
 
 def _amplification(im, axis, c, ts):
-    """mode_growth_guard at the time of largest |t|; 1 when nothing moves."""
-    worst = max(ts, key=abs, default=0.0)
-    return mode_growth_guard(im, axis, c, worst) if worst != 0.0 else 1.0
+    """mode_growth_guard at the farthest time on each side of t = 0, the two
+    sides continuing in opposite directions; 1 when nothing moves."""
+    ends = sorted({min(ts, default=0.0), max(ts, default=0.0)} - {0.0})
+    return max((mode_growth_guard(im, axis, c, t) for t in ends), default=1.0)
 
 
 def _spectral_setup(im, X, ts):
@@ -301,9 +302,12 @@ def _geodesic_residual(points, im, axis, c):
     """max |d iota/dt - J iota_* X| over a block of frames, both sides spectral.
 
     points is (B,) + grid.sizes + (2n,). d/dt of the continuation scales mode
-    m by -m c; the right-hand side is J applied to c d iota/dtheta_axis.
-    Identical in exact arithmetic, so the residual certifies the
-    implementation rather than the data. NaN anywhere gives NaN.
+    m by -m c; the right-hand side is J applied to c d iota/dtheta_axis, the
+    derivative taking i m with the modes of the continuation. On an even axis
+    that keeps the Nyquist mode as m = -n/2, where spectral_derivative (made
+    for real data) drops it; the two sides are identical in exact arithmetic,
+    so the residual certifies the implementation rather than the data. NaN
+    anywhere gives NaN.
     """
     n = im.chart.n
     z = _components_first(points, n)
@@ -316,7 +320,9 @@ def _geodesic_residual(points, im, axis, c):
     coeffs *= -c
     coeffs *= np.reshape(m, shape)
     dz_dt = np.fft.ifftn(coeffs, axes=grid_axes)
-    rhs = _spectral.spectral_derivative(z, axis=2 + axis)
+    rhs = np.fft.fft(z, axis=2 + axis)
+    rhs *= np.reshape(1j * m, shape)
+    rhs = np.fft.ifft(rhs, axis=2 + axis)
     rhs *= 1j * c
     if im.winding is not None:
         w = im.winding[:n, axis] + 1j * im.winding[n:, axis]

@@ -402,7 +402,8 @@ _FLAT_TORUS = {"chart": {"name": "flat_c2"},
     ({"operation": "ambient.verify", "chart": {"name": "complex_hyperbolic_ball"},
       "params": {"r_max": -1}}, "params.r_max"),
     ({"operation": "ambient.verify", "chart": {"name": "poincare_disk"},
-      "params": {"r_max": -0.0}}, "params.r_max"),    # the second differences divide by one step squared
+      "params": {"r_max": -0.0}}, "params.r_max"),
+    # the second differences divide by one step squared
     ({"operation": "variation.convexity",
       "params": {"family": {"kind": "poincare_circle", "grid": 64},
                  "t_grid": [0.5, 0.575, 0.65, 0.8]}}, "t_grid must be uniformly spaced"),

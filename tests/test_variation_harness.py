@@ -226,12 +226,16 @@ def test_second_variation_modulated_circle(circle):
 
 
 def test_ray_only_second_variation_is_refused():
-    # the family runs both ways in t; the outward half is ill-posed, as in flow.run
-    samples = cl.synthesize(cl.family_coefficients("ray_only", N=256), M=1024)
-    im = imm.Immersion(grid=imm.GridTorus((1024,)), chart=ambient.flat_chart(1),
-                       points=np.stack([samples.real, samples.imag], axis=-1))
-    with pytest.raises(AmplificationExceeded, match="outer radius estimate"):
-        vh.check_second_variation_kahler(im, imm.coordinate_field(im.grid, 0))
+    # the family runs both ways in t; the outward half is ill-posed, as in
+    # flow.run, and for the mirrored curve the inward half
+    ray = cl.family_coefficients("ray_only", N=256)
+    mirrored = cl.FourierCurve(coeffs=ray.coeffs[::-1])
+    for curve, side in ((ray, "outer"), (mirrored, "inner")):
+        samples = cl.synthesize(curve, M=1024)
+        im = imm.Immersion(grid=imm.GridTorus((1024,)), chart=ambient.flat_chart(1),
+                           points=np.stack([samples.real, samples.imag], axis=-1))
+        with pytest.raises(AmplificationExceeded, match=f"{side} radius estimate"):
+            vh.check_second_variation_kahler(im, imm.coordinate_field(im.grid, 0))
 
 
 def test_second_variation_unavailable_direction(torus12):
@@ -327,6 +331,16 @@ def test_convexity_quotient_shear():
         np.linspace(-0.2, 0.2, 9))
     sd = prof["second_differences"][1:-1]
     assert np.all(sd >= -1e-6 * prof["vol_j"][1:-1])
+
+
+def test_convexity_quotient_shear_resolved_at_32():
+    # the 32x32 family carries Nyquist content along the sheared axis and
+    # agrees with the 64x64 one: the geodesic residual must accept it
+    ts = np.linspace(0.0, 0.4, 8)
+    profs = [vh.convexity_experiment(
+        {"kind": "quotient_torus_shear", "amplitude": 0.3, "grid": g}, ts)
+        for g in (32, 64)]
+    assert np.max(np.abs(profs[0]["vol_j"] - profs[1]["vol_j"])) <= 1e-9
 
 
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
