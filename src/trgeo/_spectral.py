@@ -14,6 +14,7 @@ O(h^2) estimates (`richardson`). Every integrator and extrapolation in the
 package goes through these.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -27,18 +28,15 @@ def modes(n):
 def spectral_derivative(values, axis, order=1):
     """Differentiate periodic samples along one grid axis.
 
-    Works on real or complex arrays of any shape; extra trailing axes
-    (e.g. ambient coordinates) ride along untouched. Real input goes through
-    the half spectrum (rfft/irfft) with the same Nyquist rule.
+    Works on real or complex arrays of any shape; the other axes (e.g.
+    ambient components) ride along untouched. Real input goes through the
+    half spectrum (rfft/irfft) with the same Nyquist rule.
     """
     n = values.shape[axis]
     real = np.isrealobj(values)
-    m = np.arange(n // 2 + 1) if real else modes(n)
-    mult = (1j * m) ** order
-    if order % 2 == 1 and n % 2 == 0:
-        mult[n // 2] = 0.0
+    mult = _derivative_multiplier(n, order, real)
     shape = [1] * values.ndim
-    shape[axis] = m.size
+    shape[axis] = mult.size
     mult = mult.reshape(shape)
     if real:
         spectrum = np.fft.rfft(values, axis=axis)
@@ -47,6 +45,21 @@ def spectral_derivative(values, axis, order=1):
     spectrum = np.fft.fft(values, axis=axis)
     spectrum *= mult
     return np.fft.ifft(spectrum, axis=axis)
+
+
+@functools.lru_cache(maxsize=64)
+def _derivative_multiplier(n, order, real):
+    """(i m)^order over the modes of n samples (the half spectrum when real).
+
+    The Nyquist mode of an even grid is zero for odd orders. The array is
+    shared by every call with the same (n, order, real), so it is read-only.
+    """
+    m = np.arange(n // 2 + 1) if real else modes(n)
+    mult = (1j * m) ** order
+    if order % 2 == 1 and n % 2 == 0:
+        mult[n // 2] = 0.0
+    mult.flags.writeable = False
+    return mult
 
 
 def fourier_coefficients(samples, axis=0):

@@ -2,7 +2,8 @@
 
 A scenario is a JSON file with a required "version": 1 field naming one
 operation and its inputs. Each run writes manifest.json (inputs, versions,
-tolerances), results.json, and any CSV series into the output directory.
+tolerances and the names of the files written, relative to the output
+directory), results.json, and any CSV series into the output directory.
 
 Exit codes: 0 success, 2 validation failure (bad file, unresolvable
 descriptor, unknown operation), 3 numerical failure (e.g. BlowUpDetected),
@@ -543,7 +544,7 @@ def run_scenario(path, out_dir, threads=None):
         if t_reached is not None:
             record["t_reached"] = t_reached
         _json_dump(record, results_path)
-        manifest["out_files"] = [results_path]
+        manifest["out_files"] = _out_names(out_dir, [results_path])
         _json_dump(manifest, os.path.join(out_dir, "manifest.json"))
         return 3
     record = {
@@ -553,9 +554,15 @@ def run_scenario(path, out_dir, threads=None):
         "results": results,
     }
     _json_dump(record, results_path)
-    manifest["out_files"] = sorted([results_path] + list(files))
+    manifest["out_files"] = _out_names(out_dir, [results_path] + list(files))
     _json_dump(manifest, os.path.join(out_dir, "manifest.json"))
     return 0
+
+
+def _out_names(out_dir, paths):
+    """The written files named relative to the output directory, sorted, so
+    that the manifest does not depend on where the run writes."""
+    return sorted(os.path.relpath(p, out_dir) for p in paths)
 
 
 def main(argv=None):

@@ -11,7 +11,8 @@ Two schemes solve the Cauchy problem for coordinate-aligned X on flat charts:
   curves whose adverse-side radius estimate pins them to the unit circle the
   flow refuses to start at all. The family is made, residual-checked and
   validated in blocks of at most _BLOCK_NODES grid nodes, one inverse FFT
-  and one stacked frame build per block.
+  and one stacked frame build per block, each block laid out
+  (B, 2n) + grid.sizes with the components ahead of the grid axes.
 
 * flow_timestep: guarded RK4 with a 2/3 dealiasing filter and a spectral
   tail-energy monitor that aborts (BlowUpDetected) when the retained top
@@ -19,8 +20,9 @@ Two schemes solve the Cauchy problem for coordinate-aligned X on flat charts:
   non-analytic data instead of smoothing it away. Each right-hand side
   differentiates only along the live axes, those where a component of X is
   not exactly zero, and the filter and the tail fraction work on the half
-  spectrum of the real points. It stays in physical space, independent of
-  the mode-wise continuation it is compared against.
+  spectrum of the real points, laid out (2n,) + grid.sizes. It stays in
+  physical space, independent of the mode-wise continuation it is compared
+  against.
 
 geodesic_family is the generator the variation oracles use: the same
 guarded, residual-checked continuation on any chart (it only needs J to be
@@ -151,9 +153,10 @@ def tangential_flow(im, X, t):
     return _resample_axis(im, axis, theta)
 
 
-def _complex_components(points, n):
-    """z_k = x_k + i y_k arrays; the flow acts mode-wise on these."""
-    return points[..., :n] + 1j * points[..., n:]
+def _complex_components(im):
+    """z_k = x_k + i y_k, laid out (n,) + grid.sizes; the flow acts mode-wise on these."""
+    pts = im.components_first()
+    return pts[:im.chart.n] + 1j * pts[im.chart.n:]
 
 
 def mode_growth_guard(im, axis, c, t_extent, margin=curve_lab.RADIUS_MARGIN):
@@ -164,13 +167,12 @@ def mode_growth_guard(im, axis, c, t_extent, margin=curve_lab.RADIUS_MARGIN):
     tail, the radius estimate itself (flowing inward needs inner radius
     strictly below 1, outward needs outer radius strictly above 1).
     """
-    z = _complex_components(im.points, im.chart.n)
-    coeffs = np.fft.fftn(z, axes=tuple(range(im.n)))
+    coeffs = np.fft.fftn(_complex_components(im), axes=tuple(range(1, 1 + im.n)))
     mags = np.abs(coeffs)
     scale = float(np.max(mags))
     m = _spectral.modes(im.grid.sizes[axis])
-    shape = [1] * im.points.ndim
-    shape[axis] = im.grid.sizes[axis]
+    shape = [1] * mags.ndim
+    shape[1 + axis] = im.grid.sizes[axis]
     factors = np.exp(-np.reshape(m, shape) * c * t_extent)
     present = mags > SPECTRAL_PRESENCE_FLOOR * max(scale, 1.0)
     if not np.any(present):
@@ -255,9 +257,9 @@ def geodesic_family(im, Y, ts):
 
 
 def _members(im, pts):
-    """The immersions of a block of points, sharing im's grid, chart and winding."""
-    return [Immersion(grid=im.grid, chart=im.chart, points=p, winding=im.winding)
-            for p in pts]
+    """The immersions of a block (B, 2n) + sizes, sharing im's grid, chart and winding."""
+    return [Immersion(grid=im.grid, chart=im.chart, points=np.moveaxis(p, 0, -1),
+                      winding=im.winding) for p in pts]
 
 
 def _amplification(im, axis, c, ts):
@@ -301,16 +303,16 @@ def _checked_blocks(im, axis, c, ts):
 def _geodesic_residual(points, im, axis, c):
     """max |d iota/dt - J iota_* X| over a block of frames, both sides spectral.
 
-    points is (B,) + grid.sizes + (2n,). d/dt of the continuation scales mode
-    m by -m c; the right-hand side is J applied to c d iota/dtheta_axis, the
-    derivative taking i m with the modes of the continuation. On an even axis
-    that keeps the Nyquist mode as m = -n/2, where spectral_derivative (made
-    for real data) drops it; the two sides are identical in exact arithmetic,
-    so the residual certifies the implementation rather than the data. NaN
-    anywhere gives NaN.
+    points is a block (B, 2n) + grid.sizes of _continued_blocks. d/dt of the
+    continuation scales mode m by -m c; the right-hand side is J applied to
+    c d iota/dtheta_axis, the derivative taking i m with the modes of the
+    continuation. On an even axis that keeps the Nyquist mode as m = -n/2,
+    where spectral_derivative (made for real data) drops it; the two sides
+    are identical in exact arithmetic, so the residual certifies the
+    implementation rather than the data. NaN anywhere gives NaN.
     """
     n = im.chart.n
-    z = _components_first(points, n)
+    z = points[:, :n] + 1j * points[:, n:]
     grid_axes = tuple(range(2, z.ndim))
     coeffs = np.fft.fftn(z, axes=grid_axes)
     nk = im.grid.sizes[axis]
@@ -333,35 +335,22 @@ def _geodesic_residual(points, im, axis, c):
     return float(np.max(np.abs(dz_dt)))
 
 
-def _components_first(points, n):
-    """z_k = x_k + i y_k of a block (B,) + sizes + (2n,), laid out (B, n) + sizes.
-
-    The values are those of _complex_components; with the components ahead
-    of the grid axes every FFT line is contiguous in memory, which makes the
-    transforms along the last grid axis several times faster.
-    """
-    x = np.moveaxis(points[..., :n], -1, 1)
-    z = np.multiply(1j, np.moveaxis(points[..., n:], -1, 1),
-                    out=np.empty(x.shape, dtype=complex))
-    return np.add(x, z, out=z)
-
-
 def _continued_blocks(im, axis, c, ts):
-    """Points of the continuation at ts, in blocks (B,) + grid.sizes + (2n,).
+    """Points of the continuation at ts, in blocks (B, 2n) + grid.sizes.
 
     Each Fourier mode m along the axis of each complex component z_k is
     multiplied by e^{-m c t}: the spectrum is taken once, and each block of
-    at most _BLOCK_NODES nodes (at least one frame) is one inverse FFT, taken
-    with the components ahead of the grid axes (see _components_first).
+    at most _BLOCK_NODES nodes (at least one frame) is one inverse FFT. The
+    components stay ahead of the grid axes throughout, so every transform
+    line is contiguous in memory; _members and is_totally_real_stack read
+    the blocks in that layout.
     """
     n = im.chart.n
-    z = _complex_components(im.points, n)
-    coeffs = np.fft.fftn(z, axes=tuple(range(im.n)))
+    coeffs = np.fft.fftn(_complex_components(im), axes=tuple(range(1, 1 + im.n)))
     # numerically absent modes would only inject e^{|m| c t}-amplified noise
     mags = np.abs(coeffs)
     coeffs = np.where(mags > SPECTRAL_PRESENCE_FLOOR * max(float(np.max(mags)), 1.0),
                       coeffs, 0.0)
-    coeffs = np.ascontiguousarray(np.moveaxis(coeffs, -1, 0))
     nk = im.grid.sizes[axis]
     m = _spectral.modes(nk)
     shape = [1] * coeffs.ndim
@@ -379,22 +368,27 @@ def _continued_blocks(im, axis, c, ts):
                            axes=tuple(range(2, 2 + im.n)))
         if drift is not None:
             z_t = z_t + t * drift
-        pts = np.empty((len(z_t),) + im.points.shape)
-        pts[..., :n] = np.moveaxis(z_t.real, 1, -1)
-        pts[..., n:] = np.moveaxis(z_t.imag, 1, -1)
-        yield pts
+        block = np.empty((len(z_t), 2 * n) + im.grid.sizes)
+        block[:, :n] = z_t.real
+        block[:, n:] = z_t.imag
+        yield block
 
 
 def flow_timestep(im, X, t_final, dt, store_every=1):
     """RK4 time stepping of d iota/dt = J iota_* X with spectral guards.
 
-    Only the live axes k, where X^k is not exactly zero, are differentiated:
-    a skipped term is an exact zero, so the frames are the ones every axis
-    would give (a coordinate field on a 2-torus takes one derivative per RK4
-    stage instead of two). The dealias filter and the tail fraction use the
-    half spectrum of the last grid axis, whose interior columns count twice
-    in the energy sums, so the fraction equals the full-spectrum one up to
-    round-off.
+    The state is laid out components first, (2n,) + grid.sizes, so every
+    FFT line and the product with J run over contiguous memory; the stored
+    frames are Immersions whose points are views of it with the components
+    last. Only the live axes k, where X^k is not exactly zero, are
+    differentiated: a skipped term is an exact zero, so the frames are the
+    ones every axis would give (a coordinate field on a 2-torus takes one
+    derivative per RK4 stage instead of two). The dealias filter and the
+    tail fraction use the half spectrum of the last grid axis, whose
+    interior columns count twice in the energy sums, so the fraction equals
+    the full-spectrum one up to round-off. Masks, weights and the winding
+    columns are built once per call, the derivative multipliers once per
+    process (_spectral.spectral_derivative).
     """
     if dt <= 0.0:
         raise ValidationError("dt must be positive")
@@ -406,72 +400,87 @@ def flow_timestep(im, X, t_final, dt, store_every=1):
         raise StepTooLarge(
             f"dt*m*|X| = {dt * m_eff * max_speed:.3g} > 0.5; reduce dt"
         )
-    JT = im.chart.J.T
-    grid_axes = tuple(range(im.n))
+    J = im.chart.J
+    n = im.n
+    grid_axes = tuple(range(1, 1 + n))
     # axes whose field component is exactly zero add exact zeros: skip them
-    live = [k for k in range(im.n) if np.any(comp[k] != 0.0)]
+    live = [k for k in range(n) if np.any(comp[k] != 0.0)]
+    # W e_k laid out (2n,) + (1,) * n, added to the derivative along axis k
+    drift = None if im.winding is None else [
+        np.reshape(im.winding[:, k], (-1,) + (1,) * n) for k in range(n)]
 
     # dealias keeps |m_k| <= cutoff_k on every axis; the tail is the top half
     # of that band on any axis. Both masks live on the half spectrum of the
-    # last grid axis.
+    # last grid axis, with a leading axis of 1 for the components.
     half = im.grid.sizes[:-1] + (im.grid.sizes[-1] // 2 + 1,)
-    mask = np.ones(half + (1,), dtype=bool)
-    tail_mask = np.zeros(half + (1,), dtype=bool)
+    mask = np.ones((1,) + half, dtype=bool)
+    tail_mask = np.zeros((1,) + half, dtype=bool)
     for k, s in enumerate(im.grid.sizes):
-        m = np.abs(_spectral.modes(s)) if k < im.n - 1 else np.arange(half[-1])
-        shape = [1] * (im.n + 1)
-        shape[k] = m.size
+        m = np.abs(_spectral.modes(s)) if k < n - 1 else np.arange(half[-1])
+        shape = [1] * (n + 1)
+        shape[1 + k] = m.size
         mask = mask & (m <= cutoffs[k]).reshape(shape)
         tail_mask = tail_mask | ((m > cutoffs[k] / 2.0) & (m <= cutoffs[k])).reshape(shape)
     # energy weights: a half-spectrum column other than 0 and Nyquist stands
     # for two conjugate modes; the DC mode is left out of the budget
-    weight = np.full(half + (1,), 2.0)
-    weight[..., 0, :] = 1.0
+    weight = np.full((1,) + half, 2.0)
+    weight[..., 0] = 1.0
     if im.grid.sizes[-1] % 2 == 0:
-        weight[..., -1, :] = 1.0
-    weight[tuple([0] * im.n)] = 0.0
-    tail_weight = np.where(tail_mask, weight, 0.0)
+        weight[..., -1] = 1.0
+    weight[(0,) * (n + 1)] = 0.0
+    # columns: the weights of the total and of the tail, one row per
+    # coefficient of the (2n,) + half spectrum, so one product gives both sums
+    weights = np.stack([np.broadcast_to(w, (len(J),) + half).ravel()
+                        for w in (weight, np.where(tail_mask, weight, 0.0))], axis=-1)
 
     def rhs(points):
-        out = np.zeros_like(points)
+        out = None
         for k in live:
-            dk = _spectral.spectral_derivative(points, axis=k)
-            if im.winding is not None:
-                dk = dk + im.winding[:, k]
-            out += comp[k][..., None] * dk
-        return out @ JT
+            dk = _spectral.spectral_derivative(points, axis=1 + k)
+            if drift is not None:
+                dk += drift[k]
+            dk *= comp[k]
+            out = dk if out is None else out + dk
+        if out is None:
+            return np.zeros_like(points)
+        return (J @ out.reshape(len(J), -1)).reshape(out.shape)
 
     def dealias(points):
         """Dealiased points and their spectral tail fraction, from one real FFT."""
-        c = np.fft.rfftn(points, axes=grid_axes) * mask
-        energy = np.abs(c) ** 2
-        total = float(np.sum(energy * weight))
-        frac = 0.0 if total == 0.0 else float(np.sum(energy * tail_weight)) / total
+        c = np.fft.rfftn(points, axes=grid_axes)
+        c *= mask
+        total, tail = (np.abs(c) ** 2).reshape(-1) @ weights
+        frac = 0.0 if total == 0.0 else float(tail) / float(total)
         return np.fft.irfftn(c, s=im.grid.sizes, axes=grid_axes), frac
+
+    def stored(points):
+        return Immersion(grid=im.grid, chart=im.chart, points=np.moveaxis(points, 0, -1),
+                         winding=im.winding)
 
     n_steps = int(round(t_final / dt))
     if abs(n_steps * dt - t_final) > 1e-12 * max(1.0, abs(t_final)):
         n_steps = math.ceil(t_final / dt)
         dt = t_final / n_steps
-    pts, _ = dealias(im.points)
+    pts, _ = dealias(im.components_first())
     times = [0.0]
-    frames_out = [Immersion(grid=im.grid, chart=im.chart, points=pts.copy(),
-                            winding=im.winding)]
+    frames_out = [stored(pts)]
     amp = 1.0
     base_norm = float(np.max(np.abs(pts)) + 1.0)
     for step in range(1, n_steps + 1):
+        # every step makes a new array, so a stored frame is never written
         pts, frac = dealias(_spectral.rk4_step(rhs, pts, dt))
         t = step * dt
-        amp = max(amp, float(np.max(np.abs(pts)) + 1.0) / base_norm)
-        if not np.all(np.isfinite(pts)) or frac > TAIL_ENERGY_ABORT:
+        # NaN and inf propagate to the maximum
+        top = float(np.max(np.abs(pts)))
+        amp = max(amp, (top + 1.0) / base_norm)
+        if not math.isfinite(top) or frac > TAIL_ENERGY_ABORT:
             raise BlowUpDetected(
                 f"spectral tail energy fraction {frac:.3g} at t = {t:.4g}",
                 t_reached=t,
             )
         if step % store_every == 0 or step == n_steps:
             times.append(t)
-            frames_out.append(Immersion(grid=im.grid, chart=im.chart,
-                                        points=pts.copy(), winding=im.winding))
+            frames_out.append(stored(pts))
     is_totally_real(frames_out[-1])
     return FlowResult(times=times, immersions=frames_out, amplification=amp,
                       scheme="timestep")
@@ -540,7 +549,7 @@ def uniqueness_compare(im, X, t_final):
     for pts, _ in _checked_blocks(im, axis, c, ts):
         is_totally_real_stack(im.grid, im.chart, pts, im.winding)
         for a, b in zip(stepped.immersions[k:k + len(pts)], pts):
-            worst = max(worst, float(np.max(np.abs(a.points - b))))
+            worst = max(worst, float(np.max(np.abs(np.moveaxis(a.points, -1, 0) - b))))
         k += len(pts)
     return worst
 

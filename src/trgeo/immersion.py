@@ -49,10 +49,6 @@ class GridTorus:
         return len(self.sizes)
 
     @property
-    def spacing(self):
-        return tuple(2.0 * np.pi / s for s in self.sizes)
-
-    @property
     def cell(self):
         c = 1.0
         for s in self.sizes:
@@ -125,7 +121,17 @@ class Immersion:
 
     def coordinate_vectors(self):
         """d iota / d theta_k arrays, shape (n,) + grid.sizes + (2n,)."""
-        return _coordinate_vectors(self.grid, self.points, self.winding)
+        return np.moveaxis(_coordinate_vectors(self.grid, self.components_first(),
+                                               self.winding), 1, -1)
+
+    def components_first(self):
+        """The points copied to (2n,) + grid.sizes, the layout of the geometry code.
+
+        A copy and not a moved view: numpy's FFTs lay out their output in
+        memory as their input is laid out, so a view would keep the
+        components last in memory.
+        """
+        return np.ascontiguousarray(np.moveaxis(self.points, -1, 0))
 
     def complex_samples(self):
         """For n = 1 curves in C: points as a complex array."""
@@ -167,13 +173,17 @@ def load_immersion(path):
         return immersion_from_dict(json.load(f))
 
 
-# Points may carry leading batch axes: a stack (B,) + grid.sizes + (2n,) holds
-# B immersions that share a grid, a chart and a winding. The helpers below
-# address the grid axes from the end, so one immersion and a stack go through
-# the same arithmetic.
+# Inside the geometry code the ambient components come ahead of the grid
+# axes, so that every FFT line and every nodewise sum over the components
+# runs over contiguous memory: one immersion is (2n,) + grid.sizes and a
+# stack of B immersions sharing a grid, a chart and a winding is
+# (2n, B) + grid.sizes. The public arrays (Immersion.points, the Geometry
+# fields) and the chart kernels keep the components last; each call
+# converts once. The helpers below address the grid axes from the end, so
+# one immersion and a stack go through the same arithmetic.
 
 def _positions(grid, points, winding):
-    """winding @ theta + points, for one immersion or a stack."""
+    """winding @ theta + points, components last, for one immersion or a stack."""
     if winding is None:
         return points
     lin = sum(np.asarray(m)[..., None] * winding[:, k]
@@ -182,33 +192,34 @@ def _positions(grid, points, winding):
 
 
 def _coordinate_vectors(grid, points, winding):
-    """d iota / d theta_k stacked on a new first axis: (n,) + points.shape."""
+    """d iota / d theta_k of points (2n,) + nodes, stacked: (n, 2n) + nodes."""
     n = grid.n
-    vs = np.stack([_spectral.spectral_derivative(points, axis=k - n - 1)
+    vs = np.stack([_spectral.spectral_derivative(points, axis=k - n)
                    for k in range(n)])
     if winding is not None:
-        for k in range(n):
-            vs[k] += winding[:, k]
+        vs += winding.T.reshape(winding.T.shape + (1,) * (points.ndim - 1))
     return vs
 
 
 # --- geometry of one immersion -----------------------------------------------
 
 def _apply(mat, v):
-    """Nodewise matrix-vector product mat v.
+    """Nodewise product mat v of a matrix field nodes + (2n, 2n) with v (2n,) + nodes.
 
     A field that is one matrix broadcast over the nodes (zero strides on its
     node axes, as flat charts' metric_many returns for I and J^T) is applied
-    as one matrix product; for those 0/+-1 matrices that is exact.
+    as one (2n x 2n) @ (2n x nodes) matrix product; for those 0/+-1
+    matrices that is exact.
     """
     if not any(mat.strides[:-2]):
-        return v @ mat[(0,) * (mat.ndim - 2)].T
-    return np.einsum("...ij,...j->...i", mat, v)
+        flat = mat[(0,) * (mat.ndim - 2)] @ v.reshape(v.shape[0], -1)
+        return flat.reshape(v.shape)
+    return np.einsum("...ij,j...->i...", mat, v)
 
 
 def _dot(a, b):
-    """Nodewise Euclidean dot product a . b."""
-    return np.einsum("...i,...i->...", a, b)
+    """Nodewise Euclidean dot product a . b over the leading component axis."""
+    return np.einsum("i...,i...->...", a, b)
 
 
 @dataclass
@@ -219,6 +230,8 @@ class Geometry:
     and the Lagrangian defect are computed on first read and kept, so a
     caller that holds one Geometry builds each of them at most once. The
     object lives in its caller's scope; nothing is cached on the Immersion.
+    vectors and frame keep the components last, as views of the builder's
+    components-first arrays (see _frame_fields).
     """
 
     im: Immersion = field(repr=False)
@@ -232,7 +245,7 @@ class Geometry:
     @cached_property
     def density(self):
         """Per-node rho_J and volume densities (theta-coordinate components)."""
-        rho = _rho_h(self.frame, self.omega_ambient)
+        rho = _rho_h(np.moveaxis(self.frame, -1, 1), self.omega_ambient)
         volg = self.induced_vol
         return JVolumeDensity(rho=rho, volg_density=volg, volj_density=rho * volg,
                               frame=self.frame, g_ambient=self.g_ambient,
@@ -349,27 +362,32 @@ def frames(im):
     DegenerateFrame when a frame vector's norm is not above its floor at some
     node, NaN and inf included.
     """
-    vs = im.coordinate_vectors()
+    # coordinate_vectors is a components-last view; this is its contiguous base
+    vs = np.moveaxis(im.coordinate_vectors(), -1, 1)
     frame, coeffs, g, omega, induced_vol, degenerate = _frame_fields(
         im.grid, im.chart, vs, im.positions())
     if degenerate:
         raise DegenerateFrame(_degenerate_message(induced_vol))
-    return Geometry(im=im, vectors=vs, frame=frame, coeffs=coeffs,
+    return Geometry(im=im, vectors=np.moveaxis(vs, 1, -1),
+                    frame=np.moveaxis(frame, 1, -1), coeffs=coeffs,
                     g_ambient=g, omega_ambient=omega, induced_vol=induced_vol)
 
 
 def _frame_fields(grid, chart, vs, pos):
     """Frame fields of one immersion or of a stack sharing grid and chart.
 
-    vs are the coordinate vectors, (n,) + nodes + (2n,), and pos the chart
-    positions, nodes + (2n,), where nodes is grid.sizes for one immersion and
-    (B,) + grid.sizes for a stack. Inner products are g v formed once per
-    vector, then a dot product; the Gram determinant is the closed form for
-    n <= 2. Returns (frame, coeffs, g, omega, induced_vol, degenerate):
-    coeffs has shape (n, n) + nodes, and degenerate holds one flag per member
-    (shape nodes minus the grid axes), set when the volume is not finite or
-    a frame vector's norm is not above 1e-12 of its length at some node.
-    Such nodes are divided by 1 instead, so no member disturbs another.
+    Components come first in vs, the coordinate vectors, (n, 2n) + nodes,
+    where nodes is grid.sizes for one immersion and (B,) + grid.sizes for a
+    stack; pos are the chart positions as the chart takes them,
+    nodes + (2n,). Inner products are g v formed once per vector (_apply),
+    then a dot product over the component axis; the Gram determinant is the
+    closed form for n <= 2.
+    Returns (frame, coeffs, g, omega, induced_vol, degenerate): frame is
+    (n, 2n) + nodes, coeffs (n, n) + nodes, g and omega the chart's
+    nodes + (2n, 2n), and degenerate holds one flag per member (shape nodes
+    minus the grid axes), set when the volume is not finite or a frame
+    vector's norm is not above 1e-12 of its length at some node. Such nodes
+    are divided by 1 instead, so no member disturbs another.
     """
     g, omega = chart.metric_many(pos)
     n = grid.n
@@ -382,7 +400,7 @@ def _frame_fields(grid, chart, vs, pos):
 
     bad = ~np.isfinite(induced_vol)
     frame = np.empty_like(vs)
-    g_frame = np.empty_like(vs)
+    g_frame = np.empty_like(vs[:-1])    # g e_i is read only by the later vectors
     coeffs = np.zeros((n, n) + nodes)
     for i in range(n):
         u, g_u = vs[i], g_vs[i]
@@ -392,7 +410,7 @@ def _frame_fields(grid, chart, vs, pos):
             u = u.copy()
             for j in range(i):
                 proj = _dot(u, g_frame[j])
-                u -= proj[..., None] * frame[j]
+                u -= proj * frame[j]
                 c -= proj * coeffs[j]
             g_u = _apply(g, u)
         norms = np.sqrt(np.maximum(_dot(u, g_u), 0.0))
@@ -401,9 +419,10 @@ def _frame_fields(grid, chart, vs, pos):
         low = ~(norms > 1e-12 * np.maximum(ref, 1.0))
         bad |= low
         norms = np.where(low, 1.0, norms)
-        np.divide(u, norms[..., None], out=frame[i])
-        if i < n - 1:           # g e_i is read only by the later vectors
-            np.divide(g_u, norms[..., None], out=g_frame[i])
+        # the norms broadcast over the component axis ahead of the nodes
+        np.divide(u, norms, out=frame[i])
+        if i < n - 1:
+            np.divide(g_u, norms, out=g_frame[i])
         np.divide(c, norms, out=coeffs[i])
     degenerate = np.any(bad, axis=tuple(range(-n, 0)))
     return frame, coeffs, g, omega, induced_vol, degenerate
@@ -419,12 +438,14 @@ def _degenerate_message(induced_vol):
 def _rho_h(frame_vectors, omega):
     """sqrt(det_C (delta_ij - i omega(e_i, e_j))) for orthonormal frames e_i.
 
-    omega is antisymmetric, so the real part of the determinant is 1 for
-    curves and 1 - om_00 om_11 + om_01 om_10 for surfaces.
+    frame_vectors is (n, 2n) + nodes, components first as _frame_fields
+    makes them; omega is nodes + (2n, 2n). omega is antisymmetric, so the
+    real part of the determinant is 1 for curves and
+    1 - om_00 om_11 + om_01 om_10 for surfaces.
     """
     n = frame_vectors.shape[0]
     if n == 1:
-        return np.ones(frame_vectors.shape[1:-1])
+        return np.ones(frame_vectors.shape[2:])
     om_e = [_apply(omega, e) for e in frame_vectors]
     om = [[_dot(frame_vectors[i], om_e[j]) for j in range(n)] for i in range(n)]
     det_h = 1.0 - om[0][0] * om[1][1] + om[0][1] * om[1][0]
@@ -447,8 +468,11 @@ def rho_of_frame(frame_vectors, g, omega, J):
 
     rho_h   = sqrt(det_C (delta_ij - i omega(e_i, e_j)))
     rho_vol = sqrt( sqrt(det g) * det[e_1 .. e_n, Je_1 .. Je_n] )
+
+    frame_vectors is (n,) + nodes + (2n,), as Geometry.frame.
     """
-    return _rho_h(frame_vectors, omega), _rho_vol(frame_vectors, g, J)
+    return (_rho_h(np.moveaxis(frame_vectors, -1, 1), omega),
+            _rho_vol(frame_vectors, g, J))
 
 
 @dataclass
@@ -525,24 +549,31 @@ def is_totally_real(im, rho_min=RHO_MIN):
 def is_totally_real_stack(grid, chart, points, winding=None, rho_min=RHO_MIN):
     """is_totally_real on every member of a stack, from one frame build.
 
-    points is (B,) + grid.sizes + (2n,): B immersions sharing grid, chart and
-    winding. The checks are reduced per member, and the error raised is the
-    one the loop `for p in points: is_totally_real(Immersion(...))` raises:
-    the first failing member, and within it the frame check, then the
-    volume check, then the rho_J check. A domain or metric failure of the
-    stack as a whole is handed to that loop, which names the member.
+    points is (B, 2n) + grid.sizes, the components ahead of the grid axes:
+    B immersions sharing grid, chart and winding, member b being
+    Immersion(points=np.moveaxis(points[b], 0, -1)). The frame builder reads
+    the stack copied to (2n, B) + grid.sizes. The checks are reduced per
+    member, and the error raised is the one the loop
+    `for p in points: is_totally_real(Immersion(...))` raises: the first
+    failing member, and within it the frame check, then the volume check,
+    then the rho_J check. A domain or metric failure of the stack as a whole
+    is handed to that loop, which names the member.
     """
     points = np.asarray(points, dtype=float)
-    pos = _positions(grid, points, winding)
+    pos = _positions(grid, np.moveaxis(points, 1, -1), winding)
     try:
         chart.require_inside(pos)
         with np.errstate(over="ignore", invalid="ignore"):
+            # the copy lives only while the coordinate vectors are made
+            vs = _coordinate_vectors(
+                grid, np.ascontiguousarray(np.moveaxis(points, 1, 0)), winding)
             frame, _, _, omega, induced_vol, degenerate = _frame_fields(
-                grid, chart, _coordinate_vectors(grid, points, winding), pos)
+                grid, chart, vs, pos)
             rho = _rho_h(frame, omega)
     except (PointOutsideDomain, MetricNotPositiveDefinite):
         for p in points:
-            is_totally_real(Immersion(grid=grid, chart=chart, points=p,
+            is_totally_real(Immersion(grid=grid, chart=chart,
+                                      points=np.moveaxis(p, 0, -1),
                                       winding=winding), rho_min)
         raise
     for b in range(points.shape[0]):

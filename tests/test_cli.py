@@ -43,6 +43,19 @@ def test_run_classify_scenario(classify_scenario, tmp_path):
     assert "tolerances" in manifest
 
 
+def test_manifest_does_not_depend_on_the_output_directory(tmp_path):
+    scn = write_scenario(tmp_path / "jvol.json", {
+        "version": 1, "name": "jvol", "operation": "jvol.compute",
+        "chart": {"name": "flat_c2"},
+        "immersion": {"formula": "product_torus", "grid": 16}})
+    outs = [tmp_path / "a", tmp_path / "deeper" / "than" / "a"]
+    for out in outs:
+        assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 0
+    manifests = [(out / "manifest.json").read_bytes() for out in outs]
+    assert manifests[0] == manifests[1]
+    assert json.loads(manifests[0])["out_files"] == ["density.csv", "results.json"]
+
+
 def test_subcommand_must_match_operation(classify_scenario, tmp_path):
     status = cli.main(["curve", "length", "--scenario", classify_scenario,
                        "--out", str(tmp_path / "o")])

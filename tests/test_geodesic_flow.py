@@ -207,14 +207,21 @@ def cosine_axis_field(grid, axis, base=1.0, amplitude=0.3):
 
 
 @pytest.mark.parametrize("case, axis", [("perturbed", 0), ("perturbed", 1),
-                                        ("wound", 0), ("ellipse", 0)])
+                                        ("perturbed", "both"), ("wound", 0),
+                                        ("wound", 1), ("ellipse", 0)])
 def test_timestep_matches_full_spectrum_reference(case, axis):
     if case == "ellipse":
         im = imm.build_immersion(imm.GridTorus((256,)), ambient.flat_chart(1),
                                  "ellipse", a=2.0, b=1.0)
     else:
         im = perturbed_torus() if case == "perturbed" else wound_torus()
-    X = cosine_axis_field(im.grid, axis)
+    if axis == "both":
+        # both axes live, with profiles along different axes
+        comp = (cosine_axis_field(im.grid, 0).components
+                + cosine_axis_field(im.grid, 1, base=0.5, amplitude=0.2).components)
+        X = imm.VectorFieldOnL(grid=im.grid, components=comp)
+    else:
+        X = cosine_axis_field(im.grid, axis)
     flow = gf.flow_timestep(im, X, 0.05, 2.5e-3)
     times, ref = flow_timestep_full_spectrum(im, X, 0.05, 2.5e-3)
     assert flow.times == times
@@ -245,7 +252,8 @@ def test_timestep_differentiates_live_axes_only(axis, monkeypatch):
 
     def recording(values, axis, order=1):
         if not validating:
-            calls.append(axis)
+            # the stepper's points are (2n,) + grid sizes: map to grid axes
+            calls.append(axis % values.ndim - 1)
         return derivative(values, axis=axis, order=order)
 
     def final_check(im):
@@ -479,7 +487,7 @@ def test_nan_in_a_block_fails_the_residual_check(circle, monkeypatch):
     def poisoned(im, axis, c, ts):
         for k, pts in enumerate(blocks(im, axis, c, ts)):
             if k == 1:
-                pts[2, 5, 0] = np.nan
+                pts[2, 0, 5] = np.nan
             yield pts
 
     monkeypatch.setattr(gf, "_continued_blocks", poisoned)

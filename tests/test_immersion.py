@@ -394,7 +394,9 @@ def _stack_cases():
 def test_stacked_frame_fields_equal_each_member(case):
     _, grid, chart, members, winding = case
     pts = np.stack(members)
-    vs = imm._coordinate_vectors(grid, pts, winding)
+    # the builder's stack layout: components first, (2n, B) + grid sizes
+    ahead = np.ascontiguousarray(np.moveaxis(pts, -1, 0))
+    vs = imm._coordinate_vectors(grid, ahead, winding)
     frame, coeffs, g, omega, vol, degenerate = imm._frame_fields(
         grid, chart, vs, imm._positions(grid, pts, winding))
     assert coeffs.shape == (grid.n, grid.n) + pts.shape[:-1]
@@ -402,8 +404,8 @@ def test_stacked_frame_fields_equal_each_member(case):
     for b, p in enumerate(members):
         fr = imm.frames(imm.Immersion(grid=grid, chart=chart, points=p,
                                       winding=winding))
-        assert np.array_equal(vs[:, b], fr.vectors)
-        assert np.array_equal(frame[:, b], fr.frame)
+        assert np.array_equal(np.moveaxis(vs[:, :, b], 1, -1), fr.vectors)
+        assert np.array_equal(np.moveaxis(frame[:, :, b], 1, -1), fr.frame)
         assert np.array_equal(coeffs[:, :, b], fr.coeffs)
         assert np.array_equal(g[b], fr.g_ambient)
         assert np.array_equal(omega[b], fr.omega_ambient)
@@ -426,8 +428,10 @@ def _family_errors(grid, chart, family, rho_min, block=8):
                                 rho_min)
 
     def blocks():
+        # stacks are (B, 2n) + grid sizes
+        ahead = np.moveaxis(family, -1, 1)
         for s in range(0, len(family), block):
-            imm.is_totally_real_stack(grid, chart, family[s:s + block],
+            imm.is_totally_real_stack(grid, chart, ahead[s:s + block],
                                       rho_min=rho_min)
 
     return _raised(loop), _raised(blocks)
@@ -490,7 +494,8 @@ def test_nan_node_fails_validation(flat2):
     with pytest.raises(NotImmersed, match="not finite"):
         imm.total_volumes(bad)
     with pytest.raises(NotImmersed, match="not finite"):
-        imm.is_totally_real_stack(im.grid, flat2, np.stack([im.points, pts]))
+        imm.is_totally_real_stack(im.grid, flat2,
+                                  np.moveaxis(np.stack([im.points, pts]), -1, 1))
 
 
 @pytest.mark.parametrize("bad", [{10: 0.99}, {3: 0.0, 10: 0.99}, {4: 0.99, 5: 0.0}])

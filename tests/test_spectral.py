@@ -6,8 +6,8 @@ import numpy as np
 from trgeo import curve_lab as cl
 import pytest
 
-from trgeo._spectral import (evaluate_fourier, modes, richardson, rk4_step,
-                              spectral_derivative)
+from trgeo._spectral import (_derivative_multiplier, evaluate_fourier, modes,
+                              richardson, rk4_step, spectral_derivative)
 
 
 def direct_sum(coeffs, theta):
@@ -104,3 +104,34 @@ def test_richardson_exact_on_quadratic_model():
 
     assert richardson(estimate, 0.5) == 1.5
     assert sorted(calls) == [0.25, 0.5]
+
+
+def uncached_derivative(values, axis, order=1):
+    """Reference: spectral_derivative with the multiplier built on every call."""
+    n = values.shape[axis]
+    real = np.isrealobj(values)
+    m = np.arange(n // 2 + 1) if real else modes(n)
+    mult = (1j * m) ** order
+    if order % 2 == 1 and n % 2 == 0:
+        mult[n // 2] = 0.0
+    shape = [1] * values.ndim
+    shape[axis] = m.size
+    if real:
+        return np.fft.irfft(np.fft.rfft(values, axis=axis) * mult.reshape(shape),
+                            n=n, axis=axis)
+    return np.fft.ifft(np.fft.fft(values, axis=axis) * mult.reshape(shape), axis=axis)
+
+
+@pytest.mark.parametrize("n", [15, 16, 32])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_cached_multiplier_gives_the_uncached_derivative_bitwise(n, order):
+    rng = np.random.default_rng(n + order)
+    real = rng.normal(size=(4, n, n))
+    for values in (real, real + 1j * rng.normal(size=real.shape)):
+        for axis in (1, 2, -1):
+            assert np.array_equal(spectral_derivative(values, axis, order),
+                                  uncached_derivative(values, axis, order))
+    # the multiplier is shared between calls, so nobody may write to it
+    shared = _derivative_multiplier(n, order, True)
+    assert shared is _derivative_multiplier(n, order, True)
+    assert not shared.flags.writeable
