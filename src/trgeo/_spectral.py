@@ -6,12 +6,12 @@ Nyquist mode is dropped from odd-order derivatives, the standard choice for
 real data. Quadrature of periodic integrands is the node sum times the cell
 area, accumulated with math.fsum in fixed order so results are deterministic.
 
-Besides the FFT helpers the module holds the three building blocks of the
+Besides the FFT helpers the module holds the building blocks of the
 oracles: the off-grid Fourier evaluator (`evaluate_fourier`, one array of
 angles for the first axis of the coefficients, the other axes riding
-along), one classical RK4 step (`rk4_step`) and one Richardson level for
-O(h^2) estimates (`richardson`). Every integrator and extrapolation in the
-package goes through these.
+along), the inverse of theta -> int_0^theta w for w > 0 (`invert_cumulative`),
+one RK4 step (`rk4_step`) and one Richardson level (`richardson`). Every
+integrator, inversion and extrapolation in the package goes through these.
 """
 
 import functools
@@ -84,6 +84,37 @@ def evaluate_fourier(coeffs, theta):
     np.conjugate(half[:, n // 2:0:-1], out=phases[:, (n + 1) // 2:])
     out = phases @ coeffs.reshape(n, -1)
     return out.reshape(theta.shape + coeffs.shape[1:])
+
+
+def invert_cumulative(weight, fractions):
+    """(theta, total): int_0^theta w = fractions * total, total = int_0^2pi w.
+
+    weight is an array sampling a periodic w > 0 on the uniform grid of
+    [0, 2pi). Its half spectrum, cut after the last mode above the samples'
+    round-off (eps * max w), is integrated mode by mode. Newton on that
+    antiderivative starts from the interpolated cumulative node sum and
+    stops once its largest step no longer shrinks.
+    """
+    n = weight.size
+    spec = np.fft.rfft(weight) / n
+    spec[1:(n + 1) // 2] *= 2.0        # w = Re sum_{m >= 0} spec_m e^{i m theta}
+    spec = spec[:np.flatnonzero(np.abs(spec) > np.finfo(float).eps * np.max(weight))[-1] + 1]
+    m = np.arange(spec.size)
+    anti = np.concatenate(([0.0], spec[1:] / (1j * m[1:])))
+    anti[0] = -anti.sum().real         # int_0^theta w = spec_0 theta + Re sum anti_m e^{i m theta}
+    columns = np.stack([anti, spec], axis=1)
+    total = 2.0 * math.pi * spec[0].real
+    targets = total * np.asarray(fractions, dtype=float)
+    cumulative = np.concatenate(([0.0], np.cumsum(weight))) * (2.0 * math.pi / n)
+    theta = np.interp(targets, cumulative, np.linspace(0.0, 2.0 * math.pi, n + 1))
+    last = math.inf
+    while True:
+        wave, rate = (np.exp(1j * np.multiply.outer(theta, m)) @ columns).real.T
+        step = (spec[0].real * theta + wave - targets) / rate
+        theta, size = theta - step, np.max(np.abs(step))
+        if not size < last:
+            return theta, total
+        last = size
 
 
 def rk4_step(rhs, y, h):

@@ -290,9 +290,10 @@ def _op_curve_classify(scn, out_dir):
     records = []
     for k, desc in enumerate(_get(scn, "curves", "curves", "list")):
         curve = _resolve_curve(desc, f"curves[{k}]")
+        label = _get(desc, "label", f"curves[{k}].label", "string", desc.get("family", "curve"))
         cls = curve_lab.classify_direction(curve)
         records.append({
-            "label": desc.get("label", desc.get("family", "curve")),
+            "label": label,
             "class": cls.kind,
             "r_inner": cls.evidence.r_inner,
             "r_outer": cls.evidence.r_outer,
@@ -341,7 +342,7 @@ def _op_curve_secondvar(scn, out_dir):
         mode = _get(fdesc, "mode", f"{where}.mode", "int", 1)
         f = base + amp * np.cos(mode * theta)
         res = curve_lab.second_variation_length(curve, f)
-        reports.append({"context": fdesc.get("label", "field"),
+        reports.append({"context": _get(fdesc, "label", f"{where}.label", "string", "field"),
                         "analytic": res["analytic"], "fd": res["fd"],
                         "rel_err": res["rel_err"], "richardson_order": None})
     return {"reports": reports}, [_write_reports_csv(out_dir, reports)]
@@ -509,6 +510,7 @@ def load_scenario(path):
     if "operation" not in scn:
         raise ParseError("scenario missing \"operation\"")
     _check(scn["operation"], "operation", "string")
+    _get(scn, "name", "name", "string", None)
     return scn
 
 

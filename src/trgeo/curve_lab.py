@@ -23,12 +23,12 @@ import numpy as np
 
 from . import _spectral
 from .errors import (AliasingDetected, FieldNotPositive, NotArclength,
-                     OrientationError, OutsideAnnulus, ValidationError)
+                     NotImmersed, OrientationError, OutsideAnnulus,
+                     ValidationError)
 
 COEFF_FLOOR = 1e-15       # coefficients below this are treated as absent
 RADIUS_MARGIN = 0.02      # decision band around radius 1
 ELL1_EXPONENT = 1.1       # power-law exponent threshold for an l^1 tail
-REPARAM_SUBSTEPS = 8      # RK4 steps per output node in reparametrize_by_field
 
 GEODESIC_ANNULUS = "geodesic_annulus"
 RAY_ONLY = "ray_only"
@@ -111,16 +111,15 @@ def fourier_analyze(samples, N, check_orientation=True):
         raise ValidationError("need M >= 4N samples with M a power of two")
     raw = np.fft.fft(samples) / M
     m = _spectral.modes(M).astype(int)
+    low = np.abs(m) <= N
     total = float(np.sum(np.abs(raw) ** 2))
-    tail = float(np.sum(np.abs(raw[np.abs(m) > N]) ** 2))
+    tail = float(np.sum(np.abs(raw[~low]) ** 2))
     if total > 0.0 and tail > 1e-8 * total:
         raise AliasingDetected(
             f"energy fraction {tail / total:.3g} above mode {N}; refine sampling"
         )
     coeffs = np.zeros(2 * N + 1, dtype=complex)
-    for j, mode in enumerate(m):
-        if abs(mode) <= N:
-            coeffs[mode + N] = raw[j]
+    coeffs[m[low] + N] = raw[low]
     residual = math.sqrt(tail / total) if total > 0.0 else 0.0
     curve = FourierCurve(coeffs=coeffs, parseval_residual=residual)
     if check_orientation and curve.signed_area() <= 0.0:
@@ -133,16 +132,13 @@ def fourier_analyze(samples, N, check_orientation=True):
 def synthesize(curve, M=None, r=1.0):
     """Samples of sum a_n r^n e^{i n theta} on M uniform angles."""
     N = curve.N
-    if M is None:
-        M = 4 * N
+    M = 4 * N if M is None else M
     if M < 2 * N + 1:
         raise ValidationError("too few synthesis samples for the truncation")
     fft_coeffs = np.zeros(M, dtype=complex)
     n = np.arange(-N, N + 1)
     radial = np.power(float(r), n.astype(float))
-    scaled = curve.coeffs * radial
-    for nn, a in zip(n, scaled):
-        fft_coeffs[nn % M] = a
+    fft_coeffs[n % M] = curve.coeffs * radial
     return np.fft.ifft(fft_coeffs) * M
 
 
@@ -372,66 +368,36 @@ def reparametrize_by_field(f, M=256):
     """Integrate theta' = f(theta) around the circle.
 
     f is a positive callable on [0, 2pi). Returns dict with the period scale
-    R = (1/2pi) int dtheta / f and samples theta(s_j) on M uniform points of
-    s in [0, 2pi R). RK4 with REPARAM_SUBSTEPS substeps per output node.
+    R = (1/2pi) int dtheta / f, samples theta(s_j) on M uniform points of
+    s in [0, 2pi R) and the closure defect |theta(2pi R) - 2pi|: theta(s)
+    inverts s = int_0^theta 1/f, with 1/f sampled on 4096 angles.
     """
     probe = f(np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False))
-    if np.min(probe) <= 0.0:
+    if not np.min(probe) > 0.0:
         raise FieldNotPositive("reparametrization needs f > 0 everywhere")
-    period = float(np.mean(1.0 / probe)) * 2.0 * math.pi
-    R = period / (2.0 * math.pi)
-
-    def rhs(theta):
-        return float(f(np.array([theta]))[0])
-
-    total_steps = M * REPARAM_SUBSTEPS
-    h = period / total_steps
-    theta = 0.0
-    out = np.empty(M)
-    for j in range(total_steps):
-        if j % REPARAM_SUBSTEPS == 0:
-            out[j // REPARAM_SUBSTEPS] = theta
-        theta = _spectral.rk4_step(rhs, theta, h)
-    closure = theta - 2.0 * math.pi
-    return {"R": R, "theta_of_s": out, "closure_defect": abs(closure)}
+    theta, period = _spectral.invert_cumulative(1.0 / probe, np.arange(M + 1) / M)
+    return {"R": period / (2.0 * math.pi), "theta_of_s": theta[:M],
+            "closure_defect": abs(theta[M] - 2.0 * math.pi)}
 
 
 def resample_arclength(curve, M=None):
     """Resample a curve to constant |gamma'| by inverting cumulative length.
 
-    The inverse uses Newton iterations on the spectral arclength function and
-    the resampled curve is re-analysed, so the output is again a FourierCurve.
+    The length int_0^theta |gamma'|, with |gamma'| sampled on max(M, 8N)
+    angles, is inverted at M uniform values and the resampled curve is
+    re-analysed, so the output is again a FourierCurve. A speed not above
+    1e-12 of its maximum (NaN included) has no inverse: NotImmersed.
     """
     N = curve.N
-    if M is None:
-        M = 8 * N
+    M = 8 * N if M is None else M
     fine = max(M, 8 * N)
-    theta = 2.0 * np.pi * np.arange(fine) / fine
-    gp = evaluate_derivative(curve, theta)
-    speed = np.abs(gp)
-    coeffs = np.fft.fft(speed) / fine
-    total = coeffs[0].real * 2.0 * math.pi
-    m = _spectral.modes(fine)
-    # antiderivative of the oscillating part: c_m e^{i m th} -> c_m e^{i m th} / (i m)
-    integral = np.zeros_like(coeffs)
-    nz = m != 0
-    integral[nz] = coeffs[nz] / (1j * m[nz])
-    at_zero = np.sum(integral)
-
-    def arclen(th):
-        # integral of the Fourier series of |gamma'| from 0 to th
-        wave = _spectral.evaluate_fourier(integral, th) - at_zero
-        return coeffs[0].real * th + wave.real
-
-    targets = total * np.arange(M) / M
-    th = 2.0 * np.pi * np.arange(M) / M
-    for _ in range(40):
-        res = arclen(th) - targets
-        sp = np.abs(evaluate_derivative(curve, th))
-        th = th - res / sp
-        if np.max(np.abs(res)) < 1e-13 * total:
-            break
-    samples = evaluate_at(curve, th)
+    speed = np.abs(evaluate_derivative(curve, 2.0 * np.pi * np.arange(fine) / fine))
+    min_speed = float(np.min(speed))
+    if not min_speed > 1e-12 * float(np.max(speed)):
+        raise NotImmersed(f"curve speed |gamma'| falls to {min_speed:.3g}, "
+                          "not above 1e-12 of its maximum")
+    theta, _ = _spectral.invert_cumulative(speed, np.arange(M) / M)
+    samples = evaluate_at(curve, theta)
     return fourier_analyze(samples, N=min(N, M // 4), check_orientation=False)
 
 

@@ -195,6 +195,26 @@ def test_overflowing_immersion_exits_3_naming_non_finite_geometry(tmp_path):
     assert "not finite" in rec["message"]
 
 
+def test_secondvar_on_a_curve_with_vanishing_speed_exits_3(tmp_path):
+    # the segment 2 cos theta has no arclength parametrization: the
+    # resampling names the zero speed instead of writing "nan" everywhere
+    scn = write_scenario(tmp_path / "segment.json", {
+        "version": 1,
+        "name": "secondvar-segment",
+        "operation": "curve.secondvar",
+        "curve": {"terms": {"1": [1, 0], "-1": [1, 0]}, "N": 64},
+        "params": {"fields": [{"label": "const"}]},
+    })
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 3
+    raw = (out / "results.json").read_text()
+    assert '"nan"' not in raw
+    rec = json.loads(raw)
+    assert rec["status"] == "numerical_failure"
+    assert rec["error_type"] == "NotImmersed"
+    assert "speed" in rec["message"]
+
+
 def test_bvp_scenario(tmp_path):
     scn = write_scenario(tmp_path / "bvp.json", {
         "version": 1,
@@ -420,6 +440,12 @@ _FLAT_TORUS = {"chart": {"name": "flat_c2"},
     ({"operation": "variation.convexity",
       "params": {"family": {"kind": "poincare_circle", "grid": 64},
                  "t_grid": [0.5, 0.575, 0.65, 0.8]}}, "t_grid must be uniformly spaced"),
+    # echoed into results.json, so they must be strings
+    ({"operation": "ambient.verify", "name": float("nan")}, "name must be a string"),
+    ({"operation": "curve.classify",
+      "curves": [{"label": float("nan"), "family": "annulus", "N": 256}]}, "curves[0].label"),
+    ({"operation": "curve.secondvar", "curve": _ELLIPSE,
+      "params": {"fields": [{"label": 3}]}}, "params.fields[0].label"),
 ])
 def test_malformed_scenario_fields_exit_2(tmp_path, capsys, payload, field):
     scn = write_scenario(tmp_path / "s.json", {"version": 1, "name": "bad", **payload})

@@ -3,8 +3,10 @@
 Each mutation replaces one field (at any depth) of an example scenario by a
 small bad value and runs the result through cli.main in-process. Whatever
 the input, the CLI must exit 0, 2 or 3 without raising, and a results.json
-it writes must be strict JSON: no NaN and no Infinity. The values are small,
-so no mutation can ask for a large grid, N or step count.
+it writes must be strict JSON: no NaN and no Infinity. Nor may it hold the
+string "nan", which is how the CLI writes a NaN float; "inf" is legal, since
+a polynomial curve's outer radius is infinite. The values are small, so no
+mutation can ask for a large grid, N or step count.
 """
 
 import copy
@@ -79,7 +81,9 @@ def test_single_field_mutations_keep_the_cli_contract(tmp_path):
         assert code in (0, 2, 3), f"{what} exited {code}"
         results = out / "results.json"
         if results.exists():
-            json.loads(results.read_text(), parse_constant=_reject_constant)
+            text = results.read_text()
+            json.loads(text, parse_constant=_reject_constant)
+            assert '"nan"' not in text, f"{what} wrote a NaN into results.json"
         codes.add(code)
     # the mutations reach past validation as well as into it
     assert {0, 2} <= codes

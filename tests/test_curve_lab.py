@@ -7,7 +7,8 @@ import pytest
 
 from trgeo import curve_lab as cl
 from trgeo.errors import (AliasingDetected, FieldNotPositive, NotArclength,
-                          OrientationError, OutsideAnnulus, ValidationError)
+                          NotImmersed, OrientationError, OutsideAnnulus,
+                          ValidationError)
 
 
 def theta_grid(M):
@@ -273,6 +274,20 @@ def test_reparametrize_cosine_field():
     assert rep["closure_defect"] < 1e-8
 
 
+@pytest.mark.parametrize("M", [32, 256])
+@pytest.mark.parametrize("a", [0.3, 0.5])
+def test_reparametrize_matches_closed_form(a, M):
+    # theta' = 1 + a cos theta from theta(0) = 0 has the closed form
+    # theta(s) = 2 atan(sqrt((1 + a)/(1 - a)) tan(sqrt(1 - a^2) s / 2))
+    rep = cl.reparametrize_by_field(lambda th: 1.0 + a * np.cos(th), M=M)
+    s = 2.0 * math.pi * rep["R"] * np.arange(M) / M
+    half = np.sqrt(1.0 - a * a) * s / 2.0
+    exact = np.unwrap(2.0 * np.arctan(math.sqrt((1.0 + a) / (1.0 - a)) * np.tan(half)))
+    assert abs(rep["R"] - 1.0 / math.sqrt(1.0 - a * a)) < 1e-13
+    assert np.max(np.abs(rep["theta_of_s"] - exact)) < 1e-13
+    assert rep["closure_defect"] < 1e-13
+
+
 def test_reparametrize_rejects_vanishing_field():
     with pytest.raises(FieldNotPositive):
         cl.reparametrize_by_field(lambda th: np.cos(th))
@@ -313,6 +328,13 @@ def test_second_variation_requires_arclength():
     ee = cl.curve_from_terms({1: 1.5, -1: 0.5}, N=64)
     with pytest.raises(NotArclength):
         cl.second_variation_length(ee, np.ones(256))
+
+
+def test_resample_arclength_rejects_vanishing_speed():
+    # the segment 2 cos theta stops at both ends: its length has no inverse
+    seg = cl.curve_from_terms({1: 1.0, -1: 1.0}, N=64)
+    with pytest.raises(NotImmersed, match="speed"):
+        cl.resample_arclength(seg)
 
 
 def test_resample_arclength_constant_speed():

@@ -1,13 +1,14 @@
 """Shared numerical primitives: FFT derivatives, off-grid Fourier evaluation,
-RK4 and Richardson."""
+the inversion of cumulative integrals, RK4 and Richardson."""
 
 import numpy as np
 
 from trgeo import curve_lab as cl
 import pytest
 
-from trgeo._spectral import (_derivative_multiplier, evaluate_fourier, modes,
-                              richardson, rk4_step, spectral_derivative)
+from trgeo._spectral import (_derivative_multiplier, evaluate_fourier,
+                              invert_cumulative, modes, richardson, rk4_step,
+                              spectral_derivative)
 
 
 def direct_sum(coeffs, theta):
@@ -82,6 +83,40 @@ def test_evaluate_at_matches_laurent_sum():
                                rtol=0, atol=1e-13)
     np.testing.assert_allclose(cl.evaluate_derivative(curve, theta), derivative,
                                rtol=0, atol=1e-12)
+
+
+def untruncated_inverse(weight, fractions, iterations=30):
+    """Reference: Newton from the uniform guess on the antiderivative of every
+    mode of the samples, evaluated by evaluate_fourier."""
+    n = weight.size
+    c = np.fft.fft(weight) / n
+    m = modes(n)
+    anti = np.zeros_like(c)
+    anti[1:] = c[1:] / (1j * m[1:])
+    columns = np.stack([anti, c], axis=1)
+    target = 2.0 * np.pi * c[0].real * fractions
+    theta = 2.0 * np.pi * fractions
+    for _ in range(iterations):
+        wave, rate = evaluate_fourier(columns, theta).T
+        length = c[0].real * theta + (wave - anti.sum()).real
+        theta = theta - (length - target) / rate.real
+    assert np.max(np.abs(length - target)) < 1e-13 * target[-1]
+    return theta
+
+
+def test_invert_cumulative_matches_untruncated_inversion():
+    # |gamma'| of the (2, 1) ellipse on the 8N grid of resample_arclength,
+    # against the same speed on 16384 angles with no modes cut
+    curve = cl.curve_from_terms({1: 1.5, -1: 0.5}, N=64)
+    fractions = np.sort(np.random.default_rng(3).uniform(0.0, 1.0, 64))
+
+    def speed(n):
+        return np.abs(cl.evaluate_derivative(curve, 2.0 * np.pi * np.arange(n) / n))
+
+    theta, total = invert_cumulative(speed(512), fractions)
+    reference = untruncated_inverse(speed(16384), fractions)
+    assert np.max(np.abs(theta - reference)) < 1e-14
+    assert abs(total - 2.0 * np.pi * np.mean(speed(16384))) < 1e-13
 
 
 def test_rk4_step_fourth_order():
