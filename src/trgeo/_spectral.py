@@ -62,10 +62,9 @@ def _derivative_multiplier(n, order, real):
     return mult
 
 
-def fourier_coefficients(samples, axis=0):
-    """FFT coefficients normalised so samples(theta) = sum c_m e^{i m theta}."""
-    n = samples.shape[axis]
-    return np.fft.fft(samples, axis=axis) / n
+def fourier_coefficients(samples):
+    """Coefficients c_m along axis 0: samples(theta) = sum c_m e^{i m theta}."""
+    return np.fft.fft(samples, axis=0) / samples.shape[0]
 
 
 def evaluate_fourier(coeffs, theta):
@@ -136,12 +135,12 @@ def periodic_total(density, cell):
     return math.fsum(np.asarray(density, dtype=float).ravel(order="C")) * cell
 
 
-def low_mode_field(rng, shape, n_modes=3, amplitude=1.0):
-    """Random smooth periodic scalar field built from a few low Fourier modes."""
+def low_mode_field(rng, shape):
+    """Random smooth periodic field of the Fourier modes |m_k| <= 3, max |f| = 1."""
     if len(shape) == 1:
         theta = 2.0 * np.pi * np.arange(shape[0]) / shape[0]
         f = np.zeros(shape[0])
-        for m in range(1, n_modes + 1):
+        for m in range(1, 4):
             a, b = rng.normal(size=2)
             f += a * np.cos(m * theta) + b * np.sin(m * theta)
     else:
@@ -149,13 +148,10 @@ def low_mode_field(rng, shape, n_modes=3, amplitude=1.0):
         t2 = 2.0 * np.pi * np.arange(shape[1]) / shape[1]
         T1, T2 = np.meshgrid(t1, t2, indexing="ij")
         f = np.zeros(shape)
-        for m1 in range(-n_modes, n_modes + 1):
-            for m2 in range(-n_modes, n_modes + 1):
+        for m1 in range(-3, 4):
+            for m2 in range(-3, 4):
                 if m1 == 0 and m2 == 0:
                     continue
                 a, b = rng.normal(size=2)
                 f += a * np.cos(m1 * T1 + m2 * T2) + b * np.sin(m1 * T1 + m2 * T2)
-    scale = np.max(np.abs(f))
-    if scale == 0.0:
-        return f
-    return amplitude * f / scale
+    return f / np.max(np.abs(f))

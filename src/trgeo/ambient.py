@@ -14,12 +14,11 @@ Christoffel symbols (dg from the third-order coefficients), and at degree 4
 for the Ricci tensor, which uses the Kahler identity Ric = i ddbar(-log det H)
 with H, det H and -log det H formed as degree-2 series. verify_kahler_einstein
 reads g, dg and the Ricci tensor off one degree-4 evaluation. The results are
-exact up to round-off (|Ric + 3/2 g| ~ 4e-15 on the C^2 ball). fd_step sets
-no step size: it only sets the domain margins (require_inside,
-stencil_reach). The finite-difference engine (complex-step gradients and
-Richardson central differences) is the independent oracle for these kernels
-and lives in the tests (tests/fd_oracle.py); at the same fd_step it accepts
-exactly the points the kernels accept.
+exact up to round-off (|Ric + 3/2 g| ~ 4e-15 on the C^2 ball). The
+finite-difference engine (complex-step gradients and Richardson central
+differences) is the independent oracle for these kernels and lives in the
+tests (tests/fd_oracle.py); at its default step it accepts exactly the points
+the kernels accept.
 """
 
 from dataclasses import dataclass
@@ -30,11 +29,13 @@ import numpy as np
 from . import _taylor
 from .errors import MetricNotPositiveDefinite, PointOutsideDomain, ValidationError
 
-# Christoffel symbols and the Ricci tensor accept only points at least
-# 2 * _REACH * fd_step * radius inside the chart. The value is the reach of
-# the finite-difference oracle's stencils (tests/fd_oracle.py), so the oracle
-# can check every point the kernels accept.
-_REACH = 130.0
+# Domain margins, in units of the chart radius: the metric accepts only
+# points 2 h inside the chart, Christoffel symbols and the Ricci tensor only
+# points 2 * 130 h inside, where h = 1e-4 is the finite-difference oracle's
+# default step and 130 h the reach of its stencils (tests/fd_oracle.py), so
+# the oracle can check every point the kernels accept.
+_MARGIN = 2.0 * 1e-4
+_STENCIL_MARGIN = 2.0 * 130.0 * 1e-4
 # pair products one Taylor product holds at a time (2 MB); fixes the block size
 _BLOCK_PAIRS = 1 << 18
 
@@ -64,9 +65,7 @@ class AmbientChart:
     n: int
     kind: str                      # "flat" | "potential"
     phi: Optional[Callable] = None
-    center: Optional[np.ndarray] = None
-    radius: Optional[float] = None
-    fd_step: float = 1e-4
+    radius: Optional[float] = None         # of the domain, a ball about 0
     name: str = "chart"
     quotient: bool = False         # flat chart with periodic identifications
 
@@ -78,10 +77,6 @@ class AmbientChart:
         if self.kind == "potential":
             if self.phi is None or self.radius is None:
                 raise ValidationError("potential charts need phi and a domain radius")
-            if self.fd_step <= 0:
-                raise ValidationError("fd_step must be positive")
-        if self.center is None:
-            object.__setattr__(self, "center", np.zeros(2 * self.n))
 
     @property
     def dim(self):
@@ -96,7 +91,7 @@ class AmbientChart:
         return self.kind == "flat"
 
     def descriptor(self):
-        d = {"name": self.name, "n": self.n, "kind": self.kind, "fd_step": self.fd_step}
+        d = {"name": self.name, "n": self.n, "kind": self.kind}
         if self.radius is not None:
             d["radius"] = self.radius
         if self.quotient:
@@ -105,19 +100,13 @@ class AmbientChart:
 
     # -- domain ------------------------------------------------------------
 
-    def stencil_reach(self):
-        """Domain margin of christoffel_many and ricci_many."""
-        if self.is_flat:
-            return 0.0
-        return 2.0 * _REACH * self.fd_step * self.radius
-
-    def require_inside(self, pts, margin=None):
+    def require_inside(self, pts, margin=_MARGIN):
+        """PointOutsideDomain unless every point lies margin * radius inside."""
         if self.is_flat:
             return
         pts = np.asarray(pts, dtype=float)
-        if margin is None:
-            margin = 2.0 * self.fd_step * self.radius
-        r = np.sqrt(np.sum((pts - self.center) ** 2, axis=-1))
+        margin = margin * self.radius
+        r = np.sqrt(np.sum(pts ** 2, axis=-1))
         bad = r > self.radius - margin
         if np.any(bad):
             worst = float(np.max(r))
@@ -175,7 +164,7 @@ class AmbientChart:
         d = self.dim
         if self.is_flat:
             return np.zeros(pts.shape[:-1] + (d, d, d))
-        self.require_inside(pts, margin=self.stencil_reach())
+        self.require_inside(pts, _STENCIL_MARGIN)
         return self._christoffel(self._on_blocks(pts, 3, _g_dg, (1 + d, d, d)))
 
     def _christoffel(self, g_dg):
@@ -195,7 +184,7 @@ class AmbientChart:
         d = self.dim
         if self.is_flat:
             return np.zeros(pts.shape[:-1] + (d, d))
-        self.require_inside(pts, margin=self.stencil_reach())
+        self.require_inside(pts, _STENCIL_MARGIN)
         return self._on_blocks(pts, 4, self._ricci, (d, d))
 
     def _ricci(self, h):
@@ -227,7 +216,7 @@ class AmbientChart:
         if self.is_flat:
             return (self.metric_many(pts)[0], self.christoffel_many(pts),
                     self.ricci_many(pts))
-        self.require_inside(pts, margin=self.stencil_reach())
+        self.require_inside(pts, _STENCIL_MARGIN)
         ricci_errors = []
 
         def kernel(h):
@@ -249,13 +238,10 @@ class AmbientChart:
 
 @dataclass
 class MetricData:
-    """Metric package at one chart point (curvature slots filled on demand)."""
+    """Metric and 2-form at one chart point."""
 
-    point: np.ndarray
     g: np.ndarray
     omega: np.ndarray
-    christoffels: Optional[np.ndarray] = None
-    ricci: Optional[np.ndarray] = None
 
 
 # --- public single-point operations ---------------------------------------
@@ -263,7 +249,7 @@ class MetricData:
 def metric_at(chart, p):
     p = np.asarray(p, dtype=float)
     g, omega = chart.metric_many(p[None, :])
-    return MetricData(point=p, g=g[0], omega=omega[0])
+    return MetricData(g=g[0], omega=omega[0])
 
 
 def christoffels_at(chart, p):
@@ -319,27 +305,25 @@ def _ball_log_potential(pts):
     return -2.0 * np.log(1.0 - np.sum(np.asarray(pts) ** 2, axis=-1))
 
 
-def poincare_disk(fd_step=1e-4):
+def poincare_disk():
     """Unit disk with curvature -1 (metric 4/(1-|z|^2)^2 at the origin scale)."""
     return AmbientChart(n=1, kind="potential", phi=_ball_log_potential,
-                        radius=1.0, fd_step=fd_step, name="poincare_disk")
+                        radius=1.0, name="poincare_disk")
 
 
-def complex_hyperbolic_ball(fd_step=1e-4):
+def complex_hyperbolic_ball():
     """Unit ball in C^2 with the same log potential; Einstein with c = -3/2."""
     return AmbientChart(n=2, kind="potential", phi=_ball_log_potential,
-                        radius=1.0, fd_step=fd_step, name="complex_hyperbolic_ball")
+                        radius=1.0, name="complex_hyperbolic_ball")
 
 
-def potential_chart(n, phi, radius, fd_step=1e-4, name="potential"):
-    return AmbientChart(n=n, kind="potential", phi=phi, radius=radius,
-                        fd_step=fd_step, name=name)
+def potential_chart(n, phi, radius, name="potential"):
+    return AmbientChart(n=n, kind="potential", phi=phi, radius=radius, name=name)
 
 
 def chart_from_descriptor(desc):
     """Resolve a chart descriptor (scenario files) to a built-in chart."""
     name = desc.get("name")
-    fd_step = desc.get("fd_step", 1e-4)
     if name in ("flat_c1", "flat"):
         return flat_chart(1)
     if name == "flat_c2":
@@ -347,9 +331,9 @@ def chart_from_descriptor(desc):
     if name in ("flat_quotient_c2", "flat_quotient"):
         return flat_quotient_chart(2)
     if name == "poincare_disk":
-        return poincare_disk(fd_step=fd_step)
+        return poincare_disk()
     if name == "complex_hyperbolic_ball":
-        return complex_hyperbolic_ball(fd_step=fd_step)
+        return complex_hyperbolic_ball()
     raise ValidationError(f"unknown chart descriptor {desc!r}")
 
 

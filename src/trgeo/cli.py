@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__, ambient, curve_lab, geodesic_flow
 from . import immersion as imm
 from . import variation_harness as vh
-from .errors import (NumericalError, ParseError, UnknownOperation,
+from .errors import (NotFinite, NumericalError, ParseError, UnknownOperation,
                      ValidationError)
 
 SCENARIO_VERSION = 1
@@ -40,6 +40,19 @@ def _sanitize(obj):
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
     return obj
+
+
+def _nan_path(obj, path):
+    """The path of the first NaN float in obj (e.g. results.reports[0].fd), or None."""
+    if isinstance(obj, float):
+        return path if math.isnan(obj) else None
+    if isinstance(obj, dict):
+        items = ((f"{path}.{k}", v) for k, v in obj.items())
+    elif isinstance(obj, (list, tuple)):
+        items = ((f"{path}[{k}]", v) for k, v in enumerate(obj))
+    else:
+        return None
+    return next(filter(None, (_nan_path(v, p) for p, v in items)), None)
 
 
 def _json_dump(obj, path):
@@ -164,7 +177,9 @@ def _resolve_grid(desc, n):
 
 def _chart(scn):
     desc = _get(scn, "chart", "chart", "object", {"name": "flat_c1"})
-    _get(desc, "fd_step", "chart.fd_step", "number", None)
+    for key in desc:
+        if key != "name":
+            raise ValidationError(f"chart.{key}: a chart object takes only \"name\"")
     return ambient.chart_from_descriptor(desc)
 
 
@@ -198,6 +213,8 @@ def _resolve_immersion(scn):
     grid = _resolve_grid(d.get("grid", 64), 1 if chart.n == 1 else 2)
     formula = _get(d, "formula", "immersion.formula", "string")
     args = _get(d, "args", "immersion.args", "object", {})
+    if formula == "fourier_curve" and "coeffs" not in args:
+        raise ValidationError("scenario needs immersion.args.coeffs")
     for key, value in args.items():
         where = f"immersion.args.{key}"
         if key == "coeffs" and isinstance(value, dict):
@@ -534,6 +551,9 @@ def run_scenario(path, out_dir, threads=None):
     results_path = os.path.join(out_dir, "results.json")
     try:
         results, files = handler(scn, out_dir)
+        nan = _nan_path(results, "results")
+        if nan is not None:
+            raise NotFinite(f"{op} computed NaN at {nan}")
     except NumericalError as e:
         record = {
             "scenario": scn.get("name", os.path.basename(path)),

@@ -17,7 +17,6 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -29,6 +28,9 @@ from .errors import (AliasingDetected, FieldNotPositive, NotArclength,
 COEFF_FLOOR = 1e-15       # coefficients below this are treated as absent
 RADIUS_MARGIN = 0.02      # decision band around radius 1
 ELL1_EXPONENT = 1.1       # power-law exponent threshold for an l^1 tail
+ABEL_TOL = 1e-12          # tail increment at which an Abel mean stops
+SECONDVAR_EPS = 1e-3      # flow time of the second variation's finite difference
+ARCLENGTH_TOL = 1e-6      # relative speed variation an arclength curve may have
 
 GEODESIC_ANNULUS = "geodesic_annulus"
 RAY_ONLY = "ray_only"
@@ -149,27 +151,29 @@ class RadiusEstimate:
     r_inner: float
     r_outer: float
     confidence: float            # rms residual of the slope extrapolation
-    slopes_outer: Optional[list] = None
-    slopes_inner: Optional[list] = None
 
 
-def _side_slope(mags, window, n_chunks=4):
+def _tail(mags):
+    """(n, |a_n|) over the tail window n = N/2..N of one side's |a_n|, n = 1..N."""
+    lo, hi = mags.size // 2, mags.size
+    return np.arange(lo, hi + 1), mags[lo - 1: hi]
+
+
+def _side_slope(mags):
     """Extrapolated decay slope s of log|a_n| ~ s n over the tail window.
 
-    Chunk least-squares slopes are fit against 1/n_center and extrapolated to
-    n -> infinity; this removes the O(log n / n) bias of subgeometric tails
+    The slopes of four chunks are fit against 1/n_center and extrapolated
+    to n -> infinity; this removes the O(log n / n) bias of subgeometric tails
     that a single regression keeps. Returns (slope, residual) or None when
     the tail is numerically absent.
     """
-    lo, hi = window
-    ns = np.arange(lo, hi + 1)
-    vals = mags[lo - 1: hi]
+    ns, vals = _tail(mags)
     keep = vals > COEFF_FLOOR
     if np.count_nonzero(keep) < 8:
         return None
     ns = ns[keep]
     logs = np.log(vals[keep])
-    edges = np.linspace(0, ns.size, n_chunks + 1).astype(int)
+    edges = np.linspace(0, ns.size, 5).astype(int)
     centers, slopes = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         if b - a < 3:
@@ -189,44 +193,32 @@ def _side_slope(mags, window, n_chunks=4):
     return float(coef[1]), resid
 
 
-def estimate_radii(curve, tail_window=None):
+def estimate_radii(curve):
     """Inner/outer convergence radii of the two-sided power series.
 
     A side whose tail sits entirely below the coefficient floor is flagged as
     unconstrained: radius inf outside, 0 inside (true for trigonometric
     polynomials, which continue to all of C*).
     """
-    N = curve.N
-    if tail_window is None:
-        tail_window = (N // 2, N)
-    lo, hi = tail_window
-    if not (N // 2 <= lo < hi <= N):
-        raise ValidationError("tail_window must sit inside [N/2, N]")
     conf = 0.0
-    out = _side_slope(curve.side(+1), (lo, hi))
+    out = _side_slope(curve.side(+1))
     if out is None:
         r_outer = math.inf
     else:
         r_outer = math.exp(-out[0])
         conf = max(conf, out[1])
-    inn = _side_slope(curve.side(-1), (lo, hi))
+    inn = _side_slope(curve.side(-1))
     if inn is None:
         r_inner = 0.0
     else:
         r_inner = math.exp(inn[0])
         conf = max(conf, inn[1])
-    return RadiusEstimate(
-        r_inner=r_inner, r_outer=r_outer, confidence=conf,
-        slopes_outer=None if out is None else [out[0]],
-        slopes_inner=None if inn is None else [inn[0]],
-    )
+    return RadiusEstimate(r_inner=r_inner, r_outer=r_outer, confidence=conf)
 
 
-def _tail_power_exponent(mags, window):
-    """Exponent p in |a_n| ~ n^{-p} over the window (log-log regression)."""
-    lo, hi = window
-    ns = np.arange(lo, hi + 1)
-    vals = mags[lo - 1: hi]
+def _tail_power_exponent(mags):
+    """Exponent p in |a_n| ~ n^{-p} over the tail window (log-log regression)."""
+    ns, vals = _tail(mags)
     keep = vals > COEFF_FLOOR
     if np.count_nonzero(keep) < 8:
         return math.inf
@@ -242,31 +234,29 @@ class DirectionClass:
     ell1_exponent: float = math.inf
 
 
-def classify_direction(curve, margin=RADIUS_MARGIN, tail_window=None):
+def classify_direction(curve):
     """Trichotomy for the direction d/dtheta.
 
-    geodesic_annulus: continuable strictly both ways (r_inner < 1 - margin
-    and r_outer > 1 + margin); ray_only: continuable inward with an
+    geodesic_annulus: continuable strictly both ways (r_inner and r_outer
+    beyond RADIUS_MARGIN of 1); ray_only: continuable inward with an
     l^1-convergent positive tail but outer radius pinned to the unit circle;
     no_ray: everything else.
     """
-    est = estimate_radii(curve, tail_window=tail_window)
-    N = curve.N
-    window = tail_window or (N // 2, N)
-    expo = _tail_power_exponent(curve.side(+1), window)
-    inner_ok = est.r_inner < 1.0 - margin
-    if inner_ok and est.r_outer > 1.0 + margin:
+    est = estimate_radii(curve)
+    expo = _tail_power_exponent(curve.side(+1))
+    inner_ok = est.r_inner < 1.0 - RADIUS_MARGIN
+    if inner_ok and est.r_outer > 1.0 + RADIUS_MARGIN:
         return DirectionClass(kind=GEODESIC_ANNULUS, evidence=est, ell1_exponent=expo)
     boundary_convergent = expo > ELL1_EXPONENT
-    if inner_ok and abs(est.r_outer - 1.0) <= margin and boundary_convergent:
+    if inner_ok and abs(est.r_outer - 1.0) <= RADIUS_MARGIN and boundary_convergent:
         return DirectionClass(kind=RAY_ONLY, evidence=est, ell1_exponent=expo)
     return DirectionClass(kind=NO_RAY, evidence=est, ell1_exponent=expo)
 
 
 # --- continuation and Abel means -------------------------------------------------
 
-def geodesic_evaluate(curve, r, M=None):
-    """Samples of the holomorphic continuation g on the circle |z| = r.
+def geodesic_evaluate(curve, r):
+    """Samples of the holomorphic continuation g on 4N points of the circle |z| = r.
 
     r must lie in the classified annulus (r <= 1 for ray_only directions);
     r = 1 returns the original curve samples.
@@ -286,14 +276,14 @@ def geodesic_evaluate(curve, r, M=None):
             f"r = {r} is outside the usable annulus "
             f"({est.r_inner:.4g}, {est.r_outer:.4g}) for class {cls.kind}"
         )
-    return synthesize(curve, M=M, r=r)
+    return synthesize(curve, r=r)
 
 
-def abel_evaluate(curve, r, theta, tol=1e-12):
+def abel_evaluate(curve, r, theta):
     """Abel mean lim_N sum a_n r^{|n|} e^{i n theta} for 0 <= r < 1.
 
     Partial symmetric sums are accumulated until the tail increment drops
-    below tol (always reached here: the stored series is finite).
+    below ABEL_TOL (always reached here: the stored series is finite).
     """
     if not 0.0 <= r < 1.0:
         raise ValidationError("Abel evaluation needs 0 <= r < 1")
@@ -302,7 +292,7 @@ def abel_evaluate(curve, r, theta, tol=1e-12):
         inc = (curve.coefficient(n) * cmath.exp(1j * n * theta)
                + curve.coefficient(-n) * cmath.exp(-1j * n * theta)) * r ** n
         total += inc
-        if abs(inc) < tol and r ** (n + 1) * _tail_bound(curve, n + 1) < tol:
+        if abs(inc) < ABEL_TOL and r ** (n + 1) * _tail_bound(curve, n + 1) < ABEL_TOL:
             break
     return total
 
@@ -324,16 +314,16 @@ class LengthProfile:
     second_differences: np.ndarray   # d^2/dt^2 of Lambda(e^{-t}), interior nodes
 
 
-def length_at_radius(curve, r, M=None):
-    """Lambda(r) = int |z g'(z)| dtheta on |z| = r, periodic quadrature."""
+def length_at_radius(curve, r):
+    """Lambda(r) = int |z g'(z)| dtheta on |z| = r, periodic quadrature on 4N nodes."""
     N = curve.N
     n = np.arange(-N, N + 1)
     zgp = FourierCurve(coeffs=curve.coeffs * n)      # z g'(z) has coefficients n a_n
-    samples = synthesize(zgp, M=M, r=r)
+    samples = synthesize(zgp, r=r)
     return float(np.mean(np.abs(samples))) * 2.0 * math.pi
 
 
-def length_profile(curve, radii, M=None):
+def length_profile(curve, radii):
     """Length profile over the given radii with log-parameter second differences."""
     cls = classify_direction(curve)
     est = cls.evidence
@@ -346,7 +336,7 @@ def length_profile(curve, radii, M=None):
         hi = 1.0 if cls.kind == RAY_ONLY else est.r_outer
         if np.any(radii <= lo) or np.any(radii > hi):
             raise OutsideAnnulus(f"radii must lie in ({lo:.4g}, {hi:.4g}]")
-    values = np.array([length_at_radius(curve, r, M=M) for r in radii])
+    values = np.array([length_at_radius(curve, r) for r in radii])
     t = -np.log(radii)
     order = np.argsort(t)
     t_sorted = t[order]
@@ -380,25 +370,24 @@ def reparametrize_by_field(f, M=256):
             "closure_defect": abs(theta[M] - 2.0 * math.pi)}
 
 
-def resample_arclength(curve, M=None):
+def resample_arclength(curve):
     """Resample a curve to constant |gamma'| by inverting cumulative length.
 
-    The length int_0^theta |gamma'|, with |gamma'| sampled on max(M, 8N)
+    The length int_0^theta |gamma'|, with |gamma'| sampled on M = 8N
     angles, is inverted at M uniform values and the resampled curve is
     re-analysed, so the output is again a FourierCurve. A speed not above
     1e-12 of its maximum (NaN included) has no inverse: NotImmersed.
     """
     N = curve.N
-    M = 8 * N if M is None else M
-    fine = max(M, 8 * N)
-    speed = np.abs(evaluate_derivative(curve, 2.0 * np.pi * np.arange(fine) / fine))
+    M = 8 * N
+    speed = np.abs(evaluate_derivative(curve, 2.0 * np.pi * np.arange(M) / M))
     min_speed = float(np.min(speed))
     if not min_speed > 1e-12 * float(np.max(speed)):
         raise NotImmersed(f"curve speed |gamma'| falls to {min_speed:.3g}, "
                           "not above 1e-12 of its maximum")
     theta, _ = _spectral.invert_cumulative(speed, np.arange(M) / M)
     samples = evaluate_at(curve, theta)
-    return fourier_analyze(samples, N=min(N, M // 4), check_orientation=False)
+    return fourier_analyze(samples, N=N, check_orientation=False)
 
 
 def evaluate_at(curve, theta):
@@ -422,21 +411,21 @@ def curvature(samples):
     return (gpp * np.conj(gp)).imag / speed ** 3
 
 
-def second_variation_length(curve, f_values, eps=1e-3, arclength_tol=1e-6):
+def second_variation_length(curve, f_values):
     """Analytic vs finite-difference second variation of length at the curve.
 
-    The curve must be arclength-parametrized (constant |gamma'|). f_values
-    samples the deformation profile f on the curve grid (the deformation is
-    d gamma / dt = i f gamma'). Analytic value: int (f')^2 + f^2 kappa^2 ds.
-    The FD value flows two steps of +-eps with RK4 and differences lengths,
-    with one Richardson level.
+    The curve must be arclength-parametrized (|gamma'| constant to
+    ARCLENGTH_TOL). f_values samples the deformation profile f on the curve
+    grid (the deformation is d gamma / dt = i f gamma'). Analytic value:
+    int (f')^2 + f^2 kappa^2 ds. The FD value flows to t = +-SECONDVAR_EPS
+    with RK4 and differences lengths, with one Richardson level.
     """
     M = 4 * curve.N
     samples = evaluate_at(curve, 2.0 * np.pi * np.arange(M) / M)
     gp = _spectral.spectral_derivative(samples, axis=0)
     speed = np.abs(gp)
     mean_speed = float(np.mean(speed))
-    if np.max(np.abs(speed - mean_speed)) > arclength_tol * mean_speed:
+    if np.max(np.abs(speed - mean_speed)) > ARCLENGTH_TOL * mean_speed:
         raise NotArclength("curve is not arclength-parametrized; resample first")
     f = np.asarray(f_values, dtype=float)
     if f.shape != (M,):
@@ -467,7 +456,7 @@ def second_variation_length(curve, f_values, eps=1e-3, arclength_tol=1e-6):
     def second_diff(e):
         return (flow_length(e) - 2.0 * l0 + flow_length(-e)) / e ** 2
 
-    fd = _spectral.richardson(second_diff, eps)
+    fd = _spectral.richardson(second_diff, SECONDVAR_EPS)
     return {"analytic": analytic, "fd": fd,
             "abs_err": abs(analytic - fd),
             "rel_err": abs(analytic - fd) / (1.0 + abs(analytic))}

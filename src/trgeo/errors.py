@@ -19,6 +19,10 @@ class NumericalError(TrgeoError):
     """A computation failed for a numerical/mathematical reason."""
 
 
+class NotFinite(NumericalError):
+    """A computed value is NaN, or not finite where it must be."""
+
+
 # --- ambient -------------------------------------------------------------
 
 class PointOutsideDomain(ValidationError):

@@ -44,8 +44,8 @@ import numpy as np
 
 from . import _spectral, curve_lab
 from .errors import (AliasingDetected, AmplificationExceeded, BlowUpDetected,
-                     GeodesicUnavailable, NotNested, StepTooLarge, UnsupportedField,
-                     ValidationError)
+                     GeodesicUnavailable, NotFinite, NotNested, StepTooLarge,
+                     UnsupportedField, ValidationError)
 from .immersion import Immersion, is_totally_real, is_totally_real_stack
 
 AMP_MAX = 1e6
@@ -58,6 +58,9 @@ _BLOCK_NODES = 8192
 # RK4 steps of one tangential flow; RK4 steps of uniqueness_compare's stepper
 TANGENTIAL_SUBSTEPS = 8
 UNIQUENESS_STEPS = 200
+# annulus BVP: Gauss-Newton steps, and the largest residual entry of convergence
+BVP_MAX_ITER = 60
+BVP_TOL = 1e-8
 
 
 @dataclass
@@ -159,13 +162,13 @@ def _complex_components(im):
     return pts[:im.chart.n] + 1j * pts[im.chart.n:]
 
 
-def mode_growth_guard(im, axis, c, t_extent, margin=curve_lab.RADIUS_MARGIN):
+def mode_growth_guard(im, axis, c, t_extent):
     """Raise AmplificationExceeded for directions the data cannot support.
 
     Two guards: the amplitude cap e^{|m| |c t|} <= AMP_MAX over modes present
     above the spectral noise floor, and for curves with a populated adverse
     tail, the radius estimate itself (flowing inward needs inner radius
-    strictly below 1, outward needs outer radius strictly above 1).
+    below 1, outward needs outer radius above 1, each by RADIUS_MARGIN).
     """
     coeffs = np.fft.fftn(_complex_components(im), axes=tuple(range(1, 1 + im.n)))
     mags = np.abs(coeffs)
@@ -192,13 +195,13 @@ def mode_growth_guard(im, axis, c, t_extent, margin=curve_lab.RADIUS_MARGIN):
             return amp
         est = curve_lab.estimate_radii(cur)
         if c * t_extent > 0 and math.isfinite(est.r_inner) and est.r_inner > 0.0:
-            if est.r_inner >= 1.0 - margin:
+            if est.r_inner >= 1.0 - curve_lab.RADIUS_MARGIN:
                 raise AmplificationExceeded(
                     "inward continuation is ill-posed: inner radius estimate "
                     f"{est.r_inner:.4g} is not below 1"
                 )
         if c * t_extent < 0 and math.isfinite(est.r_outer):
-            if est.r_outer <= 1.0 + margin:
+            if est.r_outer <= 1.0 + curve_lab.RADIUS_MARGIN:
                 raise AmplificationExceeded(
                     "outward continuation is ill-posed: outer radius estimate "
                     f"{est.r_outer:.4g} is not above 1"
@@ -645,6 +648,9 @@ class _AnnulusProblem:
         r_in = r[2 * M:3 * M] + 1j * r[3 * M:4 * M]
         rhs = -np.concatenate([(cn_out * r_out).real, (cn_in * r_in).real,
                                [r[4 * M]]])
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(rhs))):
+            raise NotFinite("annulus BVP: the residual or the Gauss-Newton step "
+                            "is not finite")
         reduced, *_ = np.linalg.lstsq(A, rhs, rcond=None)
         da = reduced[1:1 + na] + 1j * reduced[1 + na:]
         dg_out = self.basis @ da
@@ -654,13 +660,14 @@ class _AnnulusProblem:
         return np.concatenate([reduced, dbeta, ddelta])
 
 
-def solve_bvp_annulus(gamma0, gamma1, N=32, M=None, max_iter=60, tol=1e-8):
+def solve_bvp_annulus(gamma0, gamma1, N=32):
     """Fit g(z) = sum a_n z^n on {rho < |z| < 1} with g(S^1) = gamma0, g(rho S^1) = gamma1.
 
     Gauss-Newton with backtracking on unknowns (rho, coefficients, boundary
     correspondence angles); the rotation gauge is fixed by Im a_1 = 0.
     Initial guess: rho from the square root of the enclosed-area ratio,
-    coefficients from the outer curve, identity correspondences.
+    coefficients from the outer curve, identity correspondences at the
+    M = max(8N, 64) nodes of each curve.
 
     Each node's residual depends on its own correspondence angle only, so
     the angle blocks of the Jacobian are diagonal. The step eliminates them
@@ -673,8 +680,7 @@ def solve_bvp_annulus(gamma0, gamma1, N=32, M=None, max_iter=60, tol=1e-8):
     if N < 1:
         raise ValidationError(f"N must be at least 1, got {N}")
     _require_nested(gamma0, gamma1)
-    if M is None:
-        M = max(8 * N, 64)
+    M = max(8 * N, 64)
     prob = _AnnulusProblem(gamma0, gamma1, N, M)
     x = prob.initial_guess()
     r = prob.residual(x)
@@ -682,8 +688,8 @@ def solve_bvp_annulus(gamma0, gamma1, N=32, M=None, max_iter=60, tol=1e-8):
     history = [math.sqrt(cost / r.size)]
     converged = False
     iterations = 0
-    for it in range(max_iter):
-        if float(np.max(np.abs(r))) < tol:
+    for it in range(BVP_MAX_ITER):
+        if float(np.max(np.abs(r))) < BVP_TOL:
             converged = True
             break
         iterations = it + 1
@@ -704,7 +710,7 @@ def solve_bvp_annulus(gamma0, gamma1, N=32, M=None, max_iter=60, tol=1e-8):
         history.append(math.sqrt(cost / r.size))
         if not improved:
             break
-        if float(np.max(np.abs(r))) < tol:
+        if float(np.max(np.abs(r))) < BVP_TOL:
             converged = True
             break
     rho, a, beta, delta = prob.unpack(x)

@@ -511,8 +511,8 @@ def density(im):
     return frames(im).density
 
 
-def _require_volume_and_rho(induced_vol, rho, rho_min):
-    """The volume check, then the rho_J check, of one immersion.
+def _require_volume_and_rho(induced_vol, rho):
+    """The volume check, then the rho_J check against RHO_MIN, of one immersion.
 
     rho is called only once the volume check passed. Both are written as
     "not above the floor", so NaN fails them.
@@ -521,14 +521,14 @@ def _require_volume_and_rho(induced_vol, rho, rho_min):
     if not min_vol > 1e-10:
         raise NotImmersed(f"coordinate frame drops rank (min volume {min_vol:.3g})")
     min_rho = float(np.min(rho()))
-    if not min_rho > rho_min:
+    if not min_rho > RHO_MIN:
         raise NotTotallyReal(
-            f"rho_J reaches {min_rho:.3g} <= {rho_min:g}: partially complex "
+            f"rho_J reaches {min_rho:.3g} <= {RHO_MIN:g}: partially complex "
             "to working precision"
         )
 
 
-def _validated(im, rho_min=RHO_MIN):
+def _validated(im):
     """Geometry of im after the checks of is_totally_real."""
     im.chart.require_inside(im.positions())
     # overflow shows up as non-finite geometry, which the frame check names
@@ -537,16 +537,16 @@ def _validated(im, rho_min=RHO_MIN):
             geo = frames(im)
         except DegenerateFrame as e:
             raise NotImmersed(str(e)) from None
-        _require_volume_and_rho(geo.induced_vol, lambda: geo.density.rho, rho_min)
+        _require_volume_and_rho(geo.induced_vol, lambda: geo.density.rho)
     return geo
 
 
-def is_totally_real(im, rho_min=RHO_MIN):
-    """Validate the immersion: full-rank frame and rho_J above the floor."""
-    return _validated(im, rho_min).density
+def is_totally_real(im):
+    """Validate the immersion: full-rank frame and rho_J above RHO_MIN."""
+    return _validated(im).density
 
 
-def is_totally_real_stack(grid, chart, points, winding=None, rho_min=RHO_MIN):
+def is_totally_real_stack(grid, chart, points, winding=None):
     """is_totally_real on every member of a stack, from one frame build.
 
     points is (B, 2n) + grid.sizes, the components ahead of the grid axes:
@@ -574,12 +574,12 @@ def is_totally_real_stack(grid, chart, points, winding=None, rho_min=RHO_MIN):
         for p in points:
             is_totally_real(Immersion(grid=grid, chart=chart,
                                       points=np.moveaxis(p, 0, -1),
-                                      winding=winding), rho_min)
+                                      winding=winding))
         raise
     for b in range(points.shape[0]):
         if degenerate[b]:
             raise NotImmersed(_degenerate_message(induced_vol[b]))
-        _require_volume_and_rho(induced_vol[b], lambda: rho[b], rho_min)
+        _require_volume_and_rho(induced_vol[b], lambda: rho[b])
 
 
 def rho_j(im, node):

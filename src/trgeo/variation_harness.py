@@ -102,22 +102,21 @@ def check_first_variation(im, Y, context=""):
     return _make_report(analytic, fd, order, context or "first variation")
 
 
-def validate_hj_sign(im, n_fields=5, seed=7, tol=1e-3):
+def validate_hj_sign(im):
     """Check the H_J sign convention against the FD oracle for random fields.
 
-    Raises SignConventionMismatch if the variational identity holds with the
-    opposite sign; raises NotTotallyReal etc. if the immersion is invalid.
+    Five low-mode fields (seed 7) must each meet the first-variation identity
+    to 1e-3 of 1 + |analytic|. Raises SignConventionMismatch if it holds with
+    the opposite sign; raises NotTotallyReal etc. if the immersion is invalid.
     """
-    rng = np.random.default_rng(seed)
-    for k in range(n_fields):
-        comps = np.stack([
-            _spectral.low_mode_field(rng, im.grid.sizes, amplitude=1.0)
-            for _ in range(im.n)
-        ])
+    rng = np.random.default_rng(7)
+    for k in range(5):
+        comps = np.stack([_spectral.low_mode_field(rng, im.grid.sizes)
+                          for _ in range(im.n)])
         Y = VectorFieldOnL(grid=im.grid, components=comps)
         rep = check_first_variation(im, Y, context=f"sign check {k}")
         scale = 1.0 + abs(rep.analytic)
-        if rep.abs_err > tol * scale:
+        if rep.abs_err > 1e-3 * scale:
             flipped = abs(-rep.analytic - rep.fd)
             if flipped < rep.abs_err * 1e-2:
                 raise SignConventionMismatch(
@@ -132,7 +131,7 @@ def validate_hj_sign(im, n_fields=5, seed=7, tol=1e-3):
 
 # --- tangential density checks ---------------------------------------------------
 
-def check_density_divergence(im, X, context=""):
+def check_density_divergence(im, X):
     """Pointwise first/second t-derivatives of vol_J under the tangential flow.
 
     Compares against Div(rho_J X) vol_g and Div(X Div(rho_J X)) vol_g and
@@ -159,11 +158,11 @@ def check_density_divergence(im, X, context=""):
     rep1 = VariationReport(
         analytic=float(np.max(np.abs(first_exact))), fd=float(np.max(np.abs(fd1))),
         abs_err=float(np.max(np.abs(fd1 - first_exact))), rel_err=rel1,
-        richardson_order=None, context=(context or "density divergence") + " [1st]")
+        richardson_order=None, context="density divergence [1st]")
     rep2 = VariationReport(
         analytic=float(np.max(np.abs(second_exact))), fd=float(np.max(np.abs(fd2))),
         abs_err=float(np.max(np.abs(fd2 - second_exact))), rel_err=rel2,
-        richardson_order=None, context=(context or "density divergence") + " [2nd]")
+        richardson_order=None, context="density divergence [2nd]")
     integral_second = _spectral.periodic_total(second_exact, im.grid.cell)
     return rep1, rep2, integral_second
 

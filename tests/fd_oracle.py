@@ -8,18 +8,20 @@ differences of that gradient, Christoffel symbols by one more Richardson
 level of central differences of the metric, and the Ricci tensor by the
 Kahler identity Ric = i ddbar(-log det H) with Richardson central
 differences of -log det H. Its error is truncation-dominated, so halving
-fd_step reduces the curvature residuals (by about 16x, down to ~1e-9).
+its step reduces the curvature residuals (by about 16x, down to ~1e-9).
 
-The kernels take the chart's potential, n, radius and fd_step; the domain
-checks stay with the chart.
+The kernels take the chart's potential, n and radius, and a step in units of
+the radius (default FD_STEP); the domain checks stay with the chart, whose
+margins are set for FD_STEP.
 """
 
 import numpy as np
 
 from trgeo._spectral import richardson
 
+FD_STEP = 1e-4           # default step, in units of the chart radius
 _CSTEP = 1e-100          # complex-step size; cancellation-free
-_K_METRIC = 1.0          # metric Hessian step, in units of fd_step * radius
+_K_METRIC = 1.0          # metric Hessian step, in units of step * radius
 _K_GAMMA = 30.0          # outer step for d(metric) in fd_christoffel
 _K_RIC_INNER = 30.0      # step for the Hermitian Hessian inside -log det H
 _K_RIC_OUTER = 100.0     # outer step for the Hessian of -log det H
@@ -98,29 +100,28 @@ def _hermitian_hessian(chart, pts, step):
                                                step))
 
 
-def fd_metric(chart, pts):
+def fd_metric(chart, pts, step=FD_STEP):
     """Metric g at pts, shape pts.shape[:-1] + (2n, 2n)."""
-    step = _K_METRIC * chart.fd_step * chart.radius
-    return _assemble(_hermitian_hessian(chart, pts, step))
+    return _assemble(_hermitian_hessian(chart, pts, _K_METRIC * step * chart.radius))
 
 
-def fd_christoffel(chart, pts):
+def fd_christoffel(chart, pts, step=FD_STEP):
     """Christoffel symbols Gamma^c_{ab} from central differences of fd_metric."""
     pts = np.asarray(pts, dtype=float)
     d = chart.dim
-    h = _K_GAMMA * chart.fd_step * chart.radius
+    h = _K_GAMMA * step * chart.radius
 
-    def dg(step):
+    def dg(s):
         out = np.empty(pts.shape[:-1] + (d, d, d))
         for b in range(d):
             e = np.zeros(d)
-            e[b] = step
-            out[..., b, :, :] = (fd_metric(chart, pts + e)
-                                 - fd_metric(chart, pts - e)) / (2.0 * step)
+            e[b] = s
+            out[..., b, :, :] = (fd_metric(chart, pts + e, step)
+                                 - fd_metric(chart, pts - e, step)) / (2.0 * s)
         return out
 
     dgs = richardson(dg, h)
-    ginv = np.linalg.inv(fd_metric(chart, pts))
+    ginv = np.linalg.inv(fd_metric(chart, pts, step))
     m = (np.einsum("...adb->...dab", dgs)
          + np.einsum("...bda->...dab", dgs)
          - dgs)
@@ -128,11 +129,11 @@ def fd_christoffel(chart, pts):
     return 0.5 * (gamma + np.swapaxes(gamma, -1, -2))
 
 
-def fd_ricci(chart, pts):
+def fd_ricci(chart, pts, step=FD_STEP):
     """Ricci tensor: Richardson central-difference Hessian of -log det H."""
     pts = np.asarray(pts, dtype=float)
-    h_in = _K_RIC_INNER * chart.fd_step * chart.radius
-    h_out = _K_RIC_OUTER * chart.fd_step * chart.radius
+    h_in = _K_RIC_INNER * step * chart.radius
+    h_out = _K_RIC_OUTER * step * chart.radius
 
     def neg_log_det(q):
         H = _hermitian_hessian(chart, q, h_in)

@@ -142,15 +142,15 @@ def test_poincare_ricci_einstein():
 
 
 def test_ricci_richardson_consistency():
-    # FD oracle: halving fd_step must reduce the worst curvature residual by >= 3
+    # FD oracle: halving its step must reduce the worst curvature residual by >= 3
     pts = np.array([[0.4, 0.2], [0.5, 0.1], [0.45, -0.3], [-0.35, 0.4]])
+    pd = ambient.poincare_disk()
 
-    def residual(fd_step):
-        pd = ambient.poincare_disk(fd_step=fd_step)
+    def residual(step):
         worst = 0.0
         for p in pts:
-            err = np.max(np.abs(fd_ricci(pd, p[None, :])[0]
-                                + fd_metric(pd, p[None, :])[0]))
+            err = np.max(np.abs(fd_ricci(pd, p[None, :], step)[0]
+                                + fd_metric(pd, p[None, :], step)[0]))
             worst = max(worst, float(err))
         return worst
 

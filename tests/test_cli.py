@@ -233,6 +233,53 @@ def test_bvp_scenario(tmp_path):
     assert res["converged"]
 
 
+# The inputs below overflow on their way to a NaN, which the CLI must catch;
+# the overflow warnings on that way are expected, so they are not errors here.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_bvp_with_a_huge_coefficient_exits_3(tmp_path):
+    # a_1 = 1e300 of the Joukowski outer curve overflows the enclosed area, so
+    # the initial residual is not finite; the least-squares solver would fail
+    # with a LinAlgError traceback
+    example = Path(__file__).resolve().parent.parent / "scenarios" / "bvp_joukowski.json"
+    payload = json.loads(example.read_text())
+    payload["params"]["outer"]["terms"]["1"] = [1e300, 0]
+    scn = write_scenario(tmp_path / "bvp.json", payload)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 3
+    rec = json.loads((out / "results.json").read_text())
+    assert rec["status"] == "numerical_failure"
+    assert rec["error_type"] == "NotFinite"
+    assert "Gauss-Newton step is not finite" in rec["message"]
+
+
+_ELLIPSE_N64 = {"terms": {"1": [1.0, 0.0], "-1": [0.3, 0.0]}, "N": 64}
+
+
+@pytest.mark.parametrize("payload,where", [
+    ({"operation": "curve.secondvar", "curve": _ELLIPSE_N64,
+      "params": {"fields": [{"base": 1e300}]}}, "results.reports[0].fd"),
+    ({"operation": "variation.density", "chart": {"name": "flat_c2"},
+      "immersion": {"formula": "graph_perturbed_torus", "grid": 16,
+                    "args": {"r1": 1.0, "r2": 1.0, "amplitude": 0.3, "mode": [1, 1]}},
+      "field": {"kind": "cosine_axis", "axis": 1, "base": 1.0, "amplitude": 1e300}},
+     "results.second.analytic"),
+    ({"operation": "curve.length", "curve": {"terms": {"1": [1.0, 0.0]}, "N": 64},
+      "params": {"radii": [0.5, 1.0, 1e300]}}, "results.lambda[2]"),
+])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_result_exits_3_naming_its_path(tmp_path, payload, where):
+    # each of these wrote "nan" into results.json with status ok and exit 0
+    scn = write_scenario(tmp_path / "s.json", {"version": 1, "name": "huge", **payload})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 3
+    raw = (out / "results.json").read_text()
+    assert '"nan"' not in raw
+    rec = json.loads(raw)
+    assert rec["status"] == "numerical_failure"
+    assert rec["error_type"] == "NotFinite"
+    assert rec["message"] == f"{payload['operation']} computed NaN at {where}"
+
+
 _BVP_PARAMS = {"outer": {"terms": {"1": [1.0, 0.0]}, "N": 32},
                "inner": {"terms": {"1": [0.5, 0.0]}, "N": 32}}
 
@@ -446,6 +493,8 @@ _FLAT_TORUS = {"chart": {"name": "flat_c2"},
       "curves": [{"label": float("nan"), "family": "annulus", "N": 256}]}, "curves[0].label"),
     ({"operation": "curve.secondvar", "curve": _ELLIPSE,
       "params": {"fields": [{"label": 3}]}}, "params.fields[0].label"),
+    ({"operation": "jvol.compute", "chart": {"name": "flat_c1"},
+      "immersion": {"formula": "fourier_curve", "grid": 64}}, "immersion.args.coeffs"),
 ])
 def test_malformed_scenario_fields_exit_2(tmp_path, capsys, payload, field):
     scn = write_scenario(tmp_path / "s.json", {"version": 1, "name": "bad", **payload})

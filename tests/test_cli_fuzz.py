@@ -1,18 +1,22 @@
 """Seeded fuzzing of the CLI contract with single-field scenario mutations.
 
 Each mutation replaces one field (at any depth) of an example scenario by a
-small bad value and runs the result through cli.main in-process. Whatever
-the input, the CLI must exit 0, 2 or 3 without raising, and a results.json
-it writes must be strict JSON: no NaN and no Infinity. Nor may it hold the
-string "nan", which is how the CLI writes a NaN float; "inf" is legal, since
-a polynomial curve's outer radius is infinite. The values are small, so no
-mutation can ask for a large grid, N or step count.
+bad value, or deletes it, and runs the result through cli.main in-process.
+Whatever the input, the CLI must exit 0, 2 or 3 without raising, and a
+results.json it writes must be strict JSON: no NaN and no Infinity. Nor may
+it hold the string "nan", which is how the CLI writes a NaN float; "inf" is
+legal, since a polynomial curve's outer radius is infinite. The values are
+small apart from HUGE, a float, which every integer field (grid, N, mode)
+rejects; no base scenario steps in time, so no mutation can ask for a large
+grid, N or step count. HUGE may overflow on its way to a result: its
+RuntimeWarnings are expected, and only what reaches results.json counts.
 """
 
 import copy
 import glob
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -20,8 +24,10 @@ import pytest
 from trgeo import cli
 
 SEED = 20240607
-N_MUTATIONS = 150
-VALUES = [None, "x", -1, 0, 0.5, [], {}, float("nan")]
+N_MUTATIONS = 400
+HUGE = 1e300
+DELETE = object()          # the mutation that removes the field
+VALUES = [None, "x", -1, 0, 0.5, [], {}, float("nan"), HUGE, DELETE]
 EXAMPLES = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir,
                                          "scenarios", "*.json")))
 DENSITY = {
@@ -31,6 +37,12 @@ DENSITY = {
                   "args": {"r1": 1.0, "r2": 1.0, "amplitude": 0.3, "mode": [1, 1]}},
     "field": {"kind": "cosine_axis", "axis": 1, "base": 1.0, "amplitude": 0.3,
               "mode": 1},
+}
+FOURIER_CURVE = {
+    "version": 1, "name": "fourier-curve", "operation": "jvol.compute",
+    "chart": {"name": "flat_c1"},
+    "immersion": {"formula": "fourier_curve", "grid": 64,
+                  "args": {"coeffs": [[1, 1.0, 0.0], [-1, 0.3, 0.0], [2, 0.1, 0.05]]}},
 }
 
 
@@ -48,7 +60,10 @@ def _mutated(scn, path, value):
     target = out
     for key in path[:-1]:
         target = target[key]
-    target[path[-1]] = value
+    if value is DELETE:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
     return out
 
 
@@ -62,7 +77,7 @@ def test_single_field_mutations_keep_the_cli_contract(tmp_path):
         with open(path) as f:
             bases.append(json.load(f))
     assert len(bases) == 4
-    bases.append(DENSITY)
+    bases += [DENSITY, FOURIER_CURVE]
     rng = np.random.default_rng(SEED)
     codes = set()
     for k in range(N_MUTATIONS):
@@ -70,12 +85,16 @@ def test_single_field_mutations_keep_the_cli_contract(tmp_path):
         paths = list(_paths(base))
         path = paths[rng.integers(len(paths))]
         value = VALUES[rng.integers(len(VALUES))]
-        what = f"{base['name']}: {'.'.join(map(str, path))} = {value!r}"
+        change = "deleted" if value is DELETE else f"= {value!r}"
+        what = f"{base['name']}: {'.'.join(map(str, path))} {change}"
         scn_path = tmp_path / f"scn{k}.json"
         scn_path.write_text(json.dumps(_mutated(base, path, value)))
         out = tmp_path / f"out{k}"
         try:
-            code = cli.main(["run", "--scenario", str(scn_path), "--out", str(out)])
+            with warnings.catch_warnings():
+                if value == HUGE:
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                code = cli.main(["run", "--scenario", str(scn_path), "--out", str(out)])
         except Exception as e:  # noqa: BLE001 - any escape breaks the contract
             pytest.fail(f"{what} raised {type(e).__name__}: {e}")
         assert code in (0, 2, 3), f"{what} exited {code}"

@@ -328,7 +328,7 @@ def test_bvp_intermediate_curves_available():
     gamma0 = cl.curve_from_terms({1: 1.0}, N=32)
     gamma1 = cl.curve_from_terms({1: 0.5}, N=32)
     res = gf.solve_bvp_annulus(gamma0, gamma1, N=8)
-    mid = cl.geodesic_evaluate(res.curve, 0.7, M=128)
+    mid = cl.geodesic_evaluate(res.curve, 0.7)
     assert np.max(np.abs(np.abs(mid) - 0.7)) <= 1e-9
 
 

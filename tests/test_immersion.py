@@ -420,19 +420,17 @@ def _raised(check):
     return None
 
 
-def _family_errors(grid, chart, family, rho_min, block=8):
+def _family_errors(grid, chart, family, block=8):
     """(member-by-member loop, stacked blocks of `block`) outcomes."""
     def loop():
         for p in family:
-            imm.is_totally_real(imm.Immersion(grid=grid, chart=chart, points=p),
-                                rho_min)
+            imm.is_totally_real(imm.Immersion(grid=grid, chart=chart, points=p))
 
     def blocks():
         # stacks are (B, 2n) + grid sizes
         ahead = np.moveaxis(family, -1, 1)
         for s in range(0, len(family), block):
-            imm.is_totally_real_stack(grid, chart, ahead[s:s + block],
-                                      rho_min=rho_min)
+            imm.is_totally_real_stack(grid, chart, ahead[s:s + block])
 
     return _raised(loop), _raised(blocks)
 
@@ -463,7 +461,7 @@ _BAD_FAMILIES = ([((kind,), (k,)) for kind in _BAD_MEMBERS for k in (3, 10)]
 
 
 @pytest.mark.parametrize("kinds, where", _BAD_FAMILIES)
-def test_stacked_check_raises_what_the_member_loop_raises(kinds, where):
+def test_stacked_check_raises_what_the_member_loop_raises(kinds, where, monkeypatch):
     family = np.stack([_torus_points(_GRID16, 1.0, 1.0, a)
                        for a in np.linspace(0.05, 0.3, 12)])
     flat = ambient.flat_chart(2)
@@ -473,11 +471,11 @@ def test_stacked_check_raises_what_the_member_loop_raises(kinds, where):
     bad = float(np.min(imm.density(imm.Immersion(
         grid=_GRID16, chart=flat, points=_BAD_MEMBERS["rho"][0])).rho))
     assert bad < good
-    rho_min = 0.5 * (good + bad)
-    assert _family_errors(_GRID16, flat, family, rho_min) == (None, None)
+    monkeypatch.setattr(imm, "RHO_MIN", 0.5 * (good + bad))
+    assert _family_errors(_GRID16, flat, family) == (None, None)
     for kind, k in zip(kinds, where):
         family[k] = _BAD_MEMBERS[kind][0]
-    loop, blocks = _family_errors(_GRID16, flat, family, rho_min)
+    loop, blocks = _family_errors(_GRID16, flat, family)
     _, error, text = _BAD_MEMBERS[kinds[0]]
     assert loop is not None and loop[0] is error and text in loop[1]
     assert blocks == loop
@@ -507,5 +505,5 @@ def test_stacked_check_hands_domain_failures_to_the_loop(bad):
     for k, r in bad.items():
         members[k] = (0.3, r) if r > 0.5 else (0.0, 0.3)
     family = np.stack([_torus_points(_GRID16, r1, r2) for r1, r2 in members])
-    loop, blocks = _family_errors(_GRID16, ball, family, imm.RHO_MIN)
+    loop, blocks = _family_errors(_GRID16, ball, family)
     assert loop is not None and blocks == loop

@@ -69,18 +69,18 @@ def test_first_variation_richardson_order(circle):
 
 
 def test_hj_sign_validation(circle, torus12):
-    assert vh.validate_hj_sign(circle, n_fields=5)
-    assert vh.validate_hj_sign(torus12, n_fields=3)
+    assert vh.validate_hj_sign(circle)
+    assert vh.validate_hj_sign(torus12)
     pd = ambient.poincare_disk()
     hc = imm.build_immersion(imm.GridTorus((64,)), pd, "circle", r=0.5)
-    assert vh.validate_hj_sign(hc, n_fields=3)
+    assert vh.validate_hj_sign(hc)
 
 
 def test_hj_sign_validation_perturbed():
     gp = imm.build_immersion(imm.GridTorus((32, 32)), ambient.flat_chart(2),
                              "graph_perturbed_torus", r1=1.0, r2=1.0,
                              amplitude=0.4, mode=(1, 1))
-    assert vh.validate_hj_sign(gp, n_fields=5)
+    assert vh.validate_hj_sign(gp)
 
 
 # --- tangential flows ------------------------------------------------------------
@@ -274,9 +274,8 @@ def test_straight_torus_is_critical_and_stable():
     assert imm.lagrangian_defect(st) <= 1e-12      # and Lagrangian
     rng = np.random.default_rng(9)
     for _ in range(5):
-        comps = np.stack([
-            _spectral.low_mode_field(rng, st.grid.sizes, amplitude=0.5)
-            for _ in range(2)])
+        comps = np.stack([0.5 * _spectral.low_mode_field(rng, st.grid.sizes)
+                          for _ in range(2)])
         Y = imm.VectorFieldOnL(grid=st.grid, components=comps)
         integrand, dens = vh.second_variation_integrand(st, Y)
         value = _spectral.periodic_total(integrand * dens.volj_density,
