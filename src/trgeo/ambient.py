@@ -90,14 +90,6 @@ class AmbientChart:
     def is_flat(self):
         return self.kind == "flat"
 
-    def descriptor(self):
-        d = {"name": self.name, "n": self.n, "kind": self.kind}
-        if self.radius is not None:
-            d["radius"] = self.radius
-        if self.quotient:
-            d["quotient"] = True
-        return d
-
     # -- domain ------------------------------------------------------------
 
     def require_inside(self, pts, margin=_MARGIN):
@@ -234,32 +226,6 @@ class AmbientChart:
         if ricci_errors:
             raise ricci_errors[0]
         return series[..., 0, :, :], gamma, series[..., 1 + d, :, :]
-
-
-@dataclass
-class MetricData:
-    """Metric and 2-form at one chart point."""
-
-    g: np.ndarray
-    omega: np.ndarray
-
-
-# --- public single-point operations ---------------------------------------
-
-def metric_at(chart, p):
-    p = np.asarray(p, dtype=float)
-    g, omega = chart.metric_many(p[None, :])
-    return MetricData(g=g[0], omega=omega[0])
-
-
-def christoffels_at(chart, p):
-    p = np.asarray(p, dtype=float)
-    return chart.christoffel_many(p[None, :])[0]
-
-
-def ricci_at(chart, p):
-    p = np.asarray(p, dtype=float)
-    return chart.ricci_many(p[None, :])[0]
 
 
 def verify_kahler_einstein(chart, sample_points):

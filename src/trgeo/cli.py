@@ -6,8 +6,9 @@ tolerances and the names of the files written, relative to the output
 directory), results.json, and any CSV series into the output directory.
 
 Exit codes: 0 success, 2 validation failure (bad file, unresolvable
-descriptor, unknown operation), 3 numerical failure (e.g. BlowUpDetected),
-with the failure recorded as a structured entry in results.json.
+descriptor, unknown operation, a key the operation does not read), 3
+numerical failure (e.g. BlowUpDetected), with the failure recorded as a
+structured entry in results.json; a refused result leaves none of its files.
 
 Determinism: given a fixed scenario and seed the outputs are byte-identical
 across runs and thread counts; all reductions are fixed-order compensated
@@ -163,6 +164,15 @@ def _get(d, key, path, kind, default=_REQUIRED, minimum=None):
     return _check(d[key], path, kind, minimum)
 
 
+def _only(d, path, keys):
+    """d, after checking that it holds no key outside keys, the keys that are read."""
+    for key in d:
+        if key not in keys:
+            raise ValidationError(f"{path}.{key}: unknown field "
+                                  f"(known: {', '.join(keys) or 'none'})")
+    return d
+
+
 def _params(scn):
     return _get(scn, "params", "params", "object")
 
@@ -177,17 +187,20 @@ def _resolve_grid(desc, n):
 
 def _chart(scn):
     desc = _get(scn, "chart", "chart", "object", {"name": "flat_c1"})
-    for key in desc:
-        if key != "name":
-            raise ValidationError(f"chart.{key}: a chart object takes only \"name\"")
-    return ambient.chart_from_descriptor(desc)
+    return ambient.chart_from_descriptor(_only(desc, "chart", ("name",)))
 
 
-# shapes of the build_immersion arguments: () a number, (k,) a list of k
-# entries, None any number of entries; coeffs may also be a {mode: number} object
-_ARG_SHAPES = {"r": (), "a": (), "b": (), "r1": (), "r2": (), "amplitude": (),
-               "center": (2,), "mode": (2,), "offset": (4,), "winding": (4, 2),
-               "coeffs": (None, 3)}
+# the arguments each build_immersion formula reads, with their shapes: () a
+# number, (k,) a list of k entries, None any number of entries; coeffs may
+# also be a {mode: number} object
+_FORMULA_ARGS = {
+    "circle": {"r": (), "center": (2,)},
+    "ellipse": {"a": (), "b": ()},
+    "fourier_curve": {"coeffs": (None, 3)},
+    "product_torus": {"r1": (), "r2": ()},
+    "graph_perturbed_torus": {"r1": (), "r2": (), "amplitude": (), "mode": (2,)},
+    "straight_torus": {"winding": (4, 2), "offset": (4,)},
+}
 
 
 def _check_shape(value, path, shape):
@@ -209,10 +222,15 @@ def _mode(key, where):
 
 def _resolve_immersion(scn):
     chart = _chart(scn)
-    d = _get(scn, "immersion", "immersion", "object")
+    d = _only(_get(scn, "immersion", "immersion", "object"), "immersion",
+              ("grid", "formula", "args"))
     grid = _resolve_grid(d.get("grid", 64), 1 if chart.n == 1 else 2)
     formula = _get(d, "formula", "immersion.formula", "string")
-    args = _get(d, "args", "immersion.args", "object", {})
+    if formula not in _FORMULA_ARGS:
+        raise ValidationError(f"unknown immersion formula {formula!r}")
+    shapes = _FORMULA_ARGS[formula]
+    args = _only(_get(d, "args", "immersion.args", "object", {}), "immersion.args",
+                 shapes)
     if formula == "fourier_curve" and "coeffs" not in args:
         raise ValidationError("scenario needs immersion.args.coeffs")
     for key, value in args.items():
@@ -221,14 +239,23 @@ def _resolve_immersion(scn):
             for mode, a in value.items():
                 _mode(mode, f"{where}.{mode}")
                 _check(a, f"{where}.{mode}", "number")
-        elif key in _ARG_SHAPES:
-            _check_shape(value, where, _ARG_SHAPES[key])
+        else:
+            _check_shape(value, where, shapes[key])
     return imm.build_immersion(grid, chart, formula, **args), chart
+
+
+# the keys each convexity family kind reads besides "kind" and "grid"
+_FAMILY_KEYS = {"flat_circle": ("r0",), "flat_torus": ("r1", "r2", "axis"),
+                "poincare_circle": ("r0",), "quotient_torus_shear": ("amplitude",)}
 
 
 def _family(p):
     """params.family of variation.convexity with the fields it reads checked."""
     fam = _get(p, "family", "params.family", "object")
+    kind = _get(fam, "kind", "params.family.kind", "string")
+    if kind not in _FAMILY_KEYS:
+        raise ValidationError(f"unknown family kind {kind!r}")
+    _only(fam, "params.family", ("kind", "grid") + _FAMILY_KEYS[kind])
     _get(fam, "grid", "params.family.grid", "int", None, minimum=1)
     for key in ("r0", "r1", "r2", "amplitude"):
         _get(fam, key, f"params.family.{key}", "number", None)
@@ -238,36 +265,47 @@ def _family(p):
     return fam
 
 
+# the keys each field kind reads besides "kind" and "axis"
+_FIELD_KEYS = {"coordinate": ("scale",), "cosine_axis": ("base", "amplitude", "mode")}
+
+
 def _resolve_field(scn, grid):
     desc = _get(scn, "field", "field", "object", {"kind": "coordinate"})
-    kind = desc.get("kind", "coordinate")
+    kind = _get(desc, "kind", "field.kind", "string", "coordinate")
+    if kind not in _FIELD_KEYS:
+        raise ValidationError(f"unknown field descriptor {desc!r}")
+    _only(desc, "field", ("kind", "axis") + _FIELD_KEYS[kind])
     axis = _get(desc, "axis", "field.axis", "int", 0, minimum=0)
     if axis >= grid.n:
         raise ValidationError(f"field.axis must be < {grid.n}, got {axis}")
     if kind == "coordinate":
         return imm.coordinate_field(grid, axis,
                                     scale=_get(desc, "scale", "field.scale", "number", 1.0))
-    if kind == "cosine_axis":
-        base = _get(desc, "base", "field.base", "number", 1.0)
-        amp = _get(desc, "amplitude", "field.amplitude", "number", 0.3)
-        mode = _get(desc, "mode", "field.mode", "int", 1)
-        theta = grid.thetas(axis)
-        profile = base + amp * np.cos(mode * theta)
-        comp = np.zeros((grid.n,) + grid.sizes)
-        if grid.n == 1:
-            comp[axis] = profile
-        else:
-            comp[axis] = np.expand_dims(profile, axis=1 - axis)
-        return imm.VectorFieldOnL(grid=grid, components=comp)
-    raise ValidationError(f"unknown field descriptor {desc!r}")
+    # cosine_axis
+    base = _get(desc, "base", "field.base", "number", 1.0)
+    amp = _get(desc, "amplitude", "field.amplitude", "number", 0.3)
+    mode = _get(desc, "mode", "field.mode", "int", 1)
+    theta = grid.thetas(axis)
+    profile = base + amp * np.cos(mode * theta)
+    comp = np.zeros((grid.n,) + grid.sizes)
+    if grid.n == 1:
+        comp[axis] = profile
+    else:
+        comp[axis] = np.expand_dims(profile, axis=1 - axis)
+    return imm.VectorFieldOnL(grid=grid, components=comp)
 
 
-def _resolve_curve(desc, path):
+def _resolve_curve(desc, path, extra=()):
+    """The curve of a descriptor; extra names the keys its caller reads."""
     desc = _check(desc, path, "object")
-    if "family" in desc:
+    kind = next((k for k in ("family", "terms", "coeff_file") if k in desc), None)
+    if kind is None:
+        raise ValidationError(f"unresolvable curve descriptor {desc!r}")
+    _only(desc, path, (kind, "N") + extra)
+    if kind == "family":
         return curve_lab.family_coefficients(
             desc["family"], N=_get(desc, "N", f"{path}.N", "int", 256, minimum=1))
-    if "terms" in desc:
+    if kind == "terms":
         terms = _get(desc, "terms", f"{path}.terms", "object")
         coeffs = {}
         for key in terms:
@@ -275,14 +313,12 @@ def _resolve_curve(desc, path):
             coeffs[_mode(key, where)] = complex(*_check_shape(terms[key], where, (2,)))
         return curve_lab.curve_from_terms(
             coeffs, N=_get(desc, "N", f"{path}.N", "int", 128, minimum=1))
-    if "coeff_file" in desc:
-        N = _get(desc, "N", f"{path}.N", "int", None, minimum=1)
-        try:
-            return curve_lab.load_coefficients(desc["coeff_file"], N=N)
-        except (OSError, ValueError, TypeError, IndexError) as e:
-            raise ValidationError(f"{path}.coeff_file: cannot load "
-                                  f"{desc['coeff_file']!r}: {e}") from None
-    raise ValidationError(f"unresolvable curve descriptor {desc!r}")
+    N = _get(desc, "N", f"{path}.N", "int", None, minimum=1)
+    try:
+        return curve_lab.load_coefficients(desc["coeff_file"], N=N)
+    except (OSError, ValueError, TypeError, IndexError) as e:
+        raise ValidationError(f"{path}.coeff_file: cannot load "
+                              f"{desc['coeff_file']!r}: {e}") from None
 
 
 def _curve(scn):
@@ -306,7 +342,7 @@ def _op_curve_analyze(scn, out_dir):
 def _op_curve_classify(scn, out_dir):
     records = []
     for k, desc in enumerate(_get(scn, "curves", "curves", "list")):
-        curve = _resolve_curve(desc, f"curves[{k}]")
+        curve = _resolve_curve(desc, f"curves[{k}]", ("label",))
         label = _get(desc, "label", f"curves[{k}].label", "string", desc.get("family", "curve"))
         cls = curve_lab.classify_direction(curve)
         records.append({
@@ -353,7 +389,8 @@ def _op_curve_secondvar(scn, out_dir):
     reports = []
     for k, fdesc in enumerate(fields):
         where = f"params.fields[{k}]"
-        fdesc = _check(fdesc, where, "object")
+        fdesc = _only(_check(fdesc, where, "object"), where,
+                      ("base", "amplitude", "mode", "label"))
         base = _get(fdesc, "base", f"{where}.base", "number", 1.0)
         amp = _get(fdesc, "amplitude", f"{where}.amplitude", "number", 0.0)
         mode = _get(fdesc, "mode", f"{where}.mode", "int", 1)
@@ -365,26 +402,32 @@ def _op_curve_secondvar(scn, out_dir):
     return {"reports": reports}, [_write_reports_csv(out_dir, reports)]
 
 
+def _write_grid_csv(path, sizes, columns):
+    """One row per grid node in C order: its indices i0.., then each column's value."""
+    write_csv(path, [f"i{k}" for k in range(len(sizes))] + list(columns),
+              zip(*np.indices(sizes).reshape(len(sizes), -1).tolist(),
+                  *(a.ravel().tolist() for a in columns.values())))
+
+
 def _op_jvol_compute(scn, out_dir):
     im, chart = _resolve_immersion(scn)
     geo = imm.frames(im)
-    vols, dens = geo.volumes(), geo.density
+    vols = geo.volumes()
     path = os.path.join(out_dir, "density.csv")
-    imm.export_density_csv(dens, path)
+    _write_grid_csv(path, im.grid.sizes, {"rho": geo.rho, "volg_density": geo.induced_vol,
+                                          "volj_density": geo.volj_density})
     return {"vol_j": vols["vol_j"], "vol_g": vols["vol_g"],
-            "min_rho": float(np.min(dens.rho)), "max_rho": float(np.max(dens.rho)),
+            "min_rho": float(np.min(geo.rho)), "max_rho": float(np.max(geo.rho)),
             "lagrangian_defect": geo.lagrangian_defect,
-            "formula_gap": dens.formula_gap}, [path]
+            "formula_gap": geo.formula_gap}, [path]
 
 
 def _op_jvol_hj(scn, out_dir):
     im, chart = _resolve_immersion(scn)
-    field = imm.h_j_field(im)
+    field = imm.frames(im).h_j
     mags = np.sqrt(np.sum(field.values ** 2, axis=-1))
     path = os.path.join(out_dir, "hj_magnitude.csv")
-    rows = [tuple(int(i) for i in idx) + (float(mags[idx]),)
-            for idx in np.ndindex(*im.grid.sizes)]
-    write_csv(path, [f"i{k}" for k in range(im.n)] + ["|H_J|"], rows)
+    _write_grid_csv(path, im.grid.sizes, {"|H_J|": mags})
     return {"max_magnitude": float(np.max(mags)),
             "min_magnitude": float(np.min(mags)),
             "tangential_leak": field.max_tangential_leak}, [path]
@@ -394,11 +437,13 @@ def _op_flow_run(scn, out_dir):
     im, chart = _resolve_immersion(scn)
     X = _resolve_field(scn, im.grid)
     p = _params(scn)
-    scheme = p.get("scheme", "spectral")
+    scheme = _get(p, "scheme", "params.scheme", "string", "spectral")
     if scheme == "spectral":
+        _only(p, "params", ("scheme", "times"))
         ts = _get(p, "times", "params.times", "numbers")
         flow = geodesic_flow.flow_spectral(im, X, ts)
     elif scheme == "timestep":
+        _only(p, "params", ("scheme", "t_final", "dt", "store_every"))
         flow = geodesic_flow.flow_timestep(
             im, X, _get(p, "t_final", "params.t_final", "number"),
             _get(p, "dt", "params.dt", "number"),
@@ -497,22 +542,23 @@ def _op_ambient_verify(scn, out_dir):
     return {"report": rep}, []
 
 
+# each operation's handler and the params keys it reads
 _OPERATIONS = {
-    "curve.analyze": _op_curve_analyze,
-    "curve.classify": _op_curve_classify,
-    "curve.geodesic": _op_curve_geodesic,
-    "curve.length": _op_curve_length,
-    "curve.secondvar": _op_curve_secondvar,
-    "jvol.compute": _op_jvol_compute,
-    "jvol.hj": _op_jvol_hj,
-    "flow.run": _op_flow_run,
-    "flow.bvp": _op_flow_bvp,
-    "flow.uniqueness": _op_flow_uniqueness,
-    "variation.first": _op_variation_first,
-    "variation.second": _op_variation_second,
-    "variation.density": _op_variation_density,
-    "variation.convexity": _op_variation_convexity,
-    "ambient.verify": _op_ambient_verify,
+    "curve.analyze": (_op_curve_analyze, ("samples",)),
+    "curve.classify": (_op_curve_classify, ()),
+    "curve.geodesic": (_op_curve_geodesic, ("radii",)),
+    "curve.length": (_op_curve_length, ("radii",)),
+    "curve.secondvar": (_op_curve_secondvar, ("fields",)),
+    "jvol.compute": (_op_jvol_compute, ()),
+    "jvol.hj": (_op_jvol_hj, ()),
+    "flow.run": (_op_flow_run, ("scheme", "times", "t_final", "dt", "store_every")),
+    "flow.bvp": (_op_flow_bvp, ("N", "outer", "inner")),
+    "flow.uniqueness": (_op_flow_uniqueness, ("t_final",)),
+    "variation.first": (_op_variation_first, ()),
+    "variation.second": (_op_variation_second, ()),
+    "variation.density": (_op_variation_density, ()),
+    "variation.convexity": (_op_variation_convexity, ("family", "t_grid")),
+    "ambient.verify": (_op_ambient_verify, ("n_points", "r_max")),
 }
 
 
@@ -535,9 +581,11 @@ def run_scenario(path, out_dir, threads=None):
     """Execute one scenario file; returns the process exit status."""
     scn = load_scenario(path)
     op = scn["operation"]
-    handler = _OPERATIONS.get(op)
-    if handler is None:
+    if op not in _OPERATIONS:
         raise UnknownOperation(f"unknown operation {op!r}")
+    handler, keys = _OPERATIONS[op]
+    # an empty params is legal everywhere
+    _only(_get(scn, "params", "params", "object", {}), "params", keys)
     os.makedirs(out_dir, exist_ok=True)
     manifest = {
         "package_version": __version__,
@@ -553,6 +601,9 @@ def run_scenario(path, out_dir, threads=None):
         results, files = handler(scn, out_dir)
         nan = _nan_path(results, "results")
         if nan is not None:
+            # a refused result leaves none of its files behind
+            for f in files:
+                os.remove(f)
             raise NotFinite(f"{op} computed NaN at {nan}")
     except NumericalError as e:
         record = {

@@ -138,9 +138,9 @@ def synthesize(curve, M=None, r=1.0):
     if M < 2 * N + 1:
         raise ValidationError("too few synthesis samples for the truncation")
     fft_coeffs = np.zeros(M, dtype=complex)
-    n = np.arange(-N, N + 1)
-    radial = np.power(float(r), n.astype(float))
-    fft_coeffs[n % M] = curve.coeffs * radial
+    # only the stored nonzero a_n: 0 * r^n would be NaN where r^n overflows
+    n = np.flatnonzero(curve.coeffs) - N
+    fft_coeffs[n % M] = curve.coeffs[n + N] * np.power(float(r), n.astype(float))
     return np.fft.ifft(fft_coeffs) * M
 
 

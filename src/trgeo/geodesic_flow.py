@@ -239,7 +239,7 @@ def geodesic_family(im, Y, ts):
     transverse slice. Anything else raises GeodesicUnavailable. The family
     passes mode_growth_guard at its farthest time on each side of t = 0 and
     the geodesic residual check block by block; its members are not
-    validated here, since total_volumes validates each one it integrates.
+    validated here, since callers integrate each through is_totally_real.
     """
     al = _coordinate_alignment(Y)
     if al is None:

@@ -9,11 +9,10 @@ which keeps spectral differentiation valid for closed straight tori.
 The J-volume density rho_J is sqrt(det_C h_ij) for the Hermitian form
 h = g - i omega on an orthonormal tangent frame. A second formula, the square
 root of the ambient volume of (e_1..e_n, Je_1..Je_n), cross-checks it
-wherever JVolumeDensity.formula_gap is read; validation alone skips it. Both
+wherever Geometry.formula_gap is read; validation alone skips it. Both
 equal 1 exactly on Lagrangian planes.
 """
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -21,12 +20,11 @@ from typing import Optional
 import numpy as np
 
 from . import _spectral
-from .ambient import AmbientChart, chart_from_descriptor
+from .ambient import AmbientChart
 from .errors import (DegenerateFrame, MetricNotPositiveDefinite, NotImmersed,
                      NotTotallyReal, PointOutsideDomain, ValidationError)
 
 RHO_MIN = 1e-6            # numerical floor for "totally real"
-FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -140,39 +138,6 @@ class Immersion:
         pos = self.positions()
         return pos[:, 0] + 1j * pos[:, 1]
 
-    def to_dict(self):
-        d = {
-            "format_version": FORMAT_VERSION,
-            "grid_sizes": list(self.grid.sizes),
-            "chart": self.chart.descriptor(),
-            "points": self.points.ravel(order="C").tolist(),
-        }
-        if self.winding is not None and np.any(self.winding != 0.0):
-            d["winding"] = self.winding.tolist()
-        return d
-
-
-def immersion_from_dict(d):
-    if d.get("format_version") != FORMAT_VERSION:
-        raise ValidationError("unsupported immersion container version")
-    grid = GridTorus(tuple(d["grid_sizes"]))
-    chart = chart_from_descriptor(d["chart"])
-    pts = np.array(d["points"], dtype=float).reshape(grid.sizes + (chart.dim,))
-    winding = np.array(d["winding"], dtype=float) if "winding" in d else None
-    return Immersion(grid=grid, chart=chart, points=pts, winding=winding)
-
-
-def save_immersion(im, path):
-    with open(path, "w") as f:
-        json.dump(im.to_dict(), f, sort_keys=True)
-        f.write("\n")
-
-
-def load_immersion(path):
-    with open(path) as f:
-        return immersion_from_dict(json.load(f))
-
-
 # Inside the geometry code the ambient components come ahead of the grid
 # axes, so that every FFT line and every nodewise sum over the components
 # runs over contiguous memory: one immersion is (2n,) + grid.sizes and a
@@ -226,9 +191,10 @@ def _dot(a, b):
 class Geometry:
     """Orthonormal tangent frame of one immersion and what is read off it.
 
-    frames(im) builds the frame fields; the J-density, the projections, H_J
-    and the Lagrangian defect are computed on first read and kept, so a
-    caller that holds one Geometry builds each of them at most once. The
+    frames(im) builds the frame fields; rho_J and the J-density (and the
+    Gram-formula cross-check rho_vol, formula_gap), the projections, H_J and
+    the Lagrangian defect are computed on first read and kept, so a caller
+    that holds one Geometry builds each of them at most once. The
     object lives in its caller's scope; nothing is cached on the Immersion.
     vectors and frame keep the components last, as views of the builder's
     components-first arrays (see _frame_fields).
@@ -243,19 +209,30 @@ class Geometry:
     induced_vol: np.ndarray      # sizes: |v_1 ^ .. ^ v_n|_g
 
     @cached_property
-    def density(self):
-        """Per-node rho_J and volume densities (theta-coordinate components)."""
-        rho = _rho_h(np.moveaxis(self.frame, -1, 1), self.omega_ambient)
-        volg = self.induced_vol
-        return JVolumeDensity(rho=rho, volg_density=volg, volj_density=rho * volg,
-                              frame=self.frame, g_ambient=self.g_ambient,
-                              J=self.im.chart.J)
+    def rho(self):
+        """Per-node rho_J by the Hermitian-determinant formula."""
+        return _rho_h(np.moveaxis(self.frame, -1, 1), self.omega_ambient)
+
+    @cached_property
+    def volj_density(self):
+        """Per-node J-volume density rho_J |v_1 ^ .. ^ v_n|_g (theta coordinates)."""
+        return self.rho * self.induced_vol
+
+    @cached_property
+    def rho_vol(self):
+        """Per-node rho_J by the Gram-determinant formula (the cross-check)."""
+        return _rho_vol(self.frame, self.g_ambient, self.im.chart.J)
+
+    @cached_property
+    def formula_gap(self):
+        """max |det_C formula - Gram formula| over the nodes."""
+        return float(np.max(np.abs(self.rho - self.rho_vol)))
 
     def volumes(self):
         """Vol_J and Vol_g by deterministic periodic quadrature."""
         cell = self.im.grid.cell
-        vol_j = _spectral.periodic_total(self.density.volj_density, cell)
-        vol_g = _spectral.periodic_total(self.density.volg_density, cell)
+        vol_j = _spectral.periodic_total(self.volj_density, cell)
+        vol_g = _spectral.periodic_total(self.induced_vol, cell)
         if vol_j > vol_g + 1e-10:
             raise NotTotallyReal("Vol_J exceeds Vol_g beyond tolerance")
         return {"vol_j": vol_j, "vol_g": vol_g}
@@ -271,11 +248,6 @@ class Geometry:
         sel = np.zeros((d, d))
         sel[:n, :n] = np.eye(n)
         return B @ sel @ np.linalg.inv(B)
-
-    @cached_property
-    def pi_j(self):
-        """Projection onto J TL along TL."""
-        return np.broadcast_to(np.eye(self.im.chart.dim), self.pi_l.shape) - self.pi_l
 
     @cached_property
     def pi_t(self):
@@ -476,39 +448,9 @@ def rho_of_frame(frame_vectors, g, omega, J):
 
 
 @dataclass
-class JVolumeDensity:
-    """Per-node rho_J (det_C formula) and the volume densities.
-
-    The Gram formula rho_vol and the cross-check formula_gap are computed
-    on first read, from the frame, metric and J the density was built on.
-    """
-
-    rho: np.ndarray
-    volg_density: np.ndarray
-    volj_density: np.ndarray
-    frame: np.ndarray = field(repr=False)
-    g_ambient: np.ndarray = field(repr=False)
-    J: np.ndarray = field(repr=False)
-
-    @cached_property
-    def rho_vol(self):
-        return _rho_vol(self.frame, self.g_ambient, self.J)
-
-    @cached_property
-    def formula_gap(self):
-        """max |det_C formula - Gram formula| over the nodes."""
-        return float(np.max(np.abs(self.rho - self.rho_vol)))
-
-
-@dataclass
 class MeanCurvatureField:
     values: np.ndarray           # sizes + (2n,), lying in J(TL) nodewise
     max_tangential_leak: float   # max |pi_L applied to values|
-
-
-def density(im):
-    """Per-node rho_J and volume densities of a fresh Geometry."""
-    return frames(im).density
 
 
 def _require_volume_and_rho(induced_vol, rho):
@@ -528,8 +470,8 @@ def _require_volume_and_rho(induced_vol, rho):
         )
 
 
-def _validated(im):
-    """Geometry of im after the checks of is_totally_real."""
+def is_totally_real(im):
+    """The Geometry of im, validated: full-rank frame and rho_J above RHO_MIN."""
     im.chart.require_inside(im.positions())
     # overflow shows up as non-finite geometry, which the frame check names
     with np.errstate(over="ignore", invalid="ignore"):
@@ -537,13 +479,8 @@ def _validated(im):
             geo = frames(im)
         except DegenerateFrame as e:
             raise NotImmersed(str(e)) from None
-        _require_volume_and_rho(geo.induced_vol, lambda: geo.density.rho)
+        _require_volume_and_rho(geo.induced_vol, lambda: geo.rho)
     return geo
-
-
-def is_totally_real(im):
-    """Validate the immersion: full-rank frame and rho_J above RHO_MIN."""
-    return _validated(im).density
 
 
 def is_totally_real_stack(grid, chart, points, winding=None):
@@ -580,38 +517,6 @@ def is_totally_real_stack(grid, chart, points, winding=None):
         if degenerate[b]:
             raise NotImmersed(_degenerate_message(induced_vol[b]))
         _require_volume_and_rho(induced_vol[b], lambda: rho[b])
-
-
-def rho_j(im, node):
-    """rho_J at one grid node (Hermitian-determinant value)."""
-    dens = density(im)
-    val = float(dens.rho[node])
-    if val <= RHO_MIN:
-        raise NotTotallyReal(f"rho_J({node}) = {val:.3g}")
-    return val
-
-
-def tangent_frame(im, node):
-    """Coordinate vectors and the orthonormalized frame at one node."""
-    fr = frames(im)
-    vs = np.stack([fr.vectors[i][node] for i in range(im.n)])
-    es = np.stack([fr.frame[i][node] for i in range(im.n)])
-    return vs, es
-
-
-def total_volumes(im):
-    """Vol_J and Vol_g of a validated immersion by periodic quadrature."""
-    return _validated(im).volumes()
-
-
-def lagrangian_defect(im):
-    """max_node |omega(e_1, e_2)| for surfaces; exactly 0 for curves."""
-    return frames(im).lagrangian_defect
-
-
-def h_j_field(im):
-    """J-mean-curvature field of im (see Geometry.h_j)."""
-    return frames(im).h_j
 
 
 # --- built-in immersion formulas ----------------------------------------------
@@ -693,17 +598,3 @@ def reparametrized(im, shifts):
         pts = np.fft.ifft(coef, axis=k).real
     return Immersion(grid=im.grid, chart=im.chart, points=pts)
 
-
-def export_density_csv(dens, path):
-    """Per-node rho_J and densities as CSV (node indices, rho, vol_g, vol_J)."""
-    sizes = dens.rho.shape
-    cols = [f"i{k}" for k in range(len(sizes))] + ["rho", "volg_density",
-                                                   "volj_density"]
-    # '%.17g' % x is the same string as format(x, '.17g')
-    row = ",".join(["%d"] * len(sizes) + ["%.17g"] * 3) + "\n"
-    table = np.vstack([np.indices(sizes).reshape(len(sizes), -1)]
-                      + [np.ravel(a) for a in (dens.rho, dens.volg_density,
-                                               dens.volj_density)])
-    with open(path, "w", newline="") as f:
-        f.write(",".join(cols) + "\n")
-        f.write("".join(row % r for r in map(tuple, table.T.tolist())))

@@ -25,8 +25,7 @@ import numpy as np
 from . import _spectral
 from .errors import SignConventionMismatch, ValidationError
 from .geodesic_flow import geodesic_family, tangential_flow
-from .immersion import (GridTorus, Immersion, VectorFieldOnL, density, frames,
-                        total_volumes)
+from .immersion import GridTorus, Immersion, VectorFieldOnL, frames, is_totally_real
 
 # FD steps: first variation (descending, each half the one before), the
 # pointwise density checks, and the second variation along a geodesic family
@@ -79,7 +78,7 @@ def fd_first_variation(im, Z):
     raises NotTotallyReal.
     """
     def vol(t):
-        return total_volumes(deform_linear(im, Z, t))["vol_j"]
+        return is_totally_real(deform_linear(im, Z, t)).volumes()["vol_j"]
 
     diffs = {e: (vol(e) - vol(-e)) / (2.0 * e) for e in FD_EPS}
     d0, d1, d2 = diffs.values()
@@ -96,7 +95,7 @@ def check_first_variation(im, Y, context=""):
     geo = frames(im)
     jy = np.einsum("ij,...j->...i", im.chart.J, geo.pushforward(Y))
     integrand = np.einsum("...i,...ij,...j->...", jy, geo.g_ambient, geo.h_j.values)
-    analytic = -_spectral.periodic_total(integrand * geo.density.volj_density,
+    analytic = -_spectral.periodic_total(integrand * geo.volj_density,
                                          im.grid.cell)
     fd, order = fd_first_variation(im, jy)
     return _make_report(analytic, fd, order, context or "first variation")
@@ -139,16 +138,16 @@ def check_density_divergence(im, X):
     values; rel_err is the worst pointwise relative error.
     """
     geo = frames(im)
-    rho_x = geo.density.rho[None, ...] * X.components
+    rho_x = geo.rho[None, ...] * X.components
     div1 = geo.divergence(rho_x)
     first_exact = div1 * geo.induced_vol
     div1_x = X.components * div1[None, ...]
     second_exact = geo.divergence(div1_x) * geo.induced_vol
 
     eps = DENSITY_EPS
-    d = {t: density(tangential_flow(im, X, t)).volj_density
+    d = {t: frames(tangential_flow(im, X, t)).volj_density
          for t in (eps, -eps, eps / 2.0, -eps / 2.0)}
-    d_0 = geo.density.volj_density
+    d_0 = geo.volj_density
     fd1 = _spectral.richardson(lambda h: (d[h] - d[-h]) / (2.0 * h), eps)
     fd2 = _spectral.richardson(lambda h: (d[h] - 2.0 * d_0 + d[-h]) / h ** 2, eps)
 
@@ -170,11 +169,10 @@ def check_density_divergence(im, X):
 # --- geodesic second variation -----------------------------------------------------
 
 def second_variation_integrand(im, Y):
-    """(Div(rho_J Y)/rho_J)^2 + g(JY, H_J)^2 - Ric(Y, Y), per node."""
+    """(Div(rho_J Y)/rho_J)^2 + g(JY, H_J)^2 - Ric(Y, Y) per node, and the Geometry."""
     geo = frames(im)
-    dens = geo.density
-    rho_y = dens.rho[None, ...] * Y.components
-    div_term = geo.divergence(rho_y) / dens.rho
+    rho_y = geo.rho[None, ...] * Y.components
+    div_term = geo.divergence(rho_y) / geo.rho
     y_amb = geo.pushforward(Y)
     jy = np.einsum("ij,...j->...i", im.chart.J, y_amb)
     hj_term = np.einsum("...i,...ij,...j->...", jy, geo.g_ambient, geo.h_j.values)
@@ -183,7 +181,7 @@ def second_variation_integrand(im, Y):
     else:
         ric = im.chart.ricci_many(im.positions())
         ric_term = np.einsum("...i,...ij,...j->...", y_amb, ric, y_amb)
-    return div_term ** 2 + hj_term ** 2 - ric_term, dens
+    return div_term ** 2 + hj_term ** 2 - ric_term, geo
 
 
 def check_second_variation_kahler(im, Y, context=""):
@@ -193,12 +191,12 @@ def check_second_variation_kahler(im, Y, context=""):
     at times {0, +-tau, +-2tau}, tau = SECOND_TAU.
     """
     tau = SECOND_TAU
-    integrand, dens = second_variation_integrand(im, Y)
-    analytic = _spectral.periodic_total(integrand * dens.volj_density,
+    integrand, geo = second_variation_integrand(im, Y)
+    analytic = _spectral.periodic_total(integrand * geo.volj_density,
                                         im.grid.cell)
     ts = [-2.0 * tau, -tau, 0.0, tau, 2.0 * tau]
     fam = geodesic_family(im, Y, ts)
-    vols = [total_volumes(f)["vol_j"] for f in fam]
+    vols = [is_totally_real(f).volumes()["vol_j"] for f in fam]
     fd = (-vols[0] + 16.0 * vols[1] - 30.0 * vols[2]
           + 16.0 * vols[3] - vols[4]) / (12.0 * tau ** 2)
     return _make_report(analytic, fd, None, context or "second variation")
@@ -244,12 +242,12 @@ def mixed_density_second_variation(im, W, Z):
     term2 = np.einsum("ij...,ji...->...", a_w, a_z)
     trace_w = np.einsum("ii...->...", a_w)
     trace_z = np.einsum("ii...->...", a_z)
-    analytic = (term1 - term2 + trace_w * trace_z) * geo.density.volj_density
+    analytic = (term1 - term2 + trace_w * trace_z) * geo.volj_density
 
     def dens_at(s, t):
         pts = im.points + s * W + t * Z
-        return density(Immersion(grid=im.grid, chart=im.chart, points=pts,
-                                 winding=im.winding)).volj_density
+        return frames(Immersion(grid=im.grid, chart=im.chart, points=pts,
+                                winding=im.winding)).volj_density
 
     def mixed_diff(e):
         return (dens_at(e, e) - dens_at(e, -e)
@@ -311,7 +309,7 @@ def convexity_experiment(family, t_grid):
     else:
         raise ValidationError(f"unknown family kind {kind!r}")
     fam = geodesic_family(im, Y, list(t_grid))
-    vols = np.array([total_volumes(f)["vol_j"] for f in fam])
+    vols = np.array([is_totally_real(f).volumes()["vol_j"] for f in fam])
     h = float(t_grid[1] - t_grid[0])
     second = np.full(t_grid.size, np.nan)
     second[1:-1] = (vols[2:] - 2.0 * vols[1:-1] + vols[:-2]) / h ** 2

@@ -70,12 +70,12 @@ def test_criterion_2_volume_comparison():
         r2 = float(rng.uniform(0.7, 1.3))
         gp = imm.build_immersion(grid, chart, "graph_perturbed_torus",
                                  r1=r1, r2=r2, amplitude=amp, mode=mode)
-        vols = imm.total_volumes(gp)
+        vols = imm.is_totally_real(gp).volumes()
         ok = ok and vols["vol_j"] < vols["vol_g"]
     worst_rel = 0.0
     for r1, r2 in ((1.0, 2.0), (0.8, 1.3)):
         pt = imm.build_immersion(grid, chart, "product_torus", r1=r1, r2=r2)
-        vols = imm.total_volumes(pt)
+        vols = imm.is_totally_real(pt).volumes()
         expect = 4.0 * np.pi ** 2 * r1 * r2
         worst_rel = max(worst_rel, abs(vols["vol_j"] - expect) / expect,
                         abs(vols["vol_j"] - vols["vol_g"]) / expect)

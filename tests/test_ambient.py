@@ -29,16 +29,21 @@ def hessian_fd(phi, p, h=1e-5):
     return H
 
 
+def at(p):
+    """One chart point as the batch of one that the *_many kernels take."""
+    return np.asarray(p, dtype=float)[None, :]
+
+
 def test_flat_metric_identity():
     for n in (1, 2):
         ch = ambient.flat_chart(n)
-        md = ambient.metric_at(ch, np.zeros(2 * n))
-        assert np.array_equal(md.g, np.eye(2 * n))
+        g, omega = ch.metric_many(at(np.zeros(2 * n)))
+        assert np.array_equal(g[0], np.eye(2 * n))
         J = ch.J
-        assert np.allclose(md.omega, J.T @ np.eye(2 * n))
-        assert np.array_equal(ambient.christoffels_at(ch, np.zeros(2 * n)),
+        assert np.allclose(omega[0], J.T @ np.eye(2 * n))
+        assert np.array_equal(ch.christoffel_many(at(np.zeros(2 * n)))[0],
                               np.zeros((2 * n,) * 3))
-        assert np.array_equal(ambient.ricci_at(ch, np.zeros(2 * n)),
+        assert np.array_equal(ch.ricci_many(at(np.zeros(2 * n)))[0],
                               np.zeros((2 * n, 2 * n)))
 
 
@@ -59,9 +64,9 @@ def test_j_squares_to_minus_identity():
 
 def test_poincare_metric_at_origin_and_half():
     pd = ambient.poincare_disk()
-    g0 = ambient.metric_at(pd, [0.0, 0.0]).g
+    g0 = pd.metric_many(at([0.0, 0.0]))[0][0]
     assert np.allclose(g0, 4.0 * np.eye(2), atol=1e-9)
-    g5 = ambient.metric_at(pd, [0.5, 0.0]).g
+    g5 = pd.metric_many(at([0.5, 0.0]))[0][0]
     assert np.allclose(g5, poincare_lambda(0.5, 0.0) * np.eye(2), atol=1e-8)
 
 
@@ -73,20 +78,20 @@ def test_poincare_metric_matches_fd_oracle():
         H = hessian_fd(phi, pt)
         # conformal: g = (1/2) trace(H) * I for n = 1 potentials
         lam = 0.5 * (H[0, 0] + H[1, 1])
-        g = ambient.metric_at(pd, pt).g
+        g = pd.metric_many(at(pt))[0][0]
         assert np.allclose(g, lam * np.eye(2), atol=5e-5 * lam)
 
 
 @pytest.mark.parametrize("pt", [[0.1, 0.2], [0.4, 0.1], [0.0, 0.5]])
 def test_compatibility_invariants(pt):
     pd = ambient.poincare_disk()
-    md = ambient.metric_at(pd, pt)
+    (g,), (omega,) = pd.metric_many(at(pt))
     J = pd.J
     # omega(v, w) = g(Jv, w)
-    assert np.max(np.abs(md.omega - J.T @ md.g)) <= 1e-8
+    assert np.max(np.abs(omega - J.T @ g)) <= 1e-8
     # g(Jv, Jw) = g(v, w)
-    assert np.max(np.abs(J.T @ md.g @ J - md.g)) <= 1e-8
-    assert np.max(np.abs(md.omega + md.omega.T)) <= 1e-12
+    assert np.max(np.abs(J.T @ g @ J - g)) <= 1e-8
+    assert np.max(np.abs(omega + omega.T)) <= 1e-12
 
 
 def test_ch2_compatibility():
@@ -101,7 +106,7 @@ def test_ch2_compatibility():
 
 def test_poincare_christoffels_center_vanish():
     pd = ambient.poincare_disk()
-    G = ambient.christoffels_at(pd, [0.0, 0.0])
+    G = pd.christoffel_many(at([0.0, 0.0]))[0]
     assert np.max(np.abs(G)) < 1e-10
 
 
@@ -109,7 +114,7 @@ def test_poincare_christoffels_conformal_oracle():
     # Gamma for g = lambda I: G^x_xx = lx/(2l), G^x_xy = ly/(2l), G^x_yy = -lx/(2l)
     pd = ambient.poincare_disk()
     p = np.array([0.3, 0.0])
-    G = ambient.christoffels_at(pd, p)
+    G = pd.christoffel_many(at(p))[0]
     h = 1e-6
     lam = poincare_lambda
     lx = (lam(p[0] + h, p[1]) - lam(p[0] - h, p[1])) / (2 * h)
@@ -127,17 +132,17 @@ def test_poincare_christoffels_conformal_oracle():
 
 def test_christoffels_symmetric_lower_indices():
     pd = ambient.poincare_disk()
-    G = ambient.christoffels_at(pd, [0.25, 0.35])
+    G = pd.christoffel_many(at([0.25, 0.35]))[0]
     assert np.array_equal(G, np.swapaxes(G, 1, 2))
 
 
 def test_poincare_ricci_einstein():
     pd = ambient.poincare_disk()
-    R0 = ambient.ricci_at(pd, [0.0, 0.0])
+    R0 = pd.ricci_many(at([0.0, 0.0]))[0]
     assert np.allclose(R0, -4.0 * np.eye(2), atol=1e-7)
     p = np.array([0.4, 0.2])
-    Rp = ambient.ricci_at(pd, p)
-    gp = ambient.metric_at(pd, p).g
+    Rp = pd.ricci_many(at(p))[0]
+    gp = pd.metric_many(at(p))[0][0]
     assert np.max(np.abs(Rp + gp)) <= 1e-6
 
 
@@ -245,9 +250,9 @@ def test_verify_needs_enough_points():
 def test_point_outside_domain():
     pd = ambient.poincare_disk()
     with pytest.raises(PointOutsideDomain):
-        ambient.metric_at(pd, [0.9999, 0.0])
+        pd.metric_many(at([0.9999, 0.0]))
     with pytest.raises(PointOutsideDomain):
-        ambient.ricci_at(pd, [0.999, 0.0])
+        pd.ricci_many(at([0.999, 0.0]))
 
 
 def test_degenerate_potential_rejected():
@@ -257,7 +262,7 @@ def test_degenerate_potential_rejected():
 
     qc = ambient.potential_chart(2, quartic, radius=2.0)
     with pytest.raises(MetricNotPositiveDefinite):
-        ambient.metric_at(qc, np.zeros(4))
+        qc.metric_many(at(np.zeros(4)))
 
 
 @pytest.mark.parametrize("kernel", ["metric_many", "christoffel_many", "ricci_many"])
@@ -293,7 +298,7 @@ def test_christoffel_rejects_degenerate_metric():
 
     qc = ambient.potential_chart(2, quartic, radius=2.0, name="quartic")
     with pytest.raises(MetricNotPositiveDefinite, match="'quartic'"):
-        ambient.christoffels_at(qc, np.zeros(4))
+        qc.christoffel_many(at(np.zeros(4)))
 
 
 def test_verify_evaluates_the_potential_once(monkeypatch):

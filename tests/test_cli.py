@@ -263,7 +263,9 @@ _ELLIPSE_N64 = {"terms": {"1": [1.0, 0.0], "-1": [0.3, 0.0]}, "N": 64}
                     "args": {"r1": 1.0, "r2": 1.0, "amplitude": 0.3, "mode": [1, 1]}},
       "field": {"kind": "cosine_axis", "axis": 1, "base": 1.0, "amplitude": 1e300}},
      "results.second.analytic"),
-    ({"operation": "curve.length", "curve": {"terms": {"1": [1.0, 0.0]}, "N": 64},
+    # a_2 r^2 overflows at r = 1e300, so the samples hold NaN
+    ({"operation": "curve.length",
+      "curve": {"terms": {"1": [1.0, 0.0], "2": [0.1, 0.0]}, "N": 64},
       "params": {"radii": [0.5, 1.0, 1e300]}}, "results.lambda[2]"),
 ])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -272,12 +274,26 @@ def test_nan_result_exits_3_naming_its_path(tmp_path, payload, where):
     scn = write_scenario(tmp_path / "s.json", {"version": 1, "name": "huge", **payload})
     out = tmp_path / "out"
     assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 3
+    # the refused result's own files are gone
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "results.json"]
     raw = (out / "results.json").read_text()
     assert '"nan"' not in raw
     rec = json.loads(raw)
     assert rec["status"] == "numerical_failure"
     assert rec["error_type"] == "NotFinite"
     assert rec["message"] == f"{payload['operation']} computed NaN at {where}"
+
+
+def test_unit_circle_length_at_a_huge_radius_is_finite(tmp_path):
+    # the absent a_n are not scaled by r^n, so no 0 * inf turns into NaN
+    scn = write_scenario(tmp_path / "s.json", {
+        "version": 1, "name": "huge-circle", "operation": "curve.length",
+        "curve": {"terms": {"1": [1.0, 0.0]}, "N": 64},
+        "params": {"radii": [0.5, 1.0, 1e300]}})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 0
+    lam = json.loads((out / "results.json").read_text())["results"]["lambda"]
+    assert lam[2] == pytest.approx(2.0 * math.pi * 1e300, rel=1e-14)
 
 
 _BVP_PARAMS = {"outer": {"terms": {"1": [1.0, 0.0]}, "N": 32},
@@ -335,6 +351,15 @@ def _csv_cell_by_cell(header, rows):
     return "".join(",".join(cell(v) for v in r) + "\n" for r in [header] + rows)
 
 
+def _grid_rows():
+    """Rows as jvol.compute builds them: int index columns of a 3 x 5 grid,
+    then three float columns spanning 1e-300..1e300, with -0, 1/3 and 5e-324."""
+    rng = np.random.default_rng(4)
+    vals = rng.normal(size=(3, 15)) * 10.0 ** rng.integers(-300, 300, size=(3, 15))
+    vals[0, 0], vals[1, 1], vals[2, 2] = -0.0, 1.0 / 3.0, 5e-324
+    return list(zip(*np.indices((3, 5)).reshape(2, -1).tolist(), *vals.tolist()))
+
+
 @pytest.mark.parametrize("rows", [
     [(0, 1, 1.0 / 3.0), (1, -7, -0.0), (2, 10 ** 20, 1e-300),
      (3, 0, float("nan")), (4, 5, float("inf")), (5, 6, 2.0 ** 60)],
@@ -342,9 +367,10 @@ def _csv_cell_by_cell(header, rows):
     [(1.0, "a,b"), (2.0, "")],            # a text column: cell by cell
     [(1.0, 2), (0.5, 3.0)],               # a mixed column: cell by cell
     [],
+    _grid_rows(),
 ])
 def test_csv_bytes_pinned(tmp_path, rows):
-    header = ["i0", 'say "hi"', "|H_J|,max"][:len(rows[0]) if rows else 3]
+    header = ["i0", 'say "hi"', "|H_J|,max", "i1", "rho"][:len(rows[0]) if rows else 3]
     path = tmp_path / "t.csv"
     cli.write_csv(path, header, rows)
     assert path.read_bytes().decode() == _csv_cell_by_cell(header, rows)
@@ -495,6 +521,39 @@ _FLAT_TORUS = {"chart": {"name": "flat_c2"},
       "params": {"fields": [{"label": 3}]}}, "params.fields[0].label"),
     ({"operation": "jvol.compute", "chart": {"name": "flat_c1"},
       "immersion": {"formula": "fourier_curve", "grid": 64}}, "immersion.args.coeffs"),
+    # a key the operation does not read: each of these ran with its default
+    ({"operation": "jvol.compute", "chart": {"name": "flat_c1"},
+      "immersion": {"formula": "circle", "grid": 64, "args": {"radius": 2.0}}},
+     "immersion.args.radius"),
+    ({"operation": "flow.run", "chart": {"name": "flat_c1"},
+      "immersion": {"formula": "circle", "grid": 64},
+      "params": {"sheme": "timestep", "t_final": 0.1, "dt": 1e-3}}, "params.sheme"),
+    ({"operation": "flow.run", "chart": {"name": "flat_c1"},
+      "immersion": {"formula": "circle", "grid": 64},
+      "field": {"kind": "cosine_axis", "scale": 3.0},
+      "params": {"scheme": "timestep", "t_final": 0.1, "dt": 1e-3}}, "field.scale"),
+    ({"operation": "flow.run", "chart": {"name": "flat_c1"},
+      "immersion": {"formula": "circle", "grid": 64},
+      "params": {"scheme": "timestep", "t_final": 0.1, "dt": 1e-3, "store_evry": 1}},
+     "params.store_evry"),
+    ({"operation": "ambient.verify", "params": {"n_point": 64}}, "params.n_point"),
+    ({"operation": "flow.run", "chart": {"name": "flat_c1"},
+      "immersion": {"formula": "circle", "grid": 64},
+      "params": {"times": [0.0, 0.1], "dt": 1e-3}}, "params.dt"),
+    ({"operation": "jvol.hj", "chart": {"name": "flat_c1"},
+      "immersion": {"formula": "circle", "grid": 64}, "params": {"grid": 32}},
+     "params.grid"),
+    ({"operation": "jvol.compute", "chart": {"name": "flat_c1"},
+      "immersion": {"formula": "circle", "grid": 64, "arg": {"r": 2.0}}}, "immersion.arg"),
+    ({"operation": "curve.length", "params": {"radii": [0.8, 0.9, 1.0]},
+      "curve": {"terms": {"1": [1.0, 0.0]}, "N": 64, "label": "x"}}, "curve.label"),
+    ({"operation": "curve.classify",
+      "curves": [{"family": "annulus", "terms": {"1": [1.0, 0.0]}}]}, "curves[0].terms"),
+    ({"operation": "curve.secondvar", "curve": _ELLIPSE,
+      "params": {"fields": [{"amplitud": 0.3}]}}, "params.fields[0].amplitud"),
+    ({"operation": "variation.convexity",
+      "params": {"family": {"kind": "poincare_circle", "r1": 1.0, "grid": 64},
+                 "t_grid": [0.5, 0.6, 0.7]}}, "params.family.r1"),
 ])
 def test_malformed_scenario_fields_exit_2(tmp_path, capsys, payload, field):
     scn = write_scenario(tmp_path / "s.json", {"version": 1, "name": "bad", **payload})

@@ -1,12 +1,12 @@
-"""Immersion tests: frames, rho_J, volumes, projections, H_J, serialization."""
+"""Immersion tests: frames, rho_J, volumes, projections, H_J, validation."""
 
+import json
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from trgeo import ambient
+from trgeo import ambient, cli
 from trgeo import immersion as imm
 from trgeo.errors import NotImmersed, NotTotallyReal, ValidationError
 
@@ -48,17 +48,17 @@ def test_circle_points_trivial(circle):
 
 
 def test_tangent_frame_circle(circle):
-    vs, es = imm.tangent_frame(circle, (0,))
-    assert np.allclose(vs[0], [0.0, 1.0], atol=1e-12)
-    assert np.allclose(es[0], [0.0, 1.0], atol=1e-12)
+    fr = imm.frames(circle)
+    assert np.allclose(fr.vectors[0][0], [0.0, 1.0], atol=1e-12)
+    assert np.allclose(fr.frame[0][0], [0.0, 1.0], atol=1e-12)
 
 
 def test_tangent_frame_ellipse(flat1):
     ell = imm.build_immersion(imm.GridTorus((64,)), flat1, "ellipse", a=2.0, b=1.0)
-    vs, es = imm.tangent_frame(ell, (0,))
+    fr = imm.frames(ell)
     # d/dtheta (2 cos, sin) at 0 = (0, 1)
-    assert np.allclose(vs[0], [0.0, 1.0], atol=1e-12)
-    assert np.allclose(es[0], [0.0, 1.0], atol=1e-12)
+    assert np.allclose(fr.vectors[0][0], [0.0, 1.0], atol=1e-12)
+    assert np.allclose(fr.frame[0][0], [0.0, 1.0], atol=1e-12)
 
 
 def test_gram_schmidt_contract(flat2):
@@ -75,9 +75,9 @@ def test_gram_schmidt_contract(flat2):
 
 def test_rho_lagrangian_is_one(circle, torus12):
     for im in (circle, torus12):
-        dens = imm.density(im)
-        assert np.max(np.abs(dens.rho - 1.0)) <= 1e-10
-        assert dens.formula_gap <= 1e-9
+        geo = imm.frames(im)
+        assert np.max(np.abs(geo.rho - 1.0)) <= 1e-10
+        assert geo.formula_gap <= 1e-9
 
 
 def test_rho_static_plane_family(flat2):
@@ -95,11 +95,11 @@ def test_rho_static_plane_family(flat2):
 
 
 def test_rho_node_accessor(circle):
-    assert imm.rho_j(circle, (5,)) == pytest.approx(1.0, abs=1e-12)
+    assert float(imm.frames(circle).rho[5]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_total_volumes_product_torus(torus12):
-    vols = imm.total_volumes(torus12)
+    vols = imm.is_totally_real(torus12).volumes()
     expect = 4.0 * np.pi ** 2 * 1.0 * 2.0
     assert abs(vols["vol_j"] - expect) <= 1e-9 * expect
     assert abs(vols["vol_g"] - expect) <= 1e-9 * expect
@@ -108,7 +108,7 @@ def test_total_volumes_product_torus(torus12):
 def test_total_volumes_hyperbolic_circle():
     pd = ambient.poincare_disk()
     hc = imm.build_immersion(imm.GridTorus((64,)), pd, "circle", r=0.5)
-    vols = imm.total_volumes(hc)
+    vols = imm.is_totally_real(hc).volumes()
     expect = 4.0 * np.pi * 0.5 / (1.0 - 0.25)
     assert abs(vols["vol_j"] - expect) <= 1e-8 * expect
 
@@ -117,33 +117,33 @@ def test_perturbed_torus_j_volume_strictly_below(flat2):
     gp = imm.build_immersion(imm.GridTorus((32, 32)), flat2,
                              "graph_perturbed_torus", r1=1.0, r2=1.0,
                              amplitude=0.5, mode=(1, 0))
-    dens = imm.density(gp)
-    assert np.min(dens.rho) < 1.0
-    vols = imm.total_volumes(gp)
+    geo = imm.is_totally_real(gp)
+    assert np.min(geo.rho) < 1.0
+    vols = geo.volumes()
     assert vols["vol_j"] < vols["vol_g"]
-    assert imm.lagrangian_defect(gp) > 0.01
+    assert geo.lagrangian_defect > 0.01
 
 
 def test_lagrangian_defect_trivial_cases(circle, torus12):
-    assert imm.lagrangian_defect(circle) == 0.0
-    assert imm.lagrangian_defect(torus12) < 1e-12
+    assert imm.frames(circle).lagrangian_defect == 0.0
+    assert imm.frames(torus12).lagrangian_defect < 1e-12
 
 
 def test_projection_algebra(torus12, flat2):
     pr = imm.frames(torus12)
     J = flat2.J
     eye = np.eye(4)
+    pi_j = eye - pr.pi_l
     assert np.max(np.abs(pr.pi_l @ pr.pi_l - pr.pi_l)) <= 1e-10
-    assert np.max(np.abs(pr.pi_j @ pr.pi_j - pr.pi_j)) <= 1e-10
-    assert np.max(np.abs(pr.pi_l + pr.pi_j - eye)) <= 1e-10
-    assert np.max(np.abs(pr.pi_l @ J - J @ pr.pi_j)) <= 1e-10
-    assert np.max(np.abs(pr.pi_j @ J - J @ pr.pi_l)) <= 1e-10
+    assert np.max(np.abs(pi_j @ pi_j - pi_j)) <= 1e-10
+    assert np.max(np.abs(pr.pi_l @ J - J @ pi_j)) <= 1e-10
+    assert np.max(np.abs(pi_j @ J - J @ pr.pi_l)) <= 1e-10
 
 
 def test_projection_lagrangian_node_is_orthogonal(torus12):
     # on a Lagrangian, J(TL) is the normal space: pi_J = pi_perp = Id - pi_T
     pr = imm.frames(torus12)
-    assert np.max(np.abs(pr.pi_j - (np.eye(4) - pr.pi_t))) <= 1e-10
+    assert np.max(np.abs(pr.pi_l - pr.pi_t)) <= 1e-10
 
 
 def test_projection_mixed_identity_on_tilted_plane(flat2):
@@ -156,12 +156,12 @@ def test_projection_mixed_identity_on_tilted_plane(flat2):
     rng = np.random.default_rng(0)
     v = rng.normal(size=4)
     lhs = np.einsum("...ij,jk,k->...i", pr.pi_l, J, v)
-    rhs = np.einsum("ij,...jk,k->...i", J, pr.pi_j, v)
+    rhs = np.einsum("ij,...jk,k->...i", J, np.eye(4) - pr.pi_l, v)
     assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
 def test_h_j_circle_inward_unit(circle):
-    field = imm.h_j_field(circle)
+    field = imm.frames(circle).h_j
     theta = circle.grid.thetas(0)
     expect = -np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     assert np.max(np.abs(field.values - expect)) <= 1e-10
@@ -172,7 +172,7 @@ def test_h_j_product_torus_magnitude(flat2):
     for r1, r2 in ((1.0, 2.0), (1.0, 1.0), (0.5, 2.0)):
         pt = imm.build_immersion(imm.GridTorus((32, 32)), flat2,
                                  "product_torus", r1=r1, r2=r2)
-        field = imm.h_j_field(pt)
+        field = imm.frames(pt).h_j
         mags = np.sqrt(np.sum(field.values ** 2, axis=-1))
         expect = math.sqrt(1.0 / r1 ** 2 + 1.0 / r2 ** 2)
         assert np.max(np.abs(mags - expect)) <= 1e-9
@@ -181,7 +181,7 @@ def test_h_j_product_torus_magnitude(flat2):
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
 def test_h_j_circle_scaling(flat1, r):
     im = imm.build_immersion(imm.GridTorus((64,)), flat1, "circle", r=r)
-    field = imm.h_j_field(im)
+    field = imm.frames(im).h_j
     mags = np.sqrt(np.sum(field.values ** 2, axis=-1))
     assert np.max(np.abs(mags - 1.0 / r)) <= 1e-9
 
@@ -214,68 +214,43 @@ def test_vol_j_bounded_by_vol_g_randomized(flat2):
         mode = (int(rng.integers(1, 4)), int(rng.integers(0, 3)))
         gp = imm.build_immersion(grid, flat2, "graph_perturbed_torus",
                                  r1=1.0, r2=1.0, amplitude=amp, mode=mode)
-        vols = imm.total_volumes(gp)
+        vols = imm.is_totally_real(gp).volumes()
         assert vols["vol_j"] <= vols["vol_g"] + 1e-10
 
 
 def test_reparametrization_invariance(flat2, torus12):
-    vols = imm.total_volumes(torus12)
+    vols = imm.is_totally_real(torus12).volumes()
     # integer grid shift: exact node permutation
     shifted = imm.reparametrized(torus12, (2 * np.pi * 3 / 32, 0.0))
-    vols_s = imm.total_volumes(shifted)
+    vols_s = imm.is_totally_real(shifted).volumes()
     assert abs(vols_s["vol_j"] - vols["vol_j"]) <= 1e-10 * vols["vol_j"]
     # non-grid shift: spectral resampling
     shifted2 = imm.reparametrized(torus12, (0.1234, -0.4321))
-    vols_s2 = imm.total_volumes(shifted2)
+    vols_s2 = imm.is_totally_real(shifted2).volumes()
     assert abs(vols_s2["vol_j"] - vols["vol_j"]) <= 1e-10 * vols["vol_j"]
 
 
-def test_serialization_round_trip(torus12, tmp_path):
-    path = tmp_path / "torus.json"
-    imm.save_immersion(torus12, path)
-    back = imm.load_immersion(path)
-    assert back.grid.sizes == torus12.grid.sizes
-    assert np.allclose(back.points, torus12.points, atol=1e-15)
-    assert back.chart.name == torus12.chart.name
-
-
-def test_density_csv_export(circle, tmp_path):
-    path = tmp_path / "density.csv"
-    imm.export_density_csv(imm.density(circle), path)
-    lines = path.read_text().splitlines()
+def test_density_csv_export(tmp_path):
+    # jvol.compute writes one density.csv row per node of the Geometry
+    scn = tmp_path / "circle.json"
+    scn.write_text(json.dumps({"version": 1, "operation": "jvol.compute",
+                               "chart": {"name": "flat_c1"},
+                               "immersion": {"formula": "circle", "grid": 64}}))
+    assert cli.main(["run", "--scenario", str(scn), "--out", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "density.csv").read_text().splitlines()
     assert lines[0] == "i0,rho,volg_density,volj_density"
     assert len(lines) == 65
     first = lines[1].split(",")
     assert float(first[1]) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("shape", [(7,), (3, 5)])
-def test_density_csv_bytes_match_per_value_formatting(tmp_path, shape):
-    # reference: one format(float(x), ".17g") per value in a per-node loop
-    rng = np.random.default_rng(4)
-    vals = [rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
-            for _ in range(3)]
-    vals[0].flat[0] = -0.0
-    vals[1].flat[1] = 1.0 / 3.0
-    vals[2].flat[2] = 5e-324
-    dens = SimpleNamespace(rho=vals[0], volg_density=vals[1], volj_density=vals[2])
-    path = tmp_path / "density.csv"
-    imm.export_density_csv(dens, path)
-    header = [f"i{k}" for k in range(len(shape))] + ["rho", "volg_density", "volj_density"]
-    expect = ",".join(header) + "\n" + "".join(
-        ",".join([str(i) for i in idx] + [format(float(a[idx]), ".17g") for a in vals]) + "\n"
-        for idx in np.ndindex(*shape))
-    assert path.read_bytes() == expect.encode()
-
-
 def test_straight_torus_quotient_chart():
     qc = ambient.flat_quotient_chart(2)
     st = imm.build_immersion(imm.GridTorus((32, 32)), qc, "straight_torus")
-    vols = imm.total_volumes(st)
-    assert vols["vol_j"] == pytest.approx(4.0 * np.pi ** 2, rel=1e-12)
-    field = imm.h_j_field(st)
-    assert np.max(np.abs(field.values)) <= 1e-12
-    assert imm.lagrangian_defect(st) <= 1e-12
+    geo = imm.is_totally_real(st)
+    assert geo.volumes()["vol_j"] == pytest.approx(4.0 * np.pi ** 2, rel=1e-12)
+    assert np.max(np.abs(geo.h_j.values)) <= 1e-12
+    assert geo.lagrangian_defect <= 1e-12
 
 
 def test_winding_requires_quotient_chart(flat2):
@@ -302,9 +277,9 @@ def test_rho_formula_agreement_all_builtins(flat1, flat2):
                             ambient.flat_quotient_chart(2), "straight_torus"),
     ]
     for im in cases:
-        dens = imm.density(im)
-        assert dens.formula_gap <= 1e-9
-        assert np.max(dens.rho) <= 1.0 + 1e-10
+        geo = imm.frames(im)
+        assert geo.formula_gap <= 1e-9
+        assert np.max(geo.rho) <= 1.0 + 1e-10
 
 
 def _density_cases(flat1, flat2):
@@ -326,21 +301,20 @@ def _density_cases(flat1, flat2):
 def test_is_totally_real_returns_the_density(flat1, flat2):
     for im in _density_cases(flat1, flat2):
         got = imm.is_totally_real(im)
-        ref = imm.density(im)
-        for name in ("rho", "volg_density", "volj_density"):
+        ref = imm.frames(im)
+        for name in ("rho", "induced_vol", "volj_density"):
             assert np.array_equal(getattr(got, name), getattr(ref, name))
 
 
 def test_lazy_formula_gap_matches_eager_rho_of_frame(flat1, flat2):
     for im in _density_cases(flat1, flat2):
-        dens = imm.density(im)
-        assert "rho_vol" not in vars(dens) and "formula_gap" not in vars(dens)
-        fr = imm.frames(im)
-        rho_h, rho_vol = imm.rho_of_frame(fr.frame, fr.g_ambient,
-                                          fr.omega_ambient, im.chart.J)
-        assert np.array_equal(dens.rho, rho_h)
-        assert dens.formula_gap == float(np.max(np.abs(rho_h - rho_vol)))
-        assert np.array_equal(dens.rho_vol, rho_vol)
+        geo = imm.is_totally_real(im)
+        assert "rho_vol" not in vars(geo) and "formula_gap" not in vars(geo)
+        rho_h, rho_vol = imm.rho_of_frame(geo.frame, geo.g_ambient,
+                                          geo.omega_ambient, im.chart.J)
+        assert np.array_equal(geo.rho, rho_h)
+        assert geo.formula_gap == float(np.max(np.abs(rho_h - rho_vol)))
+        assert np.array_equal(geo.rho_vol, rho_vol)
 
 
 def test_lagrangian_rho_pinned_to_one(flat2):
@@ -348,9 +322,9 @@ def test_lagrangian_rho_pinned_to_one(flat2):
     for formula, kwargs in (("product_torus", {"r1": 1.3, "r2": 0.8}),
                             ("product_torus", {"r1": 1.0, "r2": 1.0})):
         im = imm.build_immersion(imm.GridTorus((32, 32)), flat2, formula, **kwargs)
-        assert imm.lagrangian_defect(im) < 1e-10
-        dens = imm.density(im)
-        assert np.max(np.abs(dens.rho - 1.0)) <= 1e-8
+        geo = imm.frames(im)
+        assert geo.lagrangian_defect < 1e-10
+        assert np.max(np.abs(geo.rho - 1.0)) <= 1e-8
 
 
 def test_build_immersion_outside_domain():
@@ -468,7 +442,7 @@ def test_stacked_check_raises_what_the_member_loop_raises(kinds, where, monkeypa
     # between the rho floors of the good members and of the "rho" member
     good = min(float(np.min(imm.is_totally_real(
         imm.Immersion(grid=_GRID16, chart=flat, points=p)).rho)) for p in family)
-    bad = float(np.min(imm.density(imm.Immersion(
+    bad = float(np.min(imm.frames(imm.Immersion(
         grid=_GRID16, chart=flat, points=_BAD_MEMBERS["rho"][0])).rho))
     assert bad < good
     monkeypatch.setattr(imm, "RHO_MIN", 0.5 * (good + bad))
@@ -489,8 +463,6 @@ def test_nan_node_fails_validation(flat2):
     bad = imm.Immersion(grid=im.grid, chart=flat2, points=pts)
     with pytest.raises(NotImmersed, match="not finite"):
         imm.is_totally_real(bad)
-    with pytest.raises(NotImmersed, match="not finite"):
-        imm.total_volumes(bad)
     with pytest.raises(NotImmersed, match="not finite"):
         imm.is_totally_real_stack(im.grid, flat2,
                                   np.moveaxis(np.stack([im.points, pts]), -1, 1))

@@ -91,7 +91,7 @@ def test_stokes_tangential_first_variation(circle):
                            components=(1.0 + 0.3 * np.cos(theta))[None, :])
     Z = imm.frames(circle).pushforward(X)
     value, _ = vh.fd_first_variation(circle, Z)
-    vol = imm.total_volumes(circle)["vol_j"]
+    vol = imm.is_totally_real(circle).volumes()["vol_j"]
     assert abs(value) <= 1e-7 * vol
 
 
@@ -101,7 +101,7 @@ def test_stokes_tangential_perturbed_torus():
                              amplitude=0.5, mode=(1, 0))
     Z = imm.frames(gp).pushforward(imm.coordinate_field(gp.grid, 0))
     value, _ = vh.fd_first_variation(gp, Z)
-    vol = imm.total_volumes(gp)["vol_j"]
+    vol = imm.is_totally_real(gp).volumes()["vol_j"]
     assert abs(value) <= 1e-7 * vol
 
 
@@ -269,16 +269,16 @@ def test_mixed_second_variation_flat():
 def test_straight_torus_is_critical_and_stable():
     qc = ambient.flat_quotient_chart(2)
     st = imm.build_immersion(imm.GridTorus((32, 32)), qc, "straight_torus")
-    field = imm.h_j_field(st)
-    assert np.max(np.abs(field.values)) <= 1e-12   # J-minimal
-    assert imm.lagrangian_defect(st) <= 1e-12      # and Lagrangian
+    geo = imm.frames(st)
+    assert np.max(np.abs(geo.h_j.values)) <= 1e-12  # J-minimal
+    assert geo.lagrangian_defect <= 1e-12           # and Lagrangian
     rng = np.random.default_rng(9)
     for _ in range(5):
         comps = np.stack([0.5 * _spectral.low_mode_field(rng, st.grid.sizes)
                           for _ in range(2)])
         Y = imm.VectorFieldOnL(grid=st.grid, components=comps)
-        integrand, dens = vh.second_variation_integrand(st, Y)
-        value = _spectral.periodic_total(integrand * dens.volj_density,
+        integrand, geo = vh.second_variation_integrand(st, Y)
+        value = _spectral.periodic_total(integrand * geo.volj_density,
                                          st.grid.cell)
         assert value >= 0.0
 
