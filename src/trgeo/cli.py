@@ -1,12 +1,18 @@
 """Scenario-driven command line front end.
 
 A scenario is a JSON file with a required "version": 1 field naming one
-operation and its inputs. Each run writes manifest.json (inputs, versions,
-tolerances and the names of the files written, relative to the output
-directory), results.json, and any CSV series into the output directory.
+operation and its inputs. Each operation reads the scenario with one table
+in _OPERATIONS, which declares every field once: its kind, its default or
+that it is required, and its bound. _read checks each field against it,
+fills the defaults and refuses any key the table does not name, at every
+depth; the handlers see only checked values. Every scenario may carry the
+envelope "version", "operation", "name" and "seed". Each run writes
+manifest.json (the scenario as written, versions, tolerances and the names
+of the files written, relative to the output directory), results.json, and
+any CSV series into the output directory.
 
-Exit codes: 0 success, 2 validation failure (bad file, unresolvable
-descriptor, unknown operation, a key the operation does not read), 3
+Exit codes: 0 success, 2 validation failure (bad file, a field that does
+not fit its table, unknown operation, a key the operation does not read), 3
 numerical failure (e.g. BlowUpDetected), with the failure recorded as a
 structured entry in results.json; a refused result leaves none of its files.
 
@@ -20,6 +26,7 @@ import json
 import math
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -125,9 +132,29 @@ def _write_reports_csv(out_dir, reports):
     return path
 
 
-# --- scenario fields ------------------------------------------------------------
+# --- the scenario schema ----------------------------------------------------
 
 _REQUIRED = object()
+
+
+class _F(NamedTuple):
+    """One field of a table: its kind, its default (_REQUIRED, or None for an
+    optional field that stays absent) and its bound, a (text, test) pair."""
+    kind: object
+    default: object = _REQUIRED
+    bound: tuple = None
+
+
+class _Variants(NamedTuple):
+    """An object read by one of several tables. The field key, read by spec,
+    names the table, or its value mapped by choose does; with key None the
+    table is the first whose name is a key of the object."""
+    key: object
+    spec: object
+    tables: dict
+    choose: object = None
+
+
 _KINDS = {
     "object": ("an object", lambda v: isinstance(v, dict)),
     "list": ("a list", lambda v: isinstance(v, list)),
@@ -138,200 +165,157 @@ _KINDS = {
 }
 
 
-def _check(value, path, kind, minimum=None):
-    """value as the JSON kind named; ValidationError naming path otherwise.
+def _at(path, key):
+    return f"{path}.{key}" if path else key
 
-    kind is "object", "list", "string", "number", "numbers" (a list of
-    numbers) or "int"; minimum bounds ints. Numbers come back as floats.
+
+def _read(value, path, kind, bound=None):
+    """value read as kind, with its defaults filled; ValidationError naming
+    the path of the first field that does not fit.
+
+    kind is a table {key: _F} (an object holding no other key), _Variants,
+    [kind] (a list of that kind), a shape tuple (nested lists of finite
+    numbers, () one number, None any length, numbers as floats), "terms" (a
+    {mode: [re, im]} object, read as {int: complex}) or a name in _KINDS.
     """
-    if kind == "numbers":
-        values = _check(value, path, "list")
-        return [_check(v, f"{path}[{k}]", "number") for k, v in enumerate(values)]
-    what, ok = _KINDS[kind]
-    if minimum is not None:
-        what = f"{what} >= {minimum}"
-    if not ok(value) or (minimum is not None and value < minimum):
-        raise ValidationError(f"{path} must be {what}, got {value!r}")
-    return float(value) if kind == "number" else value
+    if isinstance(kind, _Variants):
+        name = _variant(_read(value, path, "object"), path, kind)
+        kind = {kind.key: kind.spec, **kind.tables[name]} if kind.key else kind.tables[name]
+    if isinstance(kind, dict):
+        value = _read(value, path, "object")
+        for key in value:
+            if key not in kind:
+                raise ValidationError(f"{_at(path, key)}: unknown field "
+                                      f"(known: {', '.join(kind) or 'none'})")
+        out = {}
+        for key, f in kind.items():
+            if key not in value and f.default is _REQUIRED:
+                raise ValidationError(f"scenario needs {_at(path, key)}")
+            if key in value or f.default is not None:
+                out[key] = _read(value.get(key, f.default), _at(path, key), f.kind, f.bound)
+    elif isinstance(kind, list):
+        out = [_read(v, f"{path}[{k}]", kind[0])
+               for k, v in enumerate(_read(value, path, "list"))]
+    elif isinstance(kind, tuple) and kind:
+        out = _read(value, path, "list")
+        if kind[0] is not None and len(out) != kind[0]:
+            raise ValidationError(f"{path} must have {kind[0]} entries, got {value!r}")
+        out = [_read(v, f"{path}[{k}]", kind[1:]) for k, v in enumerate(out)]
+    elif kind == "terms":
+        out = {}
+        for key, v in _read(value, path, "object").items():
+            try:
+                out[int(key)] = complex(*_read(v, _at(path, key), (2,)))
+            except ValueError:
+                raise ValidationError(f"{_at(path, key)}: mode must be an integer") from None
+    else:
+        what, ok = _KINDS["number" if kind == () else kind]
+        if not ok(value):
+            raise ValidationError(f"{path} must be {what}, got {value!r}")
+        out = float(value) if kind == () else value
+    if bound is not None and not bound[1](out):
+        raise ValidationError(f"{path} must be {bound[0]}, got {value!r}")
+    return out
 
 
-def _get(d, key, path, kind, default=_REQUIRED, minimum=None):
-    """Checked field d[key]; the default (trusted) when the key is absent."""
-    if key not in d:
-        if default is _REQUIRED:
-            raise ValidationError(f"scenario needs {path}")
-        return default
-    return _check(d[key], path, kind, minimum)
+def _variant(value, path, v):
+    """The name of the table of v that reads value."""
+    if v.key is None:
+        name = next((k for k in v.tables if k in value), None)
+        if name is None:
+            raise ValidationError(f"{path} needs one of {', '.join(v.tables)}")
+        return name
+    sel = _read({v.key: value[v.key]} if v.key in value else {}, path,
+                {v.key: v.spec})[v.key]
+    name = sel if v.choose is None else v.choose(sel)
+    if name not in v.tables:
+        raise ValidationError(f"{_at(path, v.key)}: unknown value {sel!r} "
+                              f"(known: {', '.join(v.tables)})")
+    return name
 
 
-def _only(d, path, keys):
-    """d, after checking that it holds no key outside keys, the keys that are read."""
-    for key in d:
-        if key not in keys:
-            raise ValidationError(f"{path}.{key}: unknown field "
-                                  f"(known: {', '.join(keys) or 'none'})")
-    return d
+def _with(kind, fields):
+    """A table, or each table of a _Variants, with fields added ahead."""
+    if isinstance(kind, _Variants):
+        return kind._replace(tables={n: {**fields, **t} for n, t in kind.tables.items()})
+    return {**fields, **kind}
 
 
-def _params(scn):
-    return _get(scn, "params", "params", "object")
+_NUMBER = ()
+_NUMBERS = (None,)
+_AT_LEAST_0 = (">= 0", lambda v: v >= 0)
+_AT_LEAST_1 = (">= 1", lambda v: v >= 1)
+_AXIS = ("0 or 1", lambda v: v in (0, 1))
+
+_CHART = {"name": _F("string", "flat_c1")}
+_IMMERSION = _Variants("formula", _F("string"), {
+    formula: {"grid": _F("int", 64, _AT_LEAST_1),
+              "args": _F({key: _F(shape, _REQUIRED if default is None else default)
+                          for key, (shape, default) in args.items()}, {})}
+    for formula, args in imm.FORMULAS.items()})
+_FIELD = _Variants("kind", _F("string", "coordinate"), {
+    "coordinate": {"axis": _F("int", 0, _AXIS), "scale": _F(_NUMBER, 1.0)},
+    "cosine_axis": {"axis": _F("int", 0, _AXIS), "base": _F(_NUMBER, 1.0),
+                    "amplitude": _F(_NUMBER, 0.3), "mode": _F("int", 1)},
+})
+# a curve descriptor: a coefficient family, Fourier terms or a file of
+# [n, re, im] triples, with N the Laurent degree (a file's largest |n|, at
+# least 32, when absent)
+_CURVE = _Variants(None, None, {
+    "family": {"family": _F("string"), "N": _F("int", 256, _AT_LEAST_1)},
+    "terms": {"terms": _F("terms"), "N": _F("int", 128, _AT_LEAST_1)},
+    "coeff_file": {"coeff_file": _F("string"), "N": _F("int", None, _AT_LEAST_1)},
+})
+# a family key is an integer where its default is one: grid >= 1, axis 0 or 1
+_FAMILY = _Variants("kind", _F("string"), {
+    kind: {key: _F(_NUMBER, d) if isinstance(d, float)
+           else _F("int", d, _AXIS if key == "axis" else _AT_LEAST_1)
+           for key, d in keys.items()}
+    for kind, keys in vh.FAMILIES.items()})
+_NO_PARAMS = {"params": _F({}, {})}
 
 
-# --- descriptor resolution ----------------------------------------------------
-
-def _resolve_grid(desc, n):
-    sizes = desc if isinstance(desc, list) else [desc] * n
-    return imm.GridTorus(tuple(_check(s, "immersion.grid", "int", minimum=1)
-                               for s in sizes))
-
-
-def _chart(scn):
-    desc = _get(scn, "chart", "chart", "object", {"name": "flat_c1"})
-    return ambient.chart_from_descriptor(_only(desc, "chart", ("name",)))
+def _immersion(s):
+    chart = ambient.chart_from_descriptor(s["chart"])
+    d = s["immersion"]
+    grid = imm.GridTorus((d["grid"],) * chart.n)
+    return imm.build_immersion(grid, chart, d["formula"], **d["args"])
 
 
-# the arguments each build_immersion formula reads, with their shapes: () a
-# number, (k,) a list of k entries, None any number of entries; coeffs may
-# also be a {mode: number} object
-_FORMULA_ARGS = {
-    "circle": {"r": (), "center": (2,)},
-    "ellipse": {"a": (), "b": ()},
-    "fourier_curve": {"coeffs": (None, 3)},
-    "product_torus": {"r1": (), "r2": ()},
-    "graph_perturbed_torus": {"r1": (), "r2": (), "amplitude": (), "mode": (2,)},
-    "straight_torus": {"winding": (4, 2), "offset": (4,)},
-}
-
-
-def _check_shape(value, path, shape):
-    """value as nested lists of finite numbers of the given shape."""
-    if not shape:
-        return _check(value, path, "number")
-    values = _check(value, path, "list")
-    if shape[0] is not None and len(values) != shape[0]:
-        raise ValidationError(f"{path} must have {shape[0]} entries, got {value!r}")
-    return [_check_shape(v, f"{path}[{k}]", shape[1:]) for k, v in enumerate(values)]
-
-
-def _mode(key, where):
-    try:
-        return int(key)
-    except ValueError:
-        raise ValidationError(f"{where}: mode must be an integer") from None
-
-
-def _resolve_immersion(scn):
-    chart = _chart(scn)
-    d = _only(_get(scn, "immersion", "immersion", "object"), "immersion",
-              ("grid", "formula", "args"))
-    grid = _resolve_grid(d.get("grid", 64), 1 if chart.n == 1 else 2)
-    formula = _get(d, "formula", "immersion.formula", "string")
-    if formula not in _FORMULA_ARGS:
-        raise ValidationError(f"unknown immersion formula {formula!r}")
-    shapes = _FORMULA_ARGS[formula]
-    args = _only(_get(d, "args", "immersion.args", "object", {}), "immersion.args",
-                 shapes)
-    if formula == "fourier_curve" and "coeffs" not in args:
-        raise ValidationError("scenario needs immersion.args.coeffs")
-    for key, value in args.items():
-        where = f"immersion.args.{key}"
-        if key == "coeffs" and isinstance(value, dict):
-            for mode, a in value.items():
-                _mode(mode, f"{where}.{mode}")
-                _check(a, f"{where}.{mode}", "number")
-        else:
-            _check_shape(value, where, shapes[key])
-    return imm.build_immersion(grid, chart, formula, **args), chart
-
-
-# the keys each convexity family kind reads besides "kind" and "grid"
-_FAMILY_KEYS = {"flat_circle": ("r0",), "flat_torus": ("r1", "r2", "axis"),
-                "poincare_circle": ("r0",), "quotient_torus_shear": ("amplitude",)}
-
-
-def _family(p):
-    """params.family of variation.convexity with the fields it reads checked."""
-    fam = _get(p, "family", "params.family", "object")
-    kind = _get(fam, "kind", "params.family.kind", "string")
-    if kind not in _FAMILY_KEYS:
-        raise ValidationError(f"unknown family kind {kind!r}")
-    _only(fam, "params.family", ("kind", "grid") + _FAMILY_KEYS[kind])
-    _get(fam, "grid", "params.family.grid", "int", None, minimum=1)
-    for key in ("r0", "r1", "r2", "amplitude"):
-        _get(fam, key, f"params.family.{key}", "number", None)
-    axis = _get(fam, "axis", "params.family.axis", "int", 0, minimum=0)
-    if axis > 1:
-        raise ValidationError(f"params.family.axis must be 0 or 1, got {axis}")
-    return fam
-
-
-# the keys each field kind reads besides "kind" and "axis"
-_FIELD_KEYS = {"coordinate": ("scale",), "cosine_axis": ("base", "amplitude", "mode")}
-
-
-def _resolve_field(scn, grid):
-    desc = _get(scn, "field", "field", "object", {"kind": "coordinate"})
-    kind = _get(desc, "kind", "field.kind", "string", "coordinate")
-    if kind not in _FIELD_KEYS:
-        raise ValidationError(f"unknown field descriptor {desc!r}")
-    _only(desc, "field", ("kind", "axis") + _FIELD_KEYS[kind])
-    axis = _get(desc, "axis", "field.axis", "int", 0, minimum=0)
-    if axis >= grid.n:
-        raise ValidationError(f"field.axis must be < {grid.n}, got {axis}")
-    if kind == "coordinate":
-        return imm.coordinate_field(grid, axis,
-                                    scale=_get(desc, "scale", "field.scale", "number", 1.0))
-    # cosine_axis
-    base = _get(desc, "base", "field.base", "number", 1.0)
-    amp = _get(desc, "amplitude", "field.amplitude", "number", 0.3)
-    mode = _get(desc, "mode", "field.mode", "int", 1)
-    theta = grid.thetas(axis)
-    profile = base + amp * np.cos(mode * theta)
+def _field(d, grid):
+    if d["axis"] >= grid.n:
+        raise ValidationError(f"field.axis must be < {grid.n}, got {d['axis']}")
+    if d["kind"] == "coordinate":
+        return imm.coordinate_field(grid, d["axis"], scale=d["scale"])
+    profile = d["base"] + d["amplitude"] * np.cos(d["mode"] * grid.thetas(d["axis"]))
     comp = np.zeros((grid.n,) + grid.sizes)
     if grid.n == 1:
-        comp[axis] = profile
+        comp[d["axis"]] = profile
     else:
-        comp[axis] = np.expand_dims(profile, axis=1 - axis)
+        comp[d["axis"]] = np.expand_dims(profile, axis=1 - d["axis"])
     return imm.VectorFieldOnL(grid=grid, components=comp)
 
 
-def _resolve_curve(desc, path, extra=()):
-    """The curve of a descriptor; extra names the keys its caller reads."""
-    desc = _check(desc, path, "object")
-    kind = next((k for k in ("family", "terms", "coeff_file") if k in desc), None)
-    if kind is None:
-        raise ValidationError(f"unresolvable curve descriptor {desc!r}")
-    _only(desc, path, (kind, "N") + extra)
-    if kind == "family":
-        return curve_lab.family_coefficients(
-            desc["family"], N=_get(desc, "N", f"{path}.N", "int", 256, minimum=1))
-    if kind == "terms":
-        terms = _get(desc, "terms", f"{path}.terms", "object")
-        coeffs = {}
-        for key in terms:
-            where = f"{path}.terms.{key}"
-            coeffs[_mode(key, where)] = complex(*_check_shape(terms[key], where, (2,)))
-        return curve_lab.curve_from_terms(
-            coeffs, N=_get(desc, "N", f"{path}.N", "int", 128, minimum=1))
-    N = _get(desc, "N", f"{path}.N", "int", None, minimum=1)
+def _curve(d, path):
+    """The curve of a checked descriptor; path names it in a file's error."""
+    if "family" in d:
+        return curve_lab.family_coefficients(d["family"], N=d["N"])
+    if "terms" in d:
+        return curve_lab.curve_from_terms(d["terms"], N=d["N"])
     try:
-        return curve_lab.load_coefficients(desc["coeff_file"], N=N)
+        return curve_lab.load_coefficients(d["coeff_file"], N=d.get("N"))
     except (OSError, ValueError, TypeError, IndexError) as e:
         raise ValidationError(f"{path}.coeff_file: cannot load "
-                              f"{desc['coeff_file']!r}: {e}") from None
-
-
-def _curve(scn):
-    return _resolve_curve(_get(scn, "curve", "curve", "object"), "curve")
+                              f"{d['coeff_file']!r}: {e}") from None
 
 
 # --- operation handlers ---------------------------------------------------------
+# each reads the checked scenario s and writes into out_dir; raw is the
+# scenario as written
 
-def _op_curve_analyze(scn, out_dir):
-    d = _params(scn)
-    curve = _curve(scn)
-    M = _get(d, "samples", "params.samples", "int", 4 * curve.N, minimum=1)
-    samples = curve_lab.synthesize(curve, M=M)
+def _op_curve_analyze(s, out_dir, raw):
+    curve = _curve(s["curve"], "curve")
+    samples = curve_lab.synthesize(curve, M=s["params"].get("samples", 4 * curve.N))
     out = curve_lab.fourier_analyze(samples, N=curve.N)
     path = os.path.join(out_dir, "coefficients.json")
     curve_lab.save_coefficients(out, path)
@@ -339,14 +323,12 @@ def _op_curve_analyze(scn, out_dir):
             "signed_area": out.signed_area(), "n_coeffs": int(out.coeffs.size)}, [path]
 
 
-def _op_curve_classify(scn, out_dir):
+def _op_curve_classify(s, out_dir, raw):
     records = []
-    for k, desc in enumerate(_get(scn, "curves", "curves", "list")):
-        curve = _resolve_curve(desc, f"curves[{k}]", ("label",))
-        label = _get(desc, "label", f"curves[{k}].label", "string", desc.get("family", "curve"))
-        cls = curve_lab.classify_direction(curve)
+    for k, d in enumerate(s["curves"]):
+        cls = curve_lab.classify_direction(_curve(d, f"curves[{k}]"))
         records.append({
-            "label": label,
+            "label": d.get("label", d.get("family", "curve")),
             "class": cls.kind,
             "r_inner": cls.evidence.r_inner,
             "r_outer": cls.evidence.r_outer,
@@ -357,22 +339,18 @@ def _op_curve_classify(scn, out_dir):
     return {"classifications": records}, []
 
 
-def _op_curve_geodesic(scn, out_dir):
-    curve = _curve(scn)
-    radii = _get(_params(scn), "radii", "params.radii", "numbers")
+def _op_curve_geodesic(s, out_dir, raw):
+    curve = _curve(s["curve"], "curve")
+    radii = s["params"]["radii"]
     frames = [curve_lab.geodesic_evaluate(curve, r) for r in radii]
     paths = _write_frames_csv(out_dir, [np.stack([f.real, f.imag], axis=-1)
                                         for f in frames])
     return {"radii": radii, "n_frames": len(frames)}, paths
 
 
-def _op_curve_length(scn, out_dir):
-    curve = _curve(scn)
-    radii = _get(_params(scn), "radii", "params.radii", "numbers")
-    if len(radii) < 3:
-        raise ValidationError("curve.length needs at least three radii for a "
-                              f"second difference, got {len(radii)}")
-    prof = curve_lab.length_profile(curve, radii)
+def _op_curve_length(s, out_dir, raw):
+    curve = _curve(s["curve"], "curve")
+    prof = curve_lab.length_profile(curve, s["params"]["radii"])
     path = os.path.join(out_dir, "length_profile.csv")
     write_csv(path, ["r", "t", "Lambda", "d2"],
               [(float(r), float(t), float(v), float(d)) for r, t, v, d in
@@ -381,23 +359,15 @@ def _op_curve_length(scn, out_dir):
             "min_second_difference": float(np.nanmin(prof.second_differences))}, [path]
 
 
-def _op_curve_secondvar(scn, out_dir):
-    fields = _get(_params(scn), "fields", "params.fields", "list")
-    curve = curve_lab.resample_arclength(_curve(scn))
+def _op_curve_secondvar(s, out_dir, raw):
+    curve = curve_lab.resample_arclength(_curve(s["curve"], "curve"))
     M = 4 * curve.N
     theta = 2.0 * np.pi * np.arange(M) / M
     reports = []
-    for k, fdesc in enumerate(fields):
-        where = f"params.fields[{k}]"
-        fdesc = _only(_check(fdesc, where, "object"), where,
-                      ("base", "amplitude", "mode", "label"))
-        base = _get(fdesc, "base", f"{where}.base", "number", 1.0)
-        amp = _get(fdesc, "amplitude", f"{where}.amplitude", "number", 0.0)
-        mode = _get(fdesc, "mode", f"{where}.mode", "int", 1)
-        f = base + amp * np.cos(mode * theta)
-        res = curve_lab.second_variation_length(curve, f)
-        reports.append({"context": _get(fdesc, "label", f"{where}.label", "string", "field"),
-                        "analytic": res["analytic"], "fd": res["fd"],
+    for d in s["params"]["fields"]:
+        res = curve_lab.second_variation_length(
+            curve, d["base"] + d["amplitude"] * np.cos(d["mode"] * theta))
+        reports.append({"context": d["label"], "analytic": res["analytic"], "fd": res["fd"],
                         "rel_err": res["rel_err"], "richardson_order": None})
     return {"reports": reports}, [_write_reports_csv(out_dir, reports)]
 
@@ -409,8 +379,8 @@ def _write_grid_csv(path, sizes, columns):
                   *(a.ravel().tolist() for a in columns.values())))
 
 
-def _op_jvol_compute(scn, out_dir):
-    im, chart = _resolve_immersion(scn)
+def _op_jvol_compute(s, out_dir, raw):
+    im = _immersion(s)
     geo = imm.frames(im)
     vols = geo.volumes()
     path = os.path.join(out_dir, "density.csv")
@@ -422,8 +392,8 @@ def _op_jvol_compute(scn, out_dir):
             "formula_gap": geo.formula_gap}, [path]
 
 
-def _op_jvol_hj(scn, out_dir):
-    im, chart = _resolve_immersion(scn)
+def _op_jvol_hj(s, out_dir, raw):
+    im = _immersion(s)
     field = imm.frames(im).h_j
     mags = np.sqrt(np.sum(field.values ** 2, axis=-1))
     path = os.path.join(out_dir, "hj_magnitude.csv")
@@ -433,28 +403,19 @@ def _op_jvol_hj(scn, out_dir):
             "tangential_leak": field.max_tangential_leak}, [path]
 
 
-def _op_flow_run(scn, out_dir):
-    im, chart = _resolve_immersion(scn)
-    X = _resolve_field(scn, im.grid)
-    p = _params(scn)
-    scheme = _get(p, "scheme", "params.scheme", "string", "spectral")
-    if scheme == "spectral":
-        _only(p, "params", ("scheme", "times"))
-        ts = _get(p, "times", "params.times", "numbers")
-        flow = geodesic_flow.flow_spectral(im, X, ts)
-    elif scheme == "timestep":
-        _only(p, "params", ("scheme", "t_final", "dt", "store_every"))
-        flow = geodesic_flow.flow_timestep(
-            im, X, _get(p, "t_final", "params.t_final", "number"),
-            _get(p, "dt", "params.dt", "number"),
-            store_every=_get(p, "store_every", "params.store_every", "int", 10,
-                             minimum=1))
+def _op_flow_run(s, out_dir, raw):
+    im = _immersion(s)
+    X = _field(s["field"], im.grid)
+    p = s["params"]
+    if p["scheme"] == "spectral":
+        flow = geodesic_flow.flow_spectral(im, X, p["times"])
     else:
-        raise UnknownOperation(f"unknown flow scheme {scheme!r}")
+        flow = geodesic_flow.flow_timestep(im, X, p["t_final"], p["dt"],
+                                           store_every=p["store_every"])
     paths = _write_frames_csv(out_dir, [f.positions() for f in flow.immersions])
     manifest = {
         "scheme": flow.scheme,
-        "field": scn.get("field", {"kind": "coordinate"}),
+        "field": raw.get("field", {"kind": "coordinate"}),
         "amplification": flow.amplification,
         "geodesic_residual": flow.geodesic_residual,
         "times": [float(t) for t in flow.times],
@@ -465,13 +426,10 @@ def _op_flow_run(scn, out_dir):
             "n_frames": len(flow.immersions)}, paths + [mpath]
 
 
-def _op_flow_bvp(scn, out_dir):
-    p = _params(scn)
-    N = _get(p, "N", "params.N", "int", 16, minimum=1)
-    gamma0, gamma1 = (_resolve_curve(_get(p, key, f"params.{key}", "object"),
-                                     f"params.{key}")
-                      for key in ("outer", "inner"))
-    res = geodesic_flow.solve_bvp_annulus(gamma0, gamma1, N=N)
+def _op_flow_bvp(s, out_dir, raw):
+    p = s["params"]
+    res = geodesic_flow.solve_bvp_annulus(_curve(p["outer"], "params.outer"),
+                                          _curve(p["inner"], "params.inner"), N=p["N"])
     path = os.path.join(out_dir, "annulus_map.json")
     curve_lab.save_coefficients(res.curve, path)
     return {"modulus": res.modulus, "converged": res.converged,
@@ -479,41 +437,38 @@ def _op_flow_bvp(scn, out_dir):
             "iterations": res.iterations}, [path]
 
 
-def _op_flow_uniqueness(scn, out_dir):
-    im, chart = _resolve_immersion(scn)
-    X = _resolve_field(scn, im.grid)
-    t_final = _get(_params(scn), "t_final", "params.t_final", "number")
-    gap = geodesic_flow.uniqueness_compare(im, X, t_final)
+def _op_flow_uniqueness(s, out_dir, raw):
+    im = _immersion(s)
+    gap = geodesic_flow.uniqueness_compare(im, _field(s["field"], im.grid),
+                                           s["params"]["t_final"])
     return {"sup_gap": gap}, []
 
 
-def _op_variation_first(scn, out_dir):
-    im, chart = _resolve_immersion(scn)
-    Y = _resolve_field(scn, im.grid)
-    rep = vh.check_first_variation(im, Y, context=scn.get("name", "first"))
+def _op_variation_first(s, out_dir, raw):
+    im = _immersion(s)
+    rep = vh.check_first_variation(im, _field(s["field"], im.grid),
+                                   context=s.get("name", "first"))
     return {"report": rep.to_dict()}, [_write_reports_csv(out_dir, [rep.to_dict()])]
 
 
-def _op_variation_second(scn, out_dir):
-    im, chart = _resolve_immersion(scn)
-    Y = _resolve_field(scn, im.grid)
-    rep = vh.check_second_variation_kahler(im, Y, context=scn.get("name", "second"))
+def _op_variation_second(s, out_dir, raw):
+    im = _immersion(s)
+    rep = vh.check_second_variation_kahler(im, _field(s["field"], im.grid),
+                                           context=s.get("name", "second"))
     return {"report": rep.to_dict()}, [_write_reports_csv(out_dir, [rep.to_dict()])]
 
 
-def _op_variation_density(scn, out_dir):
-    im, chart = _resolve_immersion(scn)
-    X = _resolve_field(scn, im.grid)
-    r1, r2, integral2 = vh.check_density_divergence(im, X)
+def _op_variation_density(s, out_dir, raw):
+    im = _immersion(s)
+    r1, r2, integral2 = vh.check_density_divergence(im, _field(s["field"], im.grid))
     path = _write_reports_csv(out_dir, [r1.to_dict(), r2.to_dict()])
     return {"first": r1.to_dict(), "second": r2.to_dict(),
             "second_integral": integral2}, [path]
 
 
-def _op_variation_convexity(scn, out_dir):
-    p = _params(scn)
-    prof = vh.convexity_experiment(_family(p),
-                                   _get(p, "t_grid", "params.t_grid", "numbers"))
+def _op_variation_convexity(s, out_dir, raw):
+    p = s["params"]
+    prof = vh.convexity_experiment(p["family"], p["t_grid"])
     path = os.path.join(out_dir, "convexity.csv")
     write_csv(path, ["t", "Vol_J", "d2"],
               [(float(t), float(v), float(d)) for t, v, d in
@@ -523,42 +478,65 @@ def _op_variation_convexity(scn, out_dir):
             "vol_j": [float(v) for v in prof["vol_j"]]}, [path]
 
 
-def _op_ambient_verify(scn, out_dir):
-    chart = _chart(scn)
-    p = _get(scn, "params", "params", "object", {})
-    rng = np.random.default_rng(_get(scn, "seed", "seed", "int", 0, minimum=0))
-    n_pts = _get(p, "n_points", "params.n_points", "int", 12, minimum=1)
+def _op_ambient_verify(s, out_dir, raw):
+    chart = ambient.chart_from_descriptor(s["chart"])
+    rng = np.random.default_rng(s["seed"])
+    p = s["params"]
     if chart.is_flat:
-        pts = rng.uniform(-1.0, 1.0, size=(n_pts, chart.dim))
+        pts = rng.uniform(-1.0, 1.0, size=(p["n_points"], chart.dim))
     else:
-        r_max = _get(p, "r_max", "params.r_max", "number", 0.6)
-        if not r_max > 0.0:
-            raise ValidationError(f"params.r_max must be a number > 0, got {r_max!r}")
-        r_max *= chart.radius
-        pts = rng.uniform(-r_max / math.sqrt(chart.dim),
-                          r_max / math.sqrt(chart.dim),
-                          size=(n_pts, chart.dim))
+        half = p["r_max"] * chart.radius / math.sqrt(chart.dim)
+        pts = rng.uniform(-half, half, size=(p["n_points"], chart.dim))
     rep = ambient.verify_kahler_einstein(chart, pts)
     return {"report": rep}, []
 
 
-# each operation's handler and the params keys it reads
+_ENVELOPE = {"version": _F("int"), "operation": _F("string"), "name": _F("string", None),
+             "seed": _F("int", 0, _AT_LEAST_0)}
+_CURVE_OP = {"curve": _F(_CURVE)}
+_IMMERSION_OP = {"chart": _F(_CHART, {}), "immersion": _F(_IMMERSION)}
+_FIELD_OP = {**_IMMERSION_OP, "field": _F(_FIELD, {})}
+_N_POINTS = _F("int", 12, _AT_LEAST_1)
+# each operation's handler and the table it reads the scenario with, besides
+# the fields of _ENVELOPE, which every scenario may carry
 _OPERATIONS = {
-    "curve.analyze": (_op_curve_analyze, ("samples",)),
-    "curve.classify": (_op_curve_classify, ()),
-    "curve.geodesic": (_op_curve_geodesic, ("radii",)),
-    "curve.length": (_op_curve_length, ("radii",)),
-    "curve.secondvar": (_op_curve_secondvar, ("fields",)),
-    "jvol.compute": (_op_jvol_compute, ()),
-    "jvol.hj": (_op_jvol_hj, ()),
-    "flow.run": (_op_flow_run, ("scheme", "times", "t_final", "dt", "store_every")),
-    "flow.bvp": (_op_flow_bvp, ("N", "outer", "inner")),
-    "flow.uniqueness": (_op_flow_uniqueness, ("t_final",)),
-    "variation.first": (_op_variation_first, ()),
-    "variation.second": (_op_variation_second, ()),
-    "variation.density": (_op_variation_density, ()),
-    "variation.convexity": (_op_variation_convexity, ("family", "t_grid")),
-    "ambient.verify": (_op_ambient_verify, ("n_points", "r_max")),
+    "curve.analyze": (_op_curve_analyze, {
+        **_CURVE_OP, "params": _F({"samples": _F("int", None, _AT_LEAST_1)})}),
+    "curve.classify": (_op_curve_classify, {
+        "curves": _F([_with(_CURVE, {"label": _F("string", None)})]), **_NO_PARAMS}),
+    "curve.geodesic": (_op_curve_geodesic, {
+        **_CURVE_OP, "params": _F({"radii": _F(_NUMBERS)})}),
+    # a second difference needs three radii
+    "curve.length": (_op_curve_length, {**_CURVE_OP, "params": _F({"radii": _F(
+        _NUMBERS, _REQUIRED, ("three radii or more", lambda v: len(v) >= 3))})}),
+    "curve.secondvar": (_op_curve_secondvar, {
+        **_CURVE_OP, "params": _F({"fields": _F([{
+            "base": _F(_NUMBER, 1.0), "amplitude": _F(_NUMBER, 0.0),
+            "mode": _F("int", 1), "label": _F("string", "field")}])})}),
+    "jvol.compute": (_op_jvol_compute, {**_IMMERSION_OP, **_NO_PARAMS}),
+    "jvol.hj": (_op_jvol_hj, {**_IMMERSION_OP, **_NO_PARAMS}),
+    "flow.run": (_op_flow_run, {**_FIELD_OP, "params": _F(_Variants(
+        "scheme", _F("string", "spectral"), {
+            "spectral": {"times": _F(_NUMBERS)},
+            "timestep": {"t_final": _F(_NUMBER), "dt": _F(_NUMBER),
+                         "store_every": _F("int", 10, _AT_LEAST_1)}}))}),
+    "flow.bvp": (_op_flow_bvp, {"params": _F({
+        "N": _F("int", 16, _AT_LEAST_1), "outer": _F(_CURVE), "inner": _F(_CURVE)})}),
+    "flow.uniqueness": (_op_flow_uniqueness, {
+        **_FIELD_OP, "params": _F({"t_final": _F(_NUMBER)})}),
+    "variation.first": (_op_variation_first, {**_FIELD_OP, **_NO_PARAMS}),
+    "variation.second": (_op_variation_second, {**_FIELD_OP, **_NO_PARAMS}),
+    "variation.density": (_op_variation_density, {**_FIELD_OP, **_NO_PARAMS}),
+    "variation.convexity": (_op_variation_convexity, {"params": _F({
+        "family": _F(_FAMILY), "t_grid": _F(_NUMBERS)})}),
+    # the sample box of a curved chart is r_max times its radius
+    "ambient.verify": (_op_ambient_verify, _Variants(
+        "chart", _F(_CHART, {}), {
+            "flat": {"params": _F({"n_points": _N_POINTS}, {})},
+            "curved": {"params": _F({"n_points": _N_POINTS,
+                                     "r_max": _F(_NUMBER, 0.6, ("> 0", lambda v: v > 0))},
+                                    {})}},
+        lambda chart: "flat" if ambient.chart_from_descriptor(chart).is_flat else "curved")),
 }
 
 
@@ -570,10 +548,7 @@ def load_scenario(path):
         raise ParseError(f"cannot read scenario {path}: {e}") from None
     if not isinstance(scn, dict) or scn.get("version") != SCENARIO_VERSION:
         raise ParseError(f"scenario must declare \"version\": {SCENARIO_VERSION}")
-    if "operation" not in scn:
-        raise ParseError("scenario missing \"operation\"")
-    _check(scn["operation"], "operation", "string")
-    _get(scn, "name", "name", "string", None)
+    _read(scn.get("operation"), "operation", "string")
     return scn
 
 
@@ -583,9 +558,8 @@ def run_scenario(path, out_dir, threads=None):
     op = scn["operation"]
     if op not in _OPERATIONS:
         raise UnknownOperation(f"unknown operation {op!r}")
-    handler, keys = _OPERATIONS[op]
-    # an empty params is legal everywhere
-    _only(_get(scn, "params", "params", "object", {}), "params", keys)
+    handler, table = _OPERATIONS[op]
+    s = _read(scn, "", _with(table, _ENVELOPE))
     os.makedirs(out_dir, exist_ok=True)
     manifest = {
         "package_version": __version__,
@@ -598,7 +572,7 @@ def run_scenario(path, out_dir, threads=None):
     }
     results_path = os.path.join(out_dir, "results.json")
     try:
-        results, files = handler(scn, out_dir)
+        results, files = handler(s, out_dir, scn)
         nan = _nan_path(results, "results")
         if nan is not None:
             # a refused result leaves none of its files behind
@@ -670,12 +644,9 @@ def main(argv=None):
                     f"subcommand {expected!r}"
                 )
         return run_scenario(args.scenario, args.out, threads=args.threads)
-    except (ValidationError,) as e:
+    except (ValidationError, NumericalError) as e:
         print(f"trgeo: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
-    except NumericalError as e:
-        print(f"trgeo: {type(e).__name__}: {e}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(e, ValidationError) else 3
 
 
 if __name__ == "__main__":

@@ -521,51 +521,68 @@ def is_totally_real_stack(grid, chart, points, winding=None):
 
 # --- built-in immersion formulas ----------------------------------------------
 
+# each formula's arguments: name -> (shape, default). Shape () is one number,
+# (k, ...) nested lists of k entries, None any number of entries; a default of
+# None marks an argument the formula needs.
+FORMULAS = {
+    "circle": {"r": ((), 1.0), "center": ((2,), [0.0, 0.0])},
+    "ellipse": {"a": ((), 2.0), "b": ((), 1.0)},
+    "fourier_curve": {"coeffs": ((None, 3), None)},
+    "product_torus": {"r1": ((), 1.0), "r2": ((), 1.0)},
+    "graph_perturbed_torus": {"r1": ((), 1.0), "r2": ((), 1.0),
+                              "amplitude": ((), 0.5), "mode": ((2,), [1, 0])},
+    "straight_torus": {"winding": ((4, 2), [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]),
+                       "offset": ((4,), [0.0, 0.0, 0.0, 0.0])},
+}
+
+
 def build_immersion(grid, chart, formula, **params):
     """Sample one of the built-in parametric families and validate it.
 
-    Formulas: circle(r, center), ellipse(a, b), fourier_curve(coeffs),
-    product_torus(r1, r2), graph_perturbed_torus(r1, r2, amplitude, mode),
-    straight_torus(winding) on the flat quotient chart.
+    FORMULAS names each formula's arguments and their defaults; an argument
+    it does not name raises ValidationError, and so does a missing one
+    without a default. straight_torus lives on the flat quotient chart.
     """
+    if formula not in FORMULAS:
+        raise ValidationError(f"unknown immersion formula {formula!r}")
+    known = FORMULAS[formula]
+    unknown = sorted(params.keys() - known.keys())
+    if unknown:
+        raise ValidationError(f"{formula} has no argument {unknown[0]!r} "
+                              f"(known: {', '.join(known)})")
+    args = {key: default for key, (_, default) in known.items()} | params
+    missing = [key for key, value in args.items() if value is None]
+    if missing:
+        raise ValidationError(f"{formula} needs the argument {missing[0]!r}")
     winding = None
     if formula in ("circle", "ellipse", "fourier_curve"):
         if grid.n != 1 or chart.dim != 2:
             raise ValidationError(f"{formula} needs a T^1 grid and a 1-dim chart")
         theta = grid.thetas(0)
         if formula == "circle":
-            r = params.get("r", 1.0)
-            center = complex(*params.get("center", (0.0, 0.0)))
-            z = center + r * np.exp(1j * theta)
+            z = complex(*args["center"]) + args["r"] * np.exp(1j * theta)
         elif formula == "ellipse":
-            a, b = params.get("a", 2.0), params.get("b", 1.0)
-            z = a * np.cos(theta) + 1j * b * np.sin(theta)
+            z = args["a"] * np.cos(theta) + 1j * args["b"] * np.sin(theta)
         else:
-            z = _synthesize_coeffs(params["coeffs"], theta)
+            z = _synthesize_coeffs(args["coeffs"], theta)
         pts = np.stack([z.real, z.imag], axis=-1)
     elif formula in ("product_torus", "graph_perturbed_torus"):
         if grid.n != 2 or chart.dim != 4:
             raise ValidationError(f"{formula} needs a T^2 grid and a 2-dim chart")
         t1, t2 = grid.mesh()
-        r1 = params.get("r1", 1.0)
-        r2 = params.get("r2", 1.0)
-        z1 = r1 * np.exp(1j * t1)
+        z1 = args["r1"] * np.exp(1j * t1)
         if formula == "product_torus":
-            z2 = r2 * np.exp(1j * t2)
+            z2 = args["r2"] * np.exp(1j * t2)
         else:
-            amp = params.get("amplitude", 0.5)
-            m1, m2 = params.get("mode", (1, 0))
-            z2 = (r2 + amp * np.cos(m1 * t1 + m2 * t2)) * np.exp(1j * t2)
+            m1, m2 = args["mode"]
+            z2 = (args["r2"] + args["amplitude"] * np.cos(m1 * t1 + m2 * t2)) * np.exp(1j * t2)
         pts = np.stack([z1.real, z2.real, z1.imag, z2.imag], axis=-1)
-    elif formula == "straight_torus":
+    else:
         if grid.n != 2 or chart.dim != 4 or not chart.quotient:
             raise ValidationError("straight_torus lives on the flat quotient chart")
-        winding = np.asarray(params.get(
-            "winding", [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]), dtype=float)
+        winding = np.asarray(args["winding"], dtype=float)
         pts = np.zeros(grid.sizes + (4,))
-        pts += np.asarray(params.get("offset", np.zeros(4)))
-    else:
-        raise ValidationError(f"unknown immersion formula {formula!r}")
+        pts += np.asarray(args["offset"])
     im = Immersion(grid=grid, chart=chart, points=pts, winding=winding)
     is_totally_real(im)
     return im

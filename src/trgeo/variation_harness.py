@@ -258,19 +258,35 @@ def mixed_density_second_variation(im, W, Z):
 
 # --- convexity experiments -----------------------------------------------------------
 
+# each family kind's keys besides "kind", with their defaults: grid counts the
+# nodes per axis, axis picks the flat torus's field direction (0 or 1)
+FAMILIES = {
+    "flat_circle": {"grid": 64, "r0": 1.0},
+    "flat_torus": {"grid": 64, "r1": 1.0, "r2": 2.0, "axis": 0},
+    "poincare_circle": {"grid": 64, "r0": 1.0},
+    "quotient_torus_shear": {"grid": 64, "amplitude": 0.3},
+}
+
+
 def convexity_experiment(family, t_grid):
     """Vol_J along a named geodesic family with second differences.
 
-    family: dict descriptor, e.g.
-      {"kind": "flat_circle", "r0": 1.0, "grid": 64}
-      {"kind": "flat_torus", "r1": 1.0, "r2": 2.0, "axis": 0, "grid": 32}
-      {"kind": "poincare_circle", "r0": 1.0, "grid": 64}
-      {"kind": "quotient_torus_shear", "amplitude": 0.3, "grid": 32}
+    family: dict descriptor with a "kind" of FAMILIES and any of its keys, e.g.
+      {"kind": "flat_torus", "r1": 1.0, "r2": 2.0, "axis": 0, "grid": 32};
+    a key the kind does not read raises ValidationError.
     t values must be increasing and uniformly spaced.
     """
     from . import ambient as amb
     from .immersion import build_immersion, coordinate_field
 
+    kind = family.get("kind")
+    if kind not in FAMILIES:
+        raise ValidationError(f"unknown family kind {kind!r}")
+    unknown = sorted(family.keys() - {"kind", *FAMILIES[kind]})
+    if unknown:
+        raise ValidationError(f"family.{unknown[0]}: unknown field "
+                              f"(known: kind, {', '.join(FAMILIES[kind])})")
+    f = FAMILIES[kind] | family
     t_grid = np.asarray([float(t) for t in t_grid])
     steps = np.diff(t_grid)
     if t_grid.size < 3 or np.any(steps <= 0):
@@ -279,35 +295,29 @@ def convexity_experiment(family, t_grid):
     if not np.allclose(steps, steps[0], rtol=1e-10, atol=1e-14):
         raise ValidationError(f"t_grid must be uniformly spaced; its steps run from "
                               f"{np.min(steps):.6g} to {np.max(steps):.6g}")
-    kind = family.get("kind")
-    gsz = int(family.get("grid", 64))
+    gsz = int(f["grid"])
     if kind == "flat_circle":
         chart = amb.flat_chart(1)
-        im = build_immersion(GridTorus((gsz,)), chart, "circle",
-                             r=family.get("r0", 1.0))
+        im = build_immersion(GridTorus((gsz,)), chart, "circle", r=f["r0"])
         Y = coordinate_field(im.grid, 0)
     elif kind == "flat_torus":
         chart = amb.flat_chart(2)
         im = build_immersion(GridTorus((gsz, gsz)), chart, "product_torus",
-                             r1=family.get("r1", 1.0), r2=family.get("r2", 2.0))
-        Y = coordinate_field(im.grid, int(family.get("axis", 0)))
+                             r1=f["r1"], r2=f["r2"])
+        Y = coordinate_field(im.grid, int(f["axis"]))
     elif kind == "poincare_circle":
         chart = amb.poincare_disk()
-        r0 = family.get("r0", 1.0)
         im = build_immersion(GridTorus((gsz,)), chart, "circle",
-                             r=r0 * math.exp(-float(t_grid[0])))
+                             r=f["r0"] * math.exp(-float(t_grid[0])))
         Y = coordinate_field(im.grid, 0)
         t_grid = t_grid - t_grid[0]
-    elif kind == "quotient_torus_shear":
+    else:
         chart = amb.flat_quotient_chart(2)
         im = build_immersion(GridTorus((gsz, gsz)), chart, "straight_torus")
         theta = im.grid.thetas(0)
-        amp = family.get("amplitude", 0.3)
         comp = np.zeros((2, gsz, gsz))
-        comp[0] = (1.0 + amp * np.cos(theta))[:, None]
+        comp[0] = (1.0 + f["amplitude"] * np.cos(theta))[:, None]
         Y = VectorFieldOnL(grid=im.grid, components=comp)
-    else:
-        raise ValidationError(f"unknown family kind {kind!r}")
     fam = geodesic_family(im, Y, list(t_grid))
     vols = np.array([is_totally_real(f).volumes()["vol_j"] for f in fam])
     h = float(t_grid[1] - t_grid[0])

@@ -554,6 +554,17 @@ _FLAT_TORUS = {"chart": {"name": "flat_c2"},
     ({"operation": "variation.convexity",
       "params": {"family": {"kind": "poincare_circle", "r1": 1.0, "grid": 64},
                  "t_grid": [0.5, 0.6, 0.7]}}, "params.family.r1"),
+    ({"operation": "jvol.compute", "chart": {"name": "flat_c1"},
+      "immersion": {"formula": "circle", "grid": 64}, "paramz": {}}, "paramz: unknown field"),
+    ({"operation": "curve.length", "chart": {"name": "flat_c1"}, "curve": _ELLIPSE,
+      "params": {"radii": [0.8, 0.9, 1.0]}}, "chart: unknown field"),
+    ({"operation": "ambient.verify", "params": {"n_points": 16, "r_max": 0.5}},
+     "params.r_max: unknown field"),
+    ({"operation": "curve.classify", "seed": "abc",
+      "curves": [{"family": "annulus", "N": 64}]}, "seed must be an integer"),
+    # an integer would name one of the process's own file descriptors
+    ({"operation": "curve.length", "curve": {"coeff_file": 2},
+      "params": {"radii": [0.8, 0.9, 1.0]}}, "curve.coeff_file must be a string"),
 ])
 def test_malformed_scenario_fields_exit_2(tmp_path, capsys, payload, field):
     scn = write_scenario(tmp_path / "s.json", {"version": 1, "name": "bad", **payload})
@@ -576,3 +587,73 @@ def test_example_scenarios_run_and_are_thread_independent(tmp_path, example):
         outs.append((out / "results.json").read_bytes())
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["status"] == "ok"
+
+
+# --- the field tables in README ---------------------------------------------------
+
+_DESCRIPTORS = {"chart": cli._CHART, "immersion": cli._IMMERSION, "field": cli._FIELD,
+                "curve": cli._CURVE, "family": cli._FAMILY}
+_NAMES = {id(kind): f"{name} descriptor" for name, kind in _DESCRIPTORS.items()}
+
+
+def _kind_name(kind):
+    if id(kind) in _NAMES:
+        return _NAMES[id(kind)]
+    if isinstance(kind, (dict, cli._Variants)):
+        return "object"
+    if isinstance(kind, list):
+        return "list"
+    if kind == ():
+        return "number"
+    if isinstance(kind, tuple):
+        return " × ".join("n" if k is None else str(k) for k in kind) + " numbers"
+    return {"string": "string", "int": "integer", "terms": "`{mode: [re, im]}`"}[kind]
+
+
+def _field_rows(kind, path=""):
+    """(field, when, kind, default, bound) of each field below kind; a field
+    of only some variants names them in when."""
+    if isinstance(kind, list):
+        yield from _field_rows(kind[0], f"{path}[]")
+    elif isinstance(kind, cli._Variants):
+        if kind.key is not None:
+            yield from _field_rows({kind.key: kind.spec}, path)
+        per = {}
+        for name, table in kind.tables.items():
+            when = (f"`{name}` given" if kind.key is None else
+                    f"{kind.key} is {name}" if kind.choose else f"{kind.key} = {name}")
+            per[when] = list(_field_rows(table, path))
+        shared = set.intersection(*map(set, per.values()))
+        yield from dict.fromkeys(r for rows in per.values() for r in rows if r in shared)
+        for when, rows in per.items():
+            for field, inner, *rest in (r for r in rows if r not in shared):
+                yield field, ", ".join(filter(None, (when, inner))), *rest
+    elif isinstance(kind, dict):
+        for key, f in kind.items():
+            where = cli._at(path, key)
+            default = ("required" if f.default is cli._REQUIRED else
+                       "optional" if f.default is None else f"`{json.dumps(f.default)}`")
+            bound = f.bound[0] if f.bound else ""
+            yield f"`{where}`", "", _kind_name(f.kind), default, bound
+            if id(f.kind) not in _NAMES:
+                yield from _field_rows(f.kind, where)
+
+
+def _field_tables():
+    """README's field tables, rendered from cli._OPERATIONS."""
+    sections = [("Every scenario", cli._ENVELOPE)]
+    sections += [(f"`{op}`", table) for op, (_, table) in cli._OPERATIONS.items()]
+    sections += [(f"{name} descriptor", kind) for name, kind in _DESCRIPTORS.items()]
+    lines = []
+    for title, kind in sections:
+        lines += [f"{title}:", "", "| field | when | kind | default | bound |",
+                  "| --- | --- | --- | --- | --- |"]
+        lines += ["| " + " | ".join(row) + " |" for row in _field_rows(kind)]
+        lines.append("")
+    return "\n".join(lines)
+
+
+def test_readme_field_tables_match_the_schema():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    begin, end = "<!-- operations:begin -->\n", "<!-- operations:end -->"
+    assert readme[readme.index(begin) + len(begin):readme.index(end)] == _field_tables()

@@ -7,9 +7,12 @@ results.json it writes must be strict JSON: no NaN and no Infinity. Nor may
 it hold the string "nan", which is how the CLI writes a NaN float; "inf" is
 legal, since a polynomial curve's outer radius is infinite. The values are
 small apart from HUGE, a float, which every integer field (grid, N, mode)
-rejects; no base scenario steps in time, so no mutation can ask for a large
-grid, N or step count. HUGE may overflow on its way to a result: its
-RuntimeWarnings are expected, and only what reaches results.json counts.
+rejects, so no mutation can ask for a large grid or N; the one base that
+steps in time keeps its t_final out of the mutations (UNFUZZED), so none
+asks for a large step count either. HUGE may overflow on its way to a
+result: its RuntimeWarnings are expected, and only what reaches
+results.json counts. Between them the bases hold every field of the CLI
+schema, which a second test checks.
 """
 
 import copy
@@ -45,6 +48,76 @@ FOURIER_CURVE = {
                   "args": {"coeffs": [[1, 1.0, 0.0], [-1, 0.3, 0.0], [2, 0.1, 0.05]]}},
 }
 
+ELLIPSE = {"terms": {"1": [1.0, 0.0], "-1": [0.3, 0.0]}, "N": 32}
+TRIPLES = [[1, 1.0, 0.0], [-1, 0.3, 0.0]]
+FLAT_C1 = {"name": "flat_c1"}
+CIRCLE = {"formula": "circle", "grid": 16, "args": {"r": 1.0}}
+TORUS = {"formula": "product_torus", "grid": 16, "args": {"r1": 1.0, "r2": 2.0}}
+COSINE = {"kind": "cosine_axis", "axis": 0, "base": 1.0, "amplitude": 0.2, "mode": 1}
+# fields a mutation leaves alone, with the reason: (operation, path)
+UNFUZZED = {
+    ("flow.run", ("params", "t_final")): "at 1e300 a timestep run asks for about "
+    "1e303 RK4 steps: a long run, not a breach of the contract",
+}
+
+
+def _scn(name, operation, **body):
+    return {"version": 1, "name": name, "seed": 0, "operation": operation, **body}
+
+
+def _bases(tmp_path):
+    """The example scenarios, then small ones that reach every schema field
+    between them; coeff_file names a file of [n, re, im] triples."""
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(json.dumps(TRIPLES))
+    bases = []
+    for path in EXAMPLES:
+        with open(path) as f:
+            bases.append(json.load(f))
+    assert len(bases) == 4
+    return bases + [
+        DENSITY, FOURIER_CURVE,
+        _scn("analyze", "curve.analyze", curve=ELLIPSE, params={"samples": 128}),
+        _scn("classify", "curve.classify", params={}, curves=[
+            {"label": "ellipse", **ELLIPSE},
+            {"label": "file", "coeff_file": str(coeffs), "N": 32}]),
+        _scn("geodesic", "curve.geodesic", curve={"family": "annulus", "N": 32},
+             params={"radii": [0.9, 1.0]}),
+        _scn("length", "curve.length", curve={"coeff_file": str(coeffs), "N": 32},
+             params={"radii": [0.8, 0.9, 1.0]}),
+        _scn("secondvar", "curve.secondvar", curve={"terms": {"1": [1.0, 0.0]}, "N": 32},
+             params={"fields": [{"base": 1.0, "amplitude": 0.2, "mode": 2,
+                                 "label": "cos"}]}),
+        _scn("ellipse", "jvol.compute", chart=FLAT_C1, params={},
+             immersion={"formula": "ellipse", "grid": 16, "args": {"a": 2.0, "b": 1.0}}),
+        _scn("hj", "jvol.hj", chart={"name": "flat_quotient_c2"}, params={},
+             immersion={"formula": "straight_torus", "grid": 16, "args": {
+                 "winding": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]],
+                 "offset": [0.0, 0.0, 0.5, 0.0]}}),
+        _scn("timestep", "flow.run", chart=FLAT_C1,
+             immersion={"formula": "circle", "grid": 16,
+                        "args": {"r": 1.0, "center": [0.5, 0.0]}},
+             field={"kind": "coordinate", "axis": 0, "scale": 1.0},
+             params={"scheme": "timestep", "t_final": 0.01, "dt": 1e-3, "store_every": 5}),
+        _scn("uniqueness", "flow.uniqueness", chart={"name": "flat_c2"}, immersion=TORUS,
+             field={"kind": "coordinate", "axis": 1}, params={"t_final": 0.05}),
+        _scn("first", "variation.first", chart=FLAT_C1, immersion=CIRCLE, field=COSINE,
+             params={}),
+        _scn("second", "variation.second", chart=FLAT_C1, immersion=CIRCLE, field=COSINE,
+             params={}),
+        _scn("density", "variation.density", chart=FLAT_C1, immersion=CIRCLE,
+             field=COSINE, params={}),
+        *(_scn("convexity", "variation.convexity",
+               params={"family": family, "t_grid": [0.0, 0.05, 0.1]}) for family in [
+            {"kind": "flat_circle", "r0": 1.0, "grid": 16},
+            {"kind": "flat_torus", "r1": 1.0, "r2": 2.0, "axis": 1, "grid": 16},
+            {"kind": "quotient_torus_shear", "amplitude": 0.3, "grid": 16}]),
+        _scn("verify-flat", "ambient.verify", chart={"name": "flat_c2"},
+             params={"n_points": 8}),
+        _scn("verify-disk", "ambient.verify", chart={"name": "poincare_disk"},
+             params={"n_points": 8, "r_max": 0.5}),
+    ]
+
 
 def _paths(obj, prefix=()):
     """Every field path below obj: object keys and list indices."""
@@ -71,18 +144,17 @@ def _reject_constant(name):
     raise ValueError(f"results.json holds {name}")
 
 
+def _fuzzed_paths(base):
+    return [p for p in _paths(base) if (base["operation"], p) not in UNFUZZED]
+
+
 def test_single_field_mutations_keep_the_cli_contract(tmp_path):
-    bases = []
-    for path in EXAMPLES:
-        with open(path) as f:
-            bases.append(json.load(f))
-    assert len(bases) == 4
-    bases += [DENSITY, FOURIER_CURVE]
+    bases = _bases(tmp_path)
     rng = np.random.default_rng(SEED)
     codes = set()
     for k in range(N_MUTATIONS):
         base = bases[rng.integers(len(bases))]
-        paths = list(_paths(base))
+        paths = _fuzzed_paths(base)
         path = paths[rng.integers(len(paths))]
         value = VALUES[rng.integers(len(VALUES))]
         change = "deleted" if value is DELETE else f"= {value!r}"
@@ -106,3 +178,65 @@ def test_single_field_mutations_keep_the_cli_contract(tmp_path):
         codes.add(code)
     # the mutations reach past validation as well as into it
     assert {0, 2} <= codes
+
+
+# --- every schema field is in some base -----------------------------------------
+
+_TOP = {}
+
+
+def _tables(op):
+    """The table run_scenario reads op's scenarios with; one object per op."""
+    return _TOP.setdefault(op, cli._with(cli._OPERATIONS[op][1], cli._ENVELOPE))
+
+
+def _fields(kind, path):
+    """(table id, key) -> dotted path of each field below kind, variants too."""
+    if isinstance(kind, cli._Variants):
+        if kind.key is not None:
+            yield (id(kind), kind.key), cli._at(path, kind.key)
+            yield from _fields(kind.spec.kind, cli._at(path, kind.key))
+        for name, table in kind.tables.items():
+            yield from _fields(table, f"{path}({kind.key or 'with'} {name})")
+    elif isinstance(kind, dict):
+        for key, field in kind.items():
+            yield (id(kind), key), cli._at(path, key)
+            yield from _fields(field.kind, cli._at(path, key))
+    elif isinstance(kind, list):
+        yield from _fields(kind[0], f"{path}[]")
+
+
+def _reached(kind, value):
+    """The (table id, key) of each field of kind that value holds."""
+    if isinstance(kind, cli._Variants):
+        if kind.key in value:
+            yield id(kind), kind.key
+            yield from _reached(kind.spec.kind, value[kind.key])
+        yield from _reached(kind.tables[cli._variant(value, "", kind)], value)
+    elif isinstance(kind, dict):
+        for key in value.keys() & kind.keys():
+            yield id(kind), key
+            yield from _reached(kind[key].kind, value[key])
+    elif isinstance(kind, list):
+        for v in value:
+            yield from _reached(kind[0], v)
+
+
+def test_every_schema_field_is_in_some_base(tmp_path):
+    fields = {}
+    for op in cli._OPERATIONS:
+        for key, path in _fields(_tables(op), ""):
+            fields.setdefault(key, f"{op}: {path}")
+    reached = set()
+    for k, base in enumerate(_bases(tmp_path)):
+        scn = tmp_path / f"base{k}.json"
+        scn.write_text(json.dumps(base))
+        # a base that fails validation reaches nothing past its first fault
+        assert cli.main(["run", "--scenario", str(scn), "--out",
+                         str(tmp_path / f"out{k}")]) == 0, base["name"]
+        for path in set(_paths(base)) - set(_fuzzed_paths(base)):
+            base = _mutated(base, path, DELETE)
+        reached.update(_reached(_tables(base["operation"]), base))
+    missing = sorted(fields[k] for k in fields.keys() - reached)
+    # the one field no mutation touches, for the reason UNFUZZED gives
+    assert missing == ["flow.run: params(scheme timestep).t_final"]

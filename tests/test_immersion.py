@@ -253,6 +253,12 @@ def test_straight_torus_quotient_chart():
     assert geo.lagrangian_defect <= 1e-12
 
 
+def test_build_immersion_refuses_an_argument_it_does_not_read(flat1):
+    # radius for r used to build the unit circle
+    with pytest.raises(ValidationError, match="'radius'"):
+        imm.build_immersion(imm.GridTorus((64,)), flat1, "circle", radius=2.0)
+
+
 def test_winding_requires_quotient_chart(flat2):
     with pytest.raises(ValidationError):
         imm.Immersion(grid=imm.GridTorus((32, 32)), chart=flat2,

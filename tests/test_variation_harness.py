@@ -9,7 +9,8 @@ import pytest
 from trgeo import _spectral, ambient, cli, curve_lab as cl, geodesic_flow as gf
 from trgeo import immersion as imm
 from trgeo import variation_harness as vh
-from trgeo.errors import AmplificationExceeded, GeodesicUnavailable, UnsupportedField
+from trgeo.errors import (AmplificationExceeded, GeodesicUnavailable, UnsupportedField,
+                          ValidationError)
 
 from flow_oracle import flow_on_torus_2d, perturbed_torus, phase_sum_2d, wound_torus
 
@@ -330,6 +331,13 @@ def test_convexity_quotient_shear():
         np.linspace(-0.2, 0.2, 9))
     sd = prof["second_differences"][1:-1]
     assert np.all(sd >= -1e-6 * prof["vol_j"][1:-1])
+
+
+def test_convexity_refuses_a_family_key_it_does_not_read():
+    # radius for r0 used to run the unit circle
+    with pytest.raises(ValidationError, match="family.radius"):
+        vh.convexity_experiment({"kind": "flat_circle", "radius": 3.0, "grid": 16},
+                                [0.0, 0.1, 0.2])
 
 
 def test_convexity_quotient_shear_resolved_at_32():
