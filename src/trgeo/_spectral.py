@@ -6,12 +6,14 @@ Nyquist mode is dropped from odd-order derivatives, the standard choice for
 real data. Quadrature of periodic integrands is the node sum times the cell
 area, accumulated with math.fsum in fixed order so results are deterministic.
 
-Besides the FFT helpers the module holds the building blocks of the
-oracles: the off-grid Fourier evaluator (`evaluate_fourier`, one array of
-angles for the first axis of the coefficients, the other axes riding
-along), the inverse of theta -> int_0^theta w for w > 0 (`invert_cumulative`),
-one RK4 step (`rk4_step`) and one Richardson level (`richardson`). Every
-integrator, inversion and extrapolation in the package goes through these.
+derivative_matrix holds the same first derivative as a dense matrix, which
+is cheaper than two FFTs on short axes. Besides the FFT helpers the module
+holds the building blocks of the oracles: the off-grid Fourier evaluator
+(`evaluate_fourier`, one array of angles for the first axis of the
+coefficients, the other axes riding along), the inverse of
+theta -> int_0^theta w for w > 0 (`invert_cumulative`), one RK4 step
+(`rk4_step`) and one Richardson level (`richardson`). Every integrator,
+inversion and extrapolation in the package goes through these.
 """
 
 import functools
@@ -60,6 +62,21 @@ def _derivative_multiplier(n, order, real):
         mult[n // 2] = 0.0
     mult.flags.writeable = False
     return mult
+
+
+@functools.lru_cache(maxsize=16)
+def derivative_matrix(n):
+    """The n x n matrix D of spectral_derivative: D @ v = d/dtheta of v.
+
+    Column j is the derivative of the j-th unit sample through the
+    multiplier of _derivative_multiplier, so D is the same operator, the
+    Nyquist mode of an even n dropped (Trefethen, Spectral Methods in
+    MATLAB, 2000, ch. 3). D is real, so it serves real and complex samples.
+    Shared by every call with the same n, so it is read-only.
+    """
+    D = spectral_derivative(np.eye(n), axis=0)
+    D.flags.writeable = False
+    return D
 
 
 def fourier_coefficients(samples):

@@ -22,6 +22,7 @@ sums and --threads only annotates the manifest.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -245,11 +246,15 @@ _NUMBER = ()
 _NUMBERS = (None,)
 _AT_LEAST_0 = (">= 0", lambda v: v >= 0)
 _AT_LEAST_1 = (">= 1", lambda v: v >= 1)
+_POSITIVE = ("> 0", lambda v: v > 0)
 _AXIS = ("0 or 1", lambda v: v in (0, 1))
+# the limits the library sets: GridTorus sizes and a FourierCurve's N
+_GRID = ("a power of two >= 16", lambda v: v >= 16 and v & (v - 1) == 0)
+_CURVE_N = (">= 32", lambda v: v >= 32)
 
 _CHART = {"name": _F("string", "flat_c1")}
 _IMMERSION = _Variants("formula", _F("string"), {
-    formula: {"grid": _F("int", 64, _AT_LEAST_1),
+    formula: {"grid": _F("int", 64, _GRID),
               "args": _F({key: _F(shape, _REQUIRED if default is None else default)
                           for key, (shape, default) in args.items()}, {})}
     for formula, args in imm.FORMULAS.items()})
@@ -262,14 +267,14 @@ _FIELD = _Variants("kind", _F("string", "coordinate"), {
 # [n, re, im] triples, with N the Laurent degree (a file's largest |n|, at
 # least 32, when absent)
 _CURVE = _Variants(None, None, {
-    "family": {"family": _F("string"), "N": _F("int", 256, _AT_LEAST_1)},
-    "terms": {"terms": _F("terms"), "N": _F("int", 128, _AT_LEAST_1)},
-    "coeff_file": {"coeff_file": _F("string"), "N": _F("int", None, _AT_LEAST_1)},
+    "family": {"family": _F("string"), "N": _F("int", 256, _CURVE_N)},
+    "terms": {"terms": _F("terms"), "N": _F("int", 128, _CURVE_N)},
+    "coeff_file": {"coeff_file": _F("string"), "N": _F("int", None, _CURVE_N)},
 })
-# a family key is an integer where its default is one: grid >= 1, axis 0 or 1
+# a family key is an integer where its default is one: the grid or the axis
 _FAMILY = _Variants("kind", _F("string"), {
     kind: {key: _F(_NUMBER, d) if isinstance(d, float)
-           else _F("int", d, _AXIS if key == "axis" else _AT_LEAST_1)
+           else _F("int", d, _AXIS if key == "axis" else _GRID)
            for key, d in keys.items()}
     for kind, keys in vh.FAMILIES.items()})
 _NO_PARAMS = {"params": _F({}, {})}
@@ -518,7 +523,7 @@ _OPERATIONS = {
     "flow.run": (_op_flow_run, {**_FIELD_OP, "params": _F(_Variants(
         "scheme", _F("string", "spectral"), {
             "spectral": {"times": _F(_NUMBERS)},
-            "timestep": {"t_final": _F(_NUMBER), "dt": _F(_NUMBER),
+            "timestep": {"t_final": _F(_NUMBER, _REQUIRED, _POSITIVE), "dt": _F(_NUMBER),
                          "store_every": _F("int", 10, _AT_LEAST_1)}}))}),
     "flow.bvp": (_op_flow_bvp, {"params": _F({
         "N": _F("int", 16, _AT_LEAST_1), "outer": _F(_CURVE), "inner": _F(_CURVE)})}),
@@ -534,7 +539,7 @@ _OPERATIONS = {
         "chart", _F(_CHART, {}), {
             "flat": {"params": _F({"n_points": _N_POINTS}, {})},
             "curved": {"params": _F({"n_points": _N_POINTS,
-                                     "r_max": _F(_NUMBER, 0.6, ("> 0", lambda v: v > 0))},
+                                     "r_max": _F(_NUMBER, 0.6, _POSITIVE)},
                                     {})}},
         lambda chart: "flat" if ambient.chart_from_descriptor(chart).is_flat else "curved")),
 }
@@ -554,7 +559,11 @@ def load_scenario(path):
 
 def run_scenario(path, out_dir, threads=None):
     """Execute one scenario file; returns the process exit status."""
-    scn = load_scenario(path)
+    return _run(load_scenario(path), path, out_dir, threads)
+
+
+def _run(scn, path, out_dir, threads):
+    """run_scenario for the scenario scn that load_scenario read from path."""
     op = scn["operation"]
     if op not in _OPERATIONS:
         raise UnknownOperation(f"unknown operation {op!r}")
@@ -612,7 +621,9 @@ def _out_names(out_dir, paths):
     return sorted(os.path.relpath(p, out_dir) for p in paths)
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="trgeo",
         description="Scenario runner for the totally real geometry laboratory",
@@ -628,12 +639,20 @@ def main(argv=None):
             gp.add_argument("op", choices=ops)
         gp.add_argument("--scenario", required=True)
         gp.add_argument("--out", required=True)
-        gp.add_argument("--threads", type=int,
-                        default=int(os.environ.get("TRGEO_THREADS", "1")))
+        # absent: TRGEO_THREADS as it is when main runs
+        gp.add_argument("--threads", type=int)
+    return parser
+
+
+def main(argv=None):
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.group is None:
         parser.print_usage(sys.stderr)
         return 2
+    threads = args.threads
+    if threads is None:
+        threads = int(os.environ.get("TRGEO_THREADS", "1"))
     try:
         scn = load_scenario(args.scenario)
         if args.group != "run":
@@ -643,7 +662,7 @@ def main(argv=None):
                     f"scenario operation {scn['operation']!r} does not match "
                     f"subcommand {expected!r}"
                 )
-        return run_scenario(args.scenario, args.out, threads=args.threads)
+        return _run(scn, args.scenario, args.out, threads)
     except (ValidationError, NumericalError) as e:
         print(f"trgeo: {type(e).__name__}: {e}", file=sys.stderr)
         return 2 if isinstance(e, ValidationError) else 3

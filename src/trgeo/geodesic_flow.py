@@ -10,19 +10,22 @@ Two schemes solve the Cauchy problem for coordinate-aligned X on flat charts:
   ill-posedness of the inward problem: growth past amp_max aborts, and for
   curves whose adverse-side radius estimate pins them to the unit circle the
   flow refuses to start at all. The family is made, residual-checked and
-  validated in blocks of at most _BLOCK_NODES grid nodes, one inverse FFT
-  and one stacked frame build per block, each block laid out
-  (B, 2n) + grid.sizes with the components ahead of the grid axes.
+  validated in blocks of at most _BLOCK_NODES grid nodes, each laid out
+  (B, 2n) + grid.sizes with the components ahead of the grid axes. One
+  inverse FFT along the flow axis gives a block's points and both
+  coordinate vector fields, and the stack check validates the block from
+  the Gram and omega matrices of those vectors, building no frame.
 
 * flow_timestep: guarded RK4 with a 2/3 dealiasing filter and a spectral
   tail-energy monitor that aborts (BlowUpDetected) when the retained top
   modes carry more than 1e-3 of the energy. It fails loudly on smooth
   non-analytic data instead of smoothing it away. Each right-hand side
   differentiates only along the live axes, those where a component of X is
-  not exactly zero, and the filter and the tail fraction work on the half
-  spectrum of the real points, laid out (2n,) + grid.sizes. It stays in
-  physical space, independent of the mode-wise continuation it is compared
-  against.
+  not exactly zero: by a cached differentiation matrix on an axis of at
+  most _MATRIX_NODES nodes, by the FFT on a longer one. The filter and the
+  tail fraction work on the half spectrum of the real points, laid out
+  (2n,) + grid.sizes. It stays in physical space, independent of the
+  mode-wise continuation it is compared against.
 
 geodesic_family is the generator the variation oracles use: the same
 guarded, residual-checked continuation on any chart (it only needs J to be
@@ -36,6 +39,7 @@ correspondences), the discrete version of the doubly connected Riemann
 mapping theorem. Each step eliminates the correspondence angles node by node.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -46,7 +50,7 @@ from . import _spectral, curve_lab
 from .errors import (AliasingDetected, AmplificationExceeded, BlowUpDetected,
                      GeodesicUnavailable, NotFinite, NotNested, StepTooLarge,
                      UnsupportedField, ValidationError)
-from .immersion import Immersion, is_totally_real, is_totally_real_stack
+from .immersion import Immersion, _check_stack, is_totally_real
 
 AMP_MAX = 1e6
 TAIL_ENERGY_ABORT = 1e-3
@@ -55,9 +59,15 @@ SPECTRAL_PRESENCE_FLOOR = 1e-15
 # grid nodes one block of a spectral family holds (8 frames of 32x32); fixes
 # how many frames are continued, residual-checked and validated at a time
 _BLOCK_NODES = 8192
-# RK4 steps of one tangential flow; RK4 steps of uniqueness_compare's stepper
+# grid axes of at most this many nodes are differentiated in flow_timestep by
+# a matrix product, longer ones by the FFT (the matrix is ahead through 128
+# nodes on 32 x 32 to 128 x 128 tori, behind from 512 on curves)
+_MATRIX_NODES = 128
+# RK4 steps of one tangential flow; RK4 steps of uniqueness_compare's stepper;
+# the most RK4 steps one flow_timestep call may take
 TANGENTIAL_SUBSTEPS = 8
 UNIQUENESS_STEPS = 200
+MAX_TIMESTEPS = 100_000
 # annulus BVP: Gauss-Newton steps, and the largest residual entry of convergence
 BVP_MAX_ITER = 60
 BVP_TOL = 1e-8
@@ -213,15 +223,14 @@ def flow_spectral(im, X, ts):
     """Exact mode-wise continuation for a coordinate-aligned field on a flat chart.
 
     The frames are produced in blocks of at most _BLOCK_NODES grid nodes;
-    every block passes the geodesic residual check and is_totally_real_stack
-    before the next is made, and the blocks are collected into one
+    every block passes the geodesic residual check and the checks of
+    is_totally_real_stack (_check_stack) before the next is made, and the blocks are collected into one
     FlowResult. A family that fails both checks reports the failure of its
     earliest failing block.
     """
     axis, c, ts, amp = _spectral_setup(im, X, ts)
     immersions, residual = [], 0.0
-    for pts, res in _checked_blocks(im, axis, c, ts):
-        is_totally_real_stack(im.grid, im.chart, pts, im.winding)
+    for pts, res in _checked_blocks(im, axis, c, ts, validated=True):
         residual = max(residual, res)
         immersions += _members(im, pts)
     return FlowResult(times=ts, immersions=immersions, amplification=amp,
@@ -287,19 +296,23 @@ def _spectral_setup(im, X, ts):
     return axis, c, ts, _amplification(im, axis, c, ts)
 
 
-def _checked_blocks(im, axis, c, ts):
+def _checked_blocks(im, axis, c, ts, validated=False):
     """Blocks of _continued_blocks with their geodesic residuals, each checked.
 
     This is the one path to the continuation. A block whose residual is not
-    below 1e-8 (NaN included) raises AmplificationExceeded; flow_spectral
-    and uniqueness_compare also pass each block to is_totally_real_stack.
+    below 1e-8 (NaN included) raises AmplificationExceeded. With validated
+    (flow_spectral, uniqueness_compare), each block then passes the checks of
+    is_totally_real_stack, made from the coordinate vectors the continuation
+    gives with the points.
     """
-    for pts in _continued_blocks(im, axis, c, ts):
+    for pts, vs in _continued_blocks(im, axis, c, ts, validated):
         residual = _geodesic_residual(pts, im, axis, c)
         if not residual <= 1e-8:
             raise AmplificationExceeded(
                 f"continued frames violate the geodesic equation by {residual:.3g}"
             )
+        if validated:
+            _check_stack(im.grid, im.chart, pts, vs, im.winding)
         yield pts, residual
 
 
@@ -338,15 +351,19 @@ def _geodesic_residual(points, im, axis, c):
     return float(np.max(np.abs(dz_dt)))
 
 
-def _continued_blocks(im, axis, c, ts):
-    """Points of the continuation at ts, in blocks (B, 2n) + grid.sizes.
+def _continued_blocks(im, axis, c, ts, vectors=False):
+    """Points of the continuation at ts in blocks (B, 2n) + grid.sizes, each
+    paired with its coordinate vectors (n, 2n, B) + grid.sizes, or with None.
 
     Each Fourier mode m along the axis of each complex component z_k is
     multiplied by e^{-m c t}: the spectrum is taken once, and each block of
-    at most _BLOCK_NODES nodes (at least one frame) is one inverse FFT. The
-    components stay ahead of the grid axes throughout, so every transform
-    line is contiguous in memory; _members and is_totally_real_stack read
-    the blocks in that layout.
+    at most _BLOCK_NODES nodes (at least one frame) is one inverse
+    transform. Without vectors it is the inverse FFT over the grid axes.
+    With vectors every other grid axis is brought to physical space once,
+    and each block takes one inverse FFT along the flow axis of the stacked
+    rows z, d z/dtheta_0, .., d z/dtheta_(n-1); the derivatives take the
+    multipliers of spectral_derivative, so the vectors are
+    _coordinate_vectors of the points up to round-off.
     """
     n = im.chart.n
     coeffs = np.fft.fftn(_complex_components(im), axes=tuple(range(1, 1 + im.n)))
@@ -354,27 +371,69 @@ def _continued_blocks(im, axis, c, ts):
     mags = np.abs(coeffs)
     coeffs = np.where(mags > SPECTRAL_PRESENCE_FLOOR * max(float(np.max(mags)), 1.0),
                       coeffs, 0.0)
-    nk = im.grid.sizes[axis]
-    m = _spectral.modes(nk)
-    shape = [1] * coeffs.ndim
-    shape[1 + axis] = nk
-    m_shaped = np.reshape(m, shape)
+    # coeffs gets a block axis after its component axis: (n, 1) + grid.sizes
+    coeffs = coeffs[:, None]
+    shape = [1] * im.n
+    shape[axis] = im.grid.sizes[axis]
+    m_shaped = np.reshape(_spectral.modes(im.grid.sizes[axis]), shape)
     drift = None
     if im.winding is not None:
         # linear part W theta_axis continues to W(theta + i c t): drift i c w
         w = im.winding[:n, axis] + 1j * im.winding[n:, axis]
-        drift = np.reshape(1j * c * w, (n,) + (1,) * im.n)
+        drift = np.reshape(1j * c * w, (n, 1) + (1,) * im.n)
+    if vectors:
+        # rows (1 + n_grid, n, 1) + grid.sizes: z, then d z/dtheta_k for each
+        # grid axis k, physical along every grid axis but the flow axis
+        rows = [coeffs]
+        for k, size in enumerate(im.grid.sizes):
+            mult_shape = [1] * im.n
+            mult_shape[k] = size
+            mult = _spectral._derivative_multiplier(size, 1, False)
+            rows.append(coeffs * np.reshape(mult, mult_shape))
+        rows = np.stack(rows)
+        for k in range(im.n):
+            if k != axis:
+                rows = np.fft.ifft(rows, axis=3 + k)
     per_block = max(1, _BLOCK_NODES // math.prod(im.grid.sizes))
     for s in range(0, len(ts), per_block):
-        t = np.reshape(ts[s:s + per_block], (-1,) + (1,) * coeffs.ndim)
-        z_t = np.fft.ifftn(coeffs * np.exp(-m_shaped * c * t),
-                           axes=tuple(range(2, 2 + im.n)))
+        t = np.reshape(ts[s:s + per_block], (-1,) + (1,) * im.n)
+        factors = np.exp(-m_shaped * c * t)
+        vs = None
+        if vectors:
+            # (1 + n_grid, n, B) + grid.sizes: one transform line per row and node
+            out = np.fft.ifft(rows * factors, axis=3 + axis)
+            z_t = out[0]
+            vs = np.empty((im.n, 2 * n, len(t)) + im.grid.sizes)
+            vs[:, :n] = out[1:].real
+            vs[:, n:] = out[1:].imag
+            if im.winding is not None:
+                vs += im.winding.T.reshape(im.winding.T.shape + (1,) * (1 + im.n))
+        else:
+            z_t = np.fft.ifftn(coeffs * factors, axes=tuple(range(2, 2 + im.n)))
         if drift is not None:
             z_t = z_t + t * drift
-        block = np.empty((len(z_t), 2 * n) + im.grid.sizes)
-        block[:, :n] = z_t.real
-        block[:, n:] = z_t.imag
-        yield block
+        block = np.empty((len(t), 2 * n) + im.grid.sizes)
+        block[:, :n] = z_t.real.swapaxes(0, 1)
+        block[:, n:] = z_t.imag.swapaxes(0, 1)
+        yield block, vs
+
+
+def _axis_derivative(sizes, k):
+    """d/dtheta_k of a stepper state (2n,) + sizes, as a callable.
+
+    An axis of at most _MATRIX_NODES nodes is differentiated by the cached
+    matrix of _spectral.derivative_matrix, one matrix product; a longer axis
+    by the FFT of _spectral.spectral_derivative. Both are the same operator.
+    """
+    if sizes[k] > _MATRIX_NODES:
+        return functools.partial(_spectral.spectral_derivative, axis=1 + k)
+    D = _spectral.derivative_matrix(sizes[k])
+    if k < len(sizes) - 1:
+        # the state's axis 1: D times each (s0, s1) component slice
+        return lambda points: D @ points
+    # the last axis: rows times D^T, the transpose laid out contiguously
+    DT = np.ascontiguousarray(D.T)
+    return lambda points: points @ DT
 
 
 def flow_timestep(im, X, t_final, dt, store_every=1):
@@ -390,8 +449,9 @@ def flow_timestep(im, X, t_final, dt, store_every=1):
     tail fraction use the half spectrum of the last grid axis, whose
     interior columns count twice in the energy sums, so the fraction equals
     the full-spectrum one up to round-off. Masks, weights and the winding
-    columns are built once per call, the derivative multipliers once per
-    process (_spectral.spectral_derivative).
+    columns are built once per call, the derivative matrices and
+    multipliers once per process (_axis_derivative). More than
+    MAX_TIMESTEPS steps raise ValidationError.
     """
     if dt <= 0.0:
         raise ValidationError("dt must be positive")
@@ -436,10 +496,12 @@ def flow_timestep(im, X, t_final, dt, store_every=1):
     weights = np.stack([np.broadcast_to(w, (len(J),) + half).ravel()
                         for w in (weight, np.where(tail_mask, weight, 0.0))], axis=-1)
 
+    derivatives = [(k, _axis_derivative(im.grid.sizes, k)) for k in live]
+
     def rhs(points):
         out = None
-        for k in live:
-            dk = _spectral.spectral_derivative(points, axis=1 + k)
+        for k, derivative in derivatives:
+            dk = derivative(points)
             if drift is not None:
                 dk += drift[k]
             dk *= comp[k]
@@ -464,6 +526,9 @@ def flow_timestep(im, X, t_final, dt, store_every=1):
     if abs(n_steps * dt - t_final) > 1e-12 * max(1.0, abs(t_final)):
         n_steps = math.ceil(t_final / dt)
         dt = t_final / n_steps
+    if n_steps > MAX_TIMESTEPS:
+        raise ValidationError(f"t_final / dt asks for {n_steps:.3g} RK4 steps, "
+                              f"more than {MAX_TIMESTEPS}")
     pts, _ = dealias(im.components_first())
     times = [0.0]
     frames_out = [stored(pts)]
@@ -549,8 +614,7 @@ def uniqueness_compare(im, X, t_final):
     stepped = flow_timestep(im, X, t_final, t_final / UNIQUENESS_STEPS)
     axis, c, ts, _ = _spectral_setup(im, X, stepped.times)
     worst, k = 0.0, 0
-    for pts, _ in _checked_blocks(im, axis, c, ts):
-        is_totally_real_stack(im.grid, im.chart, pts, im.winding)
+    for pts, _ in _checked_blocks(im, axis, c, ts, validated=True):
         for a, b in zip(stepped.immersions[k:k + len(pts)], pts):
             worst = max(worst, float(np.max(np.abs(np.moveaxis(a.points, -1, 0) - b))))
         k += len(pts)

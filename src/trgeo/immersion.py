@@ -10,7 +10,10 @@ The J-volume density rho_J is sqrt(det_C h_ij) for the Hermitian form
 h = g - i omega on an orthonormal tangent frame. A second formula, the square
 root of the ambient volume of (e_1..e_n, Je_1..Je_n), cross-checks it
 wherever Geometry.formula_gap is read; validation alone skips it. Both
-equal 1 exactly on Lagrangian planes.
+equal 1 exactly on Lagrangian planes. Stacks of immersions are validated
+with no frame at all (is_totally_real_stack): with G and W the Gram and
+omega matrices of the coordinate vectors, vol_g = sqrt(det G) and
+vol_J = sqrt(det G - W_01^2) (_gram_volumes).
 """
 
 from dataclasses import dataclass, field
@@ -330,9 +333,8 @@ def frames(im):
     """The Geometry of im: coordinate fields and a Gram-Schmidt orthonormal frame.
 
     The fields come from _frame_fields, the only Gram-Schmidt of the
-    package, which also serves stacks of immersions (is_totally_real_stack). Raises
-    DegenerateFrame when a frame vector's norm is not above its floor at some
-    node, NaN and inf included.
+    package. Raises DegenerateFrame when a frame vector's norm is not above
+    its floor at some node, NaN and inf included.
     """
     # coordinate_vectors is a components-last view; this is its contiguous base
     vs = np.moveaxis(im.coordinate_vectors(), -1, 1)
@@ -365,9 +367,7 @@ def _frame_fields(grid, chart, vs, pos):
     n = grid.n
     nodes = pos.shape[:-1]
 
-    g_vs = [_apply(g, v) for v in vs]
-    gram = [[_dot(vs[i], g_vs[j]) for j in range(n)] for i in range(n)]
-    det = gram[0][0] if n == 1 else gram[0][0] * gram[1][1] - gram[0][1] * gram[1][0]
+    g_vs, gram, det = _gram(vs, g)
     induced_vol = np.sqrt(np.maximum(det, 0.0))
 
     bad = ~np.isfinite(induced_vol)
@@ -398,6 +398,17 @@ def _frame_fields(grid, chart, vs, pos):
         np.divide(c, norms, out=coeffs[i])
     degenerate = np.any(bad, axis=tuple(range(-n, 0)))
     return frame, coeffs, g, omega, induced_vol, degenerate
+
+
+def _gram(vs, g):
+    """(g v_i, G, det G) of coordinate vectors vs (n, 2n) + nodes: the
+    products g v_i, the Gram matrix G_ij = g(v_i, v_j) as nested lists and
+    its determinant in closed form (n <= 2)."""
+    n = vs.shape[0]
+    g_vs = [_apply(g, v) for v in vs]
+    gram = [[_dot(vs[i], g_vs[j]) for j in range(n)] for i in range(n)]
+    det = gram[0][0] if n == 1 else gram[0][0] * gram[1][1] - gram[0][1] * gram[1][0]
+    return g_vs, gram, det
 
 
 def _degenerate_message(induced_vol):
@@ -484,39 +495,79 @@ def is_totally_real(im):
 
 
 def is_totally_real_stack(grid, chart, points, winding=None):
-    """is_totally_real on every member of a stack, from one frame build.
+    """is_totally_real on every member of a stack, without building frames.
 
     points is (B, 2n) + grid.sizes, the components ahead of the grid axes:
     B immersions sharing grid, chart and winding, member b being
-    Immersion(points=np.moveaxis(points[b], 0, -1)). The frame builder reads
-    the stack copied to (2n, B) + grid.sizes. The checks are reduced per
-    member, and the error raised is the one the loop
+    Immersion(points=np.moveaxis(points[b], 0, -1)). The coordinate vectors
+    are taken from the stack copied to (2n, B) + grid.sizes, and _check_stack
+    decides from their Gram and omega matrices.
+    """
+    points = np.asarray(points, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the copy lives only while the coordinate vectors are made
+        vs = _coordinate_vectors(
+            grid, np.ascontiguousarray(np.moveaxis(points, 1, 0)), winding)
+    _check_stack(grid, chart, points, vs, winding)
+
+
+def _check_stack(grid, chart, points, vs, winding):
+    """The checks of is_totally_real_stack, given the coordinate vectors.
+
+    points is (B, 2n) + grid.sizes and vs its coordinate vectors,
+    (n, 2n, B) + grid.sizes. The checks are reduced per member from
+    _gram_volumes, and the error raised is the one the loop
     `for p in points: is_totally_real(Immersion(...))` raises: the first
     failing member, and within it the frame check, then the volume check,
     then the rho_J check. A domain or metric failure of the stack as a whole
     is handed to that loop, which names the member.
     """
-    points = np.asarray(points, dtype=float)
     pos = _positions(grid, np.moveaxis(points, 1, -1), winding)
-    try:
-        chart.require_inside(pos)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # the copy lives only while the coordinate vectors are made
-            vs = _coordinate_vectors(
-                grid, np.ascontiguousarray(np.moveaxis(points, 1, 0)), winding)
-            frame, _, _, omega, induced_vol, degenerate = _frame_fields(
-                grid, chart, vs, pos)
-            rho = _rho_h(frame, omega)
-    except (PointOutsideDomain, MetricNotPositiveDefinite):
-        for p in points:
-            is_totally_real(Immersion(grid=grid, chart=chart,
-                                      points=np.moveaxis(p, 0, -1),
-                                      winding=winding))
-        raise
+    # overflow shows up as non-finite geometry, which the frame check names
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            chart.require_inside(pos)
+            g, omega = chart.metric_many(pos)
+        except (PointOutsideDomain, MetricNotPositiveDefinite):
+            for p in points:
+                is_totally_real(Immersion(grid=grid, chart=chart,
+                                          points=np.moveaxis(p, 0, -1),
+                                          winding=winding))
+            raise
+        induced_vol, volj, low = _gram_volumes(vs, g, omega)
+    degenerate = np.any(low, axis=tuple(range(-grid.n, 0)))
     for b in range(points.shape[0]):
         if degenerate[b]:
             raise NotImmersed(_degenerate_message(induced_vol[b]))
-        _require_volume_and_rho(induced_vol[b], lambda: rho[b])
+        _require_volume_and_rho(induced_vol[b], lambda: volj[b] / induced_vol[b])
+
+
+def _gram_volumes(vs, g, omega):
+    """(induced_vol, volj_density, low) of coordinate vectors, with no frame.
+
+    vs is (n, 2n) + nodes, components first; g and omega are the chart's
+    nodes + (2n, 2n). With G_ij = g(v_i, v_j) and W_ij = omega(v_i, v_j),
+    an orthonormal frame e = v C has rho_J^2 = det(G - i W) / det G, so
+    vol_g = sqrt(det G) and vol_J = sqrt(det G - W_01^2) for surfaces,
+    sqrt(G_00) for curves. low marks the nodes where the Gram-Schmidt
+    vectors of v fall to the floor of _frame_fields, read off G as
+    |u_0|^2 = G_00 and |u_1|^2 = det G / G_00, and where vol_g is not
+    finite; NaN is low.
+    """
+    _, gram, det = _gram(vs, g)
+    induced_vol = np.sqrt(np.maximum(det, 0.0))
+    squares = [gram[0][0]]
+    volj = induced_vol
+    if len(gram) == 2:
+        squares.append(det / gram[0][0])
+        w01 = _dot(vs[0], _apply(omega, vs[1]))
+        volj = np.sqrt(np.maximum(det - w01 * w01, 0.0))
+    low = ~np.isfinite(induced_vol)
+    for i, square in enumerate(squares):
+        ref = np.sqrt(np.maximum(gram[i][i], 0.0))
+        # "not above the floor", so that NaN fails as well
+        low |= ~(np.sqrt(np.maximum(square, 0.0)) > 1e-12 * np.maximum(ref, 1.0))
+    return induced_vol, volj, low
 
 
 # --- built-in immersion formulas ----------------------------------------------

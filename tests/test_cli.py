@@ -565,6 +565,25 @@ _FLAT_TORUS = {"chart": {"name": "flat_c2"},
     # an integer would name one of the process's own file descriptors
     ({"operation": "curve.length", "curve": {"coeff_file": 2},
       "params": {"radii": [0.8, 0.9, 1.0]}}, "curve.coeff_file must be a string"),
+    # a timestep run to t_final <= 0 wrote one frame at t = 0 with exit 0, and
+    # one to 1e300 asked for about 1e303 RK4 steps
+    *(({"operation": "flow.run", "chart": {"name": "flat_c1"},
+        "immersion": {"formula": "circle", "grid": 64},
+        "params": {"scheme": "timestep", "t_final": t, "dt": 1e-3}}, "params.t_final must be > 0")
+      for t in (-1.0, 0)),
+    ({"operation": "flow.run", "chart": {"name": "flat_c1"},
+      "immersion": {"formula": "circle", "grid": 64},
+      "params": {"scheme": "timestep", "t_final": 1e300, "dt": 1e-3}},
+     "more than 100000"),
+    # the library's limits: grids are powers of two >= 16, curves have N >= 32
+    *(({"operation": "jvol.compute", "chart": {"name": "flat_c2"},
+        "immersion": {"formula": "product_torus", "grid": grid}},
+       "immersion.grid must be a power of two >= 16") for grid in (8, 48)),
+    ({"operation": "variation.convexity",
+      "params": {"family": {"kind": "poincare_circle", "grid": 24},
+                 "t_grid": [0.5, 0.6, 0.7]}}, "params.family.grid must be a power of two"),
+    ({"operation": "curve.length", "params": {"radii": [0.8, 0.9, 1.0]},
+      "curve": {"terms": {"1": [1.0, 0.0]}, "N": 16}}, "curve.N must be >= 32"),
 ])
 def test_malformed_scenario_fields_exit_2(tmp_path, capsys, payload, field):
     scn = write_scenario(tmp_path / "s.json", {"version": 1, "name": "bad", **payload})
@@ -573,6 +592,29 @@ def test_malformed_scenario_fields_exit_2(tmp_path, capsys, payload, field):
     err = capsys.readouterr().err
     assert err.startswith("trgeo: ValidationError") and field in err
     assert not (out / "results.json").exists()
+
+
+def test_main_reads_the_scenario_once_and_threads_at_each_call(tmp_path, monkeypatch):
+    scn = write_scenario(tmp_path / "s.json", {
+        "version": 1, "operation": "curve.classify",
+        "curves": [{"family": "annulus", "N": 64}]})
+    loads = []
+    load = cli.load_scenario
+
+    def counted(path):
+        loads.append(path)
+        return load(path)
+
+    monkeypatch.setattr(cli, "load_scenario", counted)
+    for threads in ("3", "5"):
+        monkeypatch.setenv("TRGEO_THREADS", threads)
+        out = tmp_path / f"out{threads}"
+        assert cli.main(["curve", "classify", "--scenario", scn, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["threads"] == int(threads)
+    assert loads == [scn, scn]
+    # one parser per process
+    assert cli._parser() is cli._parser()
 
 
 @pytest.mark.parametrize("example", sorted(

@@ -7,12 +7,11 @@ results.json it writes must be strict JSON: no NaN and no Infinity. Nor may
 it hold the string "nan", which is how the CLI writes a NaN float; "inf" is
 legal, since a polynomial curve's outer radius is infinite. The values are
 small apart from HUGE, a float, which every integer field (grid, N, mode)
-rejects, so no mutation can ask for a large grid or N; the one base that
-steps in time keeps its t_final out of the mutations (UNFUZZED), so none
-asks for a large step count either. HUGE may overflow on its way to a
-result: its RuntimeWarnings are expected, and only what reaches
-results.json counts. Between them the bases hold every field of the CLI
-schema, which a second test checks.
+rejects, so no mutation can ask for a large grid or N; a timestep t_final
+of HUGE asks for more RK4 steps than the stepper takes and exits 2. HUGE
+may overflow on its way to a result: its RuntimeWarnings are expected, and
+only what reaches results.json counts. Between them the bases hold every
+field of the CLI schema, which a second test checks.
 """
 
 import copy
@@ -54,11 +53,6 @@ FLAT_C1 = {"name": "flat_c1"}
 CIRCLE = {"formula": "circle", "grid": 16, "args": {"r": 1.0}}
 TORUS = {"formula": "product_torus", "grid": 16, "args": {"r1": 1.0, "r2": 2.0}}
 COSINE = {"kind": "cosine_axis", "axis": 0, "base": 1.0, "amplitude": 0.2, "mode": 1}
-# fields a mutation leaves alone, with the reason: (operation, path)
-UNFUZZED = {
-    ("flow.run", ("params", "t_final")): "at 1e300 a timestep run asks for about "
-    "1e303 RK4 steps: a long run, not a breach of the contract",
-}
 
 
 def _scn(name, operation, **body):
@@ -144,17 +138,13 @@ def _reject_constant(name):
     raise ValueError(f"results.json holds {name}")
 
 
-def _fuzzed_paths(base):
-    return [p for p in _paths(base) if (base["operation"], p) not in UNFUZZED]
-
-
 def test_single_field_mutations_keep_the_cli_contract(tmp_path):
     bases = _bases(tmp_path)
     rng = np.random.default_rng(SEED)
     codes = set()
     for k in range(N_MUTATIONS):
         base = bases[rng.integers(len(bases))]
-        paths = _fuzzed_paths(base)
+        paths = list(_paths(base))
         path = paths[rng.integers(len(paths))]
         value = VALUES[rng.integers(len(VALUES))]
         change = "deleted" if value is DELETE else f"= {value!r}"
@@ -234,9 +224,6 @@ def test_every_schema_field_is_in_some_base(tmp_path):
         # a base that fails validation reaches nothing past its first fault
         assert cli.main(["run", "--scenario", str(scn), "--out",
                          str(tmp_path / f"out{k}")]) == 0, base["name"]
-        for path in set(_paths(base)) - set(_fuzzed_paths(base)):
-            base = _mutated(base, path, DELETE)
         reached.update(_reached(_tables(base["operation"]), base))
     missing = sorted(fields[k] for k in fields.keys() - reached)
-    # the one field no mutation touches, for the reason UNFUZZED gives
-    assert missing == ["flow.run: params(scheme timestep).t_final"]
+    assert missing == []

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trgeo import _spectral, ambient, curve_lab as cl, geodesic_flow as gf
+from trgeo import ambient, curve_lab as cl, geodesic_flow as gf
 from trgeo import immersion as imm
 from trgeo._spectral import evaluate_fourier, fourier_coefficients
 from trgeo.errors import (AmplificationExceeded, BlowUpDetected, NotNested,
@@ -247,25 +247,21 @@ def test_timestep_differentiates_live_axes_only(axis, monkeypatch):
     grid = imm.GridTorus((32, 32))
     pt = imm.build_immersion(grid, ambient.flat_chart(2), "product_torus",
                              r1=1.0, r2=2.0)
-    calls, validating = [], []
-    derivative, validate = _spectral.spectral_derivative, gf.is_totally_real
+    calls = []
+    make = gf._axis_derivative
 
-    def recording(values, axis, order=1):
-        if not validating:
-            # the stepper's points are (2n,) + grid sizes: map to grid axes
-            calls.append(axis % values.ndim - 1)
-        return derivative(values, axis=axis, order=order)
+    def recording(sizes, k):
+        derivative = make(sizes, k)
 
-    def final_check(im):
-        validating.append(True)
-        return validate(im)
+        def counted(points):
+            calls.append(k)
+            return derivative(points)
+        return counted
 
-    monkeypatch.setattr(_spectral, "spectral_derivative", recording)
-    monkeypatch.setattr(gf, "is_totally_real", final_check)
+    monkeypatch.setattr(gf, "_axis_derivative", recording)
     flow = gf.flow_timestep(pt, imm.coordinate_field(grid, axis), 0.01, 1e-3)
     # one derivative per RK4 stage, along the field's own axis only
     assert calls == [axis] * (4 * (len(flow.times) - 1))
-    assert validating
 
 
 def test_commutator_clean_flows(circle):
@@ -448,22 +444,23 @@ def _product_torus_32():
                                "product_torus", r1=1.0, r2=2.0)
 
 
-def test_flow_spectral_builds_frames_once_per_block(monkeypatch):
+def test_flow_spectral_validates_once_per_block(monkeypatch):
     pt = _product_torus_32()
-    builds = []
-    build = imm._frame_fields
+    checks = []
+    check = gf._check_stack
 
-    def counted(grid, chart, vs, pos):
-        builds.append(pos.shape[:-1])
-        return build(grid, chart, vs, pos)
+    def counted(grid, chart, points, vs, winding):
+        checks.append((points.shape, vs.shape))
+        return check(grid, chart, points, vs, winding)
 
-    monkeypatch.setattr(imm, "_frame_fields", counted)
+    monkeypatch.setattr(gf, "_check_stack", counted)
     ts = np.linspace(0.0, 0.1, 201)
     flow = gf.flow_spectral(pt, imm.coordinate_field(pt.grid, 0), ts)
     assert len(flow.immersions) == 201
-    # 8192 nodes per block: 8 frames of 32 x 32, so ceil(201 / 8) builds
-    assert len(builds) == math.ceil(201 / 8) == 26
-    assert builds[0] == (8, 32, 32) and builds[-1] == (1, 32, 32)
+    # 8192 nodes per block: 8 frames of 32 x 32, so ceil(201 / 8) checks
+    assert len(checks) == math.ceil(201 / 8) == 26
+    assert checks[0] == ((8, 4, 32, 32), (2, 4, 8, 32, 32))
+    assert checks[-1] == ((1, 4, 32, 32), (2, 4, 1, 32, 32))
 
 
 def test_uniqueness_compare_does_not_hold_the_spectral_family():
@@ -481,14 +478,39 @@ def test_uniqueness_compare_does_not_hold_the_spectral_family():
     assert peak < 13.0e6
 
 
+def _block_cases():
+    yield "perturbed torus", perturbed_torus(), (0, 1)
+    yield "wound torus", wound_torus(), (0, 1)
+    yield "ellipse", imm.build_immersion(imm.GridTorus((64,)), ambient.flat_chart(1),
+                                         "ellipse", a=2.0, b=1.0), (0,)
+
+
+@pytest.mark.parametrize("case", list(_block_cases()), ids=lambda c: c[0])
+def test_block_vectors_are_the_coordinate_vectors_of_its_points(case):
+    _, im, axes = case
+    ts = list(np.linspace(-0.05, 0.1, 13))
+    for axis in axes:
+        blocks = list(gf._continued_blocks(im, axis, 0.7, ts, vectors=True))
+        plain = list(gf._continued_blocks(im, axis, 0.7, ts))
+        assert len(blocks) == len(plain)
+        for (pts, vs), (ref, none) in zip(blocks, plain):
+            assert none is None
+            # the same points up to round-off, from one transform along the axis
+            assert np.max(np.abs(pts - ref)) <= 1e-15 * np.max(np.abs(ref))
+            want = imm._coordinate_vectors(
+                im.grid, np.ascontiguousarray(np.moveaxis(pts, 1, 0)), im.winding)
+            assert vs.shape == want.shape
+            assert np.max(np.abs(vs - want)) <= 2e-14 * np.max(np.abs(want))
+
+
 def test_nan_in_a_block_fails_the_residual_check(circle, monkeypatch):
     blocks = gf._continued_blocks
 
-    def poisoned(im, axis, c, ts):
-        for k, pts in enumerate(blocks(im, axis, c, ts)):
+    def poisoned(im, axis, c, ts, vectors=False):
+        for k, (pts, vs) in enumerate(blocks(im, axis, c, ts, vectors)):
             if k == 1:
                 pts[2, 0, 5] = np.nan
-            yield pts
+            yield pts, vs
 
     monkeypatch.setattr(gf, "_continued_blocks", poisoned)
     ts = np.linspace(0.0, 0.2, 300)     # 128 frames of 64 nodes per block

@@ -392,6 +392,19 @@ def test_stacked_frame_fields_equal_each_member(case):
         assert np.array_equal(vol[b], fr.induced_vol)
 
 
+@pytest.mark.parametrize("case", list(_stack_cases()), ids=lambda c: c[0])
+def test_gram_volumes_equal_the_frame_densities(case):
+    _, grid, chart, members, winding = case
+    for p in members:
+        geo = imm.frames(imm.Immersion(grid=grid, chart=chart, points=p,
+                                       winding=winding))
+        vs = np.moveaxis(geo.vectors, -1, 1)
+        vol_g, vol_j, low = imm._gram_volumes(vs, geo.g_ambient, geo.omega_ambient)
+        assert not np.any(low)
+        np.testing.assert_allclose(vol_g, geo.induced_vol, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(vol_j, geo.volj_density, rtol=1e-14, atol=0)
+
+
 def _raised(check):
     try:
         check()

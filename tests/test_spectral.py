@@ -6,9 +6,10 @@ import numpy as np
 from trgeo import curve_lab as cl
 import pytest
 
-from trgeo._spectral import (_derivative_multiplier, evaluate_fourier,
-                              invert_cumulative, modes, richardson, rk4_step,
-                              spectral_derivative)
+from trgeo._spectral import (_derivative_multiplier, derivative_matrix,
+                              evaluate_fourier, invert_cumulative, modes,
+                              richardson, rk4_step, spectral_derivative)
+from trgeo.geodesic_flow import _MATRIX_NODES
 
 
 def direct_sum(coeffs, theta):
@@ -170,3 +171,17 @@ def test_cached_multiplier_gives_the_uncached_derivative_bitwise(n, order):
     shared = _derivative_multiplier(n, order, True)
     assert shared is _derivative_multiplier(n, order, True)
     assert not shared.flags.writeable
+
+
+def test_derivative_matrix_is_spectral_derivative_up_to_the_cutoff():
+    rng = np.random.default_rng(7)
+    for n in range(2, _MATRIX_NODES + 1):
+        D = derivative_matrix(n)
+        real = rng.normal(size=(n, 3))
+        for values in (real, real + 1j * rng.normal(size=real.shape)):
+            # white noise up to the Nyquist mode: derivatives of size about n
+            np.testing.assert_allclose(D @ values, spectral_derivative(values, axis=0),
+                                       rtol=0, atol=1e-14 * n * np.max(np.abs(values)))
+    # shared by every caller of the same size, so nobody may write to it
+    assert derivative_matrix(32) is derivative_matrix(32)
+    assert not derivative_matrix(32).flags.writeable
