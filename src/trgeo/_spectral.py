@@ -6,9 +6,10 @@ Nyquist mode is dropped from odd-order derivatives, the standard choice for
 real data. Quadrature of periodic integrands is the node sum times the cell
 area, accumulated with math.fsum in fixed order so results are deterministic.
 
-derivative_matrix holds the same first derivative as a dense matrix, which
-is cheaper than two FFTs on short axes. Besides the FFT helpers the module
-holds the building blocks of the oracles: the off-grid Fourier evaluator
+derivative_matrix holds the same first derivative as a dense matrix, and
+band_projector the filter that keeps a band of modes; on short axes each is
+cheaper than two FFTs. Besides the FFT helpers the module holds the
+building blocks of the oracles: the off-grid Fourier evaluator
 (`evaluate_fourier`, one array of angles for the first axis of the
 coefficients, the other axes riding along), the inverse of
 theta -> int_0^theta w for w > 0 (`invert_cumulative`), one RK4 step
@@ -79,6 +80,22 @@ def derivative_matrix(n):
     return D
 
 
+@functools.lru_cache(maxsize=16)
+def band_projector(n, cutoff):
+    """The n x n matrix P that keeps the modes |m| <= cutoff of n samples.
+
+    Column j is the FFT filter applied to the j-th unit sample, so P @ v is
+    the inverse transform of v's spectrum with every other mode zeroed; for
+    cutoff < n/2 it is the real symmetric projector of a 2/3-rule filter
+    (Orszag, J. Atmos. Sci. 28, 1971). Shared by every call with the same
+    (n, cutoff), so it is read-only.
+    """
+    keep = np.arange(n // 2 + 1) <= cutoff
+    P = np.fft.irfft(np.fft.rfft(np.eye(n), axis=0) * keep[:, None], n=n, axis=0)
+    P.flags.writeable = False
+    return P
+
+
 def fourier_coefficients(samples):
     """Coefficients c_m along axis 0: samples(theta) = sum c_m e^{i m theta}."""
     return np.fft.fft(samples, axis=0) / samples.shape[0]
@@ -134,12 +151,33 @@ def invert_cumulative(weight, fractions):
 
 
 def rk4_step(rhs, y, h):
-    """One classical Runge-Kutta step of y' = rhs(y) with step h."""
+    """One classical Runge-Kutta step of y' = rhs(y) with step h.
+
+    h is a number, or an array that broadcasts against y (one step per row).
+    The stages and the sum y + h (k1 + 2 k2 + 2 k3 + k4) / 6 are formed in
+    place in arrays of this step's own, operation by operation in that
+    order, so they hold the bits of the plain expressions with fewer
+    temporaries; the arrays rhs returns are only read.
+    """
     k1 = rhs(y)
-    k2 = rhs(y + 0.5 * h * k1)
-    k3 = rhs(y + 0.5 * h * k2)
-    k4 = rhs(y + h * k3)
-    return y + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+    stage = k1 * (0.5 * h)
+    stage += y
+    k2 = rhs(stage)
+    stage = k2 * (0.5 * h)
+    stage += y
+    k3 = rhs(stage)
+    stage = k3 * h
+    stage += y
+    k4 = rhs(stage)
+    out = k2 * 2
+    out += k1
+    stage = k3 * 2
+    out += stage
+    out += k4
+    out *= h
+    out /= 6.0
+    out += y
+    return out
 
 
 def richardson(estimate, h):

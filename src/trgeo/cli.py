@@ -34,8 +34,8 @@ import numpy as np
 from . import __version__, ambient, curve_lab, geodesic_flow
 from . import immersion as imm
 from . import variation_harness as vh
-from .errors import (NotFinite, NumericalError, ParseError, UnknownOperation,
-                     ValidationError)
+from .errors import (BadArgument, NotFinite, NumericalError, ParseError,
+                     UnknownOperation, ValidationError)
 
 SCENARIO_VERSION = 1
 
@@ -65,9 +65,9 @@ def _nan_path(obj, path):
 
 
 def _json_dump(obj, path):
+    # json.dumps takes the C encoder; json.dump streams through the Python one
     with open(path, "w") as f:
-        json.dump(_sanitize(obj), f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
+        f.write(json.dumps(_sanitize(obj), sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _fmt(x):
@@ -117,8 +117,7 @@ def _write_frames_csv(out_dir, frames):
         path = os.path.join(out_dir, f"curve_t{k}.csv")
         pts = np.asarray(frame)
         header = [f"x{j}" for j in range(pts.shape[-1])]
-        rows = [tuple(float(v) for v in p) for p in pts.reshape(-1, pts.shape[-1])]
-        write_csv(path, header, rows)
+        write_csv(path, header, pts.reshape(-1, pts.shape[-1]).tolist())
         paths.append(path)
     return paths
 
@@ -284,7 +283,10 @@ def _immersion(s):
     chart = ambient.chart_from_descriptor(s["chart"])
     d = s["immersion"]
     grid = imm.GridTorus((d["grid"],) * chart.n)
-    return imm.build_immersion(grid, chart, d["formula"], **d["args"])
+    try:
+        return imm.build_immersion(grid, chart, d["formula"], **d["args"])
+    except BadArgument as e:
+        raise ValidationError(f"immersion.args.{e}") from None
 
 
 def _field(d, grid):

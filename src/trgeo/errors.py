@@ -23,6 +23,12 @@ class NotFinite(NumericalError):
     """A computed value is NaN, or not finite where it must be."""
 
 
+class BadArgument(ValidationError):
+    """A library argument that does not fit. The message starts with the
+    argument's name and index, e.g. coeffs[2][0], so that a caller that read
+    the argument from a scenario can name its path there."""
+
+
 # --- ambient -------------------------------------------------------------
 
 class PointOutsideDomain(ValidationError):

@@ -11,10 +11,13 @@ Two schemes solve the Cauchy problem for coordinate-aligned X on flat charts:
   curves whose adverse-side radius estimate pins them to the unit circle the
   flow refuses to start at all. The family is made, residual-checked and
   validated in blocks of at most _BLOCK_NODES grid nodes, each laid out
-  (B, 2n) + grid.sizes with the components ahead of the grid axes. One
-  inverse FFT along the flow axis gives a block's points and both
-  coordinate vector fields, and the stack check validates the block from
-  the Gram and omega matrices of those vectors, building no frame.
+  (B, 2n) + grid.sizes with the components ahead of the grid axes. The
+  spectrum is taken once per family, for the growth guard and the
+  continuation alike. One inverse FFT along the flow axis gives a block's
+  points and both coordinate vector fields, the geodesic residual
+  transforms the points along that axis alone, and the stack check
+  validates the block from the Gram and omega matrices of those vectors,
+  building no frame.
 
 * flow_timestep: guarded RK4 with a 2/3 dealiasing filter and a spectral
   tail-energy monitor that aborts (BlowUpDetected) when the retained top
@@ -22,10 +25,13 @@ Two schemes solve the Cauchy problem for coordinate-aligned X on flat charts:
   non-analytic data instead of smoothing it away. Each right-hand side
   differentiates only along the live axes, those where a component of X is
   not exactly zero: by a cached differentiation matrix on an axis of at
-  most _MATRIX_NODES nodes, by the FFT on a longer one. The filter and the
-  tail fraction work on the half spectrum of the real points, laid out
-  (2n,) + grid.sizes. It stays in physical space, independent of the
-  mode-wise continuation it is compared against.
+  most _MATRIX_NODES nodes, by the FFT on a longer one. When every grid
+  axis is that short, the filter is one cached projector matrix per axis,
+  applied to each step's increment, and the tail fraction comes from the
+  same projectors by Parseval; otherwise both work on the half spectrum of
+  the real points. The state is laid out (2n,) + grid.sizes. It stays in
+  physical space, independent of the mode-wise continuation it is
+  compared against.
 
 geodesic_family is the generator the variation oracles use: the same
 guarded, residual-checked continuation on any chart (it only needs J to be
@@ -172,6 +178,17 @@ def _complex_components(im):
     return pts[:im.chart.n] + 1j * pts[im.chart.n:]
 
 
+def _present_spectrum(im):
+    """The spectrum of the complex components over the grid axes, laid out
+    (n,) + grid.sizes, with the modes below SPECTRAL_PRESENCE_FLOOR of the
+    largest (or of 1) set to zero: numerically absent, they would only
+    inject e^{|m| c t}-amplified noise into a continuation."""
+    coeffs = np.fft.fftn(_complex_components(im), axes=tuple(range(1, 1 + im.n)))
+    mags = np.abs(coeffs)
+    return np.where(mags > SPECTRAL_PRESENCE_FLOOR * max(float(np.max(mags)), 1.0),
+                    coeffs, 0.0)
+
+
 def mode_growth_guard(im, axis, c, t_extent):
     """Raise AmplificationExceeded for directions the data cannot support.
 
@@ -180,18 +197,20 @@ def mode_growth_guard(im, axis, c, t_extent):
     tail, the radius estimate itself (flowing inward needs inner radius
     below 1, outward needs outer radius above 1, each by RADIUS_MARGIN).
     """
-    coeffs = np.fft.fftn(_complex_components(im), axes=tuple(range(1, 1 + im.n)))
-    mags = np.abs(coeffs)
-    scale = float(np.max(mags))
-    m = _spectral.modes(im.grid.sizes[axis])
-    shape = [1] * mags.ndim
-    shape[1 + axis] = im.grid.sizes[axis]
-    factors = np.exp(-np.reshape(m, shape) * c * t_extent)
-    present = mags > SPECTRAL_PRESENCE_FLOOR * max(scale, 1.0)
+    return _growth_guard(im, _present_spectrum(im), axis, c, t_extent)
+
+
+def _growth_guard(im, spectrum, axis, c, t_extent):
+    """mode_growth_guard, given the _present_spectrum of im."""
+    present = spectrum != 0.0
     if not np.any(present):
         return 1.0
+    m = _spectral.modes(im.grid.sizes[axis])
+    shape = [1] * spectrum.ndim
+    shape[1 + axis] = im.grid.sizes[axis]
+    factors = np.exp(-np.reshape(m, shape) * c * t_extent)
     amp = max(1.0, float(np.max(
-        np.where(present, np.broadcast_to(factors, mags.shape), 0.0))))
+        np.where(present, np.broadcast_to(factors, spectrum.shape), 0.0))))
     if amp > AMP_MAX:
         raise AmplificationExceeded(
             f"continuation would amplify present modes by {amp:.3g} > {AMP_MAX:g}"
@@ -228,9 +247,9 @@ def flow_spectral(im, X, ts):
     FlowResult. A family that fails both checks reports the failure of its
     earliest failing block.
     """
-    axis, c, ts, amp = _spectral_setup(im, X, ts)
+    axis, c, ts, spectrum, amp = _spectral_setup(im, X, ts)
     immersions, residual = [], 0.0
-    for pts, res in _checked_blocks(im, axis, c, ts, validated=True):
+    for pts, res in _checked_blocks(im, spectrum, axis, c, ts, validated=True):
         residual = max(residual, res)
         immersions += _members(im, pts)
     return FlowResult(times=ts, immersions=immersions, amplification=amp,
@@ -264,8 +283,10 @@ def geodesic_family(im, Y, ts):
         al = axis, 1.0 / rep["R"]
     axis, c = al
     ts = [float(t) for t in ts]
-    _amplification(im, axis, c, ts)
-    return [m for pts, _ in _checked_blocks(im, axis, c, ts) for m in _members(im, pts)]
+    spectrum = _present_spectrum(im)
+    _amplification(im, spectrum, axis, c, ts)
+    return [m for pts, _ in _checked_blocks(im, spectrum, axis, c, ts)
+            for m in _members(im, pts)]
 
 
 def _members(im, pts):
@@ -274,15 +295,17 @@ def _members(im, pts):
                       winding=im.winding) for p in pts]
 
 
-def _amplification(im, axis, c, ts):
+def _amplification(im, spectrum, axis, c, ts):
     """mode_growth_guard at the farthest time on each side of t = 0, the two
-    sides continuing in opposite directions; 1 when nothing moves."""
+    sides continuing in opposite directions; 1 when nothing moves. spectrum
+    is the _present_spectrum of im."""
     ends = sorted({min(ts, default=0.0), max(ts, default=0.0)} - {0.0})
-    return max((mode_growth_guard(im, axis, c, t) for t in ends), default=1.0)
+    return max((_growth_guard(im, spectrum, axis, c, t) for t in ends), default=1.0)
 
 
 def _spectral_setup(im, X, ts):
-    """(axis, c, ts, amplification) of a spectral flow, after its guards."""
+    """(axis, c, ts, spectrum, amplification) of a spectral flow, after its
+    guards; spectrum is the _present_spectrum of im."""
     if not im.chart.is_flat:
         raise UnsupportedField("spectral continuation is restricted to flat charts")
     al = _coordinate_alignment(X)
@@ -293,10 +316,11 @@ def _spectral_setup(im, X, ts):
         )
     axis, c = al
     ts = [float(t) for t in ts]
-    return axis, c, ts, _amplification(im, axis, c, ts)
+    spectrum = _present_spectrum(im)
+    return axis, c, ts, spectrum, _amplification(im, spectrum, axis, c, ts)
 
 
-def _checked_blocks(im, axis, c, ts, validated=False):
+def _checked_blocks(im, spectrum, axis, c, ts, validated=False):
     """Blocks of _continued_blocks with their geodesic residuals, each checked.
 
     This is the one path to the continuation. A block whose residual is not
@@ -305,7 +329,7 @@ def _checked_blocks(im, axis, c, ts, validated=False):
     is_totally_real_stack, made from the coordinate vectors the continuation
     gives with the points.
     """
-    for pts, vs in _continued_blocks(im, axis, c, ts, validated):
+    for pts, vs in _continued_blocks(im, spectrum, axis, c, ts, validated):
         residual = _geodesic_residual(pts, im, axis, c)
         if not residual <= 1e-8:
             raise AmplificationExceeded(
@@ -319,28 +343,28 @@ def _checked_blocks(im, axis, c, ts, validated=False):
 def _geodesic_residual(points, im, axis, c):
     """max |d iota/dt - J iota_* X| over a block of frames, both sides spectral.
 
-    points is a block (B, 2n) + grid.sizes of _continued_blocks. d/dt of the
-    continuation scales mode m by -m c; the right-hand side is J applied to
-    c d iota/dtheta_axis, the derivative taking i m with the modes of the
-    continuation. On an even axis that keeps the Nyquist mode as m = -n/2,
-    where spectral_derivative (made for real data) drops it; the two sides
-    are identical in exact arithmetic, so the residual certifies the
-    implementation rather than the data. NaN anywhere gives NaN.
+    points is a block (B, 2n) + grid.sizes of _continued_blocks. Both sides
+    act along the flow axis only, from one forward transform of the points
+    along it: d/dt of the continuation scales mode m by -m c; the right-hand
+    side is J applied to c d iota/dtheta_axis, the derivative taking i m
+    with the modes of the continuation. On an even axis that keeps the
+    Nyquist mode as m = -n/2, where spectral_derivative (made for real
+    data) drops it; the two sides are identical in exact arithmetic, so the
+    residual certifies the implementation rather than the data. NaN
+    anywhere gives NaN.
     """
     n = im.chart.n
     z = points[:, :n] + 1j * points[:, n:]
-    grid_axes = tuple(range(2, z.ndim))
-    coeffs = np.fft.fftn(z, axes=grid_axes)
     nk = im.grid.sizes[axis]
-    m = _spectral.modes(nk)
     shape = [1] * z.ndim
     shape[2 + axis] = nk
-    coeffs *= -c
-    coeffs *= np.reshape(m, shape)
-    dz_dt = np.fft.ifftn(coeffs, axes=grid_axes)
-    rhs = np.fft.fft(z, axis=2 + axis)
-    rhs *= np.reshape(1j * m, shape)
-    rhs = np.fft.ifft(rhs, axis=2 + axis)
+    m = np.reshape(_spectral.modes(nk), shape)
+    coeffs = np.fft.fft(z, axis=2 + axis)
+    dz_dt = coeffs * -c
+    dz_dt *= m
+    dz_dt = np.fft.ifft(dz_dt, axis=2 + axis)
+    coeffs *= 1j * m
+    rhs = np.fft.ifft(coeffs, axis=2 + axis)
     rhs *= 1j * c
     if im.winding is not None:
         w = im.winding[:n, axis] + 1j * im.winding[n:, axis]
@@ -351,14 +375,15 @@ def _geodesic_residual(points, im, axis, c):
     return float(np.max(np.abs(dz_dt)))
 
 
-def _continued_blocks(im, axis, c, ts, vectors=False):
+def _continued_blocks(im, spectrum, axis, c, ts, vectors=False):
     """Points of the continuation at ts in blocks (B, 2n) + grid.sizes, each
     paired with its coordinate vectors (n, 2n, B) + grid.sizes, or with None.
 
     Each Fourier mode m along the axis of each complex component z_k is
-    multiplied by e^{-m c t}: the spectrum is taken once, and each block of
-    at most _BLOCK_NODES nodes (at least one frame) is one inverse
-    transform. Without vectors it is the inverse FFT over the grid axes.
+    multiplied by e^{-m c t}: spectrum is the _present_spectrum of im, and
+    each block of at most _BLOCK_NODES nodes (at least one frame) is one
+    inverse transform. Without vectors it is the inverse FFT over the grid
+    axes.
     With vectors every other grid axis is brought to physical space once,
     and each block takes one inverse FFT along the flow axis of the stacked
     rows z, d z/dtheta_0, .., d z/dtheta_(n-1); the derivatives take the
@@ -366,13 +391,8 @@ def _continued_blocks(im, axis, c, ts, vectors=False):
     _coordinate_vectors of the points up to round-off.
     """
     n = im.chart.n
-    coeffs = np.fft.fftn(_complex_components(im), axes=tuple(range(1, 1 + im.n)))
-    # numerically absent modes would only inject e^{|m| c t}-amplified noise
-    mags = np.abs(coeffs)
-    coeffs = np.where(mags > SPECTRAL_PRESENCE_FLOOR * max(float(np.max(mags)), 1.0),
-                      coeffs, 0.0)
-    # coeffs gets a block axis after its component axis: (n, 1) + grid.sizes
-    coeffs = coeffs[:, None]
+    # the spectrum gets a block axis after its component axis: (n, 1) + grid.sizes
+    coeffs = spectrum[:, None]
     shape = [1] * im.n
     shape[axis] = im.grid.sizes[axis]
     m_shaped = np.reshape(_spectral.modes(im.grid.sizes[axis]), shape)
@@ -418,6 +438,20 @@ def _continued_blocks(im, axis, c, ts, vectors=False):
         yield block, vs
 
 
+def _along_axis(M, k, n_axes):
+    """v -> M applied along grid axis k of a stepper state (2n,) + sizes.
+
+    M times each (s0, s1) component slice on the state's axis 1 of a 2-D
+    grid; on the last axis, the rows times M^T, laid out contiguously.
+    """
+    if k < n_axes - 1:
+        return lambda points: M @ points
+    MT = np.ascontiguousarray(M.T)
+    # all the rows as one matrix, so that it is one product and not one per
+    # component
+    return lambda points: (points.reshape(-1, len(MT)) @ MT).reshape(points.shape)
+
+
 def _axis_derivative(sizes, k):
     """d/dtheta_k of a stepper state (2n,) + sizes, as a callable.
 
@@ -427,30 +461,120 @@ def _axis_derivative(sizes, k):
     """
     if sizes[k] > _MATRIX_NODES:
         return functools.partial(_spectral.spectral_derivative, axis=1 + k)
-    D = _spectral.derivative_matrix(sizes[k])
-    if k < len(sizes) - 1:
-        # the state's axis 1: D times each (s0, s1) component slice
-        return lambda points: D @ points
-    # the last axis: rows times D^T, the transpose laid out contiguously
-    DT = np.ascontiguousarray(D.T)
-    return lambda points: points @ DT
+    return _along_axis(_spectral.derivative_matrix(sizes[k]), k, len(sizes))
+
+
+def _dealias_by_matrices(sizes, cutoffs):
+    """The dealias filter and tail fraction of flow_timestep on short axes.
+
+    The 2/3 mask and the half-cutoff box Q of the tail band are tensor
+    products over the axes, so the filter is one product with the
+    projector of _spectral.band_projector per axis (Orszag's 2/3 rule).
+    dealias(points, before) filters the increment from before, the state
+    in the band that the points were stepped from, and adds it back: in
+    exact arithmetic that is the filter of the points, but the round-off of
+    the dense products then scales with the increment of one step and not
+    with the state. Without before (the initial points) it filters the
+    deviation from the mean. The energies are those of the filtered
+    state's deviation f from its mean, so they are sums of squares with
+    nothing to cancel (Parseval): the total is |f|^2, the tail |f - Q f|^2.
+    A total whose root mean square over the state is below
+    SPECTRAL_PRESENCE_FLOOR of that of the means (or of 1) reads as zero:
+    it is the round-off a derivative matrix leaves on constant lines, where
+    the FFT leaves exact zeros, so a state with all its energy in DC has no
+    tail, as in the FFT.
+    """
+    n = len(sizes)
+    keep = [_along_axis(_spectral.band_projector(s, cut), k, n)
+            for k, (s, cut) in enumerate(zip(sizes, cutoffs))]
+    box = [_along_axis(_spectral.band_projector(s, cut // 2), k, n)
+           for k, (s, cut) in enumerate(zip(sizes, cutoffs))]
+    nodes = math.prod(sizes)
+    # the mean of each component, laid out (2n,) + (1,) * n, by one
+    # matrix-vector product
+    average = np.full(nodes, 1.0 / nodes)
+
+    def mean(points):
+        return (points.reshape(len(points), nodes) @ average).reshape((-1,) + (1,) * n)
+
+    def dealias(points, before=None):
+        if before is None:
+            before = mean(points)
+        state = points - before
+        for p in keep:
+            state = p(state)
+        state += before
+        means = mean(state)
+        f = state - means
+        tail = f
+        for p in box:
+            tail = p(tail)
+        tail -= f
+        total = float(np.vdot(f, f))
+        floor = SPECTRAL_PRESENCE_FLOOR ** 2 * max(nodes * float(np.vdot(means, means)), f.size)
+        frac = 0.0 if total <= floor else float(np.vdot(tail, tail)) / total
+        return state, frac
+    return dealias
+
+
+def _dealias_by_fft(sizes, cutoffs, n_comp):
+    """The dealias filter and tail fraction of flow_timestep on long axes.
+
+    Both work on the half spectrum of the last grid axis, whose interior
+    columns count twice in the energy sums, so the fraction equals the
+    full-spectrum one up to round-off.
+    """
+    n = len(sizes)
+    grid_axes = tuple(range(1, 1 + n))
+    # dealias keeps |m_k| <= cutoff_k on every axis; the tail is the top half
+    # of that band on any axis. Both masks have a leading axis of 1 for the
+    # components.
+    half = sizes[:-1] + (sizes[-1] // 2 + 1,)
+    mask = np.ones((1,) + half, dtype=bool)
+    tail_mask = np.zeros((1,) + half, dtype=bool)
+    for k, s in enumerate(sizes):
+        m = np.abs(_spectral.modes(s)) if k < n - 1 else np.arange(half[-1])
+        shape = [1] * (n + 1)
+        shape[1 + k] = m.size
+        mask = mask & (m <= cutoffs[k]).reshape(shape)
+        tail_mask = tail_mask | ((m > cutoffs[k] / 2.0) & (m <= cutoffs[k])).reshape(shape)
+    # energy weights: a half-spectrum column other than 0 and Nyquist stands
+    # for two conjugate modes; the DC mode is left out of the budget
+    weight = np.full((1,) + half, 2.0)
+    weight[..., 0] = 1.0
+    if sizes[-1] % 2 == 0:
+        weight[..., -1] = 1.0
+    weight[(0,) * (n + 1)] = 0.0
+    # columns: the weights of the total and of the tail, one row per
+    # coefficient of the (2n,) + half spectrum, so one product gives both sums
+    weights = np.stack([np.broadcast_to(w, (n_comp,) + half).ravel()
+                        for w in (weight, np.where(tail_mask, weight, 0.0))], axis=-1)
+
+    def dealias(points, before=None):
+        # the spectral mask is exact on the band: before is not needed
+        c = np.fft.rfftn(points, axes=grid_axes)
+        c *= mask
+        total, tail = (np.abs(c) ** 2).reshape(-1) @ weights
+        frac = 0.0 if total == 0.0 else float(tail) / float(total)
+        return np.fft.irfftn(c, s=sizes, axes=grid_axes), frac
+    return dealias
 
 
 def flow_timestep(im, X, t_final, dt, store_every=1):
     """RK4 time stepping of d iota/dt = J iota_* X with spectral guards.
 
     The state is laid out components first, (2n,) + grid.sizes, so every
-    FFT line and the product with J run over contiguous memory; the stored
-    frames are Immersions whose points are views of it with the components
-    last. Only the live axes k, where X^k is not exactly zero, are
-    differentiated: a skipped term is an exact zero, so the frames are the
-    ones every axis would give (a coordinate field on a 2-torus takes one
-    derivative per RK4 stage instead of two). The dealias filter and the
-    tail fraction use the half spectrum of the last grid axis, whose
-    interior columns count twice in the energy sums, so the fraction equals
-    the full-spectrum one up to round-off. Masks, weights and the winding
-    columns are built once per call, the derivative matrices and
-    multipliers once per process (_axis_derivative). More than
+    FFT line and matrix product and the product with J run over contiguous
+    memory; the stored frames are Immersions whose points are views of it
+    with the components last. Only the live axes k, where X^k is not
+    exactly zero, are differentiated: a skipped term is an exact zero, so
+    the frames are the ones every axis would give (a coordinate field on a
+    2-torus takes one derivative per RK4 stage instead of two). After each
+    step the 2/3 dealias filter is applied and the tail fraction read:
+    when every grid axis has at most _MATRIX_NODES nodes by projector
+    matrices (_dealias_by_matrices), else on the half spectrum
+    (_dealias_by_fft). The winding columns and the filter are built once
+    per call, the matrices and multipliers once per process. More than
     MAX_TIMESTEPS steps raise ValidationError.
     """
     if dt <= 0.0:
@@ -465,61 +589,38 @@ def flow_timestep(im, X, t_final, dt, store_every=1):
         )
     J = im.chart.J
     n = im.n
-    grid_axes = tuple(range(1, 1 + n))
     # axes whose field component is exactly zero add exact zeros: skip them
     live = [k for k in range(n) if np.any(comp[k] != 0.0)]
     # W e_k laid out (2n,) + (1,) * n, added to the derivative along axis k
     drift = None if im.winding is None else [
         np.reshape(im.winding[:, k], (-1,) + (1,) * n) for k in range(n)]
-
-    # dealias keeps |m_k| <= cutoff_k on every axis; the tail is the top half
-    # of that band on any axis. Both masks live on the half spectrum of the
-    # last grid axis, with a leading axis of 1 for the components.
-    half = im.grid.sizes[:-1] + (im.grid.sizes[-1] // 2 + 1,)
-    mask = np.ones((1,) + half, dtype=bool)
-    tail_mask = np.zeros((1,) + half, dtype=bool)
-    for k, s in enumerate(im.grid.sizes):
-        m = np.abs(_spectral.modes(s)) if k < n - 1 else np.arange(half[-1])
-        shape = [1] * (n + 1)
-        shape[1 + k] = m.size
-        mask = mask & (m <= cutoffs[k]).reshape(shape)
-        tail_mask = tail_mask | ((m > cutoffs[k] / 2.0) & (m <= cutoffs[k])).reshape(shape)
-    # energy weights: a half-spectrum column other than 0 and Nyquist stands
-    # for two conjugate modes; the DC mode is left out of the budget
-    weight = np.full((1,) + half, 2.0)
-    weight[..., 0] = 1.0
-    if im.grid.sizes[-1] % 2 == 0:
-        weight[..., -1] = 1.0
-    weight[(0,) * (n + 1)] = 0.0
-    # columns: the weights of the total and of the tail, one row per
-    # coefficient of the (2n,) + half spectrum, so one product gives both sums
-    weights = np.stack([np.broadcast_to(w, (len(J),) + half).ravel()
-                        for w in (weight, np.where(tail_mask, weight, 0.0))], axis=-1)
-
-    derivatives = [(k, _axis_derivative(im.grid.sizes, k)) for k in live]
+    if max(im.grid.sizes) <= _MATRIX_NODES:
+        dealias = _dealias_by_matrices(im.grid.sizes, cutoffs)
+    else:
+        dealias = _dealias_by_fft(im.grid.sizes, cutoffs, len(J))
+    # X^k as one number where it is uniform (a coordinate field): the same
+    # products as with the array, without broadcasting it over the components
+    derivatives = [(k, _axis_derivative(im.grid.sizes, k),
+                    float(comp[k].flat[0]) if np.all(comp[k] == comp[k].flat[0]) else comp[k])
+                   for k in live]
 
     def rhs(points):
         out = None
-        for k, derivative in derivatives:
+        for k, derivative, scale in derivatives:
             dk = derivative(points)
             if drift is not None:
                 dk += drift[k]
-            dk *= comp[k]
+            dk *= scale
             out = dk if out is None else out + dk
         if out is None:
             return np.zeros_like(points)
         return (J @ out.reshape(len(J), -1)).reshape(out.shape)
 
-    def dealias(points):
-        """Dealiased points and their spectral tail fraction, from one real FFT."""
-        c = np.fft.rfftn(points, axes=grid_axes)
-        c *= mask
-        total, tail = (np.abs(c) ** 2).reshape(-1) @ weights
-        frac = 0.0 if total == 0.0 else float(tail) / float(total)
-        return np.fft.irfftn(c, s=im.grid.sizes, axes=grid_axes), frac
+    # a stored frame's points: a view of the state with the components last
+    last = tuple(range(1, 1 + n)) + (0,)
 
     def stored(points):
-        return Immersion(grid=im.grid, chart=im.chart, points=np.moveaxis(points, 0, -1),
+        return Immersion(grid=im.grid, chart=im.chart, points=points.transpose(last),
                          winding=im.winding)
 
     n_steps = int(round(t_final / dt))
@@ -536,7 +637,7 @@ def flow_timestep(im, X, t_final, dt, store_every=1):
     base_norm = float(np.max(np.abs(pts)) + 1.0)
     for step in range(1, n_steps + 1):
         # every step makes a new array, so a stored frame is never written
-        pts, frac = dealias(_spectral.rk4_step(rhs, pts, dt))
+        pts, frac = dealias(_spectral.rk4_step(rhs, pts, dt), pts)
         t = step * dt
         # NaN and inf propagate to the maximum
         top = float(np.max(np.abs(pts)))
@@ -612,11 +713,16 @@ def uniqueness_compare(im, X, t_final):
     so the whole spectral family is never held at once.
     """
     stepped = flow_timestep(im, X, t_final, t_final / UNIQUENESS_STEPS)
-    axis, c, ts, _ = _spectral_setup(im, X, stepped.times)
+    axis, c, ts, spectrum, _ = _spectral_setup(im, X, stepped.times)
+    # a stepped frame's points with the components first, as in a block
+    first = (im.n,) + tuple(range(im.n))
     worst, k = 0.0, 0
-    for pts, _ in _checked_blocks(im, axis, c, ts, validated=True):
-        for a, b in zip(stepped.immersions[k:k + len(pts)], pts):
-            worst = max(worst, float(np.max(np.abs(np.moveaxis(a.points, -1, 0) - b))))
+    for pts, _ in _checked_blocks(im, spectrum, axis, c, ts, validated=True):
+        # the block is dropped after the comparison, so it takes the
+        # differences in place, and one reduction compares the whole block
+        for b, a in zip(pts, stepped.immersions[k:k + len(pts)]):
+            b -= a.points.transpose(first)
+        worst = max(worst, float(np.max(np.abs(pts, out=pts))))
         k += len(pts)
     return worst
 

@@ -24,10 +24,11 @@ import numpy as np
 
 from . import _spectral
 from .ambient import AmbientChart
-from .errors import (DegenerateFrame, MetricNotPositiveDefinite, NotImmersed,
-                     NotTotallyReal, PointOutsideDomain, ValidationError)
+from .errors import (BadArgument, DegenerateFrame, MetricNotPositiveDefinite,
+                     NotImmersed, NotTotallyReal, PointOutsideDomain, ValidationError)
 
 RHO_MIN = 1e-6            # numerical floor for "totally real"
+_VOLUME_MIN = 1e-10       # numerical floor for an immersed frame
 
 
 @dataclass(frozen=True)
@@ -471,7 +472,7 @@ def _require_volume_and_rho(induced_vol, rho):
     "not above the floor", so NaN fails them.
     """
     min_vol = float(np.min(induced_vol))
-    if not min_vol > 1e-10:
+    if not min_vol > _VOLUME_MIN:
         raise NotImmersed(f"coordinate frame drops rank (min volume {min_vol:.3g})")
     min_rho = float(np.min(rho()))
     if not min_rho > RHO_MIN:
@@ -535,7 +536,13 @@ def _check_stack(grid, chart, points, vs, winding):
                                           winding=winding))
             raise
         induced_vol, volj, low = _gram_volumes(vs, g, omega)
-    degenerate = np.any(low, axis=tuple(range(-grid.n, 0)))
+        # each member's checks in one reduction over the node axes; the
+        # member loop below runs only to name the first failure
+        nodes = tuple(range(-grid.n, 0))
+        degenerate = np.any(low, axis=nodes)
+        if not np.any(degenerate) and np.all(np.min(induced_vol, axis=nodes) > _VOLUME_MIN) \
+                and np.all(np.min(volj / induced_vol, axis=nodes) > RHO_MIN):
+            return
     for b in range(points.shape[0]):
         if degenerate[b]:
             raise NotImmersed(_degenerate_message(induced_vol[b]))
@@ -615,7 +622,7 @@ def build_immersion(grid, chart, formula, **params):
         elif formula == "ellipse":
             z = args["a"] * np.cos(theta) + 1j * args["b"] * np.sin(theta)
         else:
-            z = _synthesize_coeffs(args["coeffs"], theta)
+            z = _synthesize_coeffs(args["coeffs"], grid.sizes[0])
         pts = np.stack([z.real, z.imag], axis=-1)
     elif formula in ("product_torus", "graph_perturbed_torus"):
         if grid.n != 2 or chart.dim != 4:
@@ -639,16 +646,29 @@ def build_immersion(grid, chart, formula, **params):
     return im
 
 
-def _synthesize_coeffs(coeffs, theta):
-    """Evaluate sum a_n e^{i n theta} from an [n, re, im] triple list or dict."""
-    z = np.zeros_like(theta, dtype=complex)
-    if isinstance(coeffs, dict):
-        items = coeffs.items()
-    else:
-        items = ((int(t[0]), complex(t[1], t[2])) for t in coeffs)
-    for ncoef, a in items:
-        z = z + complex(a) * np.exp(1j * int(ncoef) * theta)
-    return z
+def _synthesize_coeffs(coeffs, size):
+    """Samples of sum a_n e^{i n theta} on the uniform grid of size nodes,
+    from an [n, re, im] triple list or a {n: a} dict.
+
+    Each mode n must be an integer of modulus below size / 2, a mode the
+    grid resolves; any other raises BadArgument naming the term
+    (coeffs[k][0], or the dict key), before any array is made of it (a
+    mode such as 1e300 has no integer array to go in). The resolved modes
+    are then one spectrum, and the samples its inverse FFT.
+    """
+    pairs = coeffs.items() if isinstance(coeffs, dict) else (
+        (t[0], complex(t[1], t[2])) for t in coeffs)
+    modes, amps = [], []
+    for k, (n, a) in enumerate(pairs):
+        if not (abs(n) < size // 2 and n == int(n)):
+            name = f"coeffs[{n!r}]" if isinstance(coeffs, dict) else f"coeffs[{k}][0]"
+            raise BadArgument(f"{name}: a mode must be an integer of modulus below "
+                              f"{size // 2}, half the grid, got {n!r}")
+        modes.append(int(n))
+        amps.append(complex(a))
+    spectrum = np.zeros(size, dtype=complex)
+    np.add.at(spectrum, modes, amps)
+    return np.fft.ifft(spectrum, norm="forward")
 
 
 def reparametrized(im, shifts):

@@ -584,6 +584,20 @@ _FLAT_TORUS = {"chart": {"name": "flat_c2"},
                  "t_grid": [0.5, 0.6, 0.7]}}, "params.family.grid must be a power of two"),
     ({"operation": "curve.length", "params": {"radii": [0.8, 0.9, 1.0]},
       "curve": {"terms": {"1": [1.0, 0.0]}, "N": 16}}, "curve.N must be >= 32"),
+    # a fourier_curve mode must be an integer the grid resolves: 3.5 ran as
+    # mode 3, and 1e300 was aliased onto the grid
+    ({"operation": "jvol.compute", "chart": {"name": "flat_c1"},
+      "immersion": {"formula": "fourier_curve", "grid": 64,
+                    "args": {"coeffs": [[1, 1.0, 0.0], [3.5, 1.0, 0.0]]}}},
+     "immersion.args.coeffs[1][0]: a mode must be an integer"),
+    ({"operation": "jvol.compute", "chart": {"name": "flat_c1"},
+      "immersion": {"formula": "fourier_curve", "grid": 64,
+                    "args": {"coeffs": [[1e300, 1.0, 0.0]]}}},
+     "immersion.args.coeffs[0][0]: a mode must be an integer"),
+    ({"operation": "jvol.compute", "chart": {"name": "flat_c1"},
+      "immersion": {"formula": "fourier_curve", "grid": 64,
+                    "args": {"coeffs": [[1, 1.0, 0.0], [-32, 0.1, 0.0]]}}},
+     "immersion.args.coeffs[1][0]: a mode must be an integer"),
 ])
 def test_malformed_scenario_fields_exit_2(tmp_path, capsys, payload, field):
     scn = write_scenario(tmp_path / "s.json", {"version": 1, "name": "bad", **payload})

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from trgeo import curve_lab as cl
+from trgeo._spectral import richardson, rk4_step, spectral_derivative
 from trgeo.errors import (AliasingDetected, FieldNotPositive, NotArclength,
                           NotImmersed, OrientationError, OutsideAnnulus,
                           ValidationError)
@@ -316,6 +317,34 @@ def test_second_variation_ellipse():
     oracle = np.mean(kap ** 2 * ds) * 2 * np.pi
     assert abs(res["analytic"] - oracle) < 1e-8
     assert res["rel_err"] <= 1e-4
+
+
+def _second_variation_fd_per_flow(curve, f):
+    """The finite-difference side of second_variation_length, one RK4 flow
+    per target time on a 1-D array, as the four flows were once taken."""
+    M = 4 * curve.N
+    samples = cl.evaluate_at(curve, theta_grid(M))
+    speed = np.abs(spectral_derivative(samples, axis=0))
+    fs = f / float(np.mean(speed))
+
+    def flow_length(t_target, n_steps=16):
+        z = samples
+        h = t_target / n_steps
+        for _ in range(n_steps):
+            z = rk4_step(lambda w: 1j * fs * spectral_derivative(w, axis=0), z, h)
+        return float(np.mean(np.abs(spectral_derivative(z, axis=0)))) * 2.0 * math.pi
+
+    l0 = float(np.mean(speed)) * 2.0 * math.pi
+    return richardson(lambda e: (flow_length(e) - 2.0 * l0 + flow_length(-e)) / e ** 2,
+                      cl.SECONDVAR_EPS)
+
+
+@pytest.mark.parametrize("mode, amplitude", [(1, 0.0), (1, 0.3), (2, 0.25)])
+def test_second_variation_batched_flows_equal_the_per_flow_loop(mode, amplitude):
+    arc = cl.resample_arclength(cl.curve_from_terms({1: 1.5, -1: 0.5}, N=64))
+    f = 1.0 + amplitude * np.cos(mode * theta_grid(4 * arc.N))
+    # each flow is a contiguous row of one array: the same arithmetic, bit for bit
+    assert cl.second_variation_length(arc, f)["fd"] == _second_variation_fd_per_flow(arc, f)
 
 
 def test_second_variation_requires_arclength():

@@ -242,6 +242,63 @@ def test_timestep_blow_up_matches_full_spectrum_reference():
     assert str(got.value) == str(ref.value)
 
 
+def test_matrix_dealias_matches_the_half_spectrum_on_random_data():
+    rng = np.random.default_rng(5)
+    for sizes in [(16,), (64,), (128,), (16, 32), (32, 32), (64, 16)]:
+        cutoffs = [int(gf.DEALIAS_FRACTION * (s // 2)) for s in sizes]
+        by_matrices = gf._dealias_by_matrices(sizes, cutoffs)
+        by_fft = gf._dealias_by_fft(sizes, cutoffs, 4)
+        for offset in (0.0, 3.0):
+            points = offset + rng.normal(size=(4,) + sizes)
+            got, frac = by_matrices(points)
+            want, want_frac = by_fft(points)
+            assert abs(frac - want_frac) <= 1e-14
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(points))
+            # a step from a state in the band filters the increment alone
+            stepped = want + 1e-3 * rng.normal(size=points.shape)
+            got, frac = by_matrices(stepped, want)
+            want, want_frac = by_fft(stepped)
+            assert abs(frac - want_frac) <= 1e-14
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(points))
+
+
+def criterion_9_curve_128():
+    """The criterion-9 coefficients up to the last mode a 128-node grid resolves."""
+    coeffs = [[1, 1.0, 0.0]] + [[-n, math.exp(-math.sqrt(n)), 0.0] for n in range(1, 64)]
+    return imm.build_immersion(imm.GridTorus((128,)), ambient.flat_chart(1),
+                               "fourier_curve", coeffs=coeffs)
+
+
+def test_short_grid_blow_up_matches_full_spectrum_reference():
+    im = criterion_9_curve_128()
+    X = imm.coordinate_field(im.grid, 0)
+    # the projector matrices filter and watch this grid
+    assert max(im.grid.sizes) <= gf._MATRIX_NODES
+    with pytest.raises(BlowUpDetected) as got:
+        gf.flow_timestep(im, X, 0.2, 5e-4)
+    with pytest.raises(BlowUpDetected) as ref:
+        flow_timestep_full_spectrum(im, X, 0.2, 5e-4)
+    assert got.value.t_reached == ref.value.t_reached < 0.2
+    assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("offset", [[0.0, 0.0, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4]])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_timestep_of_a_constant_torus_has_no_tail(offset, axis, monkeypatch):
+    # the points of a straight torus are one constant: all their energy is in
+    # DC, where the half spectrum reads a zero total; the derivative matrix
+    # leaves round-off there, and the monitor must not read it as a tail
+    monkeypatch.setattr(gf, "TAIL_ENERGY_ABORT", 1e-12)
+    st = imm.build_immersion(imm.GridTorus((32, 32)), ambient.flat_quotient_chart(2),
+                             "straight_torus", offset=offset)
+    X = imm.coordinate_field(st.grid, axis)
+    flow = gf.flow_timestep(st, X, 0.1, 1e-3)
+    times, ref = flow_timestep_full_spectrum(st, X, 0.1, 1e-3)
+    assert flow.times == times
+    assert max(float(np.max(np.abs(a.points - b)))
+               for a, b in zip(flow.immersions, ref)) <= 1e-15
+
+
 @pytest.mark.parametrize("axis", [0, 1])
 def test_timestep_differentiates_live_axes_only(axis, monkeypatch):
     grid = imm.GridTorus((32, 32))
@@ -490,8 +547,9 @@ def test_block_vectors_are_the_coordinate_vectors_of_its_points(case):
     _, im, axes = case
     ts = list(np.linspace(-0.05, 0.1, 13))
     for axis in axes:
-        blocks = list(gf._continued_blocks(im, axis, 0.7, ts, vectors=True))
-        plain = list(gf._continued_blocks(im, axis, 0.7, ts))
+        spectrum = gf._present_spectrum(im)
+        blocks = list(gf._continued_blocks(im, spectrum, axis, 0.7, ts, vectors=True))
+        plain = list(gf._continued_blocks(im, spectrum, axis, 0.7, ts))
         assert len(blocks) == len(plain)
         for (pts, vs), (ref, none) in zip(blocks, plain):
             assert none is None
@@ -506,8 +564,8 @@ def test_block_vectors_are_the_coordinate_vectors_of_its_points(case):
 def test_nan_in_a_block_fails_the_residual_check(circle, monkeypatch):
     blocks = gf._continued_blocks
 
-    def poisoned(im, axis, c, ts, vectors=False):
-        for k, (pts, vs) in enumerate(blocks(im, axis, c, ts, vectors)):
+    def poisoned(im, spectrum, axis, c, ts, vectors=False):
+        for k, (pts, vs) in enumerate(blocks(im, spectrum, axis, c, ts, vectors)):
             if k == 1:
                 pts[2, 0, 5] = np.nan
             yield pts, vs

@@ -2,13 +2,14 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from trgeo import ambient, cli
 from trgeo import immersion as imm
-from trgeo.errors import NotImmersed, NotTotallyReal, ValidationError
+from trgeo.errors import BadArgument, NotImmersed, NotTotallyReal, ValidationError
 
 
 @pytest.fixture
@@ -257,6 +258,29 @@ def test_build_immersion_refuses_an_argument_it_does_not_read(flat1):
     # radius for r used to build the unit circle
     with pytest.raises(ValidationError, match="'radius'"):
         imm.build_immersion(imm.GridTorus((64,)), flat1, "circle", radius=2.0)
+
+
+def test_fourier_curve_is_the_sum_of_its_terms(flat1):
+    # the criterion-9 coefficients, and a dict naming one mode twice (3 and 3.0)
+    blowup = [[1, 1.0, 0.0]] + [[-n, math.exp(-math.sqrt(n)), 0.0] for n in range(1, 257)]
+    for size, coeffs in ((1024, blowup), (64, {1: 1.0, 3: 0.2, -2: 0.1j, 31: 0.05})):
+        im = imm.build_immersion(imm.GridTorus((size,)), flat1, "fourier_curve", coeffs=coeffs)
+        theta = im.grid.thetas(0)
+        pairs = coeffs.items() if isinstance(coeffs, dict) else (
+            (n, complex(re, im_)) for n, re, im_ in coeffs)
+        want = sum(a * np.exp(1j * n * theta) for n, a in pairs)
+        # the term by term sum rounds n theta before its exponential: about
+        # 1e-13 of phase at n = 256
+        assert np.max(np.abs(im.points[:, 0] + 1j * im.points[:, 1] - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("coeffs, name", [([[1, 1.0, 0.0], [2.5, 0.1, 0.0]], "coeffs[1][0]"),
+                                          ([[1e300, 1.0, 0.0]], "coeffs[0][0]"),
+                                          ([[32, 1.0, 0.0]], "coeffs[0][0]"),
+                                          ({1: 1.0, -32: 0.1}, "coeffs[-32]")])
+def test_fourier_curve_refuses_a_mode_the_grid_does_not_resolve(flat1, coeffs, name):
+    with pytest.raises(BadArgument, match=re.escape(name)):
+        imm.build_immersion(imm.GridTorus((64,)), flat1, "fourier_curve", coeffs=coeffs)
 
 
 def test_winding_requires_quotient_chart(flat2):

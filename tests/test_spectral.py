@@ -6,7 +6,7 @@ import numpy as np
 from trgeo import curve_lab as cl
 import pytest
 
-from trgeo._spectral import (_derivative_multiplier, derivative_matrix,
+from trgeo._spectral import (_derivative_multiplier, band_projector, derivative_matrix,
                               evaluate_fourier, invert_cumulative, modes,
                               richardson, rk4_step, spectral_derivative)
 from trgeo.geodesic_flow import _MATRIX_NODES
@@ -185,3 +185,43 @@ def test_derivative_matrix_is_spectral_derivative_up_to_the_cutoff():
     # shared by every caller of the same size, so nobody may write to it
     assert derivative_matrix(32) is derivative_matrix(32)
     assert not derivative_matrix(32).flags.writeable
+
+
+# every GridTorus size a projector serves: powers of two from 16 to _MATRIX_NODES
+_SHORT_SIZES = [2 ** k for k in range(4, _MATRIX_NODES.bit_length())]
+
+
+def _rfft_filter(values, cutoffs):
+    """values with the modes |m_k| > cutoff_k zeroed along each leading axis."""
+    axes = tuple(range(len(cutoffs)))
+    spectrum = np.fft.rfftn(values, axes=axes)
+    for k, cut in enumerate(cutoffs):
+        m = np.abs(modes(values.shape[k])) if k < len(cutoffs) - 1 \
+            else np.arange(spectrum.shape[k])
+        shape = [1] * values.ndim
+        shape[k] = m.size
+        spectrum *= (m <= cut).reshape(shape)
+    return np.fft.irfftn(spectrum, s=values.shape[:len(cutoffs)], axes=axes)
+
+
+def test_band_projector_is_the_rfft_filter_on_every_short_grid():
+    rng = np.random.default_rng(11)
+    assert _SHORT_SIZES == [16, 32, 64, 128]
+    for n in _SHORT_SIZES:
+        # the 2/3 cutoff of the stepper and the half-cutoff box of its tail band
+        for cut in (int(2.0 / 3.0 * (n // 2)), int(2.0 / 3.0 * (n // 2)) // 2):
+            P = band_projector(n, cut)
+            values = rng.normal(size=(n, 3))
+            np.testing.assert_allclose(P @ values, _rfft_filter(values, [cut]),
+                                       rtol=0, atol=1e-14 * np.max(np.abs(values)))
+    for n0 in _SHORT_SIZES:
+        for n1 in _SHORT_SIZES:
+            cuts = [int(2.0 / 3.0 * (n0 // 2)), int(2.0 / 3.0 * (n1 // 2))]
+            values = rng.normal(size=(n0, n1))
+            # the tensor product: one product per axis
+            both = band_projector(n0, cuts[0]) @ values @ band_projector(n1, cuts[1]).T
+            np.testing.assert_allclose(both, _rfft_filter(values, cuts),
+                                       rtol=0, atol=1e-14 * np.max(np.abs(values)))
+    assert band_projector(32, 10) is band_projector(32, 10)
+    assert not band_projector(32, 10).flags.writeable
+
