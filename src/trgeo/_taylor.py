@@ -11,6 +11,16 @@ Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13): the product of
 two series is one 0/1 matrix times the products of all coefficient pairs
 whose degrees add up to at most p. Reciprocal and log use their series in
 the nilpotent part u = (f - f(x)) / f(x), which vanishes beyond degree p.
+
+Each series also carries a bound q <= p on the degree of its nonzero
+coefficients: 1 for a variable, the larger bound for + and -, unchanged by
+negation and by scalar * and /, min(p, qa + qb) for a product and q - 1 for
+a derivative (reciprocal and log follow from their products). A product
+forms only the pairs whose factors can both be nonzero and only its rows of
+degree <= min(p, qa + qb). The pairs and rows it leaves out are exact zeros,
+so it is the full-table product up to the order in which the matrix product
+sums a row's pairs, which BLAS picks by the shapes (a few ulp). The squares
+of a coordinate, for one, cost a handful of pairs instead of the full table.
 Objects in a NumPy object array take part in `np.asarray`, `**`, `np.sum`
 and `np.log` (NumPy calls the element methods), so a potential written for
 arrays of coordinates runs unchanged on an array of Taylor variables.
@@ -39,24 +49,29 @@ def _exponents(d, p):
 
 
 @lru_cache(maxsize=None)
-def _product_table(d, p):
-    """Pair blocks and the K x P 0/1 matrix of the truncated product.
+def _product_table(d, p, qa, qb):
+    """Pair blocks and the 0/1 matrix of the truncated product of a factor
+    of degree <= qa with one of degree <= qb.
 
     In graded order the partners j of a monomial i with deg i + deg j <= p
-    are the first K(d, p - deg i) monomials, so the pairs come in one block
-    per degree k of i: the degree-k rows of one factor times the leading
-    K(d, p - k) rows of the other.
+    are the first K(d, p - deg i) monomials, and of those the second factor
+    can be nonzero only in the first K(d, min(qb, p - deg i)). So the pairs
+    come in one block per degree k <= qa of i: the degree-k rows of one
+    factor times the leading K(d, min(qb, p - k)) rows of the other. The
+    matrix has one row per monomial of degree <= min(p, qa + qb), the rows
+    the product can hold.
     """
     exps = _exponents(d, p)
     index = {e: k for k, e in enumerate(exps)}
     blocks, target = [], []
-    for k in range(p + 1):
-        lo, hi, m = n_monomials(d, k - 1), n_monomials(d, k), n_monomials(d, p - k)
+    for k in range(min(p, qa) + 1):
+        lo, hi = n_monomials(d, k - 1), n_monomials(d, k)
+        m = n_monomials(d, min(qb, p - k))
         blocks.append((lo, hi, m))
         for a in exps[lo:hi]:
             for b in exps[:m]:
                 target.append(index[tuple(x + y for x, y in zip(a, b))])
-    scatter = np.zeros((len(exps), len(target)))
+    scatter = np.zeros((n_monomials(d, min(p, qa + qb)), len(target)))
     scatter[target, np.arange(len(target))] = 1.0
     return tuple(blocks), scatter
 
@@ -79,7 +94,8 @@ def n_monomials(d, p):
 
 
 def n_pairs(d, p):
-    return _product_table(d, p)[1].shape[1]
+    """Pairs of the full table: the product of two series of degree p."""
+    return _product_table(d, p, p, p)[1].shape[1]
 
 
 def variables(x, p):
@@ -96,22 +112,24 @@ def variables(x, p):
         c = np.zeros((n_monomials(d, p),) + x.shape[:-1])
         c[0] = x[..., a]
         c[1 + a] = 1.0
-        out[a] = Taylor(c, d, p)
+        out[a] = Taylor(c, d, p, 1)
     return out
 
 
 class Taylor:
-    """Truncated Taylor series in d variables, total degree p, over a batch."""
+    """Truncated Taylor series in d variables, total degree p, over a batch;
+    its coefficients past degree q (p when not given) are zero."""
 
-    __slots__ = ("c", "d", "p")
+    __slots__ = ("c", "d", "p", "q")
 
-    def __init__(self, c, d, p):
+    def __init__(self, c, d, p, q=None):
         self.c = c
         self.d = d
         self.p = p
+        self.q = p if q is None else q
 
-    def _new(self, c):
-        return Taylor(c, self.d, self.p)
+    def _new(self, c, q=None):
+        return Taylor(c, self.d, self.p, self.q if q is None else q)
 
     def _check(self, other):
         """True for a series like self; False for a number or a numeric array
@@ -130,7 +148,7 @@ class Taylor:
         if kind is None:
             return NotImplemented
         if kind:
-            return self._new(self.c + other.c)
+            return self._new(self.c + other.c, max(self.q, other.q))
         c = self.c.copy()
         c[0] = c[0] + other
         return self._new(c)
@@ -155,7 +173,7 @@ class Taylor:
             return NotImplemented
         if not kind:
             return self._new(self.c * other)
-        blocks, scatter = _product_table(self.d, self.p)
+        blocks, scatter = _product_table(self.d, self.p, self.q, other.q)
         batch = self.c.shape[1:]
         a = self.c.reshape(len(self.c), 1, -1)
         b = other.c.reshape(1, len(other.c), -1)
@@ -165,7 +183,14 @@ class Taylor:
             n = (hi - lo) * m
             np.multiply(a[lo:hi], b[:, :m], out=pairs[s:s + n].reshape(hi - lo, m, -1))
             s += n
-        return self._new((scatter @ pairs).reshape((-1,) + batch))
+        rows = scatter @ pairs
+        q = min(self.p, self.q + other.q)
+        if len(rows) < len(self.c):
+            # the rows past degree q are exact zeros
+            full = np.zeros((len(self.c),) + rows.shape[1:], rows.dtype)
+            full[:len(rows)] = rows
+            rows = full
+        return self._new(rows.reshape((-1,) + batch), q)
 
     __rmul__ = __mul__
 
@@ -218,4 +243,5 @@ class Taylor:
         """d/dt_a, a Taylor series of degree p - 1."""
         src, factor = _derivative_table(self.d, self.p, a)
         shape = (-1,) + (1,) * (self.c.ndim - 1)
-        return Taylor(self.c[src] * factor.reshape(shape), self.d, self.p - 1)
+        return Taylor(self.c[src] * factor.reshape(shape), self.d, self.p - 1,
+                      max(0, self.q - 1))

@@ -13,12 +13,17 @@ blocks of points: at degree 2 for the metric, at degree 3 for the
 Christoffel symbols (dg from the third-order coefficients), and at degree 4
 for the Ricci tensor, which uses the Kahler identity Ric = i ddbar(-log det H)
 with H, det H and -log det H formed as degree-2 series. verify_kahler_einstein
-reads g, dg and the Ricci tensor off one degree-4 evaluation. The results are
-exact up to round-off (|Ric + 3/2 g| ~ 4e-15 on the C^2 ball). The
-finite-difference engine (complex-step gradients and Richardson central
-differences) is the independent oracle for these kernels and lives in the
-tests (tests/fd_oracle.py); at its default step it accepts exactly the points
-the kernels accept.
+reads g, dg and the Ricci tensor off one degree-4 evaluation. Series carry
+a bound on their degree, so products skip the pairs that are exact zeros
+(the squares of the coordinates in the built-in potential, the low powers
+in log's Horner scheme). The inverse metric of the Christoffel symbols (and
+of H_J) is the closed-form inverse of the n x n Hermitian block H
+(inverse_metric), not a 2n x 2n LAPACK inverse. The results are exact up to
+round-off (|Ric + 3/2 g| ~ 4e-15 on the C^2 ball). The finite-difference
+engine (complex-step gradients and Richardson central differences) is the
+independent oracle for these kernels and lives in the tests
+(tests/fd_oracle.py); at its default step it accepts exactly the points the
+kernels accept.
 """
 
 from dataclasses import dataclass
@@ -150,6 +155,21 @@ class AmbientChart:
         omega = np.swapaxes(self.J, 0, 1) @ g
         return g, omega
 
+    def inverse_metric(self, g):
+        """Inverses of metric matrices of this chart, shape (..., 2n, 2n).
+
+        The kernels' metrics are g = 2 [[S, T], [-T, S]], the real form of
+        t(v, w) = 2 Re(v^T H conj(w)) with H = S + iT Hermitian
+        (_assemble_symmetric); g^-1 is the real form of H^-1 / 4, with H^-1
+        in closed form (complex_inverse). On a flat chart g is I and this
+        is the read-only identity view.
+        """
+        if self.is_flat:
+            return np.broadcast_to(np.eye(self.dim), g.shape)
+        n = self.n
+        h = (g[..., :n, :n] + 1j * g[..., :n, n:]) * 0.5
+        return _assemble_symmetric(complex_inverse(h) * 0.25)
+
     def christoffel_many(self, pts):
         """Levi-Civita symbols Gamma^c_{ab} from the exact first derivatives of g."""
         pts = np.asarray(pts, dtype=float)
@@ -163,7 +183,7 @@ class AmbientChart:
         """Gamma from [g, d_1 g, .., d_d g] on axis -3, after g's positivity check."""
         g0, dgs = g_dg[..., 0, :, :], g_dg[..., 1:, :, :]
         _require_positive_definite(g0, self.name)
-        ginv = np.linalg.inv(g0)
+        ginv = self.inverse_metric(g0)
         m = (np.einsum("...adb->...dab", dgs)
              + np.einsum("...bda->...dab", dgs)
              - dgs)
@@ -354,6 +374,15 @@ def _assemble_symmetric(H):
     out[..., :n, n:] = 2.0 * T
     out[..., n:, :n] = -2.0 * T
     return out
+
+
+def complex_inverse(m):
+    """Inverses of n x n matrices, n <= 2, shape (..., n, n), in closed form."""
+    if m.shape[-1] == 1:
+        return 1.0 / m
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    adj = np.stack([np.stack([d, -b], axis=-1), np.stack([-c, a], axis=-1)], axis=-2)
+    return adj / (a * d - b * c)[..., None, None]
 
 
 def _require_positive_definite(g, name):

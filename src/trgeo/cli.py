@@ -74,6 +74,14 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+def _cell(v):
+    """One CSV cell: floats as _fmt, quoted when it holds a comma, quote or LF."""
+    s = _fmt(v) if isinstance(v, float) else str(v)
+    if any(c in s for c in ",\"\n"):
+        s = '"' + s.replace('"', '""') + '"'
+    return s
+
+
 def write_csv(path, header, rows):
     """RFC-4180 CSV with LF endings and 17-significant-digit floats.
 
@@ -82,15 +90,6 @@ def write_csv(path, header, rows):
     format(x, '.17g'), '%d' % k as str(k)); other rows are written cell by
     cell, with quoting.
     """
-    def cell(v):
-        if isinstance(v, float):
-            s = _fmt(v)
-        else:
-            s = str(v)
-        if any(c in s for c in ",\"\n"):
-            s = '"' + s.replace('"', '""') + '"'
-        return s
-
     def column_format(column):
         kinds = set(map(type, column))
         if kinds <= {float, np.float64}:
@@ -102,9 +101,9 @@ def write_csv(path, header, rows):
     if len(set(map(len, rows))) == 1:
         formats = [column_format(c) for c in zip(*rows)]
     with open(path, "w", newline="") as f:
-        f.write(",".join(cell(h) for h in header) + "\n")
+        f.write(",".join(map(_cell, header)) + "\n")
         if None in formats:
-            f.write("".join(",".join(cell(v) for v in r) + "\n" for r in rows))
+            f.write("".join(",".join(map(_cell, r)) + "\n" for r in rows))
         else:
             row = ",".join(formats) + "\n"
             f.write("".join(row % r for r in rows))
@@ -279,7 +278,8 @@ _FAMILY = _Variants("kind", _F("string"), {
 _NO_PARAMS = {"params": _F({}, {})}
 
 
-def _immersion(s):
+def _geometry(s):
+    """The validated Geometry of the scenario's immersion."""
     chart = ambient.chart_from_descriptor(s["chart"])
     d = s["immersion"]
     grid = imm.GridTorus((d["grid"],) * chart.n)
@@ -380,19 +380,27 @@ def _op_curve_secondvar(s, out_dir, raw):
 
 
 def _write_grid_csv(path, sizes, columns):
-    """One row per grid node in C order: its indices i0.., then each column's value."""
-    write_csv(path, [f"i{k}" for k in range(len(sizes))] + list(columns),
-              zip(*np.indices(sizes).reshape(len(sizes), -1).tolist(),
-                  *(a.ravel().tolist() for a in columns.values())))
+    """One row per grid node in C order: its indices i0.., then each column's value.
+
+    The bytes are write_csv's for these rows; the indices are ints and the
+    values floats, so one row format serves every row.
+    """
+    row = ",".join(["%d"] * len(sizes) + ["%.17g"] * len(columns)) + "\n"
+    rows = zip(*np.indices(sizes).reshape(len(sizes), -1).tolist(),
+               *(a.ravel().tolist() for a in columns.values()))
+    with open(path, "w", newline="") as f:
+        f.write(",".join(map(_cell, [f"i{k}" for k in range(len(sizes))] + list(columns)))
+                + "\n")
+        f.write("".join(row % r for r in rows))
 
 
 def _op_jvol_compute(s, out_dir, raw):
-    im = _immersion(s)
-    geo = imm.frames(im)
+    geo = _geometry(s)
     vols = geo.volumes()
     path = os.path.join(out_dir, "density.csv")
-    _write_grid_csv(path, im.grid.sizes, {"rho": geo.rho, "volg_density": geo.induced_vol,
-                                          "volj_density": geo.volj_density})
+    _write_grid_csv(path, geo.im.grid.sizes, {"rho": geo.rho,
+                                              "volg_density": geo.induced_vol,
+                                              "volj_density": geo.volj_density})
     return {"vol_j": vols["vol_j"], "vol_g": vols["vol_g"],
             "min_rho": float(np.min(geo.rho)), "max_rho": float(np.max(geo.rho)),
             "lagrangian_defect": geo.lagrangian_defect,
@@ -400,18 +408,18 @@ def _op_jvol_compute(s, out_dir, raw):
 
 
 def _op_jvol_hj(s, out_dir, raw):
-    im = _immersion(s)
-    field = imm.frames(im).h_j
+    geo = _geometry(s)
+    field = geo.h_j
     mags = np.sqrt(np.sum(field.values ** 2, axis=-1))
     path = os.path.join(out_dir, "hj_magnitude.csv")
-    _write_grid_csv(path, im.grid.sizes, {"|H_J|": mags})
+    _write_grid_csv(path, geo.im.grid.sizes, {"|H_J|": mags})
     return {"max_magnitude": float(np.max(mags)),
             "min_magnitude": float(np.min(mags)),
             "tangential_leak": field.max_tangential_leak}, [path]
 
 
 def _op_flow_run(s, out_dir, raw):
-    im = _immersion(s)
+    im = _geometry(s).im
     X = _field(s["field"], im.grid)
     p = s["params"]
     if p["scheme"] == "spectral":
@@ -445,29 +453,29 @@ def _op_flow_bvp(s, out_dir, raw):
 
 
 def _op_flow_uniqueness(s, out_dir, raw):
-    im = _immersion(s)
+    im = _geometry(s).im
     gap = geodesic_flow.uniqueness_compare(im, _field(s["field"], im.grid),
                                            s["params"]["t_final"])
     return {"sup_gap": gap}, []
 
 
 def _op_variation_first(s, out_dir, raw):
-    im = _immersion(s)
-    rep = vh.check_first_variation(im, _field(s["field"], im.grid),
+    geo = _geometry(s)
+    rep = vh.check_first_variation(geo, _field(s["field"], geo.im.grid),
                                    context=s.get("name", "first"))
     return {"report": rep.to_dict()}, [_write_reports_csv(out_dir, [rep.to_dict()])]
 
 
 def _op_variation_second(s, out_dir, raw):
-    im = _immersion(s)
-    rep = vh.check_second_variation_kahler(im, _field(s["field"], im.grid),
+    geo = _geometry(s)
+    rep = vh.check_second_variation_kahler(geo, _field(s["field"], geo.im.grid),
                                            context=s.get("name", "second"))
     return {"report": rep.to_dict()}, [_write_reports_csv(out_dir, [rep.to_dict()])]
 
 
 def _op_variation_density(s, out_dir, raw):
-    im = _immersion(s)
-    r1, r2, integral2 = vh.check_density_divergence(im, _field(s["field"], im.grid))
+    geo = _geometry(s)
+    r1, r2, integral2 = vh.check_density_divergence(geo, _field(s["field"], geo.im.grid))
     path = _write_reports_csv(out_dir, [r1.to_dict(), r2.to_dict()])
     return {"first": r1.to_dict(), "second": r2.to_dict(),
             "second_integral": integral2}, [path]
@@ -583,7 +591,13 @@ def _run(scn, path, out_dir, threads):
     }
     results_path = os.path.join(out_dir, "results.json")
     try:
-        results, files = handler(s, out_dir, scn)
+        # overflow, invalid and divide raise, so none prints a warning and
+        # the first names its stage; underflow is no failure
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            try:
+                results, files = handler(s, out_dir, scn)
+            except FloatingPointError as e:
+                raise NotFinite(f"{op} failed in {_stage(e)}: {e}") from None
         nan = _nan_path(results, "results")
         if nan is not None:
             # a refused result leaves none of its files behind
@@ -615,6 +629,18 @@ def _run(scn, path, out_dir, threads):
     manifest["out_files"] = _out_names(out_dir, [results_path] + list(files))
     _json_dump(manifest, os.path.join(out_dir, "manifest.json"))
     return 0
+
+
+def _stage(error):
+    """module.function of the innermost trgeo frame in error's traceback."""
+    stage = "?"
+    tb = error.__traceback__
+    while tb is not None:
+        module = tb.tb_frame.f_globals.get("__name__", "")
+        if module.startswith("trgeo."):
+            stage = f"{module[len('trgeo.'):]}.{tb.tb_frame.f_code.co_name}"
+        tb = tb.tb_next
+    return stage
 
 
 def _out_names(out_dir, paths):

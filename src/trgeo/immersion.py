@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import _spectral
-from .ambient import AmbientChart
+from .ambient import AmbientChart, complex_inverse
 from .errors import (BadArgument, DegenerateFrame, MetricNotPositiveDefinite,
                      NotImmersed, NotTotallyReal, PointOutsideDomain, ValidationError)
 
@@ -243,15 +243,18 @@ class Geometry:
 
     @cached_property
     def pi_l(self):
-        """Projection onto TL along J TL (the splitting T M = TL + J TL)."""
-        n, d = self.im.n, self.im.chart.dim
-        J = self.im.chart.J
-        cols = [self.frame[i] for i in range(n)]
-        cols += [np.einsum("ij,...j->...i", J, self.frame[i]) for i in range(n)]
-        B = np.stack(cols, axis=-1)
-        sel = np.zeros((d, d))
-        sel[:n, :n] = np.eye(n)
-        return B @ sel @ np.linalg.inv(B)
+        """Projection onto TL along J TL (the splitting T M = TL + J TL).
+
+        In complex form, v = (x, y) is w = x + iy and Je_i is i e_i. With W
+        the complex n x n matrix whose columns are the frame vectors e_i,
+        v = sum_i Re(c_i) e_i + Im(c_i) Je_i for c = W^-1 w, so
+        pi_L v = sum_i Re((W^-1 w)_i) e_i: as a matrix, E [Re W^-1, -Im W^-1]
+        with E = [e_1 .. e_n] and W^-1 in closed form.
+        """
+        n = self.im.n
+        E = np.stack(list(self.frame), axis=-1)
+        w_inv = complex_inverse(E[..., :n, :] + 1j * E[..., n:, :])
+        return E @ np.concatenate([w_inv.real, -w_inv.imag], axis=-1)
 
     @cached_property
     def pi_t(self):
@@ -306,7 +309,7 @@ class Geometry:
         im = self.im
         J = im.chart.J
         g = self.g_ambient
-        pi_l_t = np.linalg.inv(g) @ np.swapaxes(self.pi_l, -1, -2) @ g
+        pi_l_t = im.chart.inverse_metric(g) @ np.swapaxes(self.pi_l, -1, -2) @ g
         gamma = None if im.chart.is_flat else im.chart.christoffel_many(im.positions())
 
         def covariant_along(i, values):
@@ -597,9 +600,10 @@ FORMULAS = {
 def build_immersion(grid, chart, formula, **params):
     """Sample one of the built-in parametric families and validate it.
 
-    FORMULAS names each formula's arguments and their defaults; an argument
-    it does not name raises ValidationError, and so does a missing one
-    without a default. straight_torus lives on the flat quotient chart.
+    Returns the validated Geometry (is_totally_real); the immersion is its
+    im. FORMULAS names each formula's arguments and their defaults; an
+    argument it does not name raises ValidationError, and so does a missing
+    one without a default. straight_torus lives on the flat quotient chart.
     """
     if formula not in FORMULAS:
         raise ValidationError(f"unknown immersion formula {formula!r}")
@@ -641,9 +645,7 @@ def build_immersion(grid, chart, formula, **params):
         winding = np.asarray(args["winding"], dtype=float)
         pts = np.zeros(grid.sizes + (4,))
         pts += np.asarray(args["offset"])
-    im = Immersion(grid=grid, chart=chart, points=pts, winding=winding)
-    is_totally_real(im)
-    return im
+    return is_totally_real(Immersion(grid=grid, chart=chart, points=pts, winding=winding))
 
 
 def _synthesize_coeffs(coeffs, size):

@@ -90,9 +90,10 @@ def fd_first_variation(im, Z):
     return _spectral.richardson(diffs.__getitem__, FD_EPS[1]), order
 
 
-def check_first_variation(im, Y, context=""):
-    """Analytic -int g(JY, H_J) vol_J against the FD derivative of Vol_J."""
-    geo = frames(im)
+def check_first_variation(geo, Y, context=""):
+    """Analytic -int g(JY, H_J) vol_J against the FD derivative of Vol_J,
+    for the Geometry geo of an immersion."""
+    im = geo.im
     jy = np.einsum("ij,...j->...i", im.chart.J, geo.pushforward(Y))
     integrand = np.einsum("...i,...ij,...j->...", jy, geo.g_ambient, geo.h_j.values)
     analytic = -_spectral.periodic_total(integrand * geo.volj_density,
@@ -101,19 +102,21 @@ def check_first_variation(im, Y, context=""):
     return _make_report(analytic, fd, order, context or "first variation")
 
 
-def validate_hj_sign(im):
+def validate_hj_sign(geo):
     """Check the H_J sign convention against the FD oracle for random fields.
 
-    Five low-mode fields (seed 7) must each meet the first-variation identity
-    to 1e-3 of 1 + |analytic|. Raises SignConventionMismatch if it holds with
-    the opposite sign; raises NotTotallyReal etc. if the immersion is invalid.
+    Five low-mode fields (seed 7) on the immersion of the Geometry geo must
+    each meet the first-variation identity to 1e-3 of 1 + |analytic|. Raises
+    SignConventionMismatch if it holds with the opposite sign; raises
+    NotTotallyReal etc. if a deformed immersion is invalid.
     """
+    im = geo.im
     rng = np.random.default_rng(7)
     for k in range(5):
         comps = np.stack([_spectral.low_mode_field(rng, im.grid.sizes)
                           for _ in range(im.n)])
         Y = VectorFieldOnL(grid=im.grid, components=comps)
-        rep = check_first_variation(im, Y, context=f"sign check {k}")
+        rep = check_first_variation(geo, Y, context=f"sign check {k}")
         scale = 1.0 + abs(rep.analytic)
         if rep.abs_err > 1e-3 * scale:
             flipped = abs(-rep.analytic - rep.fd)
@@ -130,14 +133,15 @@ def validate_hj_sign(im):
 
 # --- tangential density checks ---------------------------------------------------
 
-def check_density_divergence(im, X):
-    """Pointwise first/second t-derivatives of vol_J under the tangential flow.
+def check_density_divergence(geo, X):
+    """Pointwise first/second t-derivatives of vol_J under the tangential flow
+    of the immersion of the Geometry geo.
 
     Compares against Div(rho_J X) vol_g and Div(X Div(rho_J X)) vol_g and
     returns a pair of reports whose analytic/fd slots carry the max-norm node
     values; rel_err is the worst pointwise relative error.
     """
-    geo = frames(im)
+    im = geo.im
     rho_x = geo.rho[None, ...] * X.components
     div1 = geo.divergence(rho_x)
     first_exact = div1 * geo.induced_vol
@@ -168,9 +172,10 @@ def check_density_divergence(im, X):
 
 # --- geodesic second variation -----------------------------------------------------
 
-def second_variation_integrand(im, Y):
-    """(Div(rho_J Y)/rho_J)^2 + g(JY, H_J)^2 - Ric(Y, Y) per node, and the Geometry."""
-    geo = frames(im)
+def second_variation_integrand(geo, Y):
+    """(Div(rho_J Y)/rho_J)^2 + g(JY, H_J)^2 - Ric(Y, Y) per node of the
+    Geometry geo."""
+    im = geo.im
     rho_y = geo.rho[None, ...] * Y.components
     div_term = geo.divergence(rho_y) / geo.rho
     y_amb = geo.pushforward(Y)
@@ -181,29 +186,29 @@ def second_variation_integrand(im, Y):
     else:
         ric = im.chart.ricci_many(im.positions())
         ric_term = np.einsum("...i,...ij,...j->...", y_amb, ric, y_amb)
-    return div_term ** 2 + hj_term ** 2 - ric_term, geo
+    return div_term ** 2 + hj_term ** 2 - ric_term
 
 
-def check_second_variation_kahler(im, Y, context=""):
+def check_second_variation_kahler(geo, Y, context=""):
     """Second derivative of Vol_J along the geodesic family vs the integrand.
 
     fd side: 5-point fourth-order second difference of Vol_J over the family
     at times {0, +-tau, +-2tau}, tau = SECOND_TAU.
     """
     tau = SECOND_TAU
-    integrand, geo = second_variation_integrand(im, Y)
-    analytic = _spectral.periodic_total(integrand * geo.volj_density,
-                                        im.grid.cell)
+    analytic = _spectral.periodic_total(
+        second_variation_integrand(geo, Y) * geo.volj_density, geo.im.grid.cell)
     ts = [-2.0 * tau, -tau, 0.0, tau, 2.0 * tau]
-    fam = geodesic_family(im, Y, ts)
+    fam = geodesic_family(geo.im, Y, ts)
     vols = [is_totally_real(f).volumes()["vol_j"] for f in fam]
     fd = (-vols[0] + 16.0 * vols[1] - 30.0 * vols[2]
           + 16.0 * vols[3] - vols[4]) / (12.0 * tau ** 2)
     return _make_report(analytic, fd, None, context or "second variation")
 
 
-def mixed_density_second_variation(im, W, Z):
-    """Mixed d^2/ds dt of the J-density for the linear family iota + sW + tZ.
+def mixed_density_second_variation(geo, W, Z):
+    """Mixed d^2/ds dt of the J-density for the linear family iota + sW + tZ
+    about the immersion of the Geometry geo.
 
     W, Z are ambient-vector grid fields along L (flat chart, torsion-free,
     curvature-free case). Returns (analytic array, fd array): the analytic
@@ -215,9 +220,9 @@ def mixed_density_second_variation(im, W, Z):
 
     times the J-density, with D_i the ambient derivative along e_i.
     """
+    im = geo.im
     if not im.chart.is_flat:
         raise ValidationError("mixed check is exercised on flat charts only")
-    geo = frames(im)
     pi_l = geo.pi_l
     J = im.chart.J
     n = im.n
@@ -298,22 +303,22 @@ def convexity_experiment(family, t_grid):
     gsz = int(f["grid"])
     if kind == "flat_circle":
         chart = amb.flat_chart(1)
-        im = build_immersion(GridTorus((gsz,)), chart, "circle", r=f["r0"])
+        im = build_immersion(GridTorus((gsz,)), chart, "circle", r=f["r0"]).im
         Y = coordinate_field(im.grid, 0)
     elif kind == "flat_torus":
         chart = amb.flat_chart(2)
         im = build_immersion(GridTorus((gsz, gsz)), chart, "product_torus",
-                             r1=f["r1"], r2=f["r2"])
+                             r1=f["r1"], r2=f["r2"]).im
         Y = coordinate_field(im.grid, int(f["axis"]))
     elif kind == "poincare_circle":
         chart = amb.poincare_disk()
         im = build_immersion(GridTorus((gsz,)), chart, "circle",
-                             r=f["r0"] * math.exp(-float(t_grid[0])))
+                             r=f["r0"] * math.exp(-float(t_grid[0]))).im
         Y = coordinate_field(im.grid, 0)
         t_grid = t_grid - t_grid[0]
     else:
         chart = amb.flat_quotient_chart(2)
-        im = build_immersion(GridTorus((gsz, gsz)), chart, "straight_torus")
+        im = build_immersion(GridTorus((gsz, gsz)), chart, "straight_torus").im
         theta = im.grid.thetas(0)
         comp = np.zeros((2, gsz, gsz))
         comp[0] = (1.0 + f["amplitude"] * np.cos(theta))[:, None]

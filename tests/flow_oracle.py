@@ -32,7 +32,7 @@ from trgeo.immersion import GridTorus, Immersion, build_immersion, is_totally_re
 def perturbed_torus():
     return build_immersion(GridTorus((32, 32)), ambient.flat_chart(2),
                            "graph_perturbed_torus", r1=1.0, r2=1.0,
-                           amplitude=0.3, mode=(1, 1))
+                           amplitude=0.3, mode=(1, 1)).im
 
 
 def wound_torus():
@@ -40,7 +40,7 @@ def wound_torus():
     qc = ambient.flat_quotient_chart(2)
     winding = [[1.0, 0.3], [0.0, 1.0], [0.2, 0.0], [0.0, 0.5]]
     st = build_immersion(GridTorus((32, 32)), qc, "straight_torus",
-                         winding=winding, offset=[0.1, 0.2, 0.3, 0.4])
+                         winding=winding, offset=[0.1, 0.2, 0.3, 0.4]).im
     t1, t2 = st.grid.mesh()
     bump = np.stack([0.1 * np.sin(t1 + t2), 0.05 * np.cos(t2), 0.1 * np.cos(t1),
                      0.05 * np.sin(2.0 * t1 - t2)], axis=-1)

@@ -70,12 +70,12 @@ def test_criterion_2_volume_comparison():
         r2 = float(rng.uniform(0.7, 1.3))
         gp = imm.build_immersion(grid, chart, "graph_perturbed_torus",
                                  r1=r1, r2=r2, amplitude=amp, mode=mode)
-        vols = imm.is_totally_real(gp).volumes()
+        vols = gp.volumes()
         ok = ok and vols["vol_j"] < vols["vol_g"]
     worst_rel = 0.0
     for r1, r2 in ((1.0, 2.0), (0.8, 1.3)):
         pt = imm.build_immersion(grid, chart, "product_torus", r1=r1, r2=r2)
-        vols = imm.is_totally_real(pt).volumes()
+        vols = pt.volumes()
         expect = 4.0 * np.pi ** 2 * r1 * r2
         worst_rel = max(worst_rel, abs(vols["vol_j"] - expect) / expect,
                         abs(vols["vol_j"] - vols["vol_g"]) / expect)
@@ -93,22 +93,22 @@ def test_criterion_3_first_variation():
     reports = []
     circle = imm.build_immersion(imm.GridTorus((64,)), ambient.flat_chart(1),
                                  "circle", r=1.0)
-    theta = circle.grid.thetas(0)
+    theta = circle.im.grid.thetas(0)
     reports.append(vh.check_first_variation(
-        circle, imm.coordinate_field(circle.grid, 0), context="circle"))
+        circle, imm.coordinate_field(circle.im.grid, 0), context="circle"))
     reports.append(vh.check_first_variation(
         circle,
-        imm.VectorFieldOnL(grid=circle.grid,
+        imm.VectorFieldOnL(grid=circle.im.grid,
                            components=(1.0 + 0.3 * np.cos(theta))[None, :]),
         context="circle modulated"))
     torus = imm.build_immersion(imm.GridTorus((32, 32)), ambient.flat_chart(2),
                                 "product_torus", r1=1.0, r2=2.0)
     reports.append(vh.check_first_variation(
-        torus, imm.coordinate_field(torus.grid, 0), context="torus"))
+        torus, imm.coordinate_field(torus.im.grid, 0), context="torus"))
     hc = imm.build_immersion(imm.GridTorus((64,)), ambient.poincare_disk(),
                              "circle", r=0.5)
     reports.append(vh.check_first_variation(
-        hc, imm.coordinate_field(hc.grid, 0), context="poincare"))
+        hc, imm.coordinate_field(hc.im.grid, 0), context="poincare"))
     rel_ok = all(r.rel_err <= 1e-4 for r in reports)
     orders = [r.richardson_order for r in reports if r.richardson_order is not None]
     order_ok = len(orders) >= 2 and all(o >= 1.8 for o in orders)
@@ -126,13 +126,13 @@ def test_criterion_4_second_variation():
     circle = imm.build_immersion(imm.GridTorus((64,)), ambient.flat_chart(1),
                                  "circle", r=1.0)
     rc = vh.check_second_variation_kahler(
-        circle, imm.coordinate_field(circle.grid, 0), context="flat circle")
+        circle, imm.coordinate_field(circle.im.grid, 0), context="flat circle")
     flat_ok = (abs(rc.analytic - 2.0 * np.pi) <= 1e-3 * 2.0 * np.pi
                and rc.rel_err <= 1e-3)
     hc = imm.build_immersion(imm.GridTorus((64,)), ambient.poincare_disk(),
                              "circle", r=math.exp(-1.0))
     rp = vh.check_second_variation_kahler(
-        hc, imm.coordinate_field(hc.grid, 0), context="poincare circle")
+        hc, imm.coordinate_field(hc.im.grid, 0), context="poincare circle")
     csch = 1.0 / math.sinh(1.0)
     coth = math.cosh(1.0) / math.sinh(1.0)
     closed = 2.0 * np.pi * csch * (csch ** 2 + coth ** 2)
@@ -261,15 +261,15 @@ def test_criterion_9_uniqueness_and_guard():
     t0 = time.time()
     worst = 0.0
     circle = imm.build_immersion(imm.GridTorus((64,)), ambient.flat_chart(1),
-                                 "circle", r=1.0)
+                                 "circle", r=1.0).im
     worst = max(worst, gf.uniqueness_compare(
         circle, imm.coordinate_field(circle.grid, 0), 0.1))
     ell = imm.build_immersion(imm.GridTorus((64,)), ambient.flat_chart(1),
-                              "ellipse", a=2.0, b=1.0)
+                              "ellipse", a=2.0, b=1.0).im
     worst = max(worst, gf.uniqueness_compare(
         ell, imm.coordinate_field(ell.grid, 0), 0.1))
     torus = imm.build_immersion(imm.GridTorus((32, 32)), ambient.flat_chart(2),
-                                "product_torus", r1=1.0, r2=2.0)
+                                "product_torus", r1=1.0, r2=2.0).im
     worst = max(worst, gf.uniqueness_compare(
         torus, imm.coordinate_field(torus.grid, 0), 0.1))
     agree_ok = worst <= 1e-5

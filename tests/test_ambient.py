@@ -340,3 +340,38 @@ def test_verify_keeps_the_kernels_error_order():
         ambient.verify_kahler_einstein(qc, pts)
     assert str(got.value) == str(ref.value)
     assert "not positive definite" in str(got.value)
+
+
+def _ball_points(rng, count, dim, radius):
+    """count points of the open ball of the given radius, radii spread out."""
+    p = rng.standard_normal((count, dim))
+    return p / np.linalg.norm(p, axis=1, keepdims=True) * radius * rng.uniform(
+        0.0, 1.0, size=(count, 1)) ** (1.0 / dim)
+
+
+@pytest.mark.parametrize("chart", [ambient.poincare_disk(), ambient.complex_hyperbolic_ball()],
+                         ids=["disk", "ball"])
+def test_inverse_metric_matches_lapack(chart):
+    # the closed form through the Hermitian block H, over the whole domain
+    # the metric accepts; toward its edge g grows ill-conditioned (cond g
+    # about 1 / (1 - |p|^2) on the ball) and LAPACK's inverse with it, so
+    # the bound scales with cond g, which is below 1.6 for |p| <= 0.6
+    pts = _ball_points(np.random.default_rng(13), 2048, chart.dim, 1.0 - 2.0 * 1e-4)
+    g, _ = chart.metric_many(pts)
+    got = chart.inverse_metric(g)
+    ref = np.linalg.inv(g)
+    err = np.max(np.abs(got - ref), axis=(-2, -1)) / np.max(np.abs(ref), axis=(-2, -1))
+    assert np.all(err <= 1e-15 * np.linalg.cond(g))
+    inner = np.linalg.norm(pts, axis=-1) <= 0.6
+    assert np.max(err[inner]) <= 1e-15
+
+
+@pytest.mark.parametrize("chart", [ambient.flat_chart(1), ambient.flat_chart(2),
+                                   ambient.flat_quotient_chart(2)],
+                         ids=["c1", "c2", "quotient"])
+def test_inverse_metric_of_a_flat_chart_is_the_identity_view(chart):
+    pts = np.random.default_rng(2).uniform(-1.0, 1.0, size=(5, 3, chart.dim))
+    g, _ = chart.metric_many(pts)
+    inv = chart.inverse_metric(g)
+    assert inv.shape == g.shape and not inv.flags.writeable
+    assert np.array_equal(inv, np.broadcast_to(np.eye(chart.dim), g.shape))

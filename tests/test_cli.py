@@ -233,13 +233,14 @@ def test_bvp_scenario(tmp_path):
     assert res["converged"]
 
 
-# The inputs below overflow on their way to a NaN, which the CLI must catch;
-# the overflow warnings on that way are expected, so they are not errors here.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# The inputs below overflow on their way to a NaN. Each operation runs with
+# overflow, invalid and divide raising, so the first of them stops the run
+# with a NotFinite naming its stage, and no warning reaches stderr.
 def test_bvp_with_a_huge_coefficient_exits_3(tmp_path):
-    # a_1 = 1e300 of the Joukowski outer curve overflows the enclosed area, so
-    # the initial residual is not finite; the least-squares solver would fail
-    # with a LinAlgError traceback
+    # a_1 = 1e300 of the Joukowski outer curve overflows the enclosed area;
+    # without the floating-point policy the initial residual came out not
+    # finite, and before that the least-squares solver failed with a
+    # LinAlgError traceback
     example = Path(__file__).resolve().parent.parent / "scenarios" / "bvp_joukowski.json"
     payload = json.loads(example.read_text())
     payload["params"]["outer"]["terms"]["1"] = [1e300, 0]
@@ -249,39 +250,58 @@ def test_bvp_with_a_huge_coefficient_exits_3(tmp_path):
     rec = json.loads((out / "results.json").read_text())
     assert rec["status"] == "numerical_failure"
     assert rec["error_type"] == "NotFinite"
-    assert "Gauss-Newton step is not finite" in rec["message"]
+    assert rec["message"].startswith(
+        "flow.bvp failed in curve_lab.signed_area: overflow encountered")
 
 
 _ELLIPSE_N64 = {"terms": {"1": [1.0, 0.0], "-1": [0.3, 0.0]}, "N": 64}
 
 
-@pytest.mark.parametrize("payload,where", [
+@pytest.mark.parametrize("payload,stage", [
     ({"operation": "curve.secondvar", "curve": _ELLIPSE_N64,
-      "params": {"fields": [{"base": 1e300}]}}, "results.reports[0].fd"),
+      "params": {"fields": [{"base": 1e300}]}}, "curve_lab.second_variation_length"),
     ({"operation": "variation.density", "chart": {"name": "flat_c2"},
       "immersion": {"formula": "graph_perturbed_torus", "grid": 16,
                     "args": {"r1": 1.0, "r2": 1.0, "amplitude": 0.3, "mode": [1, 1]}},
       "field": {"kind": "cosine_axis", "axis": 1, "base": 1.0, "amplitude": 1e300}},
-     "results.second.analytic"),
-    # a_2 r^2 overflows at r = 1e300, so the samples hold NaN
+     "variation_harness.check_density_divergence"),
+    # a_2 r^2 overflows at r = 1e300
     ({"operation": "curve.length",
       "curve": {"terms": {"1": [1.0, 0.0], "2": [0.1, 0.0]}, "N": 64},
-      "params": {"radii": [0.5, 1.0, 1e300]}}, "results.lambda[2]"),
+      "params": {"radii": [0.5, 1.0, 1e300]}}, "curve_lab.synthesize"),
 ])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_nan_result_exits_3_naming_its_path(tmp_path, payload, where):
-    # each of these wrote "nan" into results.json with status ok and exit 0
+def test_overflow_exits_3_naming_its_stage(tmp_path, payload, stage):
+    # each of these once wrote "nan" into results.json with status ok and
+    # exit 0, and then exited 3 naming the NaN's path after printing warnings
     scn = write_scenario(tmp_path / "s.json", {"version": 1, "name": "huge", **payload})
     out = tmp_path / "out"
     assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 3
-    # the refused result's own files are gone
+    # the refused result leaves no files of its own
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "results.json"]
     raw = (out / "results.json").read_text()
     assert '"nan"' not in raw
     rec = json.loads(raw)
     assert rec["status"] == "numerical_failure"
     assert rec["error_type"] == "NotFinite"
-    assert rec["message"] == f"{payload['operation']} computed NaN at {where}"
+    assert rec["message"].startswith(
+        f"{payload['operation']} failed in {stage}: overflow encountered")
+
+
+def test_nan_result_exits_3_naming_its_path(tmp_path):
+    # a NaN read from a coefficient file raises no floating-point exception
+    # on its way through; the result check refuses it and names its path
+    coeffs = tmp_path / "nan.json"
+    coeffs.write_text("[[1, NaN, 0.0], [-1, 0.3, 0.0]]")
+    scn = write_scenario(tmp_path / "s.json", {
+        "version": 1, "name": "nan", "operation": "curve.analyze",
+        "curve": {"coeff_file": str(coeffs)}, "params": {}})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 3
+    # the refused result's own files are gone
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "results.json"]
+    rec = json.loads((out / "results.json").read_text())
+    assert rec["error_type"] == "NotFinite"
+    assert rec["message"] == "curve.analyze computed NaN at results.signed_area"
 
 
 def test_unit_circle_length_at_a_huge_radius_is_finite(tmp_path):
@@ -382,6 +402,22 @@ def test_csv_bytes_literal(tmp_path):
     assert path.read_bytes() == (b'i0,"a ""b""","c,d"\n'
                                  b"0,0.10000000000000001,-0\n"
                                  b"12,1e-300,2.5\n")
+
+
+@pytest.mark.parametrize("sizes", [(3, 5), (7,)])
+def test_grid_csv_is_write_csv_of_its_rows(tmp_path, sizes):
+    # the grid writer formats its rows with one row format; its bytes are
+    # those of the generic writer, extreme values and a quoted header included
+    rng = np.random.default_rng(8)
+    count = int(np.prod(sizes))
+    vals = rng.normal(size=(2, count)) * 10.0 ** rng.integers(-300, 300, size=(2, count))
+    vals[0, 0], vals[1, 1], vals[0, 2] = -0.0, 1.0 / 3.0, 5e-324
+    columns = {"rho": vals[0].reshape(sizes), '|H_J|,"max"': vals[1].reshape(sizes)}
+    cli._write_grid_csv(tmp_path / "grid.csv", sizes, columns)
+    header = [f"i{k}" for k in range(len(sizes))] + list(columns)
+    rows = list(zip(*np.indices(sizes).reshape(len(sizes), -1).tolist(), *vals.tolist()))
+    cli.write_csv(tmp_path / "generic.csv", header, rows)
+    assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "generic.csv").read_bytes()
 
 
 def test_ambient_verify_scenario(tmp_path):

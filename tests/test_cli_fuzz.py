@@ -9,8 +9,9 @@ legal, since a polynomial curve's outer radius is infinite. The values are
 small apart from HUGE, a float, which every integer field (grid, N, mode)
 rejects, so no mutation can ask for a large grid or N; a timestep t_final
 of HUGE asks for more RK4 steps than the stepper takes and exits 2. HUGE
-may overflow on its way to a result: its RuntimeWarnings are expected, and
-only what reaches results.json counts. Between them the bases hold every
+may overflow on its way to a result; the CLI then exits 3 naming the
+stage, and every mutation runs under the suite's RuntimeWarning error
+filter, so a warning is a failure too. Between them the bases hold every
 field of the CLI schema, which a second test checks.
 """
 
@@ -18,7 +19,6 @@ import copy
 import glob
 import json
 import os
-import warnings
 
 import numpy as np
 import pytest
@@ -153,10 +153,7 @@ def test_single_field_mutations_keep_the_cli_contract(tmp_path):
         scn_path.write_text(json.dumps(_mutated(base, path, value)))
         out = tmp_path / f"out{k}"
         try:
-            with warnings.catch_warnings():
-                if value == HUGE:
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                code = cli.main(["run", "--scenario", str(scn_path), "--out", str(out)])
+            code = cli.main(["run", "--scenario", str(scn_path), "--out", str(out)])
         except Exception as e:  # noqa: BLE001 - any escape breaks the contract
             pytest.fail(f"{what} raised {type(e).__name__}: {e}")
         assert code in (0, 2, 3), f"{what} exited {code}"

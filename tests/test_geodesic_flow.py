@@ -18,7 +18,7 @@ from flow_oracle import flow_timestep_full_spectrum, perturbed_torus, wound_toru
 @pytest.fixture
 def circle():
     return imm.build_immersion(imm.GridTorus((64,)), ambient.flat_chart(1),
-                               "circle", r=1.0)
+                               "circle", r=1.0).im
 
 
 def curve_immersion(curve, M=1024):
@@ -38,7 +38,7 @@ def test_spectral_circle_exact(circle):
 def test_spectral_torus_componentwise():
     grid = imm.GridTorus((32, 32))
     pt = imm.build_immersion(grid, ambient.flat_chart(2), "product_torus",
-                             r1=1.0, r2=2.0)
+                             r1=1.0, r2=2.0).im
     flow = gf.flow_spectral(pt, imm.coordinate_field(grid, 0), [0.3])
     p = flow.immersions[0].points
     t1, t2 = grid.mesh()
@@ -75,7 +75,7 @@ def test_spectral_rejects_general_field(circle):
 
 def test_spectral_rejects_nonflat_chart():
     pd = ambient.poincare_disk()
-    hc = imm.build_immersion(imm.GridTorus((64,)), pd, "circle", r=0.5)
+    hc = imm.build_immersion(imm.GridTorus((64,)), pd, "circle", r=0.5).im
     with pytest.raises(UnsupportedField):
         gf.flow_spectral(hc, imm.coordinate_field(hc.grid, 0), [0.1])
 
@@ -118,11 +118,11 @@ def test_timestep_matches_spectral(circle):
 
 def test_uniqueness_ellipse_and_torus():
     ell = imm.build_immersion(imm.GridTorus((64,)), ambient.flat_chart(1),
-                              "ellipse", a=2.0, b=1.0)
+                              "ellipse", a=2.0, b=1.0).im
     assert gf.uniqueness_compare(ell, imm.coordinate_field(ell.grid, 0), 0.05) <= 1e-5
     grid = imm.GridTorus((32, 32))
     pt = imm.build_immersion(grid, ambient.flat_chart(2), "product_torus",
-                             r1=1.0, r2=2.0)
+                             r1=1.0, r2=2.0).im
     assert gf.uniqueness_compare(pt, imm.coordinate_field(grid, 0), 0.1) <= 1e-6
 
 
@@ -212,7 +212,7 @@ def cosine_axis_field(grid, axis, base=1.0, amplitude=0.3):
 def test_timestep_matches_full_spectrum_reference(case, axis):
     if case == "ellipse":
         im = imm.build_immersion(imm.GridTorus((256,)), ambient.flat_chart(1),
-                                 "ellipse", a=2.0, b=1.0)
+                                 "ellipse", a=2.0, b=1.0).im
     else:
         im = perturbed_torus() if case == "perturbed" else wound_torus()
     if axis == "both":
@@ -266,7 +266,7 @@ def criterion_9_curve_128():
     """The criterion-9 coefficients up to the last mode a 128-node grid resolves."""
     coeffs = [[1, 1.0, 0.0]] + [[-n, math.exp(-math.sqrt(n)), 0.0] for n in range(1, 64)]
     return imm.build_immersion(imm.GridTorus((128,)), ambient.flat_chart(1),
-                               "fourier_curve", coeffs=coeffs)
+                               "fourier_curve", coeffs=coeffs).im
 
 
 def test_short_grid_blow_up_matches_full_spectrum_reference():
@@ -290,7 +290,7 @@ def test_timestep_of_a_constant_torus_has_no_tail(offset, axis, monkeypatch):
     # leaves round-off there, and the monitor must not read it as a tail
     monkeypatch.setattr(gf, "TAIL_ENERGY_ABORT", 1e-12)
     st = imm.build_immersion(imm.GridTorus((32, 32)), ambient.flat_quotient_chart(2),
-                             "straight_torus", offset=offset)
+                             "straight_torus", offset=offset).im
     X = imm.coordinate_field(st.grid, axis)
     flow = gf.flow_timestep(st, X, 0.1, 1e-3)
     times, ref = flow_timestep_full_spectrum(st, X, 0.1, 1e-3)
@@ -303,7 +303,7 @@ def test_timestep_of_a_constant_torus_has_no_tail(offset, axis, monkeypatch):
 def test_timestep_differentiates_live_axes_only(axis, monkeypatch):
     grid = imm.GridTorus((32, 32))
     pt = imm.build_immersion(grid, ambient.flat_chart(2), "product_torus",
-                             r1=1.0, r2=2.0)
+                             r1=1.0, r2=2.0).im
     calls = []
     make = gf._axis_derivative
 
@@ -328,7 +328,7 @@ def test_commutator_clean_flows(circle):
 
     grid = imm.GridTorus((32, 32))
     pt = imm.build_immersion(grid, ambient.flat_chart(2), "product_torus",
-                             r1=1.0, r2=2.0)
+                             r1=1.0, r2=2.0).im
     Xt = imm.coordinate_field(grid, 0)
     flow_t = gf.flow_spectral(pt, Xt, list(np.linspace(0.0, 0.1, 11)))
     assert gf.commutator_check(flow_t, Xt) < 1e-6
@@ -498,7 +498,7 @@ def test_mode_growth_guard_skips_only_short_or_aliased_grids(circle, monkeypatch
 
 def _product_torus_32():
     return imm.build_immersion(imm.GridTorus((32, 32)), ambient.flat_chart(2),
-                               "product_torus", r1=1.0, r2=2.0)
+                               "product_torus", r1=1.0, r2=2.0).im
 
 
 def test_flow_spectral_validates_once_per_block(monkeypatch):
@@ -539,7 +539,7 @@ def _block_cases():
     yield "perturbed torus", perturbed_torus(), (0, 1)
     yield "wound torus", wound_torus(), (0, 1)
     yield "ellipse", imm.build_immersion(imm.GridTorus((64,)), ambient.flat_chart(1),
-                                         "ellipse", a=2.0, b=1.0), (0,)
+                                         "ellipse", a=2.0, b=1.0).im, (0,)
 
 
 @pytest.mark.parametrize("case", list(_block_cases()), ids=lambda c: c[0])

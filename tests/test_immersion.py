@@ -24,13 +24,13 @@ def flat2():
 
 @pytest.fixture
 def circle(flat1):
-    return imm.build_immersion(imm.GridTorus((64,)), flat1, "circle", r=1.0)
+    return imm.build_immersion(imm.GridTorus((64,)), flat1, "circle", r=1.0).im
 
 
 @pytest.fixture
 def torus12(flat2):
     return imm.build_immersion(imm.GridTorus((32, 32)), flat2, "product_torus",
-                               r1=1.0, r2=2.0)
+                               r1=1.0, r2=2.0).im
 
 
 def test_grid_validation():
@@ -55,7 +55,7 @@ def test_tangent_frame_circle(circle):
 
 
 def test_tangent_frame_ellipse(flat1):
-    ell = imm.build_immersion(imm.GridTorus((64,)), flat1, "ellipse", a=2.0, b=1.0)
+    ell = imm.build_immersion(imm.GridTorus((64,)), flat1, "ellipse", a=2.0, b=1.0).im
     fr = imm.frames(ell)
     # d/dtheta (2 cos, sin) at 0 = (0, 1)
     assert np.allclose(fr.vectors[0][0], [0.0, 1.0], atol=1e-12)
@@ -64,7 +64,7 @@ def test_tangent_frame_ellipse(flat1):
 
 def test_gram_schmidt_contract(flat2):
     t23 = imm.build_immersion(imm.GridTorus((32, 32)), flat2, "product_torus",
-                              r1=2.0, r2=3.0)
+                              r1=2.0, r2=3.0).im
     fr = imm.frames(t23)
     g = fr.g_ambient
     for i in range(2):
@@ -108,7 +108,7 @@ def test_total_volumes_product_torus(torus12):
 
 def test_total_volumes_hyperbolic_circle():
     pd = ambient.poincare_disk()
-    hc = imm.build_immersion(imm.GridTorus((64,)), pd, "circle", r=0.5)
+    hc = imm.build_immersion(imm.GridTorus((64,)), pd, "circle", r=0.5).im
     vols = imm.is_totally_real(hc).volumes()
     expect = 4.0 * np.pi * 0.5 / (1.0 - 0.25)
     assert abs(vols["vol_j"] - expect) <= 1e-8 * expect
@@ -117,7 +117,7 @@ def test_total_volumes_hyperbolic_circle():
 def test_perturbed_torus_j_volume_strictly_below(flat2):
     gp = imm.build_immersion(imm.GridTorus((32, 32)), flat2,
                              "graph_perturbed_torus", r1=1.0, r2=1.0,
-                             amplitude=0.5, mode=(1, 0))
+                             amplitude=0.5, mode=(1, 0)).im
     geo = imm.is_totally_real(gp)
     assert np.min(geo.rho) < 1.0
     vols = geo.volumes()
@@ -151,7 +151,7 @@ def test_projection_mixed_identity_on_tilted_plane(flat2):
     # direct 4-dim check of pi_L(J e1) = J pi_J(e1) on pi_{pi/4}
     gp = imm.build_immersion(imm.GridTorus((32, 32)), flat2,
                              "graph_perturbed_torus", r1=1.0, r2=1.0,
-                             amplitude=0.4, mode=(1, 1))
+                             amplitude=0.4, mode=(1, 1)).im
     pr = imm.frames(gp)
     J = flat2.J
     rng = np.random.default_rng(0)
@@ -159,6 +159,35 @@ def test_projection_mixed_identity_on_tilted_plane(flat2):
     lhs = np.einsum("...ij,jk,k->...i", pr.pi_l, J, v)
     rhs = np.einsum("ij,...jk,k->...i", J, np.eye(4) - pr.pi_l, v)
     assert np.max(np.abs(lhs - rhs)) <= 1e-10
+
+
+def _pi_l_by_real_inverse(geo):
+    """pi_L = B sel B^-1 with B = [e_1 .. e_n, Je_1 .. Je_n] and sel keeping
+    the first n coordinates: the real 2n x 2n form, by LAPACK."""
+    n, J = geo.im.n, geo.im.chart.J
+    cols = [geo.frame[i] for i in range(n)]
+    cols += [np.einsum("ij,...j->...i", J, geo.frame[i]) for i in range(n)]
+    B = np.stack(cols, axis=-1)
+    sel = np.zeros((2 * n, 2 * n))
+    sel[:n, :n] = np.eye(n)
+    return B @ sel @ np.linalg.inv(B)
+
+
+def test_pi_l_complex_form_matches_the_real_inverse(flat1, flat2):
+    grid2 = imm.GridTorus((16, 32))
+    for geo in (
+            imm.build_immersion(imm.GridTorus((64,)), flat1, "ellipse", a=2.0, b=1.0),
+            imm.build_immersion(imm.GridTorus((64,)), ambient.poincare_disk(),
+                                "circle", r=0.5),
+            imm.build_immersion(grid2, flat2, "graph_perturbed_torus", r1=1.0,
+                                r2=1.2, amplitude=0.4, mode=(1, 1)),
+            imm.build_immersion(grid2, ambient.complex_hyperbolic_ball(),
+                                "graph_perturbed_torus", r1=0.3, r2=0.35,
+                                amplitude=0.05, mode=(1, 0)),
+            imm.build_immersion(grid2, ambient.flat_quotient_chart(2), "straight_torus",
+                                winding=[[1.0, 0.0], [0.0, 0.8], [0.0, 0.6], [0.0, 0.0]])):
+        ref = _pi_l_by_real_inverse(geo)
+        assert np.max(np.abs(geo.pi_l - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_h_j_circle_inward_unit(circle):
@@ -172,7 +201,7 @@ def test_h_j_circle_inward_unit(circle):
 def test_h_j_product_torus_magnitude(flat2):
     for r1, r2 in ((1.0, 2.0), (1.0, 1.0), (0.5, 2.0)):
         pt = imm.build_immersion(imm.GridTorus((32, 32)), flat2,
-                                 "product_torus", r1=r1, r2=r2)
+                                 "product_torus", r1=r1, r2=r2).im
         field = imm.frames(pt).h_j
         mags = np.sqrt(np.sum(field.values ** 2, axis=-1))
         expect = math.sqrt(1.0 / r1 ** 2 + 1.0 / r2 ** 2)
@@ -181,7 +210,7 @@ def test_h_j_product_torus_magnitude(flat2):
 
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
 def test_h_j_circle_scaling(flat1, r):
-    im = imm.build_immersion(imm.GridTorus((64,)), flat1, "circle", r=r)
+    im = imm.build_immersion(imm.GridTorus((64,)), flat1, "circle", r=r).im
     field = imm.frames(im).h_j
     mags = np.sqrt(np.sum(field.values ** 2, axis=-1))
     assert np.max(np.abs(mags - 1.0 / r)) <= 1e-9
@@ -214,7 +243,7 @@ def test_vol_j_bounded_by_vol_g_randomized(flat2):
         amp = rng.uniform(0.05, 0.45)
         mode = (int(rng.integers(1, 4)), int(rng.integers(0, 3)))
         gp = imm.build_immersion(grid, flat2, "graph_perturbed_torus",
-                                 r1=1.0, r2=1.0, amplitude=amp, mode=mode)
+                                 r1=1.0, r2=1.0, amplitude=amp, mode=mode).im
         vols = imm.is_totally_real(gp).volumes()
         assert vols["vol_j"] <= vols["vol_g"] + 1e-10
 
@@ -247,7 +276,7 @@ def test_density_csv_export(tmp_path):
 
 def test_straight_torus_quotient_chart():
     qc = ambient.flat_quotient_chart(2)
-    st = imm.build_immersion(imm.GridTorus((32, 32)), qc, "straight_torus")
+    st = imm.build_immersion(imm.GridTorus((32, 32)), qc, "straight_torus").im
     geo = imm.is_totally_real(st)
     assert geo.volumes()["vol_j"] == pytest.approx(4.0 * np.pi ** 2, rel=1e-12)
     assert np.max(np.abs(geo.h_j.values)) <= 1e-12
@@ -264,7 +293,8 @@ def test_fourier_curve_is_the_sum_of_its_terms(flat1):
     # the criterion-9 coefficients, and a dict naming one mode twice (3 and 3.0)
     blowup = [[1, 1.0, 0.0]] + [[-n, math.exp(-math.sqrt(n)), 0.0] for n in range(1, 257)]
     for size, coeffs in ((1024, blowup), (64, {1: 1.0, 3: 0.2, -2: 0.1j, 31: 0.05})):
-        im = imm.build_immersion(imm.GridTorus((size,)), flat1, "fourier_curve", coeffs=coeffs)
+        im = imm.build_immersion(imm.GridTorus((size,)), flat1, "fourier_curve",
+                                 coeffs=coeffs).im
         theta = im.grid.thetas(0)
         pairs = coeffs.items() if isinstance(coeffs, dict) else (
             (n, complex(re, im_)) for n, re, im_ in coeffs)
@@ -292,19 +322,19 @@ def test_winding_requires_quotient_chart(flat2):
 
 def test_rho_formula_agreement_all_builtins(flat1, flat2):
     cases = [
-        imm.build_immersion(imm.GridTorus((64,)), flat1, "circle", r=1.0),
-        imm.build_immersion(imm.GridTorus((64,)), flat1, "ellipse", a=2.0, b=1.0),
+        imm.build_immersion(imm.GridTorus((64,)), flat1, "circle", r=1.0).im,
+        imm.build_immersion(imm.GridTorus((64,)), flat1, "ellipse", a=2.0, b=1.0).im,
         imm.build_immersion(imm.GridTorus((64,)), flat1, "fourier_curve",
-                            coeffs={1: 1.0, 3: 0.2}),
+                            coeffs={1: 1.0, 3: 0.2}).im,
         imm.build_immersion(imm.GridTorus((32, 32)), flat2, "product_torus",
-                            r1=1.0, r2=2.0),
+                            r1=1.0, r2=2.0).im,
         imm.build_immersion(imm.GridTorus((32, 32)), flat2,
                             "graph_perturbed_torus", r1=1.0, r2=1.0,
-                            amplitude=0.5, mode=(1, 0)),
+                            amplitude=0.5, mode=(1, 0)).im,
         imm.build_immersion(imm.GridTorus((64,)), ambient.poincare_disk(),
-                            "circle", r=0.5),
+                            "circle", r=0.5).im,
         imm.build_immersion(imm.GridTorus((32, 32)),
-                            ambient.flat_quotient_chart(2), "straight_torus"),
+                            ambient.flat_quotient_chart(2), "straight_torus").im,
     ]
     for im in cases:
         geo = imm.frames(im)
@@ -315,16 +345,16 @@ def test_rho_formula_agreement_all_builtins(flat1, flat2):
 def _density_cases(flat1, flat2):
     grid2 = imm.GridTorus((16, 32))
     return [
-        imm.build_immersion(imm.GridTorus((64,)), flat1, "ellipse", a=2.0, b=1.0),
+        imm.build_immersion(imm.GridTorus((64,)), flat1, "ellipse", a=2.0, b=1.0).im,
         imm.build_immersion(imm.GridTorus((64,)), ambient.poincare_disk(),
-                            "circle", r=0.5),
+                            "circle", r=0.5).im,
         imm.build_immersion(grid2, flat2, "graph_perturbed_torus", r1=1.0,
-                            r2=1.2, amplitude=0.4, mode=(1, 1)),
+                            r2=1.2, amplitude=0.4, mode=(1, 1)).im,
         imm.build_immersion(grid2, ambient.complex_hyperbolic_ball(),
                             "graph_perturbed_torus", r1=0.3, r2=0.35,
-                            amplitude=0.05, mode=(1, 0)),
+                            amplitude=0.05, mode=(1, 0)).im,
         imm.build_immersion(grid2, ambient.flat_quotient_chart(2), "straight_torus",
-                            winding=[[1.0, 0.0], [0.0, 0.8], [0.0, 0.6], [0.0, 0.0]]),
+                            winding=[[1.0, 0.0], [0.0, 0.8], [0.0, 0.6], [0.0, 0.0]]).im,
     ]
 
 
@@ -351,7 +381,7 @@ def test_lagrangian_rho_pinned_to_one(flat2):
     # lagrangian_defect < 1e-10 forces |rho - 1| <= 1e-8 nodewise
     for formula, kwargs in (("product_torus", {"r1": 1.3, "r2": 0.8}),
                             ("product_torus", {"r1": 1.0, "r2": 1.0})):
-        im = imm.build_immersion(imm.GridTorus((32, 32)), flat2, formula, **kwargs)
+        im = imm.build_immersion(imm.GridTorus((32, 32)), flat2, formula, **kwargs).im
         geo = imm.frames(im)
         assert geo.lagrangian_defect < 1e-10
         assert np.max(np.abs(geo.rho - 1.0)) <= 1e-8
@@ -500,7 +530,7 @@ def test_stacked_check_raises_what_the_member_loop_raises(kinds, where, monkeypa
 
 def test_nan_node_fails_validation(flat2):
     im = imm.build_immersion(imm.GridTorus((32, 32)), flat2, "graph_perturbed_torus",
-                             r1=1.0, r2=2.0, amplitude=0.2)
+                             r1=1.0, r2=2.0, amplitude=0.2).im
     pts = im.points.copy()
     pts[7, 11, 2] = np.nan
     bad = imm.Immersion(grid=im.grid, chart=flat2, points=pts)

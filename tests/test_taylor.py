@@ -61,3 +61,52 @@ def test_mixed_degree_and_non_integer_power_rejected():
         _taylor.variables(x, 2)[0] + _taylor.variables(x, 3)[0]
     with pytest.raises(TypeError):
         _taylor.variables(x, 2)[0] ** 0.5
+
+
+def test_degree_bounds_propagate():
+    x = np.full((3, 2), 0.25)
+    v = _taylor.variables(x, 4)
+    assert [t.q for t in v] == [1, 1]
+    assert (v[0] * v[1]).q == 2
+    assert (v[0] * v[0] * v[1]).q == 3
+    assert (v[0] ** 5).q == 4                  # capped at the degree
+    assert (v[0] + v[1] * v[1]).q == 2
+    assert (2.0 * (v[0] * v[1]) - 1.0).q == 2
+    assert (-(v[0] * v[1]) / 3.0).q == 2
+    assert (v[0] * v[0] * v[1]).diff(0).q == 2
+    assert (1.0 + v[0]).log().q == 4           # from its Horner products
+    assert (1.0 + v[0]).reciprocal().q == 4
+    # the rows past the bound are exact zeros
+    sq = v[0] * v[0]
+    assert np.all(sq.c[_taylor.n_monomials(2, 2):] == 0.0)
+
+
+@pytest.mark.parametrize("batch", [1, 7, 529])
+def test_bounded_products_match_the_full_table(batch):
+    # a product that leaves out the pairs and rows that are exact zeros
+    # against the full table, for factors with exact zero tails: the rows
+    # past degree min(p, qa + qb) are zeros in both, and the others differ
+    # by no more than the order in which the 0/1 matrix product sums a
+    # row's pairs can move them (BLAS's order depends on the inner
+    # dimension and the batch size; a batch of one goes through gemv)
+    rng = np.random.default_rng(11)
+    eps = np.finfo(float).eps
+    for d in range(1, 5):
+        for p in range(1, 5):
+            k = _taylor.n_monomials(d, p)
+            for qa in range(p + 1):
+                for qb in range(p + 1):
+                    ca = rng.standard_normal((k, batch))
+                    cb = rng.standard_normal((k, batch))
+                    ca[_taylor.n_monomials(d, qa):] = 0.0
+                    cb[_taylor.n_monomials(d, qb):] = 0.0
+                    got = _taylor.Taylor(ca, d, p, qa) * _taylor.Taylor(cb, d, p, qb)
+                    full = _taylor.Taylor(ca, d, p) * _taylor.Taylor(cb, d, p)
+                    # sum over each row of |a_i b_j|, pairs at most 2^4
+                    scale = (_taylor.Taylor(np.abs(ca), d, p)
+                             * _taylor.Taylor(np.abs(cb), d, p)).c
+                    q = min(p, qa + qb)
+                    assert got.q == q and got.c.shape == full.c.shape
+                    tail = _taylor.n_monomials(d, q)
+                    assert np.all(got.c[tail:] == 0.0) and np.all(full.c[tail:] == 0.0)
+                    assert np.all(np.abs(got.c - full.c) <= 32.0 * eps * scale), (d, p, qa, qb)

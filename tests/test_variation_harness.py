@@ -34,14 +34,14 @@ def hyperbolic_length(r):
 # --- first variation ----------------------------------------------------------
 
 def test_first_variation_circle(circle):
-    Y = imm.coordinate_field(circle.grid, 0)
+    Y = imm.coordinate_field(circle.im.grid, 0)
     rep = vh.check_first_variation(circle, Y)
     assert abs(rep.analytic + 2.0 * np.pi) <= 1e-10
     assert rep.rel_err <= 1e-4
 
 
 def test_first_variation_torus(torus12):
-    Y = imm.coordinate_field(torus12.grid, 0)
+    Y = imm.coordinate_field(torus12.im.grid, 0)
     rep = vh.check_first_variation(torus12, Y)
     assert abs(rep.analytic + 8.0 * np.pi ** 2) <= 1e-8
     assert rep.rel_err <= 1e-4
@@ -50,7 +50,7 @@ def test_first_variation_torus(torus12):
 def test_first_variation_poincare_circle():
     pd = ambient.poincare_disk()
     hc = imm.build_immersion(imm.GridTorus((64,)), pd, "circle", r=0.5)
-    rep = vh.check_first_variation(hc, imm.coordinate_field(hc.grid, 0))
+    rep = vh.check_first_variation(hc, imm.coordinate_field(hc.im.grid, 0))
     # oracle: d/dt of the hyperbolic circle length under radius 0.5 (1 - t)
     h = 1e-6
     oracle = (hyperbolic_length(0.5 * (1 - h))
@@ -61,8 +61,8 @@ def test_first_variation_poincare_circle():
 
 
 def test_first_variation_richardson_order(circle):
-    theta = circle.grid.thetas(0)
-    Y = imm.VectorFieldOnL(grid=circle.grid,
+    theta = circle.im.grid.thetas(0)
+    Y = imm.VectorFieldOnL(grid=circle.im.grid,
                            components=(1.0 + 0.3 * np.cos(theta))[None, :])
     rep = vh.check_first_variation(circle, Y)
     assert rep.rel_err <= 1e-4
@@ -87,12 +87,12 @@ def test_hj_sign_validation_perturbed():
 # --- tangential flows ------------------------------------------------------------
 
 def test_stokes_tangential_first_variation(circle):
-    theta = circle.grid.thetas(0)
-    X = imm.VectorFieldOnL(grid=circle.grid,
+    theta = circle.im.grid.thetas(0)
+    X = imm.VectorFieldOnL(grid=circle.im.grid,
                            components=(1.0 + 0.3 * np.cos(theta))[None, :])
-    Z = imm.frames(circle).pushforward(X)
-    value, _ = vh.fd_first_variation(circle, Z)
-    vol = imm.is_totally_real(circle).volumes()["vol_j"]
+    Z = circle.pushforward(X)
+    value, _ = vh.fd_first_variation(circle.im, Z)
+    vol = circle.volumes()["vol_j"]
     assert abs(value) <= 1e-7 * vol
 
 
@@ -100,14 +100,14 @@ def test_stokes_tangential_perturbed_torus():
     gp = imm.build_immersion(imm.GridTorus((32, 32)), ambient.flat_chart(2),
                              "graph_perturbed_torus", r1=1.0, r2=1.0,
                              amplitude=0.5, mode=(1, 0))
-    Z = imm.frames(gp).pushforward(imm.coordinate_field(gp.grid, 0))
-    value, _ = vh.fd_first_variation(gp, Z)
-    vol = imm.is_totally_real(gp).volumes()["vol_j"]
+    Z = gp.pushforward(imm.coordinate_field(gp.im.grid, 0))
+    value, _ = vh.fd_first_variation(gp.im, Z)
+    vol = gp.volumes()["vol_j"]
     assert abs(value) <= 1e-7 * vol
 
 
 def test_density_divergence_circle_trivial(circle):
-    X = imm.coordinate_field(circle.grid, 0)
+    X = imm.coordinate_field(circle.im.grid, 0)
     rep1, rep2, integral2 = vh.check_density_divergence(circle, X)
     # rho = 1 and |gamma'| = 1: both divergence expressions vanish
     assert rep1.analytic <= 1e-12
@@ -120,7 +120,7 @@ def test_density_divergence_perturbed_torus():
                              "graph_perturbed_torus", r1=1.0, r2=1.0,
                              amplitude=0.5, mode=(1, 0))
     rep1, rep2, integral2 = vh.check_density_divergence(
-        gp, imm.coordinate_field(gp.grid, 0))
+        gp, imm.coordinate_field(gp.im.grid, 0))
     assert rep1.rel_err <= 1e-4
     assert rep2.rel_err <= 1e-4
 
@@ -128,8 +128,8 @@ def test_density_divergence_perturbed_torus():
 def test_density_divergence_ellipse_modulated_field():
     ell = imm.build_immersion(imm.GridTorus((64,)), ambient.flat_chart(1),
                               "ellipse", a=2.0, b=1.0)
-    theta = ell.grid.thetas(0)
-    X = imm.VectorFieldOnL(grid=ell.grid,
+    theta = ell.im.grid.thetas(0)
+    X = imm.VectorFieldOnL(grid=ell.im.grid,
                            components=(1.0 + 0.3 * np.cos(theta))[None, :])
     rep1, rep2, integral2 = vh.check_density_divergence(ell, X)
     assert rep1.rel_err <= 1e-4
@@ -165,16 +165,16 @@ def test_one_axis_flow_matches_2d_reference(case, axis):
 
 def test_density_check_rejects_fields_off_one_axis(torus12):
     comps = np.zeros((2, 32, 32))
-    t1, t2 = torus12.grid.mesh()
+    t1, t2 = torus12.im.grid.mesh()
     comps[0] = 1.0 + 0.2 * np.cos(t1 + t2)   # depends on both angles
-    X = imm.VectorFieldOnL(grid=torus12.grid, components=comps)
+    X = imm.VectorFieldOnL(grid=torus12.im.grid, components=comps)
     with pytest.raises(UnsupportedField, match=r"X = f\(theta_k\) d/dtheta_k"):
         vh.check_density_divergence(torus12, X)
 
 
 def test_density_check_takes_the_zero_field(circle):
     # X = 0 is f(theta_0) d/dtheta_0 with f = 0: the flow is the identity
-    X = imm.VectorFieldOnL(grid=circle.grid, components=np.zeros((1, 64)))
+    X = imm.VectorFieldOnL(grid=circle.im.grid, components=np.zeros((1, 64)))
     rep1, rep2, integral2 = vh.check_density_divergence(circle, X)
     assert rep1.analytic == rep2.analytic == integral2 == 0.0
     assert rep1.fd <= 1e-12
@@ -184,14 +184,14 @@ def test_density_check_takes_the_zero_field(circle):
 
 def test_second_variation_flat_circle(circle):
     rep = vh.check_second_variation_kahler(circle,
-                                           imm.coordinate_field(circle.grid, 0))
+                                           imm.coordinate_field(circle.im.grid, 0))
     assert abs(rep.analytic - 2.0 * np.pi) <= 1e-9
     assert rep.rel_err <= 1e-3
 
 
 def test_second_variation_flat_torus(torus12):
     rep = vh.check_second_variation_kahler(torus12,
-                                           imm.coordinate_field(torus12.grid, 0))
+                                           imm.coordinate_field(torus12.im.grid, 0))
     # Vol(t) = 8 pi^2 e^{-t}: second derivative 8 pi^2
     assert abs(rep.analytic - 8.0 * np.pi ** 2) <= 1e-7
     assert rep.rel_err <= 1e-3
@@ -202,25 +202,23 @@ def test_second_variation_poincare_closed_form():
     hc = imm.build_immersion(imm.GridTorus((64,)), pd, "circle",
                              r=math.exp(-1.0))
     rep = vh.check_second_variation_kahler(hc,
-                                           imm.coordinate_field(hc.grid, 0))
+                                           imm.coordinate_field(hc.im.grid, 0))
     s = math.sinh(1.0)
     closed = 2.0 * np.pi * (1.0 / s) * ((1.0 / s) ** 2 + (math.cosh(1.0) / s) ** 2)
     assert abs(rep.fd - closed) <= 1e-3 * closed
     assert abs(rep.analytic - closed) <= 1e-3 * closed
     assert rep.rel_err <= 1e-3
     # the curvature term is strictly positive here: -Ric(Y, Y) = +|Y|^2
-    integrand, dens = vh.second_variation_integrand(
-        hc, imm.coordinate_field(hc.grid, 0))
-    fr = imm.frames(hc)
-    y_amb = fr.pushforward(imm.coordinate_field(hc.grid, 0))
-    ric = hc.chart.ricci_many(hc.positions())
+    integrand = vh.second_variation_integrand(hc, imm.coordinate_field(hc.im.grid, 0))
+    y_amb = hc.pushforward(imm.coordinate_field(hc.im.grid, 0))
+    ric = hc.im.chart.ricci_many(hc.im.positions())
     ric_term = -np.einsum("...i,...ij,...j->...", y_amb, ric, y_amb)
     assert np.min(ric_term) > 0.0
 
 
 def test_second_variation_modulated_circle(circle):
-    theta = circle.grid.thetas(0)
-    Y = imm.VectorFieldOnL(grid=circle.grid,
+    theta = circle.im.grid.thetas(0)
+    Y = imm.VectorFieldOnL(grid=circle.im.grid,
                            components=(1.0 + 0.3 * np.cos(theta))[None, :])
     rep = vh.check_second_variation_kahler(circle, Y)
     assert rep.rel_err <= 1e-3
@@ -236,14 +234,15 @@ def test_ray_only_second_variation_is_refused():
         im = imm.Immersion(grid=imm.GridTorus((1024,)), chart=ambient.flat_chart(1),
                            points=np.stack([samples.real, samples.imag], axis=-1))
         with pytest.raises(AmplificationExceeded, match=f"{side} radius estimate"):
-            vh.check_second_variation_kahler(im, imm.coordinate_field(im.grid, 0))
+            vh.check_second_variation_kahler(imm.frames(im),
+                                             imm.coordinate_field(im.grid, 0))
 
 
 def test_second_variation_unavailable_direction(torus12):
     comps = np.zeros((2, 32, 32))
-    t1, t2 = torus12.grid.mesh()
+    t1, t2 = torus12.im.grid.mesh()
     comps[0] = 1.0 + 0.2 * np.cos(t1 + t2)   # depends on both angles
-    Y = imm.VectorFieldOnL(grid=torus12.grid, components=comps)
+    Y = imm.VectorFieldOnL(grid=torus12.im.grid, components=comps)
     with pytest.raises(GeodesicUnavailable):
         vh.check_second_variation_kahler(torus12, Y)
 
@@ -254,12 +253,11 @@ def test_mixed_second_variation_flat():
     gp = imm.build_immersion(imm.GridTorus((32, 32)), ambient.flat_chart(2),
                              "graph_perturbed_torus", r1=1.0, r2=1.0,
                              amplitude=0.4, mode=(1, 1))
-    J = gp.chart.J
-    fr = imm.frames(gp)
+    J = gp.im.chart.J
     W = np.einsum("ij,...j->...i", J,
-                  fr.pushforward(imm.coordinate_field(gp.grid, 0)))
+                  gp.pushforward(imm.coordinate_field(gp.im.grid, 0)))
     Z = np.einsum("ij,...j->...i", J,
-                  fr.pushforward(imm.coordinate_field(gp.grid, 1)))
+                  gp.pushforward(imm.coordinate_field(gp.im.grid, 1)))
     analytic, fd = vh.mixed_density_second_variation(gp, W, Z)
     scale = max(1.0, float(np.max(np.abs(analytic))))
     assert np.max(np.abs(analytic - fd)) <= 1e-4 * scale
@@ -270,27 +268,26 @@ def test_mixed_second_variation_flat():
 def test_straight_torus_is_critical_and_stable():
     qc = ambient.flat_quotient_chart(2)
     st = imm.build_immersion(imm.GridTorus((32, 32)), qc, "straight_torus")
-    geo = imm.frames(st)
-    assert np.max(np.abs(geo.h_j.values)) <= 1e-12  # J-minimal
-    assert geo.lagrangian_defect <= 1e-12           # and Lagrangian
+    assert np.max(np.abs(st.h_j.values)) <= 1e-12  # J-minimal
+    assert st.lagrangian_defect <= 1e-12           # and Lagrangian
     rng = np.random.default_rng(9)
     for _ in range(5):
-        comps = np.stack([0.5 * _spectral.low_mode_field(rng, st.grid.sizes)
+        comps = np.stack([0.5 * _spectral.low_mode_field(rng, st.im.grid.sizes)
                           for _ in range(2)])
-        Y = imm.VectorFieldOnL(grid=st.grid, components=comps)
-        integrand, geo = vh.second_variation_integrand(st, Y)
-        value = _spectral.periodic_total(integrand * geo.volj_density,
-                                         st.grid.cell)
+        Y = imm.VectorFieldOnL(grid=st.im.grid, components=comps)
+        integrand = vh.second_variation_integrand(st, Y)
+        value = _spectral.periodic_total(integrand * st.volj_density,
+                                         st.im.grid.cell)
         assert value >= 0.0
 
 
 def test_straight_torus_shear_second_variation():
     qc = ambient.flat_quotient_chart(2)
     st = imm.build_immersion(imm.GridTorus((32, 32)), qc, "straight_torus")
-    theta = st.grid.thetas(0)
+    theta = st.im.grid.thetas(0)
     comp = np.zeros((2, 32, 32))
     comp[0] = (1.0 + 0.3 * np.cos(theta))[:, None]
-    Y = imm.VectorFieldOnL(grid=st.grid, components=comp)
+    Y = imm.VectorFieldOnL(grid=st.im.grid, components=comp)
     rep = vh.check_second_variation_kahler(st, Y)
     # oracle: int (f')^2 over T^2 with f = 1 + 0.3 cos
     oracle = 0.09 * np.pi * 2.0 * np.pi
@@ -353,9 +350,9 @@ def test_convexity_quotient_shear_resolved_at_32():
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
 def test_first_variation_circle_scaling(r):
     # |H_J| = 1/r cross-checked through the FD identity at each radius
-    im = imm.build_immersion(imm.GridTorus((64,)), ambient.flat_chart(1),
-                             "circle", r=r)
-    rep = vh.check_first_variation(im, imm.coordinate_field(im.grid, 0))
+    geo = imm.build_immersion(imm.GridTorus((64,)), ambient.flat_chart(1),
+                              "circle", r=r)
+    rep = vh.check_first_variation(geo, imm.coordinate_field(geo.im.grid, 0))
     assert abs(rep.analytic + 2.0 * np.pi * r) <= 1e-9
     assert rep.rel_err <= 1e-4
 
@@ -373,14 +370,14 @@ def test_each_check_builds_one_base_geometry(monkeypatch, tmp_path):
 
     circle = imm.build_immersion(imm.GridTorus((64,)), ambient.flat_chart(1),
                                  "circle", r=1.0)
-    Y = imm.coordinate_field(circle.grid, 0)
+    Y = imm.coordinate_field(circle.im.grid, 0)
     monkeypatch.setattr(imm.Immersion, "coordinate_vectors", counted)
 
     vh.check_first_variation(circle, Y)
-    assert len(builds) == 1 + 6          # base geometry, then 3 eps x 2 signs
+    assert len(builds) == 6              # the given geometry, then 3 eps x 2 signs
     builds.clear()
     vh.check_second_variation_kahler(circle, Y)
-    assert len(builds) == 1 + 5          # base geometry, then the 5 members
+    assert len(builds) == 5              # the given geometry, then the 5 members
     builds.clear()
     vh.convexity_experiment({"kind": "flat_circle", "grid": 64}, [0.0, 0.1, 0.2])
     assert len(builds) == 1 + 3          # validated base, then the 3 members
@@ -393,4 +390,4 @@ def test_each_check_builds_one_base_geometry(monkeypatch, tmp_path):
         "immersion": {"formula": "graph_perturbed_torus", "grid": 32,
                       "args": {"amplitude": 0.3, "mode": [1, 0]}}}))
     assert cli.main(["run", "--scenario", str(scn), "--out", str(tmp_path / "out")]) == 0
-    assert len(builds) == 2              # validated input, then one geometry
+    assert len(builds) == 1              # the validated input's geometry
