@@ -3,35 +3,43 @@
 Real coordinates are ordered (x_1..x_n, y_1..y_n) with z_k = x_k + i y_k, and
 J is the constant matrix [[0, -I], [I, 0]], so J dx_k = dy_k exactly.
 
-Charts are either flat or carry a Kahler potential phi. The Hermitian matrix
-H_jk = d^2 phi / dz_j dz_bar_k determines the 2-form omega = i ddbar(phi) and
-the compatible metric g(v, w) = omega(v, Jw) = 2 Re(v^T H conj(w)).
+Charts are either flat or radial: a Kahler potential phi(s) of s = |z|^2
+alone. The Hermitian matrix H_jk = d^2 phi / dz_j dz_bar_k determines the
+2-form omega = i ddbar(phi) and the compatible metric
+g(v, w) = omega(v, Jw) = 2 Re(v^T H conj(w)).
 
-Derivative pipeline: exact, by truncated Taylor arithmetic (`_taylor`). Each
-kernel evaluates phi once on the Taylor variables x_a + t_a, in fixed-size
-blocks of points: at degree 2 for the metric, at degree 3 for the
-Christoffel symbols (dg from the third-order coefficients), and at degree 4
-for the Ricci tensor, which uses the Kahler identity Ric = i ddbar(-log det H)
-with H, det H and -log det H formed as degree-2 series. verify_kahler_einstein
-reads g, dg and the Ricci tensor off one degree-4 evaluation. Series carry
-a bound on their degree, so products skip the pairs that are exact zeros
-(the squares of the coordinates in the built-in potential, the low powers
-in log's Horner scheme). The inverse metric of the Christoffel symbols (and
-of H_J) is the closed-form inverse of the n x n Hermitian block H
-(inverse_metric), not a 2n x 2n LAPACK inverse. The results are exact up to
-round-off (|Ric + 3/2 g| ~ 4e-15 on the C^2 ball). The finite-difference
-engine (complex-step gradients and Richardson central differences) is the
-independent oracle for these kernels and lives in the tests
-(tests/fd_oracle.py); at its default step it accepts exactly the points the
-kernels accept.
+Derivative pipeline: closed forms in the s-derivatives phi', .., phi''''
+(the Calabi ansatz; Calabi, "Extremal Kahler metrics", 1982; Hwang & Singer,
+Trans. AMS 354, 2002), which each radial chart supplies (AmbientChart.dphi):
+
+- H_jk = phi' delta_jk + phi'' z_bar_j z_k. With p the real point and q = J p
+  its real form is g = 2 phi' I + 2 phi'' M, M = p p^T + q q^T, which holds
+  x_j x_k + y_j y_k in its diagonal blocks and the antisymmetric
+  x_j y_k - y_j x_k off them (real arithmetic, so g is bitwise symmetric).
+- d_a g = 4 phi''' p_a M + 2 phi'' (d_a M + 2 p_a I), with
+  d_a M = e_a p^T + p e_a^T + (J e_a) q^T + q (J e_a)^T; the Christoffel
+  symbols follow by the real Levi-Civita formula, so nabla J = 0 stays a
+  check (verify_kahler_einstein) and is not true by construction.
+- Ric = i ddbar(psi) with psi = -log det H = -(n - 1) log phi' - log u,
+  u = phi' + s phi'': the same construction with psi', psi'' for phi', phi''.
+
+H has the eigenvalue u on the complex line of z and phi' on its orthogonal
+complement (n = 2), so g is positive definite exactly where u > 0 and, for
+n = 2, phi' > 0, and g^-1 = (I - phi'' M / u) / (2 phi'). The kernels run
+over fixed-size blocks of points. The results are exact up to round-off
+(|Ric + 3/2 g| ~ 7e-15 on the C^2 ball). The independent oracles live in
+the tests: the finite-difference engine (complex-step gradients and
+Richardson central differences, tests/fd_oracle.py), which differentiates
+phi itself and at its default step accepts exactly the points the kernels
+accept, and the truncated-Taylor kernel of any potential of the real
+coordinates (tests/taylor_oracle.py).
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import _taylor
 from .errors import MetricNotPositiveDefinite, PointOutsideDomain, ValidationError
 
 # Domain margins, in units of the chart radius: the metric accepts only
@@ -41,8 +49,23 @@ from .errors import MetricNotPositiveDefinite, PointOutsideDomain, ValidationErr
 # the oracle can check every point the kernels accept.
 _MARGIN = 2.0 * 1e-4
 _STENCIL_MARGIN = 2.0 * 130.0 * 1e-4
-# pair products one Taylor product holds at a time (2 MB); fixes the block size
-_BLOCK_PAIRS = 1 << 18
+# points per kernel block: bounds the (2n, 2n, 2n, points) temporaries of
+# the Christoffel symbols at about 256 kB each
+_BLOCK = 512
+
+
+class _Jets(NamedTuple):
+    """A block of B points, points last: p (2n, B), q = J p, M = p p^T + q q^T
+    (2n, 2n, B; the real form of z_bar_j z_k), s = |p|^2 and the potential's
+    s-derivatives d1..d4 at s."""
+    p: np.ndarray
+    q: np.ndarray
+    M: np.ndarray
+    s: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+    d3: np.ndarray
+    d4: np.ndarray
 
 
 def standard_j(n):
@@ -55,21 +78,20 @@ def standard_j(n):
 
 @dataclass(frozen=True)
 class AmbientChart:
-    """Immutable chart description: flat or potential-generated Kahler metric.
+    """Immutable chart description: flat or a radial Kahler potential.
 
-    For kind="potential" the callable phi receives a NumPy object array of
-    shape (2n,) holding truncated Taylor series, one per real coordinate,
-    and must return one series. It may index that array and use +, -, *, /,
-    integer powers, np.asarray, np.sum and np.log (NumPy hands ** and log to
-    the elements); other ufuncs and casts to float are not supported and
-    raise ValidationError. The built-in -2 log(1 - |z|^2) potential is
-    written this way. For the test oracle phi must also accept complex
-    arrays of shape (..., 2n).
+    For kind="radial", phi(pts) is the potential of points of shape
+    (..., 2n), real or complex (the finite-difference oracle evaluates it on
+    complexified coordinates), and dphi(s) returns the four s-derivatives
+    (phi', phi'', phi''', phi'''') of the same potential as functions of
+    s = |p|^2, each an array of s's shape. The chart's domain is the ball
+    of the given radius about 0.
     """
 
     n: int
-    kind: str                      # "flat" | "potential"
+    kind: str                      # "flat" | "radial"
     phi: Optional[Callable] = None
+    dphi: Optional[Callable] = None
     radius: Optional[float] = None         # of the domain, a ball about 0
     name: str = "chart"
     quotient: bool = False         # flat chart with periodic identifications
@@ -77,11 +99,11 @@ class AmbientChart:
     def __post_init__(self):
         if self.n not in (1, 2):
             raise ValidationError("complex dimension must be 1 or 2")
-        if self.kind not in ("flat", "potential"):
+        if self.kind not in ("flat", "radial"):
             raise ValidationError(f"unknown chart kind {self.kind!r}")
-        if self.kind == "potential":
-            if self.phi is None or self.radius is None:
-                raise ValidationError("potential charts need phi and a domain radius")
+        if self.kind == "radial":
+            if self.phi is None or self.dphi is None or self.radius is None:
+                raise ValidationError("radial charts need phi, dphi and a domain radius")
 
     @property
     def dim(self):
@@ -112,30 +134,92 @@ class AmbientChart:
                 f"'{self.name}' (radius {self.radius}, margin {margin:.3g})"
             )
 
-    # -- metric ------------------------------------------------------------
+    # -- kernels -------------------------------------------------------------
 
-    def _on_blocks(self, pts, degree, kernel, shape):
-        """kernel(h) over fixed-size blocks of points, stacked into one array.
+    def _on_blocks(self, pts, margin, kernel, shapes):
+        """kernel(jets) over fixed-size blocks of points, one array per shape.
 
-        h[a][b] is d^2 phi / dx_a dx_b as a Taylor series of degree - 2
-        about each point of the block (phi evaluated once, at degree
-        `degree`); kernel returns an array of shape (points,) + shape.
+        All points are checked against the domain first; each block then
+        gets its _Jets and their positivity check. kernel returns one array
+        of shape shape + (B,) per entry of shapes, points last, and each is
+        stored as pts.shape[:-1] + shape.
         """
-        d = self.dim
-        flat = pts.reshape(-1, d)
-        out = np.empty((flat.shape[0],) + shape)
-        size = max(1, _BLOCK_PAIRS // _taylor.n_pairs(d, degree))
-        for s in range(0, flat.shape[0], size):
-            try:
-                phi = self.phi(_taylor.variables(flat[s:s + size], degree))
-            except TypeError as e:
-                raise ValidationError(
-                    f"potential of chart '{self.name}' uses an operation Taylor "
-                    f"arithmetic does not support ({e}); it may use +, -, *, /, "
-                    "integer powers, np.asarray, np.sum and np.log"
-                ) from None
-            out[s:s + size] = kernel(_hessian(phi))
-        return out.reshape(pts.shape[:-1] + shape)
+        pts = np.asarray(pts, dtype=float)
+        self.require_inside(pts, margin)
+        flat = pts.reshape(-1, self.dim)
+        outs = [np.empty((flat.shape[0],) + shape) for shape in shapes]
+        for s in range(0, flat.shape[0], _BLOCK):
+            jets = self._jets(np.ascontiguousarray(flat[s:s + _BLOCK].T))
+            for out, block in zip(outs, kernel(jets)):
+                out[s:s + _BLOCK] = np.moveaxis(block, -1, 0)
+        return [out.reshape(pts.shape[:-1] + shape) for out, shape in zip(outs, shapes)]
+
+    def _jets(self, p):
+        """The _Jets of points p (2n, B), after the positivity check."""
+        n = self.n
+        q = np.concatenate([-p[n:], p[:n]])
+        s = np.sum(p * p, axis=0)
+        j = _Jets(p, q, p[:, None] * p + q[:, None] * q, s, *self.dphi(s))
+        # the eigenvalues of H: u on the line of z, phi' across it (n = 2).
+        # A NaN point passes on to NaN in g, which the frame check names as
+        # non-finite geometry
+        u = j.d1 + s * j.d2
+        low = np.minimum(u, j.d1) if n == 2 else u
+        if np.any(low <= 0.0):
+            raise MetricNotPositiveDefinite(
+                f"metric on chart '{self.name}' is not positive definite "
+                f"(min eigenvalue {2.0 * float(np.nanmin(low)):.3g})")
+        return j
+
+    def _metric(self, j):
+        return _real_form(j.d1, j.d2, j.M)
+
+    def _ricci(self, j):
+        """Ric from psi = -(n - 1) log phi' - log u, u = phi' + s phi''.
+
+        psi' = -(n - 1) phi''/phi' - u'/u and
+        psi'' = -(n - 1) (phi'''/phi' - (phi''/phi')^2) - u''/u + (u'/u)^2,
+        with u' = 2 phi'' + s phi''' and u'' = 3 phi''' + s phi''''.
+        """
+        u = j.d1 + j.s * j.d2
+        du = (2.0 * j.d2 + j.s * j.d3) / u
+        psi1 = -du
+        psi2 = du * du - (3.0 * j.d3 + j.s * j.d4) / u
+        if self.n == 2:
+            r = j.d2 / j.d1
+            psi1 = psi1 - r
+            psi2 = psi2 + (r * r - j.d3 / j.d1)
+        return _real_form(psi1, psi2, j.M)
+
+    def _christoffel(self, j):
+        """Gamma^c_ab = g^cd (d_a g_db + d_b g_da - d_d g_ab) / 2 from the jets.
+
+        d_a g_bc = 2 phi'' d_a M_bc + p_a (4 phi''' M_bc + 4 phi'' delta_bc),
+        where d_a M = e_a p^T + (J e_a) q^T plus its transpose. g^-1 is
+        (I - phi'' M / u) / (2 phi') in closed form (I / (2 u) for n = 1,
+        where M = s I).
+        """
+        n, d = self.n, self.dim
+        diag = np.arange(d)
+        x = np.zeros((d, d, d, j.p.shape[-1]))
+        x[diag, diag] = j.p
+        x[np.arange(n), np.arange(n, d)] = j.q
+        x[np.arange(n, d), np.arange(n)] = -j.q
+        k = 4.0 * j.d3 * j.M
+        k[diag, diag] += 4.0 * j.d2
+        dgs = (2.0 * j.d2) * (x + x.swapaxes(1, 2)) + j.p[:, None, None] * k
+        t = dgs.swapaxes(0, 1)
+        m = t + t.swapaxes(1, 2) - dgs
+        u = j.d1 + j.s * j.d2
+        if n == 1:
+            ginv = np.zeros((d, d) + u.shape)
+            ginv[diag, diag] = 0.5 / u
+        else:
+            ginv = (-j.d2 / u) * j.M
+            ginv[diag, diag] += 1.0
+            ginv *= 0.5 / j.d1
+        gamma = 0.5 * np.einsum("cdn,dabn->cabn", ginv, m)
+        return 0.5 * (gamma + gamma.swapaxes(1, 2))
 
     def metric_many(self, pts):
         """Batched metric and 2-form matrices at chart points.
@@ -148,10 +232,7 @@ class AmbientChart:
             shape = pts.shape[:-1] + (d, d)
             return (np.broadcast_to(np.eye(d), shape),
                     np.broadcast_to(self.J.T, shape))
-        self.require_inside(pts)
-        g = self._on_blocks(pts, 2, lambda h: _kahler_tensor(_coefficient(h, 0)),
-                            (d, d))
-        _require_positive_definite(g, self.name)
+        g, = self._on_blocks(pts, _MARGIN, lambda j: (self._metric(j),), [(d, d)])
         omega = np.swapaxes(self.J, 0, 1) @ g
         return g, omega
 
@@ -171,24 +252,14 @@ class AmbientChart:
         return _assemble_symmetric(complex_inverse(h) * 0.25)
 
     def christoffel_many(self, pts):
-        """Levi-Civita symbols Gamma^c_{ab} from the exact first derivatives of g."""
+        """Levi-Civita symbols Gamma^c_{ab} from the closed-form first derivatives of g."""
         pts = np.asarray(pts, dtype=float)
         d = self.dim
         if self.is_flat:
             return np.zeros(pts.shape[:-1] + (d, d, d))
-        self.require_inside(pts, _STENCIL_MARGIN)
-        return self._christoffel(self._on_blocks(pts, 3, _g_dg, (1 + d, d, d)))
-
-    def _christoffel(self, g_dg):
-        """Gamma from [g, d_1 g, .., d_d g] on axis -3, after g's positivity check."""
-        g0, dgs = g_dg[..., 0, :, :], g_dg[..., 1:, :, :]
-        _require_positive_definite(g0, self.name)
-        ginv = self.inverse_metric(g0)
-        m = (np.einsum("...adb->...dab", dgs)
-             + np.einsum("...bda->...dab", dgs)
-             - dgs)
-        gamma = 0.5 * np.einsum("...cd,...dab->...cab", ginv, m)
-        return 0.5 * (gamma + np.swapaxes(gamma, -1, -2))
+        gamma, = self._on_blocks(pts, _STENCIL_MARGIN, lambda j: (self._christoffel(j),),
+                                 [(d, d, d)])
+        return gamma
 
     def ricci_many(self, pts):
         """Ricci tensor via the Kahler identity Ric = i ddbar(-log det H)."""
@@ -196,56 +267,25 @@ class AmbientChart:
         d = self.dim
         if self.is_flat:
             return np.zeros(pts.shape[:-1] + (d, d))
-        self.require_inside(pts, _STENCIL_MARGIN)
-        return self._on_blocks(pts, 4, self._ricci, (d, d))
-
-    def _ricci(self, h):
-        """Ric from second derivatives h of phi given as degree-2 series."""
-        n = self.n
-        # H = S + iT with S_jk = (h[j][k] + h[n+j][n+k]) / 4 and
-        # T_jk = (h[j][n+k] - h[k][n+j]) / 4, as degree-2 series
-        s = [[(h[j][k] + h[n + j][n + k]) * 0.25 for k in range(n)]
-             for j in range(n)]
-        if n == 1:
-            det = s[0][0]
-        else:
-            t = (h[0][n + 1] - h[1][n]) * 0.25
-            det = s[0][0] * s[1][1] - s[0][1] * s[0][1] - t * t
-        if np.any(det.c[0] <= 0.0):
-            raise MetricNotPositiveDefinite(
-                f"degenerate Hermitian Hessian on '{self.name}'")
-        return _kahler_tensor(_coefficient(_hessian(-det.log()), 0))
+        ric, = self._on_blocks(pts, _STENCIL_MARGIN, lambda j: (self._ricci(j),),
+                               [(d, d)])
+        return ric
 
     def _einstein_data(self, pts):
-        """(g, Gamma, Ric) at points from one degree-4 evaluation of phi.
+        """(g, Gamma, Ric) at points from one jet evaluation per block.
 
-        The errors are those of christoffel_many, metric_many and ricci_many
-        called in that order: g's positivity check comes before the Ricci
-        tensor's own check, whichever block fails first.
+        Each equals what metric_many, christoffel_many and ricci_many return
+        at the same points; the domain check is the Ricci tensor's.
         """
         pts = np.asarray(pts, dtype=float)
         d = self.dim
         if self.is_flat:
             return (self.metric_many(pts)[0], self.christoffel_many(pts),
                     self.ricci_many(pts))
-        self.require_inside(pts, _STENCIL_MARGIN)
-        ricci_errors = []
-
-        def kernel(h):
-            g_dg = _g_dg(h)
-            try:
-                ric = self._ricci(h)
-            except MetricNotPositiveDefinite as e:
-                ricci_errors.append(e)
-                ric = np.zeros(g_dg.shape[:-3] + (d, d))
-            return np.concatenate([g_dg, ric[..., None, :, :]], axis=-3)
-
-        # [..., 0] = g, [..., 1 + b] = d_b g, [..., 1 + d] = Ric
-        series = self._on_blocks(pts, 4, kernel, (2 + d, d, d))
-        gamma = self._christoffel(series[..., :1 + d, :, :])
-        if ricci_errors:
-            raise ricci_errors[0]
-        return series[..., 0, :, :], gamma, series[..., 1 + d, :, :]
+        return tuple(self._on_blocks(
+            pts, _STENCIL_MARGIN,
+            lambda j: (self._metric(j), self._christoffel(j), self._ricci(j)),
+            [(d, d), (d, d, d), (d, d)]))
 
 
 def verify_kahler_einstein(chart, sample_points):
@@ -286,25 +326,30 @@ def flat_quotient_chart(n=2):
 
 
 def _ball_log_potential(pts):
-    # -2 log(1 - |p|^2) in the operations a potential may use (AmbientChart);
-    # it also runs on complex coordinates, as the FD oracle needs
+    # -2 log(1 - |p|^2); it also runs on complex coordinates, as the FD oracle needs
     return -2.0 * np.log(1.0 - np.sum(np.asarray(pts) ** 2, axis=-1))
+
+
+def _ball_log_derivatives(s):
+    # d^k/ds^k of -2 log(1 - s) = 2 (k - 1)! / (1 - s)^k
+    w = 1.0 / (1.0 - s)
+    d1 = 2.0 * w
+    d2 = d1 * w
+    d3 = 2.0 * d2 * w
+    return d1, d2, d3, 3.0 * d3 * w
 
 
 def poincare_disk():
     """Unit disk with curvature -1 (metric 4/(1-|z|^2)^2 at the origin scale)."""
-    return AmbientChart(n=1, kind="potential", phi=_ball_log_potential,
-                        radius=1.0, name="poincare_disk")
+    return AmbientChart(n=1, kind="radial", phi=_ball_log_potential,
+                        dphi=_ball_log_derivatives, radius=1.0, name="poincare_disk")
 
 
 def complex_hyperbolic_ball():
     """Unit ball in C^2 with the same log potential; Einstein with c = -3/2."""
-    return AmbientChart(n=2, kind="potential", phi=_ball_log_potential,
-                        radius=1.0, name="complex_hyperbolic_ball")
-
-
-def potential_chart(n, phi, radius, name="potential"):
-    return AmbientChart(n=n, kind="potential", phi=phi, radius=radius, name=name)
+    return AmbientChart(n=2, kind="radial", phi=_ball_log_potential,
+                        dphi=_ball_log_derivatives, radius=1.0,
+                        name="complex_hyperbolic_ball")
 
 
 def chart_from_descriptor(desc):
@@ -323,44 +368,14 @@ def chart_from_descriptor(desc):
     raise ValidationError(f"unknown chart descriptor {desc!r}")
 
 
-# --- Taylor helpers ---------------------------------------------------------
+# --- real forms ----------------------------------------------------------------
 
-def _hessian(t):
-    """Second derivatives of a Taylor series: h[a][b] = h[b][a], degree p - 2."""
-    grad = [t.diff(a) for a in range(t.d)]
-    h = [[None] * t.d for _ in range(t.d)]
-    for a in range(t.d):
-        for b in range(a, t.d):
-            h[a][b] = h[b][a] = grad[a].diff(b)
-    return h
-
-
-def _g_dg(h):
-    """[g, d_1 g, .., d_d g] stacked on axis -3, from h of degree >= 1.
-
-    Coefficient 0 of h is the Hessian of phi and the coefficient of t_b its
-    derivative along x_b.
-    """
-    return np.stack([_kahler_tensor(_coefficient(h, i)) for i in range(1 + len(h))],
-                    axis=-3)
-
-
-def _coefficient(h, k):
-    """The k-th Taylor coefficients of a matrix of series, shape batch + (d, d)."""
-    return np.stack([np.stack([e.c[k] for e in row], axis=-1) for row in h], axis=-2)
-
-
-def _kahler_tensor(hess):
-    """Symmetric tensor of i ddbar f from the real Hessian of f.
-
-    H_jk = d^2 f / dz_j dz_bar_k = (A + D + i (B - B^T)) / 4 in terms of the
-    real Hessian blocks [[A, B], [B^T, D]], assembled as 2 Re(v^T H conj(w)).
-    """
-    n = hess.shape[-1] // 2
-    A = hess[..., :n, :n]
-    D = hess[..., n:, n:]
-    B = hess[..., :n, n:]
-    return _assemble_symmetric((A + D + 1j * (B - np.swapaxes(B, -1, -2))) / 4.0)
+def _real_form(a, b, M):
+    """2 a I + 2 b M, points last: the real form of a delta_jk + b z_bar_j z_k."""
+    out = (2.0 * b) * M
+    diag = np.arange(M.shape[0])
+    out[diag, diag] += 2.0 * a
+    return out
 
 
 def _assemble_symmetric(H):
@@ -383,14 +398,3 @@ def complex_inverse(m):
     a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
     adj = np.stack([np.stack([d, -b], axis=-1), np.stack([-c, a], axis=-1)], axis=-2)
     return adj / (a * d - b * c)[..., None, None]
-
-
-def _require_positive_definite(g, name):
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        eigs = np.linalg.eigvalsh(g)
-        raise MetricNotPositiveDefinite(
-            f"metric on chart '{name}' is not positive definite "
-            f"(min eigenvalue {float(np.min(eigs)):.3g})"
-        ) from None

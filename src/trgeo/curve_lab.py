@@ -92,8 +92,16 @@ def save_coefficients(curve, path):
 
 
 def load_coefficients(path, N=None):
+    """The curve of a file of [n, re, im] triples (save_coefficients).
+
+    ValueError names the first entry that is not finite: JSON readers accept
+    NaN and Infinity, and such a curve would run on into NaN output.
+    """
     with open(path) as f:
         triples = json.load(f)
+    for k, t in enumerate(triples):
+        if not all(math.isfinite(x) for x in t):
+            raise ValueError(f"entry {k} ({t}) is not finite")
     if N is None:
         N = max(32, max(abs(int(t[0])) for t in triples))
     return curve_from_terms(triples, N=N)

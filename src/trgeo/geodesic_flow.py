@@ -242,10 +242,10 @@ def flow_spectral(im, X, ts):
     """Exact mode-wise continuation for a coordinate-aligned field on a flat chart.
 
     The frames are produced in blocks of at most _BLOCK_NODES grid nodes;
-    every block passes the geodesic residual check and the checks of
-    is_totally_real_stack (_check_stack) before the next is made, and the blocks are collected into one
-    FlowResult. A family that fails both checks reports the failure of its
-    earliest failing block.
+    every block passes the geodesic residual check and the stack checks
+    (immersion._check_stack) before the next is made, and the blocks are
+    collected into one FlowResult. A family that fails both checks reports
+    the failure of its earliest failing block.
     """
     axis, c, ts, spectrum, amp = _spectral_setup(im, X, ts)
     immersions, residual = [], 0.0
@@ -325,9 +325,9 @@ def _checked_blocks(im, spectrum, axis, c, ts, validated=False):
 
     This is the one path to the continuation. A block whose residual is not
     below 1e-8 (NaN included) raises AmplificationExceeded. With validated
-    (flow_spectral, uniqueness_compare), each block then passes the checks of
-    is_totally_real_stack, made from the coordinate vectors the continuation
-    gives with the points.
+    (flow_spectral, uniqueness_compare), each block then passes the stack
+    checks (immersion._check_stack), made from the coordinate vectors the
+    continuation gives with the points.
     """
     for pts, vs in _continued_blocks(im, spectrum, axis, c, ts, validated):
         residual = _geodesic_residual(pts, im, axis, c)

@@ -10,10 +10,10 @@ The J-volume density rho_J is sqrt(det_C h_ij) for the Hermitian form
 h = g - i omega on an orthonormal tangent frame. A second formula, the square
 root of the ambient volume of (e_1..e_n, Je_1..Je_n), cross-checks it
 wherever Geometry.formula_gap is read; validation alone skips it. Both
-equal 1 exactly on Lagrangian planes. Stacks of immersions are validated
-with no frame at all (is_totally_real_stack): with G and W the Gram and
-omega matrices of the coordinate vectors, vol_g = sqrt(det G) and
-vol_J = sqrt(det G - W_01^2) (_gram_volumes).
+equal 1 exactly on Lagrangian planes. Stacks of immersions (the blocks of
+the geodesic flow) are validated with no frame at all (_check_stack): with
+G and W the Gram and omega matrices of the coordinate vectors,
+vol_g = sqrt(det G) and vol_J = sqrt(det G - W_01^2) (_gram_volumes).
 """
 
 from dataclasses import dataclass, field
@@ -343,7 +343,7 @@ def frames(im):
     # coordinate_vectors is a components-last view; this is its contiguous base
     vs = np.moveaxis(im.coordinate_vectors(), -1, 1)
     frame, coeffs, g, omega, induced_vol, degenerate = _frame_fields(
-        im.grid, im.chart, vs, im.positions())
+        im.chart, vs, im.positions())
     if degenerate:
         raise DegenerateFrame(_degenerate_message(induced_vol))
     return Geometry(im=im, vectors=np.moveaxis(vs, 1, -1),
@@ -351,24 +351,22 @@ def frames(im):
                     g_ambient=g, omega_ambient=omega, induced_vol=induced_vol)
 
 
-def _frame_fields(grid, chart, vs, pos):
-    """Frame fields of one immersion or of a stack sharing grid and chart.
+def _frame_fields(chart, vs, pos):
+    """Frame fields of one immersion into chart.
 
-    Components come first in vs, the coordinate vectors, (n, 2n) + nodes,
-    where nodes is grid.sizes for one immersion and (B,) + grid.sizes for a
-    stack; pos are the chart positions as the chart takes them,
-    nodes + (2n,). Inner products are g v formed once per vector (_apply),
-    then a dot product over the component axis; the Gram determinant is the
-    closed form for n <= 2.
+    Components come first in vs, the coordinate vectors, (n, 2n) + nodes;
+    pos are the chart positions as the chart takes them, nodes + (2n,).
+    Inner products are g v formed once per vector (_apply), then a dot
+    product over the component axis; the Gram determinant is the closed form
+    for n <= 2.
     Returns (frame, coeffs, g, omega, induced_vol, degenerate): frame is
     (n, 2n) + nodes, coeffs (n, n) + nodes, g and omega the chart's
-    nodes + (2n, 2n), and degenerate holds one flag per member (shape nodes
-    minus the grid axes), set when the volume is not finite or a frame
-    vector's norm is not above 1e-12 of its length at some node. Such nodes
-    are divided by 1 instead, so no member disturbs another.
+    nodes + (2n, 2n), and degenerate is True when the volume is not finite
+    or a frame vector's norm is not above 1e-12 of its length at some node.
+    Such nodes are divided by 1 instead.
     """
     g, omega = chart.metric_many(pos)
-    n = grid.n
+    n = vs.shape[0]
     nodes = pos.shape[:-1]
 
     g_vs, gram, det = _gram(vs, g)
@@ -400,8 +398,7 @@ def _frame_fields(grid, chart, vs, pos):
         if i < n - 1:
             np.divide(g_u, norms, out=g_frame[i])
         np.divide(c, norms, out=coeffs[i])
-    degenerate = np.any(bad, axis=tuple(range(-n, 0)))
-    return frame, coeffs, g, omega, induced_vol, degenerate
+    return frame, coeffs, g, omega, induced_vol, bool(np.any(bad))
 
 
 def _gram(vs, g):
@@ -498,28 +495,13 @@ def is_totally_real(im):
     return geo
 
 
-def is_totally_real_stack(grid, chart, points, winding=None):
+def _check_stack(grid, chart, points, vs, winding):
     """is_totally_real on every member of a stack, without building frames.
 
     points is (B, 2n) + grid.sizes, the components ahead of the grid axes:
     B immersions sharing grid, chart and winding, member b being
-    Immersion(points=np.moveaxis(points[b], 0, -1)). The coordinate vectors
-    are taken from the stack copied to (2n, B) + grid.sizes, and _check_stack
-    decides from their Gram and omega matrices.
-    """
-    points = np.asarray(points, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # the copy lives only while the coordinate vectors are made
-        vs = _coordinate_vectors(
-            grid, np.ascontiguousarray(np.moveaxis(points, 1, 0)), winding)
-    _check_stack(grid, chart, points, vs, winding)
-
-
-def _check_stack(grid, chart, points, vs, winding):
-    """The checks of is_totally_real_stack, given the coordinate vectors.
-
-    points is (B, 2n) + grid.sizes and vs its coordinate vectors,
-    (n, 2n, B) + grid.sizes. The checks are reduced per member from
+    Immersion(points=np.moveaxis(points[b], 0, -1)); vs are its coordinate
+    vectors, (n, 2n, B) + grid.sizes. The checks are reduced per member from
     _gram_volumes, and the error raised is the one the loop
     `for p in points: is_totally_real(Immersion(...))` raises: the first
     failing member, and within it the frame check, then the volume check,

@@ -1,5 +1,7 @@
 """Truncated multivariate Taylor arithmetic (forward mode, exact derivatives).
 
+The derivative engine of the chart-kernel oracle in taylor_oracle.py.
+
 A `Taylor` holds the Taylor coefficients c_alpha = d^alpha f(x) / alpha! of a
 function of d <= 4 variables t about a batch of base points, up to total
 degree p <= 4. Its coefficient array has shape (K,) + batch, with the K

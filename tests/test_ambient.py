@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fd_oracle import fd_christoffel, fd_metric, fd_ricci
+from taylor_oracle import TaylorChart, potential_chart, taylor_twin
 from trgeo import ambient
 from trgeo.errors import MetricNotPositiveDefinite, PointOutsideDomain, ValidationError
 
@@ -173,7 +174,7 @@ def _quartic(z):
 _ORACLE_CASES = [
     (ambient.complex_hyperbolic_ball(), (-0.3, 0.3), 4),
     (ambient.poincare_disk(), (-0.45, 0.45), 2),
-    (ambient.potential_chart(2, _quartic, radius=2.0, name="quartic"), (0.4, 0.8), 4),
+    (potential_chart(2, _quartic, radius=2.0, name="quartic"), (0.4, 0.8), 4),
 ]
 
 
@@ -234,7 +235,7 @@ def test_verify_quartic_not_einstein():
         s = np.sum(np.asarray(z) ** 2, axis=-1)
         return s * s
 
-    qc = ambient.potential_chart(2, quartic, radius=2.0, name="quartic")
+    qc = potential_chart(2, quartic, radius=2.0, name="quartic")
     rng = np.random.default_rng(2)
     pts = rng.uniform(0.4, 0.8, size=(10, 4))
     rep = ambient.verify_kahler_einstein(qc, pts)
@@ -260,14 +261,14 @@ def test_degenerate_potential_rejected():
         s = np.sum(np.asarray(z) ** 2, axis=-1)
         return s * s
 
-    qc = ambient.potential_chart(2, quartic, radius=2.0)
+    qc = potential_chart(2, quartic, radius=2.0)
     with pytest.raises(MetricNotPositiveDefinite):
         qc.metric_many(at(np.zeros(4)))
 
 
 @pytest.mark.parametrize("kernel", ["metric_many", "christoffel_many", "ricci_many"])
 def test_unsupported_potential_operation_is_named(kernel):
-    chart = ambient.potential_chart(
+    chart = potential_chart(
         1, lambda z: np.exp(np.sum(np.asarray(z) ** 2, axis=-1)), radius=1.0,
         name="exp_potential")
     with pytest.raises(ValidationError, match=r"'exp_potential'.*\bexp\b"):
@@ -275,18 +276,18 @@ def test_unsupported_potential_operation_is_named(kernel):
 
 
 def test_christoffel_evaluates_the_potential_once(monkeypatch):
-    # g comes from the same degree-3 evaluation as its derivatives
-    ball = ambient.complex_hyperbolic_ball()
+    # Taylor oracle: g comes from the same degree-3 evaluation as its derivatives
+    ball = taylor_twin(ambient.complex_hyperbolic_ball())
     pts = np.random.default_rng(3).uniform(-0.3, 0.3, size=(64, 4))
     expected = ball.christoffel_many(pts)
     calls = []
-    on_blocks = ambient.AmbientChart._on_blocks
+    on_blocks = TaylorChart._on_blocks
 
     def counting(self, pts, degree, kernel, shape):
         calls.append(degree)
         return on_blocks(self, pts, degree, kernel, shape)
 
-    monkeypatch.setattr(ambient.AmbientChart, "_on_blocks", counting)
+    monkeypatch.setattr(TaylorChart, "_on_blocks", counting)
     assert np.array_equal(ball.christoffel_many(pts), expected)
     assert calls == [3]
 
@@ -296,25 +297,25 @@ def test_christoffel_rejects_degenerate_metric():
         s = np.sum(np.asarray(z) ** 2, axis=-1)
         return s * s
 
-    qc = ambient.potential_chart(2, quartic, radius=2.0, name="quartic")
+    qc = potential_chart(2, quartic, radius=2.0, name="quartic")
     with pytest.raises(MetricNotPositiveDefinite, match="'quartic'"):
         qc.christoffel_many(at(np.zeros(4)))
 
 
 def test_verify_evaluates_the_potential_once(monkeypatch):
-    # g, dg and the Ricci tensor come from one degree-4 evaluation
-    ball = ambient.complex_hyperbolic_ball()
+    # Taylor oracle: g, dg and the Ricci tensor come from one degree-4 evaluation
+    ball = taylor_twin(ambient.complex_hyperbolic_ball())
     pts = np.random.default_rng(4).uniform(-0.3, 0.3, size=(1500, 4))
     g, _ = ball.metric_many(pts)
     gamma, ric = ball.christoffel_many(pts), ball.ricci_many(pts)
     calls = []
-    on_blocks = ambient.AmbientChart._on_blocks
+    on_blocks = TaylorChart._on_blocks
 
     def counting(self, pts, degree, kernel, shape):
         calls.append(degree)
         return on_blocks(self, pts, degree, kernel, shape)
 
-    monkeypatch.setattr(ambient.AmbientChart, "_on_blocks", counting)
+    monkeypatch.setattr(TaylorChart, "_on_blocks", counting)
     rep = ambient.verify_kahler_einstein(ball, pts)
     assert calls == [4]
     g4, gamma4, ric4 = ball._einstein_data(pts)
@@ -332,7 +333,7 @@ def test_verify_keeps_the_kernels_error_order():
         s = np.sum(np.asarray(z) ** 2, axis=-1)
         return s * s
 
-    qc = ambient.potential_chart(2, quartic, radius=2.0, name="quartic")
+    qc = potential_chart(2, quartic, radius=2.0, name="quartic")
     pts = np.zeros((8, 4))
     with pytest.raises(MetricNotPositiveDefinite) as ref:
         qc.christoffel_many(pts)
@@ -375,3 +376,119 @@ def test_inverse_metric_of_a_flat_chart_is_the_identity_view(chart):
     inv = chart.inverse_metric(g)
     assert inv.shape == g.shape and not inv.flags.writeable
     assert np.array_equal(inv, np.broadcast_to(np.eye(chart.dim), g.shape))
+
+
+# --- the radial kernel against the Taylor oracle, and its failure path -------------
+
+@pytest.mark.parametrize("chart", [ambient.poincare_disk(), ambient.complex_hyperbolic_ball()],
+                         ids=["disk", "ball"])
+def test_radial_kernel_matches_the_taylor_oracle(chart):
+    # in the box [-0.4, 0.4]^2n within 1e-15 cond g (largest ratio measured
+    # 0.82). Over the whole domain of the Christoffel symbols both kernels'
+    # rounding of 1 - |p|^2 is amplified by 1 / (1 - |p|^2), which is cond g
+    # on the ball; the disk's g is conformal (cond g = 1) but takes the same
+    # amplification, so the bound there is 1e-15 / (1 - |p|^2) (largest
+    # ratio 0.88)
+    twin = taylor_twin(chart)
+    rng = np.random.default_rng(14)
+    box = rng.uniform(-0.4, 0.4, size=(4096, chart.dim))
+    domain = _ball_points(rng, 4096, chart.dim, 1.0 - 2.0 * 130e-4)
+    for pts in (box, domain):
+        g_ref, _ = twin.metric_many(pts)
+        if pts is box:
+            bound = 1e-15 * np.linalg.cond(g_ref)
+        else:
+            bound = 1e-15 / (1.0 - np.sum(pts * pts, axis=-1))
+        for got, ref in ((chart.metric_many(pts)[0], g_ref),
+                         (chart.christoffel_many(pts), twin.christoffel_many(pts)),
+                         (chart.ricci_many(pts), twin.ricci_many(pts))):
+            axes = tuple(range(1, got.ndim))
+            err = np.max(np.abs(got - ref), axis=axes) / np.max(np.abs(ref), axis=axes)
+            assert np.all(err <= bound)
+
+
+def test_einstein_data_is_the_three_kernels_from_one_jet_per_block():
+    # verify's (g, Gamma, Ric) are bitwise those of the separate kernels, and
+    # the potential's derivatives are evaluated once per block of points
+    ball = ambient.complex_hyperbolic_ball()
+    calls = []
+
+    def counting(s):
+        calls.append(s.size)
+        return ball.dphi(s)
+
+    chart = ambient.AmbientChart(n=2, kind="radial", phi=ball.phi, dphi=counting,
+                                 radius=1.0, name="counting")
+    pts = np.random.default_rng(4).uniform(-0.3, 0.3, size=(1500, 4))
+    g, _ = chart.metric_many(pts)
+    gamma, ric = chart.christoffel_many(pts), chart.ricci_many(pts)
+    calls.clear()
+    g4, gamma4, ric4 = chart._einstein_data(pts)
+    assert calls == [512, 512, 476]
+    assert np.array_equal(g4, g) and np.array_equal(gamma4, gamma)
+    assert np.array_equal(ric4, ric)
+
+
+def _polynomial_chart(n, c1, c2, name):
+    """Radial chart of phi = c1 s + c2 s^2 on the unit ball, s = |p|^2."""
+    def phi(p):
+        s = np.sum(np.asarray(p) ** 2, axis=-1)
+        return c1 * s + c2 * s * s
+
+    def dphi(s):
+        zero = np.zeros_like(s)
+        return c1 + 2.0 * c2 * s, 2.0 * c2 + zero, zero, zero
+
+    return ambient.AmbientChart(n=n, kind="radial", phi=phi, dphi=dphi, radius=1.0,
+                                name=name)
+
+
+def _at_radius(r, dim):
+    return np.full(dim, r / np.sqrt(dim))
+
+
+# (chart, a point where g is not positive definite, a point where it is):
+# phi = s^2 - s has phi' = 2s - 1 < 0 < u = phi' + s phi'' = 4s - 1 at
+# s = 0.36; phi = s - s^2 / 2 has u = 1 - 2s < 0 < phi' = 1 - s at s = 0.64
+# (for n = 1, H = u alone)
+_NOT_POSITIVE = [
+    (_polynomial_chart(2, -1.0, 1.0, "phi_prime_negative"), 0.6, 0.85),
+    (_polynomial_chart(2, 1.0, -0.5, "u_negative_ball"), 0.8, 0.3),
+    (_polynomial_chart(1, 1.0, -0.5, "u_negative_disk"), 0.8, 0.3),
+]
+_NOT_POSITIVE_IDS = [chart.name for chart, _, _ in _NOT_POSITIVE]
+_ENTRY_POINTS = {
+    "metric_many": lambda chart, pts: chart.metric_many(pts),
+    "christoffel_many": lambda chart, pts: chart.christoffel_many(pts),
+    "ricci_many": lambda chart, pts: chart.ricci_many(pts),
+    "verify_kahler_einstein": ambient.verify_kahler_einstein,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("chart,bad,good", _NOT_POSITIVE, ids=_NOT_POSITIVE_IDS)
+def test_radial_kernels_refuse_a_metric_that_is_not_positive_definite(chart, bad, good, entry):
+    # one bad point behind a block of good ones; the message names the chart
+    # and g's least eigenvalue, as the Taylor oracle's Cholesky test does
+    call = _ENTRY_POINTS[entry]
+    pts = np.array([_at_radius(good, chart.dim)] * 600 + [_at_radius(bad, chart.dim)])
+    call(chart, pts[:600])
+    with pytest.raises(MetricNotPositiveDefinite, match=f"'{chart.name}'") as got:
+        call(chart, pts)
+    if entry != "ricci_many":
+        # the oracle's Ricci tensor names the Hermitian Hessian instead
+        with pytest.raises(MetricNotPositiveDefinite) as ref:
+            call(taylor_twin(chart), pts)
+        assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("chart,bad,good", _NOT_POSITIVE, ids=_NOT_POSITIVE_IDS)
+def test_domain_check_comes_before_positivity(chart, bad, good, entry):
+    # a point past the domain margin, in a batch that also holds a point
+    # where g is not positive definite (and is itself one for u_negative)
+    margin = 2e-4 if entry == "metric_many" else 2.6e-2
+    edge = _at_radius(1.0 - 0.5 * margin, chart.dim)
+    pts = np.array([_at_radius(bad, chart.dim)] * 8 + [edge])
+    with pytest.raises(PointOutsideDomain, match=f"'{chart.name}'"):
+        _ENTRY_POINTS[entry](chart, pts)

@@ -287,11 +287,13 @@ def test_overflow_exits_3_naming_its_stage(tmp_path, payload, stage):
         f"{payload['operation']} failed in {stage}: overflow encountered")
 
 
-def test_nan_result_exits_3_naming_its_path(tmp_path):
-    # a NaN read from a coefficient file raises no floating-point exception
-    # on its way through; the result check refuses it and names its path
-    coeffs = tmp_path / "nan.json"
-    coeffs.write_text("[[1, NaN, 0.0], [-1, 0.3, 0.0]]")
+def test_nan_result_exits_3_naming_its_path(tmp_path, monkeypatch):
+    # a NaN that raises no floating-point exception on its way (here from a
+    # patched signed_area; coefficient files no longer let one in) is
+    # refused by the result check, which names its path
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text("[[1, 1.0, 0.0], [-1, 0.3, 0.0]]")
+    monkeypatch.setattr(cl.FourierCurve, "signed_area", lambda self: float("nan"))
     scn = write_scenario(tmp_path / "s.json", {
         "version": 1, "name": "nan", "operation": "curve.analyze",
         "curve": {"coeff_file": str(coeffs)}, "params": {}})
@@ -302,6 +304,26 @@ def test_nan_result_exits_3_naming_its_path(tmp_path):
     rec = json.loads((out / "results.json").read_text())
     assert rec["error_type"] == "NotFinite"
     assert rec["message"] == "curve.analyze computed NaN at results.signed_area"
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("op,radii", [("curve.geodesic", [0.9, 1.0]),
+                                      ("curve.length", [0.8, 0.9, 1.0])])
+def test_non_finite_coefficient_file_exits_2(tmp_path, capsys, op, radii, value):
+    # JSON readers accept NaN and Infinity: curve.geodesic exited 0 with nan
+    # rows in its frame CSVs, and curve.length printed numpy's All-NaN
+    # warning before its exit 3
+    coeffs = tmp_path / "bad.json"
+    coeffs.write_text(f"[[1, 1.0, 0.0], [-1, 0.3, {value}]]")
+    scn = write_scenario(tmp_path / "s.json", {
+        "version": 1, "operation": op, "curve": {"coeff_file": str(coeffs)},
+        "params": {"radii": radii}})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("trgeo: ValidationError: curve.coeff_file")
+    assert str(coeffs) in err and f"entry 1 ([-1, 0.3, {float(value)}]) is not finite" in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_unit_circle_length_at_a_huge_radius_is_finite(tmp_path):

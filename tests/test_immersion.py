@@ -426,21 +426,21 @@ def _stack_cases():
 
 @pytest.mark.parametrize("case", list(_stack_cases()), ids=lambda c: c[0])
 def test_stacked_frame_fields_equal_each_member(case):
+    # the fields _check_stack reads off a stack (coordinate vectors, chart
+    # fields, Gram volumes) are those of each member's own Geometry
     _, grid, chart, members, winding = case
     pts = np.stack(members)
     # the builder's stack layout: components first, (2n, B) + grid sizes
     ahead = np.ascontiguousarray(np.moveaxis(pts, -1, 0))
     vs = imm._coordinate_vectors(grid, ahead, winding)
-    frame, coeffs, g, omega, vol, degenerate = imm._frame_fields(
-        grid, chart, vs, imm._positions(grid, pts, winding))
-    assert coeffs.shape == (grid.n, grid.n) + pts.shape[:-1]
-    assert not np.any(degenerate)
+    g, omega = chart.metric_many(imm._positions(grid, pts, winding))
+    vol, _, low = imm._gram_volumes(vs, g, omega)
+    assert vol.shape == pts.shape[:-1]
+    assert not np.any(low)
     for b, p in enumerate(members):
         fr = imm.frames(imm.Immersion(grid=grid, chart=chart, points=p,
                                       winding=winding))
         assert np.array_equal(np.moveaxis(vs[:, :, b], 1, -1), fr.vectors)
-        assert np.array_equal(np.moveaxis(frame[:, :, b], 1, -1), fr.frame)
-        assert np.array_equal(coeffs[:, :, b], fr.coeffs)
         assert np.array_equal(g[b], fr.g_ambient)
         assert np.array_equal(omega[b], fr.omega_ambient)
         assert np.array_equal(vol[b], fr.induced_vol)
@@ -477,9 +477,18 @@ def _family_errors(grid, chart, family, block=8):
         # stacks are (B, 2n) + grid sizes
         ahead = np.moveaxis(family, -1, 1)
         for s in range(0, len(family), block):
-            imm.is_totally_real_stack(grid, chart, ahead[s:s + block])
+            _check_stack(grid, chart, ahead[s:s + block])
 
     return _raised(loop), _raised(blocks)
+
+
+def _check_stack(grid, chart, stack):
+    """immersion._check_stack of a (B, 2n) + grid sizes stack, with the
+    coordinate vectors taken from the stack copied to (2n, B) + grid sizes."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vs = imm._coordinate_vectors(
+            grid, np.ascontiguousarray(np.moveaxis(stack, 1, 0)), None)
+    imm._check_stack(grid, chart, stack, vs, None)
 
 
 def _with_nan(points):
@@ -537,8 +546,20 @@ def test_nan_node_fails_validation(flat2):
     with pytest.raises(NotImmersed, match="not finite"):
         imm.is_totally_real(bad)
     with pytest.raises(NotImmersed, match="not finite"):
-        imm.is_totally_real_stack(im.grid, flat2,
-                                  np.moveaxis(np.stack([im.points, pts]), -1, 1))
+        _check_stack(im.grid, flat2, np.moveaxis(np.stack([im.points, pts]), -1, 1))
+
+
+def test_nan_node_on_a_curved_chart_fails_the_frame_check():
+    # the chart kernel passes a NaN position on as NaN in g, so one member
+    # and a stack both name the non-finite geometry, not the metric
+    ball = ambient.complex_hyperbolic_ball()
+    im = imm.build_immersion(_GRID16, ball, "product_torus", r1=0.3, r2=0.4).im
+    pts = im.points.copy()
+    pts[3, 5, 1] = np.nan
+    with pytest.raises(NotImmersed, match="not finite"):
+        imm.is_totally_real(imm.Immersion(grid=im.grid, chart=ball, points=pts))
+    with pytest.raises(NotImmersed, match="not finite"):
+        _check_stack(im.grid, ball, np.moveaxis(np.stack([im.points, pts]), -1, 1))
 
 
 @pytest.mark.parametrize("bad", [{10: 0.99}, {3: 0.0, 10: 0.99}, {4: 0.99, 5: 0.0}])

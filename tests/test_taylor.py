@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from trgeo import _taylor
+import _taylor
 
 X = np.array([0.5, 1.25, 3.0])
 
