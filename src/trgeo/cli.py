@@ -70,43 +70,162 @@ def _json_dump(obj, path):
         f.write(json.dumps(_sanitize(obj), sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
 def _cell(v):
-    """One CSV cell: floats as _fmt, quoted when it holds a comma, quote or LF."""
-    s = _fmt(v) if isinstance(v, float) else str(v)
+    """One CSV cell: floats as '%.17g', quoted when it holds a comma, quote or LF."""
+    s = format(float(v), ".17g") if isinstance(v, float) else str(v)
     if any(c in s for c in ",\"\n"):
         s = '"' + s.replace('"', '""') + '"'
     return s
 
 
-def write_csv(path, header, rows):
-    """RFC-4180 CSV with LF endings and 17-significant-digit floats.
+# --- CSV output -------------------------------------------------------------
+# Numeric cells are laid out as NUL-padded rows of a uint8 matrix, one block
+# of slots per column; dropping the NULs of the whole table gives its bytes.
 
-    When every column holds only floats or only ints, the rows go through
-    one %-format for the table ('%.17g' % x is the same string as
-    format(x, '.17g'), '%d' % k as str(k)); other rows are written cell by
-    cell, with quoting.
-    """
-    def column_format(column):
-        kinds = set(map(type, column))
-        if kinds <= {float, np.float64}:
-            return "%.17g"
-        return "%d" if kinds == {int} else None
+_U64 = np.uint64
 
-    rows = [tuple(r) for r in rows]
-    formats = [None]
-    if len(set(map(len, rows))) == 1:
-        formats = [column_format(c) for c in zip(*rows)]
+
+@functools.cache
+def _g17_tables():
+    """The read-only tables of _float_cells: the bits of the least double >= 10**d
+    for d = -11..16, 5**k for k = 0..27, the ASCII of 0000..9999 as uint32 and
+    their trailing zeros, masks keeping the first 0..16 of 16 bytes, and per
+    (decimal exponent -11..16, point shown, sign) the 44 slots around the digits
+    (at 6, 8, .. 38): sign, "0." and zeros at 1..5, the point, "e-XX" at 40."""
+    from fractions import Fraction
+    tens = [(d, float(Fraction(10) ** d)) for d in range(-11, 17)]      # correctly rounded
+    tens = [math.nextafter(x, math.inf) if x < Fraction(10) ** d else x for d, x in tens]
+    groups = np.arange(10000)
+    ascii4 = (groups[:, None] // 10 ** np.arange(3, -1, -1)) % 10 + ord("0")
+    zeros = sum((groups % 10 ** j == 0).astype(np.intp) for j in range(1, 5))
+    heads = (np.arange(16) < np.arange(17)[:, None]) * np.uint8(255)
+    frame = np.zeros((28, 2, 2, 44), np.uint8)
+    for i, x in enumerate(range(-11, 17)):
+        if -4 <= x < 0:                                  # %f notation below 1
+            frame[i, :, :, 1:2 - x] = np.frombuffer(b"0." + b"0" * (-x - 1), np.uint8)
+        else:
+            frame[i, 1, :, 7 + 2 * max(x, 0)] = ord(".")
+        if x < -4:                                       # %e notation
+            frame[i, :, :, 40:] = np.frombuffer(b"e-%02d" % -x, np.uint8)
+    frame[:, :, 1, 0] = ord("-")
+    tables = (np.array(tens).view(_U64), 5 ** np.arange(28, dtype=_U64),
+              ascii4.astype(np.uint8).view(np.uint32).ravel(), zeros, heads.view(_U64),
+              frame.reshape(-1, 44))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _float_cells(x):
+    """The cells '%.17g' % v of the float array x, as rows of a NUL-padded
+    uint8 matrix. For 10**-11 <= |v| < 10**16 the digits are exact integer
+    arithmetic: with |v| = m 2**e and k = 16 - floor(log10 |v|), N = m 5**k
+    2**(e + k) rounded half to even has 17 digits (m 5**k takes two 64-bit
+    limbs); every other value is formatted by Python, one at a time."""
+    tens, fives, quad_ascii, quad_zeros, heads, frame = _g17_tables()
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    a = x.view(_U64) & _U64(2 ** 63 - 1)
+    fast = (a >= tens[0]) & (a < tens[-1])
+    # integer ops raise no FP event; uint64 throughout, as uint64 with int64 gives float64
+    d = np.where(fast, np.searchsorted(tens, a, side="right") - 12, 0)
+    m = (a & _U64(2 ** 52 - 1)) | _U64(2 ** 52)
+    s = (a >> _U64(52)).astype(np.intp) - 1075 + 16 - d
+    q = fives[16 - d]
+    mask32, b32 = _U64(2 ** 32 - 1), _U64(32)
+    ll, lh = (m & mask32) * (q & mask32), (m & mask32) * (q >> b32)
+    hl, hh = (m >> b32) * (q & mask32), (m >> b32) * (q >> b32)
+    mid = (ll >> b32) + (lh & mask32) + (hl & mask32)
+    lo = (ll & mask32) | (mid << b32)
+    hi = hh + (lh >> b32) + (hl >> b32) + (mid >> b32)
+    # N = (hi, lo) shifted by s, rounded half to even; s >= 0 leaves hi = 0
+    t = np.clip(-s, 1, 63).astype(_U64)
+    n = (lo >> t) | (hi << (_U64(64) - t))
+    rest, half = lo & ((_U64(1) << t) - _U64(1)), _U64(1) << (t - _U64(1))
+    n += (s < 0) & ((rest > half) | ((rest == half) & (n & _U64(1) == _U64(1))))
+    n = np.where(s < 0, n, lo << np.clip(s, 0, 63).astype(_U64))
+    carry = n == _U64(10 ** 17)
+    n[carry | ~fast] = 10 ** 16
+    X = d + carry
+    # the digits: the first, then four groups of four
+    top = n // _U64(10 ** 8)
+    first = top // _U64(10 ** 8)
+    quads = np.empty((len(n), 4), np.intp)
+    for j, part in ((0, top - first * _U64(10 ** 8)), (2, n - top * _U64(10 ** 8))):
+        quads[:, j] = part // _U64(10 ** 4)
+        quads[:, j + 1] = part - quads[:, j].astype(_U64) * _U64(10 ** 4)
+    # %g drops trailing zeros after the point, and the point with them
+    z = quad_zeros[quads]
+    zeros = z[:, 3] + (z[:, 3] == 4) * (z[:, 2] + (z[:, 2] == 4) * (
+        z[:, 1] + (z[:, 1] == 4) * z[:, 0]))
+    whole = np.maximum(X, 0) + 1
+    kept = np.maximum(17 - zeros, whole)
+    digits = np.empty((len(n), 3), _U64)
+    np.bitwise_and(np.take(quad_ascii, quads).view(_U64), np.take(heads, kept - 1, axis=0),
+                   out=digits[:, 1:])
+    digits = digits.view(np.uint8)[:, 7:]
+    digits[:, 0] = first + _U64(ord("0"))
+    code = ((X + 11) * 2 + (kept > whole)) * 2 + np.signbit(x)
+    slow = np.flatnonzero(~fast)
+    cells = np.array(["%.17g" % v for v in x[slow].tolist()], dtype=bytes)
+    width = cells.itemsize if len(slow) else 0
+    # only the slots that some cell uses
+    used = frame[np.bincount(code, minlength=len(frame)) > 0].any(axis=0)
+    n_digits = int(kept.max(initial=1))
+    used[6:6 + 2 * n_digits:2] = True
+    used[:width] = True
+    out = np.take(frame[:, used], code, axis=0)
+    out[:, (np.cumsum(used) - 1)[6:6 + 2 * n_digits:2]] = digits[:, :n_digits]
+    if width:
+        out[slow] = 0
+        out[slow, :width] = cells.view(np.uint8).reshape(len(slow), width)
+    return out
+
+
+def _int_cells(v):
+    """The cells str(k) of the array v of ints >= 0, as rows of a NUL-padded uint8 matrix."""
+    mag = v.astype(_U64)
+    width = len(str(int(mag.max(initial=0))))
+    out = np.zeros((len(v), width), np.uint8)
+    for j in range(width):
+        p = _U64(10 ** (width - 1 - j))
+        out[:, j] = np.where((mag >= p) | (p == 1), (mag // p) % _U64(10) + _U64(ord("0")), 0)
+    return out
+
+
+def _column_cells(column, encoding):
+    """One column as rows of a NUL-padded uint8 matrix: a float array as
+    '%.17g' % x, an array of ints >= 0 as str(k), any other column by _cell,
+    then with the cells' lengths, as text may hold a NUL of its own."""
+    kind = column.dtype.kind if isinstance(column, np.ndarray) else None
+    if kind == "f":
+        return _float_cells(column), None
+    if kind in ("i", "u") and column.min(initial=0) >= 0:
+        return _int_cells(column), None
+    cells = [_cell(v).encode(encoding) for v in (column.tolist() if kind else column)]
+    matrix = np.array(cells, dtype=bytes)
+    return matrix.view(np.uint8).reshape(len(cells), -1), np.array(list(map(len, cells)))
+
+
+def write_csv(path, header, columns):
+    """RFC-4180 CSV with LF endings: the header, then one row per entry of
+    the columns, which all have one length (see _column_cells)."""
     with open(path, "w", newline="") as f:
         f.write(",".join(map(_cell, header)) + "\n")
-        if None in formats:
-            f.write("".join(",".join(map(_cell, r)) + "\n" for r in rows))
-        else:
-            row = ",".join(formats) + "\n"
-            f.write("".join(row % r for r in rows))
+        rows = len(columns[0]) if columns else 0
+        if not rows:
+            return
+        blocks, text = [], []
+        for column in columns:
+            cells, lengths = _column_cells(column, f.encoding)
+            if lengths is not None:
+                text.append((sum(b.shape[1] for b in blocks), lengths))
+            blocks += [cells, np.full((rows, 1), ord(","), np.uint8)]
+        blocks[-1][:] = ord("\n")
+        table = np.concatenate(blocks, axis=1)
+        keep = table != 0
+        for start, lengths in text:
+            keep[:, start:start + lengths.max()] = np.arange(lengths.max()) < lengths[:, None]
+        f.write(table[keep].tobytes().decode(f.encoding))
 
 
 def _write_frames_csv(out_dir, frames):
@@ -115,8 +234,8 @@ def _write_frames_csv(out_dir, frames):
     for k, frame in enumerate(frames):
         path = os.path.join(out_dir, f"curve_t{k}.csv")
         pts = np.asarray(frame)
-        header = [f"x{j}" for j in range(pts.shape[-1])]
-        write_csv(path, header, pts.reshape(-1, pts.shape[-1]).tolist())
+        pts = pts.reshape(-1, pts.shape[-1])
+        write_csv(path, [f"x{j}" for j in range(pts.shape[1])], list(pts.T))
         paths.append(path)
     return paths
 
@@ -127,7 +246,7 @@ def _write_reports_csv(out_dir, reports):
     rows = [(r["context"], float(r["analytic"]), float(r["fd"]), float(r["rel_err"]),
              "" if r.get("richardson_order") is None else float(r["richardson_order"]))
             for r in reports]
-    write_csv(path, ["case", "analytic", "fd", "rel_err", "order"], rows)
+    write_csv(path, ["case", "analytic", "fd", "rel_err", "order"], list(zip(*rows)))
     return path
 
 
@@ -360,8 +479,7 @@ def _op_curve_length(s, out_dir, raw):
     prof = curve_lab.length_profile(curve, s["params"]["radii"])
     path = os.path.join(out_dir, "length_profile.csv")
     write_csv(path, ["r", "t", "Lambda", "d2"],
-              [(float(r), float(t), float(v), float(d)) for r, t, v, d in
-               zip(prof.radii, prof.t_values, prof.values, prof.second_differences)])
+              [prof.radii, prof.t_values, prof.values, prof.second_differences])
     return {"lambda": [float(v) for v in prof.values],
             "min_second_difference": float(np.nanmin(prof.second_differences))}, [path]
 
@@ -379,28 +497,18 @@ def _op_curve_secondvar(s, out_dir, raw):
     return {"reports": reports}, [_write_reports_csv(out_dir, reports)]
 
 
-def _write_grid_csv(path, sizes, columns):
-    """One row per grid node in C order: its indices i0.., then each column's value.
-
-    The bytes are write_csv's for these rows; the indices are ints and the
-    values floats, so one row format serves every row.
-    """
-    row = ",".join(["%d"] * len(sizes) + ["%.17g"] * len(columns)) + "\n"
-    rows = zip(*np.indices(sizes).reshape(len(sizes), -1).tolist(),
-               *(a.ravel().tolist() for a in columns.values()))
-    with open(path, "w", newline="") as f:
-        f.write(",".join(map(_cell, [f"i{k}" for k in range(len(sizes))] + list(columns)))
-                + "\n")
-        f.write("".join(row % r for r in rows))
+def _node_columns(sizes):
+    """The header and the columns of the node indices i0.. of a grid, in C order."""
+    return [f"i{k}" for k in range(len(sizes))], list(np.indices(sizes).reshape(len(sizes), -1))
 
 
 def _op_jvol_compute(s, out_dir, raw):
     geo = _geometry(s)
     vols = geo.volumes()
     path = os.path.join(out_dir, "density.csv")
-    _write_grid_csv(path, geo.im.grid.sizes, {"rho": geo.rho,
-                                              "volg_density": geo.induced_vol,
-                                              "volj_density": geo.volj_density})
+    names, nodes = _node_columns(geo.im.grid.sizes)
+    write_csv(path, names + ["rho", "volg_density", "volj_density"],
+              nodes + [geo.rho.ravel(), geo.induced_vol.ravel(), geo.volj_density.ravel()])
     return {"vol_j": vols["vol_j"], "vol_g": vols["vol_g"],
             "min_rho": float(np.min(geo.rho)), "max_rho": float(np.max(geo.rho)),
             "lagrangian_defect": geo.lagrangian_defect,
@@ -412,7 +520,8 @@ def _op_jvol_hj(s, out_dir, raw):
     field = geo.h_j
     mags = np.sqrt(np.sum(field.values ** 2, axis=-1))
     path = os.path.join(out_dir, "hj_magnitude.csv")
-    _write_grid_csv(path, geo.im.grid.sizes, {"|H_J|": mags})
+    names, nodes = _node_columns(geo.im.grid.sizes)
+    write_csv(path, names + ["|H_J|"], nodes + [mags.ravel()])
     return {"max_magnitude": float(np.max(mags)),
             "min_magnitude": float(np.min(mags)),
             "tangential_leak": field.max_tangential_leak}, [path]
@@ -486,8 +595,7 @@ def _op_variation_convexity(s, out_dir, raw):
     prof = vh.convexity_experiment(p["family"], p["t_grid"])
     path = os.path.join(out_dir, "convexity.csv")
     write_csv(path, ["t", "Vol_J", "d2"],
-              [(float(t), float(v), float(d)) for t, v, d in
-               zip(prof["t"], prof["vol_j"], prof["second_differences"])])
+              [prof["t"], prof["vol_j"], prof["second_differences"]])
     interior = prof["second_differences"][1:-1]
     return {"min_second_difference": float(np.min(interior)),
             "vol_j": [float(v) for v in prof["vol_j"]]}, [path]

@@ -225,7 +225,8 @@ class Geometry:
     @cached_property
     def rho_vol(self):
         """Per-node rho_J by the Gram-determinant formula (the cross-check)."""
-        return _rho_vol(self.frame, self.g_ambient, self.im.chart.J)
+        chart = self.im.chart
+        return _rho_vol(self.frame, None if chart.is_flat else self.g_ambient, chart.J)
 
     @cached_property
     def formula_gap(self):
@@ -437,26 +438,15 @@ def _rho_h(frame_vectors, omega):
 
 
 def _rho_vol(frame_vectors, g, J):
-    """sqrt( sqrt(det g) * det[e_1 .. e_n, Je_1 .. Je_n] ), by LAPACK."""
+    """sqrt( sqrt(det g) * det[e_1 .. e_n, Je_1 .. Je_n] ), by LAPACK; g None is
+    a flat chart's identity metric, whose det g = 1.0 is left out: sqrt(1.0) * d == d."""
     n = frame_vectors.shape[0]
     cols = [frame_vectors[i] for i in range(n)]
     cols += [np.einsum("ij,...j->...i", J, frame_vectors[i]) for i in range(n)]
-    mat = np.stack(cols, axis=-1)
-    det_g = np.linalg.det(g)
-    vol = np.sqrt(np.maximum(det_g, 0.0)) * np.linalg.det(mat)
+    vol = np.linalg.det(np.stack(cols, axis=-1))
+    if g is not None:
+        vol = np.sqrt(np.maximum(np.linalg.det(g), 0.0)) * vol
     return np.sqrt(np.maximum(vol, 0.0))
-
-
-def rho_of_frame(frame_vectors, g, omega, J):
-    """Both rho_J formulas for orthonormal frames e_i; returns (rho_h, rho_vol).
-
-    rho_h   = sqrt(det_C (delta_ij - i omega(e_i, e_j)))
-    rho_vol = sqrt( sqrt(det g) * det[e_1 .. e_n, Je_1 .. Je_n] )
-
-    frame_vectors is (n,) + nodes + (2n,), as Geometry.frame.
-    """
-    return (_rho_h(np.moveaxis(frame_vectors, -1, 1), omega),
-            _rho_vol(frame_vectors, g, J))
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """CLI tests: scenario dispatch, artifacts, exit codes, determinism."""
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -373,7 +374,7 @@ def test_determinism_across_threads(classify_scenario, tmp_path):
 
 def test_csv_format(tmp_path):
     path = tmp_path / "x.csv"
-    cli.write_csv(path, ["a", "b"], [(1.0 / 3.0, 'needs,"quoting"')])
+    cli.write_csv(path, ["a", "b"], [[1.0 / 3.0], ['needs,"quoting"']])
     raw = path.read_bytes().decode()
     assert "\r" not in raw
     lines = raw.split("\n")
@@ -407,6 +408,7 @@ def _grid_rows():
      (3, 0, float("nan")), (4, 5, float("inf")), (5, 6, 2.0 ** 60)],
     [(1.5, np.float64(0.1)), (-2.25e17, np.float64(-3.0))],
     [(1.0, "a,b"), (2.0, "")],            # a text column: cell by cell
+    [(1.0, "a\0b"), (-7, "\0")],          # text keeps its NULs
     [(1.0, 2), (0.5, 3.0)],               # a mixed column: cell by cell
     [],
     _grid_rows(),
@@ -414,32 +416,79 @@ def _grid_rows():
 def test_csv_bytes_pinned(tmp_path, rows):
     header = ["i0", 'say "hi"', "|H_J|,max", "i1", "rho"][:len(rows[0]) if rows else 3]
     path = tmp_path / "t.csv"
-    cli.write_csv(path, header, rows)
+    cli.write_csv(path, header, list(zip(*rows)))
     assert path.read_bytes().decode() == _csv_cell_by_cell(header, rows)
 
 
 def test_csv_bytes_literal(tmp_path):
     path = tmp_path / "t.csv"
-    cli.write_csv(path, ["i0", 'a "b"', "c,d"], [(0, 0.1, -0.0), (12, 1e-300, 2.5)])
+    cli.write_csv(path, ["i0", 'a "b"', "c,d"], [[0, 12], [0.1, 1e-300], [-0.0, 2.5]])
     assert path.read_bytes() == (b'i0,"a ""b""","c,d"\n'
                                  b"0,0.10000000000000001,-0\n"
                                  b"12,1e-300,2.5\n")
 
 
-@pytest.mark.parametrize("sizes", [(3, 5), (7,)])
-def test_grid_csv_is_write_csv_of_its_rows(tmp_path, sizes):
-    # the grid writer formats its rows with one row format; its bytes are
-    # those of the generic writer, extreme values and a quoted header included
+@pytest.mark.parametrize("sizes", [(3, 5), (7,), (64, 64)])
+def test_csv_bytes_of_grid_columns(tmp_path, sizes):
+    # the grid handlers' columns: node indices and float arrays, extreme
+    # values and a quoted header included, written cell by cell
     rng = np.random.default_rng(8)
     count = int(np.prod(sizes))
     vals = rng.normal(size=(2, count)) * 10.0 ** rng.integers(-300, 300, size=(2, count))
     vals[0, 0], vals[1, 1], vals[0, 2] = -0.0, 1.0 / 3.0, 5e-324
-    columns = {"rho": vals[0].reshape(sizes), '|H_J|,"max"': vals[1].reshape(sizes)}
-    cli._write_grid_csv(tmp_path / "grid.csv", sizes, columns)
-    header = [f"i{k}" for k in range(len(sizes))] + list(columns)
+    vals[:, 3:count // 2] = rng.uniform(-2.0, 2.0, size=(2, count // 2 - 3))
+    names, nodes = cli._node_columns(sizes)
+    header = names + ["rho", '|H_J|,"max"']
+    cli.write_csv(tmp_path / "grid.csv", header, nodes + list(vals))
     rows = list(zip(*np.indices(sizes).reshape(len(sizes), -1).tolist(), *vals.tolist()))
-    cli.write_csv(tmp_path / "generic.csv", header, rows)
-    assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "generic.csv").read_bytes()
+    assert (tmp_path / "grid.csv").read_bytes().decode() == _csv_cell_by_cell(header, rows)
+
+
+def _g17_cases():
+    """Doubles for the '%.17g' kernel: both signs of random mantissas in every
+    binade from 5e-324 to 1.8e308 and log-uniform over the kernel's exact
+    range, exact 17-digit ties (18 significant digits ending in 5) in every
+    decade that has them, powers of ten and their neighbours, the edges of the
+    exact range and the non-finite values."""
+    rng = np.random.default_rng(17)
+    binades = np.repeat(np.arange(2047, dtype=np.uint64) << np.uint64(52), 50)
+    spread = (binades | rng.integers(0, 2 ** 52, len(binades), dtype=np.uint64)).view(np.float64)
+    inside = 10.0 ** rng.uniform(-11.5, 16.5, 900_000)
+    # M 2**-p with M odd is exact; it has 18 significant digits when
+    # M 5**p does, and its last digit is 5
+    ties = []
+    for p in range(2, 30):
+        lo, hi = -(-10 ** 17 // 5 ** p), min(10 ** 18 // 5 ** p, 2 ** 53)
+        if lo < hi:
+            ms = {int(m) | 1 for m in rng.integers(lo, hi, 400)}
+            ties += [m / 2 ** p for m in ms if m < hi and len(str(m * 5 ** p)) == 18]
+    tens = np.array([float(f"1e{j}") for j in range(-324, 309)])
+    edges = [cli._g17_tables()[0][0].view(np.float64), 1e-11, 1e16, 9.999999999999999e15,
+             5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.0, math.nan,
+             math.inf, 0.5, 1.0, 100.0]
+    edges = np.array(edges, dtype=np.float64)
+    near = np.concatenate([tens, edges])
+    with np.errstate(over="ignore"):            # the largest double's next is inf
+        up = np.nextafter(near, math.inf)
+    x = np.concatenate([spread, inside, np.array(ties), near, np.nextafter(near, 0.0), up])
+    x[::2] *= -1.0
+    return np.concatenate([x, -x[:20]]), len(ties)
+
+
+def test_float_kernel_is_format_17g():
+    x, n_ties = _g17_cases()
+    assert len(x) >= 10 ** 6 and n_ties > 5000
+    lines = []
+    with np.errstate(over="raise", invalid="raise", divide="raise", under="raise"):
+        for part in np.array_split(x, 64):
+            cells = np.concatenate([cli._float_cells(part),
+                                    np.full((len(part), 1), ord("\n"), np.uint8)], axis=1)
+            lines.append(cells[cells != 0].tobytes())
+    got = b"".join(lines).decode()
+    want = "\n".join(map(format, x.tolist(), itertools.repeat(".17g"))) + "\n"
+    if got != want:
+        bad = [(v, g, w) for v, g, w in zip(x.tolist(), got.split(), want.split()) if g != w]
+        pytest.fail(f"{len(bad)} cells differ from format(x, '.17g'), e.g. {bad[:5]}")
 
 
 def test_ambient_verify_scenario(tmp_path):

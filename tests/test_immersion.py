@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from rho_oracle import rho_of_frame
 from trgeo import ambient, cli
 from trgeo import immersion as imm
 from trgeo.errors import BadArgument, NotImmersed, NotTotallyReal, ValidationError
@@ -90,7 +91,7 @@ def test_rho_static_plane_family(flat2):
         e1 = np.array([1.0, 0.0, 0.0, 0.0])
         e2 = np.array([0.0, np.cos(alpha), np.sin(alpha), 0.0])
         fv = np.stack([e1[None, :], e2[None, :]])
-        rho_h, rho_vol = imm.rho_of_frame(fv, g, om, J)
+        rho_h, rho_vol = rho_of_frame(fv, g, om, J)
         assert abs(rho_h[0] - np.cos(alpha)) <= 1e-12
         assert abs(rho_vol[0] - np.cos(alpha)) <= 1e-12
 
@@ -370,11 +371,30 @@ def test_lazy_formula_gap_matches_eager_rho_of_frame(flat1, flat2):
     for im in _density_cases(flat1, flat2):
         geo = imm.is_totally_real(im)
         assert "rho_vol" not in vars(geo) and "formula_gap" not in vars(geo)
-        rho_h, rho_vol = imm.rho_of_frame(geo.frame, geo.g_ambient,
+        rho_h, rho_vol = rho_of_frame(geo.frame, geo.g_ambient,
                                           geo.omega_ambient, im.chart.J)
         assert np.array_equal(geo.rho, rho_h)
         assert geo.formula_gap == float(np.max(np.abs(rho_h - rho_vol)))
         assert np.array_equal(geo.rho_vol, rho_vol)
+
+
+@pytest.mark.parametrize("chart,formula,args", [
+    ("flat_c1", "circle", {"r": 0.7}),
+    ("flat_c1", "ellipse", {"a": 2.0, "b": 1.0}),
+    ("flat_c1", "fourier_curve", {"coeffs": [[1, 1.0, 0.0], [2, 0.2, 0.1], [-1, 0.1, 0.0]]}),
+    ("flat_c2", "product_torus", {"r1": 1.3, "r2": 0.8}),
+    ("flat_c2", "graph_perturbed_torus", {"r1": 1.0, "r2": 1.2, "amplitude": 0.4,
+                                          "mode": [1, 1]}),
+    ("flat_quotient_c2", "straight_torus",
+     {"winding": [[1.0, 0.0], [0.0, 0.8], [0.0, 0.6], [0.0, 0.0]]}),
+])
+def test_flat_rho_vol_leaves_out_det_g_bitwise(chart, formula, args):
+    # a flat chart's det g is LAPACK's 1.0, so leaving it out changes no bit
+    c = ambient.chart_from_descriptor({"name": chart})
+    geo = imm.build_immersion(imm.GridTorus((32,) * c.n), c, formula, **args)
+    assert c.is_flat and np.all(np.linalg.det(geo.g_ambient) == 1.0)
+    rho_vol = rho_of_frame(geo.frame, geo.g_ambient, geo.omega_ambient, c.J)[1]
+    assert geo.rho_vol.tobytes() == rho_vol.tobytes()
 
 
 def test_lagrangian_rho_pinned_to_one(flat2):
