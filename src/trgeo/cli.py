@@ -92,12 +92,15 @@ def _g17_tables():
     their trailing zeros, masks keeping the first 0..16 of 16 bytes, and per
     (decimal exponent -11..16, point shown, sign) the 44 slots around the digits
     (at 6, 8, .. 38): sign, "0." and zeros at 1..5, the point, "e-XX" at 40."""
-    from fractions import Fraction
-    tens = [(d, float(Fraction(10) ** d)) for d in range(-11, 17)]      # correctly rounded
-    tens = [math.nextafter(x, math.inf) if x < Fraction(10) ** d else x for d, x in tens]
-    groups = np.arange(10000)
-    ascii4 = (groups[:, None] // 10 ** np.arange(3, -1, -1)) % 10 + ord("0")
-    zeros = sum((groups % 10 ** j == 0).astype(np.intp) for j in range(1, 5))
+    tens = []
+    for d in range(-11, 17):
+        x = float(10 ** d) if d >= 0 else 1 / 10 ** -d              # correctly rounded
+        p, q = x.as_integer_ratio()
+        below = p * 10 ** -min(d, 0) < q * 10 ** max(d, 0)            # x < 10**d
+        tens.append(math.nextafter(x, math.inf) if below else x)
+    two = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint8).reshape(100, 2)
+    ascii4 = np.concatenate([np.repeat(two, 100, axis=0), np.tile(two, (100, 1))], axis=1)
+    zeros = np.logical_and.accumulate(ascii4[:, ::-1] == ord("0"), axis=1).sum(axis=1)
     heads = (np.arange(16) < np.arange(17)[:, None]) * np.uint8(255)
     frame = np.zeros((28, 2, 2, 44), np.uint8)
     for i, x in enumerate(range(-11, 17)):
@@ -109,7 +112,7 @@ def _g17_tables():
             frame[i, :, :, 40:] = np.frombuffer(b"e-%02d" % -x, np.uint8)
     frame[:, :, 1, 0] = ord("-")
     tables = (np.array(tens).view(_U64), 5 ** np.arange(28, dtype=_U64),
-              ascii4.astype(np.uint8).view(np.uint32).ravel(), zeros, heads.view(_U64),
+              ascii4.view(np.uint32).ravel(), zeros, heads.view(_U64),
               frame.reshape(-1, 44))
     for table in tables:
         table.flags.writeable = False
@@ -146,8 +149,7 @@ def _float_cells(x):
     carry = n == _U64(10 ** 17)
     n[carry | ~fast] = 10 ** 16
     X = d + carry
-    # the digits: the first, then four groups of four
-    top = n // _U64(10 ** 8)
+    top = n // _U64(10 ** 8)                    # digits: the first, then four groups of four
     first = top // _U64(10 ** 8)
     quads = np.empty((len(n), 4), np.intp)
     for j, part in ((0, top - first * _U64(10 ** 8)), (2, n - top * _U64(10 ** 8))):

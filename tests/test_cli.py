@@ -472,7 +472,7 @@ def _g17_cases():
         up = np.nextafter(near, math.inf)
     x = np.concatenate([spread, inside, np.array(ties), near, np.nextafter(near, 0.0), up])
     x[::2] *= -1.0
-    return np.concatenate([x, -x[:20]]), len(ties)
+    return x, len(ties)
 
 
 def test_float_kernel_is_format_17g():
