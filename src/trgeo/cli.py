@@ -146,9 +146,8 @@ def _float_cells(x):
     rest, half = lo & ((_U64(1) << t) - _U64(1)), _U64(1) << (t - _U64(1))
     n += (s < 0) & ((rest > half) | ((rest == half) & (n & _U64(1) == _U64(1))))
     n = np.where(s < 0, n, lo << np.clip(s, 0, 63).astype(_U64))
-    carry = n == _U64(10 ** 17)
-    n[carry | ~fast] = 10 ** 16
-    X = d + carry
+    # N < 10**17: rounding up to it needs a double within 5e-18 below a power of ten, and none is
+    n[~fast] = 10 ** 16
     top = n // _U64(10 ** 8)                    # digits: the first, then four groups of four
     first = top // _U64(10 ** 8)
     quads = np.empty((len(n), 4), np.intp)
@@ -159,14 +158,14 @@ def _float_cells(x):
     z = quad_zeros[quads]
     zeros = z[:, 3] + (z[:, 3] == 4) * (z[:, 2] + (z[:, 2] == 4) * (
         z[:, 1] + (z[:, 1] == 4) * z[:, 0]))
-    whole = np.maximum(X, 0) + 1
+    whole = np.maximum(d, 0) + 1
     kept = np.maximum(17 - zeros, whole)
     digits = np.empty((len(n), 3), _U64)
     np.bitwise_and(np.take(quad_ascii, quads).view(_U64), np.take(heads, kept - 1, axis=0),
                    out=digits[:, 1:])
     digits = digits.view(np.uint8)[:, 7:]
     digits[:, 0] = first + _U64(ord("0"))
-    code = ((X + 11) * 2 + (kept > whole)) * 2 + np.signbit(x)
+    code = ((d + 11) * 2 + (kept > whole)) * 2 + np.signbit(x)
     slow = np.flatnonzero(~fast)
     cells = np.array(["%.17g" % v for v in x[slow].tolist()], dtype=bytes)
     width = cells.itemsize if len(slow) else 0
