@@ -676,13 +676,9 @@ def load_scenario(path):
     return scn
 
 
-def run_scenario(path, out_dir, threads=None):
-    """Execute one scenario file; returns the process exit status."""
-    return _run(load_scenario(path), path, out_dir, threads)
-
-
 def _run(scn, path, out_dir, threads):
-    """run_scenario for the scenario scn that load_scenario read from path."""
+    """Execute the scenario scn that load_scenario read from path; returns
+    the process exit status."""
     op = scn["operation"]
     if op not in _OPERATIONS:
         raise UnknownOperation(f"unknown operation {op!r}")

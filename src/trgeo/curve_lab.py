@@ -5,15 +5,14 @@ n in [-N, N]. The two-sided power series sum a_n z^n is the holomorphic
 continuation of the curve off the unit circle; its inner/outer convergence
 radii decide whether the curve can be deformed holomorphically inward/outward.
 The lab estimates those radii from coefficient decay, classifies the
-direction d/dtheta accordingly, evaluates continuations and Abel means, and
-measures the length profile Lambda(r) = int |z g'(z)| dtheta together with
-its convexity in t = -log r.
+direction d/dtheta accordingly, evaluates continuations and measures the
+length profile Lambda(r) = int |z g'(z)| dtheta together with its convexity
+in t = -log r.
 
 Orientation is fixed anticlockwise: the signed area pi * sum n |a_n|^2 of an
 analysed curve must be positive, mirror data is rejected.
 """
 
-import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -28,7 +27,6 @@ from .errors import (AliasingDetected, FieldNotPositive, NotArclength,
 COEFF_FLOOR = 1e-15       # coefficients below this are treated as absent
 RADIUS_MARGIN = 0.02      # decision band around radius 1
 ELL1_EXPONENT = 1.1       # power-law exponent threshold for an l^1 tail
-ABEL_TOL = 1e-12          # tail increment at which an Abel mean stops
 SECONDVAR_EPS = 1e-3      # flow time of the second variation's finite difference
 ARCLENGTH_TOL = 1e-6      # relative speed variation an arclength curve may have
 
@@ -261,7 +259,7 @@ def classify_direction(curve):
     return DirectionClass(kind=NO_RAY, evidence=est, ell1_exponent=expo)
 
 
-# --- continuation and Abel means -------------------------------------------------
+# --- continuation ----------------------------------------------------------------
 
 def geodesic_evaluate(curve, r):
     """Samples of the holomorphic continuation g on 4N points of the circle |z| = r.
@@ -285,31 +283,6 @@ def geodesic_evaluate(curve, r):
             f"({est.r_inner:.4g}, {est.r_outer:.4g}) for class {cls.kind}"
         )
     return synthesize(curve, r=r)
-
-
-def abel_evaluate(curve, r, theta):
-    """Abel mean lim_N sum a_n r^{|n|} e^{i n theta} for 0 <= r < 1.
-
-    Partial symmetric sums are accumulated until the tail increment drops
-    below ABEL_TOL (always reached here: the stored series is finite).
-    """
-    if not 0.0 <= r < 1.0:
-        raise ValidationError("Abel evaluation needs 0 <= r < 1")
-    total = curve.coefficient(0)
-    for n in range(1, curve.N + 1):
-        inc = (curve.coefficient(n) * cmath.exp(1j * n * theta)
-               + curve.coefficient(-n) * cmath.exp(-1j * n * theta)) * r ** n
-        total += inc
-        if abs(inc) < ABEL_TOL and r ** (n + 1) * _tail_bound(curve, n + 1) < ABEL_TOL:
-            break
-    return total
-
-
-def _tail_bound(curve, start):
-    mags = np.abs(curve.coeffs)
-    N = curve.N
-    hi = np.concatenate([mags[: N - start + 1][::-1], mags[N + start:]])
-    return float(np.sum(hi)) if hi.size else 0.0
 
 
 # --- length profile ---------------------------------------------------------------

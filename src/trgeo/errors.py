@@ -49,10 +49,6 @@ class NotTotallyReal(NumericalError):
     pass
 
 
-class DegenerateFrame(NumericalError):
-    pass
-
-
 # --- curve lab -----------------------------------------------------------
 
 class AliasingDetected(NumericalError):
@@ -102,10 +98,6 @@ class NotNested(ValidationError):
 
 
 # --- variation harness ---------------------------------------------------
-
-class SignConventionMismatch(NumericalError):
-    """Mean-curvature sign check against the finite-difference oracle failed."""
-
 
 class GeodesicUnavailable(NumericalError):
     pass

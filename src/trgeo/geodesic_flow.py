@@ -189,19 +189,15 @@ def _present_spectrum(im):
                     coeffs, 0.0)
 
 
-def mode_growth_guard(im, axis, c, t_extent):
+def _growth_guard(im, spectrum, axis, c, t_extent):
     """Raise AmplificationExceeded for directions the data cannot support.
 
-    Two guards: the amplitude cap e^{|m| |c t|} <= AMP_MAX over modes present
-    above the spectral noise floor, and for curves with a populated adverse
-    tail, the radius estimate itself (flowing inward needs inner radius
-    below 1, outward needs outer radius above 1, each by RADIUS_MARGIN).
+    spectrum is the _present_spectrum of im. Two guards: the amplitude cap
+    e^{|m| |c t|} <= AMP_MAX over modes present above the spectral noise
+    floor, and for curves with a populated adverse tail, the radius
+    estimate itself (flowing inward needs inner radius below 1, outward
+    needs outer radius above 1, each by RADIUS_MARGIN).
     """
-    return _growth_guard(im, _present_spectrum(im), axis, c, t_extent)
-
-
-def _growth_guard(im, spectrum, axis, c, t_extent):
-    """mode_growth_guard, given the _present_spectrum of im."""
     present = spectrum != 0.0
     if not np.any(present):
         return 1.0
@@ -265,7 +261,7 @@ def geodesic_family(im, Y, ts):
     axis is reparametrized to constant speed, where Y becomes (1/R) d/dpsi,
     and continued mode-wise; the same angle substitution applies to every
     transverse slice. Anything else raises GeodesicUnavailable. The family
-    passes mode_growth_guard at its farthest time on each side of t = 0 and
+    passes _growth_guard at its farthest time on each side of t = 0 and
     the geodesic residual check block by block; its members are not
     validated here, since callers integrate each through is_totally_real.
     """
@@ -296,7 +292,7 @@ def _members(im, pts):
 
 
 def _amplification(im, spectrum, axis, c, ts):
-    """mode_growth_guard at the farthest time on each side of t = 0, the two
+    """_growth_guard at the farthest time on each side of t = 0, the two
     sides continuing in opposite directions; 1 when nothing moves. spectrum
     is the _present_spectrum of im."""
     ends = sorted({min(ts, default=0.0), max(ts, default=0.0)} - {0.0})
@@ -653,55 +649,6 @@ def flow_timestep(im, X, t_final, dt, store_every=1):
     is_totally_real(frames_out[-1])
     return FlowResult(times=times, immersions=frames_out, amplification=amp,
                       scheme="timestep")
-
-
-def commutator_check(flow, X):
-    """Consistency of the flow surface: d_t(iota_* X) vs d_s of d iota/dt.
-
-    The two coordinate fields of the immersed strip must commute; since the
-    spectral-in-s and FD-in-t operators commute exactly, the returned residual
-    measures the s-derivative of the geodesic defect J iota_* X - d iota/dt.
-    Time derivatives use 4th-order central differences when five frames are
-    available, else 2nd-order.
-    """
-    times = np.asarray(flow.times, dtype=float)
-    if times.size < 3:
-        raise ValidationError("commutator check needs at least 3 time samples")
-    ims = flow.immersions
-    al = _coordinate_alignment(X)
-    pts = np.stack([im.points for im in ims])
-    if ims[0].winding is not None:
-        mesh = ims[0].grid.mesh()
-        lin = sum(np.asarray(m)[..., None] * ims[0].winding[:, k]
-                  for k, m in enumerate(mesh))
-        pts = pts + lin
-    J = ims[0].chart.J
-
-    def push(k):
-        im_k = ims[k]
-        vs = im_k.coordinate_vectors()
-        return np.einsum("k...,k...i->...i", X.components, vs)
-
-    dt_grid = np.diff(times)
-    h = float(dt_grid[0])
-    uniform = np.allclose(dt_grid, h, rtol=1e-10, atol=1e-14)
-    if not uniform:
-        raise ValidationError("commutator check expects a uniform time grid")
-    worst = 0.0
-    use4 = times.size >= 5
-    lo = 2 if use4 else 1
-    hi = times.size - lo
-    axis = al[0] if al is not None else 0
-    for k in range(lo, hi):
-        if use4:
-            dpdt = (pts[k - 2] - 8 * pts[k - 1] + 8 * pts[k + 1] - pts[k + 2]) / (12 * h)
-        else:
-            dpdt = (pts[k + 1] - pts[k - 1]) / (2 * h)
-        ja = np.einsum("ij,...j->...i", J, push(k))
-        defect = ja - dpdt
-        resid = _spectral.spectral_derivative(defect, axis=axis)
-        worst = max(worst, float(np.max(np.abs(resid))))
-    return worst
 
 
 def uniqueness_compare(im, X, t_final):

@@ -9,11 +9,13 @@ which keeps spectral differentiation valid for closed straight tori.
 The J-volume density rho_J is sqrt(det_C h_ij) for the Hermitian form
 h = g - i omega on an orthonormal tangent frame. A second formula, the square
 root of the ambient volume of (e_1..e_n, Je_1..Je_n), cross-checks it
-wherever Geometry.formula_gap is read; validation alone skips it. Both
-equal 1 exactly on Lagrangian planes. Stacks of immersions (the blocks of
-the geodesic flow) are validated with no frame at all (_check_stack): with
-G and W the Gram and omega matrices of the coordinate vectors,
-vol_g = sqrt(det G) and vol_J = sqrt(det G - W_01^2) (_gram_volumes).
+wherever Geometry.formula_gap is read. Both equal 1 exactly on Lagrangian
+planes. Validation needs no frame: with G and W the Gram and omega matrices
+of the coordinate vectors, rho_J^2 = det(G - i W) / det G, so
+vol_g = sqrt(det G) and vol_J = sqrt(det G - W_01^2) (_gram_volumes). One
+validator, _validate, decides this way for one immersion (is_totally_real)
+and for a stack of them (_check_stack, the blocks of the geodesic flow); a
+Geometry builds its orthonormal frame when the frame is first read.
 """
 
 from dataclasses import dataclass, field
@@ -24,8 +26,8 @@ import numpy as np
 
 from . import _spectral
 from .ambient import AmbientChart, complex_inverse
-from .errors import (BadArgument, DegenerateFrame, MetricNotPositiveDefinite,
-                     NotImmersed, NotTotallyReal, PointOutsideDomain, ValidationError)
+from .errors import (BadArgument, MetricNotPositiveDefinite, NotImmersed, NotTotallyReal,
+                     PointOutsideDomain, ValidationError)
 
 RHO_MIN = 1e-6            # numerical floor for "totally real"
 _VOLUME_MIN = 1e-10       # numerical floor for an immersed frame
@@ -193,24 +195,40 @@ def _dot(a, b):
 
 @dataclass
 class Geometry:
-    """Orthonormal tangent frame of one immersion and what is read off it.
+    """Geometry of one validated immersion and what is read off it.
 
-    frames(im) builds the frame fields; rho_J and the J-density (and the
-    Gram-formula cross-check rho_vol, formula_gap), the projections, H_J and
-    the Lagrangian defect are computed on first read and kept, so a caller
-    that holds one Geometry builds each of them at most once. The
-    object lives in its caller's scope; nothing is cached on the Immersion.
-    vectors and frame keep the components last, as views of the builder's
-    components-first arrays (see _frame_fields).
+    is_totally_real makes it from the coordinate fields and the chart
+    fields it validated. The orthonormal frame (a Gram-Schmidt of the
+    coordinate fields, _orthonormalize) is built on first read of frame or
+    coeffs, and so are rho_J and the J-density (and the Gram-formula
+    cross-check rho_vol, formula_gap), the projections, H_J and the
+    Lagrangian defect; each is kept, so a caller that holds one Geometry
+    builds each of them at most once, and one that reads only the volume
+    fields builds no frame. The object lives in its caller's scope; nothing
+    is cached on the Immersion. vectors and frame keep the components last,
+    as views of components-first arrays.
     """
 
     im: Immersion = field(repr=False)
     vectors: np.ndarray          # (n,) + sizes + (2n,) coordinate fields
-    frame: np.ndarray            # (n,) + sizes + (2n,) orthonormal e_i
-    coeffs: np.ndarray           # (n, n) + sizes: e_i = sum_k coeffs[i,k] v_k
     g_ambient: np.ndarray        # sizes + (2n, 2n)
     omega_ambient: np.ndarray    # sizes + (2n, 2n)
     induced_vol: np.ndarray      # sizes: |v_1 ^ .. ^ v_n|_g
+
+    @cached_property
+    def _orthonormal(self):
+        frame, coeffs = _orthonormalize(np.moveaxis(self.vectors, -1, 1), self.g_ambient)
+        return np.moveaxis(frame, 1, -1), coeffs
+
+    @property
+    def frame(self):
+        """(n,) + sizes + (2n,): the orthonormal e_i."""
+        return self._orthonormal[0]
+
+    @property
+    def coeffs(self):
+        """(n, n) + sizes: e_i = sum_k coeffs[i, k] v_k."""
+        return self._orthonormal[1]
 
     @cached_property
     def rho(self):
@@ -304,8 +322,8 @@ class Geometry:
         frame itself. Covariant derivatives combine FFT derivatives of the
         grid fields with the chart Christoffel symbols. The sign convention is
         the one that satisfies d/dt Vol_J = -int g(JY, H_J) vol_J for
-        deformations JY; variation_harness.validate_hj_sign checks it against
-        the FD oracle.
+        deformations JY, which variation_harness.check_first_variation holds
+        to the FD oracle.
         """
         im = self.im
         J = im.chart.J
@@ -334,51 +352,23 @@ class Geometry:
                                   max_tangential_leak=float(np.max(np.abs(leak))))
 
 
-def frames(im):
-    """The Geometry of im: coordinate fields and a Gram-Schmidt orthonormal frame.
+def _orthonormalize(vs, g):
+    """(frame, coeffs): the Gram-Schmidt orthonormal frame of coordinate vectors.
 
-    The fields come from _frame_fields, the only Gram-Schmidt of the
-    package. Raises DegenerateFrame when a frame vector's norm is not above
-    its floor at some node, NaN and inf included.
+    Components come first in vs, (n, 2n) + nodes; g is the chart's
+    nodes + (2n, 2n). Inner products are g v formed once per vector
+    (_apply), then a dot product over the component axis. frame is
+    (n, 2n) + nodes and coeffs (n, n) + nodes. The vectors are those of a
+    validated immersion, whose Gram-Schmidt norms _validate has held above
+    their floor, so no norm is checked here.
     """
-    # coordinate_vectors is a components-last view; this is its contiguous base
-    vs = np.moveaxis(im.coordinate_vectors(), -1, 1)
-    frame, coeffs, g, omega, induced_vol, degenerate = _frame_fields(
-        im.chart, vs, im.positions())
-    if degenerate:
-        raise DegenerateFrame(_degenerate_message(induced_vol))
-    return Geometry(im=im, vectors=np.moveaxis(vs, 1, -1),
-                    frame=np.moveaxis(frame, 1, -1), coeffs=coeffs,
-                    g_ambient=g, omega_ambient=omega, induced_vol=induced_vol)
-
-
-def _frame_fields(chart, vs, pos):
-    """Frame fields of one immersion into chart.
-
-    Components come first in vs, the coordinate vectors, (n, 2n) + nodes;
-    pos are the chart positions as the chart takes them, nodes + (2n,).
-    Inner products are g v formed once per vector (_apply), then a dot
-    product over the component axis; the Gram determinant is the closed form
-    for n <= 2.
-    Returns (frame, coeffs, g, omega, induced_vol, degenerate): frame is
-    (n, 2n) + nodes, coeffs (n, n) + nodes, g and omega the chart's
-    nodes + (2n, 2n), and degenerate is True when the volume is not finite
-    or a frame vector's norm is not above 1e-12 of its length at some node.
-    Such nodes are divided by 1 instead.
-    """
-    g, omega = chart.metric_many(pos)
     n = vs.shape[0]
-    nodes = pos.shape[:-1]
-
-    g_vs, gram, det = _gram(vs, g)
-    induced_vol = np.sqrt(np.maximum(det, 0.0))
-
-    bad = ~np.isfinite(induced_vol)
+    nodes = vs.shape[2:]
     frame = np.empty_like(vs)
     g_frame = np.empty_like(vs[:-1])    # g e_i is read only by the later vectors
     coeffs = np.zeros((n, n) + nodes)
     for i in range(n):
-        u, g_u = vs[i], g_vs[i]
+        u = vs[i]
         c = np.zeros((n,) + nodes)
         c[i] = 1.0
         if i > 0:
@@ -387,43 +377,20 @@ def _frame_fields(chart, vs, pos):
                 proj = _dot(u, g_frame[j])
                 u -= proj * frame[j]
                 c -= proj * coeffs[j]
-            g_u = _apply(g, u)
+        g_u = _apply(g, u)
         norms = np.sqrt(np.maximum(_dot(u, g_u), 0.0))
-        ref = np.sqrt(np.maximum(gram[i][i], 0.0))
-        # "not above the floor", so that NaN fails as well
-        low = ~(norms > 1e-12 * np.maximum(ref, 1.0))
-        bad |= low
-        norms = np.where(low, 1.0, norms)
         # the norms broadcast over the component axis ahead of the nodes
         np.divide(u, norms, out=frame[i])
         if i < n - 1:
             np.divide(g_u, norms, out=g_frame[i])
         np.divide(c, norms, out=coeffs[i])
-    return frame, coeffs, g, omega, induced_vol, bool(np.any(bad))
-
-
-def _gram(vs, g):
-    """(g v_i, G, det G) of coordinate vectors vs (n, 2n) + nodes: the
-    products g v_i, the Gram matrix G_ij = g(v_i, v_j) as nested lists and
-    its determinant in closed form (n <= 2)."""
-    n = vs.shape[0]
-    g_vs = [_apply(g, v) for v in vs]
-    gram = [[_dot(vs[i], g_vs[j]) for j in range(n)] for i in range(n)]
-    det = gram[0][0] if n == 1 else gram[0][0] * gram[1][1] - gram[0][1] * gram[1][0]
-    return g_vs, gram, det
-
-
-def _degenerate_message(induced_vol):
-    """What the frame check says about one immersion that fails it."""
-    if not np.all(np.isfinite(induced_vol)):
-        return "coordinate frame is not finite (NaN or inf in the geometry)"
-    return "coordinate frame is numerically degenerate"
+    return frame, coeffs
 
 
 def _rho_h(frame_vectors, omega):
     """sqrt(det_C (delta_ij - i omega(e_i, e_j))) for orthonormal frames e_i.
 
-    frame_vectors is (n, 2n) + nodes, components first as _frame_fields
+    frame_vectors is (n, 2n) + nodes, components first as _orthonormalize
     makes them; omega is nodes + (2n, 2n). omega is antisymmetric, so the
     real part of the determinant is 1 for curves and
     1 - om_00 om_11 + om_01 om_10 for surfaces.
@@ -455,92 +422,95 @@ class MeanCurvatureField:
     max_tangential_leak: float   # max |pi_L applied to values|
 
 
-def _require_volume_and_rho(induced_vol, rho):
-    """The volume check, then the rho_J check against RHO_MIN, of one immersion.
-
-    rho is called only once the volume check passed. Both are written as
-    "not above the floor", so NaN fails them.
-    """
-    min_vol = float(np.min(induced_vol))
-    if not min_vol > _VOLUME_MIN:
-        raise NotImmersed(f"coordinate frame drops rank (min volume {min_vol:.3g})")
-    min_rho = float(np.min(rho()))
-    if not min_rho > RHO_MIN:
-        raise NotTotallyReal(
-            f"rho_J reaches {min_rho:.3g} <= {RHO_MIN:g}: partially complex "
-            "to working precision"
-        )
-
-
 def is_totally_real(im):
-    """The Geometry of im, validated: full-rank frame and rho_J above RHO_MIN."""
-    im.chart.require_inside(im.positions())
+    """The Geometry of im, validated (_validate): a full-rank frame and
+    rho_J above RHO_MIN. The frame itself is built when it is first read."""
+    pos = im.positions()
     # overflow shows up as non-finite geometry, which the frame check names
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            geo = frames(im)
-        except DegenerateFrame as e:
-            raise NotImmersed(str(e)) from None
-        _require_volume_and_rho(geo.induced_vol, lambda: geo.rho)
-    return geo
+        # coordinate_vectors is a components-last view; this is its contiguous base
+        vs = np.moveaxis(im.coordinate_vectors(), -1, 1)
+    g, omega, induced_vol = _validate(im.grid, im.chart, pos, vs)
+    return Geometry(im=im, vectors=np.moveaxis(vs, 1, -1), g_ambient=g,
+                    omega_ambient=omega, induced_vol=induced_vol)
 
 
 def _check_stack(grid, chart, points, vs, winding):
-    """is_totally_real on every member of a stack, without building frames.
+    """is_totally_real on every member of a stack: _validate of its layout.
 
     points is (B, 2n) + grid.sizes, the components ahead of the grid axes:
     B immersions sharing grid, chart and winding, member b being
     Immersion(points=np.moveaxis(points[b], 0, -1)); vs are its coordinate
-    vectors, (n, 2n, B) + grid.sizes. The checks are reduced per member from
-    _gram_volumes, and the error raised is the one the loop
-    `for p in points: is_totally_real(Immersion(...))` raises: the first
-    failing member, and within it the frame check, then the volume check,
-    then the rho_J check. A domain or metric failure of the stack as a whole
-    is handed to that loop, which names the member.
+    vectors, (n, 2n, B) + grid.sizes. A domain or metric failure of the
+    stack as a whole is handed to the loop
+    `for p in points: is_totally_real(Immersion(...))`, which names the
+    member.
     """
-    pos = _positions(grid, np.moveaxis(points, 1, -1), winding)
+    try:
+        _validate(grid, chart, _positions(grid, np.moveaxis(points, 1, -1), winding), vs)
+    except (PointOutsideDomain, MetricNotPositiveDefinite):
+        for p in points:
+            is_totally_real(Immersion(grid=grid, chart=chart, points=np.moveaxis(p, 0, -1),
+                                      winding=winding))
+        raise
+
+
+def _validate(grid, chart, pos, vs):
+    """(g, omega, induced_vol) of one immersion or a stack, checked with no frame.
+
+    pos are the chart positions, members + grid.sizes + (2n,), and vs the
+    coordinate vectors, (n, 2n) + members + grid.sizes, where members is ()
+    for one immersion and (B,) for a stack. The checks are reduced per
+    member from _gram_volumes, and the error raised is the one that the
+    members checked one by one raise: the first failing member, and within
+    it the frame check (NotImmersed), then the volume check (NotImmersed),
+    then the rho_J check against RHO_MIN (NotTotallyReal). Each is written
+    as "not above the floor", so that NaN fails it.
+    """
+    # outside the ignore context, so that an overflow here is NotFinite
+    chart.require_inside(pos)
     # overflow shows up as non-finite geometry, which the frame check names
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        try:
-            chart.require_inside(pos)
-            g, omega = chart.metric_many(pos)
-        except (PointOutsideDomain, MetricNotPositiveDefinite):
-            for p in points:
-                is_totally_real(Immersion(grid=grid, chart=chart,
-                                          points=np.moveaxis(p, 0, -1),
-                                          winding=winding))
-            raise
+        g, omega = chart.metric_many(pos)
         induced_vol, volj, low = _gram_volumes(vs, g, omega)
-        # each member's checks in one reduction over the node axes; the
-        # member loop below runs only to name the first failure
+        # each member's checks in one reduction over the node axes
         nodes = tuple(range(-grid.n, 0))
         degenerate = np.any(low, axis=nodes)
-        if not np.any(degenerate) and np.all(np.min(induced_vol, axis=nodes) > _VOLUME_MIN) \
-                and np.all(np.min(volj / induced_vol, axis=nodes) > RHO_MIN):
-            return
-    for b in range(points.shape[0]):
+        finite = np.all(np.isfinite(induced_vol), axis=nodes)
+        min_vol = np.min(induced_vol, axis=nodes)
+        min_rho = np.min(volj / induced_vol, axis=nodes)
+    for b in np.ndindex(degenerate.shape):
         if degenerate[b]:
-            raise NotImmersed(_degenerate_message(induced_vol[b]))
-        _require_volume_and_rho(induced_vol[b], lambda: volj[b] / induced_vol[b])
+            raise NotImmersed("coordinate frame is numerically degenerate" if finite[b]
+                              else "coordinate frame is not finite (NaN or inf in the geometry)")
+        if not min_vol[b] > _VOLUME_MIN:
+            raise NotImmersed(f"coordinate frame drops rank (min volume {min_vol[b]:.3g})")
+        if not min_rho[b] > RHO_MIN:
+            raise NotTotallyReal(f"rho_J reaches {min_rho[b]:.3g} <= {RHO_MIN:g}: "
+                                 "partially complex to working precision")
+    return g, omega, induced_vol
 
 
 def _gram_volumes(vs, g, omega):
     """(induced_vol, volj_density, low) of coordinate vectors, with no frame.
 
     vs is (n, 2n) + nodes, components first; g and omega are the chart's
-    nodes + (2n, 2n). With G_ij = g(v_i, v_j) and W_ij = omega(v_i, v_j),
-    an orthonormal frame e = v C has rho_J^2 = det(G - i W) / det G, so
-    vol_g = sqrt(det G) and vol_J = sqrt(det G - W_01^2) for surfaces,
+    nodes + (2n, 2n). With G_ij = g(v_i, v_j) (g v_i formed once per
+    vector, _apply) and W_ij = omega(v_i, v_j), an orthonormal frame e = v C
+    has rho_J^2 = det(G - i W) / det G, so vol_g = sqrt(det G) and vol_J = sqrt(det G - W_01^2) for surfaces,
     sqrt(G_00) for curves. low marks the nodes where the Gram-Schmidt
-    vectors of v fall to the floor of _frame_fields, read off G as
+    vectors of v (_orthonormalize) fall to their floor, read off G as
     |u_0|^2 = G_00 and |u_1|^2 = det G / G_00, and where vol_g is not
     finite; NaN is low.
     """
-    _, gram, det = _gram(vs, g)
+    n = vs.shape[0]
+    g_vs = [_apply(g, v) for v in vs]
+    gram = [[_dot(vs[i], g_vs[j]) for j in range(n)] for i in range(n)]
+    det = gram[0][0] if n == 1 else gram[0][0] * gram[1][1] - gram[0][1] * gram[1][0]
     induced_vol = np.sqrt(np.maximum(det, 0.0))
     squares = [gram[0][0]]
     volj = induced_vol
-    if len(gram) == 2:
+    if n == 2:
         squares.append(det / gram[0][0])
         w01 = _dot(vs[0], _apply(omega, vs[1]))
         volj = np.sqrt(np.maximum(det - w01 * w01, 0.0))
@@ -643,20 +613,3 @@ def _synthesize_coeffs(coeffs, size):
     spectrum = np.zeros(size, dtype=complex)
     np.add.at(spectrum, modes, amps)
     return np.fft.ifft(spectrum, norm="forward")
-
-
-def reparametrized(im, shifts):
-    """Immersion composed with the grid rotation theta_k -> theta_k + shift_k."""
-    if im.winding is not None and np.any(im.winding != 0.0):
-        raise ValidationError("reparametrized does not support winding immersions")
-    pts = im.points
-    for k, s in enumerate(shifts):
-        nk = im.grid.sizes[k]
-        m = _spectral.modes(nk)
-        coef = np.fft.fft(pts, axis=k)
-        shape = [1] * pts.ndim
-        shape[k] = nk
-        coef = coef * np.exp(1j * m * s).reshape(shape)
-        pts = np.fft.ifft(coef, axis=k).real
-    return Immersion(grid=im.grid, chart=im.chart, points=pts)
-

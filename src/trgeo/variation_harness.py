@@ -23,9 +23,9 @@ from typing import Optional
 import numpy as np
 
 from . import _spectral
-from .errors import SignConventionMismatch, ValidationError
+from .errors import ValidationError
 from .geodesic_flow import geodesic_family, tangential_flow
-from .immersion import GridTorus, Immersion, VectorFieldOnL, frames, is_totally_real
+from .immersion import GridTorus, Immersion, VectorFieldOnL, is_totally_real
 
 # FD steps: first variation (descending, each half the one before), the
 # pointwise density checks, and the second variation along a geodesic family
@@ -102,35 +102,6 @@ def check_first_variation(geo, Y, context=""):
     return _make_report(analytic, fd, order, context or "first variation")
 
 
-def validate_hj_sign(geo):
-    """Check the H_J sign convention against the FD oracle for random fields.
-
-    Five low-mode fields (seed 7) on the immersion of the Geometry geo must
-    each meet the first-variation identity to 1e-3 of 1 + |analytic|. Raises
-    SignConventionMismatch if it holds with the opposite sign; raises
-    NotTotallyReal etc. if a deformed immersion is invalid.
-    """
-    im = geo.im
-    rng = np.random.default_rng(7)
-    for k in range(5):
-        comps = np.stack([_spectral.low_mode_field(rng, im.grid.sizes)
-                          for _ in range(im.n)])
-        Y = VectorFieldOnL(grid=im.grid, components=comps)
-        rep = check_first_variation(geo, Y, context=f"sign check {k}")
-        scale = 1.0 + abs(rep.analytic)
-        if rep.abs_err > 1e-3 * scale:
-            flipped = abs(-rep.analytic - rep.fd)
-            if flipped < rep.abs_err * 1e-2:
-                raise SignConventionMismatch(
-                    "H_J satisfies the variational identity with flipped sign"
-                )
-            raise SignConventionMismatch(
-                f"first-variation identity fails: analytic {rep.analytic:.6g} "
-                f"vs fd {rep.fd:.6g}"
-            )
-    return True
-
-
 # --- tangential density checks ---------------------------------------------------
 
 def check_density_divergence(geo, X):
@@ -149,7 +120,7 @@ def check_density_divergence(geo, X):
     second_exact = geo.divergence(div1_x) * geo.induced_vol
 
     eps = DENSITY_EPS
-    d = {t: frames(tangential_flow(im, X, t)).volj_density
+    d = {t: is_totally_real(tangential_flow(im, X, t)).volj_density
          for t in (eps, -eps, eps / 2.0, -eps / 2.0)}
     d_0 = geo.volj_density
     fd1 = _spectral.richardson(lambda h: (d[h] - d[-h]) / (2.0 * h), eps)
@@ -204,61 +175,6 @@ def check_second_variation_kahler(geo, Y, context=""):
     fd = (-vols[0] + 16.0 * vols[1] - 30.0 * vols[2]
           + 16.0 * vols[3] - vols[4]) / (12.0 * tau ** 2)
     return _make_report(analytic, fd, None, context or "second variation")
-
-
-def mixed_density_second_variation(geo, W, Z):
-    """Mixed d^2/ds dt of the J-density for the linear family iota + sW + tZ
-    about the immersion of the Geometry geo.
-
-    W, Z are ambient-vector grid fields along L (flat chart, torsion-free,
-    curvature-free case). Returns (analytic array, fd array): the analytic
-    side is the frame-trace formula
-
-        sum_ij [ g(pi_L J D_i W, e_j) g(pi_L J D_j Z, e_i)
-               - g(pi_L D_i W, e_j) g(pi_L D_j Z, e_i) ]
-        + (sum_i g(pi_L D_i W, e_i)) (sum_j g(pi_L D_j Z, e_j))
-
-    times the J-density, with D_i the ambient derivative along e_i.
-    """
-    im = geo.im
-    if not im.chart.is_flat:
-        raise ValidationError("mixed check is exercised on flat charts only")
-    pi_l = geo.pi_l
-    J = im.chart.J
-    n = im.n
-    g = geo.g_ambient
-    a_w = np.empty((n, n) + im.grid.sizes)
-    a_z = np.empty((n, n) + im.grid.sizes)
-    b_w = np.empty((n, n) + im.grid.sizes)
-    b_z = np.empty((n, n) + im.grid.sizes)
-    for i in range(n):
-        dw = geo.d_along(i, W)
-        dz = geo.d_along(i, Z)
-        pl_dw = np.einsum("...ij,...j->...i", pi_l, dw)
-        pl_dz = np.einsum("...ij,...j->...i", pi_l, dz)
-        pl_jdw = np.einsum("...ij,jk,...k->...i", pi_l, J, dw)
-        pl_jdz = np.einsum("...ij,jk,...k->...i", pi_l, J, dz)
-        for j in range(n):
-            a_w[i, j] = np.einsum("...i,...ij,...j->...", pl_dw, g, geo.frame[j])
-            a_z[i, j] = np.einsum("...i,...ij,...j->...", pl_dz, g, geo.frame[j])
-            b_w[i, j] = np.einsum("...i,...ij,...j->...", pl_jdw, g, geo.frame[j])
-            b_z[i, j] = np.einsum("...i,...ij,...j->...", pl_jdz, g, geo.frame[j])
-    term1 = np.einsum("ij...,ji...->...", b_w, b_z)
-    term2 = np.einsum("ij...,ji...->...", a_w, a_z)
-    trace_w = np.einsum("ii...->...", a_w)
-    trace_z = np.einsum("ii...->...", a_z)
-    analytic = (term1 - term2 + trace_w * trace_z) * geo.volj_density
-
-    def dens_at(s, t):
-        pts = im.points + s * W + t * Z
-        return frames(Immersion(grid=im.grid, chart=im.chart, points=pts,
-                                winding=im.winding)).volj_density
-
-    def mixed_diff(e):
-        return (dens_at(e, e) - dens_at(e, -e)
-                - dens_at(-e, e) + dens_at(-e, -e)) / (4.0 * e ** 2)
-
-    return analytic, _spectral.richardson(mixed_diff, DENSITY_EPS)
 
 
 # --- convexity experiments -----------------------------------------------------------

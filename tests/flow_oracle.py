@@ -15,6 +15,11 @@ and the dealias filter and the tail-energy monitor run on the complex full
 spectrum. It checks geodesic_flow.flow_timestep, which skips the axes where
 X is zero and works on the half spectrum.
 
+commutator_check measures how far a computed flow surface is from
+commuting coordinate fields, by time differences of the stored frames.
+mode_growth_guard is the growth guard of geodesic_flow on one immersion,
+with its spectrum taken there.
+
 perturbed_torus and wound_torus build the 32x32 tori both are checked on.
 """
 
@@ -22,9 +27,9 @@ import math
 
 import numpy as np
 
-from trgeo import ambient
+from trgeo import ambient, geodesic_flow as gf
 from trgeo._spectral import modes, rk4_step, spectral_derivative
-from trgeo.errors import BlowUpDetected
+from trgeo.errors import BlowUpDetected, ValidationError
 from trgeo.geodesic_flow import DEALIAS_FRACTION, TAIL_ENERGY_ABORT
 from trgeo.immersion import GridTorus, Immersion, build_immersion, is_totally_real
 
@@ -141,3 +146,57 @@ def flow_timestep_full_spectrum(im, X, t_final, dt):
         times.append(t)
         frames.append(pts)
     return times, frames
+
+
+def mode_growth_guard(im, axis, c, t_extent):
+    """geodesic_flow's growth guard of im flowing along axis at c to t_extent."""
+    return gf._growth_guard(im, gf._present_spectrum(im), axis, c, t_extent)
+
+
+def commutator_check(flow, X):
+    """Consistency of the flow surface: d_t(iota_* X) vs d_s of d iota/dt.
+
+    The two coordinate fields of the immersed strip must commute; since the
+    spectral-in-s and FD-in-t operators commute exactly, the returned residual
+    measures the s-derivative of the geodesic defect J iota_* X - d iota/dt.
+    Time derivatives use 4th-order central differences when five frames are
+    available, else 2nd-order.
+    """
+    times = np.asarray(flow.times, dtype=float)
+    if times.size < 3:
+        raise ValidationError("commutator check needs at least 3 time samples")
+    ims = flow.immersions
+    al = gf._coordinate_alignment(X)
+    pts = np.stack([im.points for im in ims])
+    if ims[0].winding is not None:
+        mesh = ims[0].grid.mesh()
+        lin = sum(np.asarray(m)[..., None] * ims[0].winding[:, k]
+                  for k, m in enumerate(mesh))
+        pts = pts + lin
+    J = ims[0].chart.J
+
+    def push(k):
+        im_k = ims[k]
+        vs = im_k.coordinate_vectors()
+        return np.einsum("k...,k...i->...i", X.components, vs)
+
+    dt_grid = np.diff(times)
+    h = float(dt_grid[0])
+    uniform = np.allclose(dt_grid, h, rtol=1e-10, atol=1e-14)
+    if not uniform:
+        raise ValidationError("commutator check expects a uniform time grid")
+    worst = 0.0
+    use4 = times.size >= 5
+    lo = 2 if use4 else 1
+    hi = times.size - lo
+    axis = al[0] if al is not None else 0
+    for k in range(lo, hi):
+        if use4:
+            dpdt = (pts[k - 2] - 8 * pts[k - 1] + 8 * pts[k + 1] - pts[k + 2]) / (12 * h)
+        else:
+            dpdt = (pts[k + 1] - pts[k - 1]) / (2 * h)
+        ja = np.einsum("ij,...j->...i", J, push(k))
+        defect = ja - dpdt
+        resid = spectral_derivative(defect, axis=axis)
+        worst = max(worst, float(np.max(np.abs(resid))))
+    return worst

@@ -196,6 +196,24 @@ def test_overflowing_immersion_exits_3_naming_non_finite_geometry(tmp_path):
     assert "not finite" in rec["message"]
 
 
+def test_overflowing_domain_check_exits_3_naming_its_stage(tmp_path, capsys):
+    # |p|^2 of a radius-1e200 circle overflows in the domain check, which
+    # validation runs before it ignores overflow: NotFinite names the check,
+    # where an ignored overflow would read radius inf outside the disk (exit 2)
+    scn = write_scenario(tmp_path / "far.json", {
+        "version": 1,
+        "operation": "jvol.compute",
+        "chart": {"name": "poincare_disk"},
+        "immersion": {"formula": "circle", "grid": 64, "args": {"r": 1e200}},
+    })
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 3
+    rec = json.loads((out / "results.json").read_text())
+    assert rec["error_type"] == "NotFinite"
+    assert rec["message"].startswith("jvol.compute failed in ambient.require_inside: overflow")
+    assert capsys.readouterr().err == ""
+
+
 def test_secondvar_on_a_curve_with_vanishing_speed_exits_3(tmp_path):
     # the segment 2 cos theta has no arclength parametrization: the
     # resampling names the zero speed instead of writing "nan" everywhere

@@ -173,7 +173,7 @@ _TOP = {}
 
 
 def _tables(op):
-    """The table run_scenario reads op's scenarios with; one object per op."""
+    """The table cli._run reads op's scenarios with; one object per op."""
     return _TOP.setdefault(op, cli._with(cli._OPERATIONS[op][1], cli._ENVELOPE))
 
 

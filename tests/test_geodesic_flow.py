@@ -12,7 +12,8 @@ from trgeo._spectral import evaluate_fourier, fourier_coefficients
 from trgeo.errors import (AmplificationExceeded, BlowUpDetected, NotNested,
                           StepTooLarge, UnsupportedField, ValidationError)
 
-from flow_oracle import flow_timestep_full_spectrum, perturbed_torus, wound_torus
+from flow_oracle import (commutator_check, flow_timestep_full_spectrum, mode_growth_guard,
+                         perturbed_torus, wound_torus)
 
 
 @pytest.fixture
@@ -324,14 +325,14 @@ def test_timestep_differentiates_live_axes_only(axis, monkeypatch):
 def test_commutator_clean_flows(circle):
     X = imm.coordinate_field(circle.grid, 0)
     flow = gf.flow_spectral(circle, X, list(np.linspace(0.0, 0.1, 11)))
-    assert gf.commutator_check(flow, X) < 1e-6
+    assert commutator_check(flow, X) < 1e-6
 
     grid = imm.GridTorus((32, 32))
     pt = imm.build_immersion(grid, ambient.flat_chart(2), "product_torus",
                              r1=1.0, r2=2.0).im
     Xt = imm.coordinate_field(grid, 0)
     flow_t = gf.flow_spectral(pt, Xt, list(np.linspace(0.0, 0.1, 11)))
-    assert gf.commutator_check(flow_t, Xt) < 1e-6
+    assert commutator_check(flow_t, Xt) < 1e-6
 
 
 def test_commutator_detects_corruption(circle):
@@ -342,7 +343,7 @@ def test_commutator_detects_corruption(circle):
     bad[:, 0] += 1e-3 * np.cos(theta)
     flow.immersions[5] = imm.Immersion(grid=circle.grid,
                                        chart=circle.chart, points=bad)
-    assert gf.commutator_check(flow, X) > 1e-4
+    assert commutator_check(flow, X) > 1e-4
 
 
 def test_bvp_concentric_circles():
@@ -479,19 +480,19 @@ def test_bvp_map_derivative_nonvanishing():
 def test_commutator_on_timestep_flow(circle):
     X = imm.coordinate_field(circle.grid, 0)
     flow = gf.flow_timestep(circle, X, 0.05, 1e-3)
-    assert gf.commutator_check(flow, X) < 1e-5
+    assert commutator_check(flow, X) < 1e-5
 
 
 def test_mode_growth_guard_skips_only_short_or_aliased_grids(circle, monkeypatch):
     # a 64-node circle is too short for the radius guard: it is skipped
-    assert gf.mode_growth_guard(circle, 0, 1.0, 0.1) >= 1.0
+    assert mode_growth_guard(circle, 0, 1.0, 0.1) >= 1.0
 
     def broken(*args, **kwargs):
         raise RuntimeError("broken analysis")
 
     monkeypatch.setattr(cl, "fourier_analyze", broken)
     with pytest.raises(RuntimeError, match="broken analysis"):
-        gf.mode_growth_guard(circle, 0, 1.0, 0.1)
+        mode_growth_guard(circle, 0, 1.0, 0.1)
 
 
 # --- the spectral family in blocks -------------------------------------------------

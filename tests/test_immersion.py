@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rho_oracle import rho_of_frame
-from trgeo import ambient, cli
+from trgeo import _spectral, ambient, cli, geodesic_flow as gf
 from trgeo import immersion as imm
 from trgeo.errors import BadArgument, NotImmersed, NotTotallyReal, ValidationError
 
@@ -50,14 +50,14 @@ def test_circle_points_trivial(circle):
 
 
 def test_tangent_frame_circle(circle):
-    fr = imm.frames(circle)
+    fr = imm.is_totally_real(circle)
     assert np.allclose(fr.vectors[0][0], [0.0, 1.0], atol=1e-12)
     assert np.allclose(fr.frame[0][0], [0.0, 1.0], atol=1e-12)
 
 
 def test_tangent_frame_ellipse(flat1):
     ell = imm.build_immersion(imm.GridTorus((64,)), flat1, "ellipse", a=2.0, b=1.0).im
-    fr = imm.frames(ell)
+    fr = imm.is_totally_real(ell)
     # d/dtheta (2 cos, sin) at 0 = (0, 1)
     assert np.allclose(fr.vectors[0][0], [0.0, 1.0], atol=1e-12)
     assert np.allclose(fr.frame[0][0], [0.0, 1.0], atol=1e-12)
@@ -66,7 +66,7 @@ def test_tangent_frame_ellipse(flat1):
 def test_gram_schmidt_contract(flat2):
     t23 = imm.build_immersion(imm.GridTorus((32, 32)), flat2, "product_torus",
                               r1=2.0, r2=3.0).im
-    fr = imm.frames(t23)
+    fr = imm.is_totally_real(t23)
     g = fr.g_ambient
     for i in range(2):
         norms = np.einsum("...i,...ij,...j->...", fr.frame[i], g, fr.frame[i])
@@ -77,7 +77,7 @@ def test_gram_schmidt_contract(flat2):
 
 def test_rho_lagrangian_is_one(circle, torus12):
     for im in (circle, torus12):
-        geo = imm.frames(im)
+        geo = imm.is_totally_real(im)
         assert np.max(np.abs(geo.rho - 1.0)) <= 1e-10
         assert geo.formula_gap <= 1e-9
 
@@ -97,7 +97,7 @@ def test_rho_static_plane_family(flat2):
 
 
 def test_rho_node_accessor(circle):
-    assert float(imm.frames(circle).rho[5]) == pytest.approx(1.0, abs=1e-12)
+    assert float(imm.is_totally_real(circle).rho[5]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_total_volumes_product_torus(torus12):
@@ -127,12 +127,12 @@ def test_perturbed_torus_j_volume_strictly_below(flat2):
 
 
 def test_lagrangian_defect_trivial_cases(circle, torus12):
-    assert imm.frames(circle).lagrangian_defect == 0.0
-    assert imm.frames(torus12).lagrangian_defect < 1e-12
+    assert imm.is_totally_real(circle).lagrangian_defect == 0.0
+    assert imm.is_totally_real(torus12).lagrangian_defect < 1e-12
 
 
 def test_projection_algebra(torus12, flat2):
-    pr = imm.frames(torus12)
+    pr = imm.is_totally_real(torus12)
     J = flat2.J
     eye = np.eye(4)
     pi_j = eye - pr.pi_l
@@ -144,7 +144,7 @@ def test_projection_algebra(torus12, flat2):
 
 def test_projection_lagrangian_node_is_orthogonal(torus12):
     # on a Lagrangian, J(TL) is the normal space: pi_J = pi_perp = Id - pi_T
-    pr = imm.frames(torus12)
+    pr = imm.is_totally_real(torus12)
     assert np.max(np.abs(pr.pi_l - pr.pi_t)) <= 1e-10
 
 
@@ -153,7 +153,7 @@ def test_projection_mixed_identity_on_tilted_plane(flat2):
     gp = imm.build_immersion(imm.GridTorus((32, 32)), flat2,
                              "graph_perturbed_torus", r1=1.0, r2=1.0,
                              amplitude=0.4, mode=(1, 1)).im
-    pr = imm.frames(gp)
+    pr = imm.is_totally_real(gp)
     J = flat2.J
     rng = np.random.default_rng(0)
     v = rng.normal(size=4)
@@ -192,7 +192,7 @@ def test_pi_l_complex_form_matches_the_real_inverse(flat1, flat2):
 
 
 def test_h_j_circle_inward_unit(circle):
-    field = imm.frames(circle).h_j
+    field = imm.is_totally_real(circle).h_j
     theta = circle.grid.thetas(0)
     expect = -np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     assert np.max(np.abs(field.values - expect)) <= 1e-10
@@ -203,7 +203,7 @@ def test_h_j_product_torus_magnitude(flat2):
     for r1, r2 in ((1.0, 2.0), (1.0, 1.0), (0.5, 2.0)):
         pt = imm.build_immersion(imm.GridTorus((32, 32)), flat2,
                                  "product_torus", r1=r1, r2=r2).im
-        field = imm.frames(pt).h_j
+        field = imm.is_totally_real(pt).h_j
         mags = np.sqrt(np.sum(field.values ** 2, axis=-1))
         expect = math.sqrt(1.0 / r1 ** 2 + 1.0 / r2 ** 2)
         assert np.max(np.abs(mags - expect)) <= 1e-9
@@ -212,7 +212,7 @@ def test_h_j_product_torus_magnitude(flat2):
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
 def test_h_j_circle_scaling(flat1, r):
     im = imm.build_immersion(imm.GridTorus((64,)), flat1, "circle", r=r).im
-    field = imm.frames(im).h_j
+    field = imm.is_totally_real(im).h_j
     mags = np.sqrt(np.sum(field.values ** 2, axis=-1))
     assert np.max(np.abs(mags - 1.0 / r)) <= 1e-9
 
@@ -249,14 +249,30 @@ def test_vol_j_bounded_by_vol_g_randomized(flat2):
         assert vols["vol_j"] <= vols["vol_g"] + 1e-10
 
 
+def reparametrized(im, shifts):
+    """Immersion composed with the grid rotation theta_k -> theta_k + shift_k."""
+    if im.winding is not None and np.any(im.winding != 0.0):
+        raise ValidationError("reparametrized does not support winding immersions")
+    pts = im.points
+    for k, s in enumerate(shifts):
+        nk = im.grid.sizes[k]
+        m = _spectral.modes(nk)
+        coef = np.fft.fft(pts, axis=k)
+        shape = [1] * pts.ndim
+        shape[k] = nk
+        coef = coef * np.exp(1j * m * s).reshape(shape)
+        pts = np.fft.ifft(coef, axis=k).real
+    return imm.Immersion(grid=im.grid, chart=im.chart, points=pts)
+
+
 def test_reparametrization_invariance(flat2, torus12):
     vols = imm.is_totally_real(torus12).volumes()
     # integer grid shift: exact node permutation
-    shifted = imm.reparametrized(torus12, (2 * np.pi * 3 / 32, 0.0))
+    shifted = reparametrized(torus12, (2 * np.pi * 3 / 32, 0.0))
     vols_s = imm.is_totally_real(shifted).volumes()
     assert abs(vols_s["vol_j"] - vols["vol_j"]) <= 1e-10 * vols["vol_j"]
     # non-grid shift: spectral resampling
-    shifted2 = imm.reparametrized(torus12, (0.1234, -0.4321))
+    shifted2 = reparametrized(torus12, (0.1234, -0.4321))
     vols_s2 = imm.is_totally_real(shifted2).volumes()
     assert abs(vols_s2["vol_j"] - vols["vol_j"]) <= 1e-10 * vols["vol_j"]
 
@@ -338,7 +354,7 @@ def test_rho_formula_agreement_all_builtins(flat1, flat2):
                             ambient.flat_quotient_chart(2), "straight_torus").im,
     ]
     for im in cases:
-        geo = imm.frames(im)
+        geo = imm.is_totally_real(im)
         assert geo.formula_gap <= 1e-9
         assert np.max(geo.rho) <= 1.0 + 1e-10
 
@@ -359,12 +375,58 @@ def _density_cases(flat1, flat2):
     ]
 
 
-def test_is_totally_real_returns_the_density(flat1, flat2):
+@pytest.fixture
+def frame_builds(monkeypatch):
+    """One entry per Gram-Schmidt frame built (Geometry's _orthonormalize)."""
+    builds = []
+    build = imm._orthonormalize
+
+    def counted(vs, g):
+        builds.append(vs.shape)
+        return build(vs, g)
+
+    monkeypatch.setattr(imm, "_orthonormalize", counted)
+    return builds
+
+
+@pytest.mark.parametrize("first", ["frame", "rho", "h_j"])
+def test_a_geometry_builds_its_frame_once_on_first_read(first, frame_builds, flat1, flat2):
     for im in _density_cases(flat1, flat2):
-        got = imm.is_totally_real(im)
-        ref = imm.frames(im)
-        for name in ("rho", "induced_vol", "volj_density"):
-            assert np.array_equal(getattr(got, name), getattr(ref, name))
+        geo = imm.is_totally_real(im)
+        # validation and the volume fields need no frame
+        assert geo.induced_vol.shape == im.grid.sizes and frame_builds == []
+        getattr(geo, first)
+        assert len(frame_builds) == 1
+        for name in ("frame", "coeffs", "rho", "volj_density", "rho_vol", "pi_l",
+                     "lagrangian_defect", "h_j"):
+            getattr(geo, name)
+        assert len(frame_builds) == 1
+        frame_builds.clear()
+
+
+def _run_counting(frame_builds, tmp_path, scenario):
+    path = tmp_path / f"{scenario['operation']}.json"
+    path.write_text(json.dumps({"version": 1, **scenario}))
+    frame_builds.clear()
+    assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / path.stem)]) == 0
+    return len(frame_builds)
+
+
+def test_frames_are_built_only_where_a_stage_reads_one(frame_builds, flat1, tmp_path):
+    # the input and every stack of flow.uniqueness are validated from Gram
+    # matrices alone; jvol.compute reads rho and the defect off one frame
+    torus = {"chart": {"name": "flat_c2"},
+             "immersion": {"formula": "graph_perturbed_torus", "grid": 32,
+                           "args": {"amplitude": 0.3, "mode": [1, 1]}}}
+    assert _run_counting(frame_builds, tmp_path, {
+        "operation": "flow.uniqueness", **torus, "field": {"kind": "coordinate", "axis": 0},
+        "params": {"t_final": 0.05}}) == 0
+    assert _run_counting(frame_builds, tmp_path, {"operation": "jvol.compute", **torus}) == 1
+    # flow_timestep validates its last frame
+    circle = imm.build_immersion(imm.GridTorus((64,)), flat1, "circle", r=1.0).im
+    frame_builds.clear()
+    flow = gf.flow_timestep(circle, imm.coordinate_field(circle.grid, 0), 0.05, 1e-3)
+    assert len(flow.immersions) == 51 and frame_builds == []
 
 
 def test_lazy_formula_gap_matches_eager_rho_of_frame(flat1, flat2):
@@ -402,7 +464,7 @@ def test_lagrangian_rho_pinned_to_one(flat2):
     for formula, kwargs in (("product_torus", {"r1": 1.3, "r2": 0.8}),
                             ("product_torus", {"r1": 1.0, "r2": 1.0})):
         im = imm.build_immersion(imm.GridTorus((32, 32)), flat2, formula, **kwargs).im
-        geo = imm.frames(im)
+        geo = imm.is_totally_real(im)
         assert geo.lagrangian_defect < 1e-10
         assert np.max(np.abs(geo.rho - 1.0)) <= 1e-8
 
@@ -458,7 +520,7 @@ def test_stacked_frame_fields_equal_each_member(case):
     assert vol.shape == pts.shape[:-1]
     assert not np.any(low)
     for b, p in enumerate(members):
-        fr = imm.frames(imm.Immersion(grid=grid, chart=chart, points=p,
+        fr = imm.is_totally_real(imm.Immersion(grid=grid, chart=chart, points=p,
                                       winding=winding))
         assert np.array_equal(np.moveaxis(vs[:, :, b], 1, -1), fr.vectors)
         assert np.array_equal(g[b], fr.g_ambient)
@@ -470,7 +532,7 @@ def test_stacked_frame_fields_equal_each_member(case):
 def test_gram_volumes_equal_the_frame_densities(case):
     _, grid, chart, members, winding = case
     for p in members:
-        geo = imm.frames(imm.Immersion(grid=grid, chart=chart, points=p,
+        geo = imm.is_totally_real(imm.Immersion(grid=grid, chart=chart, points=p,
                                        winding=winding))
         vs = np.moveaxis(geo.vectors, -1, 1)
         vol_g, vol_j, low = imm._gram_volumes(vs, geo.g_ambient, geo.omega_ambient)
@@ -544,7 +606,7 @@ def test_stacked_check_raises_what_the_member_loop_raises(kinds, where, monkeypa
     # between the rho floors of the good members and of the "rho" member
     good = min(float(np.min(imm.is_totally_real(
         imm.Immersion(grid=_GRID16, chart=flat, points=p)).rho)) for p in family)
-    bad = float(np.min(imm.frames(imm.Immersion(
+    bad = float(np.min(imm.is_totally_real(imm.Immersion(
         grid=_GRID16, chart=flat, points=_BAD_MEMBERS["rho"][0])).rho))
     assert bad < good
     monkeypatch.setattr(imm, "RHO_MIN", 0.5 * (good + bad))
