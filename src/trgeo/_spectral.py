@@ -189,24 +189,3 @@ def periodic_total(density, cell):
     """Deterministic quadrature: fsum of all nodes (C order) times cell area."""
     return math.fsum(np.asarray(density, dtype=float).ravel(order="C")) * cell
 
-
-def low_mode_field(rng, shape):
-    """Random smooth periodic field of the Fourier modes |m_k| <= 3, max |f| = 1."""
-    if len(shape) == 1:
-        theta = 2.0 * np.pi * np.arange(shape[0]) / shape[0]
-        f = np.zeros(shape[0])
-        for m in range(1, 4):
-            a, b = rng.normal(size=2)
-            f += a * np.cos(m * theta) + b * np.sin(m * theta)
-    else:
-        t1 = 2.0 * np.pi * np.arange(shape[0]) / shape[0]
-        t2 = 2.0 * np.pi * np.arange(shape[1]) / shape[1]
-        T1, T2 = np.meshgrid(t1, t2, indexing="ij")
-        f = np.zeros(shape)
-        for m1 in range(-3, 4):
-            for m2 in range(-3, 4):
-                if m1 == 0 and m2 == 0:
-                    continue
-                a, b = rng.normal(size=2)
-                f += a * np.cos(m1 * T1 + m2 * T2) + b * np.sin(m1 * T1 + m2 * T2)
-    return f / np.max(np.abs(f))

@@ -92,14 +92,17 @@ def save_coefficients(curve, path):
 def load_coefficients(path, N=None):
     """The curve of a file of [n, re, im] triples (save_coefficients).
 
-    ValueError names the first entry that is not finite: JSON readers accept
-    NaN and Infinity, and such a curve would run on into NaN output.
+    ValueError names the first entry that is not finite (JSON readers accept
+    NaN and Infinity, and such a curve would run on into NaN output) or
+    whose mode is not an integer (1.5 or true would run as mode 1).
     """
     with open(path) as f:
         triples = json.load(f)
     for k, t in enumerate(triples):
         if not all(math.isfinite(x) for x in t):
             raise ValueError(f"entry {k} ({t}) is not finite")
+        if isinstance(t[0], bool) or t[0] != int(t[0]):
+            raise ValueError(f"entry {k} ({t}): the mode {t[0]!r} is not an integer")
     if N is None:
         N = max(32, max(abs(int(t[0])) for t in triples))
     return curve_from_terms(triples, N=N)

@@ -7,15 +7,16 @@ matrix W: the actual position is W @ theta plus the stored periodic part,
 which keeps spectral differentiation valid for closed straight tori.
 
 The J-volume density rho_J is sqrt(det_C h_ij) for the Hermitian form
-h = g - i omega on an orthonormal tangent frame. A second formula, the square
-root of the ambient volume of (e_1..e_n, Je_1..Je_n), cross-checks it
-wherever Geometry.formula_gap is read. Both equal 1 exactly on Lagrangian
-planes. Validation needs no frame: with G and W the Gram and omega matrices
-of the coordinate vectors, rho_J^2 = det(G - i W) / det G, so
-vol_g = sqrt(det G) and vol_J = sqrt(det G - W_01^2) (_gram_volumes). One
-validator, _validate, decides this way for one immersion (is_totally_real)
-and for a stack of them (_check_stack, the blocks of the geodesic flow); a
-Geometry builds its orthonormal frame when the frame is first read.
+h = g - i omega on an orthonormal tangent frame. No frame is built: with G
+and W the Gram and omega matrices of the coordinate vectors v_k,
+rho_J^2 = det(G - i W) / det G, so vol_g = sqrt(det G) and
+vol_J = sqrt(det G - W_01^2) (_gram_volumes). One validator, _validate,
+reads these for one immersion (is_totally_real) and for a stack of them
+(_check_stack, the blocks of the geodesic flow). The Geometry of one
+immersion reads the rest off v_k, G and G^-1, the projections and H_J
+included. A second formula, the square root of the ambient volume of
+(v_1..v_n, Jv_1..Jv_n) over det G, cross-checks rho_J wherever
+Geometry.formula_gap is read. Both equal 1 exactly on Lagrangian planes.
 """
 
 from dataclasses import dataclass, field
@@ -197,58 +198,40 @@ def _dot(a, b):
 class Geometry:
     """Geometry of one validated immersion and what is read off it.
 
-    is_totally_real makes it from the coordinate fields and the chart
-    fields it validated. The orthonormal frame (a Gram-Schmidt of the
-    coordinate fields, _orthonormalize) is built on first read of frame or
-    coeffs, and so are rho_J and the J-density (and the Gram-formula
-    cross-check rho_vol, formula_gap), the projections, H_J and the
-    Lagrangian defect; each is kept, so a caller that holds one Geometry
-    builds each of them at most once, and one that reads only the volume
-    fields builds no frame. The object lives in its caller's scope; nothing
-    is cached on the Immersion. vectors and frame keep the components last,
-    as views of components-first arrays.
+    is_totally_real makes it from the coordinate fields v_k, the chart
+    fields and the Gram matrix G_kl = g(v_k, v_l) it validated, and the
+    J-volume density it read off them. Everything else is tensorial and is
+    read off the same fields with no orthonormal frame: rho_J as the
+    quotient vol_J / vol_g, the Gram-formula cross-check rho_vol and
+    formula_gap, the projections, H_J (a trace through G^-1) and the
+    Lagrangian defect. Each is built on first read and kept. The object
+    lives in its caller's scope; nothing is cached on the Immersion.
+    vectors keeps the components last.
     """
 
     im: Immersion = field(repr=False)
     vectors: np.ndarray          # (n,) + sizes + (2n,) coordinate fields
     g_ambient: np.ndarray        # sizes + (2n, 2n)
     omega_ambient: np.ndarray    # sizes + (2n, 2n)
-    induced_vol: np.ndarray      # sizes: |v_1 ^ .. ^ v_n|_g
-
-    @cached_property
-    def _orthonormal(self):
-        frame, coeffs = _orthonormalize(np.moveaxis(self.vectors, -1, 1), self.g_ambient)
-        return np.moveaxis(frame, 1, -1), coeffs
-
-    @property
-    def frame(self):
-        """(n,) + sizes + (2n,): the orthonormal e_i."""
-        return self._orthonormal[0]
-
-    @property
-    def coeffs(self):
-        """(n, n) + sizes: e_i = sum_k coeffs[i, k] v_k."""
-        return self._orthonormal[1]
+    gram: np.ndarray             # sizes + (n, n): G_kl = g(v_k, v_l)
+    induced_vol: np.ndarray      # sizes: |v_1 ^ .. ^ v_n|_g = sqrt(det G)
+    volj_density: np.ndarray     # sizes: rho_J |v_1 ^ .. ^ v_n|_g (theta coordinates)
 
     @cached_property
     def rho(self):
-        """Per-node rho_J by the Hermitian-determinant formula."""
-        return _rho_h(np.moveaxis(self.frame, -1, 1), self.omega_ambient)
-
-    @cached_property
-    def volj_density(self):
-        """Per-node J-volume density rho_J |v_1 ^ .. ^ v_n|_g (theta coordinates)."""
-        return self.rho * self.induced_vol
+        """Per-node rho_J, the quotient validation holds above RHO_MIN."""
+        return self.volj_density / self.induced_vol
 
     @cached_property
     def rho_vol(self):
         """Per-node rho_J by the Gram-determinant formula (the cross-check)."""
         chart = self.im.chart
-        return _rho_vol(self.frame, None if chart.is_flat else self.g_ambient, chart.J)
+        return _rho_vol(self.vectors, self.gram, None if chart.is_flat else self.g_ambient,
+                        chart.J)
 
     @cached_property
     def formula_gap(self):
-        """max |det_C formula - Gram formula| over the nodes."""
+        """max |Gram-matrix formula - Gram-determinant formula| over the nodes."""
         return float(np.max(np.abs(self.rho - self.rho_vol)))
 
     def volumes(self):
@@ -264,34 +247,47 @@ class Geometry:
     def pi_l(self):
         """Projection onto TL along J TL (the splitting T M = TL + J TL).
 
-        In complex form, v = (x, y) is w = x + iy and Je_i is i e_i. With W
-        the complex n x n matrix whose columns are the frame vectors e_i,
-        v = sum_i Re(c_i) e_i + Im(c_i) Je_i for c = W^-1 w, so
-        pi_L v = sum_i Re((W^-1 w)_i) e_i: as a matrix, E [Re W^-1, -Im W^-1]
-        with E = [e_1 .. e_n] and W^-1 in closed form.
+        In complex form, v = (x, y) is w = x + iy and Jv_k is i v_k. With W
+        the complex n x n matrix whose columns are the coordinate vectors
+        v_k (any basis of TL), v = sum_k Re(c_k) v_k + Im(c_k) Jv_k for
+        c = W^-1 w, so pi_L v = sum_k Re((W^-1 w)_k) v_k: as a matrix,
+        V [Re W^-1, -Im W^-1] with W^-1 in closed form.
         """
         n = self.im.n
-        E = np.stack(list(self.frame), axis=-1)
-        w_inv = complex_inverse(E[..., :n, :] + 1j * E[..., n:, :])
-        return E @ np.concatenate([w_inv.real, -w_inv.imag], axis=-1)
+        V = np.stack(list(self.vectors), axis=-1)
+        w_inv = complex_inverse(V[..., :n, :] + 1j * V[..., n:, :])
+        return V @ np.concatenate([w_inv.real, -w_inv.imag], axis=-1)
+
+    @cached_property
+    def _gram_inverse(self):
+        """sizes + (n, n): G^-1, in closed form."""
+        return complex_inverse(self.gram)
+
+    @cached_property
+    def _dual(self):
+        """[w_1 .. w_n], components first, (2n,) + sizes each: the basis
+        w_l = sum_k (G^-1)_kl v_k of TL, with g(w_l, v_m) = delta_lm."""
+        vs = np.moveaxis(self.vectors, -1, 1)
+        return [sum(self._gram_inverse[..., k, l] * vs[k] for k in range(self.im.n))
+                for l in range(self.im.n)]
 
     @cached_property
     def pi_t(self):
-        """Metric (g-orthogonal) projection onto TL."""
-        pi_t = np.zeros_like(self.pi_l)
-        for i in range(self.im.n):
-            ge = np.einsum("...ij,...j->...i", self.g_ambient, self.frame[i])
-            pi_t += np.einsum("...i,...j->...ij", self.frame[i], ge)
-        return pi_t
+        """Metric (g-orthogonal) projection onto TL: sum_l w_l (g v_l)^T."""
+        vs = np.moveaxis(self.vectors, -1, 1)
+        pi_t = sum(w[:, None] * _apply(self.g_ambient, v)[None]
+                   for w, v in zip(self._dual, vs))
+        return np.moveaxis(pi_t, (0, 1), (-2, -1))
 
     @cached_property
     def lagrangian_defect(self):
-        """max_node |omega(e_1, e_2)| for surfaces; exactly 0 for curves."""
+        """max_node |omega(e_1, e_2)| for an orthonormal frame of TL, read as
+        |omega(v_1, v_2)| / vol_g; exactly 0 for curves."""
         if self.im.n == 1:
             return 0.0
-        om = np.einsum("...i,...ij,...j->...", self.frame[0], self.omega_ambient,
-                       self.frame[1])
-        return float(np.max(np.abs(om)))
+        om = np.einsum("...i,...ij,...j->...", self.vectors[0], self.omega_ambient,
+                       self.vectors[1])
+        return float(np.max(np.abs(om / self.induced_vol)))
 
     def pushforward(self, X):
         """Ambient components of iota_* X for a VectorFieldOnL."""
@@ -305,45 +301,38 @@ class Geometry:
             out += _spectral.spectral_derivative(vol * W_components[k], axis=k)
         return out / vol
 
-    def d_along(self, i, values):
-        """Flat derivative along e_i of a grid field of ambient vectors."""
-        out = np.zeros_like(values)
-        for k in range(self.im.n):
-            dk = _spectral.spectral_derivative(values, axis=k)
-            out += self.coeffs[i, k][..., None] * dk
-        return out
-
     @cached_property
     def h_j(self):
         """J-mean-curvature field H_J = -J pi_T J tr_L(covariant d of pi_L^t).
 
-        The trace runs over the orthonormal frame e_i; the tensorial
-        correction subtracts pi_L^t applied to the ambient derivative of the
-        frame itself. Covariant derivatives combine FFT derivatives of the
-        grid fields with the chart Christoffel symbols. The sign convention is
-        the one that satisfies d/dt Vol_J = -int g(JY, H_J) vol_J for
+        The trace is sum_kl (G^-1)_kl T(v_k, v_l) of the tensor
+        T(a, b) = nabla_a (pi_L^t b) - pi_L^t nabla_a b, whose second term is
+        the tensorial correction. Covariant derivatives combine FFT
+        derivatives of the grid fields with the chart Christoffel symbols,
+        which are contracted once per term, with sum_l w_l (x) pi_L^t v_l and
+        sum_l w_l (x) v_l for the dual basis w_l (_dual). The sign convention
+        is the one that satisfies d/dt Vol_J = -int g(JY, H_J) vol_J for
         deformations JY, which variation_harness.check_first_variation holds
         to the FD oracle.
         """
         im = self.im
-        J = im.chart.J
-        g = self.g_ambient
+        J, g = im.chart.J, self.g_ambient
         pi_l_t = im.chart.inverse_metric(g) @ np.swapaxes(self.pi_l, -1, -2) @ g
-        gamma = None if im.chart.is_flat else im.chart.christoffel_many(im.positions())
-
-        def covariant_along(i, values):
-            out = self.d_along(i, values)
-            if gamma is not None:
-                out += np.einsum("...cab,...a,...b->...c", gamma, self.frame[i], values)
-            return out
-
-        total = np.zeros(im.grid.sizes + (im.chart.dim,))
-        for i in range(im.n):
-            f_i = np.einsum("...ij,...j->...i", pi_l_t, self.frame[i])
-            t1 = covariant_along(i, f_i)
-            de = covariant_along(i, self.frame[i])
-            t2 = np.einsum("...ij,...j->...i", pi_l_t, de)
-            total += t1 - t2
+        g_inv = self._gram_inverse
+        vs = np.moveaxis(self.vectors, -1, 1)
+        p_vs = [_apply(pi_l_t, v) for v in vs]
+        # sum_kl (G^-1)_kl d_k (pi_L^t v_l) and sum_kl (G^-1)_kl d_k v_l
+        d_p = d_v = 0.0
+        for k in range(im.n):
+            for l in range(im.n):
+                d_p = d_p + g_inv[..., k, l] * _spectral.spectral_derivative(p_vs[l], k - im.n)
+                d_v = d_v + g_inv[..., k, l] * _spectral.spectral_derivative(vs[l], k - im.n)
+        if not im.chart.is_flat:
+            gamma = im.chart.christoffel_many(im.positions())
+            for out, fields in ((d_p, p_vs), (d_v, vs)):
+                pairs = sum(w[:, None] * f[None] for w, f in zip(self._dual, fields))
+                out += np.einsum("...cab,ab...->c...", gamma, pairs)
+        total = np.moveaxis(d_p - _apply(pi_l_t, d_v), 0, -1)
         js = np.einsum("ij,...j->...i", J, total)
         pt_js = np.einsum("...ij,...j->...i", self.pi_t, js)
         values = -np.einsum("ij,...j->...i", J, pt_js)
@@ -352,65 +341,16 @@ class Geometry:
                                   max_tangential_leak=float(np.max(np.abs(leak))))
 
 
-def _orthonormalize(vs, g):
-    """(frame, coeffs): the Gram-Schmidt orthonormal frame of coordinate vectors.
+def _rho_vol(vectors, gram, g, J):
+    """sqrt( sqrt(det g) * det[v_1 .. v_n, Jv_1 .. Jv_n] / det G ), by LAPACK.
 
-    Components come first in vs, (n, 2n) + nodes; g is the chart's
-    nodes + (2n, 2n). Inner products are g v formed once per vector
-    (_apply), then a dot product over the component axis. frame is
-    (n, 2n) + nodes and coeffs (n, n) + nodes. The vectors are those of a
-    validated immersion, whose Gram-Schmidt norms _validate has held above
-    their floor, so no norm is checked here.
+    vectors is (n,) + nodes + (2n,) and gram nodes + (n, n). For an
+    orthonormal frame e = v C, det[e, Je] = det[v, Jv] det(C)^2 and
+    det(C)^2 = 1 / det G. g None is a flat chart's identity metric, whose
+    det g = 1.0 is left out: sqrt(1.0) * d == d.
     """
-    n = vs.shape[0]
-    nodes = vs.shape[2:]
-    frame = np.empty_like(vs)
-    g_frame = np.empty_like(vs[:-1])    # g e_i is read only by the later vectors
-    coeffs = np.zeros((n, n) + nodes)
-    for i in range(n):
-        u = vs[i]
-        c = np.zeros((n,) + nodes)
-        c[i] = 1.0
-        if i > 0:
-            u = u.copy()
-            for j in range(i):
-                proj = _dot(u, g_frame[j])
-                u -= proj * frame[j]
-                c -= proj * coeffs[j]
-        g_u = _apply(g, u)
-        norms = np.sqrt(np.maximum(_dot(u, g_u), 0.0))
-        # the norms broadcast over the component axis ahead of the nodes
-        np.divide(u, norms, out=frame[i])
-        if i < n - 1:
-            np.divide(g_u, norms, out=g_frame[i])
-        np.divide(c, norms, out=coeffs[i])
-    return frame, coeffs
-
-
-def _rho_h(frame_vectors, omega):
-    """sqrt(det_C (delta_ij - i omega(e_i, e_j))) for orthonormal frames e_i.
-
-    frame_vectors is (n, 2n) + nodes, components first as _orthonormalize
-    makes them; omega is nodes + (2n, 2n). omega is antisymmetric, so the
-    real part of the determinant is 1 for curves and
-    1 - om_00 om_11 + om_01 om_10 for surfaces.
-    """
-    n = frame_vectors.shape[0]
-    if n == 1:
-        return np.ones(frame_vectors.shape[2:])
-    om_e = [_apply(omega, e) for e in frame_vectors]
-    om = [[_dot(frame_vectors[i], om_e[j]) for j in range(n)] for i in range(n)]
-    det_h = 1.0 - om[0][0] * om[1][1] + om[0][1] * om[1][0]
-    return np.sqrt(np.maximum(det_h, 0.0))
-
-
-def _rho_vol(frame_vectors, g, J):
-    """sqrt( sqrt(det g) * det[e_1 .. e_n, Je_1 .. Je_n] ), by LAPACK; g None is
-    a flat chart's identity metric, whose det g = 1.0 is left out: sqrt(1.0) * d == d."""
-    n = frame_vectors.shape[0]
-    cols = [frame_vectors[i] for i in range(n)]
-    cols += [np.einsum("ij,...j->...i", J, frame_vectors[i]) for i in range(n)]
-    vol = np.linalg.det(np.stack(cols, axis=-1))
+    cols = list(vectors) + [np.einsum("ij,...j->...i", J, v) for v in vectors]
+    vol = np.linalg.det(np.stack(cols, axis=-1)) / np.linalg.det(gram)
     if g is not None:
         vol = np.sqrt(np.maximum(np.linalg.det(g), 0.0)) * vol
     return np.sqrt(np.maximum(vol, 0.0))
@@ -423,16 +363,17 @@ class MeanCurvatureField:
 
 
 def is_totally_real(im):
-    """The Geometry of im, validated (_validate): a full-rank frame and
-    rho_J above RHO_MIN. The frame itself is built when it is first read."""
+    """The Geometry of im, validated (_validate): full-rank coordinate
+    vectors and rho_J above RHO_MIN."""
     pos = im.positions()
     # overflow shows up as non-finite geometry, which the frame check names
     with np.errstate(over="ignore", invalid="ignore"):
         # coordinate_vectors is a components-last view; this is its contiguous base
         vs = np.moveaxis(im.coordinate_vectors(), -1, 1)
-    g, omega, induced_vol = _validate(im.grid, im.chart, pos, vs)
-    return Geometry(im=im, vectors=np.moveaxis(vs, 1, -1), g_ambient=g,
-                    omega_ambient=omega, induced_vol=induced_vol)
+    g, omega, gram, induced_vol, volj = _validate(im.grid, im.chart, pos, vs)
+    return Geometry(im=im, vectors=np.moveaxis(vs, 1, -1), g_ambient=g, omega_ambient=omega,
+                    gram=np.moveaxis(np.array(gram), (0, 1), (-2, -1)),
+                    induced_vol=induced_vol, volj_density=volj)
 
 
 def _check_stack(grid, chart, points, vs, winding):
@@ -456,7 +397,7 @@ def _check_stack(grid, chart, points, vs, winding):
 
 
 def _validate(grid, chart, pos, vs):
-    """(g, omega, induced_vol) of one immersion or a stack, checked with no frame.
+    """(g, omega, gram, induced_vol, volj) of one immersion or a stack, checked.
 
     pos are the chart positions, members + grid.sizes + (2n,), and vs the
     coordinate vectors, (n, 2n) + members + grid.sizes, where members is ()
@@ -472,7 +413,7 @@ def _validate(grid, chart, pos, vs):
     # overflow shows up as non-finite geometry, which the frame check names
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         g, omega = chart.metric_many(pos)
-        induced_vol, volj, low = _gram_volumes(vs, g, omega)
+        gram, induced_vol, volj, low = _gram_volumes(vs, g, omega)
         # each member's checks in one reduction over the node axes
         nodes = tuple(range(-grid.n, 0))
         degenerate = np.any(low, axis=nodes)
@@ -488,20 +429,20 @@ def _validate(grid, chart, pos, vs):
         if not min_rho[b] > RHO_MIN:
             raise NotTotallyReal(f"rho_J reaches {min_rho[b]:.3g} <= {RHO_MIN:g}: "
                                  "partially complex to working precision")
-    return g, omega, induced_vol
+    return g, omega, gram, induced_vol, volj
 
 
 def _gram_volumes(vs, g, omega):
-    """(induced_vol, volj_density, low) of coordinate vectors, with no frame.
+    """(gram, induced_vol, volj_density, low) of coordinate vectors.
 
     vs is (n, 2n) + nodes, components first; g and omega are the chart's
-    nodes + (2n, 2n). With G_ij = g(v_i, v_j) (g v_i formed once per
-    vector, _apply) and W_ij = omega(v_i, v_j), an orthonormal frame e = v C
-    has rho_J^2 = det(G - i W) / det G, so vol_g = sqrt(det G) and vol_J = sqrt(det G - W_01^2) for surfaces,
-    sqrt(G_00) for curves. low marks the nodes where the Gram-Schmidt
-    vectors of v (_orthonormalize) fall to their floor, read off G as
-    |u_0|^2 = G_00 and |u_1|^2 = det G / G_00, and where vol_g is not
-    finite; NaN is low.
+    nodes + (2n, 2n). gram is G_ij = g(v_i, v_j) as nested lists of node
+    arrays (g v_i formed once per vector, _apply). With W_ij =
+    omega(v_i, v_j), rho_J^2 = det(G - i W) / det G, so vol_g = sqrt(det G)
+    and vol_J = sqrt(det G - W_01^2) for surfaces, sqrt(G_00) for curves.
+    low marks the nodes where the Gram-Schmidt vectors of v would fall to
+    their floor, read off G as |u_0|^2 = G_00 and |u_1|^2 = det G / G_00,
+    and where vol_g is not finite; NaN is low.
     """
     n = vs.shape[0]
     g_vs = [_apply(g, v) for v in vs]
@@ -519,7 +460,7 @@ def _gram_volumes(vs, g, omega):
         ref = np.sqrt(np.maximum(gram[i][i], 0.0))
         # "not above the floor", so that NaN fails as well
         low |= ~(np.sqrt(np.maximum(square, 0.0)) > 1e-12 * np.maximum(ref, 1.0))
-    return induced_vol, volj, low
+    return gram, induced_vol, volj, low
 
 
 # --- built-in immersion formulas ----------------------------------------------

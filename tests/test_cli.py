@@ -345,6 +345,22 @@ def test_non_finite_coefficient_file_exits_2(tmp_path, capsys, op, radii, value)
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("mode, shown", [("1.5", "1.5"), ("true", "True"), ("-0.5", "-0.5")])
+def test_non_integer_mode_in_a_coefficient_file_exits_2(tmp_path, capsys, mode, shown):
+    # the mode was truncated: 1.5 and true ran as mode 1, -0.5 as mode 0, with exit 0
+    coeffs = tmp_path / "bad.json"
+    coeffs.write_text(f"[[1, 1.0, 0.0], [{mode}, 0.3, 0.0]]")
+    scn = write_scenario(tmp_path / "s.json", {
+        "version": 1, "operation": "curve.length", "curve": {"coeff_file": str(coeffs)},
+        "params": {"radii": [0.8, 0.9, 1.0]}})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("trgeo: ValidationError: curve.coeff_file")
+    assert f"entry 1 ([{shown}, 0.3, 0.0]): the mode {shown} is not an integer" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_unit_circle_length_at_a_huge_radius_is_finite(tmp_path):
     # the absent a_n are not scaled by r^n, so no 0 * inf turns into NaN
     scn = write_scenario(tmp_path / "s.json", {

@@ -1,7 +1,9 @@
 """Curve lab tests: analysis, radii, classification, continuation, lengths."""
 
 import cmath
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -418,3 +420,14 @@ def test_coefficient_file_round_trip(tmp_path):
     cl.save_coefficients(src, path)
     back = cl.load_coefficients(path, N=64)
     assert np.max(np.abs(back.coeffs - src.coeffs)) == 0.0
+
+
+@pytest.mark.parametrize("mode", [1.5, True, -0.5])
+def test_coefficient_file_refuses_a_mode_that_is_not_an_integer(tmp_path, mode):
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps([[1, 1.0, 0.0], [mode, 0.3, 0.0]]))
+    with pytest.raises(ValueError, match=re.escape(f"entry 1 ([{mode!r}, 0.3, 0.0])")):
+        cl.load_coefficients(path)
+    # an integral float names an integer mode, as in fourier_curve's coefficients
+    path.write_text(json.dumps([[1, 1.0, 0.0], [-1.0, 0.3, 0.0]]))
+    assert cl.load_coefficients(path).coefficient(-1) == 0.3

@@ -13,7 +13,7 @@ from trgeo.errors import (AmplificationExceeded, GeodesicUnavailable, Unsupporte
                           ValidationError)
 
 from flow_oracle import flow_on_torus_2d, perturbed_torus, phase_sum_2d, wound_torus
-from variation_oracle import mixed_density_second_variation, validate_hj_sign
+from variation_oracle import low_mode_field, mixed_density_second_variation, validate_hj_sign
 
 
 @pytest.fixture
@@ -273,7 +273,7 @@ def test_straight_torus_is_critical_and_stable():
     assert st.lagrangian_defect <= 1e-12           # and Lagrangian
     rng = np.random.default_rng(9)
     for _ in range(5):
-        comps = np.stack([0.5 * _spectral.low_mode_field(rng, st.im.grid.sizes)
+        comps = np.stack([0.5 * low_mode_field(rng, st.im.grid.sizes)
                           for _ in range(2)])
         Y = imm.VectorFieldOnL(grid=st.im.grid, components=comps)
         integrand = vh.second_variation_integrand(st, Y)
@@ -358,10 +358,10 @@ def test_first_variation_circle_scaling(r):
     assert rep.rel_err <= 1e-4
 
 
-# --- frame builds ------------------------------------------------------------------------
+# --- geometry builds ---------------------------------------------------------------------
 
 def test_each_check_builds_one_base_geometry(monkeypatch, tmp_path):
-    # every frame build differentiates the immersion once
+    # every Geometry built differentiates the immersion once
     builds = []
     original = imm.Immersion.coordinate_vectors
 
