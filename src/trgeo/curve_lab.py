@@ -15,6 +15,7 @@ analysed curve must be positive, mirror data is rejected.
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,8 @@ RADIUS_MARGIN = 0.02      # decision band around radius 1
 ELL1_EXPONENT = 1.1       # power-law exponent threshold for an l^1 tail
 SECONDVAR_EPS = 1e-3      # flow time of the second variation's finite difference
 ARCLENGTH_TOL = 1e-6      # relative speed variation an arclength curve may have
+# largest |n| a coefficient file may name; without N it sizes the 2N + 1 coefficients
+MAX_MODE = 2 ** 16
 
 GEODESIC_ANNULUS = "geodesic_annulus"
 RAY_ONLY = "ray_only"
@@ -89,20 +92,43 @@ def save_coefficients(curve, path):
         f.write("\n")
 
 
+def _entry_problem(t):
+    """Why an entry of a coefficient file is not [n, re, im], three finite
+    numbers with an integer mode n, |n| <= MAX_MODE; None when it is."""
+    if not isinstance(t, list) or len(t) != 3:
+        return " is not an [n, re, im] triple"
+    for part, x in zip(("mode", "real part", "imaginary part"), t):
+        # JSON's true and false load as bool, a subclass of int
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            return f": the {part} {x!r} is not {'an integer' if part == 'mode' else 'a number'}"
+    # a comparison, not math.isfinite, which overflows on a huge JSON integer
+    if not all(abs(x) <= sys.float_info.max for x in t):
+        return " is not finite"
+    if t[0] != int(t[0]):
+        return f": the mode {t[0]!r} is not an integer"
+    if abs(t[0]) > MAX_MODE:
+        return f": the mode {t[0]!r} is outside [-{MAX_MODE}, {MAX_MODE}]"
+    return None
+
+
 def load_coefficients(path, N=None):
     """The curve of a file of [n, re, im] triples (save_coefficients).
 
-    ValueError names the first entry that is not finite (JSON readers accept
-    NaN and Infinity, and such a curve would run on into NaN output) or
-    whose mode is not an integer (1.5 or true would run as mode 1).
+    ValueError names the first entry that is not a triple of numbers
+    (JSON's true and false are refused), that is not finite (JSON readers
+    accept NaN and Infinity, and such a curve would run on into NaN
+    output), whose mode is not an integer (1.5 would run as mode 1) or
+    whose mode lies past MAX_MODE; the modes are checked before any array
+    is sized from them. A top level that is not a list is refused too.
     """
     with open(path) as f:
         triples = json.load(f)
+    if not isinstance(triples, list):
+        raise ValueError("the file does not hold a list of [n, re, im] triples")
     for k, t in enumerate(triples):
-        if not all(math.isfinite(x) for x in t):
-            raise ValueError(f"entry {k} ({t}) is not finite")
-        if isinstance(t[0], bool) or t[0] != int(t[0]):
-            raise ValueError(f"entry {k} ({t}): the mode {t[0]!r} is not an integer")
+        problem = _entry_problem(t)
+        if problem is not None:
+            raise ValueError(f"entry {k} ({t}){problem}")
     if N is None:
         N = max(32, max(abs(int(t[0])) for t in triples))
     return curve_from_terms(triples, N=N)

@@ -31,7 +31,9 @@ Two schemes solve the Cauchy problem for coordinate-aligned X on flat charts:
   same projectors by Parseval; otherwise both work on the half spectrum of
   the real points. The state is laid out (2n,) + grid.sizes. It stays in
   physical space, independent of the mode-wise continuation it is
-  compared against.
+  compared against. One stepping loop (_rk4_states) serves flow_timestep,
+  which keeps frames of it, and uniqueness_compare, which subtracts each
+  state from the spectral block of its time and keeps none.
 
 geodesic_family is the generator the variation oracles use: the same
 guarded, residual-checked continuation on any chart (it only needs J to be
@@ -556,22 +558,30 @@ def _dealias_by_fft(sizes, cutoffs, n_comp):
     return dealias
 
 
-def flow_timestep(im, X, t_final, dt, store_every=1):
-    """RK4 time stepping of d iota/dt = J iota_* X with spectral guards.
+def _rk4_states(im, X, t_final, dt):
+    """The RK4 stepper of flow_timestep and uniqueness_compare.
 
-    The state is laid out components first, (2n,) + grid.sizes, so every
-    FFT line and matrix product and the product with J run over contiguous
-    memory; the stored frames are Immersions whose points are views of it
-    with the components last. Only the live axes k, where X^k is not
-    exactly zero, are differentiated: a skipped term is an exact zero, so
-    the frames are the ones every axis would give (a coordinate field on a
-    2-torus takes one derivative per RK4 stage instead of two). After each
-    step the 2/3 dealias filter is applied and the tail fraction read:
-    when every grid axis has at most _MATRIX_NODES nodes by projector
-    matrices (_dealias_by_matrices), else on the half spectrum
-    (_dealias_by_fft). The winding columns and the filter are built once
-    per call, the matrices and multipliers once per process. More than
-    MAX_TIMESTEPS steps raise ValidationError.
+    Returns (times, states) after the up-front checks: dt must be positive
+    and pass the StepTooLarge bound, and the steps to t_final may number at
+    most MAX_TIMESTEPS (else ValidationError). times is the schedule
+    t = step * dt for steps 0..n_steps; when t_final / dt is not a whole
+    number, n_steps is its ceiling and dt = t_final / n_steps, so the last
+    step lands on t_final. states is a generator of (points, top) at those
+    times: the stepped state laid out (2n,) + grid.sizes, components first,
+    and its largest absolute entry; the first state is the dealiased
+    initial points. Every step makes a new array, so a state a caller
+    holds is never written. A step whose state is not finite, or whose
+    tail fraction exceeds TAIL_ENERGY_ABORT, raises BlowUpDetected.
+
+    Only the live axes k, where X^k is not exactly zero, are
+    differentiated: a skipped term is an exact zero, so the states are the
+    ones every axis would give (a coordinate field on a 2-torus takes one
+    derivative per RK4 stage instead of two). After each step the 2/3
+    dealias filter is applied and the tail fraction read: when every grid
+    axis has at most _MATRIX_NODES nodes by projector matrices
+    (_dealias_by_matrices), else on the half spectrum (_dealias_by_fft).
+    The winding columns and the filter are built once per call, the
+    matrices and multipliers once per process.
     """
     if dt <= 0.0:
         raise ValidationError("dt must be positive")
@@ -583,6 +593,13 @@ def flow_timestep(im, X, t_final, dt, store_every=1):
         raise StepTooLarge(
             f"dt*m*|X| = {dt * m_eff * max_speed:.3g} > 0.5; reduce dt"
         )
+    n_steps = int(round(t_final / dt))
+    if abs(n_steps * dt - t_final) > 1e-12 * max(1.0, abs(t_final)):
+        n_steps = math.ceil(t_final / dt)
+        dt = t_final / n_steps
+    if n_steps > MAX_TIMESTEPS:
+        raise ValidationError(f"t_final / dt asks for {n_steps:.3g} RK4 steps, "
+                              f"more than {MAX_TIMESTEPS}")
     J = im.chart.J
     n = im.n
     # axes whose field component is exactly zero add exact zeros: skip them
@@ -612,65 +629,104 @@ def flow_timestep(im, X, t_final, dt, store_every=1):
             return np.zeros_like(points)
         return (J @ out.reshape(len(J), -1)).reshape(out.shape)
 
-    # a stored frame's points: a view of the state with the components last
-    last = tuple(range(1, 1 + n)) + (0,)
+    # step 0 is the initial state, also when t_final asks for no step
+    times = [step * dt for step in range(max(n_steps, 0) + 1)]
 
-    def stored(points):
-        return Immersion(grid=im.grid, chart=im.chart, points=points.transpose(last),
-                         winding=im.winding)
+    def states():
+        pts, _ = dealias(im.components_first())
+        yield pts, float(np.max(np.abs(pts)))
+        for t in times[1:]:
+            pts, frac = dealias(_spectral.rk4_step(rhs, pts, dt), pts)
+            # NaN and inf propagate to the maximum
+            top = float(np.max(np.abs(pts)))
+            if not math.isfinite(top) or frac > TAIL_ENERGY_ABORT:
+                raise BlowUpDetected(
+                    f"spectral tail energy fraction {frac:.3g} at t = {t:.4g}",
+                    t_reached=t,
+                )
+            yield pts, top
+    return times, states()
 
-    n_steps = int(round(t_final / dt))
-    if abs(n_steps * dt - t_final) > 1e-12 * max(1.0, abs(t_final)):
-        n_steps = math.ceil(t_final / dt)
-        dt = t_final / n_steps
-    if n_steps > MAX_TIMESTEPS:
-        raise ValidationError(f"t_final / dt asks for {n_steps:.3g} RK4 steps, "
-                              f"more than {MAX_TIMESTEPS}")
-    pts, _ = dealias(im.components_first())
-    times = [0.0]
-    frames_out = [stored(pts)]
-    amp = 1.0
-    base_norm = float(np.max(np.abs(pts)) + 1.0)
-    for step in range(1, n_steps + 1):
-        # every step makes a new array, so a stored frame is never written
-        pts, frac = dealias(_spectral.rk4_step(rhs, pts, dt), pts)
-        t = step * dt
-        # NaN and inf propagate to the maximum
-        top = float(np.max(np.abs(pts)))
+
+def _stepped_frame(im, points):
+    """The Immersion of a stepped state: its points are a view of the state
+    with the components last."""
+    return Immersion(grid=im.grid, chart=im.chart,
+                     points=points.transpose(tuple(range(1, 1 + im.n)) + (0,)),
+                     winding=im.winding)
+
+
+def flow_timestep(im, X, t_final, dt, store_every=1):
+    """RK4 time stepping of d iota/dt = J iota_* X with spectral guards.
+
+    The states come from _rk4_states, which makes the checks, owns the time
+    schedule and raises BlowUpDetected; the state is laid out components
+    first, (2n,) + grid.sizes, so every FFT line and matrix product and the
+    product with J run over contiguous memory. flow_timestep keeps the
+    first state, every store_every-th and the last as Immersions whose
+    points are views of the state with the components last, tracks the
+    amplification max (|state| + 1) / (|initial| + 1) in the sup norm, and
+    validates the last frame (is_totally_real).
+    """
+    times, states = _rk4_states(im, X, t_final, dt)
+    n_steps = len(times) - 1
+    kept, frames_out, amp = [], [], 1.0
+    for step, (pts, top) in enumerate(states):
+        if step == 0:
+            base_norm = top + 1.0
         amp = max(amp, (top + 1.0) / base_norm)
-        if not math.isfinite(top) or frac > TAIL_ENERGY_ABORT:
-            raise BlowUpDetected(
-                f"spectral tail energy fraction {frac:.3g} at t = {t:.4g}",
-                t_reached=t,
-            )
         if step % store_every == 0 or step == n_steps:
-            times.append(t)
-            frames_out.append(stored(pts))
+            kept.append(times[step])
+            frames_out.append(_stepped_frame(im, pts))
     is_totally_real(frames_out[-1])
-    return FlowResult(times=times, immersions=frames_out, amplification=amp,
+    return FlowResult(times=kept, immersions=frames_out, amplification=amp,
                       scheme="timestep")
 
 
 def uniqueness_compare(im, X, t_final):
     """Sup-norm gap between the spectral and time-stepped flows.
 
-    The stepper takes UNIQUENESS_STEPS RK4 steps to t_final. The spectral
-    family goes through the checks of flow_spectral block by block; each
-    block is compared with the stepped frames of its times and then dropped,
-    so the whole spectral family is never held at once.
+    The stepper (_rk4_states) takes UNIQUENESS_STEPS RK4 steps to t_final
+    in physical space, and its schedule gives the times of the spectral
+    family. The family goes through the checks of flow_spectral block by
+    block, and the stepper advances beside it: each stepped state is
+    subtracted from the block frame of its time, and the block is dropped
+    after one reduction. So neither family is held: at most one block and
+    one stepped state are alive at a time. The last stepped frame is
+    validated (is_totally_real) as in flow_timestep.
+
+    The errors are those of stepping first and comparing after: the
+    stepper's up-front checks run before the spectral setup, and when the
+    spectral side fails (_spectral_setup, a residual or a stack check),
+    stepping runs on to t_final and the last frame is validated before
+    that failure is raised, so that an error of the stepper wins.
     """
-    stepped = flow_timestep(im, X, t_final, t_final / UNIQUENESS_STEPS)
-    axis, c, ts, spectrum, _ = _spectral_setup(im, X, stepped.times)
-    # a stepped frame's points with the components first, as in a block
-    first = (im.n,) + tuple(range(im.n))
-    worst, k = 0.0, 0
-    for pts, _ in _checked_blocks(im, spectrum, axis, c, ts, validated=True):
+    times, states = _rk4_states(im, X, t_final, t_final / UNIQUENESS_STEPS)
+    failures = []
+
+    def spectral_blocks():
+        try:
+            axis, c, ts, spectrum, _ = _spectral_setup(im, X, times)
+            yield from _checked_blocks(im, spectrum, axis, c, ts, validated=True)
+        except Exception as err:
+            # any error, not only the package's: it is raised unchanged,
+            # only after the stepper's own
+            failures.append(err)
+
+    worst = 0.0
+    for pts, _ in spectral_blocks():
         # the block is dropped after the comparison, so it takes the
         # differences in place, and one reduction compares the whole block
-        for b, a in zip(pts, stepped.immersions[k:k + len(pts)]):
-            b -= a.points.transpose(first)
+        for b in pts:
+            last, _ = next(states)
+            b -= last
         worst = max(worst, float(np.max(np.abs(pts, out=pts))))
-        k += len(pts)
+    # after a spectral failure, the steps still to take (none otherwise)
+    for last, _ in states:
+        pass
+    is_totally_real(_stepped_frame(im, last))
+    if failures:
+        raise failures[0]
     return worst
 
 

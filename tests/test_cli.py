@@ -361,6 +361,63 @@ def test_non_integer_mode_in_a_coefficient_file_exits_2(tmp_path, capsys, mode, 
     assert not out.exists() or not any(out.iterdir())
 
 
+def _coefficient_file_error(tmp_path, capsys, op, text, N=None):
+    """The one stderr line of op on a coefficient file holding text; exit 2."""
+    coeffs = tmp_path / "bad.json"
+    coeffs.write_text(text)
+    curve = {"coeff_file": str(coeffs)} if N is None else {"coeff_file": str(coeffs), "N": N}
+    radii = [0.9, 1.0] if op == "curve.geodesic" else [0.8, 0.9, 1.0]
+    scn = write_scenario(tmp_path / "s.json", {
+        "version": 1, "operation": op, "curve": curve, "params": {"radii": radii}})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"trgeo: ValidationError: curve.coeff_file: cannot load {str(coeffs)!r}: ")
+    assert not out.exists() or not any(out.iterdir())
+    return err
+
+
+_OPS = pytest.mark.parametrize("op", ["curve.geodesic", "curve.length"])
+
+
+@_OPS
+@pytest.mark.parametrize("text, named", [
+    # true ran as a_1 = 1 and false as 0, with exit 0
+    ("[[1, true, 0], [-1, 0.3, 0]]", "entry 0 ([1, True, 0]): the real part True is not a number"),
+    ("[[1, 1, 0], [-1, 0.3, false]]",
+     "entry 1 ([-1, 0.3, False]): the imaginary part False is not a number"),
+    # these exited 2 with lines that named no entry
+    ('[[1, "a", 0]]', "entry 0 ([1, 'a', 0]): the real part 'a' is not a number"),
+    ('[["1", 1, 0]]', "entry 0 (['1', 1, 0]): the mode '1' is not an integer"),
+    ("[[1, null, 0]]", "entry 0 ([1, None, 0]): the real part None is not a number"),
+    ("[[1, 1, 0], [1, 2]]", "entry 1 ([1, 2]) is not an [n, re, im] triple"),
+    ("[[1, 1, 0, 4]]", "entry 0 ([1, 1, 0, 4]) is not an [n, re, im] triple"),
+    ("[[1, 1, 0], 5]", "entry 1 (5) is not an [n, re, im] triple"),
+    ('{"1": [1, 0]}', "the file does not hold a list of [n, re, im] triples"),
+    ("7", "the file does not hold a list of [n, re, im] triples"),
+    # a real part no double holds: math.isfinite raised OverflowError, exit 1
+    pytest.param("[[1, 1" + "0" * 400 + ", 0]]", "entry 0 ([1, 1" + "0" * 400 + ", 0]) is not finite",
+                 id="400-digit real part"),
+])
+def test_malformed_coefficient_file_names_the_entry(tmp_path, capsys, op, text, named):
+    assert _coefficient_file_error(tmp_path, capsys, op, text).endswith(f": {named}\n")
+
+
+@_OPS
+@pytest.mark.parametrize("N", [None, 64])
+@pytest.mark.parametrize("mode, shown", [("1e300", "1e+300"), ("-1e300", "-1e+300"),
+                                         ("65537", "65537")])
+def test_huge_mode_in_a_coefficient_file_exits_2(tmp_path, capsys, op, N, mode, shown):
+    # without N, 1e300 failed in numpy ("Maximum allowed dimension
+    # exceeded") and a mode such as 1e9 sized 2e9 coefficients; with N the
+    # line printed the mode as a 300-digit integer. The bound refuses the
+    # mode before any array is made.
+    err = _coefficient_file_error(tmp_path, capsys, op, f"[[{mode}, 1, 0], [-1, 0.3, 0]]", N)
+    assert err.endswith(f": entry 0 ([{shown}, 1, 0]): the mode {shown} is outside "
+                        f"[-{cl.MAX_MODE}, {cl.MAX_MODE}]\n")
+
+
 def test_unit_circle_length_at_a_huge_radius_is_finite(tmp_path):
     # the absent a_n are not scaled by r^n, so no 0 * inf turns into NaN
     scn = write_scenario(tmp_path / "s.json", {

@@ -431,3 +431,28 @@ def test_coefficient_file_refuses_a_mode_that_is_not_an_integer(tmp_path, mode):
     # an integral float names an integer mode, as in fourier_curve's coefficients
     path.write_text(json.dumps([[1, 1.0, 0.0], [-1.0, 0.3, 0.0]]))
     assert cl.load_coefficients(path).coefficient(-1) == 0.3
+
+
+@pytest.mark.parametrize("mode", [cl.MAX_MODE + 1, -cl.MAX_MODE - 1, 1e9, 1e300])
+def test_coefficient_file_refuses_a_mode_past_max_mode_before_sizing(tmp_path, monkeypatch,
+                                                                      mode):
+    # without N the largest mode sizes the 2N + 1 coefficients: 1e9 would
+    # take 32 GB, so the mode is refused before the curve is made
+    def unreachable(terms, N=128):
+        raise AssertionError(f"a curve of N = {N} was made")
+
+    monkeypatch.setattr(cl, "curve_from_terms", unreachable)
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps([[1, 1.0, 0.0], [mode, 0.3, 0.0]]))
+    with pytest.raises(ValueError, match=re.escape(
+            f"entry 1 ([{mode!r}, 0.3, 0.0]): the mode {mode!r} is outside "
+            f"[-{cl.MAX_MODE}, {cl.MAX_MODE}]")):
+        cl.load_coefficients(path)
+
+
+def test_coefficient_file_bound_admits_max_mode(tmp_path):
+    # |n| = MAX_MODE passes the bound; with N = 64 the curve then refuses it
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps([[1, 1.0, 0.0], [-cl.MAX_MODE, 0.3, 0.0]]))
+    with pytest.raises(ValidationError, match=f"index {-cl.MAX_MODE} outside"):
+        cl.load_coefficients(path, N=64)

@@ -521,19 +521,149 @@ def test_flow_spectral_validates_once_per_block(monkeypatch):
     assert checks[-1] == ((1, 4, 32, 32), (2, 4, 1, 32, 32))
 
 
-def test_uniqueness_compare_does_not_hold_the_spectral_family():
-    pt = _product_torus_32()
-    X = imm.coordinate_field(pt.grid, 0)
-    gap = gf.uniqueness_compare(pt, X, 0.1)      # warm caches outside the trace
+def _uniqueness_peak(im, X, t_final):
+    """tracemalloc peak of uniqueness_compare, after a first call that warms
+    the caches outside the trace and gives the gap the traced call repeats."""
+    gap = gf.uniqueness_compare(im, X, t_final)
     tracemalloc.start()
     try:
-        assert gf.uniqueness_compare(pt, X, 0.1) == gap
-        peak = tracemalloc.get_traced_memory()[1]
+        assert gf.uniqueness_compare(im, X, t_final) == gap
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_uniqueness_compare_holds_neither_family():
+    pt = _product_torus_32()
+    peak = _uniqueness_peak(pt, imm.coordinate_field(pt.grid, 0), 0.1)
     # 13.80 MB when the 201 spectral frames were all continued and held before
-    # the comparison (numpy 2.4, Python 3.11); 11.47 MB in blocks
-    assert peak < 13.0e6
+    # the comparison, 10.03 MB with the spectral family in blocks and the 201
+    # stepped frames held, 3.43 MB with the stepper advancing beside the
+    # blocks (numpy 2.4, Python 3.11); the bound leaves about 1 MB of headroom
+    assert peak < 4.5e6
+
+
+def test_uniqueness_compare_peak_does_not_grow_with_the_steps(monkeypatch):
+    pt = _product_torus_32()
+    X = imm.coordinate_field(pt.grid, 0)
+    peaks = []
+    for steps in (200, 400):
+        monkeypatch.setattr(gf, "UNIQUENESS_STEPS", steps)
+        peaks.append(_uniqueness_peak(pt, X, 0.1))
+    # 6.6 MB more when every stepped frame (32 kB each) was held; about
+    # 13 kB more now, the longer time schedule
+    assert peaks[1] - peaks[0] < 0.5e6
+
+
+# --- which error uniqueness_compare raises ----------------------------------------
+# The stepper runs to t_final and validates its last frame before the spectral
+# side is compared, so an error of the stepper wins over a spectral one even
+# though the two sides now advance together.
+
+def _poison_block(monkeypatch, which):
+    """Make block `which` of every spectral family NaN somewhere."""
+    blocks = gf._continued_blocks
+
+    def poisoned(im, spectrum, axis, c, ts, vectors=False):
+        for k, (pts, vs) in enumerate(blocks(im, spectrum, axis, c, ts, vectors)):
+            if k == which:
+                pts[0, 0, 3] = np.nan
+            yield pts, vs
+
+    monkeypatch.setattr(gf, "_continued_blocks", poisoned)
+
+
+def _nan_from_step(monkeypatch, step):
+    """Make the stepper's RK4 step number `step` (from 1) give a NaN state."""
+    rk4_step = gf._spectral.rk4_step
+    calls = []
+
+    def failing(f, y, h):
+        calls.append(None)
+        out = rk4_step(f, y, h)
+        if len(calls) == step:
+            out[0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(gf._spectral, "rk4_step", failing)
+    return calls
+
+
+def _curved_circle():
+    return imm.build_immersion(imm.GridTorus((64,)), ambient.poincare_disk(), "circle",
+                               r=0.5).im
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as err:
+        fn(*args)
+    return err.value
+
+
+@pytest.mark.parametrize("spectral_side", ["curved chart", "poisoned block"])
+@pytest.mark.parametrize("stepper", ["step too large", "tail threshold"])
+def test_a_stepper_error_wins_over_a_spectral_failure(monkeypatch, stepper, spectral_side):
+    if spectral_side == "curved chart":
+        im = _curved_circle()      # _spectral_setup raises UnsupportedField
+    else:
+        im = _product_torus_32()
+        _poison_block(monkeypatch, 0)
+    X = imm.coordinate_field(im.grid, 0)
+    # dt = t_final / 200: 10 * 21 / 200 and 20 * 10 / 200 pass 0.5 (StepTooLarge);
+    # a negative threshold makes the first step blow up
+    t_final = 0.1
+    if stepper == "step too large":
+        t_final = 10.0 if im.n == 1 else 20.0
+    else:
+        monkeypatch.setattr(gf, "TAIL_ENERGY_ABORT", -1.0)
+    # stepping alone: the error uniqueness_compare raised when it stepped to
+    # t_final before the spectral side was made
+    want = _raised(gf.flow_timestep, im, X, t_final, t_final / gf.UNIQUENESS_STEPS)
+    assert isinstance(want, StepTooLarge if stepper == "step too large" else BlowUpDetected)
+    got = _raised(gf.uniqueness_compare, im, X, t_final)
+    assert type(got) is type(want) and str(got) == str(want)
+
+
+def test_stepping_goes_on_after_a_spectral_block_fails(monkeypatch):
+    # block 1 holds frames 8..15; the stepper fails later, at step 20, which
+    # it only reaches if it runs on past the failed block
+    pt = _product_torus_32()
+    X = imm.coordinate_field(pt.grid, 0)
+    calls = _nan_from_step(monkeypatch, 20)
+    want = _raised(gf.flow_timestep, pt, X, 0.1, 0.1 / gf.UNIQUENESS_STEPS)
+    calls.clear()
+    _poison_block(monkeypatch, 1)
+    got = _raised(gf.uniqueness_compare, pt, X, 0.1)
+    assert type(got) is BlowUpDetected and str(got) == str(want)
+    assert got.t_reached == want.t_reached == pytest.approx(20 * 0.1 / gf.UNIQUENESS_STEPS)
+
+
+def test_the_last_stepped_frame_is_validated_before_a_spectral_failure(monkeypatch):
+    hc = _curved_circle()
+    validated = []
+
+    def refuse(im):
+        validated.append(im.points.shape)
+        raise ValidationError("the last stepped frame")
+
+    monkeypatch.setattr(gf, "is_totally_real", refuse)
+    with pytest.raises(ValidationError, match="the last stepped frame"):
+        gf.uniqueness_compare(hc, imm.coordinate_field(hc.grid, 0), 0.1)
+    assert validated == [(64, 2)]
+
+
+@pytest.mark.parametrize("spectral_side", ["curved chart", "poisoned block"])
+def test_a_spectral_failure_is_raised_when_stepping_passes(monkeypatch, spectral_side):
+    if spectral_side == "curved chart":
+        im = _curved_circle()
+        want = _raised(gf.flow_spectral, im, imm.coordinate_field(im.grid, 0), [0.1])
+        assert isinstance(want, UnsupportedField)
+    else:
+        im = _product_torus_32()
+        _poison_block(monkeypatch, 2)
+        want = AmplificationExceeded("continued frames violate the geodesic equation by nan")
+    got = _raised(gf.uniqueness_compare, im, imm.coordinate_field(im.grid, 0), 0.1)
+    assert type(got) is type(want) and str(got) == str(want)
 
 
 def _block_cases():
