@@ -6,10 +6,11 @@ Nyquist mode is dropped from odd-order derivatives, the standard choice for
 real data. Quadrature of periodic integrands is the node sum times the cell
 area, accumulated with math.fsum in fixed order so results are deterministic.
 
-derivative_matrix holds the same first derivative as a dense matrix, and
-band_projector the filter that keeps a band of modes; on short axes each is
-cheaper than two FFTs. Besides the FFT helpers the module holds the
-building blocks of the oracles: the off-grid Fourier evaluator
+derivative_matrix holds the same first derivative as a dense matrix,
+band_projector the filter that keeps a band of modes and band_basis an
+orthonormal real basis of that band; on short axes each is cheaper than
+two FFTs. Besides the FFT helpers the module holds the building blocks of
+the oracles: the off-grid Fourier evaluator
 (`evaluate_fourier`, one array of angles for the first axis of the
 coefficients, the other axes riding along), the inverse of
 theta -> int_0^theta w for w > 0 (`invert_cumulative`), one RK4 step
@@ -94,6 +95,20 @@ def band_projector(n, cutoff):
     P = np.fft.irfft(np.fft.rfft(np.eye(n), axis=0) * keep[:, None], n=n, axis=0)
     P.flags.writeable = False
     return P
+
+
+@functools.lru_cache(maxsize=16)
+def band_basis(n, cutoff):
+    """The n x (2 cutoff + 1) orthonormal basis B of the modes |m| <= cutoff
+    < n/2: the constant, cos(m theta), then sin(m theta) for m = 1..cutoff
+    at the nodes, so |B^T v| = |v| for v in the band (Parseval). Shared by
+    every call with the same (n, cutoff), so it is read-only."""
+    angles = np.outer(2.0 * math.pi * np.arange(n) / n, np.arange(1, cutoff + 1))
+    B = np.concatenate([np.full((n, 1), math.sqrt(1.0 / n)),
+                        math.sqrt(2.0 / n) * np.cos(angles),
+                        math.sqrt(2.0 / n) * np.sin(angles)], axis=1)
+    B.flags.writeable = False
+    return B
 
 
 def fourier_coefficients(samples):

@@ -368,7 +368,8 @@ _POSITIVE = ("> 0", lambda v: v > 0)
 _AXIS = ("0 or 1", lambda v: v in (0, 1))
 # the limits the library sets: GridTorus sizes and a FourierCurve's N
 _GRID = ("a power of two >= 16", lambda v: v >= 16 and v & (v - 1) == 0)
-_CURVE_N = (">= 32", lambda v: v >= 32)
+# N sizes the 2N + 1 coefficients, so it is bounded like a coefficient file's modes
+_CURVE_N = (f">= 32 and <= {curve_lab.MAX_MODE}", lambda v: 32 <= v <= curve_lab.MAX_MODE)
 
 _CHART = {"name": _F("string", "flat_c1")}
 _IMMERSION = _Variants("formula", _F("string"), {
@@ -535,8 +536,11 @@ def _op_flow_run(s, out_dir, raw):
     if p["scheme"] == "spectral":
         flow = geodesic_flow.flow_spectral(im, X, p["times"])
     else:
-        flow = geodesic_flow.flow_timestep(im, X, p["t_final"], p["dt"],
-                                           store_every=p["store_every"])
+        try:
+            flow = geodesic_flow.flow_timestep(im, X, p["t_final"], p["dt"],
+                                               store_every=p["store_every"])
+        except BadArgument as e:
+            raise ValidationError(f"params.{e}") from None
     paths = _write_frames_csv(out_dir, [f.positions() for f in flow.immersions])
     manifest = {
         "scheme": flow.scheme,

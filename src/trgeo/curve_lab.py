@@ -119,12 +119,15 @@ def load_coefficients(path, N=None):
     accept NaN and Infinity, and such a curve would run on into NaN
     output), whose mode is not an integer (1.5 would run as mode 1) or
     whose mode lies past MAX_MODE; the modes are checked before any array
-    is sized from them. A top level that is not a list is refused too.
+    is sized from them. A top level that is not a list, or an empty list,
+    is refused too.
     """
     with open(path) as f:
         triples = json.load(f)
     if not isinstance(triples, list):
         raise ValueError("the file does not hold a list of [n, re, im] triples")
+    if not triples:
+        raise ValueError("the file holds no [n, re, im] triple")
     for k, t in enumerate(triples):
         problem = _entry_problem(t)
         if problem is not None:

@@ -22,18 +22,18 @@ Two schemes solve the Cauchy problem for coordinate-aligned X on flat charts:
 * flow_timestep: guarded RK4 with a 2/3 dealiasing filter and a spectral
   tail-energy monitor that aborts (BlowUpDetected) when the retained top
   modes carry more than 1e-3 of the energy. It fails loudly on smooth
-  non-analytic data instead of smoothing it away. Each right-hand side
-  differentiates only along the live axes, those where a component of X is
-  not exactly zero: by a cached differentiation matrix on an axis of at
-  most _MATRIX_NODES nodes, by the FFT on a longer one. When every grid
-  axis is that short, the filter is one cached projector matrix per axis,
-  applied to each step's increment, and the tail fraction comes from the
-  same projectors by Parseval; otherwise both work on the half spectrum of
-  the real points. The state is laid out (2n,) + grid.sizes. It stays in
-  physical space, independent of the mode-wise continuation it is
-  compared against. One stepping loop (_rk4_states) serves flow_timestep,
-  which keeps frames of it, and uniqueness_compare, which subtracts each
-  state from the spectral block of its time and keeps none.
+  non-analytic data instead of smoothing it away. When every grid axis
+  has at most _MATRIX_NODES nodes and X = f(theta_k) d/dtheta_k, a whole
+  step is one cached operator along axis k, filter included, and the tail
+  fraction is read off the state's coefficients in an orthonormal basis of
+  the kept band. Other fields and longer axes take four RK4 stages, each
+  differentiating by the FFT along the axes where X is not zero, and the
+  filter and monitor on the half spectrum. The state is laid out
+  (2n,) + grid.sizes. It stays in physical space, independent of the
+  mode-wise continuation it is compared against. One stepping loop
+  (_rk4_states) serves flow_timestep, which keeps frames of it, and
+  uniqueness_compare, which subtracts each state from the spectral block
+  of its time and keeps none.
 
 geodesic_family is the generator the variation oracles use: the same
 guarded, residual-checked continuation on any chart (it only needs J to be
@@ -47,7 +47,6 @@ correspondences), the discrete version of the doubly connected Riemann
 mapping theorem. Each step eliminates the correspondence angles node by node.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -55,7 +54,7 @@ from typing import Optional
 import numpy as np
 
 from . import _spectral, curve_lab
-from .errors import (AliasingDetected, AmplificationExceeded, BlowUpDetected,
+from .errors import (AliasingDetected, AmplificationExceeded, BadArgument, BlowUpDetected,
                      GeodesicUnavailable, NotFinite, NotNested, StepTooLarge,
                      UnsupportedField, ValidationError)
 from .immersion import Immersion, _check_stack, is_totally_real
@@ -67,9 +66,8 @@ SPECTRAL_PRESENCE_FLOOR = 1e-15
 # grid nodes one block of a spectral family holds (8 frames of 32x32); fixes
 # how many frames are continued, residual-checked and validated at a time
 _BLOCK_NODES = 8192
-# grid axes of at most this many nodes are differentiated in flow_timestep by
-# a matrix product, longer ones by the FFT (the matrix is ahead through 128
-# nodes on 32 x 32 to 128 x 128 tori, behind from 512 on curves)
+# flow_timestep steps a one-axis field by one cached step operator when no
+# grid axis is longer; its dense products lose to FFT stages from 256 nodes
 _MATRIX_NODES = 128
 # RK4 steps of one tangential flow; RK4 steps of uniqueness_compare's stepper;
 # the most RK4 steps one flow_timestep call may take
@@ -440,83 +438,52 @@ def _along_axis(M, k, n_axes):
     """v -> M applied along grid axis k of a stepper state (2n,) + sizes.
 
     M times each (s0, s1) component slice on the state's axis 1 of a 2-D
-    grid; on the last axis, the rows times M^T, laid out contiguously.
+    grid; on the last axis, the rows times M^T, laid out contiguously. M
+    may be rectangular: that axis then takes its row count.
     """
     if k < n_axes - 1:
         return lambda points: M @ points
     MT = np.ascontiguousarray(M.T)
     # all the rows as one matrix, so that it is one product and not one per
     # component
-    return lambda points: (points.reshape(-1, len(MT)) @ MT).reshape(points.shape)
+    return lambda points: (points.reshape(-1, len(MT)) @ MT).reshape(
+        points.shape[:-1] + MT.shape[1:])
 
 
-def _axis_derivative(sizes, k):
-    """d/dtheta_k of a stepper state (2n,) + sizes, as a callable.
+def _band_tail(sizes, cutoffs):
+    """The tail fraction of flow_timestep's monitor for a state in the band.
 
-    An axis of at most _MATRIX_NODES nodes is differentiated by the cached
-    matrix of _spectral.derivative_matrix, one matrix product; a longer axis
-    by the FFT of _spectral.spectral_derivative. Both are the same operator.
-    """
-    if sizes[k] > _MATRIX_NODES:
-        return functools.partial(_spectral.spectral_derivative, axis=1 + k)
-    return _along_axis(_spectral.derivative_matrix(sizes[k]), k, len(sizes))
-
-
-def _dealias_by_matrices(sizes, cutoffs):
-    """The dealias filter and tail fraction of flow_timestep on short axes.
-
-    The 2/3 mask and the half-cutoff box Q of the tail band are tensor
-    products over the axes, so the filter is one product with the
-    projector of _spectral.band_projector per axis (Orszag's 2/3 rule).
-    dealias(points, before) filters the increment from before, the state
-    in the band that the points were stepped from, and adds it back: in
-    exact arithmetic that is the filter of the points, but the round-off of
-    the dense products then scales with the increment of one step and not
-    with the state. Without before (the initial points) it filters the
-    deviation from the mean. The energies are those of the filtered
-    state's deviation f from its mean, so they are sums of squares with
-    nothing to cancel (Parseval): the total is |f|^2, the tail |f - Q f|^2.
-    A total whose root mean square over the state is below
-    SPECTRAL_PRESENCE_FLOOR of that of the means (or of 1) reads as zero:
-    it is the round-off a derivative matrix leaves on constant lines, where
-    the FFT leaves exact zeros, so a state with all its energy in DC has no
-    tail, as in the FFT.
+    B^T along every axis, B of _spectral.band_basis, gives the coefficients
+    in the kept band, so the energies are sums of squares (Parseval): the
+    total leaves DC out, the tail holds the modes past half the cutoff on
+    some axis, as in _dealias_by_fft. A total whose root mean square is
+    below SPECTRAL_PRESENCE_FLOOR of that of the means (or of 1) reads as
+    zero: it is the round-off a derivative matrix leaves on constant lines,
+    where the FFT leaves exact zeros.
     """
     n = len(sizes)
-    keep = [_along_axis(_spectral.band_projector(s, cut), k, n)
-            for k, (s, cut) in enumerate(zip(sizes, cutoffs))]
-    box = [_along_axis(_spectral.band_projector(s, cut // 2), k, n)
-           for k, (s, cut) in enumerate(zip(sizes, cutoffs))]
-    nodes = math.prod(sizes)
-    # the mean of each component, laid out (2n,) + (1,) * n, by one
-    # matrix-vector product
-    average = np.full(nodes, 1.0 / nodes)
+    coefficients = [_along_axis(_spectral.band_basis(s, cut).T, k, n)
+                    for k, (s, cut) in enumerate(zip(sizes, cutoffs))]
+    tail = np.zeros((), dtype=bool)
+    for cut in cutoffs:
+        tail = np.logical_or.outer(tail, np.r_[0, 1:cut + 1, 1:cut + 1] > cut / 2.0)
+    # columns: the weights of the total, the tail and DC (the first
+    # coefficient) in one component's energies, so one product gives all three
+    dc = np.arange(tail.size) == 0
+    weights = np.stack([~dc, tail.ravel(), dc], axis=-1).astype(float)
 
-    def mean(points):
-        return (points.reshape(len(points), nodes) @ average).reshape((-1,) + (1,) * n)
-
-    def dealias(points, before=None):
-        if before is None:
-            before = mean(points)
-        state = points - before
-        for p in keep:
-            state = p(state)
-        state += before
-        means = mean(state)
-        f = state - means
-        tail = f
-        for p in box:
-            tail = p(tail)
-        tail -= f
-        total = float(np.vdot(f, f))
-        floor = SPECTRAL_PRESENCE_FLOOR ** 2 * max(nodes * float(np.vdot(means, means)), f.size)
-        frac = 0.0 if total <= floor else float(np.vdot(tail, tail)) / total
-        return state, frac
-    return dealias
+    def tail_fraction(points):
+        c = points
+        for coefficient in coefficients:
+            c = coefficient(c)
+        total, tail_energy, dc = (c * c).reshape(len(c), -1).sum(axis=0) @ weights
+        floor = SPECTRAL_PRESENCE_FLOOR ** 2 * max(float(dc), points.size)
+        return 0.0 if total <= floor else float(tail_energy) / float(total)
+    return tail_fraction
 
 
 def _dealias_by_fft(sizes, cutoffs, n_comp):
-    """The dealias filter and tail fraction of flow_timestep on long axes.
+    """The dealias filter and tail fraction of flow_timestep on the spectrum.
 
     Both work on the half spectrum of the last grid axis, whose interior
     columns count twice in the energy sums, so the fraction equals the
@@ -548,8 +515,7 @@ def _dealias_by_fft(sizes, cutoffs, n_comp):
     weights = np.stack([np.broadcast_to(w, (n_comp,) + half).ravel()
                         for w in (weight, np.where(tail_mask, weight, 0.0))], axis=-1)
 
-    def dealias(points, before=None):
-        # the spectral mask is exact on the band: before is not needed
+    def dealias(points):
         c = np.fft.rfftn(points, axes=grid_axes)
         c *= mask
         total, tail = (np.abs(c) ** 2).reshape(-1) @ weights
@@ -558,76 +524,124 @@ def _dealias_by_fft(sizes, cutoffs, n_comp):
     return dealias
 
 
+def _axis_step(J, sizes, cutoffs, axis, f, dt, w):
+    """y -> (y after one filtered RK4 step of dy/dt = J f (d_axis y + w),
+    its tail fraction), f a function of theta_axis.
+
+    The right-hand side is linear and acts along one axis, so an RK4 step is
+    one polynomial R of one operator (Trefethen, Spectral Methods in MATLAB,
+    2000, ch. 10). With D of _spectral.derivative_matrix, one rk4_step of
+    du/dt = i (f D u + b) from the zero state gives R e_j - e_j for b = f D
+    e_j (no identity is subtracted, so round-off scales with the increment)
+    and, for b = f, the winding's constant increment v. As J^2 = -1, the
+    step is y + C y + J S y (+ Re v w + Im v J w), where C + i S = P (R - I)
+    and P of _spectral.band_projector filters the increment. The other axes
+    do not move, so a state in the band stays there.
+    """
+    s, n = sizes[axis], len(sizes)
+    fD = f[:, None] * _spectral.derivative_matrix(s)
+    # columns: the increments of the unit states, then v
+    b = np.concatenate([fD, f[:, None]], axis=1)
+    inc = _spectral.band_projector(s, cutoffs[axis]) @ _spectral.rk4_step(
+        lambda u: 1j * (fD @ u + b), np.zeros(b.shape, dtype=complex), dt)
+    C, S = (_along_axis(np.ascontiguousarray(part[:, :s]), axis, n)
+            for part in (inc.real, inc.imag))
+    shift = None
+    if w is not None:
+        shape = (len(J),) + tuple(s if k == axis else 1 for k in range(n))
+        shift = (np.multiply.outer(w, inc[:, s].real)
+                 + np.multiply.outer(J @ w, inc[:, s].imag)).reshape(shape)
+    tail_fraction = _band_tail(sizes, cutoffs)
+
+    def advance(points):
+        out = (J @ S(points).reshape(len(J), -1)).reshape(points.shape)
+        out += C(points)
+        out += points
+        if shift is not None:
+            out += shift
+        return out, tail_fraction(out)
+    return advance
+
+
 def _rk4_states(im, X, t_final, dt):
     """The RK4 stepper of flow_timestep and uniqueness_compare.
 
     Returns (times, states) after the up-front checks: dt must be positive
     and pass the StepTooLarge bound, and the steps to t_final may number at
-    most MAX_TIMESTEPS (else ValidationError). times is the schedule
-    t = step * dt for steps 0..n_steps; when t_final / dt is not a whole
-    number, n_steps is its ceiling and dt = t_final / n_steps, so the last
-    step lands on t_final. states is a generator of (points, top) at those
-    times: the stepped state laid out (2n,) + grid.sizes, components first,
-    and its largest absolute entry; the first state is the dealiased
-    initial points. Every step makes a new array, so a state a caller
-    holds is never written. A step whose state is not finite, or whose
-    tail fraction exceeds TAIL_ENERGY_ABORT, raises BlowUpDetected.
+    most MAX_TIMESTEPS (else BadArgument naming dt, a subnormal dt too).
+    times is the schedule t = step * dt for steps 0..n_steps; when
+    t_final / dt is not a whole number, n_steps is its ceiling and
+    dt = t_final / n_steps, so the last step lands on t_final. states is a
+    generator of (points, top) at those times: the state laid out
+    (2n,) + grid.sizes and its largest absolute entry, the first one the
+    initial points filtered on every axis. Every step makes a new array,
+    so a state a caller holds is never written. A step whose state is not
+    finite, or whose tail fraction exceeds TAIL_ENERGY_ABORT, raises
+    BlowUpDetected.
 
-    Only the live axes k, where X^k is not exactly zero, are
-    differentiated: a skipped term is an exact zero, so the states are the
-    ones every axis would give (a coordinate field on a 2-torus takes one
-    derivative per RK4 stage instead of two). After each step the 2/3
-    dealias filter is applied and the tail fraction read: when every grid
-    axis has at most _MATRIX_NODES nodes by projector matrices
-    (_dealias_by_matrices), else on the half spectrum (_dealias_by_fft).
-    The winding columns and the filter are built once per call, the
-    matrices and multipliers once per process.
+    When every grid axis has at most _MATRIX_NODES nodes and X is exactly
+    f(theta_k) d/dtheta_k, the other components exact zeros, a step is the
+    step operator of _axis_step, built once per call. Otherwise it is four
+    rk4_step stages, each differentiating by the FFT along the axes where
+    X^k is not exactly zero (a skipped term is an exact zero), then the
+    filter and tail fraction of _dealias_by_fft.
     """
     if dt <= 0.0:
         raise ValidationError("dt must be positive")
     comp = X.components
     max_speed = float(np.max(np.abs(comp)))
-    cutoffs = [int(DEALIAS_FRACTION * (s // 2)) for s in im.grid.sizes]
+    sizes = im.grid.sizes
+    cutoffs = [int(DEALIAS_FRACTION * (s // 2)) for s in sizes]
     m_eff = max(cutoffs)
     if dt * m_eff * max(max_speed, 1e-30) > 0.5:
         raise StepTooLarge(
             f"dt*m*|X| = {dt * m_eff * max_speed:.3g} > 0.5; reduce dt"
         )
-    n_steps = int(round(t_final / dt))
-    if abs(n_steps * dt - t_final) > 1e-12 * max(1.0, abs(t_final)):
-        n_steps = math.ceil(t_final / dt)
-        dt = t_final / n_steps
-    if n_steps > MAX_TIMESTEPS:
-        raise ValidationError(f"t_final / dt asks for {n_steps:.3g} RK4 steps, "
-                              f"more than {MAX_TIMESTEPS}")
+    # a float until it is bounded: a subnormal dt makes it infinite, and one
+    # at or past MAX_TIMESTEPS + 1 rounds or ceils past MAX_TIMESTEPS anyway
+    n_steps = t_final / dt
+    if n_steps < MAX_TIMESTEPS + 1:
+        n_steps = int(round(n_steps))
+        if abs(n_steps * dt - t_final) > 1e-12 * max(1.0, abs(t_final)):
+            n_steps = math.ceil(t_final / dt)
+            dt = t_final / n_steps
+    if not n_steps <= MAX_TIMESTEPS:
+        raise BadArgument(f"dt: t_final / dt asks for {n_steps:.3g} RK4 steps, "
+                          f"more than {MAX_TIMESTEPS}")
     J = im.chart.J
     n = im.n
     # axes whose field component is exactly zero add exact zeros: skip them
     live = [k for k in range(n) if np.any(comp[k] != 0.0)]
-    # W e_k laid out (2n,) + (1,) * n, added to the derivative along axis k
-    drift = None if im.winding is None else [
-        np.reshape(im.winding[:, k], (-1,) + (1,) * n) for k in range(n)]
-    if max(im.grid.sizes) <= _MATRIX_NODES:
-        dealias = _dealias_by_matrices(im.grid.sizes, cutoffs)
+    axis = live[0] if live else 0
+    # rows: the nodes along the axis; columns: the nodes across it
+    f = np.moveaxis(comp[axis], axis, 0).reshape(sizes[axis], -1)
+    dealias = _dealias_by_fft(sizes, cutoffs, len(J))
+    if max(sizes) <= _MATRIX_NODES and len(live) <= 1 and np.all(f == f[:, :1]):
+        advance = _axis_step(J, sizes, cutoffs, axis, f[:, 0], dt,
+                             None if im.winding is None else im.winding[:, axis])
     else:
-        dealias = _dealias_by_fft(im.grid.sizes, cutoffs, len(J))
-    # X^k as one number where it is uniform (a coordinate field): the same
-    # products as with the array, without broadcasting it over the components
-    derivatives = [(k, _axis_derivative(im.grid.sizes, k),
-                    float(comp[k].flat[0]) if np.all(comp[k] == comp[k].flat[0]) else comp[k])
-                   for k in live]
+        # W e_k laid out (2n,) + (1,) * n, added to the derivative along axis k
+        drift = None if im.winding is None else [
+            np.reshape(im.winding[:, k], (-1,) + (1,) * n) for k in range(n)]
+        # X^k as one number where it is uniform (a coordinate field): the same
+        # products as with the array, without broadcasting it over the components
+        scales = [(k, float(comp[k].flat[0]) if np.all(comp[k] == comp[k].flat[0]) else comp[k])
+                  for k in live]
 
-    def rhs(points):
-        out = None
-        for k, derivative, scale in derivatives:
-            dk = derivative(points)
-            if drift is not None:
-                dk += drift[k]
-            dk *= scale
-            out = dk if out is None else out + dk
-        if out is None:
-            return np.zeros_like(points)
-        return (J @ out.reshape(len(J), -1)).reshape(out.shape)
+        def rhs(points):
+            out = None
+            for k, scale in scales:
+                dk = _spectral.spectral_derivative(points, axis=1 + k)
+                if drift is not None:
+                    dk += drift[k]
+                dk *= scale
+                out = dk if out is None else out + dk
+            if out is None:
+                return np.zeros_like(points)
+            return (J @ out.reshape(len(J), -1)).reshape(out.shape)
+
+        def advance(points):
+            return dealias(_spectral.rk4_step(rhs, points, dt))
 
     # step 0 is the initial state, also when t_final asks for no step
     times = [step * dt for step in range(max(n_steps, 0) + 1)]
@@ -636,7 +650,7 @@ def _rk4_states(im, X, t_final, dt):
         pts, _ = dealias(im.components_first())
         yield pts, float(np.max(np.abs(pts)))
         for t in times[1:]:
-            pts, frac = dealias(_spectral.rk4_step(rhs, pts, dt), pts)
+            pts, frac = advance(pts)
             # NaN and inf propagate to the maximum
             top = float(np.max(np.abs(pts)))
             if not math.isfinite(top) or frac > TAIL_ENERGY_ABORT:

@@ -413,7 +413,7 @@ def _validate(grid, chart, pos, vs):
     # overflow shows up as non-finite geometry, which the frame check names
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         g, omega = chart.metric_many(pos)
-        gram, induced_vol, volj, low = _gram_volumes(vs, g, omega)
+        gram, induced_vol, volj, low = _gram_volumes(vs, None if chart.is_flat else g, omega)
         # each member's checks in one reduction over the node axes
         nodes = tuple(range(-grid.n, 0))
         degenerate = np.any(low, axis=nodes)
@@ -436,8 +436,9 @@ def _gram_volumes(vs, g, omega):
     """(gram, induced_vol, volj_density, low) of coordinate vectors.
 
     vs is (n, 2n) + nodes, components first; g and omega are the chart's
-    nodes + (2n, 2n). gram is G_ij = g(v_i, v_j) as nested lists of node
-    arrays (g v_i formed once per vector, _apply). With W_ij =
+    nodes + (2n, 2n), g None a flat chart's identity metric. gram is
+    G_ij = g(v_i, v_j) as nested lists of node arrays (g v_i formed once
+    per vector, _apply; v_i itself when g is None). With W_ij =
     omega(v_i, v_j), rho_J^2 = det(G - i W) / det G, so vol_g = sqrt(det G)
     and vol_J = sqrt(det G - W_01^2) for surfaces, sqrt(G_00) for curves.
     low marks the nodes where the Gram-Schmidt vectors of v would fall to
@@ -445,7 +446,7 @@ def _gram_volumes(vs, g, omega):
     and where vol_g is not finite; NaN is low.
     """
     n = vs.shape[0]
-    g_vs = [_apply(g, v) for v in vs]
+    g_vs = vs if g is None else [_apply(g, v) for v in vs]
     gram = [[_dot(vs[i], g_vs[j]) for j in range(n)] for i in range(n)]
     det = gram[0][0] if n == 1 else gram[0][0] * gram[1][1] - gram[0][1] * gram[1][0]
     induced_vol = np.sqrt(np.maximum(det, 0.0))

@@ -406,6 +406,15 @@ def test_malformed_coefficient_file_names_the_entry(tmp_path, capsys, op, text, 
 
 @_OPS
 @pytest.mark.parametrize("N", [None, 64])
+def test_empty_coefficient_file_exits_2(tmp_path, capsys, op, N):
+    # without N, max() of no modes failed with a line that named no file;
+    # with N the zero curve ran with exit 0
+    err = _coefficient_file_error(tmp_path, capsys, op, "[]", N)
+    assert err.endswith(": the file holds no [n, re, im] triple\n")
+
+
+@_OPS
+@pytest.mark.parametrize("N", [None, 64])
 @pytest.mark.parametrize("mode, shown", [("1e300", "1e+300"), ("-1e300", "-1e+300"),
                                          ("65537", "65537")])
 def test_huge_mode_in_a_coefficient_file_exits_2(tmp_path, capsys, op, N, mode, shown):
@@ -782,6 +791,17 @@ _FLAT_TORUS = {"chart": {"name": "flat_c2"},
                  "t_grid": [0.5, 0.6, 0.7]}}, "params.family.grid must be a power of two"),
     ({"operation": "curve.length", "params": {"radii": [0.8, 0.9, 1.0]},
       "curve": {"terms": {"1": [1.0, 0.0]}, "N": 16}}, "curve.N must be >= 32"),
+    # N sized 2N + 1 coefficients before any bound: numpy's "Unable to
+    # allocate 28.4 PiB" traceback, exit 1; the schema refuses it unallocated
+    ({"operation": "curve.length", "params": {"radii": [0.8, 0.9, 1.0]},
+      "curve": {"terms": {"1": [1.0, 0.0]}, "N": 10 ** 15}},
+     f"curve.N must be >= 32 and <= {cl.MAX_MODE}, got 1000000000000000"),
+    # a subnormal dt made t_final / dt infinite, and int() of it raised
+    # OverflowError, exit 1
+    ({"operation": "flow.run", "chart": {"name": "flat_c1"},
+      "immersion": {"formula": "circle", "grid": 64},
+      "params": {"scheme": "timestep", "t_final": 1.0, "dt": 1e-320}},
+     "params.dt: t_final / dt asks for inf RK4 steps, more than 100000"),
     # a fourier_curve mode must be an integer the grid resolves: 3.5 ran as
     # mode 3, and 1e300 was aliased onto the grid
     ({"operation": "jvol.compute", "chart": {"name": "flat_c1"},
@@ -803,6 +823,7 @@ def test_malformed_scenario_fields_exit_2(tmp_path, capsys, payload, field):
     assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("trgeo: ValidationError") and field in err
+    assert err.count("\n") == 1
     assert not (out / "results.json").exists()
 
 

@@ -243,24 +243,20 @@ def test_timestep_blow_up_matches_full_spectrum_reference():
     assert str(got.value) == str(ref.value)
 
 
-def test_matrix_dealias_matches_the_half_spectrum_on_random_data():
+def test_band_tail_matches_the_half_spectrum_on_random_band_data():
     rng = np.random.default_rng(5)
     for sizes in [(16,), (64,), (128,), (16, 32), (32, 32), (64, 16)]:
         cutoffs = [int(gf.DEALIAS_FRACTION * (s // 2)) for s in sizes]
-        by_matrices = gf._dealias_by_matrices(sizes, cutoffs)
+        tail = gf._band_tail(sizes, cutoffs)
         by_fft = gf._dealias_by_fft(sizes, cutoffs, 4)
         for offset in (0.0, 3.0):
-            points = offset + rng.normal(size=(4,) + sizes)
-            got, frac = by_matrices(points)
-            want, want_frac = by_fft(points)
-            assert abs(frac - want_frac) <= 1e-14
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(points))
-            # a step from a state in the band filters the increment alone
-            stepped = want + 1e-3 * rng.normal(size=points.shape)
-            got, frac = by_matrices(stepped, want)
-            want, want_frac = by_fft(stepped)
-            assert abs(frac - want_frac) <= 1e-14
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(points))
+            # band-limited data: the FFT filter of random points
+            points, want = by_fft(offset + rng.normal(size=(4,) + sizes))
+            assert abs(tail(points) - want) <= 1e-14
+    # all energy in DC, with the round-off of a derivative matrix on top: no tail
+    sizes, cutoffs = (32, 32), [10, 10]
+    constant = np.full((4,) + sizes, 0.4) + 1e-17 * rng.normal(size=(4,) + sizes)
+    assert gf._band_tail(sizes, cutoffs)(constant) == 0.0
 
 
 def criterion_9_curve_128():
@@ -300,26 +296,66 @@ def test_timestep_of_a_constant_torus_has_no_tail(offset, axis, monkeypatch):
                for a, b in zip(flow.immersions, ref)) <= 1e-15
 
 
-@pytest.mark.parametrize("axis", [0, 1])
-def test_timestep_differentiates_live_axes_only(axis, monkeypatch):
-    grid = imm.GridTorus((32, 32))
-    pt = imm.build_immersion(grid, ambient.flat_chart(2), "product_torus",
-                             r1=1.0, r2=2.0).im
-    calls = []
-    make = gf._axis_derivative
+def _straight_wound_torus():
+    return imm.build_immersion(imm.GridTorus((32, 32)), ambient.flat_quotient_chart(2),
+                               "straight_torus", winding=[[1.0, 0.3], [0.0, 1.0],
+                                                          [0.2, 0.0], [0.0, 0.5]],
+                               offset=[0.1, 0.2, 0.3, 0.4]).im
 
-    def recording(sizes, k):
-        derivative = make(sizes, k)
 
-        def counted(points):
-            calls.append(k)
-            return derivative(points)
-        return counted
+def _step_operator_cases():
+    ellipse = imm.build_immersion(imm.GridTorus((128,)), ambient.flat_chart(1),
+                                  "ellipse", a=2.0, b=1.0).im
+    for name, im in [("perturbed torus", perturbed_torus()),
+                     ("straight wound torus", _straight_wound_torus()),
+                     ("128-node ellipse", ellipse)]:
+        for axis in range(im.n):
+            yield (f"{name}, coordinate {axis}", im,
+                   imm.coordinate_field(im.grid, axis, scale=1.5), axis)
+            yield f"{name}, cosine_axis {axis}", im, cosine_axis_field(im.grid, axis), axis
 
-    monkeypatch.setattr(gf, "_axis_derivative", recording)
-    flow = gf.flow_timestep(pt, imm.coordinate_field(grid, axis), 0.01, 1e-3)
-    # one derivative per RK4 stage, along the field's own axis only
-    assert calls == [axis] * (4 * (len(flow.times) - 1))
+
+@pytest.mark.parametrize("case", list(_step_operator_cases()), ids=lambda c: c[0])
+def test_step_operator_matches_full_spectrum_reference(case, monkeypatch):
+    _, im, X, axis = case
+    built = []
+    make = gf._axis_step
+
+    def recording(*args):
+        built.append(args[3])
+        return make(*args)
+
+    monkeypatch.setattr(gf, "_axis_step", recording)
+    flow = gf.flow_timestep(im, X, 0.05, 2.5e-3)
+    times, ref = flow_timestep_full_spectrum(im, X, 0.05, 2.5e-3)
+    # one step operator per call, along the field's own axis
+    assert built == [axis]
+    assert flow.times == times
+    gap = max(float(np.max(np.abs(a.points - b))) for a, b in zip(flow.immersions, ref))
+    assert gap <= 1e-13
+    assert np.max(np.abs(flow.immersions[-1].points - im.points)) >= 1e-3
+
+
+@pytest.mark.parametrize("field", ["two live axes", "a second component of 1e-15",
+                                   "f varying across the other axis by 1e-15"])
+def test_other_fields_step_by_stages(field, monkeypatch):
+    im = perturbed_torus()
+    comp = cosine_axis_field(im.grid, 0).components
+    # the last two fit the tolerances of _axis_profile, but they are not
+    # exactly f(theta_0) d/dtheta_0
+    if field == "two live axes":
+        comp = comp + cosine_axis_field(im.grid, 1, base=0.5, amplitude=0.2).components
+    elif field == "a second component of 1e-15":
+        comp[1, 3, 5] = 1e-15
+    else:
+        comp[0, 3, 5] += 1e-15
+    X = imm.VectorFieldOnL(grid=im.grid, components=comp)
+    monkeypatch.setattr(gf, "_axis_step", None)     # not built
+    flow = gf.flow_timestep(im, X, 0.05, 2.5e-3)
+    times, ref = flow_timestep_full_spectrum(im, X, 0.05, 2.5e-3)
+    assert flow.times == times
+    assert max(float(np.max(np.abs(a.points - b)))
+               for a, b in zip(flow.immersions, ref)) <= 1e-13
 
 
 def test_commutator_clean_flows(circle):
@@ -574,18 +610,22 @@ def _poison_block(monkeypatch, which):
 
 
 def _nan_from_step(monkeypatch, step):
-    """Make the stepper's RK4 step number `step` (from 1) give a NaN state."""
-    rk4_step = gf._spectral.rk4_step
+    """Make the step operator's step number `step` (from 1) give a NaN state."""
+    make = gf._axis_step
     calls = []
 
-    def failing(f, y, h):
-        calls.append(None)
-        out = rk4_step(f, y, h)
-        if len(calls) == step:
-            out[0, 0] = np.nan
-        return out
+    def poisoned(*args):
+        advance = make(*args)
 
-    monkeypatch.setattr(gf._spectral, "rk4_step", failing)
+        def failing(points):
+            calls.append(None)
+            out, frac = advance(points)
+            if len(calls) == step:
+                out[0, 0] = np.nan
+            return out, frac
+        return failing
+
+    monkeypatch.setattr(gf, "_axis_step", poisoned)
     return calls
 
 

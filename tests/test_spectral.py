@@ -6,8 +6,8 @@ import numpy as np
 from trgeo import curve_lab as cl
 import pytest
 
-from trgeo._spectral import (_derivative_multiplier, band_projector, derivative_matrix,
-                              evaluate_fourier, invert_cumulative, modes,
+from trgeo._spectral import (_derivative_multiplier, band_basis, band_projector,
+                              derivative_matrix, evaluate_fourier, invert_cumulative, modes,
                               richardson, rk4_step, spectral_derivative)
 from trgeo.geodesic_flow import _MATRIX_NODES
 
@@ -208,7 +208,7 @@ def test_band_projector_is_the_rfft_filter_on_every_short_grid():
     rng = np.random.default_rng(11)
     assert _SHORT_SIZES == [16, 32, 64, 128]
     for n in _SHORT_SIZES:
-        # the 2/3 cutoff of the stepper and the half-cutoff box of its tail band
+        # the 2/3 cutoff of the stepper and half of it
         for cut in (int(2.0 / 3.0 * (n // 2)), int(2.0 / 3.0 * (n // 2)) // 2):
             P = band_projector(n, cut)
             values = rng.normal(size=(n, 3))
@@ -224,4 +224,16 @@ def test_band_projector_is_the_rfft_filter_on_every_short_grid():
                                        rtol=0, atol=1e-14 * np.max(np.abs(values)))
     assert band_projector(32, 10) is band_projector(32, 10)
     assert not band_projector(32, 10).flags.writeable
+
+
+def test_band_basis_is_an_orthonormal_basis_of_the_band():
+    for n in _SHORT_SIZES:
+        cut = int(2.0 / 3.0 * (n // 2))
+        B = band_basis(n, cut)
+        assert B.shape == (n, 2 * cut + 1)
+        np.testing.assert_allclose(B.T @ B, np.eye(2 * cut + 1), rtol=0, atol=1e-14)
+        # it spans the band: B B^T is the band's projector
+        np.testing.assert_allclose(B @ B.T, band_projector(n, cut), rtol=0, atol=1e-14)
+    assert band_basis(32, 10) is band_basis(32, 10)
+    assert not band_basis(32, 10).flags.writeable
 

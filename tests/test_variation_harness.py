@@ -207,7 +207,9 @@ def test_second_variation_poincare_closed_form():
     s = math.sinh(1.0)
     closed = 2.0 * np.pi * (1.0 / s) * ((1.0 / s) ** 2 + (math.cosh(1.0) / s) ** 2)
     assert abs(rep.fd - closed) <= 1e-3 * closed
-    assert abs(rep.analytic - closed) <= 1e-3 * closed
+    # the analytic value meets the closed form to about 1e-16: at 1e-3 a
+    # Ricci term scaled by 1 + 1e-3 passed every test
+    assert abs(rep.analytic - closed) <= 1e-13 * closed
     assert rep.rel_err <= 1e-3
     # the curvature term is strictly positive here: -Ric(Y, Y) = +|Y|^2
     integrand = vh.second_variation_integrand(hc, imm.coordinate_field(hc.im.grid, 0))
