@@ -367,7 +367,8 @@ _AT_LEAST_1 = (">= 1", lambda v: v >= 1)
 _POSITIVE = ("> 0", lambda v: v > 0)
 _AXIS = ("0 or 1", lambda v: v in (0, 1))
 # the limits the library sets: GridTorus sizes and a FourierCurve's N
-_GRID = ("a power of two >= 16", lambda v: v >= 16 and v & (v - 1) == 0)
+_GRID = (f"a power of two >= 16 and <= {imm.MAX_GRID_SIZE}",
+         lambda v: 16 <= v <= imm.MAX_GRID_SIZE and v & (v - 1) == 0)
 # N sizes the 2N + 1 coefficients, so it is bounded like a coefficient file's modes
 _CURVE_N = (f">= 32 and <= {curve_lab.MAX_MODE}", lambda v: 32 <= v <= curve_lab.MAX_MODE)
 
@@ -651,7 +652,7 @@ _OPERATIONS = {
     "flow.bvp": (_op_flow_bvp, {"params": _F({
         "N": _F("int", 16, _AT_LEAST_1), "outer": _F(_CURVE), "inner": _F(_CURVE)})}),
     "flow.uniqueness": (_op_flow_uniqueness, {
-        **_FIELD_OP, "params": _F({"t_final": _F(_NUMBER)})}),
+        **_FIELD_OP, "params": _F({"t_final": _F(_NUMBER, _REQUIRED, _POSITIVE)})}),
     "variation.first": (_op_variation_first, {**_FIELD_OP, **_NO_PARAMS}),
     "variation.second": (_op_variation_second, {**_FIELD_OP, **_NO_PARAMS}),
     "variation.density": (_op_variation_density, {**_FIELD_OP, **_NO_PARAMS}),

@@ -1,7 +1,9 @@
 """Flows of L: canonical geodesics d iota/dt = J iota_* X, the tangential flow
 of X, and the two-curve problem.
 
-Two schemes solve the Cauchy problem for coordinate-aligned X on flat charts:
+Two schemes solve the Cauchy problem for coordinate-aligned X on any chart.
+The geodesics are families of J-holomorphic curves, so they use J and not
+the metric, and every chart here carries the standard J:
 
 * flow_spectral: exact continuation of the trigonometric-polynomial
   representative. For X = c d/dtheta_k each Fourier mode m along axis k is
@@ -17,7 +19,7 @@ Two schemes solve the Cauchy problem for coordinate-aligned X on flat charts:
   points and both coordinate vector fields, the geodesic residual
   transforms the points along that axis alone, and the stack check
   validates the block from the Gram and omega matrices of those vectors,
-  building no frame.
+  building no frame; it refuses a family that leaves the chart's domain.
 
 * flow_timestep: guarded RK4 with a 2/3 dealiasing filter and a spectral
   tail-energy monitor that aborts (BlowUpDetected) when the retained top
@@ -35,11 +37,12 @@ Two schemes solve the Cauchy problem for coordinate-aligned X on flat charts:
   uniqueness_compare, which subtracts each state from the spectral block
   of its time and keeps none.
 
-geodesic_family is the generator the variation oracles use: the same
-guarded, residual-checked continuation on any chart (it only needs J to be
-constant), for X = c d/dtheta_k and, after reparametrizing that axis to
-constant speed, for X = f(theta_k) d/dtheta_k with f > 0. tangential_flow is
-the flow of such an X on L itself, iota o phi_t(X).
+geodesic_family is the generator the variation oracles use: the
+continuation of flow_spectral, with the same setup and guards
+(_spectral_setup) and the residual check, but no stack check, for
+X = c d/dtheta_k and, after reparametrizing that axis to constant speed,
+for X = f(theta_k) d/dtheta_k with f > 0. tangential_flow is the flow of
+such an X on L itself, iota o phi_t(X).
 
 solve_bvp_annulus fits a Laurent polynomial annulus map between two nested
 Jordan curves by Gauss-Newton on (modulus, coefficients, boundary
@@ -57,7 +60,7 @@ from . import _spectral, curve_lab
 from .errors import (AliasingDetected, AmplificationExceeded, BadArgument, BlowUpDetected,
                      GeodesicUnavailable, NotFinite, NotNested, StepTooLarge,
                      UnsupportedField, ValidationError)
-from .immersion import Immersion, _check_stack, is_totally_real
+from .immersion import Immersion, _check_stack, coordinate_field, is_totally_real
 
 AMP_MAX = 1e6
 TAIL_ENERGY_ABORT = 1e-3
@@ -235,13 +238,15 @@ def _growth_guard(im, spectrum, axis, c, t_extent):
 
 
 def flow_spectral(im, X, ts):
-    """Exact mode-wise continuation for a coordinate-aligned field on a flat chart.
+    """Exact mode-wise continuation for a coordinate-aligned field on any chart.
 
     The frames are produced in blocks of at most _BLOCK_NODES grid nodes;
     every block passes the geodesic residual check and the stack checks
     (immersion._check_stack) before the next is made, and the blocks are
-    collected into one FlowResult. A family that fails both checks reports
-    the failure of its earliest failing block.
+    collected into one FlowResult. On the disk and the ball the stack check
+    refuses a member that leaves the chart's domain (PointOutsideDomain). A
+    family that fails both checks reports the failure of its earliest
+    failing block.
     """
     axis, c, ts, spectrum, amp = _spectral_setup(im, X, ts)
     immersions, residual = [], 0.0
@@ -255,18 +260,16 @@ def flow_spectral(im, X, ts):
 def geodesic_family(im, Y, ts):
     """Immersions along the geodesic d iota/dt = J iota_* Y at the times ts.
 
-    Y = c d/dtheta_k: the continuation of flow_spectral, valid on any chart
-    here since it only uses the constancy of J. Y = f(theta_k) d/dtheta_k
-    with f > 0: the integral curves close up along the axis circle, so the
-    axis is reparametrized to constant speed, where Y becomes (1/R) d/dpsi,
-    and continued mode-wise; the same angle substitution applies to every
-    transverse slice. Anything else raises GeodesicUnavailable. The family
-    passes _growth_guard at its farthest time on each side of t = 0 and
-    the geodesic residual check block by block; its members are not
+    Y = c d/dtheta_k: the continuation of flow_spectral. Y = f(theta_k)
+    d/dtheta_k with f > 0: the integral curves close up along the axis
+    circle, so the axis is reparametrized to constant speed, where Y becomes
+    (1/R) d/dpsi, and continued mode-wise; the same angle substitution
+    applies to every transverse slice. Anything else raises
+    GeodesicUnavailable. The family passes the guards of _spectral_setup
+    and the geodesic residual check block by block; its members are not
     validated here, since callers integrate each through is_totally_real.
     """
-    al = _coordinate_alignment(Y)
-    if al is None:
+    if _coordinate_alignment(Y) is None:
         prof = _axis_profile(Y)
         if prof is None:
             raise GeodesicUnavailable(
@@ -276,11 +279,8 @@ def geodesic_family(im, Y, ts):
             raise GeodesicUnavailable("axis-profile families need f > 0 everywhere")
         rep = curve_lab.reparametrize_by_field(_interpolant(f), M=im.grid.sizes[axis])
         im = _resample_axis(im, axis, rep["theta_of_s"])
-        al = axis, 1.0 / rep["R"]
-    axis, c = al
-    ts = [float(t) for t in ts]
-    spectrum = _present_spectrum(im)
-    _amplification(im, spectrum, axis, c, ts)
+        Y = coordinate_field(im.grid, axis, 1.0 / rep["R"])
+    axis, c, ts, spectrum, _ = _spectral_setup(im, Y, ts)
     return [m for pts, _ in _checked_blocks(im, spectrum, axis, c, ts)
             for m in _members(im, pts)]
 
@@ -291,19 +291,11 @@ def _members(im, pts):
                       winding=im.winding) for p in pts]
 
 
-def _amplification(im, spectrum, axis, c, ts):
-    """_growth_guard at the farthest time on each side of t = 0, the two
-    sides continuing in opposite directions; 1 when nothing moves. spectrum
-    is the _present_spectrum of im."""
-    ends = sorted({min(ts, default=0.0), max(ts, default=0.0)} - {0.0})
-    return max((_growth_guard(im, spectrum, axis, c, t) for t in ends), default=1.0)
-
-
 def _spectral_setup(im, X, ts):
     """(axis, c, ts, spectrum, amplification) of a spectral flow, after its
-    guards; spectrum is the _present_spectrum of im."""
-    if not im.chart.is_flat:
-        raise UnsupportedField("spectral continuation is restricted to flat charts")
+    guards; spectrum is the _present_spectrum of im. The amplification is
+    _growth_guard's at the farthest time on each side of t = 0, the two
+    sides continuing in opposite directions; 1 when nothing moves."""
     al = _coordinate_alignment(X)
     if al is None:
         raise UnsupportedField(
@@ -313,7 +305,9 @@ def _spectral_setup(im, X, ts):
     axis, c = al
     ts = [float(t) for t in ts]
     spectrum = _present_spectrum(im)
-    return axis, c, ts, spectrum, _amplification(im, spectrum, axis, c, ts)
+    ends = sorted({min(ts, default=0.0), max(ts, default=0.0)} - {0.0})
+    amp = max((_growth_guard(im, spectrum, axis, c, t) for t in ends), default=1.0)
+    return axis, c, ts, spectrum, amp
 
 
 def _checked_blocks(im, spectrum, axis, c, ts, validated=False):

@@ -32,11 +32,12 @@ from .errors import (BadArgument, MetricNotPositiveDefinite, NotImmersed, NotTot
 
 RHO_MIN = 1e-6            # numerical floor for "totally real"
 _VOLUME_MIN = 1e-10       # numerical floor for an immersed frame
+MAX_GRID_SIZE = 1024      # the most nodes a grid axis may have
 
 
 @dataclass(frozen=True)
 class GridTorus:
-    """Uniform periodic grid on T^n, n in {1, 2}; sizes are powers of two >= 16."""
+    """Uniform periodic grid on T^n, n in {1, 2}; sizes: powers of two, 16..MAX_GRID_SIZE."""
 
     sizes: tuple
 
@@ -46,8 +47,9 @@ class GridTorus:
         if len(sizes) not in (1, 2):
             raise ValidationError("GridTorus supports n = 1 or 2")
         for s in sizes:
-            if s < 16 or (s & (s - 1)) != 0:
-                raise ValidationError(f"grid size {s} must be a power of two >= 16")
+            if not 16 <= s <= MAX_GRID_SIZE or (s & (s - 1)) != 0:
+                raise ValidationError(f"grid size {s} must be a power of two in "
+                                      f"[16, {MAX_GRID_SIZE}]")
 
     @property
     def n(self):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trgeo import cli, curve_lab as cl
+from trgeo import cli, curve_lab as cl, immersion as imm
 
 
 def write_scenario(path, payload):
@@ -661,6 +661,44 @@ def test_every_operation_dispatches(tmp_path, payload):
     assert results["status"] == "ok"
 
 
+_DISK_CIRCLE = {"chart": {"name": "poincare_disk"},
+                "immersion": {"formula": "circle", "grid": 64, "args": {"r": 0.5}}}
+_BALL_TORUS = {"chart": {"name": "complex_hyperbolic_ball"},
+               "immersion": {"formula": "graph_perturbed_torus", "grid": 32,
+                             "args": {"r1": 0.3, "r2": 0.35, "amplitude": 0.05,
+                                      "mode": [1, 1]}}}
+
+
+@pytest.mark.parametrize("curved", [_DISK_CIRCLE, _BALL_TORUS], ids=["disk", "ball"])
+@pytest.mark.parametrize("params", [
+    {"scheme": "spectral", "times": [0.0, 0.3, -0.3]},
+    {"scheme": "timestep", "t_final": 0.1, "dt": 1e-3},
+    {"t_final": 0.1},
+], ids=["spectral", "timestep", "uniqueness"])
+def test_flows_run_on_curved_charts(tmp_path, curved, params):
+    # the geodesics use J, not the metric: both schemes and the uniqueness
+    # comparison run on the disk and the ball
+    op = "flow.uniqueness" if "scheme" not in params else "flow.run"
+    scn = write_scenario(tmp_path / "s.json", {"version": 1, "operation": op,
+                                               **curved, "params": params})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 0
+    results = json.loads((out / "results.json").read_text())["results"]
+    if op == "flow.uniqueness":
+        assert results["sup_gap"] <= 1e-13
+
+
+def test_a_flow_leaving_the_disk_exits_2(tmp_path, capsys):
+    # at t = -0.8 the circle r = 0.5 reaches radius 0.5 e^0.8 = 1.113
+    scn = write_scenario(tmp_path / "s.json", {
+        "version": 1, "operation": "flow.run", **_DISK_CIRCLE,
+        "params": {"times": [0.0, -0.8]}})
+    assert cli.main(["run", "--scenario", scn, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("trgeo: PointOutsideDomain: point at radius 1.11277")
+    assert err.count("\n") == 1
+
+
 _ELLIPSE = {"terms": {"1": [1.0, 0.0], "-1": [0.3, 0.0]}, "N": 64}
 _FLAT_TORUS = {"chart": {"name": "flat_c2"},
                "immersion": {"formula": "product_torus", "grid": 32,
@@ -816,6 +854,23 @@ _FLAT_TORUS = {"chart": {"name": "flat_c2"},
       "immersion": {"formula": "fourier_curve", "grid": 64,
                     "args": {"coeffs": [[1, 1.0, 0.0], [-32, 0.1, 0.0]]}}},
      "immersion.args.coeffs[1][0]: a mode must be an integer"),
+    # a uniqueness run to t_final <= 0 stepped by dt = t_final / 200 and
+    # failed with "dt must be positive", which names no field
+    *(({"operation": "flow.uniqueness", "chart": {"name": "flat_c2"},
+        "immersion": {"formula": "product_torus", "grid": 32},
+        "params": {"t_final": t}}, f"params.t_final must be > 0, got {t}")
+      for t in (0, -0.1)),
+    # grids have at most imm.MAX_GRID_SIZE nodes per axis, checked before any
+    # array is sized: a 2^40-node circle failed in numpy with "Unable to
+    # allocate 8.00 TiB", exit 1
+    ({"operation": "jvol.compute", "chart": {"name": "flat_c1"},
+      "immersion": {"formula": "circle", "grid": 2 ** 40}},
+     f"immersion.grid must be a power of two >= 16 and <= {imm.MAX_GRID_SIZE}, "
+     "got 1099511627776"),
+    ({"operation": "variation.convexity",
+      "params": {"family": {"kind": "poincare_circle", "grid": 2 * imm.MAX_GRID_SIZE},
+                 "t_grid": [0.5, 0.6, 0.7]}},
+     f"params.family.grid must be a power of two >= 16 and <= {imm.MAX_GRID_SIZE}"),
 ])
 def test_malformed_scenario_fields_exit_2(tmp_path, capsys, payload, field):
     scn = write_scenario(tmp_path / "s.json", {"version": 1, "name": "bad", **payload})

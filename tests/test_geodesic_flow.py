@@ -10,7 +10,8 @@ from trgeo import ambient, curve_lab as cl, geodesic_flow as gf
 from trgeo import immersion as imm
 from trgeo._spectral import evaluate_fourier, fourier_coefficients
 from trgeo.errors import (AmplificationExceeded, BlowUpDetected, NotNested,
-                          StepTooLarge, UnsupportedField, ValidationError)
+                          PointOutsideDomain, StepTooLarge, UnsupportedField,
+                          ValidationError)
 
 from flow_oracle import (commutator_check, flow_timestep_full_spectrum, mode_growth_guard,
                          perturbed_torus, wound_torus)
@@ -74,11 +75,55 @@ def test_spectral_rejects_general_field(circle):
         gf.flow_spectral(circle, X, [0.1])
 
 
-def test_spectral_rejects_nonflat_chart():
-    pd = ambient.poincare_disk()
-    hc = imm.build_immersion(imm.GridTorus((64,)), pd, "circle", r=0.5).im
-    with pytest.raises(UnsupportedField):
-        gf.flow_spectral(hc, imm.coordinate_field(hc.grid, 0), [0.1])
+def _disk_circle():
+    return imm.build_immersion(imm.GridTorus((64,)), ambient.poincare_disk(), "circle",
+                               r=0.5).im
+
+
+def _ball_torus():
+    return imm.build_immersion(imm.GridTorus((32, 32)), ambient.complex_hyperbolic_ball(),
+                               "graph_perturbed_torus", r1=0.3, r2=0.35, amplitude=0.05,
+                               mode=[1, 1]).im
+
+
+@pytest.mark.parametrize("t", [0.3, -0.5])
+def test_spectral_disk_circle_closed_form(t):
+    # the geodesics use J alone, so the disk circle r = 0.5 flows as in C:
+    # to 0.5 e^{-t} e^{i theta} (measured 2.0e-16 at t = 0.3, 4.5e-16 at -0.5)
+    hc = _disk_circle()
+    p = gf.flow_spectral(hc, imm.coordinate_field(hc.grid, 0), [t]).immersions[0].points
+    theta = hc.grid.thetas(0)
+    assert np.max(np.abs(p[:, 0] + 1j * p[:, 1]
+                         - 0.5 * math.exp(-t) * np.exp(1j * theta))) <= 1e-13
+
+
+def test_spectral_family_leaving_the_disk_is_refused():
+    # at t = -0.8 the circle has radius 0.5 e^{0.8} = 1.113
+    hc = _disk_circle()
+    with pytest.raises(PointOutsideDomain, match="radius 1.11"):
+        gf.flow_spectral(hc, imm.coordinate_field(hc.grid, 0), [0.1, -0.8])
+
+
+@pytest.mark.parametrize("case,axis", [("disk circle", 0), ("ball torus", 0),
+                                       ("ball torus", 1)])
+def test_uniqueness_on_curved_charts(case, axis):
+    # the RK4 stepper meets the continuation (measured 6.7e-16 on the disk
+    # and on ball axis 0, 7.2e-16 on ball axis 1)
+    im = _disk_circle() if case == "disk circle" else _ball_torus()
+    assert gf.uniqueness_compare(im, imm.coordinate_field(im.grid, axis), 0.1) <= 1e-13
+
+
+def test_flow_spectral_frames_are_the_geodesic_family_members():
+    # one continuation, the validated and the unvalidated entry point
+    # (measured 5.6e-17 on the ball torus)
+    bt = _ball_torus()
+    Y = imm.coordinate_field(bt.grid, 0, 0.5)
+    ts = [-0.1, 0.1, 0.2]
+    flow = gf.flow_spectral(bt, Y, ts)
+    family = gf.geodesic_family(bt, Y, ts)
+    assert flow.times == ts and len(family) == len(ts)
+    for frame, member in zip(flow.immersions, family):
+        assert np.max(np.abs(frame.points - member.points)) <= 1e-15
 
 
 def test_no_ray_direction_refused_any_positive_time():
@@ -629,9 +674,12 @@ def _nan_from_step(monkeypatch, step):
     return calls
 
 
-def _curved_circle():
-    return imm.build_immersion(imm.GridTorus((64,)), ambient.poincare_disk(), "circle",
-                               r=0.5).im
+def _cosine_circle():
+    """The flat 64-node circle and (1 + 0.3 cos theta) d/dtheta: the stepper
+    runs on that field, and _spectral_setup raises UnsupportedField for it."""
+    im = imm.build_immersion(imm.GridTorus((64,)), ambient.flat_chart(1), "circle",
+                             r=1.0).im
+    return im, cosine_axis_field(im.grid, 0)
 
 
 def _raised(fn, *args):
@@ -640,16 +688,16 @@ def _raised(fn, *args):
     return err.value
 
 
-@pytest.mark.parametrize("spectral_side", ["curved chart", "poisoned block"])
+@pytest.mark.parametrize("spectral_side", ["general field", "poisoned block"])
 @pytest.mark.parametrize("stepper", ["step too large", "tail threshold"])
 def test_a_stepper_error_wins_over_a_spectral_failure(monkeypatch, stepper, spectral_side):
-    if spectral_side == "curved chart":
-        im = _curved_circle()      # _spectral_setup raises UnsupportedField
+    if spectral_side == "general field":
+        im, X = _cosine_circle()   # _spectral_setup raises UnsupportedField
     else:
         im = _product_torus_32()
+        X = imm.coordinate_field(im.grid, 0)
         _poison_block(monkeypatch, 0)
-    X = imm.coordinate_field(im.grid, 0)
-    # dt = t_final / 200: 10 * 21 / 200 and 20 * 10 / 200 pass 0.5 (StepTooLarge);
+    # dt = t_final / 200: 10 * 21 * 1.3 / 200 and 20 * 10 / 200 pass 0.5 (StepTooLarge);
     # a negative threshold makes the first step blow up
     t_final = 0.1
     if stepper == "step too large":
@@ -679,7 +727,7 @@ def test_stepping_goes_on_after_a_spectral_block_fails(monkeypatch):
 
 
 def test_the_last_stepped_frame_is_validated_before_a_spectral_failure(monkeypatch):
-    hc = _curved_circle()
+    im, X = _cosine_circle()
     validated = []
 
     def refuse(im):
@@ -688,21 +736,22 @@ def test_the_last_stepped_frame_is_validated_before_a_spectral_failure(monkeypat
 
     monkeypatch.setattr(gf, "is_totally_real", refuse)
     with pytest.raises(ValidationError, match="the last stepped frame"):
-        gf.uniqueness_compare(hc, imm.coordinate_field(hc.grid, 0), 0.1)
+        gf.uniqueness_compare(im, X, 0.1)
     assert validated == [(64, 2)]
 
 
-@pytest.mark.parametrize("spectral_side", ["curved chart", "poisoned block"])
+@pytest.mark.parametrize("spectral_side", ["general field", "poisoned block"])
 def test_a_spectral_failure_is_raised_when_stepping_passes(monkeypatch, spectral_side):
-    if spectral_side == "curved chart":
-        im = _curved_circle()
-        want = _raised(gf.flow_spectral, im, imm.coordinate_field(im.grid, 0), [0.1])
+    if spectral_side == "general field":
+        im, X = _cosine_circle()
+        want = _raised(gf.flow_spectral, im, X, [0.1])
         assert isinstance(want, UnsupportedField)
     else:
         im = _product_torus_32()
+        X = imm.coordinate_field(im.grid, 0)
         _poison_block(monkeypatch, 2)
         want = AmplificationExceeded("continued frames violate the geodesic equation by nan")
-    got = _raised(gf.uniqueness_compare, im, imm.coordinate_field(im.grid, 0), 0.1)
+    got = _raised(gf.uniqueness_compare, im, X, 0.1)
     assert type(got) is type(want) and str(got) == str(want)
 
 

@@ -42,6 +42,10 @@ def test_grid_validation():
         imm.GridTorus((48,))
     with pytest.raises(ValidationError):
         imm.GridTorus((16, 16, 16))
+    # MAX_GRID_SIZE nodes per axis are allowed, twice that is refused
+    imm.GridTorus((imm.MAX_GRID_SIZE,))
+    with pytest.raises(ValidationError, match=f"in \\[16, {imm.MAX_GRID_SIZE}\\]"):
+        imm.GridTorus((16, 2 * imm.MAX_GRID_SIZE))
 
 
 def test_circle_points_trivial(circle):
