@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__, ambient, curve_lab, geodesic_flow
 from . import immersion as imm
 from . import variation_harness as vh
-from .errors import (BadArgument, NotFinite, NumericalError, ParseError,
+from .errors import (BadArgument, NotFinite, NumericalError, ParseError, StepTooLarge,
                      UnknownOperation, ValidationError)
 
 SCENARIO_VERSION = 1
@@ -569,8 +569,14 @@ def _op_flow_bvp(s, out_dir, raw):
 
 def _op_flow_uniqueness(s, out_dir, raw):
     im = _geometry(s).im
-    gap = geodesic_flow.uniqueness_compare(im, _field(s["field"], im.grid),
-                                           s["params"]["t_final"])
+    t_final = s["params"]["t_final"]
+    try:
+        gap = geodesic_flow.uniqueness_compare(im, _field(s["field"], im.grid), t_final)
+    except StepTooLarge:
+        # the stepper's dt is t_final / UNIQUENESS_STEPS, not a field of the scenario
+        raise ValidationError(
+            f"params.t_final: {t_final:g} is too long: its {geodesic_flow.UNIQUENESS_STEPS} "
+            "RK4 steps fail the step bound dt*m*|X| <= 0.5") from None
     return {"sup_gap": gap}, []
 
 

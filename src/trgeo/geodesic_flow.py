@@ -20,6 +20,10 @@ the metric, and every chart here carries the standard J:
   transforms the points along that axis alone, and the stack check
   validates the block from the Gram and omega matrices of those vectors,
   building no frame; it refuses a family that leaves the chart's domain.
+  The transforms of the continuation and of the residual run in place in
+  work arrays made once per family; only the points block is new for each
+  block, since members are views of it, and a block's vectors are valid
+  until the next block is requested.
 
 * flow_timestep: guarded RK4 with a 2/3 dealiasing filter and a spectral
   tail-energy monitor that aborts (BlowUpDetected) when the retained top
@@ -66,6 +70,8 @@ AMP_MAX = 1e6
 TAIL_ENERGY_ABORT = 1e-3
 DEALIAS_FRACTION = 2.0 / 3.0
 SPECTRAL_PRESENCE_FLOOR = 1e-15
+# the largest exponent whose e^x is a finite float
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 # grid nodes one block of a spectral family holds (8 frames of 32x32); fixes
 # how many frames are continued, residual-checked and validated at a time
 _BLOCK_NODES = 8192
@@ -199,15 +205,23 @@ def _growth_guard(im, spectrum, axis, c, t_extent):
     e^{|m| |c t|} <= AMP_MAX over modes present above the spectral noise
     floor, and for curves with a populated adverse tail, the radius
     estimate itself (flowing inward needs inner radius below 1, outward
-    needs outer radius above 1, each by RADIUS_MARGIN).
+    needs outer radius above 1, each by RADIUS_MARGIN). Before either, a
+    factor of any mode past the float range is refused unformed: the
+    continuation multiplies every mode, absent ones too, by its factor.
     """
-    present = spectrum != 0.0
-    if not np.any(present):
-        return 1.0
     m = _spectral.modes(im.grid.sizes[axis])
     shape = [1] * spectrum.ndim
     shape[1 + axis] = im.grid.sizes[axis]
-    factors = np.exp(-np.reshape(m, shape) * c * t_extent)
+    with np.errstate(over="ignore"):
+        exponents = -np.reshape(m, shape) * c * t_extent
+    top = float(np.max(exponents))
+    if top > _LOG_FLOAT_MAX:
+        raise AmplificationExceeded(
+            f"continuation factors would reach e^{top:.4g}, past the float range")
+    present = spectrum != 0.0
+    if not np.any(present):
+        return 1.0
+    factors = np.exp(exponents)
     amp = max(1.0, float(np.max(
         np.where(present, np.broadcast_to(factors, spectrum.shape), 0.0))))
     if amp > AMP_MAX:
@@ -319,8 +333,9 @@ def _checked_blocks(im, spectrum, axis, c, ts, validated=False):
     checks (immersion._check_stack), made from the coordinate vectors the
     continuation gives with the points.
     """
+    residual_of = _geodesic_residual(im, axis, c, _block_frames(im, ts))
     for pts, vs in _continued_blocks(im, spectrum, axis, c, ts, validated):
-        residual = _geodesic_residual(pts, im, axis, c)
+        residual = residual_of(pts)
         if not residual <= 1e-8:
             raise AmplificationExceeded(
                 f"continued frames violate the geodesic equation by {residual:.3g}"
@@ -330,39 +345,61 @@ def _checked_blocks(im, spectrum, axis, c, ts, validated=False):
         yield pts, residual
 
 
-def _geodesic_residual(points, im, axis, c):
-    """max |d iota/dt - J iota_* X| over a block of frames, both sides spectral.
+def _block_frames(im, ts):
+    """Frames in a full block of the family at ts: as many as _BLOCK_NODES
+    grid nodes hold (at least one), or all of ts when they are fewer."""
+    return max(1, min(len(ts), _BLOCK_NODES // math.prod(im.grid.sizes)))
 
-    points is a block (B, 2n) + grid.sizes of _continued_blocks. Both sides
-    act along the flow axis only, from one forward transform of the points
-    along it: d/dt of the continuation scales mode m by -m c; the right-hand
-    side is J applied to c d iota/dtheta_axis, the derivative taking i m
-    with the modes of the continuation. On an even axis that keeps the
-    Nyquist mode as m = -n/2, where spectral_derivative (made for real
-    data) drops it; the two sides are identical in exact arithmetic, so the
-    residual certifies the implementation rather than the data. NaN
-    anywhere gives NaN.
+
+def _geodesic_residual(im, axis, c, frames):
+    """points -> max |d iota/dt - J iota_* X| over a block of frames, both
+    sides spectral.
+
+    points is a block (B, 2n) + grid.sizes of _continued_blocks with B at
+    most frames; the work arrays are made once, for every block of the
+    family, and each transform runs in place. Both sides act along the flow
+    axis only, from one forward transform of the points along it: d/dt of
+    the continuation scales mode m by -m c; the right-hand side is J applied
+    to c d iota/dtheta_axis, the derivative taking i m with the modes of the
+    continuation. The two multiplied spectra are stacked, so one inverse
+    transform gives both sides. On an even axis that keeps the Nyquist mode
+    as m = -n/2, where spectral_derivative (made for real data) drops it;
+    the two sides are identical in exact arithmetic, so the residual
+    certifies the implementation rather than the data. NaN anywhere gives
+    NaN.
     """
     n = im.chart.n
-    z = points[:, :n] + 1j * points[:, n:]
     nk = im.grid.sizes[axis]
-    shape = [1] * z.ndim
+    shape = [1] * (2 + im.n)
     shape[2 + axis] = nk
     m = np.reshape(_spectral.modes(nk), shape)
-    coeffs = np.fft.fft(z, axis=2 + axis)
-    dz_dt = coeffs * -c
-    dz_dt *= m
-    dz_dt = np.fft.ifft(dz_dt, axis=2 + axis)
-    coeffs *= 1j * m
-    rhs = np.fft.ifft(coeffs, axis=2 + axis)
-    rhs *= 1j * c
+    i_m = 1j * m
+    z = np.empty((frames, n) + im.grid.sizes, dtype=complex)
+    # d z/dt and the right-hand side
+    sides = np.empty((2,) + z.shape, dtype=complex)
+    mags = np.empty(z.shape)
+    shift = None
     if im.winding is not None:
         w = im.winding[:n, axis] + 1j * im.winding[n:, axis]
-        w = np.reshape(w, (n,) + (1,) * im.n)
-        dz_dt = dz_dt + 1j * c * w
-        rhs = rhs + 1j * c * w
-    dz_dt -= rhs
-    return float(np.max(np.abs(dz_dt)))
+        shift = 1j * c * np.reshape(w, (n,) + (1,) * im.n)
+
+    def residual(points):
+        b = len(points)
+        coeffs, both = z[:b], sides[:, :b]
+        coeffs.real = points[:, :n]
+        coeffs.imag = points[:, n:]
+        np.fft.fft(coeffs, axis=2 + axis, out=coeffs)
+        np.multiply(coeffs, -c, out=both[0])
+        both[0] *= m
+        np.multiply(coeffs, i_m, out=both[1])
+        np.fft.ifft(both, axis=3 + axis, out=both)
+        both[1] *= 1j * c
+        if shift is not None:
+            both += shift
+        dz_dt, rhs = both
+        dz_dt -= rhs
+        return float(np.max(np.abs(dz_dt, out=mags[:b])))
+    return residual
 
 
 def _continued_blocks(im, spectrum, axis, c, ts, vectors=False):
@@ -372,13 +409,15 @@ def _continued_blocks(im, spectrum, axis, c, ts, vectors=False):
     Each Fourier mode m along the axis of each complex component z_k is
     multiplied by e^{-m c t}: spectrum is the _present_spectrum of im, and
     each block of at most _BLOCK_NODES nodes (at least one frame) is one
-    inverse transform. Without vectors it is the inverse FFT over the grid
-    axes.
+    inverse transform, run in place in a work array made once per family.
+    Without vectors it is the inverse FFT over the grid axes.
     With vectors every other grid axis is brought to physical space once,
     and each block takes one inverse FFT along the flow axis of the stacked
     rows z, d z/dtheta_0, .., d z/dtheta_(n-1); the derivatives take the
     multipliers of spectral_derivative, so the vectors are
-    _coordinate_vectors of the points up to round-off.
+    _coordinate_vectors of the points up to round-off. Each points block is
+    a new array, which members may keep as views; the vectors are a view of
+    one array per family, valid only until the next block is requested.
     """
     n = im.chart.n
     # the spectrum gets a block axis after its component axis: (n, 1) + grid.sizes
@@ -391,6 +430,7 @@ def _continued_blocks(im, spectrum, axis, c, ts, vectors=False):
         # linear part W theta_axis continues to W(theta + i c t): drift i c w
         w = im.winding[:n, axis] + 1j * im.winding[n:, axis]
         drift = np.reshape(1j * c * w, (n, 1) + (1,) * im.n)
+    frames = _block_frames(im, ts)
     if vectors:
         # rows (1 + n_grid, n, 1) + grid.sizes: z, then d z/dtheta_k for each
         # grid axis k, physical along every grid axis but the flow axis
@@ -404,24 +444,31 @@ def _continued_blocks(im, spectrum, axis, c, ts, vectors=False):
         for k in range(im.n):
             if k != axis:
                 rows = np.fft.ifft(rows, axis=3 + k)
-    per_block = max(1, _BLOCK_NODES // math.prod(im.grid.sizes))
-    for s in range(0, len(ts), per_block):
-        t = np.reshape(ts[s:s + per_block], (-1,) + (1,) * im.n)
+        # (1 + n_grid, n, frames) + grid.sizes: one transform line per row and node
+        work = np.empty(rows.shape[:2] + (frames,) + im.grid.sizes, dtype=complex)
+        vs_work = np.empty((im.n, 2 * n, frames) + im.grid.sizes)
+    else:
+        work = np.empty((n, frames) + im.grid.sizes, dtype=complex)
+    for s in range(0, len(ts), frames):
+        t = np.reshape(ts[s:s + frames], (-1,) + (1,) * im.n)
         factors = np.exp(-m_shaped * c * t)
         vs = None
         if vectors:
-            # (1 + n_grid, n, B) + grid.sizes: one transform line per row and node
-            out = np.fft.ifft(rows * factors, axis=3 + axis)
+            out = work[:, :, :len(t)]
+            np.multiply(rows, factors, out=out)
+            np.fft.ifft(out, axis=3 + axis, out=out)
             z_t = out[0]
-            vs = np.empty((im.n, 2 * n, len(t)) + im.grid.sizes)
+            vs = vs_work[:, :, :len(t)]
             vs[:, :n] = out[1:].real
             vs[:, n:] = out[1:].imag
             if im.winding is not None:
                 vs += im.winding.T.reshape(im.winding.T.shape + (1,) * (1 + im.n))
         else:
-            z_t = np.fft.ifftn(coeffs * factors, axes=tuple(range(2, 2 + im.n)))
+            z_t = work[:, :len(t)]
+            np.multiply(coeffs, factors, out=z_t)
+            np.fft.ifftn(z_t, axes=tuple(range(2, 2 + im.n)), out=z_t)
         if drift is not None:
-            z_t = z_t + t * drift
+            z_t += t * drift
         block = np.empty((len(t), 2 * n) + im.grid.sizes)
         block[:, :n] = z_t.real.swapaxes(0, 1)
         block[:, n:] = z_t.imag.swapaxes(0, 1)

@@ -15,6 +15,11 @@ and the dealias filter and the tail-energy monitor run on the complex full
 spectrum. It checks geodesic_flow.flow_timestep, which skips the axes where
 X is zero and works on the half spectrum.
 
+geodesic_residual is the geodesic residual of a block of frames as
+geodesic_flow computed it before its work arrays were made once per
+family: fresh arrays for z = x + i y, its spectrum and each side. It checks
+the buffered geodesic_flow._geodesic_residual bit for bit.
+
 commutator_check measures how far a computed flow surface is from
 commuting coordinate fields, by time differences of the stored frames.
 mode_growth_guard is the growth guard of geodesic_flow on one immersion,
@@ -151,6 +156,30 @@ def flow_timestep_full_spectrum(im, X, t_final, dt):
 def mode_growth_guard(im, axis, c, t_extent):
     """geodesic_flow's growth guard of im flowing along axis at c to t_extent."""
     return gf._growth_guard(im, gf._present_spectrum(im), axis, c, t_extent)
+
+
+def geodesic_residual(points, im, axis, c):
+    """max |d iota/dt - J iota_* X| over a block (B, 2n) + grid.sizes."""
+    n = im.chart.n
+    z = points[:, :n] + 1j * points[:, n:]
+    nk = im.grid.sizes[axis]
+    shape = [1] * z.ndim
+    shape[2 + axis] = nk
+    m = np.reshape(modes(nk), shape)
+    coeffs = np.fft.fft(z, axis=2 + axis)
+    dz_dt = coeffs * -c
+    dz_dt *= m
+    dz_dt = np.fft.ifft(dz_dt, axis=2 + axis)
+    coeffs *= 1j * m
+    rhs = np.fft.ifft(coeffs, axis=2 + axis)
+    rhs *= 1j * c
+    if im.winding is not None:
+        w = im.winding[:n, axis] + 1j * im.winding[n:, axis]
+        w = np.reshape(w, (n,) + (1,) * im.n)
+        dz_dt = dz_dt + 1j * c * w
+        rhs = rhs + 1j * c * w
+    dz_dt -= rhs
+    return float(np.max(np.abs(dz_dt)))
 
 
 def commutator_check(flow, X):

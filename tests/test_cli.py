@@ -306,6 +306,27 @@ def test_overflow_exits_3_naming_its_stage(tmp_path, payload, stage):
         f"{payload['operation']} failed in {stage}: overflow encountered")
 
 
+@pytest.mark.parametrize("field,times,shown", [
+    ({}, [1e300], "e^3.2e+301"),
+    ({"field": {"kind": "coordinate", "scale": 1e300}}, [0.1], "e^3.2e+300"),
+    ({"field": {"kind": "coordinate", "scale": 1e300}}, [1e300, -1e300], "e^inf"),
+])
+def test_a_spectral_flow_past_the_float_range_exits_3(tmp_path, capsys, field, times, shown):
+    # the growth guard formed e^{-m c t} for every mode before comparing, and
+    # the overflow of an absent mode's factor exited 3 as NotFinite after
+    # numpy's warning; the exponents are compared first now
+    scn = write_scenario(tmp_path / "s.json", {
+        "version": 1, "name": "far", "operation": "flow.run", "chart": {"name": "flat_c1"},
+        "immersion": {"formula": "circle", "grid": 64}, **field,
+        "params": {"scheme": "spectral", "times": times}})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ""
+    rec = json.loads((out / "results.json").read_text())
+    assert rec["error_type"] == "AmplificationExceeded"
+    assert rec["message"] == f"continuation factors would reach {shown}, past the float range"
+
+
 def test_nan_result_exits_3_naming_its_path(tmp_path, monkeypatch):
     # a NaN that raises no floating-point exception on its way (here from a
     # patched signed_area; coefficient files no longer let one in) is
@@ -860,6 +881,11 @@ _FLAT_TORUS = {"chart": {"name": "flat_c2"},
         "immersion": {"formula": "product_torus", "grid": 32},
         "params": {"t_final": t}}, f"params.t_final must be > 0, got {t}")
       for t in (0, -0.1)),
+    # dt = t_final / 200 failed the step bound as "StepTooLarge: ... reduce
+    # dt", naming a field flow.uniqueness does not have
+    ({"operation": "flow.uniqueness", "chart": {"name": "flat_c1"},
+      "immersion": {"formula": "circle", "grid": 64}, "params": {"t_final": 1e300}},
+     "params.t_final: 1e+300 is too long: its 200 RK4 steps fail the step bound"),
     # grids have at most imm.MAX_GRID_SIZE nodes per axis, checked before any
     # array is sized: a 2^40-node circle failed in numpy with "Unable to
     # allocate 8.00 TiB", exit 1

@@ -1,5 +1,6 @@
 """Flow tests: spectral continuation, guarded stepping, BVP, uniqueness."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -13,8 +14,8 @@ from trgeo.errors import (AmplificationExceeded, BlowUpDetected, NotNested,
                           PointOutsideDomain, StepTooLarge, UnsupportedField,
                           ValidationError)
 
-from flow_oracle import (commutator_check, flow_timestep_full_spectrum, mode_growth_guard,
-                         perturbed_torus, wound_torus)
+from flow_oracle import (commutator_check, flow_timestep_full_spectrum, geodesic_residual,
+                         mode_growth_guard, perturbed_torus, wound_torus)
 
 
 @pytest.fixture
@@ -154,6 +155,22 @@ def test_amplification_cap():
     X = imm.coordinate_field(im.grid, 0)
     with pytest.raises(AmplificationExceeded):
         gf.flow_spectral(im, X, [0.2])   # e^{256 * 0.2} >> 1e6
+
+
+@pytest.mark.parametrize("scale,t", [(1.0, 1e300), (1e300, 0.1)])
+def test_factors_past_the_float_range_are_refused_unformed(circle, scale, t):
+    # the circle holds mode 1 alone, which decays inward, but the factors of
+    # the absent modes down to -32 overflowed when formed (a RuntimeWarning)
+    X = imm.coordinate_field(circle.grid, 0, scale)
+    with pytest.raises(AmplificationExceeded, match="past the float range"):
+        gf.flow_spectral(circle, X, [t])
+
+
+def test_absent_modes_may_grow_within_the_float_range(circle):
+    # mode -32 would grow by e^{32 * 14} = 1.6e194, but it is absent: the
+    # cap counts present modes only
+    X = imm.coordinate_field(circle.grid, 0)
+    assert gf.flow_spectral(circle, X, [14.0]).amplification == 1.0
 
 
 def test_timestep_matches_spectral(circle):
@@ -768,17 +785,43 @@ def test_block_vectors_are_the_coordinate_vectors_of_its_points(case):
     ts = list(np.linspace(-0.05, 0.1, 13))
     for axis in axes:
         spectrum = gf._present_spectrum(im)
-        blocks = list(gf._continued_blocks(im, spectrum, axis, 0.7, ts, vectors=True))
-        plain = list(gf._continued_blocks(im, spectrum, axis, 0.7, ts))
-        assert len(blocks) == len(plain)
-        for (pts, vs), (ref, none) in zip(blocks, plain):
-            assert none is None
+        # the vectors live in one array per family, overwritten by the next
+        # block: each block is checked before the next is requested
+        blocks = gf._continued_blocks(im, spectrum, axis, 0.7, ts, vectors=True)
+        plain = gf._continued_blocks(im, spectrum, axis, 0.7, ts)
+        pairs = itertools.zip_longest(blocks, plain, fillvalue=(None, None))
+        for (pts, vs), (ref, none) in pairs:
+            assert pts is not None and ref is not None and none is None
             # the same points up to round-off, from one transform along the axis
             assert np.max(np.abs(pts - ref)) <= 1e-15 * np.max(np.abs(ref))
             want = imm._coordinate_vectors(
                 im.grid, np.ascontiguousarray(np.moveaxis(pts, 1, 0)), im.winding)
             assert vs.shape == want.shape
             assert np.max(np.abs(vs - want)) <= 2e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("c", [1.0, -1.0, 0.7, 1.0 / 3.0])
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("make", [perturbed_torus, wound_torus],
+                         ids=["perturbed torus", "wound torus"])
+def test_buffered_residual_is_the_oracle_bit_for_bit(make, axis, c):
+    im = make()
+    rng = np.random.default_rng(29)
+    residual = gf._geodesic_residual(im, axis, c, 8)
+    # full and short blocks through one set of work arrays, so that a block
+    # also meets what the one before it left there; -0.0 fills a grid line,
+    # NaN and inf a few entries
+    for frames, special in [(8, None), (3, -0.0), (8, np.nan), (5, np.inf),
+                            (8, -np.inf), (1, None)]:
+        pts = rng.standard_normal((frames, 4, 32, 32))
+        if special == 0.0:
+            pts[0, :, 3] = special
+        elif special is not None:
+            for _ in range(3):
+                pts[tuple(rng.integers(0, s) for s in pts.shape)] = special
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, want = residual(pts), geodesic_residual(pts, im, axis, c)
+        assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 def test_nan_in_a_block_fails_the_residual_check(circle, monkeypatch):
