@@ -211,32 +211,49 @@ def write_csv(path, header, columns):
     """RFC-4180 CSV with LF endings: the header, then one row per entry of
     the columns, which all have one length (see _column_cells)."""
     with open(path, "w", newline="") as f:
-        f.write(",".join(map(_cell, header)) + "\n")
         rows = len(columns[0]) if columns else 0
-        if not rows:
-            return
-        blocks, text = [], []
-        for column in columns:
-            cells, lengths = _column_cells(column, f.encoding)
-            if lengths is not None:
-                text.append((sum(b.shape[1] for b in blocks), lengths))
-            blocks += [cells, np.full((rows, 1), ord(","), np.uint8)]
-        blocks[-1][:] = ord("\n")
-        table = np.concatenate(blocks, axis=1)
-        keep = table != 0
-        for start, lengths in text:
-            keep[:, start:start + lengths.max()] = np.arange(lengths.max()) < lengths[:, None]
-        f.write(table[keep].tobytes().decode(f.encoding))
+        _write_table(f, header, [_column_cells(column, f.encoding) for column in columns]
+                     if rows else [])
+
+
+def _write_table(f, header, cells):
+    """The header, then the rows of the columns' cells (the pairs of
+    _column_cells, one per column, all of one length), to the text file f."""
+    f.write(",".join(map(_cell, header)) + "\n")
+    if not cells:
+        return
+    rows = len(cells[0][0])
+    blocks, text = [], []
+    for matrix, lengths in cells:
+        if lengths is not None:
+            text.append((sum(b.shape[1] for b in blocks), lengths))
+        blocks += [matrix, np.full((rows, 1), ord(","), np.uint8)]
+    blocks[-1][:] = ord("\n")
+    table = np.concatenate(blocks, axis=1)
+    keep = table != 0
+    for start, lengths in text:
+        keep[:, start:start + lengths.max()] = np.arange(lengths.max()) < lengths[:, None]
+    f.write(table[keep].tobytes().decode(f.encoding))
 
 
 def _write_frames_csv(out_dir, frames):
-    """One curve_t<k>.csv of point coordinates per frame; returns the paths."""
-    paths = []
-    for k, frame in enumerate(frames):
+    """One curve_t<k>.csv of point coordinates per frame; returns the paths.
+
+    The coordinates of every frame are formatted by one _float_cells call,
+    and the cell matrix is cut by frame and column: the kernel's cost is
+    mostly fixed per call, and a frame's NUL padding is dropped anyway.
+    """
+    columns = [np.asarray(frame).reshape(-1, np.shape(frame)[-1]).T for frame in frames]
+    cells = _float_cells(np.concatenate([np.empty(0)] + [c.ravel() for c in columns]))
+    paths, start = [], 0
+    for k, c in enumerate(columns):
         path = os.path.join(out_dir, f"curve_t{k}.csv")
-        pts = np.asarray(frame)
-        pts = pts.reshape(-1, pts.shape[-1])
-        write_csv(path, [f"x{j}" for j in range(pts.shape[1])], list(pts.T))
+        rows = c.shape[1]
+        with open(path, "w", newline="") as f:
+            _write_table(f, [f"x{j}" for j in range(len(c))],
+                         [(cells[start + j * rows:start + (j + 1) * rows], None)
+                          for j in range(len(c))])
+        start += c.size
         paths.append(path)
     return paths
 

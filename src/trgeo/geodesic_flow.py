@@ -28,14 +28,20 @@ the metric, and every chart here carries the standard J:
 * flow_timestep: guarded RK4 with a 2/3 dealiasing filter and a spectral
   tail-energy monitor that aborts (BlowUpDetected) when the retained top
   modes carry more than 1e-3 of the energy. It fails loudly on smooth
-  non-analytic data instead of smoothing it away. When every grid axis
-  has at most _MATRIX_NODES nodes and X = f(theta_k) d/dtheta_k, a whole
-  step is one cached operator along axis k, filter included, and the tail
-  fraction is read off the state's coefficients in an orthonormal basis of
-  the kept band. Other fields and longer axes take four RK4 stages, each
-  differentiating by the FFT along the axes where X is not zero, and the
-  filter and monitor on the half spectrum. The state is laid out
-  (2n,) + grid.sizes. It stays in physical space, independent of the
+  non-analytic data instead of smoothing it away. A step takes one of
+  three routes. When every grid axis has at most _MATRIX_NODES nodes and
+  X = f(theta_k) d/dtheta_k, a whole step is one cached operator along
+  axis k, filter included, and the tail fraction is read off the state's
+  coefficients in an orthonormal basis of the kept band. When some axis is
+  longer and X is a coordinate field (every component one number, on one
+  axis or several), a step is one forward and one inverse half-spectrum
+  FFT around the RK4 polynomial applied mode by mode, its per-mode
+  increments built once per call. Every other field takes four RK4
+  stages, each differentiating by the FFT along the axes where X is not
+  zero; after them the filter and monitor run on the half spectrum, with
+  the same mask and tail rule as the per-mode step. The state is laid out
+  (2n,) + grid.sizes and is kept in physical space between steps. The
+  stepper applies the RK4 polynomial R(z), not the exponential e^z of the
   mode-wise continuation it is compared against. One stepping loop
   (_rk4_states) serves flow_timestep, which keeps frames of it, and
   uniqueness_compare, which subtracts each state from the spectral block
@@ -523,18 +529,17 @@ def _band_tail(sizes, cutoffs):
     return tail_fraction
 
 
-def _dealias_by_fft(sizes, cutoffs, n_comp):
-    """The dealias filter and tail fraction of flow_timestep on the spectrum.
+def _half_spectrum_filter(sizes, cutoffs, n_comp):
+    """(mask, tail_fraction): the dealias filter and monitor of flow_timestep
+    on the half spectrum of the last grid axis (rfftn over the grid axes).
 
-    Both work on the half spectrum of the last grid axis, whose interior
-    columns count twice in the energy sums, so the fraction equals the
-    full-spectrum one up to round-off.
+    mask keeps |m_k| <= cutoff_k on every axis, with a leading axis of 1
+    for the components. tail_fraction(c) of a filtered spectrum c is the
+    share of the energy in the top half of that band on any axis, DC left
+    out; the interior columns of the last axis count twice, so it equals
+    the full-spectrum fraction up to round-off.
     """
     n = len(sizes)
-    grid_axes = tuple(range(1, 1 + n))
-    # dealias keeps |m_k| <= cutoff_k on every axis; the tail is the top half
-    # of that band on any axis. Both masks have a leading axis of 1 for the
-    # components.
     half = sizes[:-1] + (sizes[-1] // 2 + 1,)
     mask = np.ones((1,) + half, dtype=bool)
     tail_mask = np.zeros((1,) + half, dtype=bool)
@@ -556,13 +561,71 @@ def _dealias_by_fft(sizes, cutoffs, n_comp):
     weights = np.stack([np.broadcast_to(w, (n_comp,) + half).ravel()
                         for w in (weight, np.where(tail_mask, weight, 0.0))], axis=-1)
 
+    def tail_fraction(c):
+        total, tail = (np.abs(c) ** 2).reshape(-1) @ weights
+        return 0.0 if total == 0.0 else float(tail) / float(total)
+    return mask, tail_fraction
+
+
+def _dealias_by_fft(sizes, cutoffs, n_comp):
+    """points -> (the points filtered, their tail fraction), both by
+    _half_spectrum_filter between one rfftn and one irfftn."""
+    grid_axes = tuple(range(1, 1 + len(sizes)))
+    mask, tail_fraction = _half_spectrum_filter(sizes, cutoffs, n_comp)
+
     def dealias(points):
         c = np.fft.rfftn(points, axes=grid_axes)
         c *= mask
-        total, tail = (np.abs(c) ** 2).reshape(-1) @ weights
-        frac = 0.0 if total == 0.0 else float(tail) / float(total)
+        frac = tail_fraction(c)
         return np.fft.irfftn(c, s=sizes, axes=grid_axes), frac
     return dealias
+
+
+def _fourier_step(J, sizes, cutoffs, scales, dt, winding):
+    """y -> (y after one filtered RK4 step of dy/dt = J sum_k c_k (d_k y + W e_k),
+    its tail fraction), every c_k a number.
+
+    The right-hand side has constant coefficients, so an RK4 step is the
+    polynomial R of dt J l on each mode, l = sum_k c_k i m_k (Trefethen,
+    Spectral Methods in MATLAB, 2000, ch. 10), with the multipliers of
+    spectral_derivative (Nyquist dropped). One rk4_step of du/dt = J l (u + I)
+    from the zero (2n, 2n) + half state gives the increments R e_j - e_j of
+    every unit state on every mode, filtered by the dealias mask. A step is
+    then one rfftn, c mask + sum_j inc[:, j] c_j, the winding's increment
+    dt J sum_k c_k W e_k at DC (where l = 0), the tail fraction of that
+    spectrum and one irfftn.
+    """
+    n, n_comp = len(sizes), len(J)
+    grid_axes = tuple(range(1, 1 + n))
+    mask, tail_fraction = _half_spectrum_filter(sizes, cutoffs, n_comp)
+    half = mask.shape[1:]
+    ell = np.zeros(half, dtype=complex)
+    for k, c in scales:
+        shape = [1] * n
+        shape[k] = half[k]
+        ell += c * _spectral._derivative_multiplier(sizes[k], 1, k == n - 1).reshape(shape)
+    eye = np.eye(n_comp).reshape((n_comp, n_comp) + (1,) * n)
+
+    def rhs(u):
+        lu = ell * (u + eye)
+        return (J @ lu.reshape(n_comp, -1)).reshape(lu.shape)
+    inc = _spectral.rk4_step(rhs, np.zeros((n_comp, n_comp) + half, dtype=complex), dt)
+    inc *= mask[:, None]
+    dc = None
+    if winding is not None and scales:
+        # a constant v is the DC coefficient v * prod(sizes) of the rfftn
+        dc = dt * math.prod(sizes) * (J @ sum(c * winding[:, k] for k, c in scales))
+
+    def advance(points):
+        c = np.fft.rfftn(points, axes=grid_axes)
+        out = c * mask
+        for j in range(n_comp):
+            out += inc[:, j] * c[j]
+        if dc is not None:
+            out[(slice(None),) + (0,) * n] += dc
+        frac = tail_fraction(out)
+        return np.fft.irfftn(out, s=sizes, axes=grid_axes), frac
+    return advance
 
 
 def _axis_step(J, sizes, cutoffs, axis, f, dt, w):
@@ -620,12 +683,19 @@ def _rk4_states(im, X, t_final, dt):
     finite, or whose tail fraction exceeds TAIL_ENERGY_ABORT, raises
     BlowUpDetected.
 
-    When every grid axis has at most _MATRIX_NODES nodes and X is exactly
-    f(theta_k) d/dtheta_k, the other components exact zeros, a step is the
-    step operator of _axis_step, built once per call. Otherwise it is four
-    rk4_step stages, each differentiating by the FFT along the axes where
-    X^k is not exactly zero (a skipped term is an exact zero), then the
-    filter and tail fraction of _dealias_by_fft.
+    A step takes one of three routes, chosen once per call:
+    * every grid axis has at most _MATRIX_NODES nodes and X is exactly
+      f(theta_k) d/dtheta_k, the other components exact zeros: the step
+      operator of _axis_step;
+    * some grid axis is longer and every live component X^k is exactly one
+      number c_k (a coordinate field, on one axis or several): the per-mode
+      increments of _fourier_step;
+    * any other field and grid: four rk4_step stages, each differentiating
+      by the FFT along the axes where X^k is not exactly zero (a skipped
+      term is an exact zero), then the filter and tail fraction of
+      _dealias_by_fft.
+    The two step operators are built once per call. The initial filter is
+    _dealias_by_fft's on every route.
     """
     if dt <= 0.0:
         raise ValidationError("dt must be positive")
@@ -656,18 +726,20 @@ def _rk4_states(im, X, t_final, dt):
     axis = live[0] if live else 0
     # rows: the nodes along the axis; columns: the nodes across it
     f = np.moveaxis(comp[axis], axis, 0).reshape(sizes[axis], -1)
+    # X^k as one number where it is uniform (a coordinate field)
+    scales = [(k, float(comp[k].flat[0]) if np.all(comp[k] == comp[k].flat[0]) else comp[k])
+              for k in live]
     dealias = _dealias_by_fft(sizes, cutoffs, len(J))
-    if max(sizes) <= _MATRIX_NODES and len(live) <= 1 and np.all(f == f[:, :1]):
+    short = max(sizes) <= _MATRIX_NODES
+    if short and len(live) <= 1 and np.all(f == f[:, :1]):
         advance = _axis_step(J, sizes, cutoffs, axis, f[:, 0], dt,
                              None if im.winding is None else im.winding[:, axis])
+    elif not short and all(isinstance(scale, float) for _, scale in scales):
+        advance = _fourier_step(J, sizes, cutoffs, scales, dt, im.winding)
     else:
         # W e_k laid out (2n,) + (1,) * n, added to the derivative along axis k
         drift = None if im.winding is None else [
             np.reshape(im.winding[:, k], (-1,) + (1,) * n) for k in range(n)]
-        # X^k as one number where it is uniform (a coordinate field): the same
-        # products as with the array, without broadcasting it over the components
-        scales = [(k, float(comp[k].flat[0]) if np.all(comp[k] == comp[k].flat[0]) else comp[k])
-                  for k in live]
 
         def rhs(points):
             out = None
@@ -677,8 +749,6 @@ def _rk4_states(im, X, t_final, dt):
                     dk += drift[k]
                 dk *= scale
                 out = dk if out is None else out + dk
-            if out is None:
-                return np.zeros_like(points)
             return (J @ out.reshape(len(J), -1)).reshape(out.shape)
 
         def advance(points):

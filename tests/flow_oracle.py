@@ -25,7 +25,8 @@ commuting coordinate fields, by time differences of the stored frames.
 mode_growth_guard is the growth guard of geodesic_flow on one immersion,
 with its spectrum taken there.
 
-perturbed_torus and wound_torus build the 32x32 tori both are checked on.
+perturbed_torus and wound_torus build the tori both are checked on, 32x32
+unless other sizes are given.
 """
 
 import math
@@ -39,17 +40,17 @@ from trgeo.geodesic_flow import DEALIAS_FRACTION, TAIL_ENERGY_ABORT
 from trgeo.immersion import GridTorus, Immersion, build_immersion, is_totally_real
 
 
-def perturbed_torus():
-    return build_immersion(GridTorus((32, 32)), ambient.flat_chart(2),
+def perturbed_torus(sizes=(32, 32)):
+    return build_immersion(GridTorus(sizes), ambient.flat_chart(2),
                            "graph_perturbed_torus", r1=1.0, r2=1.0,
                            amplitude=0.3, mode=(1, 1)).im
 
 
-def wound_torus():
+def wound_torus(sizes=(32, 32)):
     """Straight torus with a sheared winding plus a periodic bump on the points."""
     qc = ambient.flat_quotient_chart(2)
     winding = [[1.0, 0.3], [0.0, 1.0], [0.2, 0.0], [0.0, 0.5]]
-    st = build_immersion(GridTorus((32, 32)), qc, "straight_torus",
+    st = build_immersion(GridTorus(sizes), qc, "straight_torus",
                          winding=winding, offset=[0.1, 0.2, 0.3, 0.4]).im
     t1, t2 = st.grid.mesh()
     bump = np.stack([0.1 * np.sin(t1 + t2), 0.05 * np.cos(t2), 0.1 * np.cos(t1),

@@ -565,6 +565,24 @@ def test_csv_bytes_of_grid_columns(tmp_path, sizes):
     assert (tmp_path / "grid.csv").read_bytes().decode() == _csv_cell_by_cell(header, rows)
 
 
+def test_frames_csv_bytes_are_each_frame_cell_by_cell(tmp_path):
+    # one _float_cells call formats every frame: frames whose cells take
+    # other slots (Python-formatted extremes, %f below 1, -0) and other
+    # shapes must still each read cell by cell
+    rng = np.random.default_rng(9)
+    frames = [rng.uniform(-2.0, 2.0, size=(256, 2)),
+              np.array([[1e-300, -0.0], [5e-324, 1.0 / 3.0], [1e300, 1e-5]]),
+              rng.normal(size=(4, 3, 4)) * 10.0 ** rng.integers(-20, 20, size=(4, 3, 4)),
+              np.zeros((0, 2))]
+    paths = cli._write_frames_csv(str(tmp_path), frames)
+    assert paths == [str(tmp_path / f"curve_t{k}.csv") for k in range(len(frames))]
+    for path, frame in zip(paths, frames):
+        rows = frame.reshape(-1, frame.shape[-1]).tolist()
+        header = [f"x{j}" for j in range(frame.shape[-1])]
+        assert open(path, "rb").read().decode() == _csv_cell_by_cell(header, rows)
+    assert cli._write_frames_csv(str(tmp_path), []) == []
+
+
 def _g17_cases():
     """Doubles for the '%.17g' kernel: both signs of random mantissas in every
     binade from 5e-324 to 1.8e308 and log-uniform over the kernel's exact

@@ -420,6 +420,101 @@ def test_other_fields_step_by_stages(field, monkeypatch):
                for a, b in zip(flow.immersions, ref)) <= 1e-13
 
 
+def _ellipse_256():
+    return imm.build_immersion(imm.GridTorus((256,)), ambient.flat_chart(1),
+                               "ellipse", a=2.0, b=1.0).im
+
+
+def _uniform_field_cases():
+    ellipse = _ellipse_256()
+    for scale in (1.5, -1.5):
+        yield (f"256-node ellipse, scale {scale}", ellipse,
+               imm.coordinate_field(ellipse.grid, 0, scale=scale))
+    for name, im in [("flat (256, 16) torus", perturbed_torus((256, 16))),
+                     ("wound (256, 16) torus", wound_torus((256, 16)))]:
+        for axis in range(2):
+            yield f"{name}, coordinate {axis}", im, imm.coordinate_field(im.grid, axis)
+    # a winding along both axes adds both columns at DC
+    im = wound_torus((256, 16))
+    comp = np.stack([np.full(im.grid.sizes, 0.8), np.full(im.grid.sizes, -0.5)])
+    yield "wound (256, 16) torus, two axes", im, imm.VectorFieldOnL(grid=im.grid, components=comp)
+
+
+@pytest.mark.parametrize("case", list(_uniform_field_cases()), ids=lambda c: c[0])
+def test_uniform_field_steps_on_the_half_spectrum(case, monkeypatch):
+    _, im, X = case
+    built = []
+    make = gf._fourier_step
+
+    def recording(*args):
+        built.append(args[3])
+        return make(*args)
+
+    def derivative(*args, **kwargs):
+        raise AssertionError("the per-mode step differentiates nothing")
+
+    monkeypatch.setattr(gf, "_fourier_step", recording)
+    monkeypatch.setattr(gf._spectral, "spectral_derivative", derivative)
+    times, states = gf._rk4_states(im, X, 0.05, 2.5e-3)
+    stepped = [pts for pts, _ in states]
+    monkeypatch.undo()
+    # one step operator per call, with every live axis and its number
+    assert built == [[(k, float(X.components[k].flat[0]))
+                      for k in range(im.n) if np.any(X.components[k] != 0.0)]]
+    ref_times, ref = flow_timestep_full_spectrum(im, X, 0.05, 2.5e-3)
+    assert times == ref_times
+    gap = max(float(np.max(np.abs(np.moveaxis(a, 0, -1) - b))) for a, b in zip(stepped, ref))
+    assert gap <= 1e-13
+    assert np.max(np.abs(np.moveaxis(stepped[-1], 0, -1) - im.points)) >= 1e-3
+
+
+def test_the_per_mode_step_filters_what_it_steps():
+    # random points carry energy past the cutoffs on both axes: the step
+    # keeps none of it, so stepping them is stepping their filtered part
+    sizes = (256, 16)
+    cutoffs = [int(gf.DEALIAS_FRACTION * (s // 2)) for s in sizes]
+    J = ambient.flat_chart(2).J
+    advance = gf._fourier_step(J, sizes, cutoffs, [(0, 0.8), (1, -0.5)], 2.5e-3, None)
+    points = np.random.default_rng(3).normal(size=(4,) + sizes)
+    filtered, _ = gf._dealias_by_fft(sizes, cutoffs, 4)(points)
+    (got, got_frac), (want, want_frac) = advance(points), advance(filtered)
+    assert np.max(np.abs(got - want)) <= 1e-14
+    assert abs(got_frac - want_frac) <= 1e-14
+
+
+def test_a_uniform_field_with_a_bump_steps_by_stages(monkeypatch):
+    im = _ellipse_256()
+    X = imm.coordinate_field(im.grid, 0)
+    # within the tolerances of _coordinate_alignment, but not exactly uniform
+    X.components[0, 7] += 1e-15
+    monkeypatch.setattr(gf, "_fourier_step", None)     # not built
+    flow = gf.flow_timestep(im, X, 0.05, 2.5e-3)
+    times, ref = flow_timestep_full_spectrum(im, X, 0.05, 2.5e-3)
+    assert flow.times == times
+    assert max(float(np.max(np.abs(a.points - b)))
+               for a, b in zip(flow.immersions, ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("c", [1.5, -1.5])
+def test_uniform_field_frames_are_the_rk4_polynomial_on_each_mode(c):
+    # 2 cos + i sin = 1.5 e^{i theta} + 0.5 e^{-i theta}, and dz/dt = i c dz/dtheta
+    # takes mode m to R(-m c h) times itself in each RK4 step of size h
+    im = _ellipse_256()
+    h = 2.5e-3
+    flow = gf.flow_timestep(im, imm.coordinate_field(im.grid, 0, scale=c), 20 * h, h)
+    assert len(flow.immersions) == 21
+
+    def R(z):
+        return 1.0 + z + z ** 2 / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0
+
+    theta = im.grid.thetas(0)
+    gap = max(float(np.max(np.abs(
+        frame.points[:, 0] + 1j * frame.points[:, 1]
+        - (1.5 * R(-c * h) ** k * np.exp(1j * theta) + 0.5 * R(c * h) ** k * np.exp(-1j * theta)))))
+        for k, frame in enumerate(flow.immersions))
+    assert gap <= 2e-13
+
+
 def test_commutator_clean_flows(circle):
     X = imm.coordinate_field(circle.grid, 0)
     flow = gf.flow_spectral(circle, X, list(np.linspace(0.0, 0.1, 11)))
