@@ -564,7 +564,6 @@ def _op_flow_run(s, out_dir, raw):
         "scheme": flow.scheme,
         "field": raw.get("field", {"kind": "coordinate"}),
         "amplification": flow.amplification,
-        "geodesic_residual": flow.geodesic_residual,
         "times": [float(t) for t in flow.times],
     }
     mpath = os.path.join(out_dir, "flow_manifest.json")

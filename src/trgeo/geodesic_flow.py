@@ -11,19 +11,18 @@ the metric, and every chart here carries the standard J:
   drift t c J(W e_k). Negative modes grow like e^{|m| c t}, which is the
   ill-posedness of the inward problem: growth past amp_max aborts, and for
   curves whose adverse-side radius estimate pins them to the unit circle the
-  flow refuses to start at all. The family is made, residual-checked and
-  validated in blocks of at most _BLOCK_NODES grid nodes, each laid out
+  flow refuses to start at all. The family is made, checked and validated
+  in blocks of at most _BLOCK_NODES grid nodes, each laid out
   (B, 2n) + grid.sizes with the components ahead of the grid axes. The
   spectrum is taken once per family, for the growth guard and the
   continuation alike. One inverse FFT along the flow axis gives a block's
-  points and both coordinate vector fields, the geodesic residual
-  transforms the points along that axis alone, and the stack check
-  validates the block from the Gram and omega matrices of those vectors,
-  building no frame; it refuses a family that leaves the chart's domain.
-  The transforms of the continuation and of the residual run in place in
-  work arrays made once per family; only the points block is new for each
-  block, since members are views of it, and a block's vectors are valid
-  until the next block is requested.
+  points and both coordinate vector fields; one reduction checks that the
+  points are finite, and the stack check validates the block from the
+  Gram and omega matrices of those vectors, building no frame; it refuses
+  a family that leaves the chart's domain. The transforms of the
+  continuation run in place in work arrays made once per family; only the
+  points block is new for each block, since members are views of it, and
+  a block's vectors are valid until the next block is requested.
 
 * flow_timestep: guarded RK4 with a 2/3 dealiasing filter and a spectral
   tail-energy monitor that aborts (BlowUpDetected) when the retained top
@@ -49,7 +48,7 @@ the metric, and every chart here carries the standard J:
 
 geodesic_family is the generator the variation oracles use: the
 continuation of flow_spectral, with the same setup and guards
-(_spectral_setup) and the residual check, but no stack check, for
+(_spectral_setup) and the finiteness check, but no stack check, for
 X = c d/dtheta_k and, after reparametrizing that axis to constant speed,
 for X = f(theta_k) d/dtheta_k with f > 0. tangential_flow is the flow of
 such an X on L itself, iota o phi_t(X).
@@ -62,7 +61,6 @@ mapping theorem. Each step eliminates the correspondence angles node by node.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -79,7 +77,7 @@ SPECTRAL_PRESENCE_FLOOR = 1e-15
 # the largest exponent whose e^x is a finite float
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 # grid nodes one block of a spectral family holds (8 frames of 32x32); fixes
-# how many frames are continued, residual-checked and validated at a time
+# how many frames are continued, checked and validated at a time
 _BLOCK_NODES = 8192
 # flow_timestep steps a one-axis field by one cached step operator when no
 # grid axis is longer; its dense products lose to FFT stages from 256 nodes
@@ -100,7 +98,6 @@ class FlowResult:
     immersions: list
     amplification: float
     scheme: str                  # "spectral" | "timestep"
-    geodesic_residual: Optional[float] = None
 
 
 @dataclass
@@ -261,20 +258,18 @@ def flow_spectral(im, X, ts):
     """Exact mode-wise continuation for a coordinate-aligned field on any chart.
 
     The frames are produced in blocks of at most _BLOCK_NODES grid nodes;
-    every block passes the geodesic residual check and the stack checks
-    (immersion._check_stack) before the next is made, and the blocks are
-    collected into one FlowResult. On the disk and the ball the stack check
-    refuses a member that leaves the chart's domain (PointOutsideDomain). A
-    family that fails both checks reports the failure of its earliest
-    failing block.
+    every block passes the finiteness check of _checked_blocks (NotFinite)
+    and the stack checks (immersion._check_stack) before the next is made,
+    and the blocks are collected into one FlowResult. On the disk and the
+    ball the stack check refuses a member that leaves the chart's domain
+    (PointOutsideDomain). A family that fails reports the failure of its
+    earliest failing block.
     """
     axis, c, ts, spectrum, amp = _spectral_setup(im, X, ts)
-    immersions, residual = [], 0.0
-    for pts, res in _checked_blocks(im, spectrum, axis, c, ts, validated=True):
-        residual = max(residual, res)
-        immersions += _members(im, pts)
+    immersions = [m for pts in _checked_blocks(im, spectrum, axis, c, ts, validated=True)
+                  for m in _members(im, pts)]
     return FlowResult(times=ts, immersions=immersions, amplification=amp,
-                      scheme="spectral", geodesic_residual=residual)
+                      scheme="spectral")
 
 
 def geodesic_family(im, Y, ts):
@@ -286,8 +281,9 @@ def geodesic_family(im, Y, ts):
     (1/R) d/dpsi, and continued mode-wise; the same angle substitution
     applies to every transverse slice. Anything else raises
     GeodesicUnavailable. The family passes the guards of _spectral_setup
-    and the geodesic residual check block by block; its members are not
-    validated here, since callers integrate each through is_totally_real.
+    and the finiteness check of _checked_blocks block by block (NotFinite);
+    its members are not validated here, since callers integrate each
+    through is_totally_real.
     """
     if _coordinate_alignment(Y) is None:
         prof = _axis_profile(Y)
@@ -301,7 +297,7 @@ def geodesic_family(im, Y, ts):
         im = _resample_axis(im, axis, rep["theta_of_s"])
         Y = coordinate_field(im.grid, axis, 1.0 / rep["R"])
     axis, c, ts, spectrum, _ = _spectral_setup(im, Y, ts)
-    return [m for pts, _ in _checked_blocks(im, spectrum, axis, c, ts)
+    return [m for pts in _checked_blocks(im, spectrum, axis, c, ts)
             for m in _members(im, pts)]
 
 
@@ -319,9 +315,7 @@ def _spectral_setup(im, X, ts):
     al = _coordinate_alignment(X)
     if al is None:
         raise UnsupportedField(
-            "flow_spectral needs X = c * d/dtheta_k; reparametrize general "
-            "curve fields first"
-        )
+            "the spectral continuation needs a coordinate field, X = c d/dtheta_k")
     axis, c = al
     ts = [float(t) for t in ts]
     spectrum = _present_spectrum(im)
@@ -331,81 +325,24 @@ def _spectral_setup(im, X, ts):
 
 
 def _checked_blocks(im, spectrum, axis, c, ts, validated=False):
-    """Blocks of _continued_blocks with their geodesic residuals, each checked.
+    """The points blocks of _continued_blocks, each checked before the next.
 
-    This is the one path to the continuation. A block whose residual is not
-    below 1e-8 (NaN included) raises AmplificationExceeded. With validated
-    (flow_spectral, uniqueness_compare), each block then passes the stack
-    checks (immersion._check_stack), made from the coordinate vectors the
-    continuation gives with the points.
+    This is the one path to the continuation. A block holding a point that
+    is not finite raises NotFinite naming the block's first and last time.
+    With validated (flow_spectral, uniqueness_compare), each block then
+    passes the stack checks (immersion._check_stack), made from the
+    coordinate vectors the continuation gives with the points.
     """
-    residual_of = _geodesic_residual(im, axis, c, _block_frames(im, ts))
+    first = 0
     for pts, vs in _continued_blocks(im, spectrum, axis, c, ts, validated):
-        residual = residual_of(pts)
-        if not residual <= 1e-8:
-            raise AmplificationExceeded(
-                f"continued frames violate the geodesic equation by {residual:.3g}"
-            )
+        last = first + len(pts) - 1
+        if not np.isfinite(pts).all():
+            raise NotFinite(f"the spectral continuation is not finite in the block "
+                            f"of t = {ts[first]:.6g} to {ts[last]:.6g}")
         if validated:
             _check_stack(im.grid, im.chart, pts, vs, im.winding)
-        yield pts, residual
-
-
-def _block_frames(im, ts):
-    """Frames in a full block of the family at ts: as many as _BLOCK_NODES
-    grid nodes hold (at least one), or all of ts when they are fewer."""
-    return max(1, min(len(ts), _BLOCK_NODES // math.prod(im.grid.sizes)))
-
-
-def _geodesic_residual(im, axis, c, frames):
-    """points -> max |d iota/dt - J iota_* X| over a block of frames, both
-    sides spectral.
-
-    points is a block (B, 2n) + grid.sizes of _continued_blocks with B at
-    most frames; the work arrays are made once, for every block of the
-    family, and each transform runs in place. Both sides act along the flow
-    axis only, from one forward transform of the points along it: d/dt of
-    the continuation scales mode m by -m c; the right-hand side is J applied
-    to c d iota/dtheta_axis, the derivative taking i m with the modes of the
-    continuation. The two multiplied spectra are stacked, so one inverse
-    transform gives both sides. On an even axis that keeps the Nyquist mode
-    as m = -n/2, where spectral_derivative (made for real data) drops it;
-    the two sides are identical in exact arithmetic, so the residual
-    certifies the implementation rather than the data. NaN anywhere gives
-    NaN.
-    """
-    n = im.chart.n
-    nk = im.grid.sizes[axis]
-    shape = [1] * (2 + im.n)
-    shape[2 + axis] = nk
-    m = np.reshape(_spectral.modes(nk), shape)
-    i_m = 1j * m
-    z = np.empty((frames, n) + im.grid.sizes, dtype=complex)
-    # d z/dt and the right-hand side
-    sides = np.empty((2,) + z.shape, dtype=complex)
-    mags = np.empty(z.shape)
-    shift = None
-    if im.winding is not None:
-        w = im.winding[:n, axis] + 1j * im.winding[n:, axis]
-        shift = 1j * c * np.reshape(w, (n,) + (1,) * im.n)
-
-    def residual(points):
-        b = len(points)
-        coeffs, both = z[:b], sides[:, :b]
-        coeffs.real = points[:, :n]
-        coeffs.imag = points[:, n:]
-        np.fft.fft(coeffs, axis=2 + axis, out=coeffs)
-        np.multiply(coeffs, -c, out=both[0])
-        both[0] *= m
-        np.multiply(coeffs, i_m, out=both[1])
-        np.fft.ifft(both, axis=3 + axis, out=both)
-        both[1] *= 1j * c
-        if shift is not None:
-            both += shift
-        dz_dt, rhs = both
-        dz_dt -= rhs
-        return float(np.max(np.abs(dz_dt, out=mags[:b])))
-    return residual
+        first = last + 1
+        yield pts
 
 
 def _continued_blocks(im, spectrum, axis, c, ts, vectors=False):
@@ -436,7 +373,9 @@ def _continued_blocks(im, spectrum, axis, c, ts, vectors=False):
         # linear part W theta_axis continues to W(theta + i c t): drift i c w
         w = im.winding[:n, axis] + 1j * im.winding[n:, axis]
         drift = np.reshape(1j * c * w, (n, 1) + (1,) * im.n)
-    frames = _block_frames(im, ts)
+    # a full block: as many frames as _BLOCK_NODES grid nodes hold (at
+    # least one), or all of ts when they are fewer
+    frames = max(1, min(len(ts), _BLOCK_NODES // math.prod(im.grid.sizes)))
     if vectors:
         # rows (1 + n_grid, n, 1) + grid.sizes: z, then d z/dtheta_k for each
         # grid axis k, physical along every grid axis but the flow axis
@@ -813,16 +752,17 @@ def uniqueness_compare(im, X, t_final):
 
     The stepper (_rk4_states) takes UNIQUENESS_STEPS RK4 steps to t_final
     in physical space, and its schedule gives the times of the spectral
-    family. The family goes through the checks of flow_spectral block by
-    block, and the stepper advances beside it: each stepped state is
-    subtracted from the block frame of its time, and the block is dropped
-    after one reduction. So neither family is held: at most one block and
+    family. The family goes through the checks of flow_spectral (finite
+    points, then the stack checks) block by block, and the stepper advances
+    beside it: each stepped state is subtracted from the block frame of its
+    time, and the block is dropped after one reduction. So neither family
+    is held: at most one block and
     one stepped state are alive at a time. The last stepped frame is
     validated (is_totally_real) as in flow_timestep.
 
     The errors are those of stepping first and comparing after: the
     stepper's up-front checks run before the spectral setup, and when the
-    spectral side fails (_spectral_setup, a residual or a stack check),
+    spectral side fails (_spectral_setup, a finiteness or a stack check),
     stepping runs on to t_final and the last frame is validated before
     that failure is raised, so that an error of the stepper wins.
     """
@@ -839,7 +779,7 @@ def uniqueness_compare(im, X, t_final):
             failures.append(err)
 
     worst = 0.0
-    for pts, _ in spectral_blocks():
+    for pts in spectral_blocks():
         # the block is dropped after the comparison, so it takes the
         # differences in place, and one reduction compares the whole block
         for b in pts:

@@ -5,7 +5,7 @@ ambient field Z = iota_* X + J iota_* Y (only the t-derivative at 0 matters,
 so the linear extension is as good as any) with Richardson-extrapolated
 central differences in the step. Second variations are taken along genuine
 geodesic families d iota/dt = J iota_* Y (geodesic_flow.geodesic_family, the
-guarded and residual-checked mode-wise continuation, on every built-in
+guarded and finiteness-checked mode-wise continuation, on every built-in
 chart). The tangential density identities are checked by flowing L along
 X = f(theta_k) d/dtheta_k (geodesic_flow.tangential_flow).
 

@@ -15,13 +15,13 @@ and the dealias filter and the tail-energy monitor run on the complex full
 spectrum. It checks geodesic_flow.flow_timestep, which skips the axes where
 X is zero and works on the half spectrum.
 
-geodesic_residual is the geodesic residual of a block of frames as
-geodesic_flow computed it before its work arrays were made once per
-family: fresh arrays for z = x + i y, its spectrum and each side. It checks
-the buffered geodesic_flow._geodesic_residual bit for bit.
-
-commutator_check measures how far a computed flow surface is from
-commuting coordinate fields, by time differences of the stored frames.
+geodesic_defect is J iota_* X - d iota/dt at the stored frames of a flow,
+d iota/dt from central time differences of the frames and iota_* X from
+their own coordinate vectors. The spectral continuation never forms a time
+derivative, so the defect checks the geodesic equation of its frames
+independently, at any c: it falls like h^4 until round-off.
+commutator_check takes the theta-derivative of that defect, which measures
+how far the flow surface is from commuting coordinate fields.
 mode_growth_guard is the growth guard of geodesic_flow on one immersion,
 with its spectrum taken there.
 
@@ -159,28 +159,35 @@ def mode_growth_guard(im, axis, c, t_extent):
     return gf._growth_guard(im, gf._present_spectrum(im), axis, c, t_extent)
 
 
-def geodesic_residual(points, im, axis, c):
-    """max |d iota/dt - J iota_* X| over a block (B, 2n) + grid.sizes."""
-    n = im.chart.n
-    z = points[:, :n] + 1j * points[:, n:]
-    nk = im.grid.sizes[axis]
-    shape = [1] * z.ndim
-    shape[2 + axis] = nk
-    m = np.reshape(modes(nk), shape)
-    coeffs = np.fft.fft(z, axis=2 + axis)
-    dz_dt = coeffs * -c
-    dz_dt *= m
-    dz_dt = np.fft.ifft(dz_dt, axis=2 + axis)
-    coeffs *= 1j * m
-    rhs = np.fft.ifft(coeffs, axis=2 + axis)
-    rhs *= 1j * c
-    if im.winding is not None:
-        w = im.winding[:n, axis] + 1j * im.winding[n:, axis]
-        w = np.reshape(w, (n,) + (1,) * im.n)
-        dz_dt = dz_dt + 1j * c * w
-        rhs = rhs + 1j * c * w
-    dz_dt -= rhs
-    return float(np.max(np.abs(dz_dt)))
+def geodesic_defect(flow, X):
+    """J iota_* X - d iota/dt at each interior frame of a flow, laid out as
+    the points, in the order of the frames.
+
+    The time grid must be uniform with at least 3 samples. d iota/dt is the
+    4th-order central difference of the frames when five are available,
+    else the 2nd-order one; the linear part of a winding does not depend on
+    t, so the points alone are differenced.
+    """
+    times = np.asarray(flow.times, dtype=float)
+    if times.size < 3:
+        raise ValidationError("the geodesic defect needs at least 3 time samples")
+    dt_grid = np.diff(times)
+    h = float(dt_grid[0])
+    if not np.allclose(dt_grid, h, rtol=1e-10, atol=1e-14):
+        raise ValidationError("the geodesic defect expects a uniform time grid")
+    ims = flow.immersions
+    pts = np.stack([im.points for im in ims])
+    J = ims[0].chart.J
+    lo = 2 if times.size >= 5 else 1
+    defects = []
+    for k in range(lo, times.size - lo):
+        if lo == 2:
+            dpdt = (pts[k - 2] - 8 * pts[k - 1] + 8 * pts[k + 1] - pts[k + 2]) / (12 * h)
+        else:
+            dpdt = (pts[k + 1] - pts[k - 1]) / (2 * h)
+        push = np.einsum("k...,k...i->...i", X.components, ims[k].coordinate_vectors())
+        defects.append(np.einsum("ij,...j->...i", J, push) - dpdt)
+    return defects
 
 
 def commutator_check(flow, X):
@@ -188,45 +195,10 @@ def commutator_check(flow, X):
 
     The two coordinate fields of the immersed strip must commute; since the
     spectral-in-s and FD-in-t operators commute exactly, the returned residual
-    measures the s-derivative of the geodesic defect J iota_* X - d iota/dt.
-    Time derivatives use 4th-order central differences when five frames are
-    available, else 2nd-order.
+    is the largest s-derivative of the geodesic defect J iota_* X - d iota/dt
+    (geodesic_defect) along the axis of X.
     """
-    times = np.asarray(flow.times, dtype=float)
-    if times.size < 3:
-        raise ValidationError("commutator check needs at least 3 time samples")
-    ims = flow.immersions
     al = gf._coordinate_alignment(X)
-    pts = np.stack([im.points for im in ims])
-    if ims[0].winding is not None:
-        mesh = ims[0].grid.mesh()
-        lin = sum(np.asarray(m)[..., None] * ims[0].winding[:, k]
-                  for k, m in enumerate(mesh))
-        pts = pts + lin
-    J = ims[0].chart.J
-
-    def push(k):
-        im_k = ims[k]
-        vs = im_k.coordinate_vectors()
-        return np.einsum("k...,k...i->...i", X.components, vs)
-
-    dt_grid = np.diff(times)
-    h = float(dt_grid[0])
-    uniform = np.allclose(dt_grid, h, rtol=1e-10, atol=1e-14)
-    if not uniform:
-        raise ValidationError("commutator check expects a uniform time grid")
-    worst = 0.0
-    use4 = times.size >= 5
-    lo = 2 if use4 else 1
-    hi = times.size - lo
     axis = al[0] if al is not None else 0
-    for k in range(lo, hi):
-        if use4:
-            dpdt = (pts[k - 2] - 8 * pts[k - 1] + 8 * pts[k + 1] - pts[k + 2]) / (12 * h)
-        else:
-            dpdt = (pts[k + 1] - pts[k - 1]) / (2 * h)
-        ja = np.einsum("ij,...j->...i", J, push(k))
-        defect = ja - dpdt
-        resid = spectral_derivative(defect, axis=axis)
-        worst = max(worst, float(np.max(np.abs(resid))))
-    return worst
+    return max(float(np.max(np.abs(spectral_derivative(defect, axis=axis))))
+               for defect in geodesic_defect(flow, X))

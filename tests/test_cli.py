@@ -738,6 +738,40 @@ def test_a_flow_leaving_the_disk_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+_FLAT_CIRCLE = {"chart": {"name": "flat_c1"},
+                "immersion": {"formula": "circle", "grid": 64}}
+
+
+@pytest.mark.parametrize("params", [
+    {"scheme": "spectral", "times": [0.0, 0.1]},
+    {"scheme": "timestep", "t_final": 0.01, "dt": 1e-3},
+], ids=["spectral", "timestep"])
+def test_flow_manifest_keys(tmp_path, params):
+    scn = write_scenario(tmp_path / "s.json", {"version": 1, "operation": "flow.run",
+                                               **_FLAT_CIRCLE, "params": params})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 0
+    manifest = json.loads((out / "flow_manifest.json").read_text())
+    assert sorted(manifest) == ["amplification", "field", "scheme", "times"]
+
+
+@pytest.mark.parametrize("op,params", [
+    ("flow.uniqueness", {"t_final": 0.1}),
+    ("flow.run", {"scheme": "spectral", "times": [0.1]}),
+], ids=["uniqueness", "spectral run"])
+def test_a_spectral_flow_of_a_cosine_field_exits_2(tmp_path, capsys, op, params):
+    scn = write_scenario(tmp_path / "s.json", {
+        "version": 1, "operation": op, **_FLAT_CIRCLE,
+        "field": {"kind": "cosine_axis", "axis": 0, "base": 1.0, "amplitude": 0.3},
+        "params": params})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "trgeo: UnsupportedField: the spectral continuation needs a coordinate "
+        "field, X = c d/dtheta_k\n")
+    assert not (out / "results.json").exists()
+
+
 _ELLIPSE = {"terms": {"1": [1.0, 0.0], "-1": [0.3, 0.0]}, "N": 64}
 _FLAT_TORUS = {"chart": {"name": "flat_c2"},
                "immersion": {"formula": "product_torus", "grid": 32,

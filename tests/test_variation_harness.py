@@ -342,7 +342,7 @@ def test_convexity_refuses_a_family_key_it_does_not_read():
 
 def test_convexity_quotient_shear_resolved_at_32():
     # the 32x32 family carries Nyquist content along the sheared axis and
-    # agrees with the 64x64 one: the geodesic residual must accept it
+    # agrees with the 64x64 one
     ts = np.linspace(0.0, 0.4, 8)
     profs = [vh.convexity_experiment(
         {"kind": "quotient_torus_shear", "amplitude": 0.3, "grid": g}, ts)
