@@ -97,12 +97,6 @@ class NotNested(ValidationError):
     pass
 
 
-# --- variation harness ---------------------------------------------------
-
-class GeodesicUnavailable(NumericalError):
-    pass
-
-
 # --- cli -----------------------------------------------------------------
 
 class ParseError(ValidationError):

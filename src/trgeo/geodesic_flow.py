@@ -1,25 +1,26 @@
 """Flows of L: canonical geodesics d iota/dt = J iota_* X, the tangential flow
 of X, and the two-curve problem.
 
-Two schemes solve the Cauchy problem for coordinate-aligned X on any chart.
-The geodesics are families of J-holomorphic curves, so they use J and not
-the metric, and every chart here carries the standard J:
+Two schemes solve the Cauchy problem for X = f(theta_k) d/dtheta_k on any
+chart. The geodesics are families of J-holomorphic curves, so they use J
+and not the metric, and every chart here carries the standard J:
 
 * flow_spectral: exact continuation of the trigonometric-polynomial
   representative. For X = c d/dtheta_k each Fourier mode m along axis k is
   multiplied by e^{-m c t}; a winding (linear) part picks up the constant
-  drift t c J(W e_k). Negative modes grow like e^{|m| c t}, which is the
-  ill-posedness of the inward problem: growth past amp_max aborts, and for
-  curves whose adverse-side radius estimate pins them to the unit circle the
-  flow refuses to start at all. The family is made, checked and validated
-  in blocks of at most _BLOCK_NODES grid nodes, each laid out
-  (B, 2n) + grid.sizes with the components ahead of the grid axes. The
-  spectrum is taken once per family, for the growth guard and the
-  continuation alike. One inverse FFT along the flow axis gives a block's
-  points and both coordinate vector fields; one reduction checks that the
-  points are finite, and the stack check validates the block from the
-  Gram and omega matrices of those vectors, building no frame; it refuses
-  a family that leaves the chart's domain. The transforms of the
+  drift t c J(W e_k). A varying f > 0 is continued on the axis
+  reparametrized to constant speed. Negative modes grow like e^{|m| c t},
+  which is the ill-posedness of the inward problem: growth past amp_max
+  aborts, and for curves whose adverse-side radius estimate pins them to
+  the unit circle the flow refuses to start at all. The family is made,
+  checked and validated in blocks of at most _BLOCK_NODES grid nodes, each
+  laid out (B, 2n) + grid.sizes with the components ahead of the grid
+  axes. The spectrum is taken once per family, for the growth guard and
+  the continuation alike. One inverse FFT along the flow axis gives a
+  block's points and both coordinate vector fields; one reduction checks
+  that the points are finite, and the stack check validates the block
+  from the Gram and omega matrices of those vectors, building no frame; it
+  refuses a family that leaves the chart's domain. The transforms of the
   continuation run in place in work arrays made once per family; only the
   points block is new for each block, since members are views of it, and
   a block's vectors are valid until the next block is requested.
@@ -46,12 +47,8 @@ the metric, and every chart here carries the standard J:
   uniqueness_compare, which subtracts each state from the spectral block
   of its time and keeps none.
 
-geodesic_family is the generator the variation oracles use: the
-continuation of flow_spectral, with the same setup and guards
-(_spectral_setup) and the finiteness check, but no stack check, for
-X = c d/dtheta_k and, after reparametrizing that axis to constant speed,
-for X = f(theta_k) d/dtheta_k with f > 0. tangential_flow is the flow of
-such an X on L itself, iota o phi_t(X).
+tangential_flow is the flow of X = f(theta_k) d/dtheta_k on L itself,
+iota o phi_t(X).
 
 solve_bvp_annulus fits a Laurent polynomial annulus map between two nested
 Jordan curves by Gauss-Newton on (modulus, coefficients, boundary
@@ -66,9 +63,8 @@ import numpy as np
 
 from . import _spectral, curve_lab
 from .errors import (AliasingDetected, AmplificationExceeded, BadArgument, BlowUpDetected,
-                     GeodesicUnavailable, NotFinite, NotNested, StepTooLarge,
-                     UnsupportedField, ValidationError)
-from .immersion import Immersion, _check_stack, coordinate_field, is_totally_real
+                     NotFinite, NotNested, StepTooLarge, UnsupportedField, ValidationError)
+from .immersion import Immersion, _check_stack, _volumes, is_totally_real
 
 AMP_MAX = 1e6
 TAIL_ENERGY_ABORT = 1e-3
@@ -98,6 +94,7 @@ class FlowResult:
     immersions: list
     amplification: float
     scheme: str                  # "spectral" | "timestep"
+    vol_j: list | None = None    # Vol_J of each member; None for timestep runs
 
 
 @dataclass
@@ -131,31 +128,22 @@ def _axis_profile(X):
     return axis, f[:, 0]
 
 
-def _coordinate_alignment(X):
-    """(axis, c) when X = c d/dtheta_axis with constant c, else None."""
-    prof = _axis_profile(X)
-    if prof is None:
-        return None
-    axis, f = prof
-    if np.max(np.abs(f - f[0])) > 1e-12 * max(1.0, abs(f[0])):
-        return None
-    return axis, float(f[0])
+def _resample_axis(points, axis, theta, w=None):
+    """points with the nodes along one of its axes moved to the angles theta.
 
-
-def _resample_axis(im, axis, theta):
-    """im with the nodes of one grid axis moved to the angles theta.
-
-    theta holds one new angle per node of that axis; every slice across the
-    axis is re-evaluated at the same angles from its Fourier series, and a
-    winding part W theta picks up W (theta - theta_node).
+    theta holds one new angle per node of that axis; every line along it is
+    re-evaluated at the same angles from its Fourier series. A winding
+    column w = W e_k, laid out to broadcast against points, picks up
+    w (theta - theta_node).
     """
-    coeffs = _spectral.fourier_coefficients(np.moveaxis(im.points, axis, 0))
-    pts = np.moveaxis(_spectral.evaluate_fourier(coeffs, theta), 0, axis).real
-    if im.winding is not None:
-        shape = [1] * im.points.ndim
+    coeffs = _spectral.fourier_coefficients(np.moveaxis(points, axis, 0))
+    out = np.moveaxis(_spectral.evaluate_fourier(coeffs, theta), 0, axis).real
+    if w is not None:
+        shape = [1] * points.ndim
         shape[axis] = theta.size
-        pts = pts + (theta - im.grid.thetas(axis)).reshape(shape) * im.winding[:, axis]
-    return Immersion(grid=im.grid, chart=im.chart, points=pts, winding=im.winding)
+        nodes = 2.0 * np.pi * np.arange(theta.size) / theta.size
+        out = out + (theta - nodes).reshape(shape) * w
+    return out
 
 
 def _interpolant(values):
@@ -181,7 +169,9 @@ def tangential_flow(im, X, t):
     h = t / TANGENTIAL_SUBSTEPS
     for _ in range(TANGENTIAL_SUBSTEPS):
         theta = _spectral.rk4_step(rate, theta, h)
-    return _resample_axis(im, axis, theta)
+    w = None if im.winding is None else im.winding[:, axis]
+    return Immersion(grid=im.grid, chart=im.chart, winding=im.winding,
+                     points=_resample_axis(im.points, axis, theta, w))
 
 
 def _complex_components(im):
@@ -255,50 +245,25 @@ def _growth_guard(im, spectrum, axis, c, t_extent):
 
 
 def flow_spectral(im, X, ts):
-    """Exact mode-wise continuation for a coordinate-aligned field on any chart.
+    """Exact mode-wise continuation of X = f(theta_k) d/dtheta_k on any chart.
 
-    The frames are produced in blocks of at most _BLOCK_NODES grid nodes;
-    every block passes the finiteness check of _checked_blocks (NotFinite)
-    and the stack checks (immersion._check_stack) before the next is made,
-    and the blocks are collected into one FlowResult. On the disk and the
-    ball the stack check refuses a member that leaves the chart's domain
-    (PointOutsideDomain). A family that fails reports the failure of its
-    earliest failing block.
+    f must be constant or positive (_spectral_setup). The frames are
+    produced in blocks of at most _BLOCK_NODES grid nodes; every block
+    passes the finiteness check of _checked_blocks (NotFinite) and the
+    stack checks (immersion._check_stack) before the next is made, and the
+    blocks are collected into one FlowResult, whose vol_j totals each
+    member's densities from its stack check (immersion._volumes). On the
+    disk and the ball the stack check refuses a member that leaves the
+    chart's domain (PointOutsideDomain). A family that fails reports the
+    failure of its earliest failing block.
     """
-    axis, c, ts, spectrum, amp = _spectral_setup(im, X, ts)
-    immersions = [m for pts in _checked_blocks(im, spectrum, axis, c, ts, validated=True)
-                  for m in _members(im, pts)]
+    cont, axis, c, ts, spectrum, amp, psi = _spectral_setup(im, X, ts)
+    immersions, vol_j = [], []
+    for pts, (induced_vol, volj) in _checked_blocks(cont, spectrum, axis, c, ts, psi):
+        immersions += _members(im, pts)
+        vol_j += [_volumes(j, g, im.grid.cell)["vol_j"] for j, g in zip(volj, induced_vol)]
     return FlowResult(times=ts, immersions=immersions, amplification=amp,
-                      scheme="spectral")
-
-
-def geodesic_family(im, Y, ts):
-    """Immersions along the geodesic d iota/dt = J iota_* Y at the times ts.
-
-    Y = c d/dtheta_k: the continuation of flow_spectral. Y = f(theta_k)
-    d/dtheta_k with f > 0: the integral curves close up along the axis
-    circle, so the axis is reparametrized to constant speed, where Y becomes
-    (1/R) d/dpsi, and continued mode-wise; the same angle substitution
-    applies to every transverse slice. Anything else raises
-    GeodesicUnavailable. The family passes the guards of _spectral_setup
-    and the finiteness check of _checked_blocks block by block (NotFinite);
-    its members are not validated here, since callers integrate each
-    through is_totally_real.
-    """
-    if _coordinate_alignment(Y) is None:
-        prof = _axis_profile(Y)
-        if prof is None:
-            raise GeodesicUnavailable(
-                "no geodesic family generator for this direction field")
-        axis, f = prof
-        if np.min(f) <= 0.0:
-            raise GeodesicUnavailable("axis-profile families need f > 0 everywhere")
-        rep = curve_lab.reparametrize_by_field(_interpolant(f), M=im.grid.sizes[axis])
-        im = _resample_axis(im, axis, rep["theta_of_s"])
-        Y = coordinate_field(im.grid, axis, 1.0 / rep["R"])
-    axis, c, ts, spectrum, _ = _spectral_setup(im, Y, ts)
-    return [m for pts in _checked_blocks(im, spectrum, axis, c, ts)
-            for m in _members(im, pts)]
+                      scheme="spectral", vol_j=vol_j)
 
 
 def _members(im, pts):
@@ -308,55 +273,79 @@ def _members(im, pts):
 
 
 def _spectral_setup(im, X, ts):
-    """(axis, c, ts, spectrum, amplification) of a spectral flow, after its
-    guards; spectrum is the _present_spectrum of im. The amplification is
-    _growth_guard's at the farthest time on each side of t = 0, the two
-    sides continuing in opposite directions; 1 when nothing moves."""
-    al = _coordinate_alignment(X)
-    if al is None:
-        raise UnsupportedField(
-            "the spectral continuation needs a coordinate field, X = c d/dtheta_k")
-    axis, c = al
+    """(im, axis, c, ts, spectrum, amplification, psi) of a spectral flow of
+    X = f(theta_k) d/dtheta_k (_axis_profile), after its guards.
+
+    A constant f = c is continued on the grid of im; psi is None. A varying
+    f > 0 is continued at constant speed: with R = (1/2pi) int dtheta / f,
+    X = (1/R) d/dpsi, so im comes resampled at theta(psi_j)
+    (curve_lab.reparametrize_by_field) and c = 1/R, and psi holds the
+    angles psi(theta_j) that map the members back, inverting
+    theta(psi) = int R f(theta(psi)) (_spectral.invert_cumulative). Other
+    fields raise UnsupportedField. spectrum is the _present_spectrum of im.
+    The amplification is _growth_guard's at the farthest time on each side
+    of t = 0, the two sides continuing in opposite directions; 1 when
+    nothing moves.
+    """
+    prof = _axis_profile(X)
+    if prof is None:
+        raise UnsupportedField("the spectral continuation needs X = f(theta_k) d/dtheta_k")
+    axis, f = prof
+    c, psi = float(f[0]), None
+    if np.max(np.abs(f - f[0])) > 1e-12 * max(1.0, abs(f[0])):
+        if not np.min(f) > 0.0:
+            raise UnsupportedField("the spectral continuation needs f > 0 everywhere")
+        rate = _interpolant(f)
+        rep = curve_lab.reparametrize_by_field(rate, M=f.size)
+        theta = rep["theta_of_s"]
+        w = None if im.winding is None else im.winding[:, axis]
+        im = Immersion(grid=im.grid, chart=im.chart, winding=im.winding,
+                       points=_resample_axis(im.points, axis, theta, w))
+        c = 1.0 / rep["R"]
+        psi, _ = _spectral.invert_cumulative(rep["R"] * rate(theta), np.arange(f.size) / f.size)
     ts = [float(t) for t in ts]
     spectrum = _present_spectrum(im)
     ends = sorted({min(ts, default=0.0), max(ts, default=0.0)} - {0.0})
     amp = max((_growth_guard(im, spectrum, axis, c, t) for t in ends), default=1.0)
-    return axis, c, ts, spectrum, amp
+    return im, axis, c, ts, spectrum, amp, psi
 
 
-def _checked_blocks(im, spectrum, axis, c, ts, validated=False):
+def _checked_blocks(im, spectrum, axis, c, ts, psi):
     """The points blocks of _continued_blocks, each checked before the next.
 
     This is the one path to the continuation. A block holding a point that
-    is not finite raises NotFinite naming the block's first and last time.
-    With validated (flow_spectral, uniqueness_compare), each block then
-    passes the stack checks (immersion._check_stack), made from the
-    coordinate vectors the continuation gives with the points.
+    is not finite raises NotFinite naming the block's first and last time;
+    then it passes the stack checks (immersion._check_stack), made from the
+    coordinate vectors the continuation gives with the points. Each yields
+    (points, (induced_vol, volj)): with psi, the points mapped back to the
+    input's nodes along the flow axis (_resample_axis), and the densities
+    of the stack check on the continued grid.
     """
+    w = None if im.winding is None else np.reshape(im.winding[:, axis], (-1,) + (1,) * im.n)
     first = 0
-    for pts, vs in _continued_blocks(im, spectrum, axis, c, ts, validated):
+    for pts, vs in _continued_blocks(im, spectrum, axis, c, ts):
         last = first + len(pts) - 1
         if not np.isfinite(pts).all():
             raise NotFinite(f"the spectral continuation is not finite in the block "
                             f"of t = {ts[first]:.6g} to {ts[last]:.6g}")
-        if validated:
-            _check_stack(im.grid, im.chart, pts, vs, im.winding)
+        densities = _check_stack(im.grid, im.chart, pts, vs, im.winding)
+        if psi is not None:
+            pts = _resample_axis(pts, 2 + axis, psi, w)
         first = last + 1
-        yield pts
+        yield pts, densities
 
 
-def _continued_blocks(im, spectrum, axis, c, ts, vectors=False):
+def _continued_blocks(im, spectrum, axis, c, ts):
     """Points of the continuation at ts in blocks (B, 2n) + grid.sizes, each
-    paired with its coordinate vectors (n, 2n, B) + grid.sizes, or with None.
+    paired with its coordinate vectors (n, 2n, B) + grid.sizes.
 
     Each Fourier mode m along the axis of each complex component z_k is
     multiplied by e^{-m c t}: spectrum is the _present_spectrum of im, and
     each block of at most _BLOCK_NODES nodes (at least one frame) is one
     inverse transform, run in place in a work array made once per family.
-    Without vectors it is the inverse FFT over the grid axes.
-    With vectors every other grid axis is brought to physical space once,
-    and each block takes one inverse FFT along the flow axis of the stacked
-    rows z, d z/dtheta_0, .., d z/dtheta_(n-1); the derivatives take the
+    Every other grid axis is brought to physical space once, and each block
+    takes one inverse FFT along the flow axis of the stacked rows z,
+    d z/dtheta_0, .., d z/dtheta_(n-1); the derivatives take the
     multipliers of spectral_derivative, so the vectors are
     _coordinate_vectors of the points up to round-off. Each points block is
     a new array, which members may keep as views; the vectors are a view of
@@ -376,43 +365,32 @@ def _continued_blocks(im, spectrum, axis, c, ts, vectors=False):
     # a full block: as many frames as _BLOCK_NODES grid nodes hold (at
     # least one), or all of ts when they are fewer
     frames = max(1, min(len(ts), _BLOCK_NODES // math.prod(im.grid.sizes)))
-    if vectors:
-        # rows (1 + n_grid, n, 1) + grid.sizes: z, then d z/dtheta_k for each
-        # grid axis k, physical along every grid axis but the flow axis
-        rows = [coeffs]
-        for k, size in enumerate(im.grid.sizes):
-            mult_shape = [1] * im.n
-            mult_shape[k] = size
-            mult = _spectral._derivative_multiplier(size, 1, False)
-            rows.append(coeffs * np.reshape(mult, mult_shape))
-        rows = np.stack(rows)
-        for k in range(im.n):
-            if k != axis:
-                rows = np.fft.ifft(rows, axis=3 + k)
-        # (1 + n_grid, n, frames) + grid.sizes: one transform line per row and node
-        work = np.empty(rows.shape[:2] + (frames,) + im.grid.sizes, dtype=complex)
-        vs_work = np.empty((im.n, 2 * n, frames) + im.grid.sizes)
-    else:
-        work = np.empty((n, frames) + im.grid.sizes, dtype=complex)
+    # rows (1 + n_grid, n, 1) + grid.sizes: z, then d z/dtheta_k for each
+    # grid axis k, physical along every grid axis but the flow axis
+    rows = [coeffs]
+    for k, size in enumerate(im.grid.sizes):
+        mult_shape = [1] * im.n
+        mult_shape[k] = size
+        mult = _spectral._derivative_multiplier(size, 1, False)
+        rows.append(coeffs * np.reshape(mult, mult_shape))
+    rows = np.stack(rows)
+    for k in range(im.n):
+        if k != axis:
+            rows = np.fft.ifft(rows, axis=3 + k)
+    # (1 + n_grid, n, frames) + grid.sizes: one transform line per row and node
+    work = np.empty(rows.shape[:2] + (frames,) + im.grid.sizes, dtype=complex)
+    vs_work = np.empty((im.n, 2 * n, frames) + im.grid.sizes)
     for s in range(0, len(ts), frames):
         t = np.reshape(ts[s:s + frames], (-1,) + (1,) * im.n)
-        factors = np.exp(-m_shaped * c * t)
-        vs = None
-        if vectors:
-            out = work[:, :, :len(t)]
-            np.multiply(rows, factors, out=out)
-            np.fft.ifft(out, axis=3 + axis, out=out)
-            z_t = out[0]
-            vs = vs_work[:, :, :len(t)]
-            vs[:, :n] = out[1:].real
-            vs[:, n:] = out[1:].imag
-            if im.winding is not None:
-                vs += im.winding.T.reshape(im.winding.T.shape + (1,) * (1 + im.n))
-        else:
-            z_t = work[:, :len(t)]
-            np.multiply(coeffs, factors, out=z_t)
-            np.fft.ifftn(z_t, axes=tuple(range(2, 2 + im.n)), out=z_t)
-        if drift is not None:
+        out = work[:, :, :len(t)]
+        np.multiply(rows, np.exp(-m_shaped * c * t), out=out)
+        np.fft.ifft(out, axis=3 + axis, out=out)
+        z_t = out[0]
+        vs = vs_work[:, :, :len(t)]
+        vs[:, :n] = out[1:].real
+        vs[:, n:] = out[1:].imag
+        if im.winding is not None:
+            vs += im.winding.T.reshape(im.winding.T.shape + (1,) * (1 + im.n))
             z_t += t * drift
         block = np.empty((len(t), 2 * n) + im.grid.sizes)
         block[:, :n] = z_t.real.swapaxes(0, 1)
@@ -753,11 +731,11 @@ def uniqueness_compare(im, X, t_final):
     The stepper (_rk4_states) takes UNIQUENESS_STEPS RK4 steps to t_final
     in physical space, and its schedule gives the times of the spectral
     family. The family goes through the checks of flow_spectral (finite
-    points, then the stack checks) block by block, and the stepper advances
-    beside it: each stepped state is subtracted from the block frame of its
-    time, and the block is dropped after one reduction. So neither family
-    is held: at most one block and
-    one stepped state are alive at a time. The last stepped frame is
+    points, then the stack checks) block by block, on the grid of im, and
+    the stepper advances beside it: each stepped state is subtracted from
+    the block frame of its time, and the block is dropped after one
+    reduction. So neither family is held: at most one block and one
+    stepped state are alive at a time. The last stepped frame is
     validated (is_totally_real) as in flow_timestep.
 
     The errors are those of stepping first and comparing after: the
@@ -771,15 +749,15 @@ def uniqueness_compare(im, X, t_final):
 
     def spectral_blocks():
         try:
-            axis, c, ts, spectrum, _ = _spectral_setup(im, X, times)
-            yield from _checked_blocks(im, spectrum, axis, c, ts, validated=True)
+            cont, axis, c, ts, spectrum, _, psi = _spectral_setup(im, X, times)
+            yield from _checked_blocks(cont, spectrum, axis, c, ts, psi)
         except Exception as err:
             # any error, not only the package's: it is raised unchanged,
             # only after the stepper's own
             failures.append(err)
 
     worst = 0.0
-    for pts in spectral_blocks():
+    for pts, _ in spectral_blocks():
         # the block is dropped after the comparison, so it takes the
         # differences in place, and one reduction compares the whole block
         for b in pts:

@@ -237,13 +237,8 @@ class Geometry:
         return float(np.max(np.abs(self.rho - self.rho_vol)))
 
     def volumes(self):
-        """Vol_J and Vol_g by deterministic periodic quadrature."""
-        cell = self.im.grid.cell
-        vol_j = _spectral.periodic_total(self.volj_density, cell)
-        vol_g = _spectral.periodic_total(self.induced_vol, cell)
-        if vol_j > vol_g + 1e-10:
-            raise NotTotallyReal("Vol_J exceeds Vol_g beyond tolerance")
-        return {"vol_j": vol_j, "vol_g": vol_g}
+        """Vol_J and Vol_g by deterministic periodic quadrature (_volumes)."""
+        return _volumes(self.volj_density, self.induced_vol, self.im.grid.cell)
 
     @cached_property
     def pi_l(self):
@@ -343,6 +338,15 @@ class Geometry:
                                   max_tangential_leak=float(np.max(np.abs(leak))))
 
 
+def _volumes(volj_density, induced_vol, cell):
+    """Vol_J and Vol_g of one immersion's densities (Geometry.volumes)."""
+    vol_j = _spectral.periodic_total(volj_density, cell)
+    vol_g = _spectral.periodic_total(induced_vol, cell)
+    if vol_j > vol_g + 1e-10:
+        raise NotTotallyReal("Vol_J exceeds Vol_g beyond tolerance")
+    return {"vol_j": vol_j, "vol_g": vol_g}
+
+
 def _rho_vol(vectors, gram, g, J):
     """sqrt( sqrt(det g) * det[v_1 .. v_n, Jv_1 .. Jv_n] / det G ), by LAPACK.
 
@@ -384,13 +388,14 @@ def _check_stack(grid, chart, points, vs, winding):
     points is (B, 2n) + grid.sizes, the components ahead of the grid axes:
     B immersions sharing grid, chart and winding, member b being
     Immersion(points=np.moveaxis(points[b], 0, -1)); vs are its coordinate
-    vectors, (n, 2n, B) + grid.sizes. A domain or metric failure of the
-    stack as a whole is handed to the loop
-    `for p in points: is_totally_real(Immersion(...))`, which names the
-    member.
+    vectors, (n, 2n, B) + grid.sizes. It returns the densities
+    (induced_vol, volj). A domain or metric failure of the stack as a whole
+    is handed to the loop `for p in points: is_totally_real(Immersion(...))`,
+    which names the member.
     """
+    pos = _positions(grid, np.moveaxis(points, 1, -1), winding)
     try:
-        _validate(grid, chart, _positions(grid, np.moveaxis(points, 1, -1), winding), vs)
+        return _validate(grid, chart, pos, vs)[3:]
     except (PointOutsideDomain, MetricNotPositiveDefinite):
         for p in points:
             is_totally_real(Immersion(grid=grid, chart=chart, points=np.moveaxis(p, 0, -1),

@@ -4,10 +4,11 @@ First variations are checked by deforming grid points linearly along an
 ambient field Z = iota_* X + J iota_* Y (only the t-derivative at 0 matters,
 so the linear extension is as good as any) with Richardson-extrapolated
 central differences in the step. Second variations are taken along genuine
-geodesic families d iota/dt = J iota_* Y (geodesic_flow.geodesic_family, the
-guarded and finiteness-checked mode-wise continuation, on every built-in
-chart). The tangential density identities are checked by flowing L along
-X = f(theta_k) d/dtheta_k (geodesic_flow.tangential_flow).
+geodesic families d iota/dt = J iota_* Y, Y = f(theta_k) d/dtheta_k with f
+constant or positive (geodesic_flow.flow_spectral, the guarded and
+validated mode-wise continuation, on every built-in chart), whose Vol_J it
+reports member by member. The tangential density identities are checked by
+flowing L along X = f(theta_k) d/dtheta_k (geodesic_flow.tangential_flow).
 
 Analytic counterparts:
   first variation      -int g(JY, H_J) vol_J
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import _spectral
 from .errors import ValidationError
-from .geodesic_flow import geodesic_family, tangential_flow
+from .geodesic_flow import flow_spectral, tangential_flow
 from .immersion import GridTorus, Immersion, VectorFieldOnL, is_totally_real
 
 # FD steps: first variation (descending, each half the one before), the
@@ -170,8 +171,7 @@ def check_second_variation_kahler(geo, Y, context=""):
     analytic = _spectral.periodic_total(
         second_variation_integrand(geo, Y) * geo.volj_density, geo.im.grid.cell)
     ts = [-2.0 * tau, -tau, 0.0, tau, 2.0 * tau]
-    fam = geodesic_family(geo.im, Y, ts)
-    vols = [is_totally_real(f).volumes()["vol_j"] for f in fam]
+    vols = flow_spectral(geo.im, Y, ts).vol_j
     fd = (-vols[0] + 16.0 * vols[1] - 30.0 * vols[2]
           + 16.0 * vols[3] - vols[4]) / (12.0 * tau ** 2)
     return _make_report(analytic, fd, None, context or "second variation")
@@ -239,8 +239,7 @@ def convexity_experiment(family, t_grid):
         comp = np.zeros((2, gsz, gsz))
         comp[0] = (1.0 + f["amplitude"] * np.cos(theta))[:, None]
         Y = VectorFieldOnL(grid=im.grid, components=comp)
-    fam = geodesic_family(im, Y, list(t_grid))
-    vols = np.array([is_totally_real(f).volumes()["vol_j"] for f in fam])
+    vols = np.array(flow_spectral(im, Y, list(t_grid)).vol_j)
     h = float(t_grid[1] - t_grid[0])
     second = np.full(t_grid.size, np.nan)
     second[1:-1] = (vols[2:] - 2.0 * vols[1:-1] + vols[:-2]) / h ** 2

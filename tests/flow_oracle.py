@@ -23,7 +23,10 @@ independently, at any c: it falls like h^4 until round-off.
 commutator_check takes the theta-derivative of that defect, which measures
 how far the flow surface is from commuting coordinate fields.
 mode_growth_guard is the growth guard of geodesic_flow on one immersion,
-with its spectrum taken there.
+with its spectrum taken there. continued_points is the mode-wise
+continuation of a spectrum by one inverse FFT over all the grid axes, the
+reference for geodesic_flow._continued_blocks, which brings the other axes
+to physical space once and transforms each block along the flow axis.
 
 perturbed_torus and wound_torus build the tori both are checked on, 32x32
 unless other sizes are given.
@@ -159,6 +162,23 @@ def mode_growth_guard(im, axis, c, t_extent):
     return gf._growth_guard(im, gf._present_spectrum(im), axis, c, t_extent)
 
 
+def continued_points(im, spectrum, axis, c, ts):
+    """The continuation of spectrum (n,) + grid.sizes at the times ts, laid
+    out (len(ts), 2n) + grid.sizes: each mode m along the axis times
+    e^{-m c t}, one ifftn over the grid axes, then the winding's drift
+    t i c (W e_axis) on the complex components."""
+    n = im.chart.n
+    shape = [1] * im.n
+    shape[axis] = im.grid.sizes[axis]
+    t = np.reshape(np.asarray(ts, dtype=float), (-1,) + (1,) * im.n)
+    factors = np.exp(-np.reshape(modes(im.grid.sizes[axis]), shape) * c * t)
+    z = np.fft.ifftn(spectrum[:, None] * factors, axes=tuple(range(2, 2 + im.n)))
+    if im.winding is not None:
+        w = im.winding[:n, axis] + 1j * im.winding[n:, axis]
+        z = z + t * np.reshape(1j * c * w, (n, 1) + (1,) * im.n)
+    return np.concatenate([z.real, z.imag]).swapaxes(0, 1)
+
+
 def geodesic_defect(flow, X):
     """J iota_* X - d iota/dt at each interior frame of a flow, laid out as
     the points, in the order of the frames.
@@ -198,7 +218,7 @@ def commutator_check(flow, X):
     is the largest s-derivative of the geodesic defect J iota_* X - d iota/dt
     (geodesic_defect) along the axis of X.
     """
-    al = gf._coordinate_alignment(X)
-    axis = al[0] if al is not None else 0
+    prof = gf._axis_profile(X)
+    axis = prof[0] if prof is not None else 0
     return max(float(np.max(np.abs(spectral_derivative(defect, axis=axis))))
                for defect in geodesic_defect(flow, X))

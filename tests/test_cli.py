@@ -755,20 +755,54 @@ def test_flow_manifest_keys(tmp_path, params):
     assert sorted(manifest) == ["amplification", "field", "scheme", "times"]
 
 
-@pytest.mark.parametrize("op,params", [
-    ("flow.uniqueness", {"t_final": 0.1}),
-    ("flow.run", {"scheme": "spectral", "times": [0.1]}),
-], ids=["uniqueness", "spectral run"])
-def test_a_spectral_flow_of_a_cosine_field_exits_2(tmp_path, capsys, op, params):
+_ELLIPSE_64 = {"chart": {"name": "flat_c1"},
+               "immersion": {"formula": "ellipse", "grid": 64, "args": {"a": 2.0, "b": 1.0}}}
+_POSITIVE_COSINE = {"kind": "cosine_axis", "axis": 0, "base": 1.0, "amplitude": 0.3}
+
+
+def test_a_spectral_flow_of_a_positive_cosine_field_writes_theta_grid_frames(tmp_path):
     scn = write_scenario(tmp_path / "s.json", {
-        "version": 1, "operation": op, **_FLAT_CIRCLE,
-        "field": {"kind": "cosine_axis", "axis": 0, "base": 1.0, "amplitude": 0.3},
-        "params": params})
+        "version": 1, "operation": "flow.run", **_ELLIPSE_64, "field": _POSITIVE_COSINE,
+        "params": {"scheme": "spectral", "times": [0.0, 0.1]}})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 0
+    # the family is continued on the grid of constant speed and mapped back:
+    # the frame at t = 0 is the ellipse at the input's nodes
+    theta = 2.0 * np.pi * np.arange(64) / 64
+    frame = np.loadtxt(out / "curve_t0.csv", delimiter=",", skiprows=1)
+    ellipse = np.stack([2.0 * np.cos(theta), np.sin(theta)], axis=-1)
+    assert np.max(np.abs(frame - ellipse)) <= 1e-14
+    assert not np.allclose(np.loadtxt(out / "curve_t1.csv", delimiter=",", skiprows=1), frame)
+
+
+def test_uniqueness_along_a_positive_cosine_field_exits_0(tmp_path):
+    scn = write_scenario(tmp_path / "s.json", {
+        "version": 1, "operation": "flow.uniqueness", **_ELLIPSE_64,
+        "field": _POSITIVE_COSINE, "params": {"t_final": 0.1}})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 0
+    assert json.loads((out / "results.json").read_text())["results"]["sup_gap"] <= 1e-12
+
+
+_SIGN_CHANGING = {"kind": "cosine_axis", "axis": 0, "base": 0.2, "amplitude": 0.5}
+
+
+@pytest.mark.parametrize("payload", [
+    {"operation": "flow.uniqueness", **_ELLIPSE_64, "field": _SIGN_CHANGING,
+     "params": {"t_final": 0.1}},
+    {"operation": "flow.run", **_ELLIPSE_64, "field": _SIGN_CHANGING,
+     "params": {"scheme": "spectral", "times": [0.1]}},
+    {"operation": "variation.second", **_ELLIPSE_64, "field": _SIGN_CHANGING},
+    {"operation": "variation.convexity",
+     "params": {"family": {"kind": "quotient_torus_shear", "grid": 32, "amplitude": 1.5},
+                "t_grid": [0.0, 0.1, 0.2]}},
+], ids=["uniqueness", "spectral run", "second variation", "convexity"])
+def test_a_spectral_flow_of_a_sign_changing_field_exits_2(tmp_path, capsys, payload):
+    scn = write_scenario(tmp_path / "s.json", {"version": 1, **payload})
     out = tmp_path / "out"
     assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "trgeo: UnsupportedField: the spectral continuation needs a coordinate "
-        "field, X = c d/dtheta_k\n")
+        "trgeo: UnsupportedField: the spectral continuation needs f > 0 everywhere\n")
     assert not (out / "results.json").exists()
 
 

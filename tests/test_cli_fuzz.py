@@ -68,7 +68,7 @@ def _bases(tmp_path):
     for path in EXAMPLES:
         with open(path) as f:
             bases.append(json.load(f))
-    assert len(bases) == 4
+    assert len(bases) == 5
     return bases + [
         DENSITY, FOURIER_CURVE,
         _scn("analyze", "curve.analyze", curve=ELLIPSE, params={"samples": 128}),

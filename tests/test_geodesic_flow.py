@@ -9,13 +9,12 @@ import pytest
 
 from trgeo import ambient, curve_lab as cl, geodesic_flow as gf
 from trgeo import immersion as imm
-from trgeo._spectral import evaluate_fourier, fourier_coefficients
 from trgeo.errors import (AmplificationExceeded, BlowUpDetected, NotFinite, NotNested,
                           PointOutsideDomain, StepTooLarge, UnsupportedField,
                           ValidationError)
 
-from flow_oracle import (commutator_check, flow_timestep_full_spectrum, geodesic_defect,
-                         mode_growth_guard, perturbed_torus, wound_torus)
+from flow_oracle import (commutator_check, continued_points, flow_timestep_full_spectrum,
+                         geodesic_defect, mode_growth_guard, perturbed_torus, wound_torus)
 
 
 @pytest.fixture
@@ -69,11 +68,17 @@ def test_spectral_time_reversal(circle):
 
 
 def test_spectral_rejects_general_field(circle):
-    theta = circle.grid.thetas(0)
-    X = imm.VectorFieldOnL(grid=circle.grid,
-                           components=(1.0 + 0.3 * np.cos(theta))[None, :])
-    with pytest.raises(UnsupportedField):
+    # f changes sign: its integral curves do not go round the axis circle
+    X = cosine_axis_field(circle.grid, 0, base=0.2, amplitude=0.5)
+    with pytest.raises(UnsupportedField, match="needs f > 0 everywhere$"):
         gf.flow_spectral(circle, X, [0.1])
+    # f depends on both angles
+    pt = _product_torus_32()
+    t1, t2 = pt.grid.mesh()
+    comp = np.stack([1.0 + 0.2 * np.cos(t1 + t2), np.zeros(pt.grid.sizes)])
+    X = imm.VectorFieldOnL(grid=pt.grid, components=comp)
+    with pytest.raises(UnsupportedField, match=r"needs X = f\(theta_k\) d/dtheta_k$"):
+        gf.flow_spectral(pt, X, [0.1])
 
 
 def _disk_circle():
@@ -114,17 +119,38 @@ def test_uniqueness_on_curved_charts(case, axis):
     assert gf.uniqueness_compare(im, imm.coordinate_field(im.grid, axis), 0.1) <= 1e-13
 
 
-def test_flow_spectral_frames_are_the_geodesic_family_members():
-    # one continuation, the validated and the unvalidated entry point
-    # (measured 5.6e-17 on the ball torus)
-    bt = _ball_torus()
-    Y = imm.coordinate_field(bt.grid, 0, 0.5)
-    ts = [-0.1, 0.1, 0.2]
-    flow = gf.flow_spectral(bt, Y, ts)
-    family = gf.geodesic_family(bt, Y, ts)
-    assert flow.times == ts and len(family) == len(ts)
-    for frame, member in zip(flow.immersions, family):
-        assert np.max(np.abs(frame.points - member.points)) <= 1e-15
+def _shear_family():
+    """The convexity experiment's quotient_torus_shear family at 32 x 32: the
+    straight torus and (1 + 0.3 cos theta_0) d/dtheta_0."""
+    im = imm.build_immersion(imm.GridTorus((32, 32)), ambient.flat_quotient_chart(2),
+                             "straight_torus").im
+    return im, cosine_axis_field(im.grid, 0)
+
+
+@pytest.mark.parametrize("case", ["ball torus", "disk circle", "quotient shear"])
+def test_flow_vol_j_is_the_volume_of_each_continued_member(case):
+    # the oracle is the computation the variation checks made before: each
+    # member of the continued grid (the constant-speed grid of the shear
+    # family's axis) validated alone, its Vol_J by Geometry.volumes
+    if case == "quotient shear":
+        im, Y = _shear_family()
+    else:
+        im = _ball_torus() if case == "ball torus" else _disk_circle()
+        Y = imm.coordinate_field(im.grid, 0, 0.5)
+    ts = [-0.1, 0.0, 0.1, 0.2]
+    flow = gf.flow_spectral(im, Y, ts)
+    cont, axis, c, ts, spectrum, _, psi = gf._spectral_setup(im, Y, ts)
+    assert (psi is None) == (case != "quotient shear")
+    members = [m for pts, _ in gf._continued_blocks(cont, spectrum, axis, c, ts)
+               for m in gf._members(cont, pts)]
+    want = [imm.is_totally_real(m).volumes()["vol_j"] for m in members]
+    assert flow.times == ts and len(flow.vol_j) == len(want) == len(ts)
+    for got, ref in zip(flow.vol_j, want):
+        assert abs(got - ref) <= 1e-14 * abs(ref)
+    if psi is None:
+        # a coordinate field's frames are the continued members themselves
+        for frame, member in zip(flow.immersions, members):
+            assert np.array_equal(frame.points, member.points)
 
 
 def test_no_ray_direction_refused_any_positive_time():
@@ -190,20 +216,16 @@ def test_uniqueness_ellipse_and_torus():
 
 
 def test_timestep_matches_reparametrized_pipeline(circle):
-    theta = circle.grid.thetas(0)
-
-    def f(th):
-        return 1.0 + 0.3 * np.cos(th)
-
-    X = imm.VectorFieldOnL(grid=circle.grid, components=f(theta)[None, :])
+    # flow_spectral continues (1 + 0.3 cos theta) d/dtheta on the grid of
+    # constant speed and maps its frames back to the theta grid, where the
+    # stepper's frames live
+    X = cosine_axis_field(circle.grid, 0)
     stepped = gf.flow_timestep(circle, X, 0.05, 5e-4)
-    pipeline = gf.geodesic_family(circle, X, [0.05])
-    rep = cl.reparametrize_by_field(f, M=64)
-    z_step = stepped.immersions[-1].complex_samples()
-    coeffs = fourier_coefficients(z_step)
-    at_theta_s = evaluate_fourier(coeffs, rep["theta_of_s"])
-    z_pipe = pipeline[0].complex_samples()
-    assert np.max(np.abs(at_theta_s - z_pipe)) <= 1e-5
+    spectral = gf.flow_spectral(circle, X, [0.05])
+    assert spectral.immersions[0].grid == circle.grid
+    # measured 1.6e-15
+    assert np.max(np.abs(stepped.immersions[-1].points
+                         - spectral.immersions[0].points)) <= 1e-14
 
 
 def test_axis_one_family_is_the_transposed_axis_zero_family():
@@ -228,8 +250,8 @@ def _check_axis_one_family(f):
                         points=np.swapaxes(im.points, 0, 1))
     Y0 = imm.VectorFieldOnL(grid=im.grid, components=np.swapaxes(comp[::-1], 1, 2))
     ts = [-0.1, 0.05, 0.1]
-    fam1 = gf.geodesic_family(im, Y1, ts)
-    fam0 = gf.geodesic_family(imT, Y0, ts)
+    fam1 = gf.flow_spectral(im, Y1, ts).immersions
+    fam0 = gf.flow_spectral(imT, Y0, ts).immersions
     for a, b in zip(fam1, fam0):
         assert np.max(np.abs(a.points - np.swapaxes(b.points, 0, 1))) <= 1e-13
         # the family moves the torus (it is no identity map)
@@ -485,7 +507,8 @@ def test_the_per_mode_step_filters_what_it_steps():
 def test_a_uniform_field_with_a_bump_steps_by_stages(monkeypatch):
     im = _ellipse_256()
     X = imm.coordinate_field(im.grid, 0)
-    # within the tolerances of _coordinate_alignment, but not exactly uniform
+    # within the tolerances of _axis_profile's constant profile, but not
+    # exactly uniform
     X.components[0, 7] += 1e-15
     monkeypatch.setattr(gf, "_fourier_step", None)     # not built
     flow = gf.flow_timestep(im, X, 0.05, 2.5e-3)
@@ -779,6 +802,57 @@ def test_uniqueness_compare_peak_does_not_grow_with_the_steps(monkeypatch):
     assert peaks[1] - peaks[0] < 0.5e6
 
 
+# --- uniqueness along an axis profile -------------------------------------------
+
+def _cosine_uniqueness_cases():
+    """(name, im, X, t_final, bound): uniqueness_compare along a positive
+    cosine_axis field; each bound is under 10x the gap measured."""
+    # the ellipse bounds in the order (a, t) = (0.3, 0.05), (0.3, 0.1),
+    # (0.6, 0.05), (0.6, 0.1); measured 6.0e-15, 1.2e-14, 1.2e-14, 3.8e-14
+    # on 64 nodes and 7.4e-15, 3.5e-14, 8.6e-15, 1.0e-13 on 128
+    for M, bounds in [(64, (5e-14, 1e-13, 1e-13, 3e-13)),
+                      (128, (5e-14, 3e-13, 5e-14, 1e-12))]:
+        ell = imm.build_immersion(imm.GridTorus((M,)), ambient.flat_chart(1),
+                                  "ellipse", a=2.0, b=1.0).im
+        for (a, t), bound in zip(itertools.product((0.3, 0.6), (0.05, 0.1)), bounds):
+            yield (f"{M}-node ellipse, a = {a}, t = {t}", ell,
+                   cosine_axis_field(ell.grid, 0, amplitude=a), t, bound)
+    disk = _disk_circle()
+    # measured 1.4e-15
+    yield "disk circle", disk, cosine_axis_field(disk.grid, 0), 0.1, 1e-14
+    # the bounds on axes 0 and 1; measured 3.1e-12 and 6.2e-12 on the flat
+    # torus, 3.1e-12 and 4.8e-11 on the perturbed one, 9.6e-12 and 2.1e-13
+    # on the wound one (its winding shifted by the map-back too), 9.3e-13
+    # and 8.5e-12 on the ball torus
+    for name, im, bounds in [("flat torus", _product_torus_32(), (3e-11, 5e-11)),
+                             ("perturbed torus", perturbed_torus(), (3e-11, 4e-10)),
+                             ("wound torus", wound_torus(), (9e-11, 2e-12)),
+                             ("ball torus", _ball_torus(), (9e-12, 8e-11))]:
+        for axis, bound in enumerate(bounds):
+            yield f"{name}, axis {axis}", im, cosine_axis_field(im.grid, axis), 0.1, bound
+
+
+@pytest.mark.parametrize("case", list(_cosine_uniqueness_cases()), ids=lambda c: c[0])
+def test_uniqueness_along_a_positive_axis_profile(case):
+    # the stepper runs on the theta grid, the continuation on the grid of
+    # constant speed, mapped back before the comparison
+    _, im, X, t_final, bound = case
+    assert gf.uniqueness_compare(im, X, t_final) <= bound
+
+
+@pytest.mark.parametrize("a", [0.3, 0.6])
+@pytest.mark.parametrize("M", [64, 512])
+def test_map_back_angles_are_the_closed_form(M, a):
+    # psi = k s(theta) with s = int_0^theta dtheta / (1 + a cos theta)
+    # = (2/k) atan(sqrt((1 - a)/(1 + a)) tan(theta/2)), k = sqrt(1 - a^2),
+    # on the branch continuous over [0, 2 pi) (measured 1.8e-15)
+    im = imm.build_immersion(imm.GridTorus((M,)), ambient.flat_chart(1), "circle").im
+    *_, psi = gf._spectral_setup(im, cosine_axis_field(im.grid, 0, amplitude=a), [0.1])
+    half = im.grid.thetas(0) / 2.0
+    closed = 2.0 * np.arctan2(math.sqrt((1.0 - a) / (1.0 + a)) * np.sin(half), np.cos(half))
+    assert np.max(np.abs(psi - closed)) <= 1e-14
+
+
 # --- which error uniqueness_compare raises ----------------------------------------
 # The stepper runs to t_final and validates its last frame before the spectral
 # side is compared, so an error of the stepper wins over a spectral one even
@@ -788,8 +862,8 @@ def _poison_block(monkeypatch, which, index=(0, 0, 3)):
     """Make the point at `index` of block `which` of every spectral family NaN."""
     blocks = gf._continued_blocks
 
-    def poisoned(im, spectrum, axis, c, ts, vectors=False):
-        for k, (pts, vs) in enumerate(blocks(im, spectrum, axis, c, ts, vectors)):
+    def poisoned(im, spectrum, axis, c, ts):
+        for k, (pts, vs) in enumerate(blocks(im, spectrum, axis, c, ts)):
             if k == which:
                 pts[index] = np.nan
             yield pts, vs
@@ -817,12 +891,12 @@ def _nan_from_step(monkeypatch, step):
     return calls
 
 
-def _cosine_circle():
-    """The flat 64-node circle and (1 + 0.3 cos theta) d/dtheta: the stepper
+def _sign_changing_circle():
+    """The flat 64-node circle and (0.2 + 0.5 cos theta) d/dtheta: the stepper
     runs on that field, and _spectral_setup raises UnsupportedField for it."""
     im = imm.build_immersion(imm.GridTorus((64,)), ambient.flat_chart(1), "circle",
                              r=1.0).im
-    return im, cosine_axis_field(im.grid, 0)
+    return im, cosine_axis_field(im.grid, 0, base=0.2, amplitude=0.5)
 
 
 def _raised(fn, *args):
@@ -835,12 +909,12 @@ def _raised(fn, *args):
 @pytest.mark.parametrize("stepper", ["step too large", "tail threshold"])
 def test_a_stepper_error_wins_over_a_spectral_failure(monkeypatch, stepper, spectral_side):
     if spectral_side == "general field":
-        im, X = _cosine_circle()   # _spectral_setup raises UnsupportedField
+        im, X = _sign_changing_circle()   # _spectral_setup raises UnsupportedField
     else:
         im = _product_torus_32()
         X = imm.coordinate_field(im.grid, 0)
         _poison_block(monkeypatch, 0)
-    # dt = t_final / 200: 10 * 21 * 1.3 / 200 and 20 * 10 / 200 pass 0.5 (StepTooLarge);
+    # dt = t_final / 200: 10 * 21 * 0.7 / 200 and 20 * 10 / 200 pass 0.5 (StepTooLarge);
     # a negative threshold makes the first step blow up
     t_final = 0.1
     if stepper == "step too large":
@@ -870,7 +944,7 @@ def test_stepping_goes_on_after_a_spectral_block_fails(monkeypatch):
 
 
 def test_the_last_stepped_frame_is_validated_before_a_spectral_failure(monkeypatch):
-    im, X = _cosine_circle()
+    im, X = _sign_changing_circle()
     validated = []
 
     def refuse(im):
@@ -886,7 +960,7 @@ def test_the_last_stepped_frame_is_validated_before_a_spectral_failure(monkeypat
 @pytest.mark.parametrize("spectral_side", ["general field", "poisoned block"])
 def test_a_spectral_failure_is_raised_when_stepping_passes(monkeypatch, spectral_side):
     if spectral_side == "general field":
-        im, X = _cosine_circle()
+        im, X = _sign_changing_circle()
         want = _raised(gf.flow_spectral, im, X, [0.1])
         assert isinstance(want, UnsupportedField)
     else:
@@ -913,19 +987,22 @@ def test_block_vectors_are_the_coordinate_vectors_of_its_points(case):
     ts = list(np.linspace(-0.05, 0.1, 13))
     for axis in axes:
         spectrum = gf._present_spectrum(im)
+        # every frame at once, by one ifftn over the grid axes
+        plain = continued_points(im, spectrum, axis, 0.7, ts)
+        first = 0
         # the vectors live in one array per family, overwritten by the next
         # block: each block is checked before the next is requested
-        blocks = gf._continued_blocks(im, spectrum, axis, 0.7, ts, vectors=True)
-        plain = gf._continued_blocks(im, spectrum, axis, 0.7, ts)
-        pairs = itertools.zip_longest(blocks, plain, fillvalue=(None, None))
-        for (pts, vs), (ref, none) in pairs:
-            assert pts is not None and ref is not None and none is None
+        for pts, vs in gf._continued_blocks(im, spectrum, axis, 0.7, ts):
+            ref = plain[first:first + len(pts)]
+            first += len(pts)
             # the same points up to round-off, from one transform along the axis
+            assert pts.shape == ref.shape
             assert np.max(np.abs(pts - ref)) <= 1e-15 * np.max(np.abs(ref))
             want = imm._coordinate_vectors(
                 im.grid, np.ascontiguousarray(np.moveaxis(pts, 1, 0)), im.winding)
             assert vs.shape == want.shape
             assert np.max(np.abs(vs - want)) <= 2e-14 * np.max(np.abs(want))
+        assert first == len(ts)
 
 
 def _not_finite(ts, first, last):
@@ -933,15 +1010,18 @@ def _not_finite(ts, first, last):
             f"t = {ts[first]:.6g} to {ts[last]:.6g}")
 
 
-@pytest.mark.parametrize("entry", ["flow_spectral", "geodesic_family",
-                                   "geodesic_family axis profile", "uniqueness_compare"])
+@pytest.mark.parametrize("entry", ["flow_spectral", "flow_spectral axis profile",
+                                   "uniqueness_compare", "uniqueness_compare axis profile"])
 def test_a_nan_point_in_a_block_raises_not_finite_naming_its_times(circle, monkeypatch,
                                                                     entry):
     # the stack check validates the vectors, not the points: only the
-    # finiteness check of the block sees a NaN point
+    # finiteness check of the block sees a NaN point, on the continued grid
+    # before the map-back of an axis profile
     _poison_block(monkeypatch, 1, index=(2, 0, 5))
     X = imm.coordinate_field(circle.grid, 0)
-    if entry == "uniqueness_compare":
+    if entry.endswith("axis profile"):
+        X = cosine_axis_field(circle.grid, 0)
+    if entry.startswith("uniqueness_compare"):
         # the stepper's schedule of 201 frames: block 1 holds frames 128..200
         dt = 0.1 / gf.UNIQUENESS_STEPS
         ts, last = [k * dt for k in range(gf.UNIQUENESS_STEPS + 1)], 200
@@ -950,8 +1030,6 @@ def test_a_nan_point_in_a_block_raises_not_finite_naming_its_times(circle, monke
     else:
         # 128 frames of 64 nodes per block: block 1 holds frames 128..255
         ts, last = list(np.linspace(0.0, 0.2, 300)), 255
-        if entry == "geodesic_family axis profile":
-            X = cosine_axis_field(circle.grid, 0)
         with pytest.raises(NotFinite) as err:
-            getattr(gf, entry.split()[0])(circle, X, ts)
+            gf.flow_spectral(circle, X, ts)
     assert str(err.value) == _not_finite(ts, 128, last)

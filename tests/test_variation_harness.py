@@ -9,8 +9,7 @@ import pytest
 from trgeo import _spectral, ambient, cli, curve_lab as cl, geodesic_flow as gf
 from trgeo import immersion as imm
 from trgeo import variation_harness as vh
-from trgeo.errors import (AmplificationExceeded, GeodesicUnavailable, UnsupportedField,
-                          ValidationError)
+from trgeo.errors import AmplificationExceeded, UnsupportedField, ValidationError
 
 from flow_oracle import flow_on_torus_2d, perturbed_torus, phase_sum_2d, wound_torus
 from variation_oracle import low_mode_field, mixed_density_second_variation, validate_hj_sign
@@ -246,7 +245,12 @@ def test_second_variation_unavailable_direction(torus12):
     t1, t2 = torus12.im.grid.mesh()
     comps[0] = 1.0 + 0.2 * np.cos(t1 + t2)   # depends on both angles
     Y = imm.VectorFieldOnL(grid=torus12.im.grid, components=comps)
-    with pytest.raises(GeodesicUnavailable):
+    with pytest.raises(UnsupportedField, match="needs X = f\\(theta_k\\) d/dtheta_k$"):
+        vh.check_second_variation_kahler(torus12, Y)
+    # a profile of theta_0 alone that changes sign
+    comps[0] = 0.2 + 0.5 * np.cos(t1)
+    Y = imm.VectorFieldOnL(grid=torus12.im.grid, components=comps)
+    with pytest.raises(UnsupportedField, match="needs f > 0 everywhere$"):
         vh.check_second_variation_kahler(torus12, Y)
 
 
@@ -380,10 +384,12 @@ def test_each_check_builds_one_base_geometry(monkeypatch, tmp_path):
     assert len(builds) == 6              # the given geometry, then 3 eps x 2 signs
     builds.clear()
     vh.check_second_variation_kahler(circle, Y)
-    assert len(builds) == 5              # the given geometry, then the 5 members
+    # none: the geometry is given, and the 5 members are validated as one
+    # stack by flow_spectral, whose densities give their Vol_J
+    assert len(builds) == 0
     builds.clear()
     vh.convexity_experiment({"kind": "flat_circle", "grid": 64}, [0.0, 0.1, 0.2])
-    assert len(builds) == 1 + 3          # validated base, then the 3 members
+    assert len(builds) == 1              # the validated base; the members as above
     builds.clear()
 
     scn = tmp_path / "jvol.json"
