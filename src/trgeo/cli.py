@@ -383,11 +383,17 @@ _AT_LEAST_0 = (">= 0", lambda v: v >= 0)
 _AT_LEAST_1 = (">= 1", lambda v: v >= 1)
 _POSITIVE = ("> 0", lambda v: v > 0)
 _AXIS = ("0 or 1", lambda v: v in (0, 1))
+
+
+def _between(lo, hi):
+    return (f">= {lo} and <= {hi}", lambda v: lo <= v <= hi)
+
+
 # the limits the library sets: GridTorus sizes and a FourierCurve's N
 _GRID = (f"a power of two >= 16 and <= {imm.MAX_GRID_SIZE}",
          lambda v: 16 <= v <= imm.MAX_GRID_SIZE and v & (v - 1) == 0)
 # N sizes the 2N + 1 coefficients, so it is bounded like a coefficient file's modes
-_CURVE_N = (f">= 32 and <= {curve_lab.MAX_MODE}", lambda v: 32 <= v <= curve_lab.MAX_MODE)
+_CURVE_N = _between(32, curve_lab.MAX_MODE)
 
 _CHART = {"name": _F("string", "flat_c1")}
 _IMMERSION = _Variants("formula", _F("string"), {
@@ -505,7 +511,13 @@ def _op_curve_length(s, out_dir, raw):
 
 
 def _op_curve_secondvar(s, out_dir, raw):
-    curve = curve_lab.resample_arclength(_curve(s["curve"], "curve"))
+    curve = _curve(s["curve"], "curve")
+    # resample_arclength evaluates 8N angles against 2N + 1 modes at once:
+    # at N = 512, 128 MB peak RSS and 0.5 to 0.8 s in all (416 MB and 1.5 s
+    # at 1024), measured in a fresh process on a 2-core Xeon host
+    if curve.N > 512:
+        raise ValidationError(f"curve.N must be <= 512 for curve.secondvar, got {curve.N}")
+    curve = curve_lab.resample_arclength(curve)
     M = 4 * curve.N
     theta = 2.0 * np.pi * np.arange(M) / M
     reports = []
@@ -647,12 +659,17 @@ _ENVELOPE = {"version": _F("int"), "operation": _F("string"), "name": _F("string
 _CURVE_OP = {"curve": _F(_CURVE)}
 _IMMERSION_OP = {"chart": _F(_CHART, {}), "immersion": _F(_IMMERSION)}
 _FIELD_OP = {**_IMMERSION_OP, "field": _F(_FIELD, {})}
-_N_POINTS = _F("int", 12, _AT_LEAST_1)
+# the size bounds below are set by peak RSS and wall time measured at the
+# bound, in a fresh process on a 2-core Xeon host: 59 MB and 0.7 s for
+# curve.analyze samples; 111 MB and 0.4 s for n_points on the ball;
+# 68 MB and 7 to 10 s for flow.bvp N through all 60 Gauss-Newton steps
+_N_POINTS = _F("int", 12, _between(1, 2 ** 16))
 # each operation's handler and the table it reads the scenario with, besides
 # the fields of _ENVELOPE, which every scenario may carry
 _OPERATIONS = {
     "curve.analyze": (_op_curve_analyze, {
-        **_CURVE_OP, "params": _F({"samples": _F("int", None, _AT_LEAST_1)})}),
+        **_CURVE_OP,
+        "params": _F({"samples": _F("int", None, _between(1, 4 * curve_lab.MAX_MODE))})}),
     "curve.classify": (_op_curve_classify, {
         "curves": _F([_with(_CURVE, {"label": _F("string", None)})]), **_NO_PARAMS}),
     "curve.geodesic": (_op_curve_geodesic, {
@@ -672,7 +689,7 @@ _OPERATIONS = {
             "timestep": {"t_final": _F(_NUMBER, _REQUIRED, _POSITIVE), "dt": _F(_NUMBER),
                          "store_every": _F("int", 10, _AT_LEAST_1)}}))}),
     "flow.bvp": (_op_flow_bvp, {"params": _F({
-        "N": _F("int", 16, _AT_LEAST_1), "outer": _F(_CURVE), "inner": _F(_CURVE)})}),
+        "N": _F("int", 16, _between(1, 128)), "outer": _F(_CURVE), "inner": _F(_CURVE)})}),
     "flow.uniqueness": (_op_flow_uniqueness, {
         **_FIELD_OP, "params": _F({"t_final": _F(_NUMBER, _REQUIRED, _POSITIVE)})}),
     "variation.first": (_op_variation_first, {**_FIELD_OP, **_NO_PARAMS}),

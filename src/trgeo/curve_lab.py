@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _spectral
-from .errors import (AliasingDetected, FieldNotPositive, NotArclength,
-                     NotImmersed, OrientationError, OutsideAnnulus,
-                     ValidationError)
+from .errors import (AliasingDetected, NotArclength, NotImmersed, OrientationError,
+                     OutsideAnnulus, ValidationError)
 
 COEFF_FLOOR = 1e-15       # coefficients below this are treated as absent
 RADIUS_MARGIN = 0.02      # decision band around radius 1
@@ -366,22 +365,6 @@ def length_profile(curve, radii):
 
 
 # --- reparametrization --------------------------------------------------------------
-
-def reparametrize_by_field(f, M=256):
-    """Integrate theta' = f(theta) around the circle.
-
-    f is a positive callable on [0, 2pi). Returns dict with the period scale
-    R = (1/2pi) int dtheta / f, samples theta(s_j) on M uniform points of
-    s in [0, 2pi R) and the closure defect |theta(2pi R) - 2pi|: theta(s)
-    inverts s = int_0^theta 1/f, with 1/f sampled on 4096 angles.
-    """
-    probe = f(np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False))
-    if not np.min(probe) > 0.0:
-        raise FieldNotPositive("reparametrization needs f > 0 everywhere")
-    theta, period = _spectral.invert_cumulative(1.0 / probe, np.arange(M + 1) / M)
-    return {"R": period / (2.0 * math.pi), "theta_of_s": theta[:M],
-            "closure_defect": abs(theta[M] - 2.0 * math.pi)}
-
 
 def resample_arclength(curve):
     """Resample a curve to constant |gamma'| by inverting cumulative length.

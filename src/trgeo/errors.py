@@ -59,10 +59,6 @@ class OrientationError(ValidationError):
     """Curve is clockwise (mirror) while the lab fixes anticlockwise data."""
 
 
-class FieldNotPositive(ValidationError):
-    pass
-
-
 class OutsideAnnulus(ValidationError):
     pass
 

@@ -9,13 +9,15 @@ and not the metric, and every chart here carries the standard J:
   representative. For X = c d/dtheta_k each Fourier mode m along axis k is
   multiplied by e^{-m c t}; a winding (linear) part picks up the constant
   drift t c J(W e_k). A varying f > 0 is continued on the axis
-  reparametrized to constant speed. Negative modes grow like e^{|m| c t},
-  which is the ill-posedness of the inward problem: growth past amp_max
-  aborts, and for curves whose adverse-side radius estimate pins them to
-  the unit circle the flow refuses to start at all. The family is made,
-  checked and validated in blocks of at most _BLOCK_NODES grid nodes, each
-  laid out (B, 2n) + grid.sizes with the components ahead of the grid
-  axes. The spectrum is taken once per family, for the growth guard and
+  reparametrized to constant speed (_constant_speed). Negative modes grow
+  like e^{|m| c t}, which is the ill-posedness of the inward problem:
+  growth past amp_max aborts, and for curves whose adverse-side radius
+  estimate pins them to the unit circle the flow refuses to start at all.
+  One call, _spectral_family, runs those guards and hands flow_spectral
+  and uniqueness_compare the family, made, checked and validated in
+  blocks of at most _BLOCK_NODES grid nodes, each laid out
+  (B, 2n) + grid.sizes with the components ahead of the grid axes. The
+  spectrum is taken once per family, for the growth guard and
   the continuation alike. One inverse FFT along the flow axis gives a
   block's points and both coordinate vector fields; one reduction checks
   that the points are finite, and the stack check validates the block
@@ -247,19 +249,20 @@ def _growth_guard(im, spectrum, axis, c, t_extent):
 def flow_spectral(im, X, ts):
     """Exact mode-wise continuation of X = f(theta_k) d/dtheta_k on any chart.
 
-    f must be constant or positive (_spectral_setup). The frames are
+    f must be constant or positive (_spectral_family). The frames are
     produced in blocks of at most _BLOCK_NODES grid nodes; every block
-    passes the finiteness check of _checked_blocks (NotFinite) and the
-    stack checks (immersion._check_stack) before the next is made, and the
-    blocks are collected into one FlowResult, whose vol_j totals each
-    member's densities from its stack check (immersion._volumes). On the
-    disk and the ball the stack check refuses a member that leaves the
-    chart's domain (PointOutsideDomain). A family that fails reports the
-    failure of its earliest failing block.
+    passes the finiteness check (NotFinite) and the stack checks
+    (immersion._check_stack) before the next is made, and the blocks are
+    collected into one FlowResult, whose vol_j totals each member's
+    densities from its stack check (immersion._volumes). On the disk and
+    the ball the stack check refuses a member that leaves the chart's
+    domain (PointOutsideDomain). A family that fails reports the failure of
+    its earliest failing block.
     """
-    cont, axis, c, ts, spectrum, amp, psi = _spectral_setup(im, X, ts)
+    ts = [float(t) for t in ts]
+    amp, blocks = _spectral_family(im, X, ts)
     immersions, vol_j = [], []
-    for pts, (induced_vol, volj) in _checked_blocks(cont, spectrum, axis, c, ts, psi):
+    for pts, (induced_vol, volj) in blocks:
         immersions += _members(im, pts)
         vol_j += [_volumes(j, g, im.grid.cell)["vol_j"] for j, g in zip(volj, induced_vol)]
     return FlowResult(times=ts, immersions=immersions, amplification=amp,
@@ -272,67 +275,81 @@ def _members(im, pts):
                       winding=im.winding) for p in pts]
 
 
-def _spectral_setup(im, X, ts):
-    """(im, axis, c, ts, spectrum, amplification, psi) of a spectral flow of
-    X = f(theta_k) d/dtheta_k (_axis_profile), after its guards.
+def _constant_speed(f):
+    """(theta, psi, c) that continue X = f(theta) d/dtheta at constant speed.
 
-    A constant f = c is continued on the grid of im; psi is None. A varying
-    f > 0 is continued at constant speed: with R = (1/2pi) int dtheta / f,
-    X = (1/R) d/dpsi, so im comes resampled at theta(psi_j)
-    (curve_lab.reparametrize_by_field) and c = 1/R, and psi holds the
-    angles psi(theta_j) that map the members back, inverting
-    theta(psi) = int R f(theta(psi)) (_spectral.invert_cumulative). Other
-    fields raise UnsupportedField. spectrum is the _present_spectrum of im.
-    The amplification is _growth_guard's at the farthest time on each side
-    of t = 0, the two sides continuing in opposite directions; 1 when
-    nothing moves.
+    f holds a periodic profile at M uniform nodes. With R = (1/2pi) int
+    dtheta / f, X = c d/dpsi for c = 1/R. theta holds theta(psi_j) at the M
+    uniform angles psi_j, inverting psi = int_0^theta 1 / (R f) with 1/f of
+    the interpolant sampled on 4096 angles; psi holds the angles psi(theta_j)
+    of the nodes, which map the continued members back, inverting
+    theta = int_0^psi R f(theta(psi)) (_spectral.invert_cumulative both
+    times). A profile at or below zero anywhere raises UnsupportedField:
+    the 4096 angles hold the nodes of every grid, but the interpolant meets
+    f there only to round-off, so the one test reads f with the probe.
+    """
+    rate = _interpolant(f)
+    probe = rate(np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False))
+    if not np.minimum(np.min(f), np.min(probe)) > 0.0:
+        raise UnsupportedField("the spectral continuation needs f > 0 everywhere")
+    fractions = np.arange(f.size) / f.size
+    theta, period = _spectral.invert_cumulative(1.0 / probe, fractions)
+    R = period / (2.0 * math.pi)
+    psi, _ = _spectral.invert_cumulative(R * rate(theta), fractions)
+    return theta, psi, 1.0 / R
+
+
+def _spectral_family(im, X, ts):
+    """(amplification, blocks) of the spectral flow of X = f(theta_k)
+    d/dtheta_k (_axis_profile) at the float times ts.
+
+    The call makes the guards: other fields raise UnsupportedField, and so
+    does a varying f that is not positive (_constant_speed). A constant
+    f = c is continued on the grid of im; a varying one at c = 1/R on the
+    axis resampled at theta(psi_j) (_constant_speed). The spectrum is the
+    _present_spectrum of that immersion, and the amplification is
+    _growth_guard's at the farthest time on each side of t = 0, the two
+    sides continuing in opposite directions; 1 when nothing moves.
+
+    blocks is the one path to the continuation: a generator of the points
+    blocks of _continued_blocks, each checked before the next is made. A
+    block holding a point that is not finite raises NotFinite naming the
+    block's first and last time; then it passes the stack checks
+    (immersion._check_stack), made from the coordinate vectors the
+    continuation gives with the points. Each yields (points,
+    (induced_vol, volj)): the points mapped back to the input's nodes along
+    the flow axis (_resample_axis) for a varying f, and the densities of
+    the stack check on the continued grid.
     """
     prof = _axis_profile(X)
     if prof is None:
         raise UnsupportedField("the spectral continuation needs X = f(theta_k) d/dtheta_k")
     axis, f = prof
+    w = None if im.winding is None else im.winding[:, axis]
     c, psi = float(f[0]), None
     if np.max(np.abs(f - f[0])) > 1e-12 * max(1.0, abs(f[0])):
-        if not np.min(f) > 0.0:
-            raise UnsupportedField("the spectral continuation needs f > 0 everywhere")
-        rate = _interpolant(f)
-        rep = curve_lab.reparametrize_by_field(rate, M=f.size)
-        theta = rep["theta_of_s"]
-        w = None if im.winding is None else im.winding[:, axis]
+        theta, psi, c = _constant_speed(f)
         im = Immersion(grid=im.grid, chart=im.chart, winding=im.winding,
                        points=_resample_axis(im.points, axis, theta, w))
-        c = 1.0 / rep["R"]
-        psi, _ = _spectral.invert_cumulative(rep["R"] * rate(theta), np.arange(f.size) / f.size)
-    ts = [float(t) for t in ts]
+        # the winding column laid out against a block (B, 2n) + grid.sizes
+        w = None if w is None else np.reshape(w, (-1,) + (1,) * im.n)
     spectrum = _present_spectrum(im)
     ends = sorted({min(ts, default=0.0), max(ts, default=0.0)} - {0.0})
     amp = max((_growth_guard(im, spectrum, axis, c, t) for t in ends), default=1.0)
-    return im, axis, c, ts, spectrum, amp, psi
 
-
-def _checked_blocks(im, spectrum, axis, c, ts, psi):
-    """The points blocks of _continued_blocks, each checked before the next.
-
-    This is the one path to the continuation. A block holding a point that
-    is not finite raises NotFinite naming the block's first and last time;
-    then it passes the stack checks (immersion._check_stack), made from the
-    coordinate vectors the continuation gives with the points. Each yields
-    (points, (induced_vol, volj)): with psi, the points mapped back to the
-    input's nodes along the flow axis (_resample_axis), and the densities
-    of the stack check on the continued grid.
-    """
-    w = None if im.winding is None else np.reshape(im.winding[:, axis], (-1,) + (1,) * im.n)
-    first = 0
-    for pts, vs in _continued_blocks(im, spectrum, axis, c, ts):
-        last = first + len(pts) - 1
-        if not np.isfinite(pts).all():
-            raise NotFinite(f"the spectral continuation is not finite in the block "
-                            f"of t = {ts[first]:.6g} to {ts[last]:.6g}")
-        densities = _check_stack(im.grid, im.chart, pts, vs, im.winding)
-        if psi is not None:
-            pts = _resample_axis(pts, 2 + axis, psi, w)
-        first = last + 1
-        yield pts, densities
+    def blocks():
+        first = 0
+        for pts, vs in _continued_blocks(im, spectrum, axis, c, ts):
+            last = first + len(pts) - 1
+            if not np.isfinite(pts).all():
+                raise NotFinite(f"the spectral continuation is not finite in the block "
+                                f"of t = {ts[first]:.6g} to {ts[last]:.6g}")
+            densities = _check_stack(im.grid, im.chart, pts, vs, im.winding)
+            if psi is not None:
+                pts = _resample_axis(pts, 2 + axis, psi, w)
+            first = last + 1
+            yield pts, densities
+    return amp, blocks()
 
 
 def _continued_blocks(im, spectrum, axis, c, ts):
@@ -730,46 +747,28 @@ def uniqueness_compare(im, X, t_final):
 
     The stepper (_rk4_states) takes UNIQUENESS_STEPS RK4 steps to t_final
     in physical space, and its schedule gives the times of the spectral
-    family. The family goes through the checks of flow_spectral (finite
-    points, then the stack checks) block by block, on the grid of im, and
-    the stepper advances beside it: each stepped state is subtracted from
-    the block frame of its time, and the block is dropped after one
-    reduction. So neither family is held: at most one block and one
-    stepped state are alive at a time. The last stepped frame is
-    validated (is_totally_real) as in flow_timestep.
+    family (_spectral_family), which goes through the checks of
+    flow_spectral block by block. The stepper advances beside it: each
+    stepped state is subtracted from the block frame of its time, and the
+    block is dropped after one reduction. So neither family is held: at
+    most one block and one stepped state are alive at a time. The last
+    stepped frame is validated (is_totally_real) as in flow_timestep.
 
-    The errors are those of stepping first and comparing after: the
-    stepper's up-front checks run before the spectral setup, and when the
-    spectral side fails (_spectral_setup, a finiteness or a stack check),
-    stepping runs on to t_final and the last frame is validated before
-    that failure is raised, so that an error of the stepper wins.
+    The errors come in the order the work runs: the stepper's up-front
+    checks, then the spectral guards, then the first block or step that
+    fails, a block being checked before the steps to its times are taken.
     """
     times, states = _rk4_states(im, X, t_final, t_final / UNIQUENESS_STEPS)
-    failures = []
-
-    def spectral_blocks():
-        try:
-            cont, axis, c, ts, spectrum, _, psi = _spectral_setup(im, X, times)
-            yield from _checked_blocks(cont, spectrum, axis, c, ts, psi)
-        except Exception as err:
-            # any error, not only the package's: it is raised unchanged,
-            # only after the stepper's own
-            failures.append(err)
-
+    _, blocks = _spectral_family(im, X, times)
     worst = 0.0
-    for pts, _ in spectral_blocks():
+    for pts, _ in blocks:
         # the block is dropped after the comparison, so it takes the
         # differences in place, and one reduction compares the whole block
         for b in pts:
             last, _ = next(states)
             b -= last
         worst = max(worst, float(np.max(np.abs(pts, out=pts))))
-    # after a spectral failure, the steps still to take (none otherwise)
-    for last, _ in states:
-        pass
     is_totally_real(_stepped_frame(im, last))
-    if failures:
-        raise failures[0]
     return worst
 
 

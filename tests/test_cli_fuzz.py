@@ -224,3 +224,30 @@ def test_every_schema_field_is_in_some_base(tmp_path):
         reached.update(_reached(_tables(base["operation"]), base))
     missing = sorted(fields[k] for k in fields.keys() - reached)
     assert missing == []
+
+
+# --- sizes past their bounds ------------------------------------------------------
+# Each of these sized an array before any bound and ended in numpy's
+# _ArrayMemoryError traceback, exit 1; the secondvar curve asked
+# resample_arclength for an 8N x (2N + 1) phase matrix of 512 GiB.
+
+@pytest.mark.parametrize("payload, line", [
+    ({"operation": "curve.analyze", "curve": ELLIPSE, "params": {"samples": 10 ** 12}},
+     "params.samples must be >= 1 and <= 262144, got 1000000000000"),
+    ({"operation": "ambient.verify", "chart": {"name": "flat_c2"},
+      "params": {"n_points": 10 ** 12}},
+     "params.n_points must be >= 1 and <= 65536, got 1000000000000"),
+    ({"operation": "flow.bvp", "params": {"outer": ELLIPSE, "N": 10 ** 9, "inner": {
+        "terms": {"1": [0.5, 0.0]}, "N": 32}}},
+     "params.N must be >= 1 and <= 128, got 1000000000"),
+    ({"operation": "curve.secondvar", "curve": {"terms": {"1": [1.0, 0.0]}, "N": 65536},
+      "params": {"fields": [{"base": 1.0}]}},
+     "curve.N must be <= 512 for curve.secondvar, got 65536"),
+], ids=["analyze samples", "verify n_points", "bvp N", "secondvar curve N"])
+def test_a_size_past_its_bound_exits_2_naming_the_field(tmp_path, capsys, payload, line):
+    scn = tmp_path / "s.json"
+    scn.write_text(json.dumps({"version": 1, **payload}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", str(scn), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"trgeo: ValidationError: {line}\n"
+    assert not (out / "results.json").exists()

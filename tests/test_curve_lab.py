@@ -10,9 +10,8 @@ import pytest
 
 from trgeo import curve_lab as cl
 from trgeo._spectral import richardson, rk4_step, spectral_derivative
-from trgeo.errors import (AliasingDetected, FieldNotPositive, NotArclength,
-                          NotImmersed, OrientationError, OutsideAnnulus,
-                          ValidationError)
+from trgeo.errors import (AliasingDetected, NotArclength, NotImmersed, OrientationError,
+                          OutsideAnnulus, ValidationError)
 
 
 def theta_grid(M):
@@ -279,44 +278,6 @@ def test_length_profile_outside_annulus():
     curve = cl.FourierCurve(coeffs=coeffs)
     with pytest.raises(OutsideAnnulus):
         cl.length_profile(curve, [0.5])
-
-
-# --- reparametrization -------------------------------------------------------------------
-
-def test_reparametrize_constant_fields():
-    rep = cl.reparametrize_by_field(lambda th: np.ones_like(th))
-    assert abs(rep["R"] - 1.0) < 1e-12
-    assert np.allclose(rep["theta_of_s"],
-                       2 * np.pi * np.arange(256) / 256, atol=1e-10)
-    rep2 = cl.reparametrize_by_field(lambda th: 2.0 * np.ones_like(th))
-    assert abs(rep2["R"] - 0.5) < 1e-12
-    s = 2 * np.pi * 0.5 * np.arange(256) / 256
-    assert np.allclose(rep2["theta_of_s"], 2.0 * s, atol=1e-10)
-
-
-def test_reparametrize_cosine_field():
-    rep = cl.reparametrize_by_field(lambda th: 1.0 + 0.5 * np.cos(th))
-    assert abs(rep["R"] - 1.0 / math.sqrt(0.75)) < 1e-10
-    assert rep["closure_defect"] < 1e-8
-
-
-@pytest.mark.parametrize("M", [32, 256])
-@pytest.mark.parametrize("a", [0.3, 0.5])
-def test_reparametrize_matches_closed_form(a, M):
-    # theta' = 1 + a cos theta from theta(0) = 0 has the closed form
-    # theta(s) = 2 atan(sqrt((1 + a)/(1 - a)) tan(sqrt(1 - a^2) s / 2))
-    rep = cl.reparametrize_by_field(lambda th: 1.0 + a * np.cos(th), M=M)
-    s = 2.0 * math.pi * rep["R"] * np.arange(M) / M
-    half = np.sqrt(1.0 - a * a) * s / 2.0
-    exact = np.unwrap(2.0 * np.arctan(math.sqrt((1.0 + a) / (1.0 - a)) * np.tan(half)))
-    assert abs(rep["R"] - 1.0 / math.sqrt(1.0 - a * a)) < 1e-13
-    assert np.max(np.abs(rep["theta_of_s"] - exact)) < 1e-13
-    assert rep["closure_defect"] < 1e-13
-
-
-def test_reparametrize_rejects_vanishing_field():
-    with pytest.raises(FieldNotPositive):
-        cl.reparametrize_by_field(lambda th: np.cos(th))
 
 
 # --- second variation of length ----------------------------------------------------------

@@ -139,15 +139,22 @@ def test_flow_vol_j_is_the_volume_of_each_continued_member(case):
         Y = imm.coordinate_field(im.grid, 0, 0.5)
     ts = [-0.1, 0.0, 0.1, 0.2]
     flow = gf.flow_spectral(im, Y, ts)
-    cont, axis, c, ts, spectrum, _, psi = gf._spectral_setup(im, Y, ts)
-    assert (psi is None) == (case != "quotient shear")
-    members = [m for pts, _ in gf._continued_blocks(cont, spectrum, axis, c, ts)
+    axis, f = gf._axis_profile(Y)
+    cont, c = im, float(f[0])
+    if case == "quotient shear":
+        # the axis resampled at constant speed, as _spectral_family does
+        theta, _, c = gf._constant_speed(f)
+        w = None if im.winding is None else im.winding[:, axis]
+        cont = imm.Immersion(grid=im.grid, chart=im.chart, winding=im.winding,
+                             points=gf._resample_axis(im.points, axis, theta, w))
+    members = [m for pts, _ in gf._continued_blocks(cont, gf._present_spectrum(cont),
+                                                    axis, c, ts)
                for m in gf._members(cont, pts)]
     want = [imm.is_totally_real(m).volumes()["vol_j"] for m in members]
     assert flow.times == ts and len(flow.vol_j) == len(want) == len(ts)
     for got, ref in zip(flow.vol_j, want):
         assert abs(got - ref) <= 1e-14 * abs(ref)
-    if psi is None:
+    if case != "quotient shear":
         # a coordinate field's frames are the continued members themselves
         for frame, member in zip(flow.immersions, members):
             assert np.array_equal(frame.points, member.points)
@@ -846,17 +853,72 @@ def test_map_back_angles_are_the_closed_form(M, a):
     # psi = k s(theta) with s = int_0^theta dtheta / (1 + a cos theta)
     # = (2/k) atan(sqrt((1 - a)/(1 + a)) tan(theta/2)), k = sqrt(1 - a^2),
     # on the branch continuous over [0, 2 pi) (measured 1.8e-15)
-    im = imm.build_immersion(imm.GridTorus((M,)), ambient.flat_chart(1), "circle").im
-    *_, psi = gf._spectral_setup(im, cosine_axis_field(im.grid, 0, amplitude=a), [0.1])
-    half = im.grid.thetas(0) / 2.0
+    nodes = imm.GridTorus((M,)).thetas(0)
+    _, psi, _ = gf._constant_speed(1.0 + a * np.cos(nodes))
+    half = nodes / 2.0
     closed = 2.0 * np.arctan2(math.sqrt((1.0 - a) / (1.0 + a)) * np.sin(half), np.cos(half))
     assert np.max(np.abs(psi - closed)) <= 1e-14
 
 
+# --- the constant-speed axis -------------------------------------------------------
+
+@pytest.mark.parametrize("f0", [1.0, 2.0])
+def test_constant_speed_of_a_constant_field(f0):
+    # R = 1/f0, and theta(psi_j) = f0 R psi_j are the nodes again
+    nodes = imm.GridTorus((256,)).thetas(0)
+    theta, psi, c = gf._constant_speed(np.full(256, f0))
+    assert abs(1.0 / c - 1.0 / f0) < 1e-12
+    assert np.allclose(theta, nodes, atol=1e-10)
+    assert np.allclose(psi, nodes, atol=1e-10)
+
+
+@pytest.mark.parametrize("M", [32, 256])
+@pytest.mark.parametrize("a", [0.3, 0.5])
+def test_constant_speed_matches_closed_form(a, M):
+    # theta' = 1 + a cos theta from theta(0) = 0 has the closed form
+    # theta(s) = 2 atan(sqrt((1 + a)/(1 - a)) tan(sqrt(1 - a^2) s / 2)),
+    # with period 2 pi R, R = 1/sqrt(1 - a^2)
+    theta, _, c = gf._constant_speed(1.0 + a * np.cos(imm.GridTorus((M,)).thetas(0)))
+    s = 2.0 * math.pi * np.arange(M) / M / c
+    half = np.sqrt(1.0 - a * a) * s / 2.0
+    exact = np.unwrap(2.0 * np.arctan(math.sqrt((1.0 + a) / (1.0 - a)) * np.tan(half)))
+    assert abs(1.0 / c - 1.0 / math.sqrt(1.0 - a * a)) < 1e-13
+    assert np.max(np.abs(theta - exact)) < 1e-13
+
+
+def _dips_between_nodes():
+    """On 64 nodes: 0.05 everywhere but 1.0 at node 0. Positive at every
+    node, its interpolant rings below zero between them."""
+    f = np.full(64, 0.05)
+    f[0] = 1.0
+    return f
+
+
+def _touches_zero_at_a_node():
+    """1 - cos theta on 32 nodes: 0 at node 0, yet its interpolant stays
+    above zero (1.1e-16 at least) on the 4096 probe angles."""
+    return 1.0 - np.cos(imm.GridTorus((32,)).thetas(0))
+
+
+@pytest.mark.parametrize("profile", [_dips_between_nodes, _touches_zero_at_a_node])
+@pytest.mark.parametrize("entry", ["flow_spectral", "uniqueness_compare"])
+def test_a_profile_not_positive_everywhere_is_unsupported(entry, profile):
+    f = profile()
+    assert np.min(f) >= 0.0
+    im = imm.build_immersion(imm.GridTorus((f.size,)), ambient.flat_chart(1), "circle",
+                             r=1.0).im
+    X = imm.VectorFieldOnL(grid=im.grid, components=f[None])
+    with pytest.raises(UnsupportedField, match="needs f > 0 everywhere"):
+        if entry == "flow_spectral":
+            gf.flow_spectral(im, X, [0.01])
+        else:
+            gf.uniqueness_compare(im, X, 0.01)
+
+
 # --- which error uniqueness_compare raises ----------------------------------------
-# The stepper runs to t_final and validates its last frame before the spectral
-# side is compared, so an error of the stepper wins over a spectral one even
-# though the two sides now advance together.
+# The errors come in the order the work runs: the stepper's up-front checks,
+# then the spectral guards, then the first block or step that fails, a block
+# being checked before the steps to its times are taken.
 
 def _poison_block(monkeypatch, which, index=(0, 0, 3)):
     """Make the point at `index` of block `which` of every spectral family NaN."""
@@ -893,7 +955,7 @@ def _nan_from_step(monkeypatch, step):
 
 def _sign_changing_circle():
     """The flat 64-node circle and (0.2 + 0.5 cos theta) d/dtheta: the stepper
-    runs on that field, and _spectral_setup raises UnsupportedField for it."""
+    runs on that field, and _spectral_family raises UnsupportedField for it."""
     im = imm.build_immersion(imm.GridTorus((64,)), ambient.flat_chart(1), "circle",
                              r=1.0).im
     return im, cosine_axis_field(im.grid, 0, base=0.2, amplitude=0.5)
@@ -906,55 +968,55 @@ def _raised(fn, *args):
 
 
 @pytest.mark.parametrize("spectral_side", ["general field", "poisoned block"])
-@pytest.mark.parametrize("stepper", ["step too large", "tail threshold"])
-def test_a_stepper_error_wins_over_a_spectral_failure(monkeypatch, stepper, spectral_side):
+def test_the_step_bound_comes_before_a_spectral_failure(monkeypatch, spectral_side):
     if spectral_side == "general field":
-        im, X = _sign_changing_circle()   # _spectral_setup raises UnsupportedField
+        im, X = _sign_changing_circle()   # _spectral_family raises UnsupportedField
     else:
         im = _product_torus_32()
         X = imm.coordinate_field(im.grid, 0)
         _poison_block(monkeypatch, 0)
-    # dt = t_final / 200: 10 * 21 * 0.7 / 200 and 20 * 10 / 200 pass 0.5 (StepTooLarge);
-    # a negative threshold makes the first step blow up
-    t_final = 0.1
-    if stepper == "step too large":
-        t_final = 10.0 if im.n == 1 else 20.0
-    else:
-        monkeypatch.setattr(gf, "TAIL_ENERGY_ABORT", -1.0)
-    # stepping alone: the error uniqueness_compare raised when it stepped to
-    # t_final before the spectral side was made
+    # dt = t_final / 200: 10 * 21 * 0.7 / 200 and 20 * 10 / 200 pass 0.5
+    t_final = 10.0 if im.n == 1 else 20.0
     want = _raised(gf.flow_timestep, im, X, t_final, t_final / gf.UNIQUENESS_STEPS)
-    assert isinstance(want, StepTooLarge if stepper == "step too large" else BlowUpDetected)
+    assert isinstance(want, StepTooLarge)
     got = _raised(gf.uniqueness_compare, im, X, t_final)
     assert type(got) is type(want) and str(got) == str(want)
 
 
-def test_stepping_goes_on_after_a_spectral_block_fails(monkeypatch):
-    # block 1 holds frames 8..15; the stepper fails later, at step 20, which
-    # it only reaches if it runs on past the failed block
+def test_a_spectral_guard_fails_before_any_state_is_stepped(monkeypatch):
+    im, X = _sign_changing_circle()
+    stepped = []
+    rk4_states = gf._rk4_states
+
+    def counted(*args):
+        times, states = rk4_states(*args)
+
+        def counting():
+            for state in states:
+                stepped.append(None)
+                yield state
+        return times, counting()
+
+    monkeypatch.setattr(gf, "_rk4_states", counted)
+    with pytest.raises(UnsupportedField, match="needs f > 0 everywhere"):
+        gf.uniqueness_compare(im, X, 0.1)
+    assert stepped == []
+
+
+def test_a_failing_block_comes_before_the_steps_to_its_times(monkeypatch):
+    # block 0 holds frames 0..7; the stepper would blow up at step 20
     pt = _product_torus_32()
     X = imm.coordinate_field(pt.grid, 0)
     calls = _nan_from_step(monkeypatch, 20)
-    want = _raised(gf.flow_timestep, pt, X, 0.1, 0.1 / gf.UNIQUENESS_STEPS)
+    blow_up = _raised(gf.flow_timestep, pt, X, 0.1, 0.1 / gf.UNIQUENESS_STEPS)
+    assert isinstance(blow_up, BlowUpDetected)
     calls.clear()
-    _poison_block(monkeypatch, 1)
+    _poison_block(monkeypatch, 0)
     got = _raised(gf.uniqueness_compare, pt, X, 0.1)
-    assert type(got) is BlowUpDetected and str(got) == str(want)
-    assert got.t_reached == want.t_reached == pytest.approx(20 * 0.1 / gf.UNIQUENESS_STEPS)
-
-
-def test_the_last_stepped_frame_is_validated_before_a_spectral_failure(monkeypatch):
-    im, X = _sign_changing_circle()
-    validated = []
-
-    def refuse(im):
-        validated.append(im.points.shape)
-        raise ValidationError("the last stepped frame")
-
-    monkeypatch.setattr(gf, "is_totally_real", refuse)
-    with pytest.raises(ValidationError, match="the last stepped frame"):
-        gf.uniqueness_compare(im, X, 0.1)
-    assert validated == [(64, 2)]
+    assert type(got) is NotFinite and str(got) == _not_finite(
+        [k * 0.1 / gf.UNIQUENESS_STEPS for k in range(8)], 0, 7)
+    # not one step is taken: the first state is the initial one
+    assert calls == []
 
 
 @pytest.mark.parametrize("spectral_side", ["general field", "poisoned block"])
