@@ -662,7 +662,7 @@ _FIELD_OP = {**_IMMERSION_OP, "field": _F(_FIELD, {})}
 # the size bounds below are set by peak RSS and wall time measured at the
 # bound, in a fresh process on a 2-core Xeon host: 59 MB and 0.7 s for
 # curve.analyze samples; 111 MB and 0.4 s for n_points on the ball;
-# 68 MB and 7 to 10 s for flow.bvp N through all 60 Gauss-Newton steps
+# 68 MB and 4.4 to 5.8 s for flow.bvp N through all 60 Gauss-Newton steps
 _N_POINTS = _F("int", 12, _between(1, 2 ** 16))
 # each operation's handler and the table it reads the scenario with, besides
 # the fields of _ENVELOPE, which every scenario may carry

@@ -55,7 +55,8 @@ iota o phi_t(X).
 solve_bvp_annulus fits a Laurent polynomial annulus map between two nested
 Jordan curves by Gauss-Newton on (modulus, coefficients, boundary
 correspondences), the discrete version of the doubly connected Riemann
-mapping theorem. Each step eliminates the correspondence angles node by node.
+mapping theorem. Each step eliminates the correspondence angles node by node
+and solves for the rest by one QR.
 """
 
 import math
@@ -774,21 +775,30 @@ def uniqueness_compare(im, X, t_final):
 
 # --- boundary value problem ---------------------------------------------------
 
-def _winding_number(samples, z0):
-    d = samples - z0
-    ang = np.angle(d[np.r_[1:len(d), 0]] / d)
-    return int(round(float(np.sum(ang)) / (2.0 * math.pi)))
+def _winding_numbers(samples, points):
+    """Winding number of the closed polygon `samples` about each of `points`."""
+    d = samples - points[:, None]
+    turn = np.roll(d, -1, axis=1)
+    turn /= d
+    return np.rint(np.sum(np.angle(turn), axis=1) / (2.0 * math.pi)).astype(int)
 
 
 def _require_nested(gamma0, gamma1):
     s0 = curve_lab.synthesize(gamma0, M=512)
     s1 = curve_lab.synthesize(gamma1, M=512)
-    w_in = {_winding_number(s0, z) for z in s1[::16]}
-    w_out = {_winding_number(s1, z) for z in s0[::16]}
+    w_in = set(_winding_numbers(s0, s1[::16]).tolist())
+    w_out = set(_winding_numbers(s1, s0[::16]).tolist())
     if w_in != {1} or w_out != {0}:
         raise NotNested(
             "curves must be disjoint with the second strictly inside the first"
         )
+
+
+def _value_and_tangent(curve):
+    """FFT-ordered columns (a_n, i n a_n): gamma and gamma' in one evaluation."""
+    n = np.arange(-curve.N, curve.N + 1)
+    return np.fft.ifftshift(np.stack([curve.coeffs, 1j * n * curve.coeffs], axis=1),
+                            axes=0)
 
 
 class _AnnulusProblem:
@@ -806,6 +816,7 @@ class _AnnulusProblem:
         self.alphas = 2.0 * math.pi * np.arange(M) / M
         self.n_idx = np.arange(-N, N + 1)
         self.basis = np.exp(1j * self.alphas)[:, None] ** self.n_idx
+        self._columns = (_value_and_tangent(gamma0), _value_and_tangent(gamma1))
 
     def initial_guess(self):
         """rho from the enclosed-area ratio, a from gamma0, identity angles."""
@@ -826,14 +837,21 @@ class _AnnulusProblem:
         return float(x[0]), a, x[1 + 2 * na:1 + 2 * na + M], x[1 + 2 * na + M:]
 
     def residual(self, x):
-        rho, a, beta, delta = self.unpack(x)
-        r_out = self.basis @ a - curve_lab.evaluate_at(self.gamma0, beta)
-        r_in = (self.basis @ (rho ** self.n_idx * a)
-                - curve_lab.evaluate_at(self.gamma1, delta))
-        return np.concatenate([r_out.real, r_out.imag, r_in.real, r_in.imag,
-                               [a[self.N + 1].imag]])
+        """(r, tangents): the residual, and (gamma0'(beta), gamma1'(delta)).
 
-    def step(self, x, r):
+        One evaluation per curve gives its points and its tangents, so the
+        step at an accepted iterate reads the tangents its residual made.
+        """
+        rho, a, beta, delta = self.unpack(x)
+        out = _spectral.evaluate_fourier(self._columns[0], beta)
+        inn = _spectral.evaluate_fourier(self._columns[1], delta)
+        r_out = self.basis @ a - out[:, 0]
+        r_in = self.basis @ (rho ** self.n_idx * a) - inn[:, 0]
+        r = np.concatenate([r_out.real, r_out.imag, r_in.real, r_in.imag,
+                            [a[self.N + 1].imag]])
+        return r, (out[:, 1], inn[:, 1])
+
+    def step(self, x, r, tangents):
         """Gauss-Newton step with the angles eliminated node by node.
 
         Node j's residual moves by dg_j + d_j dbeta_j with d_j = -gamma'(beta_j),
@@ -841,32 +859,40 @@ class _AnnulusProblem:
         along the unit normal n_j = i d_j / |d_j|. Least squares on those
         2M normal components plus the gauge row gives (drho, da); the angle
         updates follow by back-substitution.
+
+        The least-squares problem is solved by one Householder QR of A with
+        the right-hand side as its last column: R's leading triangle against
+        its last column gives the step, with no rank truncation. A zero pivot
+        of that triangle raises NotFinite.
         """
         rho, a, beta, delta = self.unpack(x)
         N, M, na = self.N, self.M, 2 * self.N + 1
         basis_in = self.basis * rho ** self.n_idx
         dgin_drho = basis_in @ (self.n_idx / rho * a)
-        d_out = -curve_lab.evaluate_derivative(self.gamma0, beta)
-        d_in = -curve_lab.evaluate_derivative(self.gamma1, delta)
+        d_out, d_in = -tangents[0], -tangents[1]
         cn_out = -1j * np.conj(d_out) / np.abs(d_out)    # conj(n_j)
         cn_in = -1j * np.conj(d_in) / np.abs(d_in)
-        p_out = cn_out[:, None] * self.basis
-        p_in = cn_in[:, None] * basis_in
-        A = np.zeros((2 * M + 1, 1 + 2 * na))
-        A[:M, 1:1 + na] = p_out.real
-        A[:M, 1 + na:] = -p_out.imag
-        A[M:2 * M, 0] = (cn_in * dgin_drho).real
-        A[M:2 * M, 1:1 + na] = p_in.real
-        A[M:2 * M, 1 + na:] = -p_in.imag
-        A[2 * M, 1 + na + N + 1] = 1.0
         r_out = r[:M] + 1j * r[M:2 * M]
         r_in = r[2 * M:3 * M] + 1j * r[3 * M:4 * M]
-        rhs = -np.concatenate([(cn_out * r_out).real, (cn_in * r_in).real,
-                               [r[4 * M]]])
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(rhs))):
+        # columns: drho, Re da, Im da, then the right-hand side
+        A = np.zeros((2 * M + 1, 2 + 2 * na))
+        for rows, cn, basis, r_b in ((A[:M], cn_out, self.basis, r_out),
+                                     (A[M:2 * M], cn_in, basis_in, r_in)):
+            p = cn[:, None] * basis
+            rows[:, 1:1 + na] = p.real
+            rows[:, 1 + na:-1] = -p.imag
+            rows[:, -1] = -(cn * r_b).real
+        del p    # freed before the QR, which copies A twice
+        A[M:2 * M, 0] = (cn_in * dgin_drho).real
+        A[2 * M, 1 + na + N + 1] = 1.0
+        A[2 * M, -1] = -r[4 * M]
+        if not np.all(np.isfinite(A)):
             raise NotFinite("annulus BVP: the residual or the Gauss-Newton step "
                             "is not finite")
-        reduced, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+        R = np.linalg.qr(A, mode="r")
+        if not np.all(np.diagonal(R)[:-1]):
+            raise NotFinite("annulus BVP: the Gauss-Newton matrix is singular")
+        reduced = np.linalg.solve(R[:-1, :-1], R[:-1, -1])
         da = reduced[1:1 + na] + 1j * reduced[1 + na:]
         dg_out = self.basis @ da
         dg_in = basis_in @ da + dgin_drho * reduced[0]
@@ -890,7 +916,9 @@ def solve_bvp_annulus(gamma0, gamma1, N=32):
     Golub & Pereyra): projecting each node's residual onto the normal of its
     boundary curve leaves a (2M + 1) x (4N + 3) least-squares problem for
     the modulus and the coefficients instead of a (4M + 1) x (4N + 3 + 2M)
-    one, and the angle updates follow by back-substitution.
+    one, and the angle updates follow by back-substitution. That problem is
+    solved by QR without rank truncation: the inner columns carry rho^n, and
+    a step that drops small singular values stalls on thin or high-N pairs.
     """
     if N < 1:
         raise ValidationError(f"N must be at least 1, got {N}")
@@ -898,7 +926,7 @@ def solve_bvp_annulus(gamma0, gamma1, N=32):
     M = max(8 * N, 64)
     prob = _AnnulusProblem(gamma0, gamma1, N, M)
     x = prob.initial_guess()
-    r = prob.residual(x)
+    r, tangents = prob.residual(x)
     cost = float(r @ r)
     history = [math.sqrt(cost / r.size)]
     converged = False
@@ -908,17 +936,17 @@ def solve_bvp_annulus(gamma0, gamma1, N=32):
             converged = True
             break
         iterations = it + 1
-        step = prob.step(x, r)
+        step = prob.step(x, r, tangents)
         alpha = 1.0
         improved = False
         while alpha > 1e-12:
             x_new = x + alpha * step
             rho_new = x_new[0]
             if 0.0 < rho_new < 1.0:
-                r_new = prob.residual(x_new)
+                r_new, tangents_new = prob.residual(x_new)
                 cost_new = float(r_new @ r_new)
                 if cost_new < cost:
-                    x, r, cost = x_new, r_new, cost_new
+                    x, r, tangents, cost = x_new, r_new, tangents_new, cost_new
                     improved = True
                     break
             alpha *= 0.5
@@ -929,18 +957,16 @@ def solve_bvp_annulus(gamma0, gamma1, N=32):
             converged = True
             break
     rho, a, beta, delta = prob.unpack(x)
-    n_idx = prob.n_idx
     n_store = max(N, 32)
     padded = np.zeros(2 * n_store + 1, dtype=complex)
     padded[n_store - N: n_store + N + 1] = a
     fitted = curve_lab.FourierCurve(coeffs=padded)
     out_part = np.abs(r[0:M] + 1j * r[M:2 * M])
     in_part = np.abs(r[2 * M:3 * M] + 1j * r[3 * M:4 * M])
-    min_deriv = math.inf
-    for rr in np.linspace(rho, 1.0, 9):
-        zz = rr * np.exp(1j * prob.alphas)
-        gp = (zz[:, None] ** (n_idx - 1) * n_idx) @ a
-        min_deriv = min(min_deriv, float(np.min(np.abs(gp))))
+    # |g'(r e^{i alpha})| = |sum_n n a_n r^(n-1) e^{i n alpha}| on 9 radii at once
+    radii = np.linspace(rho, 1.0, 9)
+    gp = prob.basis @ ((prob.n_idx * a)[:, None] * radii ** (prob.n_idx - 1)[:, None])
+    min_deriv = float(np.min(np.abs(gp)))
     return BvpResult(
         modulus=rho,
         curve=fitted,
