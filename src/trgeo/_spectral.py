@@ -169,30 +169,12 @@ def rk4_step(rhs, y, h):
     """One classical Runge-Kutta step of y' = rhs(y) with step h.
 
     h is a number, or an array that broadcasts against y (one step per row).
-    The stages and the sum y + h (k1 + 2 k2 + 2 k3 + k4) / 6 are formed in
-    place in arrays of this step's own, operation by operation in that
-    order, so they hold the bits of the plain expressions with fewer
-    temporaries; the arrays rhs returns are only read.
     """
     k1 = rhs(y)
-    stage = k1 * (0.5 * h)
-    stage += y
-    k2 = rhs(stage)
-    stage = k2 * (0.5 * h)
-    stage += y
-    k3 = rhs(stage)
-    stage = k3 * h
-    stage += y
-    k4 = rhs(stage)
-    out = k2 * 2
-    out += k1
-    stage = k3 * 2
-    out += stage
-    out += k4
-    out *= h
-    out /= 6.0
-    out += y
-    return out
+    k2 = rhs(y + 0.5 * h * k1)
+    k3 = rhs(y + 0.5 * h * k2)
+    k4 = rhs(y + h * k3)
+    return y + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
 
 
 def richardson(estimate, h):

@@ -271,22 +271,6 @@ class AmbientChart:
                                [(d, d)])
         return ric
 
-    def _einstein_data(self, pts):
-        """(g, Gamma, Ric) at points from one jet evaluation per block.
-
-        Each equals what metric_many, christoffel_many and ricci_many return
-        at the same points; the domain check is the Ricci tensor's.
-        """
-        pts = np.asarray(pts, dtype=float)
-        d = self.dim
-        if self.is_flat:
-            return (self.metric_many(pts)[0], self.christoffel_many(pts),
-                    self.ricci_many(pts))
-        return tuple(self._on_blocks(
-            pts, _STENCIL_MARGIN,
-            lambda j: (self._metric(j), self._christoffel(j), self._ricci(j)),
-            [(d, d), (d, d, d), (d, d)]))
-
 
 def verify_kahler_einstein(chart, sample_points):
     """Check nabla J = 0 and fit the best Einstein constant over samples.
@@ -298,7 +282,11 @@ def verify_kahler_einstein(chart, sample_points):
     if pts.ndim != 2 or pts.shape[0] < 8:
         raise ValidationError("need at least 8 interior sample points")
     J = chart.J
-    g, gamma, ric = chart._einstein_data(pts)
+    # Gamma first: its domain check has the widest margin, and its
+    # positivity check comes before the Ricci tensor's own
+    gamma = chart.christoffel_many(pts)
+    g, _ = chart.metric_many(pts)
+    ric = chart.ricci_many(pts)
     nabla_j = 0.0
     for a in range(chart.dim):
         ga = gamma[:, :, a, :]

@@ -27,6 +27,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from typing import NamedTuple
 
 import numpy as np
@@ -193,47 +194,26 @@ def _int_cells(v):
     return out
 
 
-def _column_cells(column, encoding):
-    """One column as rows of a NUL-padded uint8 matrix: a float array as
-    '%.17g' % x, an array of ints >= 0 as str(k), any other column by _cell,
-    then with the cells' lengths, as text may hold a NUL of its own."""
-    kind = column.dtype.kind if isinstance(column, np.ndarray) else None
-    if kind == "f":
-        return _float_cells(column), None
-    if kind in ("i", "u") and column.min(initial=0) >= 0:
-        return _int_cells(column), None
-    cells = [_cell(v).encode(encoding) for v in (column.tolist() if kind else column)]
-    matrix = np.array(cells, dtype=bytes)
-    return matrix.view(np.uint8).reshape(len(cells), -1), np.array(list(map(len, cells)))
-
-
 def write_csv(path, header, columns):
     """RFC-4180 CSV with LF endings: the header, then one row per entry of
-    the columns, which all have one length (see _column_cells)."""
+    the columns, float arrays as '%.17g' % x and arrays of ints >= 0 as
+    str(k), all of one length."""
     with open(path, "w", newline="") as f:
         rows = len(columns[0]) if columns else 0
-        _write_table(f, header, [_column_cells(column, f.encoding) for column in columns]
-                     if rows else [])
+        _write_table(f, header, [_float_cells(c) if c.dtype.kind == "f" else _int_cells(c)
+                                 for c in columns] if rows else [])
 
 
 def _write_table(f, header, cells):
-    """The header, then the rows of the columns' cells (the pairs of
-    _column_cells, one per column, all of one length), to the text file f."""
+    """The header, then the rows of the columns' cells (NUL-padded uint8
+    matrices, one per column, all of one length), to the text file f."""
     f.write(",".join(map(_cell, header)) + "\n")
     if not cells:
         return
-    rows = len(cells[0][0])
-    blocks, text = [], []
-    for matrix, lengths in cells:
-        if lengths is not None:
-            text.append((sum(b.shape[1] for b in blocks), lengths))
-        blocks += [matrix, np.full((rows, 1), ord(","), np.uint8)]
-    blocks[-1][:] = ord("\n")
-    table = np.concatenate(blocks, axis=1)
-    keep = table != 0
-    for start, lengths in text:
-        keep[:, start:start + lengths.max()] = np.arange(lengths.max()) < lengths[:, None]
-    f.write(table[keep].tobytes().decode(f.encoding))
+    comma = np.full((len(cells[0]), 1), ord(","), np.uint8)
+    table = np.concatenate([part for matrix in cells for part in (matrix, comma)], axis=1)
+    table[:, -1] = ord("\n")
+    f.write(table[table != 0].tobytes().decode(f.encoding))
 
 
 def _write_frames_csv(out_dir, frames):
@@ -251,20 +231,22 @@ def _write_frames_csv(out_dir, frames):
         rows = c.shape[1]
         with open(path, "w", newline="") as f:
             _write_table(f, [f"x{j}" for j in range(len(c))],
-                         [(cells[start + j * rows:start + (j + 1) * rows], None)
-                          for j in range(len(c))])
+                         [cells[start + j * rows:start + (j + 1) * rows] for j in range(len(c))])
         start += c.size
         paths.append(path)
     return paths
 
 
 def _write_reports_csv(out_dir, reports):
-    """summary.csv: one row per variation report dict; returns the path."""
+    """summary.csv: the header, then one row per variation report dict, the
+    only CSV holding text, written cell by cell by _cell; returns the path."""
     path = os.path.join(out_dir, "summary.csv")
-    rows = [(r["context"], float(r["analytic"]), float(r["fd"]), float(r["rel_err"]),
-             "" if r.get("richardson_order") is None else float(r["richardson_order"]))
-            for r in reports]
-    write_csv(path, ["case", "analytic", "fd", "rel_err", "order"], list(zip(*rows)))
+    rows = [("case", "analytic", "fd", "rel_err", "order")] + [
+        (r["context"], float(r["analytic"]), float(r["fd"]), float(r["rel_err"]),
+         "" if r.get("richardson_order") is None else float(r["richardson_order"]))
+        for r in reports]
+    with open(path, "w", newline="") as f:
+        f.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
     return path
 
 
@@ -563,14 +545,17 @@ def _op_flow_run(s, out_dir, raw):
     im = _geometry(s).im
     X = _field(s["field"], im.grid)
     p = s["params"]
-    if p["scheme"] == "spectral":
-        flow = geodesic_flow.flow_spectral(im, X, p["times"])
-    else:
-        try:
+    try:
+        if p["scheme"] == "spectral":
+            # the bound is the frame CSVs' and is not flow_spectral's, whose
+            # families of a few frames (variation.second) may be larger
+            geodesic_flow.require_kept(len(p["times"]), im, "times")
+            flow = geodesic_flow.flow_spectral(im, X, p["times"])
+        else:
             flow = geodesic_flow.flow_timestep(im, X, p["t_final"], p["dt"],
                                                store_every=p["store_every"])
-        except BadArgument as e:
-            raise ValidationError(f"params.{e}") from None
+    except BadArgument as e:
+        raise ValidationError(f"params.{e}") from None
     paths = _write_frames_csv(out_dir, [f.positions() for f in flow.immersions])
     manifest = {
         "scheme": flow.scheme,
@@ -592,7 +577,7 @@ def _op_flow_bvp(s, out_dir, raw):
     curve_lab.save_coefficients(res.curve, path)
     return {"modulus": res.modulus, "converged": res.converged,
             "outer_misfit": res.outer_misfit, "inner_misfit": res.inner_misfit,
-            "iterations": res.iterations}, [path]
+            "iterations": res.iterations, "min_map_derivative": res.min_map_derivative}, [path]
 
 
 def _op_flow_uniqueness(s, out_dir, raw):
@@ -610,24 +595,24 @@ def _op_flow_uniqueness(s, out_dir, raw):
 
 def _op_variation_first(s, out_dir, raw):
     geo = _geometry(s)
-    rep = vh.check_first_variation(geo, _field(s["field"], geo.im.grid),
-                                   context=s.get("name", "first"))
-    return {"report": rep.to_dict()}, [_write_reports_csv(out_dir, [rep.to_dict()])]
+    rep = asdict(vh.check_first_variation(geo, _field(s["field"], geo.im.grid),
+                                          context=s.get("name", "first")))
+    return {"report": rep}, [_write_reports_csv(out_dir, [rep])]
 
 
 def _op_variation_second(s, out_dir, raw):
     geo = _geometry(s)
-    rep = vh.check_second_variation_kahler(geo, _field(s["field"], geo.im.grid),
-                                           context=s.get("name", "second"))
-    return {"report": rep.to_dict()}, [_write_reports_csv(out_dir, [rep.to_dict()])]
+    rep = asdict(vh.check_second_variation_kahler(geo, _field(s["field"], geo.im.grid),
+                                                  context=s.get("name", "second")))
+    return {"report": rep}, [_write_reports_csv(out_dir, [rep])]
 
 
 def _op_variation_density(s, out_dir, raw):
     geo = _geometry(s)
     r1, r2, integral2 = vh.check_density_divergence(geo, _field(s["field"], geo.im.grid))
-    path = _write_reports_csv(out_dir, [r1.to_dict(), r2.to_dict()])
-    return {"first": r1.to_dict(), "second": r2.to_dict(),
-            "second_integral": integral2}, [path]
+    r1, r2 = asdict(r1), asdict(r2)
+    return {"first": r1, "second": r2, "second_integral": integral2}, [
+        _write_reports_csv(out_dir, [r1, r2])]
 
 
 def _op_variation_convexity(s, out_dir, raw):
@@ -739,6 +724,7 @@ def _run(scn, path, out_dir, threads):
                        "tail_energy_abort": geodesic_flow.TAIL_ENERGY_ABORT},
     }
     results_path = os.path.join(out_dir, "results.json")
+    record = {"scenario": scn.get("name", os.path.basename(path)), "operation": op}
     try:
         # overflow, invalid and divide raise, so none prints a warning and
         # the first names its stage; underflow is no failure
@@ -753,31 +739,19 @@ def _run(scn, path, out_dir, threads):
             for f in files:
                 os.remove(f)
             raise NotFinite(f"{op} computed NaN at {nan}")
+        record |= {"status": "ok", "results": results}
+        status = 0
     except NumericalError as e:
-        record = {
-            "scenario": scn.get("name", os.path.basename(path)),
-            "operation": op,
-            "status": "numerical_failure",
-            "error_type": type(e).__name__,
-            "message": str(e),
-        }
+        record |= {"status": "numerical_failure", "error_type": type(e).__name__,
+                   "message": str(e)}
         t_reached = getattr(e, "t_reached", None)
         if t_reached is not None:
             record["t_reached"] = t_reached
-        _json_dump(record, results_path)
-        manifest["out_files"] = _out_names(out_dir, [results_path])
-        _json_dump(manifest, os.path.join(out_dir, "manifest.json"))
-        return 3
-    record = {
-        "scenario": scn.get("name", os.path.basename(path)),
-        "operation": op,
-        "status": "ok",
-        "results": results,
-    }
+        files, status = [], 3
     _json_dump(record, results_path)
     manifest["out_files"] = _out_names(out_dir, [results_path] + list(files))
     _json_dump(manifest, os.path.join(out_dir, "manifest.json"))
-    return 0
+    return status
 
 
 def _stage(error):

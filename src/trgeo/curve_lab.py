@@ -292,27 +292,34 @@ def classify_direction(curve):
 
 # --- continuation ----------------------------------------------------------------
 
+def _require_usable(curve, radii):
+    """OutsideAnnulus unless every radius lies where the curve's direction
+    continues: r_inner < r < r_outer for a geodesic annulus,
+    r_inner < r <= 1 for ray_only, r = 1 alone for no_ray (the estimated
+    radii of classify_direction)."""
+    cls = classify_direction(curve)
+    est = cls.evidence
+    r = np.asarray(radii, dtype=float)
+    if cls.kind == GEODESIC_ANNULUS:
+        ok = (est.r_inner < r) & (r < est.r_outer)
+    elif cls.kind == RAY_ONLY:
+        ok = (est.r_inner < r) & (r <= 1.0)
+    else:
+        ok = r == 1.0
+    if not np.all(ok):
+        raise OutsideAnnulus(
+            f"r = {r[~ok].flat[0]} is outside the usable annulus "
+            f"({est.r_inner:.4g}, {est.r_outer:.4g}) for class {cls.kind}"
+        )
+
+
 def geodesic_evaluate(curve, r):
     """Samples of the holomorphic continuation g on 4N points of the circle |z| = r.
 
-    r must lie in the classified annulus (r <= 1 for ray_only directions);
-    r = 1 returns the original curve samples.
+    r must be usable (_require_usable); r = 1 returns the original curve
+    samples.
     """
-    if r <= 0.0:
-        raise OutsideAnnulus("radius must be positive")
-    cls = classify_direction(curve)
-    est = cls.evidence
-    if cls.kind == GEODESIC_ANNULUS:
-        ok = est.r_inner < r < est.r_outer
-    elif cls.kind == RAY_ONLY:
-        ok = est.r_inner < r <= 1.0
-    else:
-        ok = r == 1.0
-    if not ok:
-        raise OutsideAnnulus(
-            f"r = {r} is outside the usable annulus "
-            f"({est.r_inner:.4g}, {est.r_outer:.4g}) for class {cls.kind}"
-        )
+    _require_usable(curve, r)
     return synthesize(curve, r=r)
 
 
@@ -336,18 +343,10 @@ def length_at_radius(curve, r):
 
 
 def length_profile(curve, radii):
-    """Length profile over the given radii with log-parameter second differences."""
-    cls = classify_direction(curve)
-    est = cls.evidence
+    """Length profile over the given radii with log-parameter second
+    differences; every radius must be usable (_require_usable)."""
     radii = np.asarray(sorted(float(r) for r in radii))
-    if cls.kind == NO_RAY:
-        if np.any(radii != 1.0):
-            raise OutsideAnnulus("curve is not continuable off the unit circle")
-    else:
-        lo = est.r_inner
-        hi = 1.0 if cls.kind == RAY_ONLY else est.r_outer
-        if np.any(radii <= lo) or np.any(radii > hi):
-            raise OutsideAnnulus(f"radii must lie in ({lo:.4g}, {hi:.4g}]")
+    _require_usable(curve, radii)
     values = np.array([length_at_radius(curve, r) for r in radii])
     t = -np.log(radii)
     order = np.argsort(t)

@@ -117,34 +117,6 @@ class TaylorChart(AmbientChart):
                 f"degenerate Hermitian Hessian on '{self.name}'")
         return _kahler_tensor(_coefficient(_hessian(-det.log()), 0))
 
-    def _einstein_data(self, pts):
-        """(g, Gamma, Ric) at points from one degree-4 evaluation of phi.
-
-        The errors are those of christoffel_many, metric_many and ricci_many
-        called in that order: g's positivity check comes before the Ricci
-        tensor's own check, whichever block fails first.
-        """
-        pts = np.asarray(pts, dtype=float)
-        d = self.dim
-        self.require_inside(pts, _STENCIL_MARGIN)
-        ricci_errors = []
-
-        def kernel(h):
-            g_dg = _g_dg(h)
-            try:
-                ric = self._ricci_of_hessian(h)
-            except MetricNotPositiveDefinite as e:
-                ricci_errors.append(e)
-                ric = np.zeros(g_dg.shape[:-3] + (d, d))
-            return np.concatenate([g_dg, ric[..., None, :, :]], axis=-3)
-
-        # [..., 0] = g, [..., 1 + b] = d_b g, [..., 1 + d] = Ric
-        series = self._on_blocks(pts, 4, kernel, (2 + d, d, d))
-        gamma = self._levi_civita(series[..., :1 + d, :, :])
-        if ricci_errors:
-            raise ricci_errors[0]
-        return series[..., 0, :, :], gamma, series[..., 1 + d, :, :]
-
 
 def potential_chart(n, phi, radius, name="potential"):
     return TaylorChart(n=n, phi=phi, radius=radius, name=name)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trgeo import cli, curve_lab as cl, immersion as imm
+from trgeo import cli, curve_lab as cl, geodesic_flow, immersion as imm
 
 
 def write_scenario(path, payload):
@@ -250,6 +250,17 @@ def test_bvp_scenario(tmp_path):
     res = json.loads((out / "results.json").read_text())["results"]
     assert abs(res["modulus"] - 0.5) < 1e-9
     assert res["converged"]
+
+
+def test_bvp_writes_the_least_map_derivative(tmp_path):
+    # the shipped Joukowski pair c_out = 1.5, c_in = 1.1: the check that the
+    # fitted map has no critical point, min |g'| = (c_out / 2)(1 - 1 / c_in^2)
+    # at z = rho
+    example = Path(__file__).resolve().parent.parent / "scenarios" / "bvp_joukowski.json"
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", str(example), "--out", str(out)]) == 0
+    res = json.loads((out / "results.json").read_text())["results"]
+    assert abs(res["min_map_derivative"] - 0.75 * (1.0 - 1.0 / 1.1 ** 2)) <= 1e-11
 
 
 # The inputs below overflow on their way to a NaN. Each operation runs with
@@ -495,13 +506,28 @@ def test_determinism_across_threads(classify_scenario, tmp_path):
 
 def test_csv_format(tmp_path):
     path = tmp_path / "x.csv"
-    cli.write_csv(path, ["a", "b"], [[1.0 / 3.0], ['needs,"quoting"']])
+    cli.write_csv(path, ["a", 'needs,"quoting"'], [np.array([1.0 / 3.0]), np.array([7])])
     raw = path.read_bytes().decode()
     assert "\r" not in raw
-    lines = raw.split("\n")
-    assert lines[0] == "a,b"
-    assert lines[1].startswith("0.33333333333333331")
-    assert '"needs,""quoting"""' in lines[1]
+    assert raw.split("\n") == ['a,"needs,""quoting"""', "0.33333333333333331,7", ""]
+
+
+def test_summary_csv_bytes_pinned(tmp_path):
+    # the one CSV holding text, written cell by cell: a context with a
+    # comma, a quote, a LF and a NUL, no order in one row and one in the
+    # other; the bytes are those of the column writer that summary.csv
+    # went through before
+    reports = [{"context": 'case 1, "quoted"\nnext\0line', "analytic": 1.0 / 3.0,
+                "fd": -2.5e-300, "rel_err": 5e-324, "richardson_order": None},
+               {"context": "plain", "analytic": 124.41, "fd": float("inf"), "rel_err": -0.0,
+                "richardson_order": 1.9999999999999998}]
+    path = cli._write_reports_csv(str(tmp_path), reports)
+    assert path == str(tmp_path / "summary.csv")
+    assert (tmp_path / "summary.csv").read_bytes() == (
+        b'case,analytic,fd,rel_err,order\n'
+        b'"case 1, ""quoted""\nnext\x00line",0.33333333333333331,-2.5e-300,'
+        b'4.9406564584124654e-324,\n'
+        b'plain,124.41,inf,-0,1.9999999999999998\n')
 
 
 def _csv_cell_by_cell(header, rows):
@@ -525,25 +551,24 @@ def _grid_rows():
 
 
 @pytest.mark.parametrize("rows", [
-    [(0, 1, 1.0 / 3.0), (1, -7, -0.0), (2, 10 ** 20, 1e-300),
-     (3, 0, float("nan")), (4, 5, float("inf")), (5, 6, 2.0 ** 60)],
-    [(1.5, np.float64(0.1)), (-2.25e17, np.float64(-3.0))],
-    [(1.0, "a,b"), (2.0, "")],            # a text column: cell by cell
-    [(1.0, "a\0b"), (-7, "\0")],          # text keeps its NULs
-    [(1.0, 2), (0.5, 3.0)],               # a mixed column: cell by cell
+    [(0, 1.0, 1.0 / 3.0), (1, -7.0, -0.0), (2, 1e20, 1e-300),
+     (3, 0.0, float("nan")), (4, 5.0, float("inf")), (5, float("-inf"), 2.0 ** 60)],
+    [(1.5, 0.1), (-2.25e17, -3.0)],
     [],
     _grid_rows(),
 ])
 def test_csv_bytes_pinned(tmp_path, rows):
+    # int and float array columns, as the handlers pass them
     header = ["i0", 'say "hi"', "|H_J|,max", "i1", "rho"][:len(rows[0]) if rows else 3]
     path = tmp_path / "t.csv"
-    cli.write_csv(path, header, list(zip(*rows)))
+    cli.write_csv(path, header, [np.array(c) for c in zip(*rows)])
     assert path.read_bytes().decode() == _csv_cell_by_cell(header, rows)
 
 
 def test_csv_bytes_literal(tmp_path):
     path = tmp_path / "t.csv"
-    cli.write_csv(path, ["i0", 'a "b"', "c,d"], [[0, 12], [0.1, 1e-300], [-0.0, 2.5]])
+    cli.write_csv(path, ["i0", 'a "b"', "c,d"],
+                  [np.array([0, 12]), np.array([0.1, 1e-300]), np.array([-0.0, 2.5])])
     assert path.read_bytes() == (b'i0,"a ""b""","c,d"\n'
                                  b"0,0.10000000000000001,-0\n"
                                  b"12,1e-300,2.5\n")
@@ -992,6 +1017,50 @@ def test_malformed_scenario_fields_exit_2(tmp_path, capsys, payload, field):
     assert err.startswith("trgeo: ValidationError") and field in err
     assert err.count("\n") == 1
     assert not (out / "results.json").exists()
+
+
+@pytest.mark.parametrize("params,shown", [
+    # the frames a flow.run keeps hold at most 2^22 numbers: 32769 frames of
+    # a 64-node circle are past it, and so are 40001 stepped ones
+    ({"scheme": "spectral", "times": [0.0] * 32769},
+     "ValidationError: params.times: 32769 frames of 128 numbers are more than "
+     "the 4194304 numbers a flow keeps"),
+    ({"scheme": "timestep", "t_final": 4.0, "dt": 1e-4, "store_every": 1},
+     "ValidationError: params.store_every: 40001 frames of 128 numbers are more than "
+     "the 4194304 numbers a flow keeps"),
+    # the step count and step size checks come first, with their messages
+    ({"scheme": "timestep", "t_final": 20.0, "dt": 1e-4, "store_every": 1},
+     "ValidationError: params.dt: t_final / dt asks for 2e+05 RK4 steps, more than 100000"),
+    ({"scheme": "timestep", "t_final": 4000.0, "dt": 0.1, "store_every": 1},
+     "StepTooLarge: dt*m*|X| = 2.1 > 0.5; reduce dt"),
+], ids=["times", "store_every", "steps first", "step size first"])
+def test_a_flow_run_keeping_too_many_numbers_exits_2(tmp_path, capsys, params, shown):
+    scn = write_scenario(tmp_path / "s.json", {"version": 1, "operation": "flow.run",
+                                               **_FLAT_CIRCLE, "params": params})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"trgeo: {shown}\n"
+    assert not (out / "results.json").exists()
+
+
+def test_the_frames_bound_is_flow_runs_alone(tmp_path, capsys, monkeypatch):
+    # with the bound at four frames of a 64-node circle, a flow.run of five
+    # times exits 2, and variation.second and variation.convexity, which
+    # continue five frames of the same circle, still run
+    monkeypatch.setattr(geodesic_flow, "MAX_KEPT_NUMBERS", 4 * 128)
+    field = {"kind": "coordinate", "axis": 0}
+    runs = [({"operation": "flow.run", **_FLAT_CIRCLE, "field": field,
+              "params": {"scheme": "spectral", "times": [0.0, 0.1, 0.2, 0.3, 0.4]}}, 2),
+            ({"operation": "variation.second", **_FLAT_CIRCLE, "field": field}, 0),
+            ({"operation": "variation.convexity",
+              "params": {"family": {"kind": "poincare_circle", "r0": 1.0, "grid": 64},
+                         "t_grid": [0.5, 0.75, 1.0, 1.25, 1.5]}}, 0)]
+    for k, (payload, code) in enumerate(runs):
+        scn = write_scenario(tmp_path / f"s{k}.json", {"version": 1, **payload})
+        assert cli.main(["run", "--scenario", scn, "--out", str(tmp_path / f"out{k}")]) == code
+    assert capsys.readouterr().err == (
+        "trgeo: ValidationError: params.times: 5 frames of 128 numbers are more than "
+        "the 512 numbers a flow keeps\n")
 
 
 def test_main_reads_the_scenario_once_and_threads_at_each_call(tmp_path, monkeypatch):

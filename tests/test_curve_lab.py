@@ -268,6 +268,23 @@ def test_length_profile_cubic_convex_and_monotone():
     assert np.all(np.diff(vals) >= -1e-10)
 
 
+@pytest.mark.parametrize("at_edge", [True, False], ids=["r_outer", "inf"])
+def test_one_usable_radius_rule(at_edge):
+    # a_n = 0.9^n: a geodesic annulus with r_outer = 1/0.9, open at both
+    # ends; length_profile took r_outer and inf (NaN and RuntimeWarnings
+    # at inf), which geodesic_evaluate refused
+    curve = cl.curve_from_terms({n: 0.9 ** n for n in range(257)}, N=256)
+    cls = cl.classify_direction(curve)
+    assert cls.kind == cl.GEODESIC_ANNULUS
+    assert abs(cls.evidence.r_outer - 1.0 / 0.9) <= 1e-9
+    r = cls.evidence.r_outer if at_edge else math.inf
+    with pytest.raises(OutsideAnnulus, match="outside the usable annulus"):
+        cl.geodesic_evaluate(curve, r)
+    with pytest.raises(OutsideAnnulus, match="outside the usable annulus"):
+        cl.length_profile(curve, [0.9, 1.0, r])
+    cl.length_profile(curve, [0.9, 1.0, 1.1])
+
+
 def test_length_profile_outside_annulus():
     # slow geometric negative tail: inner radius visibly pinned near 0.99
     N = 256

@@ -9,7 +9,7 @@ import pytest
 
 from trgeo import ambient, curve_lab as cl, geodesic_flow as gf
 from trgeo import immersion as imm
-from trgeo.errors import (AmplificationExceeded, BlowUpDetected, NotFinite, NotNested,
+from trgeo.errors import (AmplificationExceeded, BadArgument, BlowUpDetected, NotFinite, NotNested,
                           PointOutsideDomain, StepTooLarge, UnsupportedField,
                           ValidationError)
 
@@ -269,6 +269,26 @@ def test_timestep_step_too_large(circle):
     X = imm.coordinate_field(circle.grid, 0)
     with pytest.raises(StepTooLarge):
         gf.flow_timestep(circle, X, 0.5, 0.25)
+
+
+@pytest.mark.parametrize("store_every,kept", [(5, 3), (4, 4), (10, 2), (3, 5)])
+def test_the_kept_frames_are_bounded_before_any_step(circle, monkeypatch, store_every, kept):
+    # ten steps keep the states 0, store_every, 2 store_every, .. and the
+    # last; three frames of the 128 numbers of a 64-node circle fit the bound
+    monkeypatch.setattr(gf, "MAX_KEPT_NUMBERS", 3 * 128)
+    X = imm.coordinate_field(circle.grid, 0)
+    if kept <= 3:
+        assert len(gf.flow_timestep(circle, X, 0.1, 0.01, store_every).immersions) == kept
+    else:
+        monkeypatch.setattr(gf, "_rk4_states", lambda *a: ([0.01 * k for k in range(11)], None))
+        with pytest.raises(BadArgument, match=rf"^store_every: {kept} frames of 128 numbers"):
+            gf.flow_timestep(circle, X, 0.1, 0.01, store_every)
+    # flow_spectral keeps what it is asked for; the bound is its callers'
+    assert len(gf.flow_spectral(circle, X, [0.0, 0.1, 0.2, 0.3]).immersions) == 4
+    gf.require_kept(3, circle, "times")
+    with pytest.raises(BadArgument, match=r"^times: 4 frames of 128 numbers are more than "
+                                          r"the 384 numbers a flow keeps"):
+        gf.require_kept(4, circle, "times")
 
 
 def criterion_9_curve():
