@@ -9,10 +9,10 @@ area, accumulated with math.fsum in fixed order so results are deterministic.
 derivative_matrix holds the same first derivative as a dense matrix,
 band_projector the filter that keeps a band of modes and band_basis an
 orthonormal real basis of that band; on short axes each is cheaper than
-two FFTs. Besides the FFT helpers the module holds the building blocks of
-the oracles: the off-grid Fourier evaluator
-(`evaluate_fourier`, one array of angles for the first axis of the
-coefficients, the other axes riding along), the inverse of
+two FFTs; `synthesize` is the one inverse FFT of Fourier terms. Besides
+the FFT helpers the module holds the building blocks of the oracles: the
+off-grid Fourier evaluator (`evaluate_fourier`, one array of angles for the
+first axis of the coefficients, the other axes riding along), the inverse of
 theta -> int_0^theta w for w > 0 (`invert_cumulative`), one RK4 step
 (`rk4_step`) and one Richardson level (`richardson`). Every integrator,
 inversion and extrapolation in the package goes through these.
@@ -109,6 +109,14 @@ def band_basis(n, cutoff):
                         math.sqrt(2.0 / n) * np.sin(angles)], axis=1)
     B.flags.writeable = False
     return B
+
+
+def synthesize(modes, amplitudes, size):
+    """sum_k amplitudes_k e^{i modes_k theta} on size uniform angles (modes
+    distinct modulo size): ifft * size, norm="forward"'s bits on 2^k nodes."""
+    spectrum = np.zeros(size, dtype=complex)
+    spectrum[np.asarray(modes) % size] = amplitudes
+    return np.fft.ifft(spectrum) * size
 
 
 def fourier_coefficients(samples):

@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import MetricNotPositiveDefinite, PointOutsideDomain, ValidationError
+from .errors import BadArgument, MetricNotPositiveDefinite, PointOutsideDomain, ValidationError
 
 # Domain margins, in units of the chart radius: the metric accepts only
 # points 2 h inside the chart, Christoffel symbols and the Ricci tensor only
@@ -340,20 +340,19 @@ def complex_hyperbolic_ball():
                         name="complex_hyperbolic_ball")
 
 
+# the built-in charts by the name a scenario's chart descriptor gives
+CHARTS = {"flat_c1": flat_chart, "flat_c2": lambda: flat_chart(2),
+          "flat_quotient_c2": flat_quotient_chart, "poincare_disk": poincare_disk,
+          "complex_hyperbolic_ball": complex_hyperbolic_ball}
+
+
 def chart_from_descriptor(desc):
-    """Resolve a chart descriptor (scenario files) to a built-in chart."""
+    """The built-in chart that a descriptor {"name": ...} names in CHARTS;
+    BadArgument naming name for any other."""
     name = desc.get("name")
-    if name in ("flat_c1", "flat"):
-        return flat_chart(1)
-    if name == "flat_c2":
-        return flat_chart(2)
-    if name in ("flat_quotient_c2", "flat_quotient"):
-        return flat_quotient_chart(2)
-    if name == "poincare_disk":
-        return poincare_disk()
-    if name == "complex_hyperbolic_ball":
-        return complex_hyperbolic_ball()
-    raise ValidationError(f"unknown chart descriptor {desc!r}")
+    if name not in CHARTS:
+        raise BadArgument(f"name: unknown chart {name!r} (known: {', '.join(CHARTS)})")
+    return CHARTS[name]()
 
 
 # --- real forms ----------------------------------------------------------------

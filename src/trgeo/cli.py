@@ -17,8 +17,11 @@ numerical failure (e.g. BlowUpDetected), with the failure recorded as a
 structured entry in results.json; a refused result leaves none of its files.
 
 Determinism: given a fixed scenario and seed the outputs are byte-identical
-across runs and thread counts; all reductions are fixed-order compensated
-sums and --threads only annotates the manifest.
+across runs; all reductions are fixed-order compensated sums, and --threads
+(default 1) is only recorded in the manifest. The library is deterministic
+at a fixed BLAS thread count (the annulus BVP's QR rounds by it), and
+trgeo.__main__, the command line entry, fixes that count at one; a program
+that calls main here in its own process fixes it itself.
 """
 
 import argparse
@@ -41,34 +44,25 @@ from .errors import (BadArgument, NotFinite, NumericalError, ParseError, StepToo
 SCENARIO_VERSION = 1
 
 
-def _sanitize(obj):
-    """Replace non-finite floats with strings so the JSON stays standard."""
+def _standard(obj, path):
+    """obj with each infinite float as 'inf' or '-inf', so that the JSON stays
+    standard; NotFinite naming the first NaN by its path (results.reports[0].fd)."""
     if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
+        return {k: _standard(v, f"{path}.{k}") for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
+        return [_standard(v, f"{path}[{k}]") for k, v in enumerate(obj)]
     if isinstance(obj, float) and not math.isfinite(obj):
+        if math.isnan(obj):
+            raise NotFinite(f"NaN at {path}")
         return repr(obj)
     return obj
-
-
-def _nan_path(obj, path):
-    """The path of the first NaN float in obj (e.g. results.reports[0].fd), or None."""
-    if isinstance(obj, float):
-        return path if math.isnan(obj) else None
-    if isinstance(obj, dict):
-        items = ((f"{path}.{k}", v) for k, v in obj.items())
-    elif isinstance(obj, (list, tuple)):
-        items = ((f"{path}[{k}]", v) for k, v in enumerate(obj))
-    else:
-        return None
-    return next(filter(None, (_nan_path(v, p) for p, v in items)), None)
 
 
 def _json_dump(obj, path):
     # json.dumps takes the C encoder; json.dump streams through the Python one
     with open(path, "w") as f:
-        f.write(json.dumps(_sanitize(obj), sort_keys=True, separators=(",", ":")) + "\n")
+        f.write(json.dumps(_standard(obj, os.path.basename(path)), sort_keys=True,
+                           separators=(",", ":")) + "\n")
 
 
 def _cell(v):
@@ -277,8 +271,9 @@ _KINDS = {
     "object": ("an object", lambda v: isinstance(v, dict)),
     "list": ("a list", lambda v: isinstance(v, list)),
     "string": ("a string", lambda v: isinstance(v, str)),
+    # a comparison, not math.isfinite, which overflows on a huge JSON integer
     "number": ("a finite number", lambda v: isinstance(v, (int, float))
-               and not isinstance(v, bool) and math.isfinite(v)),
+               and not isinstance(v, bool) and abs(v) <= sys.float_info.max),
     "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
 }
 
@@ -294,7 +289,8 @@ def _read(value, path, kind, bound=None):
     kind is a table {key: _F} (an object holding no other key), _Variants,
     [kind] (a list of that kind), a shape tuple (nested lists of finite
     numbers, () one number, None any length, numbers as floats), "terms" (a
-    {mode: [re, im]} object, read as {int: complex}) or a name in _KINDS.
+    {mode: [re, im]} object, read as {mode: complex}, its modes left to
+    curve_lab.fourier_terms) or a name in _KINDS.
     """
     if isinstance(kind, _Variants):
         name = _variant(_read(value, path, "object"), path, kind)
@@ -320,12 +316,8 @@ def _read(value, path, kind, bound=None):
             raise ValidationError(f"{path} must have {kind[0]} entries, got {value!r}")
         out = [_read(v, f"{path}[{k}]", kind[1:]) for k, v in enumerate(out)]
     elif kind == "terms":
-        out = {}
-        for key, v in _read(value, path, "object").items():
-            try:
-                out[int(key)] = complex(*_read(v, _at(path, key), (2,)))
-            except ValueError:
-                raise ValidationError(f"{_at(path, key)}: mode must be an integer") from None
+        out = {key: complex(*_read(v, _at(path, key), (2,)))
+               for key, v in _read(value, path, "object").items()}
     else:
         what, ok = _KINDS["number" if kind == () else kind]
         if not ok(value):
@@ -371,13 +363,19 @@ def _between(lo, hi):
     return (f">= {lo} and <= {hi}", lambda v: lo <= v <= hi)
 
 
+def _one_of(names):
+    return (f"one of {', '.join(names)}", lambda v: v in names)
+
+
 # the limits the library sets: GridTorus sizes and a FourierCurve's N
 _GRID = (f"a power of two >= 16 and <= {imm.MAX_GRID_SIZE}",
          lambda v: 16 <= v <= imm.MAX_GRID_SIZE and v & (v - 1) == 0)
 # N sizes the 2N + 1 coefficients, so it is bounded like a coefficient file's modes
 _CURVE_N = _between(32, curve_lab.MAX_MODE)
+# a profile's mode m multiplies float angles, so it is bounded as a curve's modes are
+_MODE = _between(-curve_lab.MAX_MODE, curve_lab.MAX_MODE)
 
-_CHART = {"name": _F("string", "flat_c1")}
+_CHART = {"name": _F("string", "flat_c1", _one_of(ambient.CHARTS))}
 _IMMERSION = _Variants("formula", _F("string"), {
     formula: {"grid": _F("int", 64, _GRID),
               "args": _F({key: _F(shape, _REQUIRED if default is None else default)
@@ -386,13 +384,14 @@ _IMMERSION = _Variants("formula", _F("string"), {
 _FIELD = _Variants("kind", _F("string", "coordinate"), {
     "coordinate": {"axis": _F("int", 0, _AXIS), "scale": _F(_NUMBER, 1.0)},
     "cosine_axis": {"axis": _F("int", 0, _AXIS), "base": _F(_NUMBER, 1.0),
-                    "amplitude": _F(_NUMBER, 0.3), "mode": _F("int", 1)},
+                    "amplitude": _F(_NUMBER, 0.3), "mode": _F("int", 1, _MODE)},
 })
 # a curve descriptor: a coefficient family, Fourier terms or a file of
 # [n, re, im] triples, with N the Laurent degree (a file's largest |n|, at
 # least 32, when absent)
 _CURVE = _Variants(None, None, {
-    "family": {"family": _F("string"), "N": _F("int", 256, _CURVE_N)},
+    "family": {"family": _F("string", _REQUIRED, _one_of(curve_lab.COEFF_FAMILIES)),
+               "N": _F("int", 256, _CURVE_N)},
     "terms": {"terms": _F("terms"), "N": _F("int", 128, _CURVE_N)},
     "coeff_file": {"coeff_file": _F("string"), "N": _F("int", None, _CURVE_N)},
 })
@@ -431,16 +430,19 @@ def _field(d, grid):
 
 
 def _curve(d, path):
-    """The curve of a checked descriptor; path names it in a file's error."""
+    """The curve of a checked descriptor; path names it in an error."""
     if "family" in d:
         return curve_lab.family_coefficients(d["family"], N=d["N"])
-    if "terms" in d:
-        return curve_lab.curve_from_terms(d["terms"], N=d["N"])
     try:
-        return curve_lab.load_coefficients(d["coeff_file"], N=d.get("N"))
-    except (OSError, ValueError, TypeError, IndexError) as e:
-        raise ValidationError(f"{path}.coeff_file: cannot load "
-                              f"{d['coeff_file']!r}: {e}") from None
+        if "terms" in d:
+            return curve_lab.curve_from_terms(d["terms"], N=d["N"])
+        try:
+            return curve_lab.load_coefficients(d["coeff_file"], N=d.get("N"))
+        except (OSError, ValueError, TypeError, IndexError) as e:
+            raise ValidationError(f"{path}.coeff_file: cannot load "
+                                  f"{d['coeff_file']!r}: {e}") from None
+    except BadArgument as e:
+        raise ValidationError(f"{path}.{e}") from None
 
 
 # --- operation handlers ---------------------------------------------------------
@@ -571,8 +573,11 @@ def _op_flow_run(s, out_dir, raw):
 
 def _op_flow_bvp(s, out_dir, raw):
     p = s["params"]
-    res = geodesic_flow.solve_bvp_annulus(_curve(p["outer"], "params.outer"),
-                                          _curve(p["inner"], "params.inner"), N=p["N"])
+    outer, inner = _curve(p["outer"], "params.outer"), _curve(p["inner"], "params.inner")
+    try:
+        res = geodesic_flow.solve_bvp_annulus(outer, inner, N=p["N"])
+    except BadArgument as e:
+        raise ValidationError(f"params.{e}") from None
     path = os.path.join(out_dir, "annulus_map.json")
     curve_lab.save_coefficients(res.curve, path)
     return {"modulus": res.modulus, "converged": res.converged,
@@ -665,7 +670,7 @@ _OPERATIONS = {
     "curve.secondvar": (_op_curve_secondvar, {
         **_CURVE_OP, "params": _F({"fields": _F([{
             "base": _F(_NUMBER, 1.0), "amplitude": _F(_NUMBER, 0.0),
-            "mode": _F("int", 1), "label": _F("string", "field")}])})}),
+            "mode": _F("int", 1, _MODE), "label": _F("string", "field")}])})}),
     "jvol.compute": (_op_jvol_compute, {**_IMMERSION_OP, **_NO_PARAMS}),
     "jvol.hj": (_op_jvol_hj, {**_IMMERSION_OP, **_NO_PARAMS}),
     "flow.run": (_op_flow_run, {**_FIELD_OP, "params": _F(_Variants(
@@ -733,13 +738,13 @@ def _run(scn, path, out_dir, threads):
                 results, files = handler(s, out_dir, scn)
             except FloatingPointError as e:
                 raise NotFinite(f"{op} failed in {_stage(e)}: {e}") from None
-        nan = _nan_path(results, "results")
-        if nan is not None:
+        try:
+            record |= {"status": "ok", "results": _standard(results, "results")}
+        except NotFinite as e:
             # a refused result leaves none of its files behind
             for f in files:
                 os.remove(f)
-            raise NotFinite(f"{op} computed NaN at {nan}")
-        record |= {"status": "ok", "results": results}
+            raise NotFinite(f"{op} computed {e}") from None
         status = 0
     except NumericalError as e:
         record |= {"status": "numerical_failure", "error_type": type(e).__name__,
@@ -790,8 +795,7 @@ def _parser():
             gp.add_argument("op", choices=ops)
         gp.add_argument("--scenario", required=True)
         gp.add_argument("--out", required=True)
-        # absent: TRGEO_THREADS as it is when main runs
-        gp.add_argument("--threads", type=int)
+        gp.add_argument("--threads", type=int, default=1)
     return parser
 
 
@@ -801,9 +805,6 @@ def main(argv=None):
     if args.group is None:
         parser.print_usage(sys.stderr)
         return 2
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("TRGEO_THREADS", "1"))
     try:
         scn = load_scenario(args.scenario)
         if args.group != "run":
@@ -813,11 +814,7 @@ def main(argv=None):
                     f"scenario operation {scn['operation']!r} does not match "
                     f"subcommand {expected!r}"
                 )
-        return _run(scn, args.scenario, args.out, threads)
+        return _run(scn, args.scenario, args.out, args.threads)
     except (ValidationError, NumericalError) as e:
         print(f"trgeo: {type(e).__name__}: {e}", file=sys.stderr)
         return 2 if isinstance(e, ValidationError) else 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -11,17 +11,21 @@ in t = -log r.
 
 Orientation is fixed anticlockwise: the signed area pi * sum n |a_n|^2 of an
 analysed curve must be positive, mirror data is rejected.
+
+Fourier terms have one reader, fourier_terms, which the immersion formula
+fourier_curve shares, and one inverse FFT, _spectral.synthesize.
 """
 
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _spectral
-from .errors import (AliasingDetected, NotArclength, NotImmersed, OrientationError,
+from .errors import (AliasingDetected, BadArgument, NotArclength, NotImmersed, OrientationError,
                      OutsideAnnulus, ValidationError)
 
 COEFF_FLOOR = 1e-15       # coefficients below this are treated as absent
@@ -31,6 +35,9 @@ SECONDVAR_EPS = 1e-3      # flow time of the second variation's finite differenc
 ARCLENGTH_TOL = 1e-6      # relative speed variation an arclength curve may have
 # largest |n| a coefficient file may name; without N it sizes the 2N + 1 coefficients
 MAX_MODE = 2 ** 16
+
+# the coefficient families of family_coefficients
+COEFF_FAMILIES = ("annulus", "ray_only", "no_ray")
 
 GEODESIC_ANNULUS = "geodesic_annulus"
 RAY_ONLY = "ray_only"
@@ -71,15 +78,41 @@ class FourierCurve:
         return math.pi * float(np.sum(n * np.abs(self.coeffs) ** 2))
 
 
-def curve_from_terms(terms, N=128):
-    """Curve from {n: a_n} or [n, re, im] triples, zero elsewhere."""
+def fourier_terms(terms, limit, name="terms"):
+    """(modes, amplitudes) of {n: a}, n maybe text as JSON keys are, or of
+    [n, re, im] triples. BadArgument names the first term (name[k][0],
+    name[n], or name.n for text) whose mode is not an integer |n| <= limit
+    or repeats one, before any array is made of the modes."""
+    if isinstance(terms, dict):
+        pairs = ((f"{name}.{n}" if isinstance(n, str) else f"{name}[{n!r}]", n, a)
+                 for n, a in terms.items())
+    else:
+        pairs = ((f"{name}[{k}][0]", t[0], complex(t[1], t[2])) for k, t in enumerate(terms))
+    first, amplitudes = {}, []
+    for where, n, a in pairs:
+        # text is read as signed digits alone (int() takes "1_0" as 10); the
+        # comparison first: inf and NaN fail it and never reach int()
+        try:
+            mode = int(n) if isinstance(n, str) and re.fullmatch("[+-]?[0-9]+", n) else n
+            ok = abs(mode) <= limit and mode == int(mode)
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise BadArgument(f"{where}: a mode must be an integer in "
+                              f"[-{limit}, {limit}], got {n!r}")
+        mode = int(mode)
+        if mode in first:
+            raise BadArgument(f"{where}: the mode {mode} appears twice, first at {first[mode]}")
+        first[mode] = where
+        amplitudes.append(complex(a))
+    return np.array(list(first), dtype=np.intp), np.array(amplitudes, dtype=complex)
+
+
+def curve_from_terms(terms, N=128, name="terms"):
+    """Curve of degree N from Fourier terms (fourier_terms), zero elsewhere."""
+    modes, amplitudes = fourier_terms(terms, N, name)
     coeffs = np.zeros(2 * N + 1, dtype=complex)
-    items = terms.items() if isinstance(terms, dict) else (
-        (int(t[0]), complex(t[1], t[2])) for t in terms)
-    for n, a in items:
-        if abs(n) > N:
-            raise ValidationError(f"coefficient index {n} outside [-{N}, {N}]")
-        coeffs[n + N] = a
+    coeffs[modes + N] = amplitudes
     return FourierCurve(coeffs=coeffs)
 
 
@@ -119,7 +152,7 @@ def load_coefficients(path, N=None):
     output), whose mode is not an integer (1.5 would run as mode 1) or
     whose mode lies past MAX_MODE; the modes are checked before any array
     is sized from them. A top level that is not a list, or an empty list,
-    is refused too.
+    is refused too. A mode past N or repeated is BadArgument (fourier_terms).
     """
     with open(path) as f:
         triples = json.load(f)
@@ -133,7 +166,7 @@ def load_coefficients(path, N=None):
             raise ValueError(f"entry {k} ({t}){problem}")
     if N is None:
         N = max(32, max(abs(int(t[0])) for t in triples))
-    return curve_from_terms(triples, N=N)
+    return curve_from_terms(triples, N=N, name="coeff_file")
 
 
 # --- analysis / synthesis -----------------------------------------------------
@@ -174,11 +207,9 @@ def synthesize(curve, M=None, r=1.0):
     M = 4 * N if M is None else M
     if M < 2 * N + 1:
         raise ValidationError("too few synthesis samples for the truncation")
-    fft_coeffs = np.zeros(M, dtype=complex)
     # only the stored nonzero a_n: 0 * r^n would be NaN where r^n overflows
     n = np.flatnonzero(curve.coeffs) - N
-    fft_coeffs[n % M] = curve.coeffs[n + N] * np.power(float(r), n.astype(float))
-    return np.fft.ifft(fft_coeffs) * M
+    return _spectral.synthesize(n, curve.coeffs[n + N] * np.power(float(r), n.astype(float)), M)
 
 
 # --- radius estimation ----------------------------------------------------------

@@ -94,6 +94,8 @@ MAX_KEPT_NUMBERS = 2 ** 22
 # annulus BVP: Gauss-Newton steps, and the largest residual entry of convergence
 BVP_MAX_ITER = 60
 BVP_TOL = 1e-8
+# samples of each boundary in the nesting check: 2N + 1 of them resolve N <= 255
+NESTING_SAMPLES = 512
 
 
 @dataclass
@@ -795,8 +797,13 @@ def _winding_numbers(samples, points):
 
 
 def _require_nested(gamma0, gamma1):
-    s0 = curve_lab.synthesize(gamma0, M=512)
-    s1 = curve_lab.synthesize(gamma1, M=512)
+    """NotNested unless gamma1 lies inside gamma0; BadArgument naming a curve past N 255."""
+    for name, curve in (("outer", gamma0), ("inner", gamma1)):
+        if 2 * curve.N + 1 > NESTING_SAMPLES:
+            raise BadArgument(f"{name}: a boundary curve's N must be <= "
+                              f"{(NESTING_SAMPLES - 1) // 2}, got {curve.N}")
+    s0 = curve_lab.synthesize(gamma0, M=NESTING_SAMPLES)
+    s1 = curve_lab.synthesize(gamma1, M=NESTING_SAMPLES)
     w_in = set(_winding_numbers(s0, s1[::16]).tolist())
     w_out = set(_winding_numbers(s1, s0[::16]).tolist())
     if w_in != {1} or w_out != {0}:
@@ -930,6 +937,7 @@ def solve_bvp_annulus(gamma0, gamma1, N=32):
     one, and the angle updates follow by back-substitution. That problem is
     solved by QR without rank truncation: the inner columns carry rho^n, and
     a step that drops small singular values stalls on thin or high-N pairs.
+    Each boundary curve has degree at most 255 (_require_nested).
     """
     if N < 1:
         raise ValidationError(f"N must be at least 1, got {N}")

@@ -25,10 +25,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import _spectral
+from . import _spectral, curve_lab
 from .ambient import AmbientChart, complex_inverse
-from .errors import (BadArgument, MetricNotPositiveDefinite, NotImmersed, NotTotallyReal,
-                     PointOutsideDomain, ValidationError)
+from .errors import (MetricNotPositiveDefinite, NotImmersed, NotTotallyReal, PointOutsideDomain,
+                     ValidationError)
 
 RHO_MIN = 1e-6            # numerical floor for "totally real"
 _VOLUME_MIN = 1e-10       # numerical floor for an immersed frame
@@ -495,6 +495,8 @@ def build_immersion(grid, chart, formula, **params):
     im. FORMULAS names each formula's arguments and their defaults; an
     argument it does not name raises ValidationError, and so does a missing
     one without a default. straight_torus lives on the flat quotient chart.
+    fourier_curve reads its coeffs as curves read terms (curve_lab.fourier_terms):
+    each mode is an integer below half the grid in modulus, and appears once.
     """
     if formula not in FORMULAS:
         raise ValidationError(f"unknown immersion formula {formula!r}")
@@ -517,7 +519,9 @@ def build_immersion(grid, chart, formula, **params):
         elif formula == "ellipse":
             z = args["a"] * np.cos(theta) + 1j * args["b"] * np.sin(theta)
         else:
-            z = _synthesize_coeffs(args["coeffs"], grid.sizes[0])
+            size = grid.sizes[0]
+            z = _spectral.synthesize(*curve_lab.fourier_terms(args["coeffs"], size // 2 - 1,
+                                                              "coeffs"), size)
         pts = np.stack([z.real, z.imag], axis=-1)
     elif formula in ("product_torus", "graph_perturbed_torus"):
         if grid.n != 2 or chart.dim != 4:
@@ -537,28 +541,3 @@ def build_immersion(grid, chart, formula, **params):
         pts = np.zeros(grid.sizes + (4,))
         pts += np.asarray(args["offset"])
     return is_totally_real(Immersion(grid=grid, chart=chart, points=pts, winding=winding))
-
-
-def _synthesize_coeffs(coeffs, size):
-    """Samples of sum a_n e^{i n theta} on the uniform grid of size nodes,
-    from an [n, re, im] triple list or a {n: a} dict.
-
-    Each mode n must be an integer of modulus below size / 2, a mode the
-    grid resolves; any other raises BadArgument naming the term
-    (coeffs[k][0], or the dict key), before any array is made of it (a
-    mode such as 1e300 has no integer array to go in). The resolved modes
-    are then one spectrum, and the samples its inverse FFT.
-    """
-    pairs = coeffs.items() if isinstance(coeffs, dict) else (
-        (t[0], complex(t[1], t[2])) for t in coeffs)
-    modes, amps = [], []
-    for k, (n, a) in enumerate(pairs):
-        if not (abs(n) < size // 2 and n == int(n)):
-            name = f"coeffs[{n!r}]" if isinstance(coeffs, dict) else f"coeffs[{k}][0]"
-            raise BadArgument(f"{name}: a mode must be an integer of modulus below "
-                              f"{size // 2}, half the grid, got {n!r}")
-        modes.append(int(n))
-        amps.append(complex(a))
-    spectrum = np.zeros(size, dtype=complex)
-    np.add.at(spectrum, modes, amps)
-    return np.fft.ifft(spectrum, norm="forward")

@@ -464,3 +464,14 @@ def test_domain_check_comes_before_positivity(chart, bad, good, entry):
     pts = np.array([_at_radius(bad, chart.dim)] * 8 + [edge])
     with pytest.raises(PointOutsideDomain, match=f"'{chart.name}'"):
         _ENTRY_POINTS[entry](chart, pts)
+
+
+def test_charts_are_named_by_their_table():
+    # one table backs chart_from_descriptor and the schema's chart.name;
+    # each built-in chart carries the name it is looked up by
+    for name in ambient.CHARTS:
+        assert ambient.chart_from_descriptor({"name": name}).name == name
+    # the undocumented aliases of flat_c1 and flat_quotient_c2 are gone
+    for name in ("flat", "flat_quotient", None):
+        with pytest.raises(ValidationError, match=f"^name: unknown chart {name!r}"):
+            ambient.chart_from_descriptor({"name": name})

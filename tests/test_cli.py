@@ -3,12 +3,16 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from trgeo import cli, curve_lab as cl, geodesic_flow, immersion as imm
+from trgeo.__main__ import BLAS_THREAD_VARS
 
 
 def write_scenario(path, payload):
@@ -1008,8 +1012,50 @@ _FLAT_TORUS = {"chart": {"name": "flat_c2"},
       "params": {"family": {"kind": "poincare_circle", "grid": 2 * imm.MAX_GRID_SIZE},
                  "t_grid": [0.5, 0.6, 0.7]}},
      f"params.family.grid must be a power of two >= 16 and <= {imm.MAX_GRID_SIZE}"),
+    # a repeated mode was summed by fourier_curve (a_1 = 3) and overwritten
+    # by the curve descriptors (a_1 = 2, for terms keys "1" and "01" and for a
+    # coefficient file alike); all three name the second term
+    ({"operation": "jvol.compute", "chart": {"name": "flat_c1"},
+      "immersion": {"formula": "fourier_curve", "grid": 64,
+                    "args": {"coeffs": [[1, 1.0, 0.0], [-1, 0.3, 0.0], [1, 2.0, 0.0]]}}},
+     "immersion.args.coeffs[2][0]: the mode 1 appears twice, first at coeffs[0][0]"),
+    ({"operation": "curve.length", "params": {"radii": [0.8, 0.9, 1.0]},
+      "curve": {"terms": {"1": [1.0, 0.0], "01": [2.0, 0.0]}, "N": 32}},
+     "curve.terms.01: the mode 1 appears twice, first at terms.1"),
+    ({"operation": "curve.length", "params": {"radii": [0.8, 0.9, 1.0]},
+      "curve": {"coeff_file": "repeated-mode.json"}},
+     "curve.coeff_file[2][0]: the mode 1 appears twice, first at coeff_file[0][0]"),
+    # a terms mode past N was refused as "coefficient index 40 outside
+    # [-32, 32]", naming no field
+    ({"operation": "curve.length", "params": {"radii": [0.8, 0.9, 1.0]},
+      "curve": {"terms": {"1": [1.0, 0.0], "40": [0.1, 0.0]}, "N": 32}},
+     "curve.terms.40: a mode must be an integer in [-32, 32], got '40'"),
+    # an unknown chart read "unknown chart descriptor {'name': 'flat_c3'}";
+    # "flat" was an alias of flat_c1
+    *(({"operation": "jvol.compute", "chart": {"name": name},
+        "immersion": {"formula": "circle", "grid": 64}},
+       "chart.name must be one of flat_c1, flat_c2, flat_quotient_c2, poincare_disk, "
+       f"complex_hyperbolic_ball, got {name!r}") for name in ("flat_c3", "flat")),
+    # so did an unknown coefficient family: "unknown coefficient family 'bogus'"
+    ({"operation": "curve.classify", "curves": [{"family": "bogus", "N": 64}]},
+     "curves[0].family must be one of annulus, ray_only, no_ray, got 'bogus'"),
+    # an integer past the float range ended in math.isfinite's OverflowError
+    # traceback, exit 1
+    ({"operation": "jvol.compute", "chart": {"name": "poincare_disk"},
+      "immersion": {"formula": "circle", "grid": 32, "args": {"r": 10 ** 400}}},
+     "immersion.args.r must be a finite number, got 1000"),
+    # a boundary curve of N > 255 was refused as "too few synthesis samples
+    # for the truncation", naming no field, though only its modes +-1 are set
+    *(({"operation": "flow.bvp", "params": {
+        "outer": {"terms": {"1": [0.8, 0.0], "-1": [0.3125, 0.0]}, "N": n_out},
+        "inner": {"terms": {"1": [0.625, 0.0], "-1": [0.4, 0.0]}, "N": n_in}, "N": 16}},
+       f"params.{side}: a boundary curve's N must be <= 255, got 300")
+      for side, n_out, n_in in (("outer", 300, 32), ("inner", 32, 300))),
 ])
-def test_malformed_scenario_fields_exit_2(tmp_path, capsys, payload, field):
+def test_malformed_scenario_fields_exit_2(tmp_path, capsys, monkeypatch, payload, field):
+    # the coefficient file a case names, relative to the working directory
+    (tmp_path / "repeated-mode.json").write_text("[[1, 1.0, 0.0], [-1, 0.3, 0.0], [1, 2.0, 0.0]]")
+    monkeypatch.chdir(tmp_path)
     scn = write_scenario(tmp_path / "s.json", {"version": 1, "name": "bad", **payload})
     out = tmp_path / "out"
     assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 2
@@ -1076,9 +1122,9 @@ def test_main_reads_the_scenario_once_and_threads_at_each_call(tmp_path, monkeyp
 
     monkeypatch.setattr(cli, "load_scenario", counted)
     for threads in ("3", "5"):
-        monkeypatch.setenv("TRGEO_THREADS", threads)
         out = tmp_path / f"out{threads}"
-        assert cli.main(["curve", "classify", "--scenario", scn, "--out", str(out)]) == 0
+        assert cli.main(["curve", "classify", "--scenario", scn, "--out", str(out),
+                         "--threads", threads]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["threads"] == int(threads)
     assert loads == [scn, scn]
@@ -1098,6 +1144,28 @@ def test_example_scenarios_run_and_are_thread_independent(tmp_path, example):
         outs.append((out / "results.json").read_bytes())
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["status"] == "ok"
+
+
+def test_the_entry_writes_the_same_bytes_at_any_blas_thread_count(tmp_path):
+    # the Joukowski pair (1.6, 1.25) at N = 32: LAPACK's QR in the annulus
+    # BVP rounds differently on one BLAS thread and on two, and its
+    # results.json and annulus_map.json differed by the thread variables;
+    # python -m trgeo fixes BLAS at one thread before numpy is imported
+    scn = write_scenario(tmp_path / "bvp32.json", {
+        "version": 1, "operation": "flow.bvp", "params": {
+            "outer": {"terms": {"1": [0.8, 0.0], "-1": [0.3125, 0.0]}, "N": 32},
+            "inner": {"terms": {"1": [0.625, 0.0], "-1": [0.4, 0.0]}, "N": 32}, "N": 32}})
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = {}
+    for threads in (None, "1", "2"):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        env.update(dict.fromkeys(BLAS_THREAD_VARS, threads) if threads else {}, PYTHONPATH=src)
+        out = tmp_path / f"out-{threads}"
+        subprocess.run([sys.executable, "-m", "trgeo", "run", "--scenario", scn,
+                        "--out", str(out)], env=env, check=True)
+        outs[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(outs[None]) == ["annulus_map.json", "manifest.json", "results.json"]
+    assert outs[None] == outs["1"] == outs["2"]
 
 
 # --- the field tables in README ---------------------------------------------------

@@ -29,7 +29,7 @@ SEED = 20240607
 N_MUTATIONS = 400
 HUGE = 1e300
 DELETE = object()          # the mutation that removes the field
-VALUES = [None, "x", -1, 0, 0.5, [], {}, float("nan"), HUGE, DELETE]
+VALUES = [None, "x", -1, 0, 0.5, [], {}, float("nan"), HUGE, 10 ** 400, DELETE]
 EXAMPLES = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir,
                                          "scenarios", "*.json")))
 DENSITY = {

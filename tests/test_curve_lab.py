@@ -10,8 +10,8 @@ import pytest
 
 from trgeo import curve_lab as cl
 from trgeo._spectral import richardson, rk4_step, spectral_derivative
-from trgeo.errors import (AliasingDetected, NotArclength, NotImmersed, OrientationError,
-                          OutsideAnnulus, ValidationError)
+from trgeo.errors import (AliasingDetected, BadArgument, NotArclength, NotImmersed,
+                          OrientationError, OutsideAnnulus, ValidationError)
 
 
 def theta_grid(M):
@@ -432,5 +432,39 @@ def test_coefficient_file_bound_admits_max_mode(tmp_path):
     # |n| = MAX_MODE passes the bound; with N = 64 the curve then refuses it
     path = tmp_path / "coeffs.json"
     path.write_text(json.dumps([[1, 1.0, 0.0], [-cl.MAX_MODE, 0.3, 0.0]]))
-    with pytest.raises(ValidationError, match=f"index {-cl.MAX_MODE} outside"):
+    with pytest.raises(ValidationError, match=re.escape(
+            f"coeff_file[1][0]: a mode must be an integer in [-64, 64], got {-cl.MAX_MODE}")):
         cl.load_coefficients(path, N=64)
+
+
+def test_fourier_terms_reads_every_form_of_a_term_alike():
+    # {n: a} with int or text keys and [n, re, im] triples: one reader
+    want_modes, want_amps = [1, -1, 3], [1.5, 0.5, 0.1 + 0.2j]
+    for terms in ({1: 1.5, -1: 0.5, 3: 0.1 + 0.2j},
+                  {"1": 1.5, "-1": 0.5, "03": 0.1 + 0.2j},
+                  [[1, 1.5, 0.0], [-1.0, 0.5, 0.0], [3, 0.1, 0.2]]):
+        got_modes, got_amps = cl.fourier_terms(terms, 3)
+        assert got_modes.tolist() == want_modes and got_amps.tolist() == want_amps
+    assert cl.curve_from_terms({"1": 1.5, "-1": 0.5}, N=32).coefficient(-1) == 0.5
+
+
+@pytest.mark.parametrize("terms,shown", [
+    # a repeated mode was summed by one reader and overwritten by the other
+    ({1: 1.0, "01": 2.0}, "terms.01: the mode 1 appears twice, first at terms[1]"),
+    ({"1": 1.0, "01": 2.0}, "terms.01: the mode 1 appears twice, first at terms.1"),
+    ([[1, 1.0, 0.0], [-1, 0.3, 0.0], [1.0, 2.0, 0.0]],
+     "terms[2][0]: the mode 1 appears twice, first at terms[0][0]"),
+    # the first bad term is named, before any array is made
+    ([[1, 1.0, 0.0], [33, 0.1, 0.0], [1, 2.0, 0.0]],
+     "terms[1][0]: a mode must be an integer in [-32, 32], got 33"),
+    ([[float("nan"), 1.0, 0.0]], "terms[0][0]: a mode must be an integer in [-32, 32], got nan"),
+    ([[1e300, 1.0, 0.0]], "terms[0][0]: a mode must be an integer in [-32, 32], got 1e+300"),
+    ({"1.5": 1.0}, "terms.1.5: a mode must be an integer in [-32, 32], got '1.5'"),
+    # int() reads "1_0" as 10 and " 1" as 1; a JSON key is signed digits alone
+    ({"1_0": 1.0}, "terms.1_0: a mode must be an integer in [-32, 32], got '1_0'"),
+    ({" 1": 1.0}, "terms. 1: a mode must be an integer in [-32, 32], got ' 1'"),
+    ({None: 1.0}, "terms[None]: a mode must be an integer in [-32, 32], got None"),
+])
+def test_fourier_terms_names_the_first_bad_term(terms, shown):
+    with pytest.raises(BadArgument, match=f"^{re.escape(shown)}$"):
+        cl.curve_from_terms(terms, N=32)

@@ -8,7 +8,7 @@ import pytest
 
 from trgeo._spectral import (_derivative_multiplier, band_basis, band_projector,
                               derivative_matrix, evaluate_fourier, invert_cumulative, modes,
-                              richardson, rk4_step, spectral_derivative)
+                              richardson, rk4_step, spectral_derivative, synthesize)
 from trgeo.geodesic_flow import _MATRIX_NODES
 
 
@@ -237,3 +237,14 @@ def test_band_basis_is_an_orthonormal_basis_of_the_band():
     assert band_basis(32, 10) is band_basis(32, 10)
     assert not band_basis(32, 10).flags.writeable
 
+
+@pytest.mark.parametrize("size", [16, 64, 1024])
+def test_synthesize_is_the_forward_normed_inverse_fft(size):
+    # ifft(spectrum) * size: the same bits as numpy's norm="forward" on a
+    # power-of-two grid, negative modes taken modulo size
+    rng = np.random.default_rng(size)
+    n = rng.permutation(np.arange(-(size // 2) + 1, size // 2))[:size // 4]
+    a = rng.standard_normal(n.size) + 1j * rng.standard_normal(n.size)
+    spectrum = np.zeros(size, dtype=complex)
+    spectrum[n] = a
+    assert np.array_equal(synthesize(n, a, size), np.fft.ifft(spectrum, norm="forward"))
