@@ -6,14 +6,15 @@ Nyquist mode is dropped from odd-order derivatives, the standard choice for
 real data. Quadrature of periodic integrands is the node sum times the cell
 area, accumulated with math.fsum in fixed order so results are deterministic.
 
-derivative_matrix holds the same first derivative as a dense matrix,
-band_projector the filter that keeps a band of modes and band_basis an
-orthonormal real basis of that band; on short axes each is cheaper than
-two FFTs; `synthesize` is the one inverse FFT of Fourier terms. Besides
-the FFT helpers the module holds the building blocks of the oracles: the
-off-grid Fourier evaluator (`evaluate_fourier`, one array of angles for the
-first axis of the coefficients, the other axes riding along), the inverse of
-theta -> int_0^theta w for w > 0 (`invert_cumulative`), one RK4 step
+derivative_matrix holds the same first derivative as a dense matrix and
+band_basis an orthonormal real basis of a band of modes, whose B B^T is
+the filter that keeps the band; on short axes each is cheaper than two
+FFTs. `synthesize` is the one inverse FFT of Fourier terms. Besides the
+FFT helpers the module holds the building blocks of the oracles: the one
+off-grid Fourier evaluator (`evaluate_fourier`, one array of angles for
+the first axis of the coefficients, the other axes riding along, in chunks
+of points of bounded memory), the inverse of theta -> int_0^theta w for
+w > 0 (`invert_cumulative`, which evaluates through it), one RK4 step
 (`rk4_step`) and one Richardson level (`richardson`). Every integrator,
 inversion and extrapolation in the package goes through these.
 """
@@ -22,6 +23,9 @@ import functools
 import math
 
 import numpy as np
+
+# the most phases e^{i m theta} evaluate_fourier forms at once (8 MB)
+_PHASE_ENTRIES = 2 ** 19
 
 
 def modes(n):
@@ -82,28 +86,13 @@ def derivative_matrix(n):
 
 
 @functools.lru_cache(maxsize=16)
-def band_projector(n, cutoff):
-    """The n x n matrix P that keeps the modes |m| <= cutoff of n samples.
-
-    Column j is the FFT filter applied to the j-th unit sample, so P @ v is
-    the inverse transform of v's spectrum with every other mode zeroed; for
-    cutoff < n/2 it is the real symmetric projector of a 2/3-rule filter
-    (Orszag, J. Atmos. Sci. 28, 1971). Shared by every call with the same
-    (n, cutoff), so it is read-only.
-    """
-    keep = np.arange(n // 2 + 1) <= cutoff
-    P = np.fft.irfft(np.fft.rfft(np.eye(n), axis=0) * keep[:, None], n=n, axis=0)
-    P.flags.writeable = False
-    return P
-
-
-@functools.lru_cache(maxsize=16)
 def band_basis(n, cutoff):
     """The n x (2 cutoff + 1) orthonormal basis B of the modes |m| <= cutoff
     < n/2: the constant, cos(m theta), then sin(m theta) for m = 1..cutoff
-    at the nodes, so |B^T v| = |v| for v in the band (Parseval). Shared by
-    every call with the same (n, cutoff), so it is read-only."""
-    angles = np.outer(2.0 * math.pi * np.arange(n) / n, np.arange(1, cutoff + 1))
+    at the nodes, so |B^T v| = |v| for v in the band (Parseval). The angles
+    come from j m mod n, so B B^T is the band's FFT filter to round-off.
+    Shared by every call with the same (n, cutoff), so it is read-only."""
+    angles = (2.0 * math.pi / n) * (np.outer(np.arange(n), np.arange(1, cutoff + 1)) % n)
     B = np.concatenate([np.full((n, 1), math.sqrt(1.0 / n)),
                         math.sqrt(2.0 / n) * np.cos(angles),
                         math.sqrt(2.0 / n) * np.sin(angles)], axis=1)
@@ -128,17 +117,25 @@ def evaluate_fourier(coeffs, theta):
     """Evaluate a Fourier series (FFT-ordered coeffs) at arbitrary angles.
 
     coeffs holds the modes along its first axis and may carry trailing axes;
-    the result has shape theta.shape + coeffs.shape[1:]. One matrix product
-    of the phases e^{i m theta} with the coefficients, O(points * coeffs.size).
+    the result has shape theta.shape + coeffs.shape[1:]. The phases
+    e^{i m theta} times the coefficients, O(points * coeffs.size), in chunks
+    of points of at most _PHASE_ENTRIES phases. The last chunk takes two
+    points or more, as BLAS sums one point by another kernel, so the bits
+    are those of one product of all the phases.
     """
     theta = np.asarray(theta, dtype=float)
     n = coeffs.shape[0]
-    # e^{i m theta} for m = 0..n//2 only; e^{-i m theta} is its conjugate
-    half = np.exp(1j * theta.reshape(-1)[:, None] * np.arange(n // 2 + 1))
-    phases = np.empty((half.shape[0], n), dtype=complex)
-    phases[:, :(n + 1) // 2] = half[:, :(n + 1) // 2]
-    np.conjugate(half[:, n // 2:0:-1], out=phases[:, (n + 1) // 2:])
-    out = phases @ coeffs.reshape(n, -1)
+    flat = theta.reshape(-1)
+    columns = coeffs.reshape(n, -1)
+    out = np.empty((flat.size, columns.shape[1]), dtype=complex)
+    bounds = [*range(0, max(flat.size - 1, 1), max(2, _PHASE_ENTRIES // n)), flat.size]
+    for s, e in zip(bounds, bounds[1:]):
+        # e^{i m theta} for m = 0..n//2 only; e^{-i m theta} is its conjugate
+        half = np.exp(1j * flat[s:e, None] * np.arange(n // 2 + 1))
+        phases = np.empty((e - s, n), dtype=complex)
+        phases[:, :(n + 1) // 2] = half[:, :(n + 1) // 2]
+        np.conjugate(half[:, n // 2:0:-1], out=phases[:, (n + 1) // 2:])
+        np.matmul(phases, columns, out=out[s:e])
     return out.reshape(theta.shape + coeffs.shape[1:])
 
 
@@ -149,23 +146,24 @@ def invert_cumulative(weight, fractions):
     [0, 2pi). Its half spectrum, cut after the last mode above the samples'
     round-off (eps * max w), is integrated mode by mode. Newton on that
     antiderivative starts from the interpolated cumulative node sum and
-    stops once its largest step no longer shrinks.
+    stops once its largest step no longer shrinks; evaluate_fourier takes
+    the half spectrum in FFT order, with a zero negative half.
     """
     n = weight.size
     spec = np.fft.rfft(weight) / n
     spec[1:(n + 1) // 2] *= 2.0        # w = Re sum_{m >= 0} spec_m e^{i m theta}
     spec = spec[:np.flatnonzero(np.abs(spec) > np.finfo(float).eps * np.max(weight))[-1] + 1]
-    m = np.arange(spec.size)
-    anti = np.concatenate(([0.0], spec[1:] / (1j * m[1:])))
+    anti = np.concatenate(([0.0], spec[1:] / (1j * np.arange(1, spec.size))))
     anti[0] = -anti.sum().real         # int_0^theta w = spec_0 theta + Re sum anti_m e^{i m theta}
-    columns = np.stack([anti, spec], axis=1)
+    columns = np.zeros((2 * spec.size - 1, 2), dtype=complex)
+    columns[:spec.size] = np.stack([anti, spec], axis=1)
     total = 2.0 * math.pi * spec[0].real
     targets = total * np.asarray(fractions, dtype=float)
     cumulative = np.concatenate(([0.0], np.cumsum(weight))) * (2.0 * math.pi / n)
     theta = np.interp(targets, cumulative, np.linspace(0.0, 2.0 * math.pi, n + 1))
     last = math.inf
     while True:
-        wave, rate = (np.exp(1j * np.multiply.outer(theta, m)) @ columns).real.T
+        wave, rate = evaluate_fourier(columns, theta).real.T
         step = (spec[0].real * theta + wave - targets) / rate
         theta, size = theta - step, np.max(np.abs(step))
         if not size < last:

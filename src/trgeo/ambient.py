@@ -136,23 +136,22 @@ class AmbientChart:
 
     # -- kernels -------------------------------------------------------------
 
-    def _on_blocks(self, pts, margin, kernel, shapes):
-        """kernel(jets) over fixed-size blocks of points, one array per shape.
+    def _on_blocks(self, pts, margin, kernel, shape):
+        """kernel(jets) over fixed-size blocks of points, as one array.
 
         All points are checked against the domain first; each block then
-        gets its _Jets and their positivity check. kernel returns one array
-        of shape shape + (B,) per entry of shapes, points last, and each is
-        stored as pts.shape[:-1] + shape.
+        gets its _Jets and their positivity check. kernel returns an array
+        of shape shape + (B,), points last, and the result is laid out
+        pts.shape[:-1] + shape.
         """
         pts = np.asarray(pts, dtype=float)
         self.require_inside(pts, margin)
         flat = pts.reshape(-1, self.dim)
-        outs = [np.empty((flat.shape[0],) + shape) for shape in shapes]
+        out = np.empty((flat.shape[0],) + shape)
         for s in range(0, flat.shape[0], _BLOCK):
             jets = self._jets(np.ascontiguousarray(flat[s:s + _BLOCK].T))
-            for out, block in zip(outs, kernel(jets)):
-                out[s:s + _BLOCK] = np.moveaxis(block, -1, 0)
-        return [out.reshape(pts.shape[:-1] + shape) for out, shape in zip(outs, shapes)]
+            out[s:s + _BLOCK] = np.moveaxis(kernel(jets), -1, 0)
+        return out.reshape(pts.shape[:-1] + shape)
 
     def _jets(self, p):
         """The _Jets of points p (2n, B), after the positivity check."""
@@ -232,7 +231,7 @@ class AmbientChart:
             shape = pts.shape[:-1] + (d, d)
             return (np.broadcast_to(np.eye(d), shape),
                     np.broadcast_to(self.J.T, shape))
-        g, = self._on_blocks(pts, _MARGIN, lambda j: (self._metric(j),), [(d, d)])
+        g = self._on_blocks(pts, _MARGIN, self._metric, (d, d))
         omega = np.swapaxes(self.J, 0, 1) @ g
         return g, omega
 
@@ -257,9 +256,7 @@ class AmbientChart:
         d = self.dim
         if self.is_flat:
             return np.zeros(pts.shape[:-1] + (d, d, d))
-        gamma, = self._on_blocks(pts, _STENCIL_MARGIN, lambda j: (self._christoffel(j),),
-                                 [(d, d, d)])
-        return gamma
+        return self._on_blocks(pts, _STENCIL_MARGIN, self._christoffel, (d, d, d))
 
     def ricci_many(self, pts):
         """Ricci tensor via the Kahler identity Ric = i ddbar(-log det H)."""
@@ -267,9 +264,7 @@ class AmbientChart:
         d = self.dim
         if self.is_flat:
             return np.zeros(pts.shape[:-1] + (d, d))
-        ric, = self._on_blocks(pts, _STENCIL_MARGIN, lambda j: (self._ricci(j),),
-                               [(d, d)])
-        return ric
+        return self._on_blocks(pts, _STENCIL_MARGIN, self._ricci, (d, d))
 
 
 def verify_kahler_einstein(chart, sample_points):

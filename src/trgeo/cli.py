@@ -478,6 +478,11 @@ def _op_curve_classify(s, out_dir, raw):
 def _op_curve_geodesic(s, out_dir, raw):
     curve = _curve(s["curve"], "curve")
     radii = s["params"]["radii"]
+    # each frame holds 4N points of two coordinates, like a flow.run's frames
+    try:
+        geodesic_flow.require_kept(len(radii), 8 * curve.N, "radii")
+    except BadArgument as e:
+        raise ValidationError(f"params.{e}") from None
     frames = [curve_lab.geodesic_evaluate(curve, r) for r in radii]
     paths = _write_frames_csv(out_dir, [np.stack([f.real, f.imag], axis=-1)
                                         for f in frames])
@@ -496,11 +501,11 @@ def _op_curve_length(s, out_dir, raw):
 
 def _op_curve_secondvar(s, out_dir, raw):
     curve = _curve(s["curve"], "curve")
-    # resample_arclength evaluates 8N angles against 2N + 1 modes at once:
-    # at N = 512, 128 MB peak RSS and 0.5 to 0.8 s in all (416 MB and 1.5 s
-    # at 1024), measured in a fresh process on a 2-core Xeon host
-    if curve.N > 512:
-        raise ValidationError(f"curve.N must be <= 512 for curve.secondvar, got {curve.N}")
+    # a Newton step of resample_arclength evaluates 8N angles against up to
+    # 8N modes: at N = 1024, 56 MB and 1.1 s for a circle, 57 MB and 7.4 s
+    # for a speed of modes up to 2N (fresh process, 2-core Xeon host)
+    if curve.N > 1024:
+        raise ValidationError(f"curve.N must be <= 1024 for curve.secondvar, got {curve.N}")
     curve = curve_lab.resample_arclength(curve)
     M = 4 * curve.N
     theta = 2.0 * np.pi * np.arange(M) / M
@@ -549,9 +554,8 @@ def _op_flow_run(s, out_dir, raw):
     p = s["params"]
     try:
         if p["scheme"] == "spectral":
-            # the bound is the frame CSVs' and is not flow_spectral's, whose
-            # families of a few frames (variation.second) may be larger
-            geodesic_flow.require_kept(len(p["times"]), im, "times")
+            # the bound is the frame CSVs'; flow_spectral keeps what it is asked for
+            geodesic_flow.require_kept(len(p["times"]), im.points.size, "times")
             flow = geodesic_flow.flow_spectral(im, X, p["times"])
         else:
             flow = geodesic_flow.flow_timestep(im, X, p["t_final"], p["dt"],
@@ -652,8 +656,10 @@ _FIELD_OP = {**_IMMERSION_OP, "field": _F(_FIELD, {})}
 # the size bounds below are set by peak RSS and wall time measured at the
 # bound, in a fresh process on a 2-core Xeon host: 59 MB and 0.7 s for
 # curve.analyze samples; 111 MB and 0.4 s for n_points on the ball;
-# 68 MB and 4.4 to 5.8 s for flow.bvp N through all 60 Gauss-Newton steps
+# 68 MB and 4.4 to 5.8 s for flow.bvp N through all 60 Gauss-Newton steps;
+# 836 MB and 37 s for variation.convexity t_grid on a 1024 x 1024 shear
 _N_POINTS = _F("int", 12, _between(1, 2 ** 16))
+_T_VALUES = ("32 numbers or fewer", lambda v: len(v) <= 32)
 # each operation's handler and the table it reads the scenario with, besides
 # the fields of _ENVELOPE, which every scenario may carry
 _OPERATIONS = {
@@ -686,7 +692,7 @@ _OPERATIONS = {
     "variation.second": (_op_variation_second, {**_FIELD_OP, **_NO_PARAMS}),
     "variation.density": (_op_variation_density, {**_FIELD_OP, **_NO_PARAMS}),
     "variation.convexity": (_op_variation_convexity, {"params": _F({
-        "family": _F(_FAMILY), "t_grid": _F(_NUMBERS)})}),
+        "family": _F(_FAMILY), "t_grid": _F(_NUMBERS, _REQUIRED, _T_VALUES)})}),
     # the sample box of a curved chart is r_max times its radius
     "ambient.verify": (_op_ambient_verify, _Variants(
         "chart", _F(_CHART, {}), {

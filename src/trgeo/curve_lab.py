@@ -181,7 +181,7 @@ def fourier_analyze(samples, N, check_orientation=True):
     M = samples.size
     if M < 4 * N or (M & (M - 1)) != 0:
         raise ValidationError("need M >= 4N samples with M a power of two")
-    raw = np.fft.fft(samples) / M
+    raw = _spectral.fourier_coefficients(samples)
     m = _spectral.modes(M).astype(int)
     low = np.abs(m) <= N
     total = float(np.sum(np.abs(raw) ** 2))

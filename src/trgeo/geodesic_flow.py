@@ -86,10 +86,11 @@ _MATRIX_NODES = 128
 TANGENTIAL_SUBSTEPS = 8
 UNIQUENESS_STEPS = 200
 MAX_TIMESTEPS = 100_000
-# the most point coordinates the frames of one flow_timestep call, or of one
-# flow.run, may keep: one frame of the largest grid on C^2 (1024 x 1024 x 4).
-# A flow.run at the bound peaks at 1.34 to 1.37 GB RSS in 3.8 to 6.2 s, in a
-# fresh process on a 2-core Xeon host, most of it formatting the frame CSVs
+# the most point coordinates the frames of one flow_timestep call, of one
+# flow.run or of one curve.geodesic may keep: one frame of the largest grid
+# on C^2 (1024 x 1024 x 4). At the bound a flow.run peaks at 1.34 to 1.37 GB
+# RSS in 3.8 to 6.2 s and a curve.geodesic at 1.34 GB in 4.6 s, in a fresh
+# process on a 2-core Xeon host, most of it formatting the frame CSVs
 MAX_KEPT_NUMBERS = 2 ** 22
 # annulus BVP: Gauss-Newton steps, and the largest residual entry of convergence
 BVP_MAX_ITER = 60
@@ -104,7 +105,6 @@ class FlowResult:
     immersions: list
     amplification: float
     scheme: str                  # "spectral" | "timestep"
-    vol_j: list | None = None    # Vol_J of each member; None for timestep runs
 
 
 @dataclass
@@ -184,18 +184,14 @@ def tangential_flow(im, X, t):
                      points=_resample_axis(im.points, axis, theta, w))
 
 
-def _complex_components(im):
-    """z_k = x_k + i y_k, laid out (n,) + grid.sizes; the flow acts mode-wise on these."""
-    pts = im.components_first()
-    return pts[:im.chart.n] + 1j * pts[im.chart.n:]
-
-
 def _present_spectrum(im):
-    """The spectrum of the complex components over the grid axes, laid out
-    (n,) + grid.sizes, with the modes below SPECTRAL_PRESENCE_FLOOR of the
-    largest (or of 1) set to zero: numerically absent, they would only
-    inject e^{|m| c t}-amplified noise into a continuation."""
-    coeffs = np.fft.fftn(_complex_components(im), axes=tuple(range(1, 1 + im.n)))
+    """The spectrum of z_k = x_k + i y_k over the grid axes, laid out (n,) +
+    grid.sizes, with the modes below SPECTRAL_PRESENCE_FLOOR of the largest
+    (or of 1) set to zero: numerically absent, they would only inject
+    e^{|m| c t}-amplified noise into a continuation."""
+    pts = im.components_first()
+    coeffs = np.fft.fftn(pts[:im.chart.n] + 1j * pts[im.chart.n:],
+                         axes=tuple(range(1, 1 + im.n)))
     mags = np.abs(coeffs)
     return np.where(mags > SPECTRAL_PRESENCE_FLOOR * max(float(np.max(mags)), 1.0),
                     coeffs, 0.0)
@@ -261,29 +257,32 @@ def flow_spectral(im, X, ts):
     produced in blocks of at most _BLOCK_NODES grid nodes; every block
     passes the finiteness check (NotFinite) and the stack checks
     (immersion._check_stack) before the next is made, and the blocks are
-    collected into one FlowResult, whose vol_j totals each member's
-    densities from its stack check (immersion._volumes). On the disk and
-    the ball the stack check refuses a member that leaves the chart's
-    domain (PointOutsideDomain). A family that fails reports the failure of
-    its earliest failing block.
+    collected into one FlowResult. On the disk and the ball the stack check
+    refuses a member that leaves the chart's domain (PointOutsideDomain). A
+    family that fails reports the failure of its earliest failing block.
     """
     ts = [float(t) for t in ts]
     amp, blocks = _spectral_family(im, X, ts)
-    immersions, vol_j = [], []
-    for pts, (induced_vol, volj) in blocks:
-        immersions += _members(im, pts)
-        vol_j += [_volumes(j, g, im.grid.cell)["vol_j"] for j, g in zip(volj, induced_vol)]
+    immersions = [member for pts, _ in blocks for member in _members(im, pts)]
     return FlowResult(times=ts, immersions=immersions, amplification=amp,
-                      scheme="spectral", vol_j=vol_j)
+                      scheme="spectral")
 
 
-def require_kept(frames, im, name):
-    """BadArgument naming the argument name when that many frames of im
-    hold more than MAX_KEPT_NUMBERS numbers in all. flow_timestep checks
-    its store_every so; a caller that writes out flow_spectral's frames
-    checks its times so first."""
-    if frames * im.points.size > MAX_KEPT_NUMBERS:
-        raise BadArgument(f"{name}: {frames} frames of {im.points.size} numbers are more "
+def family_volumes(im, X, ts):
+    """Vol_J of each member of flow_spectral's family at ts, totalled block
+    by block from the stack check's densities (immersion._volumes); no
+    member is kept."""
+    _, blocks = _spectral_family(im, X, [float(t) for t in ts])
+    return [_volumes(j, g, im.grid.cell)["vol_j"]
+            for _, (induced_vol, volj) in blocks for j, g in zip(volj, induced_vol)]
+
+
+def require_kept(frames, numbers, name):
+    """BadArgument naming the argument name when frames frames of numbers
+    numbers each are more than MAX_KEPT_NUMBERS in all. flow_timestep checks
+    its store_every so; a caller that writes out frames checks first."""
+    if frames * numbers > MAX_KEPT_NUMBERS:
+        raise BadArgument(f"{name}: {frames} frames of {numbers} numbers are more "
                           f"than the {MAX_KEPT_NUMBERS} numbers a flow keeps")
 
 
@@ -590,16 +589,18 @@ def _axis_step(J, sizes, cutoffs, axis, f, dt, w):
     du/dt = i (f D u + b) from the zero state gives R e_j - e_j for b = f D
     e_j (no identity is subtracted, so round-off scales with the increment)
     and, for b = f, the winding's constant increment v. As J^2 = -1, the
-    step is y + C y + J S y (+ Re v w + Im v J w), where C + i S = P (R - I)
-    and P of _spectral.band_projector filters the increment. The other axes
-    do not move, so a state in the band stays there.
+    step is y + C y + J S y (+ Re v w + Im v J w), where C + i S = B B^T
+    (R - I): B of _spectral.band_basis, the basis _band_tail reads, keeps
+    the band of the increment. The other axes do not move, so a state in the
+    band stays there.
     """
     s, n = sizes[axis], len(sizes)
     fD = f[:, None] * _spectral.derivative_matrix(s)
     # columns: the increments of the unit states, then v
     b = np.concatenate([fD, f[:, None]], axis=1)
-    inc = _spectral.band_projector(s, cutoffs[axis]) @ _spectral.rk4_step(
-        lambda u: 1j * (fD @ u + b), np.zeros(b.shape, dtype=complex), dt)
+    B = _spectral.band_basis(s, cutoffs[axis])
+    inc = B @ (B.T @ _spectral.rk4_step(
+        lambda u: 1j * (fD @ u + b), np.zeros(b.shape, dtype=complex), dt))
     C, S = (_along_axis(np.ascontiguousarray(part[:, :s]), axis, n)
             for part in (inc.real, inc.imag))
     shift = None
@@ -742,7 +743,7 @@ def flow_timestep(im, X, t_final, dt, store_every=1):
     times, states = _rk4_states(im, X, t_final, dt)
     n_steps = len(times) - 1
     # the steps 0, store_every, 2 store_every, .. and the last
-    require_kept(n_steps // store_every + 1 + (n_steps % store_every > 0), im, "store_every")
+    require_kept(-(-n_steps // store_every) + 1, im.points.size, "store_every")
     kept, frames_out, amp = [], [], 1.0
     for step, (pts, top) in enumerate(states):
         if step == 0:

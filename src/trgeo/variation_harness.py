@@ -5,9 +5,9 @@ ambient field Z = iota_* X + J iota_* Y (only the t-derivative at 0 matters,
 so the linear extension is as good as any) with Richardson-extrapolated
 central differences in the step. Second variations are taken along genuine
 geodesic families d iota/dt = J iota_* Y, Y = f(theta_k) d/dtheta_k with f
-constant or positive (geodesic_flow.flow_spectral, the guarded and
-validated mode-wise continuation, on every built-in chart), whose Vol_J it
-reports member by member. The tangential density identities are checked by
+constant or positive (the guarded, validated mode-wise continuation, on
+every built-in chart), whose Vol_J geodesic_flow.family_volumes totals
+member by member. The tangential density identities are checked by
 flowing L along X = f(theta_k) d/dtheta_k (geodesic_flow.tangential_flow).
 
 Analytic counterparts:
@@ -24,9 +24,11 @@ from typing import Optional
 import numpy as np
 
 from . import _spectral
+from . import ambient as amb
 from .errors import ValidationError
-from .geodesic_flow import flow_spectral, tangential_flow
-from .immersion import GridTorus, Immersion, VectorFieldOnL, is_totally_real
+from .geodesic_flow import family_volumes, tangential_flow
+from .immersion import (GridTorus, Immersion, VectorFieldOnL, build_immersion, coordinate_field,
+                        is_totally_real)
 
 # FD steps: first variation (descending, each half the one before), the
 # pointwise density checks, and the second variation along a geodesic family
@@ -162,7 +164,7 @@ def check_second_variation_kahler(geo, Y, context=""):
     analytic = _spectral.periodic_total(
         second_variation_integrand(geo, Y) * geo.volj_density, geo.im.grid.cell)
     ts = [-2.0 * tau, -tau, 0.0, tau, 2.0 * tau]
-    vol = dict(zip(ts, flow_spectral(geo.im, Y, ts).vol_j))
+    vol = dict(zip(ts, family_volumes(geo.im, Y, ts)))
     fd = _spectral.richardson(lambda h: (vol[h] - 2.0 * vol[0.0] + vol[-h]) / h ** 2, 2.0 * tau)
     return _make_report(analytic, fd, None, context or "second variation")
 
@@ -187,9 +189,6 @@ def convexity_experiment(family, t_grid):
     a key the kind does not read raises ValidationError.
     t values must be increasing and uniformly spaced.
     """
-    from . import ambient as amb
-    from .immersion import build_immersion, coordinate_field
-
     kind = family.get("kind")
     if kind not in FAMILIES:
         raise ValidationError(f"unknown family kind {kind!r}")
@@ -229,7 +228,7 @@ def convexity_experiment(family, t_grid):
         comp = np.zeros((2, gsz, gsz))
         comp[0] = (1.0 + f["amplitude"] * np.cos(theta))[:, None]
         Y = VectorFieldOnL(grid=im.grid, components=comp)
-    vols = np.array(flow_spectral(im, Y, list(t_grid)).vol_j)
+    vols = np.array(family_volumes(im, Y, t_grid))
     h = float(t_grid[1] - t_grid[0])
     second = np.full(t_grid.size, np.nan)
     second[1:-1] = (vols[2:] - 2.0 * vols[1:-1] + vols[:-2]) / h ** 2

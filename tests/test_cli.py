@@ -1089,6 +1089,28 @@ def test_a_flow_run_keeping_too_many_numbers_exits_2(tmp_path, capsys, params, s
     assert not (out / "results.json").exists()
 
 
+def test_curve_geodesic_keeps_at_most_the_frames_bound(tmp_path, capsys, monkeypatch):
+    # each frame of an N = 32 curve holds 4N points of two coordinates: with
+    # the bound at two such frames, two radii run and three exit 2 unformed
+    monkeypatch.setattr(geodesic_flow, "MAX_KEPT_NUMBERS", 2 * 256)
+    calls = []
+    monkeypatch.setattr(cl, "geodesic_evaluate",
+                        lambda curve, r, real=cl.geodesic_evaluate: calls.append(r) or real(curve, r))
+    curve = {"terms": {"1": [1.0, 0.0], "-1": [0.3, 0.0]}, "N": 32}
+    for radii, code in (([0.9, 1.1], 0), ([0.9, 1.0, 1.1], 2)):
+        scn = write_scenario(tmp_path / "s.json", {"version": 1, "operation": "curve.geodesic",
+                                                   "curve": curve, "params": {"radii": radii}})
+        out = tmp_path / f"out{len(radii)}"
+        assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == code
+    assert calls == [0.9, 1.1]
+    assert sorted(p.name for p in (tmp_path / "out2").iterdir()) == [
+        "curve_t0.csv", "curve_t1.csv", "manifest.json", "results.json"]
+    assert not (tmp_path / "out3" / "results.json").exists()
+    assert capsys.readouterr().err == (
+        "trgeo: ValidationError: params.radii: 3 frames of 256 numbers are more than "
+        "the 512 numbers a flow keeps\n")
+
+
 def test_the_frames_bound_is_flow_runs_alone(tmp_path, capsys, monkeypatch):
     # with the bound at four frames of a 64-node circle, a flow.run of five
     # times exits 2, and variation.second and variation.convexity, which

@@ -227,9 +227,12 @@ def test_every_schema_field_is_in_some_base(tmp_path):
 
 
 # --- sizes past their bounds ------------------------------------------------------
-# Each of these sized an array before any bound and ended in numpy's
-# _ArrayMemoryError traceback, exit 1; the secondvar curve asked
-# resample_arclength for an 8N x (2N + 1) phase matrix of 512 GiB.
+# Each of the first four sized an array before any bound and ended in
+# numpy's _ArrayMemoryError traceback, exit 1; the secondvar curve asked
+# resample_arclength for an 8N x (2N + 1) phase matrix of 512 GiB, and now
+# for about 2^40 phases in chunks, hours of work. The last two had no bound:
+# curve.geodesic kept and formatted 165 MB per radius at N = 65536, and
+# variation.convexity kept one member per t value.
 
 @pytest.mark.parametrize("payload, line", [
     ({"operation": "curve.analyze", "curve": ELLIPSE, "params": {"samples": 10 ** 12}},
@@ -242,8 +245,16 @@ def test_every_schema_field_is_in_some_base(tmp_path):
      "params.N must be >= 1 and <= 128, got 1000000000"),
     ({"operation": "curve.secondvar", "curve": {"terms": {"1": [1.0, 0.0]}, "N": 65536},
       "params": {"fields": [{"base": 1.0}]}},
-     "curve.N must be <= 512 for curve.secondvar, got 65536"),
-], ids=["analyze samples", "verify n_points", "bvp N", "secondvar curve N"])
+     "curve.N must be <= 1024 for curve.secondvar, got 65536"),
+    ({"operation": "curve.geodesic", "curve": {"terms": {"1": [1.0, 0.0]}, "N": 65536},
+      "params": {"radii": [0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7]}},
+     "params.radii: 9 frames of 524288 numbers are more than the 4194304 numbers "
+     "a flow keeps"),
+    ({"operation": "variation.convexity", "params": {
+        "family": {"kind": "flat_circle", "grid": 16}, "t_grid": [0.0] * 33}},
+     "params.t_grid must be 32 numbers or fewer, got " + repr([0.0] * 33)),
+], ids=["analyze samples", "verify n_points", "bvp N", "secondvar curve N",
+        "geodesic radii", "convexity t_grid"])
 def test_a_size_past_its_bound_exits_2_naming_the_field(tmp_path, capsys, payload, line):
     scn = tmp_path / "s.json"
     scn.write_text(json.dumps({"version": 1, **payload}))

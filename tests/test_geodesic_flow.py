@@ -128,7 +128,7 @@ def _shear_family():
 
 
 @pytest.mark.parametrize("case", ["ball torus", "disk circle", "quotient shear"])
-def test_flow_vol_j_is_the_volume_of_each_continued_member(case):
+def test_family_volumes_are_the_volume_of_each_continued_member(case):
     # the oracle is the computation the variation checks made before: each
     # member of the continued grid (the constant-speed grid of the shear
     # family's axis) validated alone, its Vol_J by Geometry.volumes
@@ -138,7 +138,7 @@ def test_flow_vol_j_is_the_volume_of_each_continued_member(case):
         im = _ball_torus() if case == "ball torus" else _disk_circle()
         Y = imm.coordinate_field(im.grid, 0, 0.5)
     ts = [-0.1, 0.0, 0.1, 0.2]
-    flow = gf.flow_spectral(im, Y, ts)
+    vol_j = gf.family_volumes(im, Y, ts)
     axis, f = gf._axis_profile(Y)
     cont, c = im, float(f[0])
     if case == "quotient shear":
@@ -151,12 +151,12 @@ def test_flow_vol_j_is_the_volume_of_each_continued_member(case):
                                                     axis, c, ts)
                for m in gf._members(cont, pts)]
     want = [imm.is_totally_real(m).volumes()["vol_j"] for m in members]
-    assert flow.times == ts and len(flow.vol_j) == len(want) == len(ts)
-    for got, ref in zip(flow.vol_j, want):
+    assert len(vol_j) == len(want) == len(ts)
+    for got, ref in zip(vol_j, want):
         assert abs(got - ref) <= 1e-14 * abs(ref)
     if case != "quotient shear":
         # a coordinate field's frames are the continued members themselves
-        for frame, member in zip(flow.immersions, members):
+        for frame, member in zip(gf.flow_spectral(im, Y, ts).immersions, members):
             assert np.array_equal(frame.points, member.points)
 
 
@@ -285,10 +285,10 @@ def test_the_kept_frames_are_bounded_before_any_step(circle, monkeypatch, store_
             gf.flow_timestep(circle, X, 0.1, 0.01, store_every)
     # flow_spectral keeps what it is asked for; the bound is its callers'
     assert len(gf.flow_spectral(circle, X, [0.0, 0.1, 0.2, 0.3]).immersions) == 4
-    gf.require_kept(3, circle, "times")
+    gf.require_kept(3, circle.points.size, "times")
     with pytest.raises(BadArgument, match=r"^times: 4 frames of 128 numbers are more than "
                                           r"the 384 numbers a flow keeps"):
-        gf.require_kept(4, circle, "times")
+        gf.require_kept(4, circle.points.size, "times")
 
 
 def criterion_9_curve():

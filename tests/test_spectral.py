@@ -1,14 +1,18 @@
 """Shared numerical primitives: FFT derivatives, off-grid Fourier evaluation,
 the inversion of cumulative integrals, RK4 and Richardson."""
 
+import math
+import tracemalloc
+
 import numpy as np
 
+from trgeo import _spectral
 from trgeo import curve_lab as cl
 import pytest
 
-from trgeo._spectral import (_derivative_multiplier, band_basis, band_projector,
-                              derivative_matrix, evaluate_fourier, invert_cumulative, modes,
-                              richardson, rk4_step, spectral_derivative, synthesize)
+from trgeo._spectral import (_derivative_multiplier, band_basis, derivative_matrix,
+                              evaluate_fourier, invert_cumulative, modes, richardson,
+                              rk4_step, spectral_derivative, synthesize)
 from trgeo.geodesic_flow import _MATRIX_NODES
 
 
@@ -45,6 +49,62 @@ def test_evaluate_fourier_odd_size():
     theta = rng.uniform(-2.0 * np.pi, 4.0 * np.pi, size=30)
     np.testing.assert_allclose(evaluate_fourier(coeffs, theta),
                                direct_sum(coeffs, theta), rtol=0, atol=1e-13)
+
+
+def one_product(coeffs, theta):
+    """Reference: evaluate_fourier as one product of all the phases at once."""
+    theta = np.asarray(theta, dtype=float)
+    n = coeffs.shape[0]
+    half = np.exp(1j * theta.reshape(-1)[:, None] * np.arange(n // 2 + 1))
+    phases = np.empty((half.shape[0], n), dtype=complex)
+    phases[:, :(n + 1) // 2] = half[:, :(n + 1) // 2]
+    np.conjugate(half[:, n // 2:0:-1], out=phases[:, (n + 1) // 2:])
+    out = phases @ coeffs.reshape(n, -1)
+    return out.reshape(theta.shape + coeffs.shape[1:])
+
+
+@pytest.mark.parametrize("n, trailing, sizes", [
+    (129, (), (1, 2, 7, 301, (7, 43))),
+    (33, (2,), (1, 2, 7, 301, (7, 43))),
+    (129, (2,), (1, 2, 7, 250, (7, 9))),
+    (15, (4, 32), (1, 2, 7, 34, (3, 5))),
+])
+def test_chunked_evaluate_fourier_is_the_one_product_bitwise(monkeypatch, n, trailing, sizes):
+    rng = np.random.default_rng(n + len(trailing))
+    coeffs = rng.normal(size=(n,) + trailing) + 1j * rng.normal(size=(n,) + trailing)
+    # angles as one list and as a (k, m) array; 7 and 301 points leave a
+    # remainder of one point after chunks of 3 and 10 points
+    thetas = [rng.uniform(-1.0, 7.0, size=size) for size in sizes]
+    # OpenBLAS runs a product of more multiply-adds than this on several
+    # threads, whose sums differ in the last bit from one thread's; the CLI
+    # runs BLAS on one thread, and these products stay on one in any process
+    assert all(theta.size * coeffs.size <= 2 ** 16 for theta in thetas)
+    for points in (3, 10, 300):
+        monkeypatch.setattr(_spectral, "_PHASE_ENTRIES", points * n)
+        for theta in thetas:
+            got = evaluate_fourier(coeffs, theta)
+            assert got.shape == np.shape(theta) + trailing
+            assert np.array_equal(got, one_product(coeffs, theta))
+            # real coefficients are products of complex phases too
+            assert np.array_equal(evaluate_fourier(coeffs.real, theta),
+                                  one_product(coeffs.real, theta))
+
+
+def test_evaluate_fourier_memory_does_not_grow_with_the_points():
+    # resample_arclength's speed at N = 1024: 8N angles against 2N + 1 modes,
+    # whose phases as one matrix take 268 MB
+    N = 1024
+    rng = np.random.default_rng(5)
+    coeffs = rng.normal(size=2 * N + 1) + 1j * rng.normal(size=2 * N + 1)
+    theta = 2.0 * np.pi * np.arange(8 * N) / (8 * N)
+    tracemalloc.start()
+    try:
+        evaluate_fourier(coeffs, theta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one chunk: its phases, their half and its temporaries, 8 MB each at most
+    assert peak < 4 * 16 * _spectral._PHASE_ENTRIES
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -120,6 +180,48 @@ def test_invert_cumulative_matches_untruncated_inversion():
     assert abs(total - 2.0 * np.pi * np.mean(speed(16384))) < 1e-13
 
 
+def inline_inverse(weight, fractions):
+    """Reference: invert_cumulative with its own phase matrix of the half
+    spectrum at each Newton step, the evaluator it had before it called
+    evaluate_fourier."""
+    n = weight.size
+    spec = np.fft.rfft(weight) / n
+    spec[1:(n + 1) // 2] *= 2.0
+    spec = spec[:np.flatnonzero(np.abs(spec) > np.finfo(float).eps * np.max(weight))[-1] + 1]
+    m = np.arange(spec.size)
+    anti = np.concatenate(([0.0], spec[1:] / (1j * m[1:])))
+    anti[0] = -anti.sum().real
+    columns = np.stack([anti, spec], axis=1)
+    total = 2.0 * math.pi * spec[0].real
+    targets = total * np.asarray(fractions, dtype=float)
+    cumulative = np.concatenate(([0.0], np.cumsum(weight))) * (2.0 * math.pi / n)
+    theta = np.interp(targets, cumulative, np.linspace(0.0, 2.0 * math.pi, n + 1))
+    last = math.inf
+    while True:
+        wave, rate = (np.exp(1j * np.multiply.outer(theta, m)) @ columns).real.T
+        step = (spec[0].real * theta + wave - targets) / rate
+        theta, size = theta - step, np.max(np.abs(step))
+        if not size < last:
+            return theta, total
+        last = size
+
+
+def test_invert_cumulative_is_the_inline_evaluator_bitwise():
+    # the (2, 1) ellipse's speed on the 8N grid of resample_arclength, and
+    # the 1/f probe of geodesic_flow._constant_speed for f = 1 + 0.3 cos 2 theta;
+    # N = 32 keeps each Newton product (256 angles, 55 modes kept) on one
+    # BLAS thread, as in the chunked test above
+    curve = cl.curve_from_terms({1: 1.5, -1: 0.5}, N=32)
+    speed = np.abs(cl.evaluate_derivative(curve, 2.0 * np.pi * np.arange(256) / 256))
+    probe = 1.0 / (1.0 + 0.3 * np.cos(2.0 * np.linspace(0.0, 2.0 * np.pi, 4096,
+                                                          endpoint=False)))
+    for weight, size in ((speed, 256), (probe, 64)):
+        fractions = np.arange(size) / size
+        theta, total = invert_cumulative(weight, fractions)
+        want_theta, want_total = inline_inverse(weight, fractions)
+        assert np.array_equal(theta, want_theta) and total == want_total
+
+
 def test_rk4_step_fourth_order():
     def error(n_steps):
         y, h = 1.0 + 0.0j, 1.0 / n_steps
@@ -187,7 +289,7 @@ def test_derivative_matrix_is_spectral_derivative_up_to_the_cutoff():
     assert not derivative_matrix(32).flags.writeable
 
 
-# every GridTorus size a projector serves: powers of two from 16 to _MATRIX_NODES
+# every GridTorus size a band basis serves: powers of two from 16 to _MATRIX_NODES
 _SHORT_SIZES = [2 ** k for k in range(4, _MATRIX_NODES.bit_length())]
 
 
@@ -204,26 +306,25 @@ def _rfft_filter(values, cutoffs):
     return np.fft.irfftn(spectrum, s=values.shape[:len(cutoffs)], axes=axes)
 
 
-def test_band_projector_is_the_rfft_filter_on_every_short_grid():
+def test_band_basis_filter_is_the_rfft_filter_on_every_short_grid():
     rng = np.random.default_rng(11)
     assert _SHORT_SIZES == [16, 32, 64, 128]
     for n in _SHORT_SIZES:
         # the 2/3 cutoff of the stepper and half of it
         for cut in (int(2.0 / 3.0 * (n // 2)), int(2.0 / 3.0 * (n // 2)) // 2):
-            P = band_projector(n, cut)
+            B = band_basis(n, cut)
             values = rng.normal(size=(n, 3))
-            np.testing.assert_allclose(P @ values, _rfft_filter(values, [cut]),
+            np.testing.assert_allclose(B @ (B.T @ values), _rfft_filter(values, [cut]),
                                        rtol=0, atol=1e-14 * np.max(np.abs(values)))
     for n0 in _SHORT_SIZES:
         for n1 in _SHORT_SIZES:
             cuts = [int(2.0 / 3.0 * (n0 // 2)), int(2.0 / 3.0 * (n1 // 2))]
+            B0, B1 = band_basis(n0, cuts[0]), band_basis(n1, cuts[1])
             values = rng.normal(size=(n0, n1))
-            # the tensor product: one product per axis
-            both = band_projector(n0, cuts[0]) @ values @ band_projector(n1, cuts[1]).T
+            # the tensor product: one filter per axis
+            both = B0 @ (B0.T @ values @ B1) @ B1.T
             np.testing.assert_allclose(both, _rfft_filter(values, cuts),
                                        rtol=0, atol=1e-14 * np.max(np.abs(values)))
-    assert band_projector(32, 10) is band_projector(32, 10)
-    assert not band_projector(32, 10).flags.writeable
 
 
 def test_band_basis_is_an_orthonormal_basis_of_the_band():
@@ -232,8 +333,8 @@ def test_band_basis_is_an_orthonormal_basis_of_the_band():
         B = band_basis(n, cut)
         assert B.shape == (n, 2 * cut + 1)
         np.testing.assert_allclose(B.T @ B, np.eye(2 * cut + 1), rtol=0, atol=1e-14)
-        # it spans the band: B B^T is the band's projector
-        np.testing.assert_allclose(B @ B.T, band_projector(n, cut), rtol=0, atol=1e-14)
+        # it spans the band: B B^T is the FFT filter of the band
+        np.testing.assert_allclose(B @ B.T, _rfft_filter(np.eye(n), [cut]), rtol=0, atol=1e-14)
     assert band_basis(32, 10) is band_basis(32, 10)
     assert not band_basis(32, 10).flags.writeable
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -335,6 +336,24 @@ def test_convexity_quotient_shear():
         np.linspace(-0.2, 0.2, 9))
     sd = prof["second_differences"][1:-1]
     assert np.all(sd >= -1e-6 * prof["vol_j"][1:-1])
+
+
+def test_convexity_memory_does_not_grow_with_the_t_grid():
+    # the family's volumes are totalled block by block and no member is
+    # kept: 20 t values peak where 5 do (the member list grew by one
+    # 64 x 64 frame on C^2, 131 kB, per t value: +2.1 MB)
+    family = {"kind": "flat_torus", "grid": 64}
+    vh.convexity_experiment(family, [0.0, 0.01, 0.02])
+    peaks = []
+    for n in (5, 20):
+        tracemalloc.start()
+        try:
+            vh.convexity_experiment(family, [0.01 * k for k in range(n)])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # room for the 15 more volumes and second differences the run returns
+    assert peaks[1] <= peaks[0] + 64 * 1024
 
 
 def test_convexity_refuses_a_family_key_it_does_not_read():
